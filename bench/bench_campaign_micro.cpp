@@ -31,16 +31,30 @@ std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
 // Counting overrides (this binary only). The default operator new[] /
-// delete[] forward here, so one pair covers both forms; nothing in the
-// workload uses over-aligned types.
+// delete[] forward here, so one pair covers both forms; the aligned pair
+// covers over-aligned types (the sync engine's cache-line-aligned chunk
+// outboxes).
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t n, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, ((n != 0 ? n : 1) + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -50,16 +50,30 @@ std::atomic<std::uint64_t> g_allocs{0};
 }  // namespace
 
 // Counting overrides (this binary only). The default operator new[] /
-// delete[] forward here, so one pair covers both forms; nothing in the
-// workload uses over-aligned types.
+// delete[] forward here, so one pair covers both forms; the aligned pair
+// covers over-aligned types (the sync engine's cache-line-aligned chunk
+// outboxes).
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t n, std::align_val_t align) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, ((n != 0 ? n : 1) + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -243,10 +257,9 @@ int main(int argc, char** argv) {
       sargs.parallel.jobs = jobs;
       sargs.parallel.executor = &executor;
     }
-    // Two warm-ups: the inbox/next_inbox ping-pong pair swaps an odd number
-    // of times per flooding run, so the two arrays alternate roles between
-    // runs and BOTH must reach steady-state capacity before the gate.
-    run_sync_trial(kernel, sargs);
+    // One warm-up sizes the flat inbox, the candidate bitmap and this job
+    // count's chunk outboxes and send buckets; every later trial reuses
+    // them at the same high-water marks.
     const TrialOutcome swarm = run_sync_trial(kernel, sargs);
     std::uint64_t row_allocs = 0;
     bool row_stable = true;

@@ -32,6 +32,14 @@ bool nap(Ctx& ctx, std::uint32_t& stage) {
   return true;
 }
 
+/// Sizes a kernel's node states for n nodes, resetting the recycled ones in
+/// place so their per-port vectors keep their capacity across runs.
+template <class State>
+void reset_states(std::vector<State>& states, std::size_t n) {
+  for (State& state : states) state.reset();
+  states.resize(n);
+}
+
 // ---------------------------------------------------------------------------
 // Sleeping MIS
 // ---------------------------------------------------------------------------
@@ -44,6 +52,18 @@ struct MisState {
   std::uint32_t nap_stage = 0;
   std::uint32_t heard_count = 0;
   std::vector<std::uint8_t> heard;  // per port: ever received on it?
+
+  /// Back to the default state, keeping `heard`'s capacity for the next
+  /// run (it is re-sized lazily, on first use, to the node's degree).
+  void reset() {
+    decided = false;
+    in_mis = false;
+    sent_prio = false;
+    my_prio = 0;
+    nap_stage = 0;
+    heard_count = 0;
+    heard.clear();
+  }
 };
 
 template <class Ctx>
@@ -171,8 +191,7 @@ class SleepingMisKernel {
 
   void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
     states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
+    reset_states(*states_, instance.num_nodes());
   }
 
   template <class Ctx>
@@ -205,6 +224,17 @@ struct MatchState {
   std::uint32_t nap_stage = 0;
   std::uint32_t dead_count = 0;
   std::vector<std::uint8_t> port_dead;  // per port: neighbor known matched
+
+  /// Back to the default state, keeping `port_dead`'s capacity.
+  void reset() {
+    decided = false;
+    matched = false;
+    proposer = false;
+    proposal_port = sim::kInvalidPort;
+    nap_stage = 0;
+    dead_count = 0;
+    port_dead.clear();
+  }
 };
 
 template <class Ctx>
@@ -359,8 +389,7 @@ class SleepingMatchingKernel {
 
   void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
     states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
+    reset_states(*states_, instance.num_nodes());
   }
 
   template <class Ctx>

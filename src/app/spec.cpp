@@ -1,6 +1,7 @@
 #include "app/spec.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "advice/child_encoding.hpp"
@@ -50,6 +51,20 @@ std::uint64_t to_u64(const std::string& s, const std::string& what) {
   return 0;
 }
 
+/// to_u64, checked against `max` before it narrows to T: a value that does
+/// not fit fails instead of silently wrapping.
+template <class T>
+T to_bounded(const std::string& s, const std::string& what,
+             std::uint64_t max = std::numeric_limits<T>::max()) {
+  const std::uint64_t v = to_u64(s, what);
+  RISE_CHECK_MSG(v <= max, what << " " << s << " exceeds the limit " << max);
+  return static_cast<T>(v);
+}
+
+/// The largest node count or node id a spec may name (kInvalidNode is
+/// reserved).
+constexpr std::uint64_t kMaxNode = graph::kInvalidNode - 1;
+
 double to_double(const std::string& s, const std::string& what) {
   try {
     std::size_t pos = 0;
@@ -98,7 +113,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
   RISE_CHECK_MSG(!f.empty(), "empty graph spec");
   const std::string& kind = f[0];
   auto n_of = [&](std::size_t i) {
-    return static_cast<graph::NodeId>(to_u64(f[i], "node count"));
+    return to_bounded<graph::NodeId>(f[i], "node count", kMaxNode);
   };
   if (kind == "path") {
     expect_fields(f, 2, spec);
@@ -120,13 +135,16 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     expect_fields(f, 2, spec);
     const auto dims = split(f[1], 'x');
     RISE_CHECK_MSG(dims.size() == 2, "grid/torus spec needs RxC, got " << f[1]);
-    const auto r = static_cast<graph::NodeId>(to_u64(dims[0], "rows"));
-    const auto c = static_cast<graph::NodeId>(to_u64(dims[1], "cols"));
+    const auto r = to_bounded<graph::NodeId>(dims[0], "rows", kMaxNode);
+    const auto c = to_bounded<graph::NodeId>(dims[1], "cols", kMaxNode);
+    RISE_CHECK_MSG(std::uint64_t{r} * c <= kMaxNode,
+                   "grid/torus " << f[1] << " has more than " << kMaxNode
+                                 << " nodes");
     return kind == "grid" ? graph::grid(r, c) : graph::torus(r, c);
   }
   if (kind == "hypercube") {
     expect_fields(f, 2, spec);
-    return graph::hypercube(static_cast<unsigned>(to_u64(f[1], "dimension")));
+    return graph::hypercube(to_bounded<unsigned>(f[1], "dimension"));
   }
   if (kind == "tree") {
     expect_fields(f, 2, spec);
@@ -160,8 +178,8 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
   }
   if (kind == "dkq") {
     expect_fields(f, 3, spec);
-    return graph::lazebnik_ustimenko_d(
-               static_cast<unsigned>(to_u64(f[1], "k")), to_u64(f[2], "q"))
+    return graph::lazebnik_ustimenko_d(to_bounded<unsigned>(f[1], "k"),
+                                       to_u64(f[2], "q"))
         .graph;
   }
   if (kind == "kt0family") {
@@ -170,7 +188,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
   }
   if (kind == "kt1family") {
     expect_fields(f, 3, spec);
-    return lb::make_kt1_family(static_cast<unsigned>(to_u64(f[1], "k")),
+    return lb::make_kt1_family(to_bounded<unsigned>(f[1], "k"),
                                to_u64(f[2], "q"))
         .family.graph;
   }
@@ -186,7 +204,7 @@ sim::WakeSchedule parse_schedule_spec(const std::string& spec,
   if (kind == "single") {
     graph::NodeId node = 0;
     if (f.size() == 2) {
-      node = static_cast<graph::NodeId>(to_u64(f[1], "node"));
+      node = to_bounded<graph::NodeId>(f[1], "node", kMaxNode);
     } else {
       expect_fields(f, 1, spec);
     }
@@ -201,7 +219,7 @@ sim::WakeSchedule parse_schedule_spec(const std::string& spec,
     expect_fields(f, 2, spec);
     std::vector<graph::NodeId> nodes;
     for (const auto& tok : split(f[1], ',')) {
-      const auto node = static_cast<graph::NodeId>(to_u64(tok, "node"));
+      const auto node = to_bounded<graph::NodeId>(tok, "node", kMaxNode);
       RISE_CHECK_MSG(node < g.num_nodes(), "schedule node out of range");
       nodes.push_back(node);
     }

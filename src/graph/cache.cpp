@@ -5,9 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -33,6 +35,7 @@ struct Mapping {
 
 void write_all(std::FILE* f, const void* data, std::size_t bytes,
                const std::string& path) {
+  if (bytes == 0) return;  // an empty graph's arrays may be null
   RISE_CHECK_MSG(std::fwrite(data, 1, bytes, f) == bytes,
                  "graph cache: short write to " << path);
 }
@@ -41,26 +44,52 @@ void write_all(std::FILE* f, const void* data, std::size_t bytes,
 
 void write_cache(const std::string& path, const Graph& g,
                  const std::string& spec) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  RISE_CHECK_MSG(f != nullptr, "graph cache: cannot open " << path
-                                                           << " for writing");
-  const std::uint64_t n = g.num_nodes();
-  const std::uint64_t m = g.num_edges();
-  const std::uint64_t spec_len = spec.size();
-  write_all(f, kMagic, sizeof(kMagic), path);
-  const std::uint32_t version = kCacheVersion;
-  const std::uint32_t endian = kEndianMarker;
-  write_all(f, &version, sizeof(version), path);
-  write_all(f, &endian, sizeof(endian), path);
-  write_all(f, &n, sizeof(n), path);
-  write_all(f, &m, sizeof(m), path);
-  write_all(f, &spec_len, sizeof(spec_len), path);
-  write_all(f, spec.data(), spec.size(), path);
-  const char pad[8] = {};
-  write_all(f, pad, padded(spec.size()) - spec.size(), path);
-  write_all(f, g.offsets_data(), (static_cast<std::size_t>(n) + 1) * 8, path);
-  write_all(f, g.adjacency_data(), static_cast<std::size_t>(m) * 2 * 4, path);
-  RISE_CHECK_MSG(std::fclose(f) == 0, "graph cache: close failed for " << path);
+  // Write a temporary file in the same directory, then rename it into
+  // place. rename(2) is atomic within a filesystem, so concurrent writers
+  // of one path (shard workers building the same cache: spec) never expose
+  // a torn file; the last rename wins with a complete one.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  RISE_CHECK_MSG(fd >= 0, "graph cache: cannot open " << tmp << " for writing: "
+                                                      << std::strerror(errno));
+  std::FILE* f = ::fdopen(fd, "wb");
+  if (f == nullptr) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    RISE_CHECK_MSG(false, "graph cache: cannot open " << tmp << " for writing");
+  }
+  try {
+    const std::uint64_t n = g.num_nodes();
+    const std::uint64_t m = g.num_edges();
+    const std::uint64_t spec_len = spec.size();
+    write_all(f, kMagic, sizeof(kMagic), tmp);
+    const std::uint32_t version = kCacheVersion;
+    const std::uint32_t endian = kEndianMarker;
+    write_all(f, &version, sizeof(version), tmp);
+    write_all(f, &endian, sizeof(endian), tmp);
+    write_all(f, &n, sizeof(n), tmp);
+    write_all(f, &m, sizeof(m), tmp);
+    write_all(f, &spec_len, sizeof(spec_len), tmp);
+    write_all(f, spec.data(), spec.size(), tmp);
+    const char pad[8] = {};
+    write_all(f, pad, padded(spec.size()) - spec.size(), tmp);
+    write_all(f, g.offsets_data(), (static_cast<std::size_t>(n) + 1) * 8, tmp);
+    write_all(f, g.adjacency_data(), static_cast<std::size_t>(m) * 2 * 4, tmp);
+    const int closed = std::fclose(f);
+    f = nullptr;
+    RISE_CHECK_MSG(closed == 0, "graph cache: close failed for " << tmp);
+    RISE_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
+                   "graph cache: cannot rename " << tmp << " to " << path
+                                                 << ": "
+                                                 << std::strerror(errno));
+  } catch (...) {
+    if (f != nullptr) std::fclose(f);
+    std::remove(tmp.c_str());
+    throw;
+  }
 }
 
 Graph load_cache(const std::string& path, const std::string& expected_spec) {

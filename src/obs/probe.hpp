@@ -39,8 +39,8 @@ struct RunResult;
 
 namespace rise::obs {
 
-/// One algorithm-facing probe mutation recorded during a parallel sync
-/// chunk (SyncRunner::step_parallel) instead of applied immediately:
+/// One algorithm-facing probe mutation recorded during a sync chunk
+/// (SyncRunner::step_round) instead of applied immediately:
 /// mark_phase / mark_class / add_counter all mutate shared intern tables,
 /// and a send's phase attribution depends on the exact mark-vs-send
 /// interleaving — so worker threads append DeferredMarks and the engine's

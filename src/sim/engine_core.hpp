@@ -70,16 +70,29 @@ class EngineCore {
   /// before enqueueing; `t` is the send time (tick or round). Inline (with
   /// the two hooks below) because it runs once per simulated message.
   void account_send(NodeId from, const Message& msg, Time t) {
+    check_congest(msg);
+    ++result_.metrics.messages;
+    result_.metrics.bits += msg.logical_bits();
+    ++result_.metrics.sent_per_node[from];
+    if (probe_ != nullptr) probe_->on_send(from, msg.logical_bits(), t);
+  }
+
+  void check_congest(const Message& msg) const {
     if (instance_.bandwidth() == Bandwidth::CONGEST) {
       RISE_CHECK_MSG(msg.logical_bits() <= instance_.congest_bit_budget(),
                      "CONGEST violation: message of "
                          << msg.logical_bits() << " bits exceeds budget of "
                          << instance_.congest_bit_budget());
     }
-    ++result_.metrics.messages;
-    result_.metrics.bits += msg.logical_bits();
-    ++result_.metrics.sent_per_node[from];
-    if (probe_ != nullptr) probe_->on_send(from, msg.logical_bits(), t);
+  }
+
+  /// account_send for `count` already-checked sends totalling `bits`, with
+  /// no probe attribution: the round-parallel reduction's shortcut when
+  /// neither a trace nor a probe observes individual sends.
+  void account_sends(NodeId from, std::uint32_t count, std::uint64_t bits) {
+    result_.metrics.messages += count;
+    result_.metrics.bits += bits;
+    result_.metrics.sent_per_node[from] += count;
   }
 
   /// Delivery-side metrics (deliveries, received_per_node, last_delivery).

@@ -30,6 +30,7 @@
 // mutable state lives in the per-run copy and the per-thread workspace.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -91,17 +92,23 @@ class KernelRunner {
   SyncFn sync_;
 };
 
-/// Binds a kernel's state vector to the workspace's type-tagged slot so
-/// consecutive runs of the same family reuse capacity; without a workspace
-/// the kernel's own member storage is used. Call from K::reset.
+/// Binds a kernel's state vector to the workspace's type-tagged slot for
+/// its family so runs of the same family reuse capacity; without a
+/// workspace the kernel's own member storage is used. Call from K::reset.
 template <class State>
 State& acquire_kernel_state(RunWorkspace* workspace, State& fallback) {
   if (workspace == nullptr) return fallback;
-  if (workspace->kernel_state_type != &typeid(State)) {
-    workspace->kernel_state = std::make_shared<State>();
-    workspace->kernel_state_type = &typeid(State);
+  auto& slots = workspace->kernel_states;
+  auto it = std::find_if(slots.begin(), slots.end(), [](const auto& slot) {
+    return slot.type == &typeid(State);
+  });
+  if (it == slots.end()) {
+    if (slots.size() == RunWorkspace::kKernelStateSlots) slots.pop_back();
+    slots.push_back({&typeid(State), std::make_shared<State>()});
+    it = slots.end() - 1;
   }
-  return *static_cast<State*>(workspace->kernel_state.get());
+  std::rotate(slots.begin(), it, it + 1);  // most recent first
+  return *static_cast<State*>(slots.front().state.get());
 }
 
 /// Wraps a configured kernel prototype as a KernelRunner. The prototype is

@@ -1,7 +1,7 @@
 // Intra-trial parallel execution plumbing (PR 10).
 //
 // The synchronous engine can step the active nodes of one round on several
-// threads (see SyncRunner::step_parallel in sim/engine_impl.hpp). The sim
+// threads (see SyncRunner::step_round in sim/engine_impl.hpp). The sim
 // layer cannot depend on runner::ThreadPool — app and runner already depend
 // on sim — so the engine talks to "something that runs N chunks" through
 // the ChunkExecutor interface below; runner::PoolChunkExecutor
@@ -31,8 +31,9 @@ class ChunkExecutor {
 
 /// Runs every chunk inline on the calling thread. Used as the default
 /// executor when trial_jobs > 1 but no thread pool is wired in: the engine
-/// still takes the chunked record/reduce/scatter code path (so tests and
-/// the fuzzer exercise it deterministically) without spawning threads.
+/// still splits rounds into that many chunks and buckets (so tests and the
+/// fuzzer exercise the chunk boundaries deterministically) without
+/// spawning threads.
 class SerialChunkExecutor final : public ChunkExecutor {
  public:
   void run(std::size_t count, void (*fn)(void*, std::size_t),
@@ -42,10 +43,10 @@ class SerialChunkExecutor final : public ChunkExecutor {
 };
 
 /// How a synchronous run parallelizes its rounds. Default-constructed =
-/// disabled = the historical single-thread step loop.
+/// disabled = every round is one chunk stepped on the calling thread.
 struct SyncParallel {
   ChunkExecutor* executor = nullptr;
-  std::uint32_t jobs = 1;  ///< chunks per round; 1 = sequential path
+  std::uint32_t jobs = 1;  ///< chunks per round; 1 = serial
 
   bool enabled() const { return jobs > 1 && executor != nullptr; }
 };

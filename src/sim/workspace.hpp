@@ -38,20 +38,28 @@ struct ChannelState {
   Time last_delivery = 0;       // FIFO clamp
 };
 
-/// One send recorded by a parallel sync chunk (SyncRunner::step_parallel),
-/// bucketed by which scatter worker owns the receiver. The sequential
-/// reduction reads `msg` for accounting/tracing; the scatter pass then
-/// moves it into the receiver's inbox.
-struct SyncSendRecord {
-  NodeId to = 0;
-  Port receiver_port = kInvalidPort;
-  Message msg;
+/// The sends of one sync round (or one parallel chunk of it) whose
+/// receivers one scatter worker owns, in send order, as parallel arrays:
+/// the receivers stay compact for the inbox build's counting pass, and
+/// each message is already the Incoming the receiver will see. The inbox
+/// build moves the messages into the round's flat, receiver-grouped array;
+/// before that, a traced or probed run's reduction reads them for
+/// accounting and tracing. Cache-line aligned, like SyncChunkOutbox: its
+/// vectors grow on every send, and chunks' buckets must not share a line.
+struct alignas(64) SyncSendBucket {
+  std::vector<NodeId> to;
+  std::vector<Incoming> msgs;
+
+  std::size_t size() const { return to.size(); }
+  void clear() {
+    to.clear();
+    msgs.clear();
+  }
 };
 
-/// Everything one stepped node did during a parallel sync chunk, in step
-/// order. The sequential reduction replays these records to apply metrics,
-/// trace events, tick requests, and nap registrations in exactly the order
-/// the single-thread loop would have.
+/// Everything one stepped node did during a sync chunk, in step order. The
+/// sequential reduction replays these records to apply metrics, trace
+/// events, tick requests, and nap registrations in active-set order.
 struct SyncStepRecord {
   NodeId node = 0;
   WakeCause cause = WakeCause::kAdversary;
@@ -59,29 +67,35 @@ struct SyncStepRecord {
   bool tick = false;
   bool slept = false;
   Time sleep_target = 0;
-  std::uint32_t delivered = 0;        ///< inbox size when stepped
-  std::uint32_t send_begin = 0;       ///< [send_begin, send_end) into `order`
-  std::uint32_t send_end = 0;
+  std::uint32_t delivered = 0;  ///< inbox size when stepped
+  std::uint32_t sends = 0;      ///< sends this step recorded
+  std::uint64_t bits = 0;       ///< logical bits of this step's sends
 };
 
-/// Per-chunk output of one parallel sync round. Pooled in RunWorkspace so
-/// steady-state rounds allocate nothing: every vector keeps its high-water
-/// capacity across rounds and trials.
-struct SyncChunkOutbox {
+/// Per-chunk output of one sync round (the serial round is one chunk with
+/// one bucket). Pooled in RunWorkspace so steady-state rounds allocate
+/// nothing: every vector keeps its high-water capacity across rounds and
+/// trials, and resets never shrink `buckets`. Cache-line aligned: each
+/// chunk's worker bumps its outbox's fields on every send, and adjacent
+/// outboxes must not share a line.
+struct alignas(64) SyncChunkOutbox {
   /// Sends grouped by scatter bucket (receiver-range owner), append order =
   /// chunk-local send order restricted to that bucket.
-  std::vector<std::vector<SyncSendRecord>> buckets;
-  /// Chunk-local send order: entry s encodes (bucket << 40) | index, so the
-  /// reduction can walk sends in the exact order they happened while the
-  /// records themselves live pre-bucketed for the parallel scatter.
+  std::vector<SyncSendBucket> buckets;
+  /// Chunk-local send order (traced or probed runs only): entry s encodes
+  /// (bucket << 40) | index, so the reduction can walk sends in the exact
+  /// order they happened while the records live pre-bucketed.
   std::vector<std::uint64_t> order;
   std::vector<SyncStepRecord> steps;
   std::vector<obs::DeferredMark> marks;  ///< deferred probe mutations
   std::uint64_t sends = 0;               ///< == order.size(); mark seq source
   std::exception_ptr error;              ///< first failure in this chunk
+  /// First flat-inbox slot of the receivers in the bucket with this
+  /// outbox's index (set by the inbox build before its scatter).
+  std::size_t base = 0;
 
   void reset(std::size_t num_buckets) {
-    if (buckets.size() != num_buckets) buckets.resize(num_buckets);
+    if (buckets.size() < num_buckets) buckets.resize(num_buckets);
     for (auto& b : buckets) b.clear();
     order.clear();
     steps.clear();
@@ -89,6 +103,34 @@ struct SyncChunkOutbox {
     sends = 0;
     error = nullptr;
   }
+};
+
+/// Where one receiver's messages sit in the round's flat inbox array.
+struct InboxSpan {
+  std::uint32_t begin = 0;
+  std::uint32_t len = 0;
+};
+
+/// The synchronous engine's per-run storage; SyncRunner moves it in from
+/// the workspace and hands it back, so every vector keeps its capacity.
+struct SyncBuffers {
+  std::vector<Time> wake_round;
+  std::vector<Time> asleep_until;  ///< sleeping model (declared naps)
+  /// This round's messages, one contiguous run per receiver; `inbox[u]`
+  /// locates node u's run. Slots past the round's total hold stale,
+  /// moved-over messages that the next build overwrites.
+  std::vector<Incoming> mail;
+  std::vector<InboxSpan> inbox;
+  /// Node bitmap of next round's candidates: receivers, wakes, nap ends
+  /// and tick requests set bits; the round start reads it out in id order.
+  std::vector<std::uint64_t> pending;
+  std::vector<std::pair<Time, NodeId>> wakes;  ///< flat wake schedule
+  std::vector<NodeId> active;                  ///< per-round active set
+  std::vector<SyncChunkOutbox> outboxes;       ///< one per job
+  /// Nap ends: slot t % size holds the nodes whose nap ends at round t,
+  /// for targets within the ring; later targets wait in a min-heap.
+  std::vector<std::vector<NodeId>> nap_ring;
+  std::vector<std::pair<Time, NodeId>> nap_overflow;
 };
 
 struct RunWorkspace {
@@ -103,21 +145,19 @@ struct RunWorkspace {
   EventQueue events;
 
   // Synchronous engine storage.
-  std::vector<Time> wake_round;
-  std::vector<Time> asleep_until;  // sleeping model (declared naps)
-  std::vector<std::vector<Incoming>> inbox;
-  std::vector<std::vector<Incoming>> next_inbox;
-  std::vector<std::pair<Time, NodeId>> sync_wakes;  // flat wake schedule
-  std::vector<NodeId> sync_active;                  // per-round active set
-  std::vector<SyncChunkOutbox> sync_outboxes;       // parallel rounds only
+  SyncBuffers sync;
 
-  // Kernel-path storage (sim/kernel.hpp): one type-tagged slot holding the
-  // current algorithm family's flat node-state vectors, so back-to-back
-  // kernel runs of the same family reuse their capacity. Switching families
-  // replaces the slot (campaigns run one family per campaign, so this never
-  // thrashes in practice).
-  std::shared_ptr<void> kernel_state;
-  const std::type_info* kernel_state_type = nullptr;
+  // Kernel-path storage (sim/kernel.hpp): type-tagged slots holding the
+  // flat node-state vectors of the most recently run algorithm families,
+  // most recent first, so kernel runs reuse their capacity even when a few
+  // families alternate on one workspace (a mixed campaign grid, a benchmark
+  // rotation). At most kKernelStateSlots are kept; the oldest is dropped.
+  struct KernelStateSlot {
+    const std::type_info* type = nullptr;
+    std::shared_ptr<void> state;
+  };
+  static constexpr std::size_t kKernelStateSlots = 4;
+  std::vector<KernelStateSlot> kernel_states;
 
   /// Returns a finished run's per-node vectors (wake times, outputs, metrics
   /// counters) to the workspace so the next engine reuses their capacity.

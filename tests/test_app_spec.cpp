@@ -45,6 +45,28 @@ TEST(GraphSpec, Errors) {
   EXPECT_THROW(parse_graph_spec("", rng), CheckError);
 }
 
+// Counts and ids that do not fit a NodeId (or unsigned) fail instead of
+// wrapping: path:2^32+1 used to build a one-node path, and grid:65537x65537
+// overflowed r*c and hung.
+TEST(GraphSpec, OversizedNumbersFailInsteadOfWrapping) {
+  Rng rng(1);
+  EXPECT_THROW(parse_graph_spec("path:4294967297", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("path:4294967295", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("path:-1", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("gnp:4294967297:0.5", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("regular:10:4294967299", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("grid:65537x65537", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("torus:4294967299x3", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("hypercube:4294967300", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("dkq:4294967299:3", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("cache:/nonexistent-dir/g.bin:path:4294967297",
+                                rng),
+               CheckError);
+  const auto g = parse_graph_spec("path:10", rng);
+  EXPECT_THROW(parse_schedule_spec("single:4294967303", g, rng), CheckError);
+  EXPECT_THROW(parse_schedule_spec("set:1,4294967299", g, rng), CheckError);
+}
+
 TEST(ScheduleSpec, Kinds) {
   Rng rng(1);
   const auto g = parse_graph_spec("path:10", rng);

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "support/check.hpp"
@@ -105,6 +110,63 @@ TEST_F(CacheFile, RejectsTruncatedFile) {
   out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
   out.close();
   EXPECT_THROW(load_cache(path_, "path:50"), CheckError);
+}
+
+// write_cache renames a finished temporary file into place, so writers
+// racing on one path (shard workers building the same cache: spec) leave a
+// complete file and no temporaries, and a failed write leaves nothing.
+class CacheDir : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("rise_graph_cache_dir_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::vector<std::string> entries() const {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(e.path().filename().string());
+    }
+    return names;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(CacheDir, BackToBackWritersLeaveALoadableFileAndNoTemporaries) {
+  const std::string file = (dir_ / "g.rgc").string();
+  Rng rng(5);
+  const Graph first = connected_gnp(300, 0.02, rng);
+  const Graph second = connected_gnp(300, 0.02, rng);
+  write_cache(file, first, "cgnp:300:0.02");
+  const Graph mapped = load_cache(file, "cgnp:300:0.02");
+  write_cache(file, second, "cgnp:300:0.02");
+  EXPECT_TRUE(same_graph(second, load_cache(file, "cgnp:300:0.02")));
+  // A mapping taken before the replacement keeps the old contents.
+  EXPECT_TRUE(same_graph(first, mapped));
+  EXPECT_EQ(entries(), std::vector<std::string>{"g.rgc"});
+}
+
+TEST_F(CacheDir, ConcurrentWritersLeaveALoadableFile) {
+  const std::string file = (dir_ / "g.rgc").string();
+  Rng rng(6);
+  const Graph g = connected_gnp(2000, 0.004, rng);
+  std::vector<std::thread> writers;
+  for (int i = 0; i < 4; ++i) {
+    writers.emplace_back([&] { write_cache(file, g, "cgnp:2000:0.004"); });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_TRUE(same_graph(g, load_cache(file, "cgnp:2000:0.004")));
+  EXPECT_EQ(entries(), std::vector<std::string>{"g.rgc"});
+}
+
+TEST_F(CacheDir, FailedWriteLeavesNothing) {
+  const std::string file = (dir_ / "missing" / "g.rgc").string();
+  EXPECT_THROW(write_cache(file, path(5), "path:5"), CheckError);
+  EXPECT_TRUE(entries().empty());
 }
 
 }  // namespace

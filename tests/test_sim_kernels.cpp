@@ -278,6 +278,53 @@ TEST(SimKernels, RoundParallelDirtyWorkspaceIsBitIdentical) {
   }
 }
 
+// Chunk and bucket boundaries fall mid-word in the candidate bitmap and
+// leave some buckets empty when n is not a multiple of the job count (or
+// of 64): every sync family must still match the sequential digest.
+TEST(SimKernels, RoundParallelUnevenSplitsAreBitIdentical) {
+  for (const auto& algo : kSyncFamilies) {
+    for (const char* graph : {"cgnp:101:0.06", "cgnp:1001:0.008"}) {
+      auto spec = make_spec(algo, 5);
+      spec.graph = graph;
+      const std::string sequential = run_digest(spec, RunConfig{});
+      for (std::uint32_t jobs : {2u, 3u, 7u}) {
+        RunConfig parallel;
+        parallel.trial_jobs = jobs;
+        EXPECT_EQ(sequential, run_digest(spec, parallel))
+            << algo << " " << graph << " trial_jobs=" << jobs;
+      }
+    }
+  }
+}
+
+// One workspace through sleeping → lock-step flooding → sleeping runs at
+// changing job counts: the flat inbox, candidate bitmap, nap ring and the
+// kernels' recycled node states must carry nothing from one run into the
+// next.
+TEST(SimKernels, SleepingFloodingSleepingDirtyWorkspaceIsBitIdentical) {
+  struct Step {
+    std::string algo;
+    std::uint32_t trial_jobs;
+  };
+  const std::vector<Step> steps = {
+      {"smis", 1},     {"flooding", 3}, {"smatching", 7}, {"flooding", 1},
+      {"smis", 3},     {"smatching", 1}, {"flooding", 7}, {"smis", 2},
+  };
+  sim::RunWorkspace workspace;
+  for (const auto& step : steps) {
+    auto spec = make_spec(step.algo, 13);
+    spec.graph = "cgnp:101:0.06";
+    spec.delay = "unit";
+    RunConfig fresh;
+    fresh.force_sync_engine = true;
+    RunConfig dirty = fresh;
+    dirty.trial_jobs = step.trial_jobs;
+    dirty.workspace = &workspace;
+    EXPECT_EQ(run_digest(spec, fresh), run_digest(spec, dirty))
+        << step.algo << " trial_jobs=" << step.trial_jobs;
+  }
+}
+
 // Families without a kernel (diagnostic lb algorithms) must fall back to
 // the Process path transparently.
 TEST(SimKernels, KernellessFamiliesStillRun) {
