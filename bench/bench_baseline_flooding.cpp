@@ -7,7 +7,7 @@
 #include "bench_util.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -40,7 +40,7 @@ void run() {
     const auto schedule = sim::wake_single(0);
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, schedule, 3,
-                                       algo::flooding_factory());
+                                       algo::flooding_kernel());
     const auto rho = graph::awake_distance(g, {0});
     table.add_row({name, bench::fmt_u(g.num_nodes()),
                    bench::fmt_u(g.num_edges()), bench::fmt_u(rho),

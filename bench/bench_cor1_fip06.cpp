@@ -8,7 +8,7 @@
 #include "bench_util.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -43,7 +43,7 @@ void run() {
         sim::wake_random_subset(g.num_nodes(), 0.2, srng);
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, schedule, 4,
-                                       advice::fip06_factory());
+                                       advice::fip06_kernel());
     const double d = graph::diameter(g);
     const double n = g.num_nodes();
     table.add_row(

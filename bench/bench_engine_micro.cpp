@@ -12,9 +12,7 @@
 #include "graph/high_girth.hpp"
 #include "graph/spanner.hpp"
 #include "obs/probe.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/kernel.hpp"
-#include "sim/sync_engine.hpp"
 
 namespace {
 
@@ -27,31 +25,11 @@ sim::Instance make_inst(const graph::Graph& g, sim::Knowledge k) {
   return sim::Instance::create(g, opt, rng);
 }
 
-void BM_AsyncFloodingEvents(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  Rng rng(n);
-  const auto g = graph::connected_gnp(n, 8.0 / n, rng);
-  const auto inst = make_inst(g, sim::Knowledge::KT0);
-  const auto delays = sim::unit_delay();
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const auto result = sim::run_async(inst, *delays, sim::wake_single(0), 1,
-                                       algo::flooding_factory());
-    events += result.metrics.events;
-    benchmark::DoNotOptimize(result.metrics.messages);
-  }
-  state.counters["events/s"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-// n = 10^4 is the acceptance-gate size for the engine refactor; see
-// EXPERIMENTS.md "Engine micro-benchmarks" and BENCH_engine_micro.json.
-BENCHMARK(BM_AsyncFloodingEvents)->Arg(1000)->Arg(4000)->Arg(10000);
-
-/// Same workload on the flat-kernel path with a warm workspace — the
-/// steady-state campaign trial. The n = 10^4 ratio against
-/// BM_AsyncFloodingEvents/10000 is the kernel-layer acceptance gate (>= 2x,
-/// BENCH_engine_micro.json); past the warm-up trial the loop body performs
-/// zero heap allocations (bench_million_node gates that at n = 10^6).
+/// Flooding on G(n, 8/n) from one woken node with a warm workspace — the
+/// steady-state campaign trial. Past the warm-up trial the loop body
+/// performs zero heap allocations (bench_million_node gates that at
+/// n = 10^6). n = 10^4 is the size EXPERIMENTS.md "Engine
+/// micro-benchmarks" and BENCH_engine_micro.json report.
 void BM_KernelFloodingEvents(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   Rng rng(n);
@@ -123,13 +101,22 @@ void BM_AsyncFloodingTimeline(benchmark::State& state) {
   const auto g = graph::connected_gnp(n, 8.0 / n, rng);
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   const auto delays = sim::random_delay(16, 5);
+  const auto schedule = sim::wake_single(0);
+  const sim::KernelRunner kernel = algo::flooding_kernel();
+  sim::RunWorkspace workspace;
+  sim::AsyncKernelArgs args;
+  args.instance = &inst;
+  args.delays = delays.get();
+  args.schedule = &schedule;
+  args.seed = 1;
+  args.queue_mode = mode;
+  args.workspace = &workspace;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::AsyncEngine engine(inst, *delays, sim::wake_single(0), 1);
-    engine.set_event_queue_mode(mode);
-    const auto result = engine.run(algo::flooding_factory());
+    auto result = kernel.run_async(args);
     events += result.metrics.events;
     benchmark::DoNotOptimize(result.metrics.messages);
+    workspace.recycle_result(std::move(result));
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
@@ -139,45 +126,54 @@ BENCHMARK(BM_AsyncFloodingTimeline)
     ->Args({10000, 1})
     ->ArgNames({"n", "heap"});
 
-/// A flooding clone with zero probe calls — the pre-observability hot path.
-/// Paired with BM_ProbeDisabledFlooding below, it prices the disabled-probe
-/// branches (Context::probe() + the NodeProbe null checks in the production
-/// algo::flooding) that now sit on every wake. tools/check_probe_overhead.py
-/// gates the pair at <= 2% in CI.
-class ProbeFreeFlooding final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause) override {
+/// A flooding kernel clone with zero probe calls — the pre-observability
+/// hot path. Paired with BM_ProbeDisabledFlooding below, it prices the
+/// disabled-probe branches (ctx.probe() + the NodeProbe null checks in the
+/// production algo::flooding_kernel) that sit on every wake.
+/// tools/check_probe_overhead.py gates the pair at <= 2% in CI.
+struct ProbeFreeFloodingKernel {
+  void reset(const sim::Instance&, sim::RunWorkspace*) {}
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause) {
     ctx.broadcast(sim::make_message(algo::kFloodWake, {}, 8));
   }
-  void on_message(sim::Context&, const sim::Incoming&) override {}
+  template <class Ctx>
+  void on_message(Ctx&, const sim::Incoming&) {}
+  template <class Ctx>
+  void on_round(Ctx&, std::span<const sim::Incoming>) {}
 };
 
-sim::ProcessFactory probe_free_flooding_factory() {
-  return [](sim::NodeId) { return std::make_unique<ProbeFreeFlooding>(); };
-}
-
 void probe_overhead_workload(benchmark::State& state,
-                             const sim::ProcessFactory& factory,
+                             const sim::KernelRunner& kernel,
                              obs::Probe* probe) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   Rng rng(n);
   const auto g = graph::connected_gnp(n, 8.0 / n, rng);
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   const auto delays = sim::unit_delay();
+  const auto schedule = sim::wake_single(0);
+  sim::RunWorkspace workspace;
+  sim::AsyncKernelArgs args;
+  args.instance = &inst;
+  args.delays = delays.get();
+  args.schedule = &schedule;
+  args.seed = 1;
+  args.probe = probe;
+  args.workspace = &workspace;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    sim::AsyncEngine engine(inst, *delays, sim::wake_single(0), 1);
-    engine.set_probe(probe);
-    const auto result = engine.run(factory);
+    auto result = kernel.run_async(args);
     events += result.metrics.events;
     benchmark::DoNotOptimize(result.metrics.messages);
+    workspace.recycle_result(std::move(result));
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
 void BM_ProbeFreeFlooding(benchmark::State& state) {
-  probe_overhead_workload(state, probe_free_flooding_factory(), nullptr);
+  probe_overhead_workload(state, sim::make_kernel(ProbeFreeFloodingKernel{}),
+                          nullptr);
 }
 BENCHMARK(BM_ProbeFreeFlooding)->Arg(10000);
 
@@ -185,7 +181,7 @@ void BM_ProbeDisabledFlooding(benchmark::State& state) {
   // Production flooding (probe calls compiled in), no probe attached: every
   // NodeProbe call is one branch on nullptr. This is the default rise_cli
   // path, so the <= 2% gate is the cost every unprofiled run pays.
-  probe_overhead_workload(state, algo::flooding_factory(), nullptr);
+  probe_overhead_workload(state, algo::flooding_kernel(), nullptr);
 }
 BENCHMARK(BM_ProbeDisabledFlooding)->Arg(10000);
 
@@ -193,7 +189,7 @@ void BM_ProbeEnabledFlooding(benchmark::State& state) {
   // Informative (not gated): full attribution — phase marks, counters,
   // per-send accounting, queue statistics.
   obs::Probe probe;
-  probe_overhead_workload(state, algo::flooding_factory(), &probe);
+  probe_overhead_workload(state, algo::flooding_kernel(), &probe);
 }
 BENCHMARK(BM_ProbeEnabledFlooding)->Arg(10000);
 
@@ -204,45 +200,16 @@ void BM_SyncFloodingRounds(benchmark::State& state) {
   const auto inst = make_inst(g, sim::Knowledge::KT0);
   for (auto _ : state) {
     const auto result =
-        sim::run_sync(inst, sim::wake_single(0), 1, algo::flooding_factory());
+        sim::run_sync(inst, sim::wake_single(0), 1, algo::flooding_kernel());
     benchmark::DoNotOptimize(result.metrics.rounds);
   }
 }
 BENCHMARK(BM_SyncFloodingRounds)->Arg(1000)->Arg(4000);
 
-/// Sleeping-model families on the virtual-process path: prices the nap
-/// bookkeeping (asleep_until scans, drop accounting) the sleeping engine adds
-/// per round. state.range(1) selects the family (0 = smis, 1 = smatching).
-void BM_SyncSleepingRounds(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const bool matching = state.range(1) == 1;
-  Rng rng(n);
-  const auto g = graph::connected_gnp(n, 8.0 / n, rng);
-  sim::InstanceOptions opt;
-  opt.knowledge = sim::Knowledge::KT0;
-  opt.bandwidth = sim::Bandwidth::CONGEST;
-  Rng irng(1);
-  const auto inst = sim::Instance::create(g, opt, irng);
-  sim::SyncRunLimits limits;
-  limits.sleeping_model = true;
-  const auto factory = matching ? algo::sleeping_matching_factory()
-                                : algo::sleeping_mis_factory();
-  for (auto _ : state) {
-    const auto result =
-        sim::run_sync(inst, sim::wake_single(0), 1, factory, limits);
-    benchmark::DoNotOptimize(result.metrics.sleep_dropped);
-  }
-}
-BENCHMARK(BM_SyncSleepingRounds)
-    ->Args({1000, 0})
-    ->Args({4000, 0})
-    ->Args({1000, 1})
-    ->Args({4000, 1})
-    ->ArgNames({"n", "matching"});
-
-/// Same workloads on the flat-kernel path with a warm workspace — the
-/// campaign steady state for the sleeping families (bit-identical to the
-/// virtual path by test_sim_kernels).
+/// Sleeping-model families with a warm workspace, the campaign steady
+/// state: prices the nap bookkeeping (nap ring, drop accounting) the
+/// sleeping engine adds per round. state.range(1) selects the family
+/// (0 = smis, 1 = smatching).
 void BM_KernelSleepingRounds(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const bool matching = state.range(1) == 1;
@@ -282,7 +249,7 @@ void BM_RankedDfs(benchmark::State& state) {
   const auto delays = sim::unit_delay();
   for (auto _ : state) {
     const auto result = sim::run_async(inst, *delays, sim::wake_all(n), 1,
-                                       algo::ranked_dfs_factory());
+                                       algo::ranked_dfs_kernel());
     benchmark::DoNotOptimize(result.metrics.messages);
   }
 }

@@ -8,7 +8,7 @@
 #include "algo/gossip.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -29,7 +29,7 @@ void run() {
     int trials = 0;
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
       const auto result = sim::run_sync(inst, sim::wake_single(1), seed,
-                                        algo::push_gossip_factory(40ull * n));
+                                        algo::push_gossip_kernel(40ull * n));
       if (!result.all_awake()) continue;
       ++trials;
       sim::Time clique_max = 0;

@@ -25,8 +25,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -74,7 +73,7 @@ void table1() {
         make_inst(w.g, sim::Knowledge::KT1, sim::Bandwidth::LOCAL);
     const auto delays = sim::unit_delay();
     const auto r = sim::run_async(inst, *delays, w.schedule, 1,
-                                  algo::ranked_dfs_factory());
+                                  algo::ranked_dfs_kernel());
     table.add_row({"Thm 3 RankedDFS", "async KT1 LOCAL",
                    bench::fmt_f(r.metrics.time_units(), 0) + " units",
                    bench::fmt_u(r.metrics.messages), "-",
@@ -84,7 +83,7 @@ void table1() {
     const auto inst =
         make_inst(w.g, sim::Knowledge::KT1, sim::Bandwidth::LOCAL);
     const auto r = sim::run_sync(inst, w.schedule, 1,
-                                 algo::fast_wakeup_factory());
+                                 algo::fast_wakeup_kernel());
     table.add_row({"Thm 4 FastWakeUp", "sync KT1 LOCAL",
                    bench::fmt_u(r.wakeup_span()) + " rounds",
                    bench::fmt_u(r.metrics.messages), "-",
@@ -96,7 +95,7 @@ void table1() {
     const auto stats = advice::apply_oracle(inst, *scheme.oracle);
     const auto delays = sim::unit_delay();
     const auto r =
-        sim::run_async(inst, *delays, w.schedule, 1, scheme.algorithm);
+        sim::run_async(inst, *delays, w.schedule, 1, scheme.kernel);
     table.add_row({name, "async KT0 CONGEST",
                    bench::fmt_f(r.metrics.time_units(), 0) + " units",
                    bench::fmt_u(r.metrics.messages),
@@ -122,8 +121,9 @@ void table1() {
     const auto stats =
         advice::apply_oracle(inst, *lb::beta_probing_oracle(4));
     const auto delays = sim::unit_delay();
-    const auto r = sim::run_async(inst, *delays, fam.centers_awake(), 1,
-                                  lb::beta_probing_factory(4));
+    const auto r =
+        sim::run_async(inst, *delays, fam.centers_awake(), 1,
+                       sim::process_kernel(lb::beta_probing_factory(4)));
     table.add_row({"Thm 1 (LB, beta=4 probing)", "sync/async KT0 + advice",
                    bench::fmt_f(r.metrics.time_units(), 0) + " units",
                    bench::fmt_u(r.metrics.messages) + " (n=128)",
@@ -135,8 +135,9 @@ void table1() {
     Rng rng(4);
     const auto inst = lb::make_kt1_instance(fam.family, rng);
     const auto delays = sim::unit_delay();
-    const auto r = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                  1, lb::centers_broadcast_factory());
+    const auto r =
+        sim::run_async(inst, *delays, fam.family.centers_awake(), 1,
+                       sim::process_kernel(lb::centers_broadcast_factory()));
     table.add_row({"Thm 2 (LB, 1-unit bcast on G_3)", "sync/async KT1 LOCAL",
                    bench::fmt_f(r.metrics.time_units(), 0) + " unit",
                    bench::fmt_u(r.metrics.messages) + " (n=343)", "-",
@@ -147,7 +148,7 @@ void table1() {
         make_inst(w.g, sim::Knowledge::KT0, sim::Bandwidth::CONGEST);
     const auto delays = sim::unit_delay();
     const auto r = sim::run_async(inst, *delays, w.schedule, 1,
-                                  algo::flooding_factory());
+                                  algo::flooding_kernel());
     table.add_row({"baseline flooding", "async KT0 CONGEST",
                    bench::fmt_f(r.metrics.time_units(), 0) + " units",
                    bench::fmt_u(r.metrics.messages), "-",

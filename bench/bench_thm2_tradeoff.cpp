@@ -19,7 +19,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -40,7 +40,8 @@ runner::TrialFn bcast_trial(unsigned k, std::uint64_t q) {
     const auto delays = sim::unit_delay();
     report.result = sim::run_async(
         inst, *delays, fam.family.centers_awake(), spec.seed,
-        lb::nih_reduction_factory(lb::centers_broadcast_factory()));
+        sim::process_kernel(
+            lb::nih_reduction_factory(lb::centers_broadcast_factory())));
     RISE_CHECK_MSG(
         lb::nih_correct_count(report.result, inst, fam.family) == fam.family.n,
         "a center mis-identified its crucial neighbor");
@@ -91,10 +92,11 @@ void crossover(unsigned k, std::uint64_t q) {
   Rng rng(q + 1);
   const auto inst = lb::make_kt1_instance(fam.family, rng);
   const auto delays = sim::unit_delay();
-  const auto bcast = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                    3, lb::centers_broadcast_factory());
+  const auto bcast =
+      sim::run_async(inst, *delays, fam.family.centers_awake(), 3,
+                     sim::process_kernel(lb::centers_broadcast_factory()));
   const auto dfs = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                  3, algo::ranked_dfs_factory());
+                                  3, algo::ranked_dfs_kernel());
   std::printf(
       "\ncrossover on G_%u (q=%llu, n=%u): broadcast = %llu msgs in %.0f "
       "time units; RankedDFS = %llu msgs in %.0f time units.\n",

@@ -16,7 +16,7 @@
 #include "algo/ranked_dfs_congest.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -41,7 +41,7 @@ void n_sweep() {
     const auto schedule = sim::staggered_doubling(n, 25, 2.0, rng);
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, schedule, n,
-                                       algo::ranked_dfs_factory());
+                                       algo::ranked_dfs_kernel());
     const double nln = n * std::log(static_cast<double>(n));
     table.add_row(
         {bench::fmt_u(n), bench::fmt_u(g.num_edges()),
@@ -78,7 +78,7 @@ void schedule_comparison() {
   for (auto& [name, schedule] : schedules) {
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, schedule, 5,
-                                       algo::ranked_dfs_factory());
+                                       algo::ranked_dfs_kernel());
     table.add_row({name, bench::fmt_u(schedule.wakes.size()),
                    bench::fmt_u(result.metrics.messages),
                    bench::fmt_f(result.metrics.time_units(), 0)});
@@ -97,9 +97,9 @@ void flooding_comparison() {
     const auto schedule = sim::wake_all(n);
     const auto delays = sim::unit_delay();
     const auto flood = sim::run_async(inst, *delays, schedule, 5,
-                                      algo::flooding_factory());
+                                      algo::flooding_kernel());
     const auto dfs = sim::run_async(inst, *delays, schedule, 5,
-                                    algo::ranked_dfs_factory());
+                                    algo::ranked_dfs_kernel());
     table.add_row(
         {bench::fmt_u(n), bench::fmt_u(g.num_edges()),
          bench::fmt_u(flood.metrics.messages),
@@ -134,10 +134,10 @@ void congest_gap() {
     const auto delays = sim::unit_delay();
     const auto local = sim::run_async(local_inst, *delays,
                                       sim::wake_single(0), 5,
-                                      algo::ranked_dfs_factory());
+                                      algo::ranked_dfs_kernel());
     const auto congest = sim::run_async(congest_inst, *delays,
                                         sim::wake_single(0), 5,
-                                        algo::ranked_dfs_congest_factory());
+                                        algo::ranked_dfs_congest_kernel());
     table.add_row(
         {bench::fmt_u(n), bench::fmt_u(g.num_edges()),
          bench::fmt_u(local.metrics.messages),

@@ -16,7 +16,7 @@
 #include "bench_util.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -42,7 +42,7 @@ Row measure(const graph::Graph& g, const advice::AdvisingScheme& scheme,
   const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.15, srng);
   const auto delays = sim::unit_delay();
   const auto result =
-      sim::run_async(inst, *delays, schedule, seed, scheme.algorithm);
+      sim::run_async(inst, *delays, schedule, seed, scheme.kernel);
   return {name, result.metrics.time_units(), result.metrics.messages,
           stats.max_bits, stats.avg_bits};
 }

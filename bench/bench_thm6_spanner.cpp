@@ -16,7 +16,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/spanner.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -46,7 +46,7 @@ void k_sweep(const std::string& gname, const graph::Graph& g,
     const auto spanner = graph::greedy_spanner(g, k);
     const auto delays = sim::unit_delay();
     const auto result = sim::run_async(inst, *delays, schedule, k,
-                                       advice::spanner_factory());
+                                       advice::spanner_kernel());
     const double n_pow = std::pow(n, 1.0 + 1.0 / k);
     table.add_row(
         {label, bench::fmt_u(spanner.num_edges()),

@@ -18,7 +18,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 int main() {
   using namespace rise;
@@ -40,8 +40,9 @@ int main() {
     auto advised = lb::make_kt0_instance(fam, rng);
     advice::apply_oracle(advised, *lb::beta_probing_oracle(beta));
     const auto delays = sim::unit_delay();
-    const auto result = sim::run_async(advised, *delays, fam.centers_awake(),
-                                       beta, lb::beta_probing_factory(beta));
+    const auto result =
+        sim::run_async(advised, *delays, fam.centers_awake(), beta,
+                       sim::process_kernel(lb::beta_probing_factory(beta)));
     const double n = fam.n;
     std::printf("%8u %14llu %20.0f\n", beta,
                 static_cast<unsigned long long>(result.metrics.messages),
@@ -56,12 +57,12 @@ int main() {
               kt1.family.n, kt1.center_degree,
               graph::girth(kt1.family.graph));
   const auto delays = sim::unit_delay();
-  const auto fast = sim::run_async(kt1_inst, *delays,
-                                   kt1.family.centers_awake(), 3,
-                                   lb::centers_broadcast_factory());
+  const auto fast =
+      sim::run_async(kt1_inst, *delays, kt1.family.centers_awake(), 3,
+                     sim::process_kernel(lb::centers_broadcast_factory()));
   const auto slow = sim::run_async(kt1_inst, *delays,
                                    kt1.family.centers_awake(), 3,
-                                   algo::ranked_dfs_factory());
+                                   algo::ranked_dfs_kernel());
   std::printf(
       "1-time-unit broadcast : %6llu msgs, %6.0f time units  (the "
       "n^{1+1/k} lower bound is unavoidable here)\n",

@@ -10,7 +10,7 @@
 #include "app/spec.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "sim/trace.hpp"
 
 int main(int argc, char** argv) {
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   sim::CsvTraceSink sink(trace_csv);
   const auto delays = sim::random_delay(3, 7);
   const auto result = sim::run_async(inst, *delays, sim::wake_single(4), 1,
-                                     algorithm.factory, {}, &sink);
+                                     algorithm.kernel, {}, &sink);
   std::printf("all awake: %s | time %.1f units | %llu messages\n\n",
               result.all_awake() ? "yes" : "NO", result.metrics.time_units(),
               static_cast<unsigned long long>(result.metrics.messages));

@@ -13,7 +13,7 @@
 #include "algo/ranked_dfs.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 int main() {
   using namespace rise;
@@ -39,12 +39,12 @@ int main() {
   // Messages may be delayed up to tau = 5 ticks, adversarially.
   const auto delays = sim::random_delay(/*tau=*/5, /*seed=*/7);
 
-  for (const auto& [name, factory] :
-       {std::pair<const char*, sim::ProcessFactory>{"flooding",
-                                                    algo::flooding_factory()},
-        {"ranked-DFS (Theorem 3)", algo::ranked_dfs_factory()}}) {
+  for (const auto& [name, kernel] :
+       {std::pair<const char*, sim::KernelRunner>{"flooding",
+                                                  algo::flooding_kernel()},
+        {"ranked-DFS (Theorem 3)", algo::ranked_dfs_kernel()}}) {
     const sim::RunResult result =
-        sim::run_async(instance, *delays, schedule, /*seed=*/1, factory);
+        sim::run_async(instance, *delays, schedule, /*seed=*/1, kernel);
     std::printf(
         "%-24s all awake: %s | time: %.1f units | messages: %llu | "
         "bits: %llu\n",

@@ -10,7 +10,7 @@
 #include "algo/fast_wakeup.hpp"
 #include "algo/flooding.hpp"
 #include "graph/generators.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 int main() {
   using namespace rise;
@@ -51,9 +51,9 @@ int main() {
   for (const auto& [name, schedule] : scenarios) {
     const auto rho = sim::schedule_awake_distance(g, schedule);
     const auto fast =
-        sim::run_sync(inst, schedule, 3, algo::fast_wakeup_factory());
+        sim::run_sync(inst, schedule, 3, algo::fast_wakeup_kernel());
     const auto flood =
-        sim::run_sync(inst, schedule, 3, algo::flooding_factory());
+        sim::run_sync(inst, schedule, 3, algo::flooding_kernel());
     std::printf("%-30s %8u %10u | %10llu %10llu | %10llu %10llu%s\n", name,
                 rho, 10 * rho,
                 static_cast<unsigned long long>(fast.wakeup_span()),

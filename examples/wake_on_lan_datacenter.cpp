@@ -17,7 +17,7 @@
 #include "algo/ranked_dfs.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace {
 
@@ -63,9 +63,9 @@ int main() {
               "time-units", "awake node-ticks", "awake?", "advice(max b)");
 
   auto report = [&](const char* name, const sim::Instance& inst,
-                    const sim::ProcessFactory& factory,
+                    const sim::KernelRunner& kernel,
                     std::size_t advice_max) {
-    const auto result = sim::run_async(inst, *delays, schedule, 4, factory);
+    const auto result = sim::run_async(inst, *delays, schedule, 4, kernel);
     std::printf("%-28s %12llu %12.1f %16llu %10s %14zu\n", name,
                 static_cast<unsigned long long>(result.metrics.messages),
                 result.metrics.time_units(),
@@ -79,14 +79,14 @@ int main() {
     opt.knowledge = sim::Knowledge::KT0;
     opt.bandwidth = sim::Bandwidth::CONGEST;
     const auto inst = sim::Instance::create(g, opt, rng);
-    report("flooding (no config)", inst, algo::flooding_factory(), 0);
+    report("flooding (no config)", inst, algo::flooding_kernel(), 0);
   }
   {
     Rng rng(2);
     sim::InstanceOptions opt;
     opt.knowledge = sim::Knowledge::KT1;  // IP fabric: neighbors known
     const auto inst = sim::Instance::create(g, opt, rng);
-    report("ranked DFS (Thm 3)", inst, algo::ranked_dfs_factory(), 0);
+    report("ranked DFS (Thm 3)", inst, algo::ranked_dfs_kernel(), 0);
   }
   {
     Rng rng(3);
@@ -97,7 +97,7 @@ int main() {
     const auto stats =
         advice::apply_oracle(inst, *advice::child_encoding_oracle());
     report("child-encoding advice (5B)", inst,
-           advice::child_encoding_factory(), stats.max_bits);
+           advice::child_encoding_kernel(), stats.max_bits);
   }
 
   std::printf(

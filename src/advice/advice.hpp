@@ -13,7 +13,6 @@
 
 #include "sim/instance.hpp"
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::advice {
 
@@ -29,12 +28,10 @@ class AdvisingOracle {
 sim::Instance::AdviceStats apply_oracle(sim::Instance& instance,
                                         const AdvisingOracle& oracle);
 
-/// An oracle + algorithm pair. `kernel` is the algorithm's flat-SoA fast
-/// path (sim/kernel.hpp), bit-identical to `algorithm`; every shipped scheme
-/// provides one.
+/// An oracle + algorithm pair; the algorithm runs as a kernel
+/// (sim/kernel.hpp).
 struct AdvisingScheme {
   std::unique_ptr<AdvisingOracle> oracle;
-  sim::ProcessFactory algorithm;
   sim::KernelRunner kernel;
 };
 

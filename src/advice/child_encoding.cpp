@@ -82,80 +82,7 @@ class ChildEncodingOracle final : public AdvisingOracle {
   unsigned arity_;
 };
 
-class ChildEncodingProcess final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("advice.forward");
-    probe.count("advice.decodes");
-    advice_ = decode_cen_advice(ctx.advice());
-    if (cause == sim::WakeCause::kAdversary) {
-      notify_parent(ctx);
-      start_children(ctx);
-    }
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    switch (in.msg.type) {
-      case kCenWakeChild: {
-        // Our parent is clearly awake; answer with our next-sibling pair so
-        // the parent can continue the binary dissemination.
-        parent_notified_ = true;
-        sim::PayloadWords payload;
-        payload.push_back(
-            (advice_.has_next_a ? 1u : 0u) | (advice_.has_next_b ? 2u : 0u));
-        payload.push_back(advice_.has_next_a ? advice_.next_a : 0);
-        payload.push_back(advice_.has_next_b ? advice_.next_b : 0);
-        ctx.send(in.port, sim::make_message(kCenNext, std::move(payload),
-                                            8 + 2 * ctx.label_bits()));
-        start_children(ctx);
-        break;
-      }
-      case kCenNext: {
-        const std::uint64_t flags = in.msg.payload[0];
-        const sim::Message wake = sim::make_message(kCenWakeChild, {}, 8);
-        if (flags & 1u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[1]), wake);
-        }
-        if (flags & 2u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[2]), wake);
-        }
-        break;
-      }
-      case kCenWakeParent: {
-        // A child woke independently; wake our own parent and the rest of
-        // the family.
-        notify_parent(ctx);
-        start_children(ctx);
-        break;
-      }
-      default:
-        RISE_CHECK_MSG(false, "CEN: unexpected message type " << in.msg.type);
-    }
-  }
-
- private:
-  void notify_parent(sim::Context& ctx) {
-    if (parent_notified_ || !advice_.has_parent) return;
-    parent_notified_ = true;
-    ctx.send(advice_.parent, sim::make_message(kCenWakeParent, {}, 8));
-  }
-
-  void start_children(sim::Context& ctx) {
-    if (started_ || !advice_.has_first_child) {
-      started_ = true;
-      return;
-    }
-    started_ = true;
-    ctx.send(advice_.first_child, sim::make_message(kCenWakeChild, {}, 8));
-  }
-
-  CenAdvice advice_;
-  bool parent_notified_ = false;
-  bool started_ = false;
-};
-
-/// Kernel port of ChildEncodingProcess: decoded advice + two flags per node.
+/// CEN wake-up: decoded advice + two flags per node.
 class ChildEncodingKernel {
  public:
   struct State {
@@ -275,17 +202,12 @@ std::unique_ptr<AdvisingOracle> child_encoding_oracle(graph::NodeId root,
   return std::make_unique<ChildEncodingOracle>(root, arity);
 }
 
-sim::ProcessFactory child_encoding_factory() {
-  return [](sim::NodeId) { return std::make_unique<ChildEncodingProcess>(); };
-}
-
 sim::KernelRunner child_encoding_kernel() {
   return sim::make_kernel(ChildEncodingKernel{});
 }
 
 AdvisingScheme child_encoding_scheme(graph::NodeId root) {
-  return {child_encoding_oracle(root), child_encoding_factory(),
-          child_encoding_kernel()};
+  return {child_encoding_oracle(root), child_encoding_kernel()};
 }
 
 }  // namespace rise::advice

@@ -80,38 +80,7 @@ class Fip06Oracle final : public AdvisingOracle {
   graph::NodeId root_;
 };
 
-class Fip06Process final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary) {
-      propagate(ctx, sim::kInvalidPort);
-    }
-    // Message-woken nodes propagate from on_message, where the arrival port
-    // is known.
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    propagate(ctx, in.port);
-  }
-
- private:
-  void propagate(sim::Context& ctx, sim::Port skip) {
-    if (done_) return;
-    done_ = true;
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("advice.forward");
-    probe.count("advice.decodes");
-    BitReader r(ctx.advice());
-    for (sim::Port p : decode_port_set(r, ctx.degree())) {
-      if (p == skip) continue;
-      ctx.send(p, sim::make_message(kTreeWake, {}, 8));
-    }
-  }
-
-  bool done_ = false;
-};
-
-/// Kernel port of Fip06Process: one done-flag per node.
+/// Tree flooding: one done-flag per node.
 class Fip06Kernel {
  public:
   struct State {
@@ -170,14 +139,10 @@ std::unique_ptr<AdvisingOracle> fip06_oracle(graph::NodeId root) {
   return std::make_unique<Fip06Oracle>(root);
 }
 
-sim::ProcessFactory fip06_factory() {
-  return [](sim::NodeId) { return std::make_unique<Fip06Process>(); };
-}
-
 sim::KernelRunner fip06_kernel() { return sim::make_kernel(Fip06Kernel{}); }
 
 AdvisingScheme fip06_scheme(graph::NodeId root) {
-  return {fip06_oracle(root), fip06_factory(), fip06_kernel()};
+  return {fip06_oracle(root), fip06_kernel()};
 }
 
 }  // namespace rise::advice

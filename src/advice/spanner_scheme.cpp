@@ -116,64 +116,7 @@ class SpannerOracle final : public AdvisingOracle {
   unsigned k_;
 };
 
-class SpannerProcess final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("advice.forward");
-    probe.count("advice.decodes");
-    advice_ = decode_node_advice(ctx.advice());
-    if (cause == sim::WakeCause::kAdversary) start(ctx);
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    switch (in.msg.type) {
-      case kSpWake: {
-        // Reply with our next-sibling pair in the sender's heap so its
-        // dissemination continues, then wake our own spanner neighborhood.
-        const auto it = advice_.records.find(in.port);
-        RISE_CHECK_MSG(it != advice_.records.end(),
-                       "spanner wake arrived over a non-spanner edge");
-        const NextPair& next = it->second;
-        sim::PayloadWords payload{
-            (next.has_a ? 1u : 0u) | (next.has_b ? 2u : 0u),
-            next.has_a ? next.a : 0, next.has_b ? next.b : 0};
-        ctx.send(in.port, sim::make_message(kSpNext, std::move(payload),
-                                            8 + 2 * ctx.label_bits()));
-        start(ctx);
-        break;
-      }
-      case kSpNext: {
-        const std::uint64_t flags = in.msg.payload[0];
-        const sim::Message wake = sim::make_message(kSpWake, {}, 8);
-        if (flags & 1u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[1]), wake);
-        }
-        if (flags & 2u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[2]), wake);
-        }
-        break;
-      }
-      default:
-        RISE_CHECK_MSG(false,
-                       "spanner scheme: unexpected message " << in.msg.type);
-    }
-  }
-
- private:
-  void start(sim::Context& ctx) {
-    if (started_) return;
-    started_ = true;
-    if (advice_.has_first) {
-      ctx.send(advice_.first, sim::make_message(kSpWake, {}, 8));
-    }
-  }
-
-  NodeAdvice advice_;
-  bool started_ = false;
-};
-
-/// Kernel port of SpannerProcess: decoded advice + start flag per node.
+/// Spanner wake-up: decoded advice + start flag per node.
 class SpannerKernel {
  public:
   struct State {
@@ -260,21 +203,16 @@ std::unique_ptr<AdvisingOracle> spanner_oracle(unsigned k) {
   return std::make_unique<SpannerOracle>(k);
 }
 
-sim::ProcessFactory spanner_factory() {
-  return [](sim::NodeId) { return std::make_unique<SpannerProcess>(); };
-}
-
 sim::KernelRunner spanner_kernel() {
   return sim::make_kernel(SpannerKernel{});
 }
 
 AdvisingScheme spanner_scheme(unsigned k) {
-  return {spanner_oracle(k), spanner_factory(), spanner_kernel()};
+  return {spanner_oracle(k), spanner_kernel()};
 }
 
 AdvisingScheme corollary2_scheme() {
-  return {std::make_unique<SpannerOracle>(0), spanner_factory(),
-          spanner_kernel()};
+  return {std::make_unique<SpannerOracle>(0), spanner_kernel()};
 }
 
 }  // namespace rise::advice

@@ -45,45 +45,7 @@ class SqrtThresholdOracle final : public AdvisingOracle {
   double threshold_;
 };
 
-class SqrtThresholdProcess final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary) propagate(ctx, sim::kInvalidPort);
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    propagate(ctx, in.port);
-  }
-
- private:
-  void propagate(sim::Context& ctx, sim::Port skip) {
-    if (done_) return;
-    done_ = true;
-    obs::NodeProbe probe = ctx.probe();
-    probe.count("advice.decodes");
-    BitReader r(ctx.advice());
-    const sim::Message wake = sim::make_message(kTreeWake, {}, 8);
-    if (r.read_bit()) {
-      probe.phase("advice.broadcast");
-      probe.node_class("high_degree");
-      for (sim::Port p = 0; p < ctx.degree(); ++p) {
-        if (p != skip) ctx.send(p, wake);
-      }
-      return;
-    }
-    probe.phase("advice.forward");
-    const unsigned width = std::max(1u, bit_width_for(ctx.degree()));
-    const std::uint64_t count = r.read_gamma();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto p = static_cast<sim::Port>(r.read_bits(width));
-      if (p != skip) ctx.send(p, wake);
-    }
-  }
-
-  bool done_ = false;
-};
-
-/// Kernel port of SqrtThresholdProcess: one done-flag per node.
+/// Threshold flooding: one done-flag per node.
 class SqrtThresholdKernel {
  public:
   struct State {
@@ -150,17 +112,12 @@ std::unique_ptr<AdvisingOracle> sqrt_threshold_oracle(graph::NodeId root,
   return std::make_unique<SqrtThresholdOracle>(root, threshold);
 }
 
-sim::ProcessFactory sqrt_threshold_factory() {
-  return [](sim::NodeId) { return std::make_unique<SqrtThresholdProcess>(); };
-}
-
 sim::KernelRunner sqrt_threshold_kernel() {
   return sim::make_kernel(SqrtThresholdKernel{});
 }
 
 AdvisingScheme sqrt_threshold_scheme(graph::NodeId root) {
-  return {sqrt_threshold_oracle(root), sqrt_threshold_factory(),
-          sqrt_threshold_kernel()};
+  return {sqrt_threshold_oracle(root), sqrt_threshold_kernel()};
 }
 
 }  // namespace rise::advice

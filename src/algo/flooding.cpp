@@ -4,24 +4,7 @@ namespace rise::algo {
 
 namespace {
 
-class Flooding final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause) override {
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("flood");
-    probe.count("flood.broadcasts");
-    // A single O(1)-bit wake-up signal on every port.
-    ctx.broadcast(sim::make_message(kFloodWake, {}, 8));
-  }
-
-  void on_message(sim::Context&, const sim::Incoming&) override {
-    // Receiving a message already woke us (triggering on_wake); nothing else
-    // to do.
-  }
-};
-
-/// Kernel port of Flooding. The algorithm is stateless, so the kernel is
-/// too; the hook bodies are the Process bodies verbatim.
+/// Flooding is stateless: a node broadcasts once, from on_wake.
 struct FloodingKernel {
   void reset(const sim::Instance&, sim::RunWorkspace*) {}
 
@@ -35,7 +18,10 @@ struct FloodingKernel {
   }
 
   template <class Ctx>
-  void on_message(Ctx&, const sim::Incoming&) {}
+  void on_message(Ctx&, const sim::Incoming&) {
+    // Receiving a message already woke us (triggering on_wake); nothing else
+    // to do.
+  }
 
   template <class Ctx>
   void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
@@ -44,10 +30,6 @@ struct FloodingKernel {
 };
 
 }  // namespace
-
-sim::ProcessFactory flooding_factory() {
-  return [](sim::NodeId) { return std::make_unique<Flooding>(); };
-}
 
 sim::KernelRunner flooding_kernel() {
   return sim::make_kernel(FloodingKernel{});

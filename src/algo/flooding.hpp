@@ -9,17 +9,14 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
 /// Message type tag used by flooding wake-up messages.
 inline constexpr std::uint32_t kFloodWake = 0x0F10;
 
-sim::ProcessFactory flooding_factory();
-
-/// Flat-kernel flooding: bit-identical to the factory (test_sim_kernels),
-/// allocation-free in steady state — the million-node fast path.
+/// Flooding as a flat kernel: allocation-free in steady state, which makes
+/// it the million-node workload.
 sim::KernelRunner flooding_kernel();
 
 }  // namespace rise::algo

@@ -4,31 +4,8 @@ namespace rise::algo {
 
 namespace {
 
-class PushGossip final : public sim::Process {
- public:
-  explicit PushGossip(std::uint64_t round_budget) : budget_(round_budget) {}
-
-  void on_wake(sim::Context&, sim::WakeCause) override {}
-
-  void on_message(sim::Context&, const sim::Incoming&) override {}
-
-  void on_round(sim::Context& ctx, std::span<const sim::Incoming>) override {
-    if (ctx.local_round() > budget_ || ctx.degree() == 0) return;
-    obs::NodeProbe probe = ctx.probe();
-    probe.phase("gossip.push");
-    probe.count("gossip.pushes");
-    const sim::Port p =
-        static_cast<sim::Port>(ctx.rng().uniform(ctx.degree()));
-    ctx.send(p, sim::make_message(kGossipPush, {}, 8));
-    ctx.request_tick();
-  }
-
- private:
-  std::uint64_t budget_;
-};
-
-/// Kernel port of PushGossip: the only per-node state the Process held was
-/// the (immutable) budget, so the kernel carries just that config scalar.
+/// Push gossip keeps no per-node state: the round budget is shared config
+/// and the local round counter comes from the context.
 class PushGossipKernel {
  public:
   explicit PushGossipKernel(std::uint64_t round_budget)
@@ -59,12 +36,6 @@ class PushGossipKernel {
 };
 
 }  // namespace
-
-sim::ProcessFactory push_gossip_factory(std::uint64_t round_budget) {
-  return [round_budget](sim::NodeId) {
-    return std::make_unique<PushGossip>(round_budget);
-  };
-}
 
 sim::KernelRunner push_gossip_kernel(std::uint64_t round_budget) {
   return sim::make_kernel(PushGossipKernel(round_budget));

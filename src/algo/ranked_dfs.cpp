@@ -52,166 +52,8 @@ TokenView decode_token(const Message& msg) {
   return t;
 }
 
-class RankedDfs final : public sim::Process {
- public:
-  RankedDfs(RankedDfsProbe* probe, sim::NodeId node, unsigned rank_bits,
-            bool discard_losers, bool elect)
-      : probe_(probe),
-        node_(node),
-        rank_bits_(rank_bits),
-        discard_losers_(discard_losers),
-        elect_(elect) {}
-
-  void on_wake(Context& ctx, sim::WakeCause cause) override {
-    if (cause != sim::WakeCause::kAdversary) return;
-    obs::NodeProbe obs_probe = ctx.probe();
-    obs_probe.phase("dfs.launch");
-    obs_probe.node_class("initiator");
-    obs_probe.count("dfs.tokens_launched");
-    // Draw a random rank from [n^c] (Sec. 3.1); nonzero so that the initial
-    // "no token seen" state (0, 0) loses every comparison.
-    const std::uint64_t rank_space = (std::uint64_t{1} << rank_bits_) - 1;
-    rank_ = 1 + ctx.rng().uniform(rank_space);
-    best_ = {rank_, ctx.my_label()};
-    // Launch our own DFS token.
-    std::vector<Label> visited{ctx.my_label()};
-    TokenState& state = tokens_[ctx.my_label()];
-    state.parent_port = sim::kInvalidPort;
-    advance_token(ctx, rank_, ctx.my_label(), visited, state);
-  }
-
-  void on_message(Context& ctx, const Incoming& in) override {
-    if (in.msg.type == kDfsLeader) {
-      on_leader_token(ctx, in);
-      return;
-    }
-    TokenView token = decode_token(in.msg);
-    ctx.probe().phase("dfs.token");
-    const std::pair<std::uint64_t, Label> key{token.rank, token.origin};
-    if (discard_losers_ && key < best_) {  // case (b): discard
-      ctx.probe().count("dfs.tokens_discarded");
-      return;
-    }
-    best_ = std::max(best_, key);
-
-    TokenState& state = tokens_[token.origin];
-    const Label me = ctx.my_label();
-    const bool first_visit =
-        std::find(token.visited.begin(), token.visited.end(), me) ==
-        token.visited.end();
-    if (first_visit) {
-      token.visited.push_back(me);  // case (a): append own ID
-      state.parent_port = in.port;
-      ctx.probe().count("dfs.first_visits");
-      if (probe_ != nullptr) {
-        if (forwarded_origins_.insert(token.origin).second) {
-          if (probe_->tokens_forwarded.size() <= node_) {
-            probe_->tokens_forwarded.resize(node_ + 1, 0);
-          }
-          ++probe_->tokens_forwarded[node_];
-        }
-      }
-    }
-    advance_token(ctx, token.rank, token.origin, token.visited, state);
-  }
-
- private:
-  struct TokenState {
-    Port parent_port = sim::kInvalidPort;
-  };
-
-  /// Forwards the token to the first neighbor not yet visited; backtracks to
-  /// the DFS parent when all neighbors are on the list; stops at the origin.
-  void advance_token(Context& ctx, std::uint64_t rank, Label origin,
-                     const std::vector<Label>& visited, TokenState& state) {
-    const std::unordered_set<Label> visited_set(visited.begin(),
-                                                visited.end());
-    const auto labels = ctx.neighbor_labels();
-    for (Port p = 0; p < labels.size(); ++p) {
-      if (!visited_set.count(labels[p])) {
-        ctx.send(p, encode_token(rank, origin, visited, ctx.label_bits(),
-                                 rank_bits_));
-        return;
-      }
-    }
-    if (state.parent_port != sim::kInvalidPort) {
-      ctx.send(state.parent_port,
-               encode_token(rank, origin, visited, ctx.label_bits(),
-                            rank_bits_));
-      return;
-    }
-    // We are the origin and the DFS is complete. If electing, announce
-    // ourselves as leader with a second DFS pass.
-    if (elect_ && origin == ctx.my_label() && !announced_) {
-      announced_ = true;
-      obs::NodeProbe obs_probe = ctx.probe();
-      obs_probe.phase("dfs.announce");
-      obs_probe.node_class("leader");
-      obs_probe.count("dfs.leaders_announced");
-      ctx.set_output(ctx.my_label());
-      std::vector<Label> seen{ctx.my_label()};
-      leader_state_.parent_port = sim::kInvalidPort;
-      advance_leader(ctx, ctx.my_label(), seen);
-    }
-  }
-
-  /// The announce pass: same visited-list DFS mechanics, never discarded.
-  void on_leader_token(Context& ctx, const Incoming& in) {
-    ctx.probe().phase("dfs.announce");
-    RISE_CHECK(in.msg.payload.size() >= 2);
-    const Label leader = in.msg.payload[0];
-    const std::uint64_t count = in.msg.payload[1];
-    RISE_CHECK(in.msg.payload.size() == 2 + count);
-    std::vector<Label> visited(in.msg.payload.begin() + 2,
-                               in.msg.payload.end());
-    const Label me = ctx.my_label();
-    if (std::find(visited.begin(), visited.end(), me) == visited.end()) {
-      ctx.set_output(leader);
-      visited.push_back(me);
-      leader_state_.parent_port = in.port;
-    }
-    advance_leader(ctx, leader, visited);
-  }
-
-  void advance_leader(Context& ctx, Label leader,
-                      const std::vector<Label>& visited) {
-    const std::unordered_set<Label> visited_set(visited.begin(),
-                                                visited.end());
-    const auto labels = ctx.neighbor_labels();
-    auto encode = [&] {
-      sim::PayloadWords payload{leader, visited.size()};
-      payload.append(visited.begin(), visited.end());
-      return sim::make_message(
-          kDfsLeader, std::move(payload),
-          ctx.label_bits() * (2 + visited.size()) + 32);
-    };
-    for (Port p = 0; p < labels.size(); ++p) {
-      if (!visited_set.count(labels[p])) {
-        ctx.send(p, encode());
-        return;
-      }
-    }
-    if (leader_state_.parent_port != sim::kInvalidPort) {
-      ctx.send(leader_state_.parent_port, encode());
-    }
-  }
-
-  RankedDfsProbe* probe_;
-  sim::NodeId node_;
-  unsigned rank_bits_;
-  bool discard_losers_;
-  bool elect_;
-  bool announced_ = false;
-  TokenState leader_state_;
-  std::uint64_t rank_ = 0;
-  std::pair<std::uint64_t, Label> best_{0, 0};
-  std::map<Label, TokenState> tokens_;
-  std::set<Label> forwarded_origins_;
-};
-
-/// Kernel port of RankedDfs: the Process's mutable members become one State
-/// per node in a flat vector; hook bodies are otherwise verbatim (same RNG
-/// draws, same encodings), so the two paths are bit-identical.
+/// Ranked DFS with each node's rank, best-seen key and per-token DFS state in
+/// one State entry of a flat vector.
 class RankedDfsKernel {
  public:
   RankedDfsKernel(RankedDfsProbe* probe, unsigned rank_bits,
@@ -392,36 +234,6 @@ class RankedDfsKernel {
 };
 
 }  // namespace
-
-sim::ProcessFactory ranked_dfs_factory(RankedDfsProbe* probe,
-                                       unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [probe, rank_bits](sim::NodeId node) {
-    return std::make_unique<RankedDfs>(probe, node, rank_bits,
-                                       /*discard_losers=*/true,
-                                       /*elect=*/false);
-  };
-}
-
-sim::ProcessFactory ranked_dfs_leader_factory(RankedDfsProbe* probe,
-                                              unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [probe, rank_bits](sim::NodeId node) {
-    return std::make_unique<RankedDfs>(probe, node, rank_bits,
-                                       /*discard_losers=*/true,
-                                       /*elect=*/true);
-  };
-}
-
-sim::ProcessFactory ranked_dfs_no_discard_factory(RankedDfsProbe* probe,
-                                                  unsigned rank_bits) {
-  RISE_CHECK(rank_bits >= 8 && rank_bits <= 62);
-  return [probe, rank_bits](sim::NodeId node) {
-    return std::make_unique<RankedDfs>(probe, node, rank_bits,
-                                       /*discard_losers=*/false,
-                                       /*elect=*/false);
-  };
-}
 
 sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe,
                                     unsigned rank_bits) {

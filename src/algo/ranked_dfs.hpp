@@ -21,7 +21,6 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
@@ -37,10 +36,10 @@ struct RankedDfsProbe {
 /// `probe` may be null. `rank_bits` is the log2 of the rank space (the
 /// paper's [n^c]; 48 bits make collisions negligible while keeping messages
 /// small).
-sim::ProcessFactory ranked_dfs_factory(RankedDfsProbe* probe = nullptr,
-                                       unsigned rank_bits = 48);
+sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe = nullptr,
+                                    unsigned rank_bits = 48);
 
-/// Wake-up + leader election: identical to ranked_dfs_factory, except that
+/// Wake-up + leader election: identical to ranked_dfs_kernel, except that
 /// when the (unique) maximum-rank token completes its DFS, its origin
 /// announces itself as leader along a second DFS pass, and every node
 /// records the leader's ID as its output. This realizes the classic
@@ -48,22 +47,13 @@ sim::ProcessFactory ranked_dfs_factory(RankedDfsProbe* probe = nullptr,
 /// wake-up solves leader election at +O(n) messages and +O(n) time.
 /// Exactly one node ever announces (a non-maximum token meets a node its
 /// superior touched before finishing, and dies there).
-sim::ProcessFactory ranked_dfs_leader_factory(RankedDfsProbe* probe = nullptr,
-                                              unsigned rank_bits = 48);
+sim::KernelRunner ranked_dfs_leader_kernel(RankedDfsProbe* probe = nullptr,
+                                           unsigned rank_bits = 48);
 
 /// Ablation of the algorithm's key design choice: with rank discarding OFF,
 /// every token runs its DFS to completion (case (b) never fires), which
 /// inflates the message complexity from O(n log n) to Theta(|A_0| * n) —
 /// bench_ablations quantifies how much the random ranks buy.
-sim::ProcessFactory ranked_dfs_no_discard_factory(
-    RankedDfsProbe* probe = nullptr, unsigned rank_bits = 48);
-
-/// Flat-kernel counterparts of the three factories above — bit-identical
-/// runs (test_sim_kernels) with per-node state in one contiguous vector.
-sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe = nullptr,
-                                    unsigned rank_bits = 48);
-sim::KernelRunner ranked_dfs_leader_kernel(RankedDfsProbe* probe = nullptr,
-                                           unsigned rank_bits = 48);
 sim::KernelRunner ranked_dfs_no_discard_kernel(RankedDfsProbe* probe = nullptr,
                                                unsigned rank_bits = 48);
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
@@ -25,9 +24,6 @@ inline constexpr std::uint32_t kCFwd = 0x0DC1;
 inline constexpr std::uint32_t kCNack = 0x0DC2;
 inline constexpr std::uint32_t kCRet = 0x0DC3;
 
-sim::ProcessFactory ranked_dfs_congest_factory(unsigned rank_bits = 48);
-
-/// Flat-kernel counterpart, bit-identical to the factory.
 sim::KernelRunner ranked_dfs_congest_kernel(unsigned rank_bits = 48);
 
 }  // namespace rise::algo

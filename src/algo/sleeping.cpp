@@ -168,23 +168,6 @@ void mis_on_round(MisState& self, Ctx& ctx,
   ctx.request_tick();
 }
 
-class SleepingMis final : public sim::Process {
- public:
-  void on_wake(sim::Context&, sim::WakeCause) override {}
-
-  void on_message(sim::Context&, const sim::Incoming&) override {
-    RISE_CHECK_MSG(false, "sleeping MIS requires the synchronous engine");
-  }
-
-  void on_round(sim::Context& ctx,
-                std::span<const sim::Incoming> inbox) override {
-    mis_on_round(self_, ctx, inbox);
-  }
-
- private:
-  MisState self_;
-};
-
 class SleepingMisKernel {
  public:
   using States = std::vector<MisState>;
@@ -366,23 +349,6 @@ void match_on_round(MatchState& self, Ctx& ctx,
   ctx.request_tick();
 }
 
-class SleepingMatching final : public sim::Process {
- public:
-  void on_wake(sim::Context&, sim::WakeCause) override {}
-
-  void on_message(sim::Context&, const sim::Incoming&) override {
-    RISE_CHECK_MSG(false, "sleeping matching requires the synchronous engine");
-  }
-
-  void on_round(sim::Context& ctx,
-                std::span<const sim::Incoming> inbox) override {
-    match_on_round(self_, ctx, inbox);
-  }
-
- private:
-  MatchState self_;
-};
-
 class SleepingMatchingKernel {
  public:
   using States = std::vector<MatchState>;
@@ -412,16 +378,8 @@ class SleepingMatchingKernel {
 
 }  // namespace
 
-sim::ProcessFactory sleeping_mis_factory() {
-  return [](sim::NodeId) { return std::make_unique<SleepingMis>(); };
-}
-
 sim::KernelRunner sleeping_mis_kernel() {
   return sim::make_kernel(SleepingMisKernel());
-}
-
-sim::ProcessFactory sleeping_matching_factory() {
-  return [](sim::NodeId) { return std::make_unique<SleepingMatching>(); };
 }
 
 sim::KernelRunner sleeping_matching_kernel() {

@@ -38,7 +38,6 @@
 #pragma once
 
 #include "sim/kernel.hpp"
-#include "sim/process.hpp"
 
 namespace rise::algo {
 
@@ -51,10 +50,7 @@ inline constexpr std::uint32_t kSmatMatched = 0x51B3;
 /// Naps per decided node: lengths 2, 4, ..., 2^kSleepNapStages rounds.
 inline constexpr std::uint32_t kSleepNapStages = 4;
 
-sim::ProcessFactory sleeping_mis_factory();
 sim::KernelRunner sleeping_mis_kernel();
-
-sim::ProcessFactory sleeping_matching_factory();
 sim::KernelRunner sleeping_matching_kernel();
 
 }  // namespace rise::algo

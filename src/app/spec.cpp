@@ -21,9 +21,7 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/time_restricted.hpp"
 #include "runner/campaign.hpp"
-#include "sim/async_engine.hpp"
 #include "sim/kernel.hpp"
-#include "sim/sync_engine.hpp"
 #include "support/check.hpp"
 
 namespace rise::app {
@@ -284,7 +282,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.factory = algo::flooding_factory();
     setup.kernel = algo::flooding_kernel();
     return setup;
   }
@@ -292,9 +289,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::LOCAL;
-    setup.factory = kind == "ranked_dfs"
-                        ? algo::ranked_dfs_factory()
-                        : algo::ranked_dfs_no_discard_factory();
     setup.kernel = kind == "ranked_dfs" ? algo::ranked_dfs_kernel()
                                         : algo::ranked_dfs_no_discard_kernel();
     return setup;
@@ -303,7 +297,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.factory = algo::ranked_dfs_congest_factory();
     setup.kernel = algo::ranked_dfs_congest_kernel();
     return setup;
   }
@@ -311,7 +304,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 1, spec);
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::LOCAL;
-    setup.factory = algo::ranked_dfs_leader_factory();
     setup.kernel = algo::ranked_dfs_leader_kernel();
     return setup;
   }
@@ -320,7 +312,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT1;
     setup.bandwidth = sim::Bandwidth::LOCAL;
     setup.synchronous = true;
-    setup.factory = algo::fast_wakeup_factory();
     setup.kernel = algo::fast_wakeup_kernel();
     return setup;
   }
@@ -330,7 +321,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.synchronous = true;
     const std::uint64_t budget = to_u64(f[1], "round budget");
-    setup.factory = algo::push_gossip_factory(budget);
     setup.kernel = algo::push_gossip_kernel(budget);
     return setup;
   }
@@ -340,7 +330,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.synchronous = true;
     setup.sleeping = true;
-    setup.factory = algo::sleeping_mis_factory();
     setup.kernel = algo::sleeping_mis_kernel();
     return setup;
   }
@@ -350,7 +339,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.synchronous = true;
     setup.sleeping = true;
-    setup.factory = algo::sleeping_matching_factory();
     setup.kernel = algo::sleeping_matching_kernel();
     return setup;
   }
@@ -358,8 +346,8 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 2, spec);
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.factory = lb::ttl_flood_factory(
-        static_cast<std::uint32_t>(to_u64(f[1], "ttl")));
+    setup.kernel = sim::process_kernel(
+        lb::ttl_flood_factory(to_bounded<std::uint32_t>(f[1], "ttl")));
     return setup;
   }
   if (kind == "fip06") {
@@ -367,7 +355,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = advice::fip06_oracle();
-    setup.factory = advice::fip06_factory();
     setup.kernel = advice::fip06_kernel();
     return setup;
   }
@@ -376,7 +363,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = advice::sqrt_threshold_oracle();
-    setup.factory = advice::sqrt_threshold_factory();
     setup.kernel = advice::sqrt_threshold_kernel();
     return setup;
   }
@@ -385,7 +371,6 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = advice::child_encoding_oracle(0, kind == "cen" ? 2 : 1);
-    setup.factory = advice::child_encoding_factory();
     setup.kernel = advice::child_encoding_kernel();
     return setup;
   }
@@ -393,9 +378,7 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 2, spec);
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.oracle =
-        advice::spanner_oracle(static_cast<unsigned>(to_u64(f[1], "k")));
-    setup.factory = advice::spanner_factory();
+    setup.oracle = advice::spanner_oracle(to_bounded<unsigned>(f[1], "k"));
     setup.kernel = advice::spanner_kernel();
     return setup;
   }
@@ -405,17 +388,16 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = std::move(scheme.oracle);
-    setup.factory = std::move(scheme.algorithm);
     setup.kernel = std::move(scheme.kernel);
     return setup;
   }
   if (kind == "beta") {
     expect_fields(f, 2, spec);
-    const auto beta = static_cast<unsigned>(to_u64(f[1], "beta"));
+    const auto beta = to_bounded<unsigned>(f[1], "beta");
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = lb::beta_probing_oracle(beta);
-    setup.factory = lb::beta_probing_factory(beta);
+    setup.kernel = sim::process_kernel(lb::beta_probing_factory(beta));
     return setup;
   }
   RISE_CHECK_MSG(false, "unknown algorithm '" << kind
@@ -454,7 +436,6 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
   prep.algorithm = algorithm.name;
   prep.synchronous = algorithm.synchronous;
   prep.sleeping = algorithm.sleeping;
-  prep.factory = std::move(algorithm.factory);
   prep.kernel = std::move(algorithm.kernel);
 
   sim::InstanceOptions options;
@@ -507,11 +488,6 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     report.rho_awk = sim::schedule_awake_distance(g, schedule);
   }
 
-  // The flat-kernel path is the default whenever the family ships one; it
-  // is bit-identical to the Process path (test_sim_kernels), so choosing it
-  // here never changes a result — only the per-trial allocation profile.
-  const bool use_kernel = static_cast<bool>(prepared.kernel) &&
-                          !instruments.use_virtual_processes;
   const bool synchronous =
       prepared.synchronous || instruments.force_sync_engine;
   if (synchronous) {
@@ -533,29 +509,18 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
                               ? instruments.trial_executor
                               : &serial_executor;
     }
-    if (use_kernel) {
-      sim::SyncKernelArgs args;
-      args.instance = &instance;
-      args.schedule = &schedule;
-      args.seed = spec.seed;
-      args.limits = limits;
-      args.trace = instruments.trace;
-      args.probe = probe;
-      args.workspace = workspace;
-      args.parallel = parallel;
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = prepared.kernel.run_sync(args);
-      timer.set_sim_span(report.result.metrics.rounds);
-    } else {
-      sim::SyncEngine engine(instance, schedule, spec.seed);
-      engine.set_trace(instruments.trace);
-      engine.set_probe(probe);
-      engine.set_workspace(workspace);
-      engine.set_parallel(parallel);
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = engine.run(prepared.factory, limits);
-      timer.set_sim_span(report.result.metrics.rounds);
-    }
+    sim::SyncKernelArgs args;
+    args.instance = &instance;
+    args.schedule = &schedule;
+    args.seed = spec.seed;
+    args.limits = limits;
+    args.trace = instruments.trace;
+    args.probe = probe;
+    args.workspace = workspace;
+    args.parallel = parallel;
+    obs::PhaseTimer timer(probe, "engine.run");
+    report.result = prepared.kernel.run_sync(args);
+    timer.set_sim_span(report.result.metrics.rounds);
   } else {
     std::unique_ptr<sim::DelayPolicy> parsed;
     const sim::DelayPolicy* delays = instruments.delay_override;
@@ -566,31 +531,19 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     if (instruments.on_setup) {
       instruments.on_setup(instance, schedule, delays, false);
     }
-    if (use_kernel) {
-      sim::AsyncKernelArgs args;
-      args.instance = &instance;
-      args.delays = delays;
-      args.schedule = &schedule;
-      args.seed = spec.seed;
-      args.trace = instruments.trace;
-      args.probe = probe;
-      args.queue_mode = instruments.queue_mode;
-      args.workspace = workspace;
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = prepared.kernel.run_async(args);
-      timer.set_sim_span(std::max(report.result.metrics.last_delivery,
-                                  report.result.metrics.last_wake));
-    } else {
-      sim::AsyncEngine engine(instance, *delays, schedule, spec.seed);
-      engine.set_trace(instruments.trace);
-      engine.set_probe(probe);
-      engine.set_event_queue_mode(instruments.queue_mode);
-      engine.set_workspace(workspace);
-      obs::PhaseTimer timer(probe, "engine.run");
-      report.result = engine.run(prepared.factory);
-      timer.set_sim_span(std::max(report.result.metrics.last_delivery,
-                                  report.result.metrics.last_wake));
-    }
+    sim::AsyncKernelArgs args;
+    args.instance = &instance;
+    args.delays = delays;
+    args.schedule = &schedule;
+    args.seed = spec.seed;
+    args.trace = instruments.trace;
+    args.probe = probe;
+    args.queue_mode = instruments.queue_mode;
+    args.workspace = workspace;
+    obs::PhaseTimer timer(probe, "engine.run");
+    report.result = prepared.kernel.run_async(args);
+    timer.set_sim_span(std::max(report.result.metrics.last_delivery,
+                                report.result.metrics.last_wake));
   }
   return report;
 }

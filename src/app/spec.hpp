@@ -34,6 +34,7 @@
 #include "sim/adversary.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/process.hpp"
@@ -52,9 +53,8 @@ std::unique_ptr<sim::DelayPolicy> parse_delay_spec(const std::string& spec,
                                                    std::uint64_t seed);
 
 /// A fully-specified algorithm: model requirements, optional oracle, and the
-/// per-node process factory. `kernel` is the family's flat-SoA fast path
-/// (sim/kernel.hpp), bit-identical to `factory`; empty for the few
-/// diagnostic algorithms (ttl, beta) that only ship a Process.
+/// kernel that runs it (sim/kernel.hpp). The diagnostic lower-bound
+/// algorithms (ttl, beta) are Processes wrapped by sim::process_kernel.
 struct AlgorithmSetup {
   std::string name;
   sim::Knowledge knowledge = sim::Knowledge::KT0;
@@ -64,7 +64,6 @@ struct AlgorithmSetup {
   /// Context::sleep_until is honored (implies synchronous).
   bool sleeping = false;
   std::unique_ptr<advice::AdvisingOracle> oracle;  // null if none
-  sim::ProcessFactory factory;
   sim::KernelRunner kernel;
 };
 
@@ -118,15 +117,9 @@ struct RunInstruments {
   const sim::DelayPolicy* delay_override = nullptr;
 
   /// Run an *asynchronous* algorithm on the lock-step synchronous engine
-  /// (message-driven processes run unchanged there; spec.delay is ignored).
+  /// (message-driven algorithms run unchanged there; spec.delay is ignored).
   /// The fuzzer's unit-delay differential uses this.
   bool force_sync_engine = false;
-
-  /// Force the heap-allocated virtual Process path even when the algorithm
-  /// ships a flat kernel (sim/kernel.hpp). The two paths are bit-identical
-  /// (test_sim_kernels) — this exists for differential tests and A/B
-  /// benchmarks, not because results differ.
-  bool use_virtual_processes = false;
 
   /// Intra-trial parallelism for *synchronous* runs: each stepped round is
   /// split into this many chunks executed on `trial_executor`. Results are
@@ -154,25 +147,20 @@ ExperimentReport run_experiment(const ExperimentSpec& spec,
 
 /// The immutable inputs of an experiment, built once and shareable across
 /// trials: the generated graph, the sim::Instance topology (CSR, ports,
-/// labels) with any oracle advice already installed, and the per-node
-/// process factory. Everything here is a pure function of (spec.graph,
+/// labels) with any oracle advice already installed, and the algorithm's
+/// kernel. Everything here is a pure function of (spec.graph,
 /// spec.algorithm, spec.seed) — the schedule, delay policy and engine
 /// randomness are per-run state and stay in execute_prepared.
 ///
 /// The instance is held const behind a shared_ptr: all its read paths are
 /// thread-safe, so one PreparedExperiment may serve concurrent runs on many
-/// worker threads. The factory must likewise be called concurrently (every
-/// shipped algorithm factory is a stateless lambda).
+/// worker threads. The kernel is likewise shared: each run copies it.
 struct PreparedExperiment {
   ExperimentSpec spec;  ///< the spec preparation consumed (seed = prep seed)
   std::shared_ptr<const sim::Instance> instance;
   std::string algorithm;  ///< canonical name from AlgorithmSetup
   bool synchronous = false;
   bool sleeping = false;  ///< sleeping-model family (see AlgorithmSetup)
-  sim::ProcessFactory factory;
-  /// The family's flat-kernel fast path; execute_prepared prefers it when
-  /// non-empty (opt out per run with RunInstruments::use_virtual_processes).
-  /// Safe to share across worker threads: each run copies the kernel.
   sim::KernelRunner kernel;
   sim::Instance::AdviceStats advice;
 };

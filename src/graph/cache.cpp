@@ -137,6 +137,12 @@ Graph load_cache(const std::string& path, const std::string& expected_spec) {
                                  << "different endianness — rebuild the cache");
   RISE_CHECK_MSG(n <= kInvalidNode,
                  "graph cache: " << path << " node count overflows NodeId");
+  // Bound m and spec_len by the file size so the size arithmetic below
+  // cannot wrap.
+  RISE_CHECK_MSG(m <= file_size / 8 && spec_len <= file_size,
+                 "graph cache: " << path << " has " << file_size
+                                 << " bytes, too few for m=" << m
+                                 << " and a " << spec_len << "-byte spec");
   const std::size_t spec_off = kHeaderBytes;
   const std::size_t offsets_off = spec_off + padded(spec_len);
   const std::size_t adjacency_off =

@@ -20,12 +20,38 @@ Graph Graph::from_csr_view(NodeId num_nodes, std::uint64_t num_edges,
   RISE_CHECK(offsets != nullptr);
   RISE_CHECK_MSG(offsets[0] == 0 && offsets[num_nodes] == 2 * num_edges,
                  "CSR view offsets inconsistent with edge count");
+  // The arrays come from a file, so everything the accessors rely on is
+  // checked before they can read out of bounds: monotone offsets keep every
+  // row inside the adjacency array, and has_edge / neighbor_slot binary
+  // search rows that must be strictly increasing.
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    RISE_CHECK_MSG(offsets[u] <= offsets[u + 1],
+                   "CSR view offsets decrease at node " << u);
+  }
   Graph g;
   g.n_ = num_nodes;
   g.m_ = num_edges;
   g.offsets_ = offsets;
   g.adjacency_ = adjacency;
   g.backing_ = std::move(keep_alive);
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    const auto nb = g.neighbors(u);
+    for (std::size_t i = 0; i < nb.size(); ++i) {
+      RISE_CHECK_MSG(nb[i] < num_nodes, "CSR view: node " << u
+                                            << " has neighbor " << nb[i]
+                                            << " out of range");
+      RISE_CHECK_MSG(nb[i] != u, "CSR view: self-loop at node " << u);
+      RISE_CHECK_MSG(i == 0 || nb[i - 1] < nb[i],
+                     "CSR view: neighbors of node "
+                         << u << " are not strictly increasing");
+    }
+  }
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      RISE_CHECK_MSG(g.has_edge(v, u), "CSR view: edge " << u << "-" << v
+                                           << " is missing its reverse");
+    }
+  }
   return g;
 }
 

@@ -48,8 +48,10 @@ class Graph {
 
   /// Wraps externally owned CSR arrays (e.g. an mmap-ed graph cache) without
   /// copying. `offsets` must have num_nodes+1 entries, `adjacency` must have
-  /// 2*num_edges entries sorted ascending per node, and `keep_alive` must own
-  /// whatever storage the pointers reference for the Graph's lifetime.
+  /// 2*num_edges entries, and `keep_alive` must own whatever storage the
+  /// pointers reference for the Graph's lifetime. The content is validated
+  /// (CheckError otherwise): monotone offsets, neighbor ids < num_nodes,
+  /// strictly increasing rows, no self-loops, symmetric adjacency.
   static Graph from_csr_view(NodeId num_nodes, std::uint64_t num_edges,
                              const std::uint64_t* offsets,
                              const NodeId* adjacency,

@@ -110,7 +110,8 @@ sim::ProcessFactory beta_probing_factory(unsigned beta) {
 }
 
 advice::AdvisingScheme beta_probing_scheme(unsigned beta) {
-  return {beta_probing_oracle(beta), beta_probing_factory(beta), {}};
+  return {beta_probing_oracle(beta),
+          sim::process_kernel(beta_probing_factory(beta))};
 }
 
 }  // namespace rise::lb

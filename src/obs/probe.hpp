@@ -1,8 +1,8 @@
 // Probe: the opt-in run observer behind every profile (src/obs).
 //
 // A Probe is attached to a run through RunInstruments (or directly via
-// AsyncEngine/SyncEngine::set_probe) and collects phase marks, node-class
-// marks, named counters, per-send attribution, and event-loop statistics.
+// {Async,Sync}KernelArgs::probe) and collects phase marks, node-class marks,
+// named counters, per-send attribution, and event-loop statistics.
 // Algorithms never touch the Probe directly — they go through the
 // NodeProbe value handle returned by Context::probe(), which is null when
 // no probe is attached and then compiles to a pointer test per call.

@@ -12,18 +12,13 @@
 //     messages at the current tick.
 //
 // The engine is deterministic given (instance, delay policy, schedule, seed).
+// It runs through KernelRunner::run_async (sim/kernel.hpp); this header holds
+// the model and its run limits.
 #pragma once
 
 #include <cstdint>
 
-#include "sim/delay_policy.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/instance.hpp"
-#include "sim/metrics.hpp"
-#include "sim/process.hpp"
-#include "sim/adversary.hpp"
-#include "sim/trace.hpp"
-#include "sim/workspace.hpp"
+#include "sim/types.hpp"
 
 namespace rise::sim {
 
@@ -31,51 +26,5 @@ struct RunLimits {
   std::uint64_t max_events = 200'000'000;  ///< hard safety cap; exceeded => throws
   Time max_time = kNever;                  ///< stop scheduling past this tick
 };
-
-class AsyncEngine {
- public:
-  /// `seed` drives the per-node private randomness streams.
-  AsyncEngine(const Instance& instance, const DelayPolicy& delays,
-              WakeSchedule schedule, std::uint64_t seed);
-
-  RunResult run(const ProcessFactory& factory, const RunLimits& limits = {});
-
-  /// Attach an observer receiving every send/deliver/wake event. Observation
-  /// never perturbs the run. Must outlive run().
-  void set_trace(TraceSink* trace) { trace_ = trace; }
-
-  /// Attach an observability probe (src/obs) collecting phase attribution
-  /// and event-loop statistics. Same contract as set_trace: observation
-  /// only, never perturbs the run, must outlive run().
-  void set_probe(obs::Probe* probe) { probe_ = probe; }
-
-  /// Force a specific event-timeline backend (testing / benchmarking only;
-  /// both backends produce bit-identical runs). Default: kAuto picks the
-  /// calendar queue for tau <= EventQueue::kMaxBucketSpan, else the heap.
-  void set_event_queue_mode(EventQueue::Mode mode) { queue_mode_ = mode; }
-
-  /// Borrow run storage (per-node tables, channel states, event calendar)
-  /// from a RunWorkspace for the duration of run(), returning it afterwards.
-  /// Reuse is capacity-only: a dirty workspace yields bit-identical results.
-  /// The workspace must outlive run() and belong to the calling thread.
-  void set_workspace(RunWorkspace* workspace) { workspace_ = workspace; }
-
- private:
-  TraceSink* trace_ = nullptr;
-  obs::Probe* probe_ = nullptr;
-  RunWorkspace* workspace_ = nullptr;
-  EventQueue::Mode queue_mode_ = EventQueue::Mode::kAuto;
-  const Instance& instance_;
-  const DelayPolicy& delays_;
-  WakeSchedule schedule_;
-  std::uint64_t seed_;
-};
-
-/// One-call convenience: build the engine and run.
-RunResult run_async(const Instance& instance, const DelayPolicy& delays,
-                    const WakeSchedule& schedule, std::uint64_t seed,
-                    const ProcessFactory& factory,
-                    const RunLimits& limits = {},
-                    TraceSink* trace = nullptr);
 
 }  // namespace rise::sim

@@ -7,31 +7,12 @@
 namespace rise::sim {
 
 EngineCore::EngineCore(const Instance& instance, Time tau, std::uint64_t seed,
-                       const ProcessFactory& factory, TraceSink* trace,
-                       obs::Probe* probe, RunWorkspace* workspace)
-    : instance_(instance),
-      trace_(trace),
-      probe_(probe),
-      workspace_(workspace) {
-  const NodeId n = instance.num_nodes();
-  if (workspace_ != nullptr) processes_ = std::move(workspace_->processes);
-  processes_.resize(n);
-  for (NodeId u = 0; u < n; ++u) processes_[u] = factory(u);
-  init_run_state(tau, seed);
-}
-
-EngineCore::EngineCore(const Instance& instance, Time tau, std::uint64_t seed,
                        TraceSink* trace, obs::Probe* probe,
                        RunWorkspace* workspace)
     : instance_(instance),
       trace_(trace),
       probe_(probe),
-      workspace_(workspace),
-      uses_processes_(false) {
-  init_run_state(tau, seed);
-}
-
-void EngineCore::init_run_state(Time tau, std::uint64_t seed) {
+      workspace_(workspace) {
   const NodeId n = instance_.num_nodes();
   if (probe_ != nullptr) probe_->attach_run(n);
   if (workspace_ != nullptr) {
@@ -60,10 +41,6 @@ void EngineCore::init_run_state(Time tau, std::uint64_t seed) {
 
 EngineCore::~EngineCore() {
   if (workspace_ == nullptr) return;
-  // Kernel-mode cores never touched workspace->processes; clobbering it here
-  // would throw away the recycled Process objects of an interleaved
-  // Process-path run on the same workspace.
-  if (uses_processes_) workspace_->processes = std::move(processes_);
   workspace_->rngs = std::move(rngs_);
   workspace_->awake = std::move(awake_);
   workspace_->result = std::move(result_);

@@ -1,12 +1,11 @@
 // State and bookkeeping shared by the asynchronous and synchronous engines.
 //
-// Both engines own the same per-node machinery — one Process per node, an
-// awake flag, a private RNG stream, wake/send/delivery metrics, CONGEST
-// budget enforcement, and the common Context surface (identity, knowledge,
-// advice, O(1) send-to-label) — and differ only in how they move time
-// forward. EngineCore holds that machinery in flat, node-indexed vectors;
-// the engines layer their event loop (bucketed timeline / round loop) on
-// top.
+// Both engines own the same per-node machinery — an awake flag, a private
+// RNG stream, wake/send/delivery metrics, CONGEST budget enforcement, and
+// the common Context surface (identity, knowledge, advice, O(1)
+// send-to-label) — and differ only in how they move time forward.
+// EngineCore holds that machinery in flat, node-indexed vectors; the
+// engines layer their event loop (bucketed timeline / round loop) on top.
 //
 // All state is graph-indexed: RNG streams live in a std::vector<Rng> seeded
 // eagerly with mix_seed(seed, node) — the same per-node streams the engines
@@ -14,7 +13,6 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "obs/probe.hpp"
@@ -37,15 +35,6 @@ class EngineCore {
   /// back on destruction; state is always re-initialized, so a dirty
   /// workspace yields bit-identical runs.
   EngineCore(const Instance& instance, Time tau, std::uint64_t seed,
-             const ProcessFactory& factory, TraceSink* trace,
-             obs::Probe* probe = nullptr, RunWorkspace* workspace = nullptr);
-
-  /// Kernel-mode core: identical bookkeeping but no per-node Process objects
-  /// are created (a kernel holds node state in flat vectors instead; see
-  /// sim/kernel.hpp). process() must not be called on a core built this way.
-  /// The workspace's recycled `processes` vector is left untouched so later
-  /// Process-path runs still reuse it.
-  EngineCore(const Instance& instance, Time tau, std::uint64_t seed,
              TraceSink* trace, obs::Probe* probe = nullptr,
              RunWorkspace* workspace = nullptr);
 
@@ -60,7 +49,6 @@ class EngineCore {
   RunResult& result() { return result_; }
   RunResult take_result() { return std::move(result_); }
 
-  Process& process(NodeId u) { return *processes_[u]; }
   bool is_awake(NodeId u) const { return awake_[u] != 0; }
   Rng& node_rng(NodeId u) { return rngs_[u]; }
   void set_output(NodeId u, std::uint64_t value) { result_.outputs[u] = value; }
@@ -104,7 +92,7 @@ class EngineCore {
 
   /// Marks u awake at time t: flags, wake_time, first/last-wake metrics and
   /// the trace callback. Returns false (a no-op) if u was already awake.
-  /// Does NOT call Process::on_wake — the engines do, after their own
+  /// Does NOT call the kernel's on_wake — the engines do, after their own
   /// engine-specific bookkeeping (e.g. the sync engine's local-round base).
   bool mark_awake(NodeId u, Time t, WakeCause cause) {
     if (!mark_awake_local(u, t)) return false;
@@ -133,16 +121,10 @@ class EngineCore {
   }
 
  private:
-  /// Sizes / re-initializes everything except processes_ (shared by both
-  /// constructors).
-  void init_run_state(Time tau, std::uint64_t seed);
-
   const Instance& instance_;
   TraceSink* trace_;
   obs::Probe* probe_;
   RunWorkspace* workspace_;
-  bool uses_processes_ = true;
-  std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Rng> rngs_;
   std::vector<std::uint8_t> awake_;
   RunResult result_;

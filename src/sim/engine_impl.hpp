@@ -1,26 +1,18 @@
-// The engines' event loops, templated over the per-node dispatch strategy.
+// The engines' event loops, templated over the algorithm kernel.
 //
-// Both engines run the same loops for two programming models:
-//
-//   * the virtual `Process` path (one heap object per node, ProcessFactory)
-//     — kept for the fuzzer, tests and third-party algorithms; and
-//   * the flat SoA kernel path (sim/kernel.hpp) — per-family node state in
-//     parallel vectors, with on_wake/on_message/on_round resolved at compile
-//     time instead of through two pointer chases per event.
-//
-// AsyncRunner/SyncRunner here hold the loop code exactly once, templated on
-// a Handler with
+// AsyncRunner/SyncRunner hold the loop code exactly once, templated on a
+// Handler with
 //
 //   handler.on_wake(ctx, cause)      // ctx.node() is the woken node
 //   handler.on_message(ctx, in)
 //   handler.on_round(ctx, inbox)
 //
-// ProcessHandler forwards each hook to the node's virtual Process, which
-// reproduces the historical engines verbatim; a Kernel *is* its own handler,
-// so its template hooks inline into the loop with the final context types
-// below, devirtualizing every ctx call the algorithm makes. Both paths run
-// the identical accounting/trace/queue code, which is why they are
-// bit-identical (pinned by test_sim_kernels).
+// The handler is a kernel (sim/kernel.hpp): per-family node state in flat
+// vectors, with hooks that are templates over the final context types
+// below, so every ctx call the algorithm makes devirtualizes and inlines
+// into the loop. Virtual Processes (extension algorithms, test fakes) run
+// through the same loops as one more kernel, ProcessKernel, which forwards
+// each hook to the node's Process.
 #pragma once
 
 #include <algorithm>
@@ -43,24 +35,6 @@
 #include "support/check.hpp"
 
 namespace rise::sim::internal {
-
-/// Dispatches engine hooks to the node's heap-allocated virtual Process.
-struct ProcessHandler {
-  EngineCore& core;
-
-  template <class Ctx>
-  void on_wake(Ctx& ctx, WakeCause cause) {
-    core.process(ctx.node()).on_wake(ctx, cause);
-  }
-  template <class Ctx>
-  void on_message(Ctx& ctx, const Incoming& in) {
-    core.process(ctx.node()).on_message(ctx, in);
-  }
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    core.process(ctx.node()).on_round(ctx, inbox);
-  }
-};
 
 template <class Handler>
 class AsyncRunner;
@@ -548,11 +522,14 @@ class SyncRunner {
   //      active-set order, whatever the chunking.
   //   3. inbox build (parallel): build_inbox.
   //
-  // A chunk failure (invalid port, CONGEST violation, sleep-contract
-  // violation) is caught into its outbox and the lowest failed chunk is
-  // rethrown — that chunk contains the earliest active node to fail. The
-  // reduction checks max_messages afterwards, so a round that both fails
-  // in a chunk and overruns max_messages reports the chunk's error.
+  // A step failure (invalid port, CONGEST violation, sleep-contract
+  // violation) is caught into its chunk's outbox and the lowest failed
+  // chunk is rethrown — that chunk contains the earliest active node to
+  // fail. max_messages is checked only by the reduction, which runs after
+  // every chunk stepped, so in a round where one node fails during its
+  // step and another overruns max_messages, the step failure is reported,
+  // whichever node comes first. The serial round is the one-chunk case, so
+  // the rule and the error text are the same for every job count.
   void step_round() {
     for (SyncChunkOutbox& ob : outboxes()) ob.reset(jobs_);
     run_chunks(&SyncRunner::step_chunk_thunk);

@@ -1,13 +1,10 @@
-// Flat struct-of-arrays algorithm kernels — the allocation-free execution
-// path for million-node runs.
+// Flat struct-of-arrays algorithm kernels — the one way to run a trial.
 //
-// The Process path allocates one heap object per node and dispatches every
-// hook through a vtable; at n = 10^6 that is a million allocations per trial
-// and a random pointer chase per event. A *kernel* is the same algorithm
-// with its per-node members hoisted into parallel vectors:
+// A *kernel* is an algorithm family with its per-node state hoisted into
+// parallel vectors (no heap object per node, no pointer chase per event):
 //
 //   struct FloodingKernel {
-//     struct State { bool done = false; };          // was: Process members
+//     struct State { bool done = false; };          // one entry per node
 //     void reset(const Instance&, RunWorkspace*);   // size state for n nodes
 //     template <class Ctx> void on_wake(Ctx&, WakeCause);
 //     template <class Ctx> void on_message(Ctx&, const Incoming&);
@@ -17,14 +14,14 @@
 // A kernel is its own engine Handler (sim/engine_impl.hpp): the hooks are
 // templates over the engine's final context type, so every ctx.send /
 // ctx.rng / state access inlines into the event loop — no vtable on either
-// side of the hot path. Hook bodies are mechanical ports of the Process
-// versions (member access becomes state(ctx) access), which makes the two
-// paths bit-identical: same RNG draws, same message encodings, same probe
-// marks. test_sim_kernels pins that equivalence digest-by-digest.
+// side of the hot path. Every built-in family and advice scheme is a
+// kernel. A virtual Process (sim/process.hpp) — the extension API for
+// lower-bound algorithms, examples and test fakes — runs as one more
+// kernel through process_kernel().
 //
 // KernelRunner type-erases a kernel behind two std::functions so app-layer
-// code (PreparedExperiment, rise_cli) can carry "how to run this family
-// fast" without knowing the concrete type. The prototype kernel captured in
+// code (PreparedExperiment, rise_cli) can carry "how to run this family"
+// without knowing the concrete type. The prototype kernel captured in
 // make_kernel is copied once per run: a PreparedExperiment is shared across
 // campaign worker threads, so the shared prototype is never mutated — all
 // mutable state lives in the per-run copy and the per-thread workspace.
@@ -36,7 +33,15 @@
 #include <string>
 #include <utility>
 
+#include "sim/adversary.hpp"
+#include "sim/async_engine.hpp"
+#include "sim/delay_policy.hpp"
 #include "sim/engine_impl.hpp"
+#include "sim/instance.hpp"
+#include "sim/metrics.hpp"
+#include "sim/process.hpp"
+#include "sim/sync_engine.hpp"
+#include "sim/trace.hpp"
 #include "sim/workspace.hpp"
 
 namespace rise::sim {
@@ -69,8 +74,7 @@ struct SyncKernelArgs {
 };
 
 /// Type-erased kernel: runs one family under either engine. Default-built
-/// instances are empty (operator bool is false) — callers fall back to the
-/// Process path.
+/// instances are empty (operator bool is false) and must not be run.
 class KernelRunner {
  public:
   using AsyncFn = std::function<RunResult(const AsyncKernelArgs&)>;
@@ -137,5 +141,24 @@ KernelRunner make_kernel(K prototype) {
   };
   return KernelRunner(std::move(async_fn), std::move(sync_fn));
 }
+
+/// Runs per-node virtual Processes as a kernel: the factory is called for
+/// every node, in id order, at the start of each run, and each hook is
+/// forwarded to the node's Process. The Process objects live in the
+/// workspace's kernel-state slot for this type, so back-to-back runs reuse
+/// the vector. `factory` must be safe to call from the worker threads that
+/// run the returned KernelRunner concurrently.
+KernelRunner process_kernel(ProcessFactory factory);
+
+/// One-call conveniences: run `kernel` once without a workspace.
+RunResult run_async(const Instance& instance, const DelayPolicy& delays,
+                    const WakeSchedule& schedule, std::uint64_t seed,
+                    const KernelRunner& kernel, const RunLimits& limits = {},
+                    TraceSink* trace = nullptr);
+
+RunResult run_sync(const Instance& instance, const WakeSchedule& schedule,
+                   std::uint64_t seed, const KernelRunner& kernel,
+                   const SyncRunLimits& limits = {},
+                   TraceSink* trace = nullptr);
 
 }  // namespace rise::sim

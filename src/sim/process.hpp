@@ -1,6 +1,9 @@
 // The distributed-algorithm programming model.
 //
-// A Process is the per-node algorithm instance. The engine calls
+// A Process is the per-node algorithm instance: the extension API for
+// algorithms outside the built-in families, which are flat kernels
+// (sim/kernel.hpp). sim::process_kernel(factory) runs Processes on either
+// engine. The engine calls
 //   * on_wake     — exactly once, when the node transitions from asleep to
 //                   awake (either by the adversary or by a first message);
 //   * on_message  — (asynchronous engine) for every delivered message;

@@ -18,15 +18,12 @@
 // synchronized global clock the sleeping-model literature assumes
 // (Context::now() as a round number), a documented divergence from the
 // paper's footnote-4 no-global-clock stance; see DESIGN.md §13.
+//
+// The engine runs through KernelRunner::run_sync (sim/kernel.hpp); this
+// header holds the model and its run limits.
 #pragma once
 
-#include "sim/adversary.hpp"
-#include "sim/instance.hpp"
-#include "sim/metrics.hpp"
-#include "sim/parallel.hpp"
-#include "sim/process.hpp"
-#include "sim/trace.hpp"
-#include "sim/workspace.hpp"
+#include <cstdint>
 
 namespace rise::sim {
 
@@ -41,44 +38,5 @@ struct SyncRunLimits {
   /// traces) bit for bit.
   bool sleeping_model = false;
 };
-
-class SyncEngine {
- public:
-  /// Wake times in the schedule are interpreted as round numbers.
-  SyncEngine(const Instance& instance, WakeSchedule schedule,
-             std::uint64_t seed);
-
-  RunResult run(const ProcessFactory& factory,
-                const SyncRunLimits& limits = {});
-
-  /// Attach an observer receiving every send/deliver/wake event.
-  void set_trace(TraceSink* trace) { trace_ = trace; }
-
-  /// Attach an observability probe (src/obs); observation only, must
-  /// outlive run().
-  void set_probe(obs::Probe* probe) { probe_ = probe; }
-
-  /// Borrow run storage from a RunWorkspace for run(); see
-  /// AsyncEngine::set_workspace — same contract, bit-identical results.
-  void set_workspace(RunWorkspace* workspace) { workspace_ = workspace; }
-
-  /// Round-parallel stepping (sim/parallel.hpp); results are bit-identical
-  /// to the default sequential path for any job count.
-  void set_parallel(SyncParallel parallel) { parallel_ = parallel; }
-
- private:
-  TraceSink* trace_ = nullptr;
-  obs::Probe* probe_ = nullptr;
-  RunWorkspace* workspace_ = nullptr;
-  SyncParallel parallel_;
-  const Instance& instance_;
-  WakeSchedule schedule_;
-  std::uint64_t seed_;
-};
-
-RunResult run_sync(const Instance& instance, const WakeSchedule& schedule,
-                   std::uint64_t seed, const ProcessFactory& factory,
-                   const SyncRunLimits& limits = {},
-                   TraceSink* trace = nullptr);
 
 }  // namespace rise::sim

@@ -135,7 +135,6 @@ struct SyncBuffers {
 
 struct RunWorkspace {
   // EngineCore storage (both engines).
-  std::vector<std::unique_ptr<Process>> processes;
   std::vector<Rng> rngs;
   std::vector<std::uint8_t> awake;
   RunResult result;  ///< recycled result buffers; see recycle_result()
@@ -147,11 +146,12 @@ struct RunWorkspace {
   // Synchronous engine storage.
   SyncBuffers sync;
 
-  // Kernel-path storage (sim/kernel.hpp): type-tagged slots holding the
-  // flat node-state vectors of the most recently run algorithm families,
-  // most recent first, so kernel runs reuse their capacity even when a few
-  // families alternate on one workspace (a mixed campaign grid, a benchmark
-  // rotation). At most kKernelStateSlots are kept; the oldest is dropped.
+  // Kernel storage (sim/kernel.hpp): type-tagged slots holding the flat
+  // node-state vectors of the most recently run algorithm families (the
+  // Process adapter's per-node objects among them), most recent first, so
+  // kernel runs reuse their capacity even when a few families alternate on
+  // one workspace (a mixed campaign grid, a benchmark rotation). At most
+  // kKernelStateSlots are kept; the oldest is dropped.
   struct KernelStateSlot {
     const std::type_info* type = nullptr;
     std::shared_ptr<void> state;

@@ -18,7 +18,7 @@ TEST(NoDiscardDfs, StillWakesEveryone) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.3, rng);
     const auto result = test::run_async_unit(
-        inst, schedule, algo::ranked_dfs_no_discard_factory());
+        inst, schedule, algo::ranked_dfs_no_discard_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -30,9 +30,9 @@ TEST(NoDiscardDfs, MessagesBlowUpWithAwakeSetSize) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto schedule = sim::wake_random_subset(n, 0.5, rng);
   const auto with = test::run_async_unit(inst, schedule,
-                                         algo::ranked_dfs_factory(), 3);
+                                         algo::ranked_dfs_kernel(), 3);
   const auto without = test::run_async_unit(
-      inst, schedule, algo::ranked_dfs_no_discard_factory(), 3);
+      inst, schedule, algo::ranked_dfs_no_discard_kernel(), 3);
   // Every surviving token does a full Theta(n) DFS without discarding.
   EXPECT_GT(without.metrics.messages, 4 * with.metrics.messages);
   EXPECT_GT(without.metrics.messages,
@@ -47,7 +47,7 @@ TEST(CenChain, StillWakesEveryone) {
     advice::apply_oracle(inst, *advice::child_encoding_oracle(0, 1));
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.2, rng);
     const auto result = test::run_async_unit(
-        inst, schedule, advice::child_encoding_factory());
+        inst, schedule, advice::child_encoding_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -70,9 +70,9 @@ TEST(CenChain, LatencyDegradesToDegree) {
   advice::apply_oracle(chain, *advice::child_encoding_oracle(0, 1));
   advice::apply_oracle(binary, *advice::child_encoding_oracle(0, 2));
   const auto chain_run = test::run_async_unit(
-      chain, sim::wake_single(0), advice::child_encoding_factory());
+      chain, sim::wake_single(0), advice::child_encoding_kernel());
   const auto binary_run = test::run_async_unit(
-      binary, sim::wake_single(0), advice::child_encoding_factory());
+      binary, sim::wake_single(0), advice::child_encoding_kernel());
   ASSERT_TRUE(chain_run.all_awake());
   ASSERT_TRUE(binary_run.all_awake());
   // Linked list: 2 time units per child. Binary heap: ~2 log2(n).

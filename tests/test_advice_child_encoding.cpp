@@ -25,7 +25,7 @@ TEST(ChildEncoding, WakesAllOnCatalog) {
     const auto inst = advised_instance(g);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.2, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, child_encoding_factory());
+        test::run_async_unit(inst, schedule, child_encoding_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -50,7 +50,7 @@ TEST(ChildEncoding, MessagesLinear) {
     const auto inst = advised_instance(g);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.4, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, child_encoding_factory());
+        test::run_async_unit(inst, schedule, child_encoding_kernel());
     EXPECT_LE(result.metrics.messages, 3ull * g.num_nodes()) << name;
   }
 }
@@ -59,7 +59,7 @@ TEST(ChildEncoding, TimeBoundedByDiameterTimesLog) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = advised_instance(g);
     const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             child_encoding_factory());
+                                             child_encoding_kernel());
     ASSERT_TRUE(result.all_awake()) << name;
     const double d = std::max(1u, graph::diameter(g));
     const double logn =
@@ -77,7 +77,7 @@ TEST(ChildEncoding, StarHubDisseminationIsLogDepth) {
   const auto g = graph::star(n);
   const auto inst = advised_instance(g);
   const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                           child_encoding_factory());
+                                           child_encoding_kernel());
   ASSERT_TRUE(result.all_awake());
   EXPECT_LE(result.wakeup_span(), 2ull * 9 + 2);  // 2*ceil(log2 256)+slack
   // Messages: 2 per child (wake + next).
@@ -109,7 +109,7 @@ TEST(ChildEncoding, UpwardWakePropagatesToRoot) {
   const auto g = graph::path(30);
   const auto inst = advised_instance(g);
   const auto result = test::run_async_unit(inst, sim::wake_single(29),
-                                           child_encoding_factory());
+                                           child_encoding_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_LE(result.wakeup_span(), 40u);
 }
@@ -118,7 +118,7 @@ TEST(ChildEncoding, CongestSafe) {
   const auto g = graph::star(500);
   const auto inst = advised_instance(g);
   EXPECT_NO_THROW(test::run_async_unit(inst, sim::wake_single(123),
-                                       child_encoding_factory()));
+                                       child_encoding_kernel()));
 }
 
 TEST(ChildEncoding, RobustUnderAdversarialDelays) {
@@ -127,7 +127,7 @@ TEST(ChildEncoding, RobustUnderAdversarialDelays) {
   const auto inst = advised_instance(g);
   const auto delays = sim::random_delay(6, 5150);
   const auto result = sim::run_async(inst, *delays, sim::wake_set({10, 70}),
-                                     3, child_encoding_factory());
+                                     3, child_encoding_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 

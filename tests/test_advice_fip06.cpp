@@ -25,7 +25,7 @@ TEST(Fip06, WakesAllOnCatalog) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = advised_instance(g);
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), fip06_factory());
+        test::run_async_unit(inst, sim::wake_single(0), fip06_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -36,7 +36,7 @@ TEST(Fip06, WakesAllFromArbitrarySources) {
     const auto inst = advised_instance(g);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.2, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, fip06_factory());
+        test::run_async_unit(inst, schedule, fip06_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -48,7 +48,7 @@ TEST(Fip06, MessagesAtMostTwoPerTreeEdge) {
     const auto inst = advised_instance(g);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.5, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, fip06_factory());
+        test::run_async_unit(inst, schedule, fip06_kernel());
     EXPECT_LE(result.metrics.messages, 2ull * (g.num_nodes() - 1)) << name;
   }
 }
@@ -59,7 +59,7 @@ TEST(Fip06, TimeBoundedByTreeDiameter) {
     const auto inst = advised_instance(g);
     const auto result =
         test::run_async_unit(inst, sim::wake_single(g.num_nodes() / 2),
-                             fip06_factory());
+                             fip06_kernel());
     ASSERT_TRUE(result.all_awake()) << name;
     const auto d = graph::diameter(g);
     EXPECT_LE(result.wakeup_span(), 2ull * d + 1) << name;
@@ -106,7 +106,7 @@ TEST(Fip06, CongestSafe) {
   const auto g = graph::star(300);
   const auto inst = advised_instance(g);
   EXPECT_NO_THROW(
-      test::run_async_unit(inst, sim::wake_single(5), fip06_factory()));
+      test::run_async_unit(inst, sim::wake_single(5), fip06_kernel()));
 }
 
 TEST(Fip06, RobustUnderAdversarialDelays) {
@@ -115,7 +115,7 @@ TEST(Fip06, RobustUnderAdversarialDelays) {
   const auto inst = advised_instance(g);
   const auto delays = sim::random_delay(9, 31337);
   const auto result = sim::run_async(inst, *delays, sim::wake_set({3, 60}), 2,
-                                     fip06_factory());
+                                     fip06_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 

@@ -54,7 +54,7 @@ TEST_P(AdviceMatrix, WakesEveryoneUnderEveryAdversary) {
     const auto schedule = sim::wake_random_subset(90, 0.25, srng);
     const auto delays = make_delay(seed * 31);
     const auto result =
-        sim::run_async(inst, *delays, schedule, seed, scheme.algorithm);
+        sim::run_async(inst, *delays, schedule, seed, scheme.kernel);
     EXPECT_TRUE(result.all_awake())
         << GetParam().scheme << "/" << GetParam().delay << " seed " << seed;
   }
@@ -77,10 +77,10 @@ TEST_P(AdviceMatrix, MessageCountIndependentOfDelays) {
   const auto schedule = sim::wake_set({0, 35, 69});
   const auto unit = sim::unit_delay();
   const auto baseline =
-      sim::run_async(inst, *unit, schedule, 1, scheme.algorithm);
+      sim::run_async(inst, *unit, schedule, 1, scheme.kernel);
   const auto delays = make_delay(99);
   const auto delayed =
-      sim::run_async(inst, *delays, schedule, 1, scheme.algorithm);
+      sim::run_async(inst, *delays, schedule, 1, scheme.kernel);
   EXPECT_EQ(delayed.metrics.messages, baseline.metrics.messages)
       << GetParam().scheme << "/" << GetParam().delay;
 }
@@ -144,7 +144,7 @@ TEST(AdviceRobustness, AdviceIsPortMappingSensitive) {
   i2.set_advice(scheme.oracle->advise(i2));
   for (auto* inst : {&i1, &i2}) {
     const auto result = test::run_async_unit(*inst, sim::wake_single(0),
-                                             advice::child_encoding_factory());
+                                             advice::child_encoding_kernel());
     EXPECT_TRUE(result.all_awake());
   }
 }

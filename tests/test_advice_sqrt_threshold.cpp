@@ -25,7 +25,7 @@ TEST(SqrtThreshold, WakesAllOnCatalog) {
     const auto inst = advised_instance(g);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.25, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, sqrt_threshold_factory());
+        test::run_async_unit(inst, schedule, sqrt_threshold_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -34,7 +34,7 @@ TEST(SqrtThreshold, TimeBoundedByDiameter) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = advised_instance(g);
     const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             sqrt_threshold_factory());
+                                             sqrt_threshold_kernel());
     ASSERT_TRUE(result.all_awake()) << name;
     EXPECT_LE(result.wakeup_span(), 2ull * graph::diameter(g) + 1) << name;
   }
@@ -47,7 +47,7 @@ TEST(SqrtThreshold, MessageBoundN32) {
     const auto inst = advised_instance(g);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.5, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, sqrt_threshold_factory());
+        test::run_async_unit(inst, schedule, sqrt_threshold_kernel());
     const double n = g.num_nodes();
     EXPECT_LE(static_cast<double>(result.metrics.messages),
               3.0 * std::pow(n, 1.5) + 2 * n)
@@ -77,7 +77,7 @@ TEST(SqrtThreshold, StarHubGetsOneBit) {
   EXPECT_TRUE(inst.advice(0).get(0));
   // And waking a leaf still wakes everyone through the hub broadcast.
   const auto result = test::run_async_unit(inst, sim::wake_single(17),
-                                           sqrt_threshold_factory());
+                                           sqrt_threshold_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 #include "test_util.hpp"
 
 namespace rise::algo {
@@ -15,7 +15,7 @@ TEST(Flooding, WakesAllOnEveryCatalogGraph) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = test::make_instance(g, Knowledge::KT0);
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), flooding_factory());
+        test::run_async_unit(inst, sim::wake_single(0), flooding_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -25,7 +25,7 @@ TEST(Flooding, TimeEqualsAwakeDistanceUnderUnitDelays) {
     const auto inst = test::make_instance(g, Knowledge::KT0);
     const auto schedule = sim::wake_single(0);
     const auto result =
-        test::run_async_unit(inst, schedule, flooding_factory());
+        test::run_async_unit(inst, schedule, flooding_kernel());
     const auto rho = graph::awake_distance(g, {0});
     EXPECT_EQ(result.wakeup_span(), rho) << name;
   }
@@ -36,7 +36,7 @@ TEST(Flooding, MessageComplexityIsTwoM) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = test::make_instance(g, Knowledge::KT0);
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), flooding_factory());
+        test::run_async_unit(inst, sim::wake_single(0), flooding_kernel());
     EXPECT_EQ(result.metrics.messages, 2 * g.num_edges()) << name;
   }
 }
@@ -46,16 +46,16 @@ TEST(Flooding, MultiSourceTimeIsRhoAwk) {
   const auto g = graph::grid(10, 10);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto schedule = sim::wake_set({0, 99});
-  const auto result = test::run_async_unit(inst, schedule, flooding_factory());
+  const auto result = test::run_async_unit(inst, schedule, flooding_kernel());
   EXPECT_EQ(result.wakeup_span(),
             sim::schedule_awake_distance(g, schedule));
 }
 
-TEST(Flooding, WorksUnderSyncEngine) {
+TEST(Flooding, WorksInLockStep) {
   const auto g = graph::grid(6, 6);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto result =
-      sim::run_sync(inst, sim::wake_single(0), 1, flooding_factory());
+      sim::run_sync(inst, sim::wake_single(0), 1, flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(result.wakeup_span(), graph::awake_distance(g, {0}));
 }
@@ -66,7 +66,7 @@ TEST(Flooding, RobustToAdversarialDelays) {
   const auto inst = test::make_instance(g, Knowledge::KT0);
   const auto delays = sim::random_delay(10, 4242);
   const auto result = sim::run_async(inst, *delays, sim::wake_single(0), 1,
-                                     flooding_factory());
+                                     flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   // Time in units is still at most rho_awk (each hop <= tau = 1 unit).
   EXPECT_LE(result.metrics.time_units(),
@@ -78,7 +78,7 @@ TEST(Flooding, CongestCompatible) {
   const auto inst =
       test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
   EXPECT_NO_THROW(
-      test::run_async_unit(inst, sim::wake_single(0), flooding_factory()));
+      test::run_async_unit(inst, sim::wake_single(0), flooding_kernel()));
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "graph/algorithms.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "test_util.hpp"
 
 namespace rise::algo {
@@ -17,7 +17,7 @@ TEST(RankedDfs, WakesAllFromSingleSource) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), ranked_dfs_factory());
+        test::run_async_unit(inst, sim::wake_single(0), ranked_dfs_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -28,7 +28,7 @@ TEST(RankedDfs, WakesAllFromManySources) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.3, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, ranked_dfs_factory());
+        test::run_async_unit(inst, schedule, ranked_dfs_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -42,7 +42,7 @@ TEST(RankedDfs, SurvivesStaggeredAdversary) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto schedule = sim::staggered_doubling(120, 30, 2.0, rng);
     const auto result =
-        test::run_async_unit(inst, schedule, ranked_dfs_factory(), seed);
+        test::run_async_unit(inst, schedule, ranked_dfs_kernel(), seed);
     EXPECT_TRUE(result.all_awake());
   }
 }
@@ -53,7 +53,7 @@ TEST(RankedDfs, MessageComplexityNearNLogN) {
   const auto g = graph::connected_gnp(150, 0.08, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
   const auto result = test::run_async_unit(inst, sim::wake_all(150),
-                                           ranked_dfs_factory(), 11);
+                                           ranked_dfs_kernel(), 11);
   EXPECT_TRUE(result.all_awake());
   const double n = 150;
   const double bound = 16.0 * n * std::log(n);
@@ -65,7 +65,7 @@ TEST(RankedDfs, SingleSourceSendsAtMost2NMessages) {
   for (const auto& [name, g] : test::graph_catalog()) {
     const auto inst = test::make_instance(g, Knowledge::KT1);
     const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), ranked_dfs_factory());
+        test::run_async_unit(inst, sim::wake_single(0), ranked_dfs_kernel());
     EXPECT_LE(result.metrics.messages,
               2ull * (g.num_nodes() - 1))
         << name;
@@ -80,7 +80,7 @@ TEST(RankedDfs, PerNodeTokenForwardsAreLogarithmic) {
   RankedDfsProbe probe;
   probe.tokens_forwarded.assign(200, 0);
   const auto result = test::run_async_unit(
-      inst, sim::wake_all(200), ranked_dfs_factory(&probe), 21);
+      inst, sim::wake_all(200), ranked_dfs_kernel(&probe), 21);
   EXPECT_TRUE(result.all_awake());
   const double bound = 12.0 * std::log(200.0);
   for (std::uint32_t count : probe.tokens_forwarded) {
@@ -96,7 +96,7 @@ TEST(RankedDfs, MessageWokenNodesDontStartTokens) {
   RankedDfsProbe probe;
   probe.tokens_forwarded.assign(20, 0);
   test::run_async_unit(inst, sim::wake_single(0),
-                       ranked_dfs_factory(&probe), 5);
+                       ranked_dfs_kernel(&probe), 5);
   for (std::uint32_t count : probe.tokens_forwarded) {
     EXPECT_LE(count, 1u);
   }
@@ -109,7 +109,7 @@ TEST(RankedDfs, RobustUnderRandomDelays) {
   const auto delays = sim::random_delay(5, 777);
   const auto schedule = sim::staggered_doubling(60, 11, 1.7, rng);
   const auto result = sim::run_async(inst, *delays, schedule, 3,
-                                     ranked_dfs_factory());
+                                     ranked_dfs_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 
@@ -120,7 +120,7 @@ TEST(RankedDfs, LasVegasAcrossSeeds) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto result = test::run_async_unit(
-        inst, sim::wake_set({0, 5, 29}), ranked_dfs_factory(), seed);
+        inst, sim::wake_set({0, 5, 29}), ranked_dfs_kernel(), seed);
     EXPECT_TRUE(result.all_awake()) << "seed " << seed;
   }
 }

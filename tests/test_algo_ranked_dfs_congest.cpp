@@ -19,7 +19,7 @@ TEST(RankedDfsCongest, WakesAllOnCatalog) {
         test::make_instance(g, Knowledge::KT1, sim::Bandwidth::CONGEST);
     const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.3, rng);
     const auto result = test::run_async_unit(inst, schedule,
-                                             ranked_dfs_congest_factory());
+                                             ranked_dfs_congest_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
 }
@@ -32,7 +32,7 @@ TEST(RankedDfsCongest, MessagesFitCongestBudget) {
   const auto inst =
       test::make_instance(g, Knowledge::KT1, sim::Bandwidth::CONGEST);
   EXPECT_NO_THROW(test::run_async_unit(inst, sim::wake_all(100),
-                                       ranked_dfs_congest_factory()));
+                                       ranked_dfs_congest_kernel()));
 }
 
 TEST(RankedDfsCongest, LocalVariantWouldViolateCongest) {
@@ -42,7 +42,7 @@ TEST(RankedDfsCongest, LocalVariantWouldViolateCongest) {
   const auto inst =
       test::make_instance(g, Knowledge::KT1, sim::Bandwidth::CONGEST);
   EXPECT_THROW(
-      test::run_async_unit(inst, sim::wake_single(0), ranked_dfs_factory()),
+      test::run_async_unit(inst, sim::wake_single(0), ranked_dfs_kernel()),
       CheckError);
 }
 
@@ -52,7 +52,7 @@ TEST(RankedDfsCongest, SingleTokenCostsAtMostTwoM) {
     const auto inst =
         test::make_instance(g, Knowledge::KT1, sim::Bandwidth::CONGEST);
     const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             ranked_dfs_congest_factory());
+                                             ranked_dfs_congest_kernel());
     ASSERT_TRUE(result.all_awake()) << name;
     EXPECT_LE(result.metrics.messages, 4 * g.num_edges()) << name;
   }
@@ -69,9 +69,9 @@ TEST(RankedDfsCongest, PaysThetaMWhereLocalPaysThetaN) {
       test::make_instance(g, Knowledge::KT1, sim::Bandwidth::CONGEST);
   const auto local_inst = test::make_instance(g, Knowledge::KT1);
   const auto c = test::run_async_unit(congest_inst, sim::wake_single(0),
-                                      ranked_dfs_congest_factory());
+                                      ranked_dfs_congest_kernel());
   const auto l = test::run_async_unit(local_inst, sim::wake_single(0),
-                                      ranked_dfs_factory());
+                                      ranked_dfs_kernel());
   ASSERT_TRUE(c.all_awake());
   ASSERT_TRUE(l.all_awake());
   EXPECT_LE(l.metrics.messages, 2ull * n);
@@ -87,7 +87,7 @@ TEST(RankedDfsCongest, SurvivesStaggeredAdversary) {
   const auto schedule = sim::staggered_doubling(80, 20, 2.0, rng);
   const auto delays = sim::random_delay(4, 99);
   const auto result = sim::run_async(inst, *delays, schedule, 7,
-                                     ranked_dfs_congest_factory());
+                                     ranked_dfs_congest_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 

@@ -109,6 +109,16 @@ TEST(AlgorithmSpec, ModelsAreCorrect) {
   EXPECT_THROW(parse_algorithm_spec("does_not_exist"), CheckError);
 }
 
+// Algorithm parameters narrower than 64 bits fail instead of wrapping:
+// ttl:2^32+1 used to run as ttl:1 and spanner:2^32+2 as k = 2.
+TEST(AlgorithmSpec, OversizedParametersFailInsteadOfWrapping) {
+  EXPECT_THROW(parse_algorithm_spec("ttl:4294967297"), CheckError);
+  EXPECT_THROW(parse_algorithm_spec("spanner:4294967298"), CheckError);
+  EXPECT_THROW(parse_algorithm_spec("beta:4294967297"), CheckError);
+  EXPECT_THROW(parse_algorithm_spec("ttl:-1"), CheckError);
+  EXPECT_NO_THROW(parse_algorithm_spec("ttl:4294967295"));
+}
+
 TEST(AlgorithmSpec, CatalogEntriesAllParse) {
   for (std::string name : algorithm_names()) {
     // Replace grammar placeholders by concrete values.

@@ -26,7 +26,7 @@ TEST(FastWakeupInternals, RootCountIsBinomialInActiveNodes) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     FastWakeupProbe probe;
     sim::run_sync(inst, sim::wake_all(n), seed,
-                  fast_wakeup_factory(&probe, p));
+                  fast_wakeup_kernel(&probe, p));
     roots.add(probe.roots_sampled);
   }
   EXPECT_NEAR(roots.mean(), n * p, 3 * std::sqrt(n * p));
@@ -42,7 +42,7 @@ TEST(FastWakeupInternals, RootsSuppressNeighborBroadcasts) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   FastWakeupProbe probe;
   const auto result = sim::run_sync(inst, sim::wake_all(n), 3,
-                                    fast_wakeup_factory(&probe, 0.1));
+                                    fast_wakeup_kernel(&probe, 0.1));
   ASSERT_TRUE(result.all_awake());
   EXPECT_GT(probe.roots_sampled, 5u);
   // Nearly everyone joins some tree at level <= 2 and deactivates.
@@ -56,7 +56,7 @@ TEST(FastWakeupInternals, ZeroProbabilityMeansEveryActiveNodeBroadcasts) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   FastWakeupProbe probe;
   const auto result = sim::run_sync(inst, sim::wake_all(n), 4,
-                                    fast_wakeup_factory(&probe, 0.0));
+                                    fast_wakeup_kernel(&probe, 0.0));
   ASSERT_TRUE(result.all_awake());
   EXPECT_EQ(probe.roots_sampled, 0u);
   EXPECT_EQ(probe.activate_broadcasts, n);  // nobody is ever deactivated early
@@ -73,7 +73,7 @@ TEST(FastWakeupInternals, MessagesScaleWithRootCount) {
   for (double p : {0.05, 0.2, 0.8}) {
     FastWakeupProbe probe;
     const auto result = sim::run_sync(inst, sim::wake_all(n), 11,
-                                      fast_wakeup_factory(&probe, p));
+                                      fast_wakeup_kernel(&probe, p));
     ASSERT_TRUE(result.all_awake());
     EXPECT_GT(result.metrics.messages, prev) << "p=" << p;
     prev = result.metrics.messages;
@@ -89,7 +89,7 @@ TEST(FastWakeupInternals, TenRoundBoundHoldsAcrossManySeeds) {
   SampleStats spans;
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const auto result =
-        sim::run_sync(inst, schedule, seed, fast_wakeup_factory());
+        sim::run_sync(inst, schedule, seed, fast_wakeup_kernel());
     ASSERT_TRUE(result.all_awake()) << seed;
     EXPECT_LE(result.wakeup_span(), 10ull * rho) << seed;
     spans.add(static_cast<double>(result.wakeup_span()));
@@ -105,7 +105,7 @@ TEST(FastWakeupInternals, ForcedRootTreeLevelsOnAPath) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   FastWakeupProbe probe;
   const auto result = sim::run_sync(inst, sim::wake_single(0), 1,
-                                    fast_wakeup_factory(&probe, 1.0));
+                                    fast_wakeup_kernel(&probe, 1.0));
   ASSERT_TRUE(result.all_awake());
   // Node 0's tree: L1 = {1}, L2 = {2}, L3 = {3}; node 3 becomes active and
   // roots its own tree (p = 1), covering {2,4},{1,5... further levels; the
@@ -127,7 +127,7 @@ TEST(FastWakeupInternals, TreeMembershipBoundsOnDominatingWorkload) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   FastWakeupProbe probe;
   const auto result = sim::run_sync(inst, sim::wake_all(n), 2,
-                                    fast_wakeup_factory(&probe));
+                                    fast_wakeup_kernel(&probe));
   ASSERT_TRUE(result.all_awake());
   if (probe.roots_sampled > 0) {
     EXPECT_LE(probe.l1_joins + probe.l2_joins,

@@ -112,6 +112,61 @@ TEST_F(CacheFile, RejectsTruncatedFile) {
   EXPECT_THROW(load_cache(path_, "path:50"), CheckError);
 }
 
+// A flipped byte in the CSR arrays must fail the load instead of becoming
+// an out-of-bounds read later. path(5) stored under spec "path:5" has n = 5,
+// m = 4, offsets {0, 1, 3, 5, 7, 8} at byte 48 and adjacency
+// {1 | 0, 2 | 1, 3 | 2, 4 | 3} at byte 96.
+/// The native-endian bytes of v, as the cache stores it.
+template <class T>
+std::string bytes_of(T v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+std::string u32(std::uint32_t v) { return bytes_of(v); }
+std::string u64(std::uint64_t v) { return bytes_of(v); }
+
+constexpr std::size_t kOffsetsAt = 48;
+constexpr std::size_t kAdjacencyAt = 96;
+
+TEST_F(CacheFile, RejectsDecreasingOffsets) {
+  write_cache(path_, path(5), "path:5");
+  corrupt(kOffsetsAt + 2 * 8, u64(9));  // row 1 would end past 2m = 8
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+}
+
+TEST_F(CacheFile, RejectsNeighborOutOfRange) {
+  write_cache(path_, path(5), "path:5");
+  corrupt(kAdjacencyAt, u32(7));
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+  corrupt(kAdjacencyAt, u32(0xffffffffu));
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+}
+
+TEST_F(CacheFile, RejectsUnsortedRow) {
+  write_cache(path_, path(5), "path:5");
+  corrupt(kAdjacencyAt + 1 * 4, u32(2) + u32(0));  // row 1: {2, 0}
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+}
+
+TEST_F(CacheFile, RejectsSelfLoop) {
+  write_cache(path_, path(5), "path:5");
+  corrupt(kAdjacencyAt, u32(0));  // row 0: {0}
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+}
+
+TEST_F(CacheFile, RejectsAsymmetricAdjacency) {
+  write_cache(path_, path(5), "path:5");
+  corrupt(kAdjacencyAt, u32(2));  // row 0: {2}, but row 2 is {1, 3}
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+}
+
+TEST_F(CacheFile, RejectsEdgeCountThatOverflowsTheSizeCheck) {
+  write_cache(path_, path(5), "path:5");
+  // m = 2^61 + 4: 8m wraps to 32, so the unguarded size arithmetic would
+  // match the real 128-byte file.
+  corrupt(24, u64((std::uint64_t{1} << 61) + 4));
+  EXPECT_THROW(load_cache(path_, "path:5"), CheckError);
+}
+
 // write_cache renames a finished temporary file into place, so writers
 // racing on one path (shard workers building the same cache: spec) leave a
 // complete file and no temporaries, and a failed write leaves nothing.

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "lb/nih.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::lb {
 namespace {
@@ -14,8 +14,9 @@ sim::RunResult run_scheme(const LowerBoundFamily& fam, unsigned beta,
   auto inst = make_kt0_instance(fam, rng);
   advice::apply_oracle(inst, *beta_probing_oracle(beta));
   const auto delays = sim::unit_delay();
-  const auto result = sim::run_async(inst, *delays, fam.centers_awake(), seed,
-                                     beta_probing_factory(beta));
+  const auto result =
+      sim::run_async(inst, *delays, fam.centers_awake(), seed,
+                     sim::process_kernel(beta_probing_factory(beta)));
   if (out_inst != nullptr) *out_inst = std::move(inst);
   return result;
 }

@@ -2,24 +2,27 @@
 
 #include <gtest/gtest.h>
 
-#include "algo/flooding.hpp"
-#include "algo/ranked_dfs.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::lb {
 namespace {
 
+/// A TTL generous enough for flooding to reach every node of the small
+/// lower-bound families below.
+constexpr std::uint32_t kFloodTtl = 1000;
+
 TEST(NihReduction, FloodingSolvesNihOnKt0Family) {
-  // Lemma 1 applied to flooding: every center learns the matching port.
+  // Lemma 1 applied to (TTL) flooding: every center learns the matching
+  // port.
   Rng rng(1);
   const auto fam = make_kt0_family(12);
   const auto inst = make_kt0_instance(fam, rng);
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                     nih_reduction_factory(algo::flooding_factory()));
+                     sim::process_kernel(
+                         nih_reduction_factory(ttl_flood_factory(kFloodTtl))));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam), fam.n);
 }
@@ -30,11 +33,13 @@ TEST(NihReduction, CostOverheadIsSmall) {
   const auto fam = make_kt0_family(10);
   const auto inst = make_kt0_instance(fam, rng);
   const auto delays = sim::unit_delay();
-  const auto base = sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                                   algo::flooding_factory());
+  const auto base =
+      sim::run_async(inst, *delays, fam.centers_awake(), 5,
+                     sim::process_kernel(ttl_flood_factory(kFloodTtl)));
   const auto wrapped =
       sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                     nih_reduction_factory(algo::flooding_factory()));
+                     sim::process_kernel(
+                         nih_reduction_factory(ttl_flood_factory(kFloodTtl))));
   EXPECT_LE(wrapped.metrics.messages, base.metrics.messages + fam.n);
   EXPECT_LE(wrapped.metrics.time_units(), base.metrics.time_units() + 1);
 }
@@ -47,7 +52,8 @@ TEST(NihReduction, Kt1FamilyWithBroadcast) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 5,
-                     nih_reduction_factory(centers_broadcast_factory()));
+                     sim::process_kernel(
+                         nih_reduction_factory(centers_broadcast_factory())));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam.family), fam.family.n);
   // Outputs are the *labels* of the crucial neighbors under KT1.
@@ -57,25 +63,14 @@ TEST(NihReduction, Kt1FamilyWithBroadcast) {
   }
 }
 
-TEST(NihReduction, RankedDfsSolvesNihToo) {
-  Rng rng(4);
-  const auto fam = make_kt1_family(3, 3);
-  const auto inst = make_kt1_instance(fam.family, rng);
-  const auto delays = sim::unit_delay();
-  const auto result =
-      sim::run_async(inst, *delays, fam.family.centers_awake(), 5,
-                     nih_reduction_factory(algo::ranked_dfs_factory()));
-  EXPECT_TRUE(result.all_awake());
-  EXPECT_EQ(nih_correct_count(result, inst, fam.family), fam.family.n);
-}
-
-TEST(NihReduction, WorksUnderSyncEngine) {
+TEST(NihReduction, WorksInLockStep) {
   Rng rng(5);
   const auto fam = make_kt0_family(8);
   const auto inst = make_kt0_instance(fam, rng);
   const auto result =
       sim::run_sync(inst, fam.centers_awake(), 5,
-                    nih_reduction_factory(algo::flooding_factory()));
+                    sim::process_kernel(
+                        nih_reduction_factory(ttl_flood_factory(kFloodTtl))));
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(nih_correct_count(result, inst, fam), fam.n);
 }
@@ -88,7 +83,8 @@ TEST(NihReduction, IncompleteAlgorithmYieldsIncompleteOutputs) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.centers_awake(), 5,
-                     nih_reduction_factory(ttl_flood_factory(0)));
+                     sim::process_kernel(
+                         nih_reduction_factory(ttl_flood_factory(0))));
   EXPECT_EQ(nih_correct_count(result, inst, fam), 0u);
   EXPECT_FALSE(result.all_awake());
 }

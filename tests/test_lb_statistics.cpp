@@ -9,7 +9,7 @@
 #include "lb/beta_probing.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "support/stats.hpp"
 
 namespace rise::lb {
@@ -25,8 +25,9 @@ TEST(Theorem1Statistics, ProbingCostConcentratesOnTheCurve) {
       auto inst = make_kt0_instance(fam, rng);
       advice::apply_oracle(inst, *beta_probing_oracle(beta));
       const auto delays = sim::unit_delay();
-      const auto result = sim::run_async(inst, *delays, fam.centers_awake(),
-                                         seed, beta_probing_factory(beta));
+      const auto result =
+          sim::run_async(inst, *delays, fam.centers_awake(), seed,
+                         sim::process_kernel(beta_probing_factory(beta)));
       ASSERT_TRUE(result.all_awake());
       const double curve =
           2.0 * n * std::ceil(static_cast<double>(n + 1) / (1u << beta));
@@ -48,8 +49,9 @@ TEST(Theorem1Statistics, NihAlwaysSolvedRegardlessOfPorts) {
     auto inst = make_kt0_instance(fam, rng);
     advice::apply_oracle(inst, *beta_probing_oracle(3));
     const auto delays = sim::unit_delay();
-    const auto result = sim::run_async(inst, *delays, fam.centers_awake(),
-                                       seed, beta_probing_factory(3));
+    const auto result =
+        sim::run_async(inst, *delays, fam.centers_awake(), seed,
+                       sim::process_kernel(beta_probing_factory(3)));
     EXPECT_EQ(nih_correct_count(result, inst, fam), n) << "seed " << seed;
   }
 }
@@ -65,7 +67,7 @@ TEST(Theorem2Statistics, BroadcastCostIsIdPermutationInvariant) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), seed,
-                       centers_broadcast_factory());
+                       sim::process_kernel(centers_broadcast_factory()));
     ASSERT_TRUE(result.all_awake());
     msgs.add(static_cast<double>(result.metrics.messages));
   }
@@ -86,7 +88,7 @@ TEST(Theorem2Statistics, ExponentEstimateMatchesOneOverK) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), q,
-                       centers_broadcast_factory());
+                       sim::process_kernel(centers_broadcast_factory()));
     log_n.push_back(std::log(static_cast<double>(fam.family.n)));
     log_m.push_back(std::log(static_cast<double>(result.metrics.messages)));
   }

@@ -53,12 +53,14 @@ class ParityProbe final : public sim::Process {
   }
 };
 
-sim::ProcessFactory guess_factory() {
-  return [](graph::NodeId) { return std::make_unique<GuessSmallest>(); };
+sim::KernelRunner guess_kernel() {
+  return sim::process_kernel(
+      [](graph::NodeId) { return std::make_unique<GuessSmallest>(); });
 }
 
-sim::ProcessFactory parity_factory() {
-  return [](graph::NodeId) { return std::make_unique<ParityProbe>(); };
+sim::KernelRunner parity_kernel() {
+  return sim::process_kernel(
+      [](graph::NodeId) { return std::make_unique<ParityProbe>(); });
 }
 
 TEST(SwapChecker, SilentAlgorithmCannotBeRightTwice) {
@@ -75,10 +77,10 @@ TEST(SwapChecker, SilentAlgorithmCannotBeRightTwice) {
                               : fam.family.graph.neighbors(v0)[0];
 
   const auto t1 = run_and_trace_sync(inst, fam.family.centers_awake(), 3,
-                                     guess_factory());
+                                     guess_kernel());
   const auto swapped = swapped_instance(inst, u, w0);
   const auto t2 = run_and_trace_sync(swapped, fam.family.centers_awake(), 3,
-                                     guess_factory());
+                                     guess_kernel());
 
   EXPECT_EQ(t1.run.outputs[v0], t2.run.outputs[v0]);  // indistinguishable
   const bool correct1 = t1.run.outputs[v0] == inst.label(w0);
@@ -110,10 +112,10 @@ TEST(SwapChecker, ParityProbeTracesInvariantUnderQuietSwap) {
       if (u == graph::kInvalidNode) continue;
 
       const auto t1 = run_and_trace_sync(inst, fam.family.centers_awake(), 3,
-                                         parity_factory());
+                                         parity_kernel());
       const auto swapped = swapped_instance(inst, u, w);
       const auto t2 = run_and_trace_sync(
-          swapped, fam.family.centers_awake(), 3, parity_factory());
+          swapped, fam.family.centers_awake(), 3, parity_kernel());
 
       // Neither probes the even IDs, so {v,w} and {v,u} stay unused and the
       // overall traces coincide.
@@ -134,7 +136,7 @@ TEST(SwapChecker, ParityProbeSucceedsExactlyOnOddCruxes) {
   const auto fam = make_kt1_family(3, 3);
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto t = run_and_trace_sync(inst, fam.family.centers_awake(), 3,
-                                    parity_factory());
+                                    parity_kernel());
   for (graph::NodeId i = 0; i < fam.family.n; ++i) {
     const auto w_label = inst.label(fam.family.w_node(i));
     const auto out = t.run.outputs[fam.family.center(i)];
@@ -151,8 +153,9 @@ TEST(SwapChecker, TracedEdgesMatchMessageCount) {
   Rng rng(6);
   const auto fam = make_kt1_family(3, 3);
   const auto inst = make_kt1_instance(fam.family, rng);
-  const auto t = run_and_trace_sync(inst, fam.family.centers_awake(), 3,
-                                    centers_broadcast_factory());
+  const auto t =
+      run_and_trace_sync(inst, fam.family.centers_awake(), 3,
+                         sim::process_kernel(centers_broadcast_factory()));
   // Centers broadcast over every incident edge: all V-incident edges used.
   std::size_t v_incident = 0;
   for (graph::NodeId i = 0; i < fam.family.n; ++i) {

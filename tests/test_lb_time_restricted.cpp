@@ -6,7 +6,7 @@
 
 #include "algo/ranked_dfs.hpp"
 #include "lb/lower_bound_graphs.hpp"
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 #include "test_util.hpp"
 
 namespace rise::lb {
@@ -17,8 +17,9 @@ TEST(CentersBroadcast, WakesEveryoneInOneTimeUnit) {
   const auto fam = make_kt1_family(3, 3);
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto delays = sim::unit_delay();
-  const auto result = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                     2, centers_broadcast_factory());
+  const auto result =
+      sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
+                     sim::process_kernel(centers_broadcast_factory()));
   EXPECT_TRUE(result.all_awake());
   EXPECT_LE(result.metrics.time_units(), 1.0);
 }
@@ -28,8 +29,9 @@ TEST(CentersBroadcast, MessageCountIsNTimesDegree) {
   const auto fam = make_kt1_family(3, 5);  // n = 125, deg = 6
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto delays = sim::unit_delay();
-  const auto result = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                     2, centers_broadcast_factory());
+  const auto result =
+      sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
+                     sim::process_kernel(centers_broadcast_factory()));
   EXPECT_EQ(result.metrics.messages,
             static_cast<std::uint64_t>(fam.family.n) * fam.center_degree);
 }
@@ -43,7 +45,7 @@ TEST(CentersBroadcast, MatchesN1Plus1OverKScaling) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                       centers_broadcast_factory());
+                       sim::process_kernel(centers_broadcast_factory()));
     const double n = fam.family.n;
     const double predicted = n * (std::pow(n, 1.0 / 3) + 1);
     EXPECT_NEAR(static_cast<double>(result.metrics.messages), predicted,
@@ -55,8 +57,8 @@ TEST(CentersBroadcast, MatchesN1Plus1OverKScaling) {
 TEST(TtlFlood, TtlZeroSendsNothing) {
   const auto g = graph::path(5);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
-  const auto result =
-      test::run_async_unit(inst, sim::wake_single(0), ttl_flood_factory(0));
+  const auto result = test::run_async_unit(
+      inst, sim::wake_single(0), sim::process_kernel(ttl_flood_factory(0)));
   EXPECT_EQ(result.metrics.messages, 0u);
   EXPECT_EQ(result.awake_count(), 1u);
 }
@@ -65,8 +67,8 @@ TEST(TtlFlood, TtlRWakesRadiusR) {
   const auto g = graph::path(10);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   for (std::uint32_t ttl : {1u, 3u, 5u}) {
-    const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             ttl_flood_factory(ttl));
+    const auto result = test::run_async_unit(
+        inst, sim::wake_single(0), sim::process_kernel(ttl_flood_factory(ttl)));
     EXPECT_EQ(result.awake_count(), ttl + 1) << "ttl=" << ttl;
   }
 }
@@ -75,8 +77,8 @@ TEST(TtlFlood, FullTtlEqualsFlooding) {
   Rng rng(3);
   const auto g = graph::connected_gnp(50, 0.1, rng);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
-  const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                           ttl_flood_factory(1000));
+  const auto result = test::run_async_unit(
+      inst, sim::wake_single(0), sim::process_kernel(ttl_flood_factory(1000)));
   EXPECT_TRUE(result.all_awake());
 }
 
@@ -90,9 +92,9 @@ TEST(TradeOff, UnrestrictedTimeBeatsBroadcastOnMessages) {
 
   const auto broadcast =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                     centers_broadcast_factory());
+                     sim::process_kernel(centers_broadcast_factory()));
   const auto dfs = sim::run_async(inst, *delays, fam.family.centers_awake(),
-                                  2, algo::ranked_dfs_factory());
+                                  2, algo::ranked_dfs_kernel());
   ASSERT_TRUE(broadcast.all_awake());
   ASSERT_TRUE(dfs.all_awake());
   EXPECT_LE(broadcast.metrics.time_units(), 1.0);

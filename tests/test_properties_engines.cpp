@@ -30,9 +30,9 @@ TEST(EngineEquivalence, FloodingWakeTimesMatchAcrossEngines) {
     const auto schedule = sim::wake_single(0);
     const auto delays = sim::unit_delay();
     const auto async_result = sim::run_async(inst, *delays, schedule, 1,
-                                             algo::flooding_factory());
+                                             algo::flooding_kernel());
     const auto sync_result =
-        sim::run_sync(inst, schedule, 1, algo::flooding_factory());
+        sim::run_sync(inst, schedule, 1, algo::flooding_kernel());
     EXPECT_EQ(async_result.wake_time, sync_result.wake_time) << name;
     EXPECT_EQ(async_result.metrics.messages, sync_result.metrics.messages)
         << name;
@@ -47,8 +47,8 @@ TEST(EngineEquivalence, AdviceSchemeMatchesAcrossEngines) {
   const auto schedule = sim::wake_set({5, 40});
   const auto delays = sim::unit_delay();
   const auto a = sim::run_async(inst, *delays, schedule, 1,
-                                advice::fip06_factory());
-  const auto s = sim::run_sync(inst, schedule, 1, advice::fip06_factory());
+                                advice::fip06_kernel());
+  const auto s = sim::run_sync(inst, schedule, 1, advice::fip06_kernel());
   EXPECT_EQ(a.wake_time, s.wake_time);
   EXPECT_EQ(a.metrics.messages, s.metrics.messages);
 }
@@ -76,7 +76,7 @@ TEST_P(DelayPolicySweep, FifoHolds) {
   const auto g = graph::path(2);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   std::vector<std::uint64_t> log;
-  const sim::ProcessFactory factory = [&log](graph::NodeId node) {
+  const auto kernel = sim::process_kernel([&log](graph::NodeId node) {
     class P final : public sim::Process {
      public:
       P(std::vector<std::uint64_t>* l, bool sender) : log_(l), sender_(sender) {}
@@ -94,9 +94,9 @@ TEST_P(DelayPolicySweep, FifoHolds) {
       bool sender_;
     };
     return std::make_unique<P>(&log, node == 0);
-  };
+  });
   const auto delays = make(GetParam().tau * 7 + 1);
-  sim::run_async(inst, *delays, sim::wake_single(0), 1, factory);
+  sim::run_async(inst, *delays, sim::wake_single(0), 1, kernel);
   ASSERT_EQ(log.size(), 100u);
   for (std::uint64_t i = 0; i < 100; ++i) EXPECT_EQ(log[i], i);
 }
@@ -111,13 +111,13 @@ TEST_P(DelayPolicySweep, CorrectnessUnderInjectedSkew) {
   for (const auto& schedule :
        {sim::wake_single(0), sim::wake_set({0, 69})}) {
     const auto flood = sim::run_async(inst, *delays, schedule, 2,
-                                      algo::flooding_factory());
+                                      algo::flooding_kernel());
     EXPECT_TRUE(flood.all_awake()) << GetParam().name;
     EXPECT_LE(flood.metrics.time_units(),
               sim::schedule_awake_distance(g, schedule) + 1.0)
         << GetParam().name;
     const auto dfs = sim::run_async(inst, *delays, schedule, 2,
-                                    algo::ranked_dfs_factory());
+                                    algo::ranked_dfs_kernel());
     EXPECT_TRUE(dfs.all_awake()) << GetParam().name;
   }
 }
@@ -141,7 +141,7 @@ TEST(FailureInjection, OneGluedChannelDoesNotStallAdviceSchemes) {
   advice::apply_oracle(inst, *advice::child_encoding_oracle());
   const auto delays = sim::slow_channels_delay(200, 2, 99);
   const auto result = sim::run_async(inst, *delays, sim::wake_single(0), 1,
-                                     advice::child_encoding_factory());
+                                     advice::child_encoding_kernel());
   EXPECT_TRUE(result.all_awake());
 }
 
@@ -152,7 +152,7 @@ TEST(FailureInjection, CongestionPenaltyPunishesChattyAlgorithmsOnly) {
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   const auto delays = sim::congestion_delay(50);
   sim::Time last = 0;
-  const sim::ProcessFactory chatty = [&last](graph::NodeId node) {
+  const auto chatty = sim::process_kernel([&last](graph::NodeId node) {
     class P final : public sim::Process {
      public:
       P(sim::Time* l, bool sender) : last_(l), sender_(sender) {}
@@ -168,7 +168,7 @@ TEST(FailureInjection, CongestionPenaltyPunishesChattyAlgorithmsOnly) {
       bool sender_;
     };
     return std::make_unique<P>(&last, node == 0);
-  };
+  });
   sim::run_async(inst, *delays, sim::wake_single(0), 1, chatty);
   // 60 messages with delays 1,2,...,50,50,...: the last lands at tau = 50
   // ticks — fifty times later than under unit delays.

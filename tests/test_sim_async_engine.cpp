@@ -1,4 +1,4 @@
-#include "sim/async_engine.hpp"
+#include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ class Numbered final : public Process {
   std::vector<std::uint64_t>* log_;
 };
 
-TEST(AsyncEngine, FifoUnderAdversarialDelays) {
+TEST(AsyncRun, FifoUnderAdversarialDelays) {
   // Random delays would reorder messages without the FIFO clamp.
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
@@ -44,32 +44,32 @@ TEST(AsyncEngine, FifoUnderAdversarialDelays) {
   const auto delays = random_delay(50, 333);
   const auto result = run_async(
       inst, *delays, wake_single(0), 1,
-      [&log](graph::NodeId u) {
+      process_kernel([&log](graph::NodeId u) {
         return std::make_unique<Numbered>(u == 0 ? 64 : 0, &log);
-      });
+      }));
   ASSERT_EQ(log.size(), 64u);
   for (std::uint64_t i = 0; i < 64; ++i) EXPECT_EQ(log[i], i);
 }
 
-TEST(AsyncEngine, MessageWakesSleepingNode) {
+TEST(AsyncRun, MessageWakesSleepingNode) {
   const auto g = graph::path(3);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, wake_single(0), 1, algo::flooding_factory());
+      run_async(inst, *delays, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   EXPECT_EQ(result.wake_time[0], 0u);
   EXPECT_EQ(result.wake_time[1], 1u);
   EXPECT_EQ(result.wake_time[2], 2u);
 }
 
-TEST(AsyncEngine, TimeUnitsNormalizedByTau) {
+TEST(AsyncRun, TimeUnitsNormalizedByTau) {
   const auto g = graph::path(11);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   for (Time tau : {1ull, 4ull, 9ull}) {
     const auto delays = fixed_delay(tau);
     const auto result =
-        run_async(inst, *delays, wake_single(0), 1, algo::flooding_factory());
+        run_async(inst, *delays, wake_single(0), 1, algo::flooding_kernel());
     EXPECT_TRUE(result.all_awake());
     // 10 hops to the far end plus the final echo back — the paper counts
     // until the last message is *received*.
@@ -77,12 +77,12 @@ TEST(AsyncEngine, TimeUnitsNormalizedByTau) {
   }
 }
 
-TEST(AsyncEngine, CountsMessagesAndBits) {
+TEST(AsyncRun, CountsMessagesAndBits) {
   const auto g = graph::complete(5);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, wake_all(5), 1, algo::flooding_factory());
+      run_async(inst, *delays, wake_all(5), 1, algo::flooding_kernel());
   // Every node broadcasts once: 5 * 4 messages of 8 bits.
   EXPECT_EQ(result.metrics.messages, 20u);
   EXPECT_EQ(result.metrics.bits, 160u);
@@ -90,19 +90,19 @@ TEST(AsyncEngine, CountsMessagesAndBits) {
   EXPECT_EQ(result.metrics.sent_per_node[2], 4u);
 }
 
-TEST(AsyncEngine, AdversaryWakeOfAwakeNodeIsIgnored) {
+TEST(AsyncRun, AdversaryWakeOfAwakeNodeIsIgnored) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {5, 0}, {3, 1}};
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, schedule, 1, algo::flooding_factory());
+      run_async(inst, *delays, schedule, 1, algo::flooding_kernel());
   EXPECT_EQ(result.wake_time[0], 0u);
   EXPECT_EQ(result.wake_time[1], 1u);  // woken by message before round 3
 }
 
-TEST(AsyncEngine, LateAdversaryWake) {
+TEST(AsyncRun, LateAdversaryWake) {
   // Node 2 is disconnected; only the adversary can wake it, at time 100.
   const auto g = graph::Graph::from_edges(3, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
@@ -110,17 +110,17 @@ TEST(AsyncEngine, LateAdversaryWake) {
   schedule.wakes = {{0, 0}, {100, 2}};
   const auto delays = unit_delay();
   const auto result =
-      run_async(inst, *delays, schedule, 1, algo::flooding_factory());
+      run_async(inst, *delays, schedule, 1, algo::flooding_kernel());
   EXPECT_EQ(result.wake_time[2], 100u);
   EXPECT_TRUE(result.all_awake());
 }
 
-TEST(AsyncEngine, CongestViolationThrows) {
+TEST(AsyncRun, CongestViolationThrows) {
   const auto g = graph::path(2);
   const Instance inst =
       test::make_instance(g, Knowledge::KT1, Bandwidth::CONGEST);
   const auto delays = unit_delay();
-  const ProcessFactory fat = [](graph::NodeId) {
+  const KernelRunner fat = process_kernel([](graph::NodeId) {
     class Fat final : public Process {
       void on_wake(Context& ctx, WakeCause) override {
         std::vector<std::uint64_t> payload(100, 7);
@@ -129,28 +129,28 @@ TEST(AsyncEngine, CongestViolationThrows) {
       void on_message(Context&, const Incoming&) override {}
     };
     return std::make_unique<Fat>();
-  };
+  });
   EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, fat), CheckError);
 }
 
-TEST(AsyncEngine, DeterministicAcrossRuns) {
+TEST(AsyncRun, DeterministicAcrossRuns) {
   Rng rng(31);
   const auto g = graph::connected_gnp(40, 0.1, rng);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto delays = random_delay(7, 99);
   const auto r1 =
-      run_async(inst, *delays, wake_single(3), 42, algo::flooding_factory());
+      run_async(inst, *delays, wake_single(3), 42, algo::flooding_kernel());
   const auto r2 =
-      run_async(inst, *delays, wake_single(3), 42, algo::flooding_factory());
+      run_async(inst, *delays, wake_single(3), 42, algo::flooding_kernel());
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
   EXPECT_EQ(r1.wake_time, r2.wake_time);
 }
 
-TEST(AsyncEngine, MaxEventsLimitEnforced) {
+TEST(AsyncRun, MaxEventsLimitEnforced) {
   const auto g = graph::cycle(4);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   // Ping-pong forever.
-  const ProcessFactory pingpong = [](graph::NodeId) {
+  const KernelRunner pingpong = process_kernel([](graph::NodeId) {
     class PingPong final : public Process {
       void on_wake(Context& ctx, WakeCause cause) override {
         if (cause == WakeCause::kAdversary) {
@@ -162,7 +162,7 @@ TEST(AsyncEngine, MaxEventsLimitEnforced) {
       }
     };
     return std::make_unique<PingPong>();
-  };
+  });
   const auto delays = unit_delay();
   RunLimits limits;
   limits.max_events = 1000;
@@ -171,7 +171,7 @@ TEST(AsyncEngine, MaxEventsLimitEnforced) {
       CheckError);
 }
 
-TEST(AsyncEngine, MaxTimeDropsDeliveriesButChargesSends) {
+TEST(AsyncRun, MaxTimeDropsDeliveriesButChargesSends) {
   // fixed_delay(5) on a path: node 0's message would arrive at t=5, past the
   // max_time horizon of 3 — the send is charged, the delivery never happens.
   const auto g = graph::path(2);
@@ -181,7 +181,7 @@ TEST(AsyncEngine, MaxTimeDropsDeliveriesButChargesSends) {
   limits.max_time = 3;
   CountingSink sink;
   const auto result = run_async(inst, *delays, wake_single(0), 1,
-                                algo::flooding_factory(), limits, &sink);
+                                algo::flooding_kernel(), limits, &sink);
   EXPECT_EQ(result.metrics.messages, 1u);
   EXPECT_EQ(result.metrics.bits, 8u);
   EXPECT_EQ(result.metrics.sent_per_node[0], 1u);
@@ -192,7 +192,7 @@ TEST(AsyncEngine, MaxTimeDropsDeliveriesButChargesSends) {
   EXPECT_EQ(result.wake_time[1], kNever);
 }
 
-TEST(AsyncEngine, DeliveriesNeverExceedMessagesUnderTruncation) {
+TEST(AsyncRun, DeliveriesNeverExceedMessagesUnderTruncation) {
   // Sweep truncation horizons over a flooding run: the invariant
   // deliveries <= messages (with equality iff nothing was dropped) must
   // hold at every horizon. See process.hpp "Dropped-message semantics".
@@ -201,20 +201,20 @@ TEST(AsyncEngine, DeliveriesNeverExceedMessagesUnderTruncation) {
   const Instance inst = test::make_instance(g, Knowledge::KT0);
   const auto delays = random_delay(6, 5);
   const auto full = run_async(inst, *delays, wake_single(0), 9,
-                              algo::flooding_factory());
+                              algo::flooding_kernel());
   EXPECT_EQ(full.metrics.deliveries, full.metrics.messages);
   for (Time horizon : {0ull, 1ull, 3ull, 7ull, 15ull}) {
     RunLimits limits;
     limits.max_time = horizon;
     const auto r = run_async(inst, *delays, wake_single(0), 9,
-                             algo::flooding_factory(), limits);
+                             algo::flooding_kernel(), limits);
     EXPECT_LE(r.metrics.deliveries, r.metrics.messages)
         << "horizon " << horizon;
     EXPECT_LE(r.metrics.last_delivery, horizon) << "horizon " << horizon;
   }
 }
 
-TEST(AsyncEngine, SlowChannelsDelayPolicyRespectsTau) {
+TEST(AsyncRun, SlowChannelsDelayPolicyRespectsTau) {
   const auto delays = slow_channels_delay(20, 3, 1);
   EXPECT_EQ(delays->max_delay(), 20u);
   for (graph::NodeId a = 0; a < 10; ++a) {
@@ -225,10 +225,10 @@ TEST(AsyncEngine, SlowChannelsDelayPolicyRespectsTau) {
   }
 }
 
-TEST(AsyncEngine, KT0ContextHidesNeighborLabels) {
+TEST(AsyncRun, KT0ContextHidesNeighborLabels) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT0);
-  const ProcessFactory nosy = [](graph::NodeId) {
+  const KernelRunner nosy = process_kernel([](graph::NodeId) {
     class Nosy final : public Process {
       void on_wake(Context& ctx, WakeCause) override {
         ctx.neighbor_labels();  // model violation under KT0
@@ -236,7 +236,7 @@ TEST(AsyncEngine, KT0ContextHidesNeighborLabels) {
       void on_message(Context&, const Incoming&) override {}
     };
     return std::make_unique<Nosy>();
-  };
+  });
   const auto delays = unit_delay();
   EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, nosy), CheckError);
 }

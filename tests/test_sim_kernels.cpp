@@ -1,29 +1,26 @@
-// Kernel-vs-Process differential suite (PR 7).
+// Kernel differential suite.
 //
-// Every algorithm family that ships a flat kernel (sim/kernel.hpp) must be
-// *bit-identical* to its virtual-Process twin: same RNG draws, same message
-// encodings, same trace, same metrics. These tests pin that equivalence by
-// running each family through app::execute_prepared twice — once on the
-// kernel path (the default) and once with RunInstruments::
-// use_virtual_processes — and comparing full-run digests: the complete CSV
-// trace plus wake times, outputs, and every metrics counter.
+// Every algorithm family and advice scheme runs as a flat kernel
+// (sim/kernel.hpp). These tests run each one through app::execute_prepared
+// and compare full-run digests — the complete CSV trace plus wake times,
+// outputs, awake rounds and every metrics counter — across the execution
+// axes that must not change a result:
 //
-// Coverage axes: every algorithm family (including the sleeping-model
-// smis/smatching pair, whose digests fold in per-node awake rounds and
-// sleep-dropped counts) and all four advice schemes,
-// both engines (native plus force_sync_engine for the asynchronous ones),
-// both event-queue backends, and dirty-workspace reuse — a single
-// RunWorkspace threaded through interleaved kernel/process runs of
-// *different* families, which exercises the typeid-tagged kernel-state slot
-// and the recycled Process vector side by side.
-// A second differential rides the same digest machinery: round-parallel
-// stepping (RunInstruments::trial_jobs, PR 10) must be bit-identical to the
-// sequential lock-step path for every job count, every sync family, both
-// the serial chunk executor and a real thread pool, and dirty workspaces.
+//   * event-queue backend: the calendar queue and the binary heap;
+//   * lock-step replay (force_sync_engine) of the asynchronous families,
+//     pinned against golden hashes;
+//   * dirty-workspace reuse: one RunWorkspace threaded through interleaved
+//     runs of different families, including a Process family run through
+//     sim::process_kernel, which exercises the typeid-tagged kernel-state
+//     slots and the adapter's recycled Process objects side by side;
+//   * round-parallel stepping (RunInstruments::trial_jobs): bit-identical
+//     to the serial round for every job count, every sync family, both the
+//     serial chunk executor and a real thread pool, and dirty workspaces.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/spec.hpp"
@@ -37,7 +34,7 @@ namespace {
 using namespace rise;
 
 /// Serializes everything observable about a run (same notion of
-/// "bit-identical" as test_engine_golden_traces).
+/// "bit-identical" as test_engine_golden_traces, plus awake accounting).
 std::string digest(const sim::RunResult& r, const std::string& trace) {
   std::ostringstream os;
   os << trace << "|";
@@ -51,15 +48,21 @@ std::string digest(const sim::RunResult& r, const std::string& trace) {
      << r.metrics.tau;
   for (auto v : r.metrics.sent_per_node) os << "," << v;
   for (auto v : r.metrics.received_per_node) os << "," << v;
-  // Awake accounting is part of "everything observable": the kernel and
-  // Process paths must charge identical awake rounds and sleep drops.
   os << "|" << r.metrics.sleep_dropped;
   for (auto v : r.awake_rounds) os << "," << v;
   return os.str();
 }
 
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 struct RunConfig {
-  bool use_virtual_processes = false;
   sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
   bool force_sync_engine = false;
   sim::RunWorkspace* workspace = nullptr;
@@ -77,7 +80,6 @@ std::string run_digest(const app::ExperimentSpec& spec,
   instruments.trace = &sink;
   instruments.queue_mode = config.queue_mode;
   instruments.force_sync_engine = config.force_sync_engine;
-  instruments.use_virtual_processes = config.use_virtual_processes;
   instruments.trial_jobs = config.trial_jobs;
   instruments.trial_executor = config.trial_executor;
   const app::PreparedExperiment prepared = app::prepare_experiment(spec);
@@ -108,92 +110,70 @@ const std::vector<std::string> kAdviceSchemes = {"fip06", "sqrt", "cen",
 const std::vector<std::string> kSyncFamilies = {"fast_wakeup", "gossip:3",
                                                 "smis", "smatching"};
 
-TEST(SimKernels, AsyncFamiliesMatchVirtualPath) {
-  for (const auto& algo : kAsyncFamilies) {
+TEST(SimKernels, AsyncFamiliesBucketAndHeapAgree) {
+  std::vector<std::string> algos = kAsyncFamilies;
+  algos.insert(algos.end(), kAdviceSchemes.begin(), kAdviceSchemes.end());
+  for (const auto& algo : algos) {
     for (std::uint64_t seed : {3u, 11u}) {
       const auto spec = make_spec(algo, seed);
-      for (auto mode : {sim::EventQueue::Mode::kBuckets,
-                        sim::EventQueue::Mode::kHeap}) {
-        RunConfig kernel{/*use_virtual_processes=*/false, mode};
-        RunConfig process{/*use_virtual_processes=*/true, mode};
-        EXPECT_EQ(run_digest(spec, kernel), run_digest(spec, process))
-            << algo << " seed=" << seed
-            << " mode=" << static_cast<int>(mode);
-      }
-    }
-  }
-}
-
-TEST(SimKernels, AdviceSchemesMatchVirtualPath) {
-  for (const auto& algo : kAdviceSchemes) {
-    const auto spec = make_spec(algo, 5);
-    for (auto mode :
-         {sim::EventQueue::Mode::kBuckets, sim::EventQueue::Mode::kHeap}) {
-      RunConfig kernel{/*use_virtual_processes=*/false, mode};
-      RunConfig process{/*use_virtual_processes=*/true, mode};
-      EXPECT_EQ(run_digest(spec, kernel), run_digest(spec, process))
-          << algo << " mode=" << static_cast<int>(mode);
-    }
-  }
-}
-
-TEST(SimKernels, SyncFamiliesMatchVirtualPath) {
-  for (const auto& algo : kSyncFamilies) {
-    for (std::uint64_t seed : {3u, 11u}) {
-      const auto spec = make_spec(algo, seed);
-      RunConfig kernel;
-      RunConfig process;
-      process.use_virtual_processes = true;
-      EXPECT_EQ(run_digest(spec, kernel), run_digest(spec, process))
+      RunConfig buckets;
+      buckets.queue_mode = sim::EventQueue::Mode::kBuckets;
+      RunConfig heap;
+      heap.queue_mode = sim::EventQueue::Mode::kHeap;
+      EXPECT_EQ(run_digest(spec, buckets), run_digest(spec, heap))
           << algo << " seed=" << seed;
     }
   }
 }
 
 // The fuzzer's unit-delay differential runs message-driven algorithms on
-// the lock-step engine; the kernel path must agree there too (this is the
-// kernels' on_round forwarding).
-TEST(SimKernels, ForcedSyncEngineMatchesVirtualPath) {
-  for (const auto& algo :
-       {std::string("flooding"), std::string("cen"), std::string("cor2")}) {
+// the lock-step engine (the kernels' on_round forwarding). The hashes were
+// recorded when every family still had a virtual-Process twin and both
+// forms produced them bit for bit.
+TEST(SimKernels, ForcedLockStepMatchesGoldenRuns) {
+  const std::vector<std::pair<std::string, std::uint64_t>> golden = {
+      {"flooding", 9875078830687610121ULL},
+      {"ranked_dfs", 4666114655123724348ULL},
+      {"ranked_dfs_nodiscard", 6113298133637683748ULL},
+      {"ranked_dfs_congest", 6348697980694115698ULL},
+      {"leader", 3721789062903976029ULL},
+      {"fip06", 6372170501698066195ULL},
+      {"sqrt", 2194545028833333039ULL},
+      {"cen", 12895423200238453292ULL},
+      {"cen_chain", 12791031915888397902ULL},
+      {"spanner:2", 2419723305393972931ULL},
+      {"cor2", 4239677879883399196ULL},
+  };
+  for (const auto& [algo, hash] : golden) {
     auto spec = make_spec(algo, 7);
     spec.delay = "unit";
-    RunConfig kernel;
-    kernel.force_sync_engine = true;
-    RunConfig process = kernel;
-    process.use_virtual_processes = true;
-    EXPECT_EQ(run_digest(spec, kernel), run_digest(spec, process)) << algo;
+    RunConfig lock_step;
+    lock_step.force_sync_engine = true;
+    EXPECT_EQ(fnv1a(run_digest(spec, lock_step)), hash) << algo;
   }
 }
 
-// One workspace threaded through interleaved runs of different families and
-// both execution paths: the typeid-tagged kernel-state slot must swap types
-// safely, recycled Process objects must survive interleaved kernel runs,
-// and every dirty-workspace digest must equal its fresh-run counterpart.
+// One workspace threaded through interleaved runs of different families,
+// with a Process family (ttl:4, through sim::process_kernel) between kernel
+// families: the typeid-tagged kernel-state slots must swap types safely,
+// the adapter's recycled Process objects must survive interleaved kernel
+// runs, and every dirty-workspace digest must equal its fresh-run
+// counterpart.
 TEST(SimKernels, DirtyWorkspaceReuseIsBitIdentical) {
-  struct Step {
-    std::string algo;
-    bool use_virtual_processes;
-  };
-  const std::vector<Step> steps = {
-      {"flooding", false},  {"ranked_dfs", false}, {"flooding", true},
-      {"ranked_dfs", true}, {"cen", false},        {"flooding", false},
-      {"fast_wakeup", false}, {"gossip:3", false}, {"flooding", false},
+  const std::vector<std::string> steps = {
+      "flooding", "ranked_dfs", "ttl:4",    "ranked_dfs", "cen",
+      "ttl:4",    "flooding",   "fast_wakeup", "gossip:3", "ttl:4",
       // Sleeping-model kernels recycle their typeid-tagged state slots and
       // the engine's asleep_until vector across dirty reuse.
-      {"smis", false},      {"smatching", false},  {"smis", true},
-      {"smatching", true},  {"flooding", false},   {"smis", false},
+      "smis",     "smatching",  "ttl:4",    "smis",     "flooding",
   };
   sim::RunWorkspace workspace;
-  for (const auto& step : steps) {
-    const auto spec = make_spec(step.algo, 9);
+  for (const auto& algo : steps) {
+    const auto spec = make_spec(algo, 9);
     RunConfig dirty;
-    dirty.use_virtual_processes = step.use_virtual_processes;
     dirty.workspace = &workspace;
-    RunConfig fresh;
-    fresh.use_virtual_processes = step.use_virtual_processes;
-    EXPECT_EQ(run_digest(spec, dirty), run_digest(spec, fresh))
-        << step.algo << " virtual=" << step.use_virtual_processes;
+    EXPECT_EQ(run_digest(spec, dirty), run_digest(spec, RunConfig{}))
+        << algo;
   }
 }
 
@@ -325,14 +305,19 @@ TEST(SimKernels, SleepingFloodingSleepingDirtyWorkspaceIsBitIdentical) {
   }
 }
 
-// Families without a kernel (diagnostic lb algorithms) must fall back to
-// the Process path transparently.
+// The diagnostic lower-bound algorithms are Processes: they run through
+// the sim::process_kernel adapter, on both queue backends.
 TEST(SimKernels, KernellessFamiliesStillRun) {
   auto spec = make_spec("ttl:4", 3);
   const app::PreparedExperiment prepared = app::prepare_experiment(spec);
-  EXPECT_FALSE(static_cast<bool>(prepared.kernel));
-  RunConfig plain;
-  EXPECT_FALSE(run_digest(spec, plain).empty());
+  EXPECT_TRUE(static_cast<bool>(prepared.kernel));
+  RunConfig buckets;
+  buckets.queue_mode = sim::EventQueue::Mode::kBuckets;
+  RunConfig heap;
+  heap.queue_mode = sim::EventQueue::Mode::kHeap;
+  const std::string digest = run_digest(spec, buckets);
+  EXPECT_FALSE(digest.empty());
+  EXPECT_EQ(digest, run_digest(spec, heap));
 }
 
 TEST(SimKernels, KernelIsWiredForEveryMainFamily) {

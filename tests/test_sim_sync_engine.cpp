@@ -1,4 +1,4 @@
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,22 +17,22 @@
 namespace rise::sim {
 namespace {
 
-TEST(SyncEngine, FloodingAdvancesOneHopPerRound) {
+TEST(SyncRun, FloodingAdvancesOneHopPerRound) {
   const auto g = graph::path(6);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory());
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_TRUE(result.all_awake());
   for (graph::NodeId u = 0; u < 6; ++u) {
     EXPECT_EQ(result.wake_time[u], u);  // delivered at start of round u
   }
 }
 
-TEST(SyncEngine, LocalRoundCounterStartsAtOne) {
+TEST(SyncRun, LocalRoundCounterStartsAtOne) {
   const auto g = graph::path(3);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::vector<std::uint64_t> observed;
-  const ProcessFactory probe = [&observed](graph::NodeId) {
+  const KernelRunner probe = process_kernel([&observed](graph::NodeId) {
     class P final : public Process {
      public:
       explicit P(std::vector<std::uint64_t>* obs) : obs_(obs) {}
@@ -45,7 +45,7 @@ TEST(SyncEngine, LocalRoundCounterStartsAtOne) {
       std::vector<std::uint64_t>* obs_;
     };
     return std::make_unique<P>(&observed);
-  };
+  });
   run_sync(inst, wake_single(1), 1, probe);
   ASSERT_EQ(observed.size(), 3u);
   EXPECT_EQ(observed[0], 1u);
@@ -53,12 +53,12 @@ TEST(SyncEngine, LocalRoundCounterStartsAtOne) {
   EXPECT_EQ(observed[2], 3u);
 }
 
-TEST(SyncEngine, NoGlobalClockForLateWakers) {
+TEST(SyncRun, NoGlobalClockForLateWakers) {
   // A node woken at round 50 sees local_round 1.
   const auto g = graph::Graph::from_edges(2, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::vector<std::pair<graph::NodeId, std::uint64_t>> observed;
-  const ProcessFactory probe = [&observed](graph::NodeId node) {
+  const KernelRunner probe = process_kernel([&observed](graph::NodeId node) {
     class P final : public Process {
      public:
       P(std::vector<std::pair<graph::NodeId, std::uint64_t>>* obs,
@@ -73,7 +73,7 @@ TEST(SyncEngine, NoGlobalClockForLateWakers) {
       graph::NodeId node_;
     };
     return std::make_unique<P>(&observed, node);
-  };
+  });
   WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {50, 1}};
   run_sync(inst, schedule, 1, probe);
@@ -82,21 +82,21 @@ TEST(SyncEngine, NoGlobalClockForLateWakers) {
   EXPECT_EQ(observed[1], (std::pair<graph::NodeId, std::uint64_t>{1, 1}));
 }
 
-TEST(SyncEngine, MessagesDeliveredNextRound) {
+TEST(SyncRun, MessagesDeliveredNextRound) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory());
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_EQ(result.wake_time[1], 1u);
   // Node 1's own broadcast echoes back to node 0 in round 2.
   EXPECT_EQ(result.metrics.last_delivery, 2u);
 }
 
-TEST(SyncEngine, InboxBatchesAllSendersOfPreviousRound) {
+TEST(SyncRun, InboxBatchesAllSendersOfPreviousRound) {
   const auto g = graph::star(5);  // hub 0
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::size_t hub_batch = 0;
-  const ProcessFactory probe = [&hub_batch](graph::NodeId node) {
+  const KernelRunner probe = process_kernel([&hub_batch](graph::NodeId node) {
     class P final : public Process {
      public:
       P(std::size_t* batch, bool is_hub) : batch_(batch), is_hub_(is_hub) {}
@@ -113,20 +113,20 @@ TEST(SyncEngine, InboxBatchesAllSendersOfPreviousRound) {
       bool is_hub_;
     };
     return std::make_unique<P>(&hub_batch, node == 0);
-  };
+  });
   run_sync(inst, wake_set({1, 2, 3, 4}), 1, probe);
   EXPECT_EQ(hub_batch, 4u);
 }
 
-TEST(SyncEngine, QuiescesWithoutTicksOrMessages) {
+TEST(SyncRun, QuiescesWithoutTicksOrMessages) {
   const auto g = graph::path(4);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory());
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel());
   EXPECT_LE(result.metrics.rounds, 5u);  // 3 hops + final echo round
 }
 
-TEST(SyncEngine, FastForwardsIdleGaps) {
+TEST(SyncRun, FastForwardsIdleGaps) {
   const auto g = graph::Graph::from_edges(2, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   WakeSchedule schedule;
@@ -134,14 +134,14 @@ TEST(SyncEngine, FastForwardsIdleGaps) {
   SyncRunLimits limits;
   limits.max_rounds = 2'000'000;  // would time out without fast-forward
   const auto result =
-      run_sync(inst, schedule, 1, algo::flooding_factory(), limits);
+      run_sync(inst, schedule, 1, algo::flooding_kernel(), limits);
   EXPECT_EQ(result.wake_time[1], 1u);  // woken by flooding long before
 }
 
-TEST(SyncEngine, MaxRoundsEnforced) {
+TEST(SyncRun, MaxRoundsEnforced) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const ProcessFactory forever = [](graph::NodeId) {
+  const KernelRunner forever = process_kernel([](graph::NodeId) {
     class Forever final : public Process {
       void on_wake(Context&, WakeCause) override {}
       void on_message(Context&, const Incoming&) override {}
@@ -150,18 +150,18 @@ TEST(SyncEngine, MaxRoundsEnforced) {
       }
     };
     return std::make_unique<Forever>();
-  };
+  });
   SyncRunLimits limits;
   limits.max_rounds = 100;
   EXPECT_THROW(run_sync(inst, wake_single(0), 1, forever, limits), CheckError);
 }
 
-TEST(SyncEngine, DeterministicAcrossRuns) {
+TEST(SyncRun, DeterministicAcrossRuns) {
   Rng rng(5);
   const auto g = graph::connected_gnp(30, 0.15, rng);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto r1 = run_sync(inst, wake_single(7), 9, algo::flooding_factory());
-  const auto r2 = run_sync(inst, wake_single(7), 9, algo::flooding_factory());
+  const auto r1 = run_sync(inst, wake_single(7), 9, algo::flooding_kernel());
+  const auto r2 = run_sync(inst, wake_single(7), 9, algo::flooding_kernel());
   EXPECT_EQ(r1.wake_time, r2.wake_time);
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
 }
@@ -197,20 +197,23 @@ ProcessFactory scripted(std::map<graph::NodeId, Steps>* log,
   };
 }
 
-/// Runs `factory` serially and round-parallel at 3 jobs (which must agree
-/// on everything the runs record) and returns the serial result.
+/// Runs the scripted processes serially and round-parallel at 3 jobs (which
+/// must agree on everything the runs record) and returns the serial result.
 RunResult run_both_paths(const Instance& inst, const WakeSchedule& schedule,
                          const std::function<ProcessFactory(
                              std::map<graph::NodeId, Steps>*)>& make,
                          const SyncRunLimits& limits,
                          std::map<graph::NodeId, Steps>* log) {
-  SyncEngine serial(inst, schedule, 1);
-  RunResult result = serial.run(make(log), limits);
+  SyncKernelArgs args;
+  args.instance = &inst;
+  args.schedule = &schedule;
+  args.seed = 1;
+  args.limits = limits;
+  RunResult result = process_kernel(make(log)).run_sync(args);
   std::map<graph::NodeId, Steps> par_log;
   SerialChunkExecutor executor;
-  SyncEngine parallel(inst, schedule, 1);
-  parallel.set_parallel(SyncParallel{&executor, 3});
-  const RunResult par = parallel.run(make(&par_log), limits);
+  args.parallel = SyncParallel{&executor, 3};
+  const RunResult par = process_kernel(make(&par_log)).run_sync(args);
   EXPECT_EQ(*log, par_log);
   EXPECT_EQ(result.awake_rounds, par.awake_rounds);
   EXPECT_EQ(result.metrics.rounds, par.metrics.rounds);
@@ -228,7 +231,7 @@ SyncRunLimits sleeping_limits() {
 // Naps shorter than the nap ring, just past it, and far beyond it (the
 // overflow heap) each end on exactly their target round, and the idle
 // rounds between them are fast-forwarded.
-TEST(SyncEngineDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
+TEST(SyncDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
   const auto g = graph::Graph::from_edges(4, {});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const Time naps[] = {1000, 65, 64, 3};
@@ -254,7 +257,7 @@ TEST(SyncEngineDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
 
 // A node that asks for a tick twice and also receives a message is a single
 // candidate: it is stepped once, with its whole inbox.
-TEST(SyncEngineDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
+TEST(SyncDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
   const auto g = graph::Graph::from_edges(3, {{0, 1}, {1, 2}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto make = [](std::map<graph::NodeId, Steps>* log) {
@@ -288,7 +291,7 @@ TEST(SyncEngineDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
 // Declared-asleep nodes receive no events: an adversary wake, a tick
 // requested together with the nap, and a message that arrive mid-nap all
 // evaporate (the message is counted as sleep-dropped).
-TEST(SyncEngineDataPath, EventsAimedAtANappingNodeEvaporate) {
+TEST(SyncDataPath, EventsAimedAtANappingNodeEvaporate) {
   const auto g = graph::Graph::from_edges(2, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const auto make = [](std::map<graph::NodeId, Steps>* log) {
@@ -319,11 +322,11 @@ TEST(SyncEngineDataPath, EventsAimedAtANappingNodeEvaporate) {
 // A run aborted mid-flight (messages in transit, naps pending, candidates
 // marked) leaves its buffers in the workspace; the next run must not see
 // any of it.
-TEST(SyncEngineDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
+TEST(SyncDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
   Rng rng(3);
   const auto g = graph::connected_gnp(150, 0.05, rng);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const ProcessFactory chatter = [](graph::NodeId) {
+  const KernelRunner chatter = process_kernel([](graph::NodeId) {
     class Chatter final : public Process {
       void on_wake(Context&, WakeCause) override {}
       void on_message(Context&, const Incoming&) override {}
@@ -342,21 +345,29 @@ TEST(SyncEngineDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
       }
     };
     return std::make_unique<Chatter>();
-  };
+  });
   SyncRunLimits aborting = sleeping_limits();
   aborting.max_rounds = 7;
   const RunResult fresh =
-      run_sync(inst, wake_all(150), 9, algo::flooding_factory());
+      run_sync(inst, wake_all(150), 9, algo::flooding_kernel());
   RunWorkspace workspace;
+  const WakeSchedule schedule = wake_all(150);
   for (std::uint32_t jobs : {1u, 3u}) {
     SerialChunkExecutor executor;
-    SyncEngine aborted(inst, wake_all(150), 9);
-    aborted.set_workspace(&workspace);
-    aborted.set_parallel(SyncParallel{&executor, jobs});
-    EXPECT_THROW(aborted.run(chatter, aborting), CheckError);
-    SyncEngine reuse(inst, wake_all(150), 9);
-    reuse.set_workspace(&workspace);
-    const RunResult again = reuse.run(algo::flooding_factory());
+    SyncKernelArgs aborted;
+    aborted.instance = &inst;
+    aborted.schedule = &schedule;
+    aborted.seed = 9;
+    aborted.limits = aborting;
+    aborted.workspace = &workspace;
+    aborted.parallel = SyncParallel{&executor, jobs};
+    EXPECT_THROW(chatter.run_sync(aborted), CheckError);
+    SyncKernelArgs reuse;
+    reuse.instance = &inst;
+    reuse.schedule = &schedule;
+    reuse.seed = 9;
+    reuse.workspace = &workspace;
+    const RunResult again = algo::flooding_kernel().run_sync(reuse);
     EXPECT_EQ(again.wake_time, fresh.wake_time) << "jobs=" << jobs;
     EXPECT_EQ(again.metrics.messages, fresh.metrics.messages);
     EXPECT_EQ(again.metrics.deliveries, fresh.metrics.deliveries);
@@ -364,6 +375,64 @@ TEST(SyncEngineDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
     EXPECT_EQ(again.metrics.received_per_node,
               fresh.metrics.received_per_node);
   }
+}
+
+// Error order: a node that fails during its step (here an invalid port)
+// is reported even when an earlier node of the same round overran
+// max_messages, because max_messages is checked only after every chunk
+// stepped. The serial round is the one-chunk case, so every job count
+// reports the same error.
+TEST(SyncDataPath, StepErrorPreemptsMaxMessagesAtAnyJobCount) {
+  const auto g = graph::path(8);
+  const Instance inst = test::make_instance(g, Knowledge::KT1);
+  const WakeSchedule schedule = wake_all(8);
+  const auto error_text = [&](bool bad_port, std::uint32_t jobs) {
+    const KernelRunner kernel =
+        process_kernel([bad_port](graph::NodeId node) {
+          class P final : public Process {
+           public:
+            P(graph::NodeId node, bool bad_port)
+                : node_(node), bad_port_(bad_port) {}
+            void on_wake(Context&, WakeCause) override {}
+            void on_message(Context&, const Incoming&) override {}
+            void on_round(Context& ctx, std::span<const Incoming>) override {
+              if (node_ == 0) {
+                for (int i = 0; i < 10; ++i) {
+                  ctx.send(0, make_message(1, {}, 8));
+                }
+              }
+              if (node_ == 7 && bad_port_) {
+                ctx.send(99, make_message(1, {}, 8));
+              }
+            }
+            graph::NodeId node_;
+            bool bad_port_;
+          };
+          return std::make_unique<P>(node, bad_port);
+        });
+    SerialChunkExecutor executor;
+    SyncKernelArgs args;
+    args.instance = &inst;
+    args.schedule = &schedule;
+    args.seed = 1;
+    args.limits.max_messages = 5;
+    if (jobs > 1) args.parallel = SyncParallel{&executor, jobs};
+    try {
+      kernel.run_sync(args);
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string port_error = error_text(true, 1);
+  EXPECT_NE(port_error.find("send on invalid port 99 at node 7"),
+            std::string::npos)
+      << port_error;
+  EXPECT_EQ(error_text(true, 4), port_error);
+  const std::string overrun = error_text(false, 1);
+  EXPECT_NE(overrun.find("exceeded max_messages"), std::string::npos)
+      << overrun;
+  EXPECT_EQ(error_text(false, 4), overrun);
 }
 
 }  // namespace

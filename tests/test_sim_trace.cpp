@@ -18,19 +18,19 @@ TEST(TraceSink, CountingSinkMatchesMetrics) {
   CountingSink sink;
   const auto delays = unit_delay();
   const auto result = run_async(inst, *delays, wake_single(0), 1,
-                                algo::flooding_factory(), {}, &sink);
+                                algo::flooding_kernel(), {}, &sink);
   EXPECT_EQ(sink.sends(), result.metrics.messages);
   EXPECT_EQ(sink.deliveries(), result.metrics.deliveries);
   EXPECT_EQ(sink.wakes(), 40u);
   EXPECT_EQ(sink.adversary_wakes(), 1u);
 }
 
-TEST(TraceSink, SyncEngineEventsAreObserved) {
+TEST(TraceSink, LockStepEventsAreObserved) {
   const auto g = graph::path(4);
   const auto inst = test::make_instance(g, Knowledge::KT0);
   CountingSink sink;
   const auto result =
-      run_sync(inst, wake_single(0), 1, algo::flooding_factory(), {}, &sink);
+      run_sync(inst, wake_single(0), 1, algo::flooding_kernel(), {}, &sink);
   EXPECT_EQ(sink.sends(), result.metrics.messages);
   EXPECT_EQ(sink.wakes(), 4u);
 }
@@ -42,9 +42,9 @@ TEST(TraceSink, TracingDoesNotPerturbTheRun) {
   const auto delays = random_delay(5, 77);
   CountingSink sink;
   const auto traced = run_async(inst, *delays, wake_single(3), 9,
-                                algo::flooding_factory(), {}, &sink);
+                                algo::flooding_kernel(), {}, &sink);
   const auto untraced = run_async(inst, *delays, wake_single(3), 9,
-                                  algo::flooding_factory());
+                                  algo::flooding_kernel());
   EXPECT_EQ(traced.wake_time, untraced.wake_time);
   EXPECT_EQ(traced.metrics.messages, untraced.metrics.messages);
 }
@@ -54,7 +54,7 @@ TEST(TraceSink, EdgeUsageSinkSeesFloodedEdges) {
   const auto inst = test::make_instance(g, Knowledge::KT0);
   EdgeUsageSink sink;
   const auto delays = unit_delay();
-  run_async(inst, *delays, wake_single(0), 1, algo::flooding_factory(), {},
+  run_async(inst, *delays, wake_single(0), 1, algo::flooding_kernel(), {},
             &sink);
   EXPECT_EQ(sink.used_edges().size(), 6u);  // flooding touches every edge
   EXPECT_TRUE(sink.edge_used(0, 1));
@@ -71,7 +71,7 @@ TEST(TraceSink, TeeFansOutToEverySinkAndSkipsNulls) {
   tee.add(&edges);
   const auto delays = unit_delay();
   const auto result = run_async(inst, *delays, wake_single(0), 1,
-                                algo::flooding_factory(), {}, &tee);
+                                algo::flooding_kernel(), {}, &tee);
   EXPECT_EQ(a.sends(), result.metrics.messages);
   EXPECT_EQ(b.sends(), a.sends());
   EXPECT_EQ(b.wakes(), 5u);
@@ -84,7 +84,7 @@ TEST(TraceSink, CsvSinkEmitsWellFormedRows) {
   std::ostringstream os;
   CsvTraceSink sink(os);
   const auto delays = unit_delay();
-  run_async(inst, *delays, wake_single(0), 1, algo::flooding_factory(), {},
+  run_async(inst, *delays, wake_single(0), 1, algo::flooding_kernel(), {},
             &sink);
   const std::string csv = os.str();
   EXPECT_NE(csv.find("event,time,from,to,type,bits"), std::string::npos);

@@ -41,7 +41,7 @@ TEST(TraceProperties, Fip06TrafficStaysOnTreeEdges) {
   sim::EdgeUsageSink sink;
   const auto delays = sim::unit_delay();
   const auto result = sim::run_async(inst, *delays, sim::wake_set({5, 40}),
-                                     1, advice::fip06_factory(), {}, &sink);
+                                     1, advice::fip06_kernel(), {}, &sink);
   ASSERT_TRUE(result.all_awake());
   for (const auto& e : sink.used_edges()) {
     EXPECT_TRUE(tree_edges.count(e))
@@ -58,7 +58,7 @@ TEST(TraceProperties, Fip06SingleSourceUsesEveryTreeEdge) {
   sim::EdgeUsageSink sink;
   const auto delays = sim::unit_delay();
   sim::run_async(inst, *delays, sim::wake_single(0), 1,
-                 advice::fip06_factory(), {}, &sink);
+                 advice::fip06_kernel(), {}, &sink);
   EXPECT_EQ(sink.used_edges(), tree_edges);  // exactly the tree
 }
 
@@ -72,7 +72,7 @@ TEST(TraceProperties, CenTrafficStaysOnTreeEdges) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, sim::wake_set({10, 60}), 1,
-                     advice::child_encoding_factory(), {}, &sink);
+                     advice::child_encoding_kernel(), {}, &sink);
   ASSERT_TRUE(result.all_awake());
   for (const auto& e : sink.used_edges()) {
     EXPECT_TRUE(tree_edges.count(e))
@@ -91,7 +91,7 @@ TEST(TraceProperties, SpannerTrafficStaysOnSpannerEdges) {
   sim::EdgeUsageSink sink;
   const auto delays = sim::unit_delay();
   const auto result = sim::run_async(inst, *delays, sim::wake_all(80), 1,
-                                     advice::spanner_factory(), {}, &sink);
+                                     advice::spanner_kernel(), {}, &sink);
   ASSERT_TRUE(result.all_awake());
   for (const auto& e : sink.used_edges()) {
     EXPECT_TRUE(spanner_edges.count(e))
@@ -112,7 +112,7 @@ TEST(TraceProperties, SqrtSchemeHighDegreeNodesAreTheOnlyBroadcasters) {
   sim::EdgeUsageSink sink;
   const auto delays = sim::unit_delay();
   const auto result = sim::run_async(inst, *delays, sim::wake_single(3), 1,
-                                     advice::sqrt_threshold_factory(), {},
+                                     advice::sqrt_threshold_kernel(), {},
                                      &sink);
   ASSERT_TRUE(result.all_awake());
   EXPECT_EQ(sink.used_edges().size(), g.num_edges());

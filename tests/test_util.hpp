@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
-#include "sim/sync_engine.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise::test {
 
@@ -24,10 +23,10 @@ inline sim::Instance make_instance(
 
 inline sim::RunResult run_async_unit(const sim::Instance& inst,
                                      const sim::WakeSchedule& schedule,
-                                     const sim::ProcessFactory& factory,
+                                     const sim::KernelRunner& kernel,
                                      std::uint64_t seed = 7) {
   const auto delays = sim::unit_delay();
-  return sim::run_async(inst, *delays, schedule, seed, factory);
+  return sim::run_async(inst, *delays, schedule, seed, kernel);
 }
 
 struct NamedGraph {
