@@ -29,7 +29,7 @@ sim::Instance make_inst(const graph::Graph& g, sim::Knowledge k) {
 /// steady-state campaign trial. Past the warm-up trial the loop body
 /// performs zero heap allocations (bench_million_node gates that at
 /// n = 10^6). n = 10^4 is the size EXPERIMENTS.md "Engine
-/// micro-benchmarks" and BENCH_engine_micro.json report.
+/// micro-benchmarks" reports.
 void BM_KernelFloodingEvents(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   Rng rng(n);

@@ -4,10 +4,10 @@
 // cheap enough to repeat by the hundred: no per-node heap objects, no
 // per-event allocation — after one warm-up trial primes the workspace, a
 // steady-state trial must perform ZERO heap allocations. This binary proves
-// that with the same global operator-new probe bench_campaign_micro uses:
-// build G(n, 8/n) once, run flooding through the kernel path with a reused
-// RunWorkspace, and count allocations per trial. Exit 1 if any post-warm-up
-// trial allocates (CI runs this as the `million-node` job).
+// that with a global operator-new probe: build G(n, 8/n) once, run
+// flooding through the kernel path with a reused RunWorkspace, and count
+// allocations per trial. Exit 1 if any post-warm-up trial allocates (CI
+// runs this as the `million-node` job).
 //
 // Every trial's (events, messages, bits) triple must also match the warm-up
 // trial exactly — workspace reuse never changes results.

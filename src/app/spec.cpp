@@ -20,7 +20,6 @@
 #include "lb/beta_probing.hpp"
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/time_restricted.hpp"
-#include "runner/campaign.hpp"
 #include "sim/kernel.hpp"
 #include "support/check.hpp"
 
@@ -583,46 +582,6 @@ ProfiledReport run_profiled(const ExperimentSpec& spec,
   out.report = run_experiment(spec, probed);
   out.profile = take_run_profile(probe, out.report, spec);
   return out;
-}
-
-SweepResult run_sweep(const ExperimentSpec& base, std::size_t num_seeds,
-                      std::size_t jobs) {
-  RISE_CHECK(num_seeds >= 1);
-  runner::CampaignPlan plan;
-  plan.base = base;
-  plan.num_seeds = num_seeds;
-  plan.seed_mode = runner::SeedMode::kSequential;  // seeds base, base+1, ...
-  runner::CampaignOptions options;
-  options.jobs = jobs;
-  const runner::CampaignResult result = runner::run_campaign(plan, options);
-
-  SweepResult sweep;
-  sweep.runs = result.total.trials;
-  // A trial that throws (e.g. a disconnected gnp graph rejected by an
-  // algorithm's preconditions) counts as a failed run, like an incomplete
-  // wake-up; errors no longer abort the remaining seeds.
-  sweep.failures = result.total.failures + result.total.errors;
-  sweep.messages = result.total.messages;
-  sweep.time_units = result.total.time_units;
-  sweep.wakeup_span = result.total.wakeup_span;
-  return sweep;
-}
-
-std::string format_sweep(const SweepResult& sweep) {
-  std::ostringstream os;
-  os << "runs      : " << sweep.runs << " (" << sweep.failures
-     << " incomplete)\n";
-  if (sweep.messages.count() > 0) {
-    os << "messages  : mean " << sweep.messages.mean() << "  sd "
-       << sweep.messages.stddev() << "  min " << sweep.messages.min()
-       << "  max " << sweep.messages.max() << "\n";
-    os << "time      : mean " << sweep.time_units.mean() << "  sd "
-       << sweep.time_units.stddev() << "  max " << sweep.time_units.max()
-       << "\n";
-    os << "wake span : mean " << sweep.wakeup_span.mean() << "  max "
-       << sweep.wakeup_span.max() << "\n";
-  }
-  return os.str();
 }
 
 std::string format_report(const ExperimentReport& report) {

@@ -40,7 +40,6 @@
 #include "sim/process.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
-#include "support/stats.hpp"
 
 namespace rise::app {
 
@@ -215,24 +214,5 @@ std::uint64_t delay_policy_seed(std::uint64_t experiment_seed);
 
 /// Human-readable multi-line summary of a report.
 std::string format_report(const ExperimentReport& report);
-
-/// Multi-seed sweep: runs the experiment with seeds base.seed, base.seed+1,
-/// ..., base.seed+num_seeds-1 (the user-provided seed is the base of the
-/// range), aggregating distributions of the key measures. Implemented over
-/// the campaign runner (src/runner/campaign.hpp) with SeedMode::kSequential;
-/// `jobs` worker threads execute trials in parallel (0 = all hardware
-/// threads) without changing any result — aggregation order is fixed.
-struct SweepResult {
-  SampleStats messages;
-  SampleStats time_units;
-  SampleStats wakeup_span;
-  std::size_t runs = 0;
-  std::size_t failures = 0;  ///< runs in which some node stayed asleep
-};
-
-SweepResult run_sweep(const ExperimentSpec& base, std::size_t num_seeds,
-                      std::size_t jobs = 1);
-
-std::string format_sweep(const SweepResult& sweep);
 
 }  // namespace rise::app

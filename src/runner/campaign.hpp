@@ -28,16 +28,6 @@ class ResultStore;
 
 namespace rise::runner {
 
-/// How trial seeds derive from the campaign's base seed.
-enum class SeedMode {
-  /// seed = SplitMix64(base_seed, trial_index): decorrelated streams, the
-  /// campaign default (see file comment).
-  kSplitMix,
-  /// seed = base_seed + seed_index: the documented app::run_sweep contract
-  /// (seeds base, base+1, ...), kept for reproducing legacy sweeps.
-  kSequential,
-};
-
 /// SplitMix64-derived seed for one trial; pure function of its arguments.
 std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t trial_index);
 
@@ -112,10 +102,10 @@ struct TrialResult {
 };
 
 /// Aggregates over the successful trials of one grid config (or of the
-/// whole campaign). Failure accounting matches app::run_sweep: a trial that
-/// runs but leaves nodes asleep is a failure; a trial that throws is an
-/// error; neither contributes samples. (Plans with require_all_awake ==
-/// false aggregate every ok trial instead — see CampaignPlan.)
+/// whole campaign). A trial that runs but leaves nodes asleep is a failure;
+/// a trial that throws is an error; neither contributes samples. (Plans
+/// with require_all_awake == false aggregate every ok trial instead — see
+/// CampaignPlan.)
 struct ConfigStats {
   app::ExperimentSpec spec;  ///< grid-substituted; seed = the base seed
   std::size_t trials = 0;
@@ -141,11 +131,11 @@ struct CampaignResult {
   /// Empty (trials == 0) unless CampaignPlan::profile was set.
   obs::ProfileAggregate profile;
 
-  /// Preparations actually built (cache misses under kSharedConfig + reuse;
-  /// one per trial otherwise; 0 with a custom TrialFn).
+  /// Preparations actually built (cache misses under kSharedConfig; one per
+  /// executed trial otherwise; 0 with a custom TrialFn).
   std::uint64_t prepared_configs = 0;
-  /// Trials served by an already-built preparation (kSharedConfig + reuse
-  /// only; 0 otherwise).
+  /// Trials served by an already-built preparation (kSharedConfig only; 0
+  /// otherwise).
   std::uint64_t prepared_cache_hits = 0;
 
   /// Result-store traffic (0 unless CampaignOptions::store was set): trials
@@ -175,7 +165,6 @@ struct CampaignPlan {
   app::ExperimentSpec base;
   std::vector<GridAxis> grid;  ///< cartesian product, last axis fastest
   std::size_t num_seeds = 1;
-  SeedMode seed_mode = SeedMode::kSplitMix;
   TrialFn run;  ///< empty = app::run_experiment
 
   /// With the default (true), a trial that leaves nodes asleep is a failure
@@ -194,36 +183,22 @@ struct CampaignPlan {
 
   /// Where each trial's immutable inputs come from (see runner/prepared.hpp).
   /// kSharedConfig requires the default run function and changes trial
-  /// semantics (one topology per configuration); kPerTrial preserves legacy
-  /// digests exactly.
+  /// semantics (one topology per configuration, built once and served to
+  /// every trial of it from a PreparedConfigCache); kPerTrial preserves
+  /// legacy digests exactly. Either way a default-run trial executes on its
+  /// worker's recycled engine workspace, which never changes results.
   PrepareMode prepare_mode = PrepareMode::kPerTrial;
-
-  /// Execution-level reuse: recycle per-worker engine workspaces across
-  /// trials, and (under kSharedConfig) serve all trials of a configuration
-  /// from one cached preparation. Never affects results — for any fixed
-  /// prepare_mode, digests are bit-identical with reuse on or off; the
-  /// differential tests in test_runner_campaign pin this. Off exists for
-  /// benchmarking the rebuild path and for bisecting.
-  bool reuse = true;
 };
 
-/// One shard of an N-way trial-index split (see runner/shard.hpp for the
-/// planner and the multi-process orchestrator built on top).
+/// One shard of an N-way round-robin trial-index split: shard k owns the
+/// trials whose index % count == k, which interleaves configs across
+/// workers (see runner/shard.hpp for the planner and the multi-process
+/// orchestrator built on top).
 struct ShardSpec {
   std::uint32_t index = 0;  ///< in [0, count)
   std::uint32_t count = 1;  ///< 1 = the whole campaign (the default)
 
   bool whole_campaign() const { return count <= 1; }
-};
-
-/// How trial indices map onto shards. Both are deterministic; per-trial
-/// results are identical either way (seed-partition independence tests
-/// sweep both), they differ only in load shape.
-enum class ShardStrategy {
-  /// index % count == shard: interleaves configs across workers (default).
-  kRoundRobin,
-  /// Contiguous blocks of ceil(total/count) indices per shard.
-  kBlock,
 };
 
 struct CampaignOptions {
@@ -242,7 +217,6 @@ struct CampaignOptions {
   /// Execute only this shard's trials (global trial indices are preserved
   /// in the results). The default runs the whole campaign.
   ShardSpec shard;
-  ShardStrategy shard_strategy = ShardStrategy::kRoundRobin;
 
   /// Content-addressed trial cache (src/store). When set (default run
   /// function only): a trial whose key has a record is served from the

@@ -49,14 +49,10 @@ JsonResultSink::JsonResultSink(std::ostream& os, const CampaignPlan& plan,
   writer_.kv("delay", plan.base.delay);
   writer_.kv("seed", plan.base.seed);
   writer_.end_object();
-  writer_.kv("seed_mode", plan.seed_mode == SeedMode::kSplitMix
-                              ? "splitmix"
-                              : "sequential");
   writer_.kv("num_seeds", static_cast<std::uint64_t>(plan.num_seeds));
   writer_.kv("prepare_mode", plan.prepare_mode == PrepareMode::kSharedConfig
                                  ? "shared_config"
                                  : "per_trial");
-  writer_.kv("reuse", plan.reuse);
   writer_.kv("jobs", static_cast<std::uint64_t>(
                          jobs == 0 ? ThreadPool::hardware_threads() : jobs));
   writer_.key("provenance").begin_object();

@@ -1,12 +1,11 @@
 // ResultSink implementations for the campaign runner. JsonResultSink writes
 // one machine-readable record per trial plus a summary block:
 //
-//   { "schema_version": 2,
+//   { "schema_version": 3,
 //     "tool": "rise_campaign",
 //     "base": { graph/schedule/algo/delay/seed },
-//     "seed_mode": "splitmix" | "sequential",
 //     "num_seeds": N,
-//     "prepare_mode": "per_trial" | "shared_config", "reuse": bool,
+//     "prepare_mode": "per_trial" | "shared_config",
 //     "jobs": J,
 //     "provenance": { hostname, commit, started_at (ISO-8601 UTC),
 //                     shard_index, shard_count, merged },
@@ -27,7 +26,9 @@
 // shard orchestrator's merge is checked against.
 //
 // Schema history: v2 added provenance, per-trial digest/cached, the summary
-// store block, and optional embedded run_profile objects (v1 had none).
+// store block, and optional embedded run_profile objects (v1 had none). v3
+// dropped the "seed_mode" and "reuse" header keys: trial seeds are always
+// SplitMix64-derived and execution always recycles worker workspaces.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@
 namespace rise::runner {
 
 /// Version of the JSON results schema above. Bump on breaking changes.
-inline constexpr std::uint64_t kResultsSchemaVersion = 2;
+inline constexpr std::uint64_t kResultsSchemaVersion = 3;
 
 /// Where and by whom a results document was produced. Nondeterministic by
 /// nature (host, time) — kept in its own header block so deterministic

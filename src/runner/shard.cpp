@@ -111,25 +111,15 @@ ShardSpec parse_shard_spec(const std::string& text) {
   return shard;
 }
 
-bool shard_owns(const ShardSpec& shard, std::size_t trial_index,
-                std::size_t total, ShardStrategy strategy) {
-  if (shard.whole_campaign()) return true;
-  if (trial_index >= total) return false;
-  if (strategy == ShardStrategy::kRoundRobin) {
-    return trial_index % shard.count == shard.index;
-  }
-  // Block: contiguous runs of ceil(total/count) indices. Every index lands
-  // in [0, count) because index < total <= per_shard * count.
-  const std::size_t per_shard = (total + shard.count - 1) / shard.count;
-  return trial_index / per_shard == shard.index;
+bool shard_owns(const ShardSpec& shard, std::size_t trial_index) {
+  return shard.whole_campaign() || trial_index % shard.count == shard.index;
 }
 
 std::vector<Trial> shard_trials(const std::vector<Trial>& trials,
-                                const ShardSpec& shard,
-                                ShardStrategy strategy) {
+                                const ShardSpec& shard) {
   std::vector<Trial> owned;
   for (const Trial& t : trials) {
-    if (shard_owns(shard, t.index, trials.size(), strategy)) {
+    if (shard_owns(shard, t.index)) {
       owned.push_back(t);
     }
   }
@@ -173,10 +163,6 @@ std::vector<std::string> worker_command(const CampaignPlan& plan,
   cmd.push_back("--shard");
   cmd.push_back(std::to_string(shard) + "/" +
                 std::to_string(options.workers));
-  if (options.strategy == ShardStrategy::kBlock) {
-    cmd.push_back("--shard-strategy");
-    cmd.push_back("block");
-  }
   cmd.push_back("--store");
   cmd.push_back(options.store_dir);
   cmd.push_back("--json");
@@ -185,7 +171,6 @@ std::vector<std::string> worker_command(const CampaignPlan& plan,
   if (plan.prepare_mode == PrepareMode::kSharedConfig) {
     cmd.push_back("--share-config");
   }
-  if (!plan.reuse) cmd.push_back("--no-reuse");
   if (options.profile) {
     cmd.push_back("--profile=" + worker_profile_path(options.store_dir,
                                                      shard));
@@ -205,8 +190,6 @@ ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
     RISE_CHECK_MSG(!plan.run,
                    "a sharded campaign requires the default trial function "
                    "(workers re-derive the plan from the command line)");
-    RISE_CHECK_MSG(plan.seed_mode == SeedMode::kSplitMix,
-                   "a sharded campaign requires SeedMode::kSplitMix");
     RISE_CHECK_MSG(plan.require_all_awake,
                    "a sharded campaign cannot express require_all_awake == "
                    "false as rise_cli flags");
@@ -354,7 +337,7 @@ ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
         RISE_CHECK_MSG(idx < total,
                        path << " names trial " << idx << " of a campaign with "
                             << total);
-        RISE_CHECK_MSG(shard_owns(shard, idx, total, options.strategy),
+        RISE_CHECK_MSG(shard_owns(shard, idx),
                        path << " reports trial " << idx
                             << ", which shard " << k << " does not own");
         RISE_CHECK_MSG(!seen[idx],

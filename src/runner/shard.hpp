@@ -30,21 +30,19 @@
 
 namespace rise::runner {
 
-// ShardSpec and ShardStrategy are defined in runner/campaign.hpp (they are
-// part of CampaignOptions); this header adds the planner and orchestrator.
+// ShardSpec is defined in runner/campaign.hpp (it is part of
+// CampaignOptions); this header adds the planner and orchestrator.
 
 /// Parses "K/N" (e.g. "2/8"); CheckError unless 0 <= K < N.
 ShardSpec parse_shard_spec(const std::string& text);
 
-/// True iff `trial_index` (of `total` trials) belongs to `shard`.
-bool shard_owns(const ShardSpec& shard, std::size_t trial_index,
-                std::size_t total, ShardStrategy strategy);
+/// True iff `trial_index` belongs to `shard` (index % count == shard index).
+bool shard_owns(const ShardSpec& shard, std::size_t trial_index);
 
 /// The subset of `trials` owned by `shard`, in trial-index order. The union
-/// over all shards is exactly `trials`, disjointly, for every strategy.
+/// over all shards is exactly `trials`, disjointly.
 std::vector<Trial> shard_trials(const std::vector<Trial>& trials,
-                                const ShardSpec& shard,
-                                ShardStrategy strategy);
+                                const ShardSpec& shard);
 
 /// Options of the multi-process orchestrator (rise_cli shard).
 struct ShardCampaignOptions {
@@ -60,7 +58,6 @@ struct ShardCampaignOptions {
   std::string json_path;      ///< merged results document ("" = none)
   bool profile = false;       ///< workers embed per-trial profiles; merged
   std::string profile_path;   ///< merged profile_aggregate path
-  ShardStrategy strategy = ShardStrategy::kRoundRobin;
 
   /// Fault injection for the resume tests: worker `die_worker` is launched
   /// (first launch only) with --die-after `die_after`, making it SIGKILL

@@ -162,32 +162,6 @@ INSTANTIATE_TEST_SUITE_P(Algos, EndToEndSpec,
                            return name;
                          });
 
-TEST(Sweep, AggregatesAcrossSeeds) {
-  ExperimentSpec spec;
-  spec.graph = "cgnp:60:0.08";
-  spec.schedule = "random:0.3";
-  spec.algorithm = "ranked_dfs";
-  spec.seed = 3;
-  const auto sweep = run_sweep(spec, 6);
-  EXPECT_EQ(sweep.runs, 6u);
-  EXPECT_EQ(sweep.failures, 0u);
-  EXPECT_EQ(sweep.messages.count(), 6u);
-  EXPECT_GT(sweep.messages.mean(), 0.0);
-  const std::string text = format_sweep(sweep);
-  EXPECT_NE(text.find("runs      : 6 (0 incomplete)"), std::string::npos);
-  EXPECT_NE(text.find("messages"), std::string::npos);
-}
-
-TEST(Sweep, CountsIncompleteRuns) {
-  ExperimentSpec spec;
-  spec.graph = "path:10";
-  spec.schedule = "single";
-  spec.algorithm = "ttl:2";  // only wakes a radius-2 ball
-  const auto sweep = run_sweep(spec, 3);
-  EXPECT_EQ(sweep.failures, 3u);
-  EXPECT_EQ(sweep.messages.count(), 0u);
-}
-
 TEST(EndToEnd, DeterministicGivenSeed) {
   ExperimentSpec spec;
   spec.graph = "cgnp:80:0.06";

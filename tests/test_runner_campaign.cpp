@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "check/scenario.hpp"
 #include "runner/result_sink.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -32,7 +33,7 @@ TEST(TrialSeed, IsDeterministicAndSpread) {
   // Different base seeds give unrelated streams.
   EXPECT_NE(trial_seed(42, 0), trial_seed(43, 0));
   // Sequential trial indices must not map to sequential seeds (that would
-  // correlate with a kSequential campaign of a nearby base seed).
+  // correlate campaigns whose base seeds are close).
   EXPECT_NE(trial_seed(42, 1), trial_seed(42, 0) + 1);
 }
 
@@ -77,19 +78,6 @@ TEST(ExpandTrials, GridIsCartesianConfigMajor) {
   EXPECT_EQ(trials[4].spec.algorithm, "fast_wakeup");
   EXPECT_EQ(trials[6].spec.graph, "cycle:8");
   EXPECT_EQ(trials[6].spec.algorithm, "flooding");
-}
-
-TEST(ExpandTrials, SequentialModeUsesBasePlusIndex) {
-  CampaignPlan plan;
-  plan.base = tiny_spec();
-  plan.base.seed = 100;
-  plan.num_seeds = 4;
-  plan.seed_mode = SeedMode::kSequential;
-  const std::vector<Trial> trials = expand_trials(plan);
-  ASSERT_EQ(trials.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(trials[i].spec.seed, 100u + i);
-  }
 }
 
 TEST(RunCampaign, DeterminismAcrossJobs) {
@@ -302,29 +290,57 @@ void expect_trials_identical(const CampaignResult& a, const CampaignResult& b) {
   }
 }
 
-TEST(RunCampaign, ReuseNeverChangesResults) {
-  // The tentpole's correctness contract: for either prepare mode, the
-  // prepared/reuse hot path and the rebuild-per-trial path are bit-identical
-  // per trial (this is the gate digest property, asserted field by field).
+// Every campaign trial equals a direct prepare + execute of its spec made
+// with no workspace and no cache, so the runner's recycled worker
+// workspaces and shared-config preparation cache never change a result.
+// The reference prepares from the trial spec, with the seed set to the base
+// seed under kSharedConfig. The grid includes an advice scheme (fip06),
+// whose oracle output lives in the cached preparation.
+TEST(RunCampaign, TrialsEqualADirectUncachedReference) {
   for (const PrepareMode mode :
        {PrepareMode::kPerTrial, PrepareMode::kSharedConfig}) {
-    SCOPED_TRACE(mode == PrepareMode::kPerTrial ? "per_trial"
-                                                : "shared_config");
-    CampaignPlan plan;
-    plan.base = tiny_spec();
-    plan.base.graph = "cgnp:60:0.08";
-    plan.base.delay = "random:3";
-    plan.num_seeds = 12;
-    plan.grid = {GridAxis{"algo", {"flooding", "ranked_dfs"}}};
-    plan.prepare_mode = mode;
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(mode == PrepareMode::kPerTrial ? "per_trial"
+                                                  : "shared_config");
+      SCOPED_TRACE(jobs);
+      CampaignPlan plan;
+      plan.base = tiny_spec();
+      plan.base.graph = "cgnp:60:0.08";
+      plan.base.schedule = "random:0.3";
+      plan.base.delay = "random:3";
+      plan.num_seeds = 6;
+      plan.grid = {GridAxis{"algo", {"flooding", "ranked_dfs", "fip06"}}};
+      plan.prepare_mode = mode;
+      CampaignOptions options;
+      options.jobs = jobs;
+      const CampaignResult result = run_campaign(plan, options);
+      ASSERT_EQ(result.trials.size(), 18u);
 
-    plan.reuse = false;
-    const CampaignResult rebuild = run_campaign(plan);
-    plan.reuse = true;
-    CampaignOptions parallel;
-    parallel.jobs = 4;  // reuse must also be jobs-independent
-    const CampaignResult reused = run_campaign(plan, parallel);
-    expect_trials_identical(rebuild, reused);
+      for (const TrialResult& t : result.trials) {
+        SCOPED_TRACE(t.trial.index);
+        ASSERT_TRUE(t.ok) << t.error;
+        app::ExperimentSpec prep_spec = t.trial.spec;
+        if (mode == PrepareMode::kSharedConfig) prep_spec.seed = plan.base.seed;
+        const app::ExperimentReport ref = app::execute_prepared(
+            app::prepare_experiment(prep_spec), t.trial.spec);
+        EXPECT_EQ(t.result_digest, check::digest_run(ref.result));
+        EXPECT_EQ(t.num_nodes, ref.num_nodes);
+        EXPECT_EQ(t.num_edges, ref.num_edges);
+        EXPECT_EQ(t.rho_awk, ref.rho_awk);
+        EXPECT_EQ(t.synchronous, ref.synchronous);
+        EXPECT_EQ(t.all_awake, ref.result.all_awake());
+        EXPECT_EQ(t.awake_count, ref.result.awake_count());
+        EXPECT_EQ(t.messages, ref.result.metrics.messages);
+        EXPECT_EQ(t.bits, ref.result.metrics.bits);
+        EXPECT_EQ(t.time_units, ref.result.metrics.time_units());  // exact
+        EXPECT_EQ(t.rounds, ref.result.metrics.rounds);
+        EXPECT_EQ(t.wakeup_span,
+                  ref.result.all_awake() ? ref.result.wakeup_span() : 0);
+        EXPECT_EQ(t.awake_node_ticks, ref.result.awake_node_ticks());
+        EXPECT_EQ(t.advice_max_bits, ref.advice.max_bits);
+        EXPECT_EQ(t.advice_avg_bits, ref.advice.avg_bits);
+      }
+    }
   }
 }
 
@@ -360,24 +376,17 @@ TEST(RunCampaign, PreparedCountersTrackCacheUse) {
   plan.num_seeds = 6;
   plan.grid = {GridAxis{"algo", {"flooding", "ranked_dfs"}}};
 
-  // Shared + reuse: one preparation per config, the rest are cache hits.
+  // Shared: one preparation per config, the rest are cache hits.
   plan.prepare_mode = PrepareMode::kSharedConfig;
-  plan.reuse = true;
   const CampaignResult shared = run_campaign(plan);
   EXPECT_EQ(shared.prepared_configs, 2u);
   EXPECT_EQ(shared.prepared_cache_hits, 10u);
 
-  // Per-trial (or reuse off): every trial prepares for itself.
+  // Per-trial: every trial prepares for itself.
   plan.prepare_mode = PrepareMode::kPerTrial;
   const CampaignResult per_trial = run_campaign(plan);
   EXPECT_EQ(per_trial.prepared_configs, 12u);
   EXPECT_EQ(per_trial.prepared_cache_hits, 0u);
-
-  plan.prepare_mode = PrepareMode::kSharedConfig;
-  plan.reuse = false;
-  const CampaignResult rebuild = run_campaign(plan);
-  EXPECT_EQ(rebuild.prepared_configs, 12u);
-  EXPECT_EQ(rebuild.prepared_cache_hits, 0u);
 }
 
 TEST(RunCampaign, SharedConfigProfilesStayDeterministic) {
@@ -450,7 +459,8 @@ TEST(JsonResultSinkTest, RoundTripsThroughJsonReader) {
 
   const json::Value doc = json::parse(os.str());
   EXPECT_EQ(doc.at("schema_version").u64, kResultsSchemaVersion);
-  EXPECT_EQ(kResultsSchemaVersion, 2u);  // provenance + digests + store block
+  // v2: provenance + digests + store block; v3: no seed_mode/reuse keys.
+  EXPECT_EQ(kResultsSchemaVersion, 3u);
   EXPECT_EQ(doc.at("num_seeds").u64, 8u);
 
   // Schema v2: a provenance block records where and when the run happened.
@@ -463,9 +473,9 @@ TEST(JsonResultSinkTest, RoundTripsThroughJsonReader) {
   EXPECT_EQ(prov.at("shard_count").u64, 1u);
   EXPECT_FALSE(prov.at("merged").boolean);
   EXPECT_EQ(doc.at("jobs").u64, 3u);
-  EXPECT_EQ(doc.at("seed_mode").string, "splitmix");
   EXPECT_EQ(doc.at("prepare_mode").string, "per_trial");  // plan default
-  EXPECT_TRUE(doc.at("reuse").boolean);
+  EXPECT_EQ(doc.find("seed_mode"), nullptr);
+  EXPECT_EQ(doc.find("reuse"), nullptr);
   EXPECT_EQ(doc.at("base").at("graph").string, "path:16");
   ASSERT_EQ(doc.at("grid").size(), 1u);
   EXPECT_EQ(doc.at("grid").at(std::size_t{0}).at("param").string, "algo");

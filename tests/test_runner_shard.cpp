@@ -1,6 +1,6 @@
 // Tests for the shard planner and the store-backed campaign paths
 // (runner/shard + CampaignOptions::shard/store): the trial-index partition
-// is exact for every shard count and strategy, per-trial seeds and digests
+// is exact for every shard count, per-trial seeds and digests
 // are pure functions of the trial index (so any shard split reproduces the
 // single-process digest stream bit for bit), the result store serves
 // repeated and resumed campaigns without re-executing, and the merged
@@ -73,16 +73,13 @@ TEST(ShardOwns, EveryIndexBelongsToExactlyOneShard) {
   for (const std::size_t total : {std::size_t{1}, std::size_t{10},
                                   std::size_t{14}, std::size_t{29}}) {
     for (const std::uint32_t count : {1u, 2u, 3u, 7u, 16u}) {
-      for (const ShardStrategy strategy :
-           {ShardStrategy::kRoundRobin, ShardStrategy::kBlock}) {
-        for (std::size_t i = 0; i < total; ++i) {
-          int owners = 0;
-          for (std::uint32_t k = 0; k < count; ++k) {
-            owners += shard_owns(make_shard(k, count), i, total, strategy);
-          }
-          EXPECT_EQ(owners, 1) << "total " << total << " count " << count
-                               << " index " << i;
+      for (std::size_t i = 0; i < total; ++i) {
+        int owners = 0;
+        for (std::uint32_t k = 0; k < count; ++k) {
+          owners += shard_owns(make_shard(k, count), i);
         }
+        EXPECT_EQ(owners, 1) << "total " << total << " count " << count
+                             << " index " << i;
       }
     }
   }
@@ -93,27 +90,23 @@ TEST(ShardTrials, DisjointUnionReassemblesTheCampaign) {
   const std::vector<Trial> all = expand_trials(plan);
   ASSERT_EQ(all.size(), 14u);
   for (const std::uint32_t count : {1u, 2u, 7u}) {
-    for (const ShardStrategy strategy :
-         {ShardStrategy::kRoundRobin, ShardStrategy::kBlock}) {
-      std::vector<Trial> reassembled;
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const std::vector<Trial> owned =
-            shard_trials(all, make_shard(k, count), strategy);
-        // Order within a shard is trial-index order.
-        for (std::size_t i = 1; i < owned.size(); ++i) {
-          EXPECT_LT(owned[i - 1].index, owned[i].index);
-        }
-        reassembled.insert(reassembled.end(), owned.begin(), owned.end());
+    std::vector<Trial> reassembled;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const std::vector<Trial> owned = shard_trials(all, make_shard(k, count));
+      // Order within a shard is trial-index order.
+      for (std::size_t i = 1; i < owned.size(); ++i) {
+        EXPECT_LT(owned[i - 1].index, owned[i].index);
       }
-      ASSERT_EQ(reassembled.size(), all.size());
-      std::sort(reassembled.begin(), reassembled.end(),
-                [](const Trial& a, const Trial& b) { return a.index < b.index; });
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        EXPECT_EQ(reassembled[i].index, all[i].index);
-        EXPECT_EQ(reassembled[i].config_index, all[i].config_index);
-        EXPECT_EQ(reassembled[i].spec.seed, all[i].spec.seed);
-        EXPECT_EQ(reassembled[i].spec.algorithm, all[i].spec.algorithm);
-      }
+      reassembled.insert(reassembled.end(), owned.begin(), owned.end());
+    }
+    ASSERT_EQ(reassembled.size(), all.size());
+    std::sort(reassembled.begin(), reassembled.end(),
+              [](const Trial& a, const Trial& b) { return a.index < b.index; });
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      EXPECT_EQ(reassembled[i].index, all[i].index);
+      EXPECT_EQ(reassembled[i].config_index, all[i].config_index);
+      EXPECT_EQ(reassembled[i].spec.seed, all[i].spec.seed);
+      EXPECT_EQ(reassembled[i].spec.algorithm, all[i].spec.algorithm);
     }
   }
 }
@@ -174,29 +167,25 @@ TEST(ShardedCampaign, AnyShardSplitReproducesTheUnshardedDigestStream) {
   ASSERT_EQ(reference.trials.size(), 14u);
 
   for (const std::uint32_t count : {2u, 7u}) {
-    for (const ShardStrategy strategy :
-         {ShardStrategy::kRoundRobin, ShardStrategy::kBlock}) {
-      // Run every shard as its own campaign, as worker processes would.
-      CampaignResult merged;
-      merged.trials.assign(reference.trials.size(), TrialResult{});
-      std::vector<bool> seen(reference.trials.size(), false);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        CampaignOptions options;
-        options.shard = make_shard(k, count);
-        options.shard_strategy = strategy;
-        const CampaignResult part = run_campaign(plan, options);
-        for (const TrialResult& r : part.trials) {
-          ASSERT_LT(r.trial.index, seen.size());
-          ASSERT_FALSE(seen[r.trial.index]);
-          seen[r.trial.index] = true;
-          merged.trials[r.trial.index] = r;
-        }
+    // Run every shard as its own campaign, as worker processes would.
+    CampaignResult merged;
+    merged.trials.assign(reference.trials.size(), TrialResult{});
+    std::vector<bool> seen(reference.trials.size(), false);
+    for (std::uint32_t k = 0; k < count; ++k) {
+      CampaignOptions options;
+      options.shard = make_shard(k, count);
+      const CampaignResult part = run_campaign(plan, options);
+      for (const TrialResult& r : part.trials) {
+        ASSERT_LT(r.trial.index, seen.size());
+        ASSERT_FALSE(seen[r.trial.index]);
+        seen[r.trial.index] = true;
+        merged.trials[r.trial.index] = r;
       }
-      EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                              [](bool b) { return b; }));
-      aggregate_campaign(plan, merged);
-      expect_equivalent(merged, reference);
     }
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                            [](bool b) { return b; }));
+    aggregate_campaign(plan, merged);
+    expect_equivalent(merged, reference);
   }
 }
 

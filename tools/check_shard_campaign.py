@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate for sharded campaigns (schema v2 result documents).
+"""CI gate for sharded campaigns (schema v3 result documents).
 
 Usage:
   check_shard_campaign.py compare REFERENCE.json MERGED.json
@@ -32,8 +32,8 @@ def load(path: str) -> dict:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
         fail(f"cannot read {path}: {exc}")
-    if doc.get("schema_version") != 2:
-        fail(f"{path}: expected schema_version 2, got {doc.get('schema_version')}")
+    if doc.get("schema_version") != 3:
+        fail(f"{path}: expected schema_version 3, got {doc.get('schema_version')}")
     return doc
 
 
@@ -87,7 +87,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     if ref_summary != merged_summary:
         fail("summary blocks differ beyond the store counters")
 
-    for field in ("base", "grid", "num_seeds", "seed_mode", "prepare_mode"):
+    for field in ("base", "grid", "num_seeds", "prepare_mode"):
         if ref.get(field) != merged.get(field):
             fail(f"plan field '{field}' differs")
 

@@ -13,8 +13,10 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -41,7 +43,7 @@ void usage() {
       "                [--delay SPEC] [--seed N] [--seeds COUNT] [--jobs N]\n"
       "                [--trial-jobs N] [--json PATH] [--grid PARAM=a,b,c]...\n"
       "                [--progress] [--profile[=PATH]] [--share-config]\n"
-      "                [--no-reuse] [--store DIR] [--shard K/N]\n"
+      "                [--store DIR] [--shard K/N]\n"
       "       rise_cli shard --workers N --store DIR [campaign flags]\n"
       "                      [--max-restarts N] [--json PATH]\n"
       "                      [--profile[=PATH]]\n"
@@ -100,17 +102,13 @@ void usage() {
       "                    randomness vary per trial. Changes what is\n"
       "                    measured — variance over runs on one topology —\n"
       "                    so it is opt-in; default rebuilds per trial seed.\n"
-      "  --no-reuse        disable execution-level reuse (per-worker engine\n"
-      "                    workspaces + the shared-config preparation\n"
-      "                    cache). Results are bit-identical either way;\n"
-      "                    exists for benchmarking the rebuild path.\n"
       "  --store DIR       content-addressed result store: trials already\n"
       "                    recorded (same spec + seed + prepare mode) are\n"
       "                    served from DIR without executing; every executed\n"
       "                    trial is appended. Makes interrupted campaigns\n"
       "                    resumable and repeated grid points free.\n"
-      "  --shard K/N       execute only shard K of an N-way trial-index\n"
-      "                    split (results keep global trial indices);\n"
+      "  --shard K/N       execute only the trials whose index %% N == K\n"
+      "                    (results keep global trial indices);\n"
       "                    normally set by `rise_cli shard`, not by hand\n\n"
       "shard: run a campaign as N worker processes against a shared result\n"
       "  store, restart crashed workers (they resume from the store), and\n"
@@ -139,8 +137,6 @@ void usage() {
       "  champion is replayed through the invariant checker; --corpus FILE\n"
       "  appends it as a regression entry `rise_cli fuzz --corpus` replays\n"
       "  bit-identically. Deterministic for any --jobs value.\n\n"
-      "(the library call app::run_sweep keeps the legacy sequential seeds\n"
-      " base, base+1, ... for reproducing pre-campaign sweeps)\n\n"
       "spec grammars (see src/app/spec.hpp for the full list):\n"
       "  graph:    gnp:N:P | cgnp:N:P | grid:RxC | torus:RxC | star:N |\n"
       "            regular:N:D | dkq:K:Q | kt0family:N | kt1family:K:Q |\n"
@@ -155,7 +151,12 @@ void usage() {
       static_cast<unsigned long long>(rise::runner::kResultsSchemaVersion));
 }
 
-std::uint64_t parse_count(const std::string& flag, const std::string& text) {
+/// Parses the value of a count flag as a T. Exits 2 with a message naming
+/// the flag when the text is not a non-negative integer or does not fit in
+/// T, so a count never wraps silently into a narrower field.
+template <typename T>
+T parse_count(const std::string& flag, const std::string& text) {
+  static_assert(std::is_integral_v<T>);
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
@@ -164,7 +165,128 @@ std::uint64_t parse_count(const std::string& flag, const std::string& text) {
                  flag.c_str(), text.c_str());
     std::exit(2);
   }
-  return v;
+  const auto max =
+      static_cast<unsigned long long>(std::numeric_limits<T>::max());
+  if (v > max) {
+    std::fprintf(stderr, "error: %s %s exceeds the limit %llu\n",
+                 flag.c_str(), text.c_str(), max);
+    std::exit(2);
+  }
+  return static_cast<T>(v);
+}
+
+/// The argument of the flag at argv[i], advancing i past it; exits 2 when
+/// the flag is the last word.
+std::string flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "missing value for %s\n", argv[i]);
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
+/// Flags shared by the subcommands that describe an experiment. The spec
+/// and parallelism subset is accepted by run, shard and hunt; the campaign
+/// plan and output flags by run and shard. Both subsets are parsed here
+/// only, so a flag has one syntax and one error text everywhere.
+struct CommonFlags {
+  rise::app::ExperimentSpec spec;
+  bool seed_set = false;
+  std::size_t jobs = 1;
+  std::uint32_t trial_jobs = 1;
+  std::size_t seeds = 1;
+  std::vector<std::string> grid_args;
+  bool share_config = false;
+  std::string store_dir;
+  std::string json_path;
+  bool profile = false;
+  std::string profile_path;
+  int progress_state = -1;  // -1 auto (tty), 0 off, 1 on
+  /// Set by --jobs, --grid, --share-config, --store and --json: flags that
+  /// turn a plain `run` into a campaign.
+  bool campaign_flag = false;
+};
+
+/// Consumes `arg` if it is a spec or parallelism flag; `value` yields its
+/// argument. Returns false for every other flag.
+template <typename Value>
+bool parse_spec_flag(const std::string& arg, Value&& value, CommonFlags& f) {
+  if (arg == "--graph") {
+    f.spec.graph = value();
+  } else if (arg == "--schedule") {
+    f.spec.schedule = value();
+  } else if (arg == "--algo") {
+    f.spec.algorithm = value();
+  } else if (arg == "--delay") {
+    f.spec.delay = value();
+  } else if (arg == "--seed") {
+    f.spec.seed = parse_count<std::uint64_t>(arg, value());
+    f.seed_set = true;
+  } else if (arg == "--jobs") {
+    f.jobs = parse_count<std::size_t>(arg, value());
+    f.campaign_flag = true;
+  } else if (arg == "--trial-jobs") {
+    // Intra-trial parallelism applies to single runs too, so this flag
+    // does not select campaign mode.
+    f.trial_jobs = parse_count<std::uint32_t>(arg, value());
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Consumes `arg` if it is a campaign plan or output flag; `value` yields
+/// its argument. Returns false for every other flag.
+template <typename Value>
+bool parse_campaign_flag(const std::string& arg, Value&& value,
+                         CommonFlags& f) {
+  if (arg == "--seeds") {
+    f.seeds = parse_count<std::size_t>(arg, value());
+  } else if (arg == "--grid") {
+    f.grid_args.push_back(value());
+    f.campaign_flag = true;
+  } else if (arg == "--share-config") {
+    f.share_config = true;
+    f.campaign_flag = true;
+  } else if (arg == "--store") {
+    f.store_dir = value();
+    f.campaign_flag = true;
+  } else if (arg == "--json") {
+    f.json_path = value();
+    f.campaign_flag = true;
+  } else if (arg == "--profile") {
+    f.profile = true;
+  } else if (arg.rfind("--profile=", 0) == 0) {
+    f.profile = true;
+    f.profile_path = arg.substr(std::strlen("--profile="));
+  } else if (arg == "--progress") {
+    f.progress_state = 1;
+  } else if (arg == "--no-progress") {
+    f.progress_state = 0;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// The campaign plan the common flags describe. CheckError on a bad --grid.
+rise::runner::CampaignPlan campaign_plan(const CommonFlags& f) {
+  using rise::runner::PrepareMode;
+  rise::runner::CampaignPlan plan;
+  plan.base = f.spec;
+  plan.num_seeds = f.seeds;
+  plan.profile = f.profile;
+  plan.prepare_mode =
+      f.share_config ? PrepareMode::kSharedConfig : PrepareMode::kPerTrial;
+  for (const auto& axis : f.grid_args) {
+    plan.grid.push_back(rise::runner::parse_grid_axis(axis));
+  }
+  return plan;
+}
+
+bool progress_enabled(const CommonFlags& f) {
+  return f.progress_state == -1 ? isatty(fileno(stderr)) != 0
+                                : f.progress_state == 1;
 }
 
 std::vector<std::string> split_commas(const std::string& text) {
@@ -187,27 +309,19 @@ int run_fuzz_command(int argc, char** argv) {
   check::FuzzOptions options;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return flag_value(argc, argv, i); };
     if (arg == "--trials") {
-      options.trials = parse_count(arg, value());
+      options.trials = parse_count<std::uint64_t>(arg, value());
     } else if (arg == "--seed") {
-      options.seed = parse_count(arg, value());
+      options.seed = parse_count<std::uint64_t>(arg, value());
     } else if (arg == "--jobs") {
-      options.jobs = parse_count(arg, value());
+      options.jobs = parse_count<std::size_t>(arg, value());
     } else if (arg == "--trial-jobs") {
-      options.trial_jobs =
-          static_cast<std::uint32_t>(parse_count(arg, value()));
+      options.trial_jobs = parse_count<std::uint32_t>(arg, value());
     } else if (arg == "--max-nodes") {
-      options.generator.max_nodes =
-          static_cast<sim::NodeId>(parse_count(arg, value()));
+      options.generator.max_nodes = parse_count<sim::NodeId>(arg, value());
     } else if (arg == "--max-tau") {
-      options.generator.max_tau = parse_count(arg, value());
+      options.generator.max_tau = parse_count<sim::Time>(arg, value());
     } else if (arg == "--families") {
       options.generator.families = split_commas(value());
     } else if (arg == "--fault") {
@@ -262,42 +376,23 @@ std::string family_for_algorithm(const std::string& algorithm) {
 int run_hunt_command(int argc, char** argv) {
   using namespace rise;
   search::HuntOptions options;
-  options.initial.spec.graph = "cgnp:64:0.1";
-  options.initial.spec.schedule = "single";
-  options.initial.spec.algorithm = "flooding";
-  options.initial.spec.delay = "unit";
+  CommonFlags flags;
+  flags.spec.graph = "cgnp:64:0.1";
+  flags.spec.schedule = "single";
+  flags.spec.algorithm = "flooding";
+  flags.spec.delay = "unit";
+  flags.jobs = options.jobs;
+  flags.trial_jobs = options.trial_jobs;
   std::string corpus_path;
   std::string json_path;
-  bool seed_set = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--graph") {
-      options.initial.spec.graph = value();
-    } else if (arg == "--schedule") {
-      options.initial.spec.schedule = value();
-    } else if (arg == "--algo") {
-      options.initial.spec.algorithm = value();
-    } else if (arg == "--delay") {
-      options.initial.spec.delay = value();
-    } else if (arg == "--seed") {
-      options.seed = parse_count(arg, value());
-      seed_set = true;
-    } else if (arg == "--budget") {
-      options.budget = parse_count(arg, value());
+    auto value = [&] { return flag_value(argc, argv, i); };
+    if (parse_spec_flag(arg, value, flags)) continue;
+    if (arg == "--budget") {
+      options.budget = parse_count<std::uint64_t>(arg, value());
     } else if (arg == "--lambda") {
-      options.lambda = parse_count(arg, value());
-    } else if (arg == "--jobs") {
-      options.jobs = parse_count(arg, value());
-    } else if (arg == "--trial-jobs") {
-      options.trial_jobs =
-          static_cast<std::uint32_t>(parse_count(arg, value()));
+      options.lambda = parse_count<std::size_t>(arg, value());
     } else if (arg == "--objective") {
       options.objective = search::parse_objective(value());
     } else if (arg == "--search") {
@@ -314,13 +409,11 @@ int run_hunt_command(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--min-nodes") {
-      options.limits.min_nodes =
-          static_cast<std::uint32_t>(parse_count(arg, value()));
+      options.limits.min_nodes = parse_count<std::uint32_t>(arg, value());
     } else if (arg == "--max-nodes") {
-      options.limits.max_nodes =
-          static_cast<std::uint32_t>(parse_count(arg, value()));
+      options.limits.max_nodes = parse_count<std::uint32_t>(arg, value());
     } else if (arg == "--max-tau") {
-      options.limits.max_tau = parse_count(arg, value());
+      options.limits.max_tau = parse_count<sim::Time>(arg, value());
     } else if (arg == "--corpus") {
       corpus_path = value();
     } else if (arg == "--json") {
@@ -335,7 +428,10 @@ int run_hunt_command(int argc, char** argv) {
   }
   // One --seed drives the whole hunt: the search streams AND the initial
   // genome's engine seed, so `hunt --seed S` is one reproducible experiment.
-  if (seed_set) options.initial.spec.seed = options.seed;
+  if (flags.seed_set) options.seed = flags.spec.seed;
+  options.initial.spec = flags.spec;
+  options.jobs = flags.jobs;
+  options.trial_jobs = flags.trial_jobs;
   options.initial.family =
       family_for_algorithm(options.initial.spec.algorithm);
 
@@ -366,7 +462,7 @@ int run_profile_command(int argc, char** argv) {
         std::fprintf(stderr, "missing value for --top\n");
         return 2;
       }
-      top_n = parse_count(arg, argv[++i]);
+      top_n = parse_count<std::size_t>(arg, argv[++i]);
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -422,71 +518,19 @@ std::string self_exe(const char* argv0) {
 
 int run_shard_command(int argc, char** argv) {
   using namespace rise;
-  app::ExperimentSpec spec;
-  runner::CampaignPlan plan;
+  CommonFlags flags;
   runner::ShardCampaignOptions options;
-  std::vector<std::string> grid_args;
-  std::string profile_path;
-  std::size_t seeds = 1;
-  bool profile = false;
-  bool share_config = false;
-  int progress_state = -1;  // -1 auto (tty), 0 off, 1 on
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--graph") {
-      spec.graph = value();
-    } else if (arg == "--schedule") {
-      spec.schedule = value();
-    } else if (arg == "--algo") {
-      spec.algorithm = value();
-    } else if (arg == "--delay") {
-      spec.delay = value();
-    } else if (arg == "--seed") {
-      spec.seed = parse_count(arg, value());
-    } else if (arg == "--seeds") {
-      seeds = parse_count(arg, value());
-    } else if (arg == "--grid") {
-      grid_args.push_back(value());
-    } else if (arg == "--share-config") {
-      share_config = true;
-    } else if (arg == "--no-reuse") {
-      plan.reuse = false;
-    } else if (arg == "--workers") {
-      options.workers = static_cast<std::uint32_t>(parse_count(arg, value()));
-    } else if (arg == "--jobs") {
-      options.jobs_per_worker = parse_count(arg, value());
-    } else if (arg == "--trial-jobs") {
-      options.trial_jobs =
-          static_cast<std::uint32_t>(parse_count(arg, value()));
-    } else if (arg == "--store") {
-      options.store_dir = value();
+    auto value = [&] { return flag_value(argc, argv, i); };
+    if (parse_spec_flag(arg, value, flags) ||
+        parse_campaign_flag(arg, value, flags)) {
+      continue;
+    }
+    if (arg == "--workers") {
+      options.workers = parse_count<std::uint32_t>(arg, value());
     } else if (arg == "--max-restarts") {
-      options.max_restarts = static_cast<int>(parse_count(arg, value()));
-    } else if (arg == "--shard-strategy") {
-      const std::string s = value();
-      if (s == "block") {
-        options.strategy = runner::ShardStrategy::kBlock;
-      } else if (s == "roundrobin") {
-        options.strategy = runner::ShardStrategy::kRoundRobin;
-      } else {
-        std::fprintf(stderr,
-                     "error: --shard-strategy expects roundrobin|block\n");
-        return 2;
-      }
-    } else if (arg == "--json") {
-      options.json_path = value();
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = true;
-      profile_path = arg.substr(std::strlen("--profile="));
+      options.max_restarts = parse_count<int>(arg, value());
     } else if (arg == "--die-once") {
       // Fault injection for the resume tests: K:N makes worker K (first
       // launch only) SIGKILL itself after N executed trials.
@@ -496,14 +540,8 @@ int run_shard_command(int argc, char** argv) {
         std::fprintf(stderr, "error: --die-once expects WORKER:TRIALS\n");
         return 2;
       }
-      options.die_worker = static_cast<std::uint32_t>(
-          parse_count(arg, kv.substr(0, colon)));
-      options.die_after =
-          static_cast<int>(parse_count(arg, kv.substr(colon + 1)));
-    } else if (arg == "--progress") {
-      progress_state = 1;
-    } else if (arg == "--no-progress") {
-      progress_state = 0;
+      options.die_worker = parse_count<std::uint32_t>(arg, kv.substr(0, colon));
+      options.die_after = parse_count<int>(arg, kv.substr(colon + 1));
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -512,6 +550,10 @@ int run_shard_command(int argc, char** argv) {
       return 2;
     }
   }
+  options.store_dir = flags.store_dir;
+  options.json_path = flags.json_path;
+  options.jobs_per_worker = flags.jobs;
+  options.trial_jobs = flags.trial_jobs;
   if (options.store_dir.empty()) {
     std::fprintf(stderr, "error: rise_cli shard requires --store DIR\n");
     return 2;
@@ -520,20 +562,13 @@ int run_shard_command(int argc, char** argv) {
     std::fprintf(stderr, "error: --workers must be >= 1\n");
     return 2;
   }
-  plan.base = spec;
-  plan.num_seeds = seeds;
-  plan.profile = profile;
-  plan.prepare_mode = share_config ? runner::PrepareMode::kSharedConfig
-                                   : runner::PrepareMode::kPerTrial;
-  for (const auto& axis : grid_args) {
-    plan.grid.push_back(runner::parse_grid_axis(axis));
-  }
+  const runner::CampaignPlan plan = campaign_plan(flags);
   options.exe = self_exe(argv[0]);
-  options.progress =
-      progress_state == -1 ? isatty(fileno(stderr)) != 0 : progress_state == 1;
-  options.profile = profile;
-  if (profile) {
-    options.profile_path = profile_path.empty() ? "profile.json" : profile_path;
+  options.progress = progress_enabled(flags);
+  options.profile = flags.profile;
+  if (flags.profile) {
+    options.profile_path =
+        flags.profile_path.empty() ? "profile.json" : flags.profile_path;
     if (!ensure_writable(options.profile_path)) return 2;
   }
   if (!options.json_path.empty() && !ensure_writable(options.json_path)) {
@@ -553,7 +588,7 @@ int run_shard_command(int argc, char** argv) {
               options.store_dir.c_str(),
               static_cast<unsigned long long>(report.store_hits),
               static_cast<unsigned long long>(report.store_misses));
-  if (profile) {
+  if (flags.profile) {
     std::fputs(obs::format_aggregate(report.merged.profile).c_str(), stdout);
     std::printf("profile   : %s (merged over %zu trials)\n",
                 options.profile_path.c_str(), report.merged.profile.trials);
@@ -603,102 +638,34 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  app::ExperimentSpec spec;
+  CommonFlags flags;
   std::string dot_graph;
-  std::string json_path;
-  std::string profile_path;
-  std::string store_dir;
-  std::vector<std::string> grid_args;
   runner::ShardSpec shard;
-  runner::ShardStrategy shard_strategy = runner::ShardStrategy::kRoundRobin;
   bool list = false;
-  int progress_state = -1;  // -1 auto (tty), 0 off, 1 on
-  bool campaign_mode = false;
-  bool profile = false;
   bool embed_profiles = false;
-  bool share_config = false;
-  bool reuse = true;
   int die_after = 0;
-  std::size_t seeds = 1;
-  std::size_t jobs = 1;
-  std::uint32_t trial_jobs = 1;
   // "run" is an optional subcommand alias for the default mode, symmetric
   // with "fuzz" and "profile".
   const int first_flag = argc > 1 && std::strcmp(argv[1], "run") == 0 ? 2 : 1;
   for (int i = first_flag; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--graph") {
-      spec.graph = value();
-    } else if (arg == "--schedule") {
-      spec.schedule = value();
-    } else if (arg == "--algo") {
-      spec.algorithm = value();
-    } else if (arg == "--delay") {
-      spec.delay = value();
-    } else if (arg == "--seed") {
-      spec.seed = parse_count(arg, value());
-    } else if (arg == "--seeds") {
-      seeds = parse_count(arg, value());
-    } else if (arg == "--jobs") {
-      jobs = parse_count(arg, value());
-      campaign_mode = true;
-    } else if (arg == "--trial-jobs") {
-      // Intra-trial parallelism applies to single runs too, so this flag
-      // does not force campaign mode.
-      trial_jobs = static_cast<std::uint32_t>(parse_count(arg, value()));
-    } else if (arg == "--json") {
-      json_path = value();
-      campaign_mode = true;
-    } else if (arg == "--grid") {
-      grid_args.push_back(value());
-      campaign_mode = true;
-    } else if (arg == "--share-config") {
-      share_config = true;
-      campaign_mode = true;
-    } else if (arg == "--no-reuse") {
-      reuse = false;
-    } else if (arg == "--store") {
-      store_dir = value();
-      campaign_mode = true;
-    } else if (arg == "--shard") {
+    auto value = [&] { return flag_value(argc, argv, i); };
+    if (parse_spec_flag(arg, value, flags) ||
+        parse_campaign_flag(arg, value, flags)) {
+      continue;
+    }
+    if (arg == "--shard") {
       try {
         shard = runner::parse_shard_spec(value());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
       }
-      campaign_mode = true;
-    } else if (arg == "--shard-strategy") {
-      const std::string s = value();
-      if (s == "block") {
-        shard_strategy = runner::ShardStrategy::kBlock;
-      } else if (s == "roundrobin") {
-        shard_strategy = runner::ShardStrategy::kRoundRobin;
-      } else {
-        std::fprintf(stderr,
-                     "error: --shard-strategy expects roundrobin|block\n");
-        return 2;
-      }
+      flags.campaign_flag = true;
     } else if (arg == "--die-after") {
-      die_after = static_cast<int>(parse_count(arg, value()));
+      die_after = parse_count<int>(arg, value());
     } else if (arg == "--embed-profiles") {
       embed_profiles = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile = true;
-      profile_path = arg.substr(std::strlen("--profile="));
-    } else if (arg == "--progress") {
-      progress_state = 1;
-    } else if (arg == "--no-progress") {
-      progress_state = 0;
     } else if (arg == "--dot") {
       dot_graph = value();
     } else if (arg == "--list") {
@@ -712,7 +679,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (seeds > 1) campaign_mode = true;
+  const app::ExperimentSpec& spec = flags.spec;
+  const std::string& json_path = flags.json_path;
+  const std::string& store_dir = flags.store_dir;
+  const bool campaign_mode = flags.campaign_flag || flags.seeds > 1;
 
   try {
     if (list) {
@@ -727,30 +697,20 @@ int main(int argc, char** argv) {
       graph::write_dot(std::cout, app::parse_graph_spec(dot_graph, rng));
       return 0;
     }
+    const bool profile = flags.profile;
     const std::string profile_out =
-        profile_path.empty() ? "profile.json" : profile_path;
+        flags.profile_path.empty() ? "profile.json" : flags.profile_path;
     // Fail fast: a doomed output path must kill the run before any trial
     // executes, not after the campaign finishes.
     if (profile && !ensure_writable(profile_out)) return 2;
     if (campaign_mode) {
-      runner::CampaignPlan plan;
-      plan.base = spec;
-      plan.num_seeds = seeds;
-      plan.profile = profile;
-      plan.prepare_mode = share_config ? runner::PrepareMode::kSharedConfig
-                                       : runner::PrepareMode::kPerTrial;
-      plan.reuse = reuse;
-      for (const auto& axis : grid_args) {
-        plan.grid.push_back(runner::parse_grid_axis(axis));
-      }
+      const runner::CampaignPlan plan = campaign_plan(flags);
       runner::CampaignOptions options;
-      options.jobs = jobs == 0 ? runner::ThreadPool::hardware_threads() : jobs;
-      options.trial_jobs = trial_jobs;
-      options.progress = progress_state == -1
-                             ? isatty(fileno(stderr)) != 0
-                             : progress_state == 1;
+      options.jobs = flags.jobs == 0 ? runner::ThreadPool::hardware_threads()
+                                     : flags.jobs;
+      options.trial_jobs = flags.trial_jobs;
+      options.progress = progress_enabled(flags);
       options.shard = shard;
-      options.shard_strategy = shard_strategy;
       options.die_after = die_after;
 
       // The store ctor throws a CheckError naming the path when DIR cannot
@@ -816,11 +776,11 @@ int main(int argc, char** argv) {
     app::RunInstruments instruments;
     std::unique_ptr<runner::ThreadPool> trial_pool;
     std::unique_ptr<runner::PoolChunkExecutor> trial_executor;
-    if (trial_jobs > 1) {
-      trial_pool = std::make_unique<runner::ThreadPool>(trial_jobs);
+    if (flags.trial_jobs > 1) {
+      trial_pool = std::make_unique<runner::ThreadPool>(flags.trial_jobs);
       trial_executor =
           std::make_unique<runner::PoolChunkExecutor>(trial_pool.get());
-      instruments.trial_jobs = trial_jobs;
+      instruments.trial_jobs = flags.trial_jobs;
       instruments.trial_executor = trial_executor.get();
     }
     if (profile) {
