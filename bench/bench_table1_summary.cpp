@@ -118,12 +118,11 @@ void table1() {
     const auto fam = lb::make_kt0_family(fam_n);
     Rng rng(3);
     auto inst = lb::make_kt0_instance(fam, rng);
-    const auto stats =
-        advice::apply_oracle(inst, *lb::beta_probing_oracle(4));
+    const auto scheme = lb::beta_probing_scheme(4);
+    const auto stats = advice::apply_oracle(inst, *scheme.oracle);
     const auto delays = sim::unit_delay();
-    const auto r =
-        sim::run_async(inst, *delays, fam.centers_awake(), 1,
-                       sim::process_kernel(lb::beta_probing_factory(4)));
+    const auto r = sim::run_async(inst, *delays, fam.centers_awake(), 1,
+                                  scheme.kernel);
     table.add_row({"Thm 1 (LB, beta=4 probing)", "sync/async KT0 + advice",
                    bench::fmt_f(r.metrics.time_units(), 0) + " units",
                    bench::fmt_u(r.metrics.messages) + " (n=128)",
@@ -137,7 +136,7 @@ void table1() {
     const auto delays = sim::unit_delay();
     const auto r =
         sim::run_async(inst, *delays, fam.family.centers_awake(), 1,
-                       sim::process_kernel(lb::centers_broadcast_factory()));
+                       lb::centers_broadcast_kernel());
     table.add_row({"Thm 2 (LB, 1-unit bcast on G_3)", "sync/async KT1 LOCAL",
                    bench::fmt_f(r.metrics.time_units(), 0) + " unit",
                    bench::fmt_u(r.metrics.messages) + " (n=343)", "-",

@@ -41,7 +41,7 @@ runner::TrialFn beta_trial(graph::NodeId n, unsigned beta) {
     const auto delays = sim::unit_delay();
     report.result =
         sim::run_async(inst, *delays, fam.centers_awake(), spec.seed,
-                       sim::process_kernel(lb::beta_probing_factory(beta)));
+                       lb::beta_probing_kernel(beta));
     RISE_CHECK_MSG(lb::nih_correct_count(report.result, inst, fam) == n,
                    "a center mis-identified its crucial neighbor");
     return report;

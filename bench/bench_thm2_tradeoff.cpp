@@ -40,8 +40,7 @@ runner::TrialFn bcast_trial(unsigned k, std::uint64_t q) {
     const auto delays = sim::unit_delay();
     report.result = sim::run_async(
         inst, *delays, fam.family.centers_awake(), spec.seed,
-        sim::process_kernel(
-            lb::nih_reduction_factory(lb::centers_broadcast_factory())));
+        lb::nih_kernel(lb::TtlFloodKernel(1)));
     RISE_CHECK_MSG(
         lb::nih_correct_count(report.result, inst, fam.family) == fam.family.n,
         "a center mis-identified its crucial neighbor");
@@ -94,7 +93,7 @@ void crossover(unsigned k, std::uint64_t q) {
   const auto delays = sim::unit_delay();
   const auto bcast =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 3,
-                     sim::process_kernel(lb::centers_broadcast_factory()));
+                     lb::centers_broadcast_kernel());
   const auto dfs = sim::run_async(inst, *delays, fam.family.centers_awake(),
                                   3, algo::ranked_dfs_kernel());
   std::printf(

@@ -42,7 +42,7 @@ int main() {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(advised, *delays, fam.centers_awake(), beta,
-                       sim::process_kernel(lb::beta_probing_factory(beta)));
+                       lb::beta_probing_kernel(beta));
     const double n = fam.n;
     std::printf("%8u %14llu %20.0f\n", beta,
                 static_cast<unsigned long long>(result.metrics.messages),
@@ -59,7 +59,7 @@ int main() {
   const auto delays = sim::unit_delay();
   const auto fast =
       sim::run_async(kt1_inst, *delays, kt1.family.centers_awake(), 3,
-                     sim::process_kernel(lb::centers_broadcast_factory()));
+                     lb::centers_broadcast_kernel());
   const auto slow = sim::run_async(kt1_inst, *delays,
                                    kt1.family.centers_awake(), 3,
                                    algo::ranked_dfs_kernel());

@@ -15,6 +15,32 @@ namespace rise::algo {
 /// Message type tag used by flooding wake-up messages.
 inline constexpr std::uint32_t kFloodWake = 0x0F10;
 
+/// Flooding is stateless: a node broadcasts once, from on_wake. In the
+/// header so wrappers (lb::NihKernel) can hold it.
+struct FloodingKernel {
+  void reset(const sim::Instance&, sim::RunWorkspace*) {}
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause) {
+    obs::NodeProbe probe = ctx.probe();
+    probe.phase("flood");
+    probe.count("flood.broadcasts");
+    // A single O(1)-bit wake-up signal on every port.
+    ctx.broadcast(sim::make_message(kFloodWake, {}, 8));
+  }
+
+  template <class Ctx>
+  void on_message(Ctx&, const sim::Incoming&) {
+    // Receiving a message already woke us (triggering on_wake); nothing else
+    // to do.
+  }
+
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
+    for (const sim::Incoming& in : inbox) on_message(ctx, in);
+  }
+};
+
 /// Flooding as a flat kernel: allocation-free in steady state, which makes
 /// it the million-node workload.
 sim::KernelRunner flooding_kernel();

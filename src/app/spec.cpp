@@ -345,8 +345,8 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     expect_fields(f, 2, spec);
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
-    setup.kernel = sim::process_kernel(
-        lb::ttl_flood_factory(to_bounded<std::uint32_t>(f[1], "ttl")));
+    setup.kernel =
+        lb::ttl_flood_kernel(to_bounded<std::uint32_t>(f[1], "ttl"));
     return setup;
   }
   if (kind == "fip06") {
@@ -396,7 +396,7 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
     setup.oracle = lb::beta_probing_oracle(beta);
-    setup.kernel = sim::process_kernel(lb::beta_probing_factory(beta));
+    setup.kernel = lb::beta_probing_kernel(beta);
     return setup;
   }
   RISE_CHECK_MSG(false, "unknown algorithm '" << kind

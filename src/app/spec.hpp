@@ -32,12 +32,12 @@
 #include "obs/probe.hpp"
 #include "obs/profile.hpp"
 #include "sim/adversary.hpp"
+#include "sim/context.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
-#include "sim/process.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
 
@@ -52,8 +52,8 @@ std::unique_ptr<sim::DelayPolicy> parse_delay_spec(const std::string& spec,
                                                    std::uint64_t seed);
 
 /// A fully-specified algorithm: model requirements, optional oracle, and the
-/// kernel that runs it (sim/kernel.hpp). The diagnostic lower-bound
-/// algorithms (ttl, beta) are Processes wrapped by sim::process_kernel.
+/// kernel that runs it (sim/kernel.hpp), for the built-in families and the
+/// diagnostic lower-bound algorithms (ttl, beta) alike.
 struct AlgorithmSetup {
   std::string name;
   sim::Knowledge knowledge = sim::Knowledge::KT0;

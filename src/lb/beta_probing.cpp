@@ -1,6 +1,7 @@
 #include "lb/beta_probing.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -45,11 +46,24 @@ class BetaProbingOracle final : public advice::AdvisingOracle {
   unsigned beta_;
 };
 
-class BetaProbingProcess final : public sim::Process {
+/// Centers probe the ports their advice prefix allows; a degree-1 node
+/// answers its first probe.
+class BetaProbingKernel {
  public:
-  explicit BetaProbingProcess(unsigned beta) : beta_(beta) {}
+  explicit BetaProbingKernel(unsigned beta) : beta_(beta) {}
 
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
+  struct State {
+    bool replied = false;
+  };
+  using States = std::vector<State>;
+
+  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
+    states_ = &sim::acquire_kernel_state(workspace, own_);
+    states_->assign(instance.num_nodes(), State{});
+  }
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause cause) {
     if (cause != sim::WakeCause::kAdversary || ctx.advice().empty()) {
       return;  // only the (awake-at-start) centers act spontaneously
     }
@@ -73,14 +87,17 @@ class BetaProbingProcess final : public sim::Process {
     }
   }
 
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
+  template <class Ctx>
+  void on_message(Ctx& ctx, const sim::Incoming& in) {
     switch (in.msg.type) {
-      case kProbe:
-        if (ctx.degree() == 1 && !replied_) {
-          replied_ = true;
+      case kProbe: {
+        State& self = (*states_)[ctx.node()];
+        if (ctx.degree() == 1 && !self.replied) {
+          self.replied = true;
           ctx.send(in.port, sim::make_message(kIAmLeaf, {}, 8));
         }
         break;
+      }
       case kIAmLeaf:
         ctx.set_output(in.port);  // found the crucial neighbor's port
         break;
@@ -92,9 +109,15 @@ class BetaProbingProcess final : public sim::Process {
     }
   }
 
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
+    for (const sim::Incoming& in : inbox) on_message(ctx, in);
+  }
+
  private:
   unsigned beta_;
-  bool replied_ = false;
+  States own_;
+  States* states_ = nullptr;
 };
 
 }  // namespace
@@ -103,15 +126,12 @@ std::unique_ptr<advice::AdvisingOracle> beta_probing_oracle(unsigned beta) {
   return std::make_unique<BetaProbingOracle>(beta);
 }
 
-sim::ProcessFactory beta_probing_factory(unsigned beta) {
-  return [beta](sim::NodeId) {
-    return std::make_unique<BetaProbingProcess>(beta);
-  };
+sim::KernelRunner beta_probing_kernel(unsigned beta) {
+  return sim::make_kernel(BetaProbingKernel(beta));
 }
 
 advice::AdvisingScheme beta_probing_scheme(unsigned beta) {
-  return {beta_probing_oracle(beta),
-          sim::process_kernel(beta_probing_factory(beta))};
+  return {beta_probing_oracle(beta), beta_probing_kernel(beta)};
 }
 
 }  // namespace rise::lb

@@ -30,7 +30,7 @@ inline constexpr std::uint32_t kBroadcastWake = 0x0B09;
 std::unique_ptr<advice::AdvisingOracle> beta_probing_oracle(unsigned beta);
 
 /// The probing algorithm; `beta` must match the oracle's.
-sim::ProcessFactory beta_probing_factory(unsigned beta);
+sim::KernelRunner beta_probing_kernel(unsigned beta);
 
 advice::AdvisingScheme beta_probing_scheme(unsigned beta);
 

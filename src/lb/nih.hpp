@@ -8,20 +8,101 @@
 // W nodes in both families) answers its first incoming message with a
 // special response, from which the center reads off the port/ID.
 //
-// nih_reduction_factory wraps an arbitrary wake-up ProcessFactory in exactly
-// that transformation, making the reduction itself a tested artifact.
+// NihKernel wraps an arbitrary wake-up kernel in exactly that
+// transformation, making the reduction itself a tested artifact.
 #pragma once
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "lb/lower_bound_graphs.hpp"
+#include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
-#include "sim/process.hpp"
 
 namespace rise::lb {
 
 inline constexpr std::uint32_t kNihResponse = 0x017E;
 
-/// Lemma 1: wrap a wake-up algorithm into an NIH solver.
-sim::ProcessFactory nih_reduction_factory(sim::ProcessFactory inner);
+/// Lemma 1 over any kernel `Inner`: response messages are intercepted
+/// before the inner algorithm sees them, everything else is forwarded.
+template <class Inner>
+class NihKernel {
+ public:
+  explicit NihKernel(Inner inner) : inner_(std::move(inner)) {}
+
+  /// Its own slot type, never shared with the inner kernel's state.
+  struct State {
+    bool responded = false;
+  };
+  using States = std::vector<State>;
+
+  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
+    states_ = &sim::acquire_kernel_state(workspace, own_);
+    states_->assign(instance.num_nodes(), State{});
+    inner_.reset(instance, workspace);
+  }
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+    inner_.on_wake(ctx, cause);
+  }
+
+  template <class Ctx>
+  void on_message(Ctx& ctx, const sim::Incoming& in) {
+    if (!intercept(ctx, in)) inner_.on_message(ctx, in);
+  }
+
+  /// Chunks of a round-parallel step call this on several threads, so the
+  /// filtered inbox lives in a thread_local scratch, not in the kernel.
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
+    bool any_response = false;
+    for (const sim::Incoming& in : inbox) any_response |= intercept(ctx, in);
+    if (!any_response) {
+      inner_.on_round(ctx, inbox);
+      return;
+    }
+    thread_local std::vector<sim::Incoming> forwarded;
+    forwarded.clear();
+    for (const sim::Incoming& in : inbox) {
+      if (in.msg.type != kNihResponse) forwarded.push_back(in);
+    }
+    inner_.on_round(ctx, forwarded);
+  }
+
+ private:
+  /// Records a response's answer (port under KT0, neighbor ID under KT1)
+  /// and returns true: responses are outside the inner algorithm. Any other
+  /// message makes a degree-1 node answer, once, and returns false.
+  template <class Ctx>
+  bool intercept(Ctx& ctx, const sim::Incoming& in) {
+    if (in.msg.type == kNihResponse) {
+      if (ctx.knowledge() == sim::Knowledge::KT0) {
+        ctx.set_output(in.port);
+      } else {
+        ctx.set_output(ctx.neighbor_labels()[in.port]);
+      }
+      return true;
+    }
+    State& self = (*states_)[ctx.node()];
+    if (ctx.degree() == 1 && !self.responded) {
+      self.responded = true;
+      ctx.send(in.port, sim::make_message(kNihResponse, {}, 8));
+    }
+    return false;
+  }
+
+  Inner inner_;
+  States own_;
+  States* states_ = nullptr;
+};
+
+/// Lemma 1: wrap a wake-up kernel into an NIH solver.
+template <class Inner>
+sim::KernelRunner nih_kernel(Inner inner) {
+  return sim::make_kernel(NihKernel<Inner>(std::move(inner)));
+}
 
 /// Expected NIH outputs for every center (port of w_i under KT0, ID of w_i
 /// under KT1); indexed by center index i in [0, n).

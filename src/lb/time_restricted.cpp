@@ -2,44 +2,10 @@
 
 namespace rise::lb {
 
-namespace {
+sim::KernelRunner centers_broadcast_kernel() { return ttl_flood_kernel(1); }
 
-class TtlFlood final : public sim::Process {
- public:
-  explicit TtlFlood(std::uint32_t ttl) : ttl_(ttl) {}
-
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause == sim::WakeCause::kAdversary && ttl_ > 0) {
-      send_all(ctx, ttl_, sim::kInvalidPort);
-    }
-  }
-
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    const auto ttl = static_cast<std::uint32_t>(in.msg.payload[0]);
-    if (done_ || ttl <= 1) return;
-    done_ = true;
-    send_all(ctx, ttl - 1, in.port);
-  }
-
- private:
-  void send_all(sim::Context& ctx, std::uint32_t ttl, sim::Port skip) {
-    const sim::Message msg =
-        sim::make_message(kTimedWake, {ttl}, 8 + ctx.label_bits());
-    for (sim::Port p = 0; p < ctx.degree(); ++p) {
-      if (p != skip) ctx.send(p, msg);
-    }
-  }
-
-  std::uint32_t ttl_;
-  bool done_ = false;
-};
-
-}  // namespace
-
-sim::ProcessFactory centers_broadcast_factory() { return ttl_flood_factory(1); }
-
-sim::ProcessFactory ttl_flood_factory(std::uint32_t ttl) {
-  return [ttl](sim::NodeId) { return std::make_unique<TtlFlood>(ttl); };
+sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl) {
+  return sim::make_kernel(TtlFloodKernel(ttl));
 }
 
 }  // namespace rise::lb

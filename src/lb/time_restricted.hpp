@@ -10,18 +10,71 @@
 // hop-count TTL), interpolating between broadcast and full flooding.
 #pragma once
 
-#include "sim/process.hpp"
+#include <vector>
+
+#include "sim/kernel.hpp"
 
 namespace rise::lb {
 
 inline constexpr std::uint32_t kTimedWake = 0x07F1;
 
+/// Flooding with a TTL: adversary-woken nodes send TTL = ttl; receivers
+/// rebroadcast once, with TTL-1, while that stays positive. ttl = 1 is the
+/// centers broadcast. In the header so nih_kernel can wrap it.
+class TtlFloodKernel {
+ public:
+  explicit TtlFloodKernel(std::uint32_t ttl) : ttl_(ttl) {}
+
+  struct State {
+    bool done = false;
+  };
+  using States = std::vector<State>;
+
+  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
+    states_ = &sim::acquire_kernel_state(workspace, own_);
+    states_->assign(instance.num_nodes(), State{});
+  }
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+    if (cause == sim::WakeCause::kAdversary && ttl_ > 0) {
+      send_all(ctx, ttl_, sim::kInvalidPort);
+    }
+  }
+
+  template <class Ctx>
+  void on_message(Ctx& ctx, const sim::Incoming& in) {
+    const auto ttl = static_cast<std::uint32_t>(in.msg.payload[0]);
+    State& self = (*states_)[ctx.node()];
+    if (self.done || ttl <= 1) return;
+    self.done = true;
+    send_all(ctx, ttl - 1, in.port);
+  }
+
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
+    for (const sim::Incoming& in : inbox) on_message(ctx, in);
+  }
+
+ private:
+  template <class Ctx>
+  static void send_all(Ctx& ctx, std::uint32_t ttl, sim::Port skip) {
+    const sim::Message msg =
+        sim::make_message(kTimedWake, {ttl}, 8 + ctx.label_bits());
+    for (sim::Port p = 0; p < ctx.degree(); ++p) {
+      if (p != skip) ctx.send(p, msg);
+    }
+  }
+
+  std::uint32_t ttl_;
+  States own_;
+  States* states_ = nullptr;
+};
+
 /// Adversary-woken nodes broadcast once; everyone else stays silent. A
 /// 1-time-unit wake-up algorithm whenever the awake set is dominating.
-sim::ProcessFactory centers_broadcast_factory();
+sim::KernelRunner centers_broadcast_kernel();
 
-/// Flooding with a TTL: adversary-woken nodes send TTL = ttl; receivers
-/// rebroadcast with TTL-1 while positive. ttl = 1 equals centers_broadcast.
-sim::ProcessFactory ttl_flood_factory(std::uint32_t ttl);
+sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl);
 
 }  // namespace rise::lb

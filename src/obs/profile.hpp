@@ -179,8 +179,9 @@ std::string format_profile(const RunProfile& p, std::size_t top_n = 8);
 std::string format_aggregate(const ProfileAggregate& a, std::size_t top_n = 8);
 
 /// Pretty-prints a parsed profile document — either kind ("run_profile" or
-/// "profile_aggregate"); used by `rise_cli profile FILE`. Throws CheckError
-/// on documents that are neither.
+/// "profile_aggregate"); used by `rise_cli profile FILE`. A run_profile
+/// prints exactly as format_profile of the profile it was written from.
+/// Throws CheckError on documents that are neither.
 std::string format_profile_document(const json::Value& doc,
                                     std::size_t top_n = 8);
 

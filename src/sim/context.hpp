@@ -1,17 +1,15 @@
-// The distributed-algorithm programming model.
+// What an algorithm sees of the model: the node Context.
 //
-// A Process is the per-node algorithm instance: the extension API for
-// algorithms outside the built-in families, which are flat kernels
-// (sim/kernel.hpp). sim::process_kernel(factory) runs Processes on either
-// engine. The engine calls
+// Every algorithm is a kernel (sim/kernel.hpp) whose hooks the engine
+// calls with the node's context:
 //   * on_wake     — exactly once, when the node transitions from asleep to
 //                   awake (either by the adversary or by a first message);
 //   * on_message  — (asynchronous engine) for every delivered message;
 //   * on_round    — (synchronous engine) once per round for every node that
 //                   has work: a non-empty inbox, a fresh wake-up, or a
-//                   requested tick. The default implementation forwards each
-//                   inbox message to on_message, so message-driven algorithms
-//                   run unchanged under both engines.
+//                   requested tick. Message-driven kernels forward each
+//                   inbox message to on_message, so they run unchanged under
+//                   both engines.
 //
 // The Context exposes exactly the knowledge the model grants: the node's own
 // ID, its degree and ports, its neighbors' IDs only under KT1, its advice
@@ -33,8 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <span>
 
 #include "obs/probe.hpp"
@@ -131,20 +127,5 @@ inline void Context::sleep_until(Time /*round*/) {
                  "sleep_until requires the synchronous engine with "
                  "SyncRunLimits::sleeping_model enabled");
 }
-
-class Process {
- public:
-  virtual ~Process() = default;
-
-  virtual void on_wake(Context& ctx, WakeCause cause) = 0;
-  virtual void on_message(Context& ctx, const Incoming& in) = 0;
-
-  virtual void on_round(Context& ctx, std::span<const Incoming> inbox) {
-    for (const Incoming& in : inbox) on_message(ctx, in);
-  }
-};
-
-/// Creates the per-node process; called once per node before the run.
-using ProcessFactory = std::function<std::unique_ptr<Process>(NodeId)>;
 
 }  // namespace rise::sim

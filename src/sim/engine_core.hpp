@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "obs/probe.hpp"
+#include "sim/context.hpp"
 #include "sim/instance.hpp"
 #include "sim/metrics.hpp"
-#include "sim/process.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
 #include "support/check.hpp"

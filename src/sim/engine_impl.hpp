@@ -10,9 +10,8 @@
 // The handler is a kernel (sim/kernel.hpp): per-family node state in flat
 // vectors, with hooks that are templates over the final context types
 // below, so every ctx call the algorithm makes devirtualizes and inlines
-// into the loop. Virtual Processes (extension algorithms, test fakes) run
-// through the same loops as one more kernel, ProcessKernel, which forwards
-// each hook to the node's Process.
+// into the loop. Every algorithm — built-in family, lower-bound algorithm,
+// wrapper or test fake — is such a kernel.
 #pragma once
 
 #include <algorithm>

@@ -14,10 +14,10 @@
 // A kernel is its own engine Handler (sim/engine_impl.hpp): the hooks are
 // templates over the engine's final context type, so every ctx.send /
 // ctx.rng / state access inlines into the event loop — no vtable on either
-// side of the hot path. Every built-in family and advice scheme is a
-// kernel. A virtual Process (sim/process.hpp) — the extension API for
-// lower-bound algorithms, examples and test fakes — runs as one more
-// kernel through process_kernel().
+// side of the hot path. Kernels are the one way to write an algorithm: the
+// built-in families, the advice schemes, the lower-bound algorithms (lb/),
+// and test fakes alike. A kernel that wraps another (lb::NihKernel) holds
+// the inner kernel by value and forwards the hooks it does not intercept.
 //
 // KernelRunner type-erases a kernel behind two std::functions so app-layer
 // code (PreparedExperiment, rise_cli) can carry "how to run this family"
@@ -35,11 +35,11 @@
 
 #include "sim/adversary.hpp"
 #include "sim/async_engine.hpp"
+#include "sim/context.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/engine_impl.hpp"
 #include "sim/instance.hpp"
 #include "sim/metrics.hpp"
-#include "sim/process.hpp"
 #include "sim/sync_engine.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
@@ -99,6 +99,8 @@ class KernelRunner {
 /// Binds a kernel's state vector to the workspace's type-tagged slot for
 /// its family so runs of the same family reuse capacity; without a
 /// workspace the kernel's own member storage is used. Call from K::reset.
+/// Slots are keyed by typeid(State), so every kernel — a wrapper and the
+/// kernel it wraps included — needs a State type of its own.
 template <class State>
 State& acquire_kernel_state(RunWorkspace* workspace, State& fallback) {
   if (workspace == nullptr) return fallback;
@@ -141,14 +143,6 @@ KernelRunner make_kernel(K prototype) {
   };
   return KernelRunner(std::move(async_fn), std::move(sync_fn));
 }
-
-/// Runs per-node virtual Processes as a kernel: the factory is called for
-/// every node, in id order, at the start of each run, and each hook is
-/// forwarded to the node's Process. The Process objects live in the
-/// workspace's kernel-state slot for this type, so back-to-back runs reuse
-/// the vector. `factory` must be safe to call from the worker threads that
-/// run the returned KernelRunner concurrently.
-KernelRunner process_kernel(ProcessFactory factory);
 
 /// One-call conveniences: run `kernel` once without a workspace.
 RunResult run_async(const Instance& instance, const DelayPolicy& delays,

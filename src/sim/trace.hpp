@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/context.hpp"
 #include "sim/message.hpp"
-#include "sim/process.hpp"
 #include "sim/types.hpp"
 
 namespace rise::sim {

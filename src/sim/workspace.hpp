@@ -22,10 +22,10 @@
 #include <vector>
 
 #include "obs/probe.hpp"
+#include "sim/context.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/message.hpp"
 #include "sim/metrics.hpp"
-#include "sim/process.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -147,10 +147,11 @@ struct RunWorkspace {
   SyncBuffers sync;
 
   // Kernel storage (sim/kernel.hpp): type-tagged slots holding the flat
-  // node-state vectors of the most recently run algorithm families (the
-  // Process adapter's per-node objects among them), most recent first, so
-  // kernel runs reuse their capacity even when a few families alternate on
-  // one workspace (a mixed campaign grid, a benchmark rotation). At most
+  // node-state vectors of the most recently run algorithm families, most
+  // recent first, so kernel runs reuse their capacity even when a few
+  // families alternate on one workspace (a mixed campaign grid, a benchmark
+  // rotation). A wrapping kernel (lb::NihKernel) holds a slot of its own
+  // next to its inner kernel's, keyed by its own State type. At most
   // kKernelStateSlots are kept; the oldest is dropped.
   struct KernelStateSlot {
     const std::type_info* type = nullptr;

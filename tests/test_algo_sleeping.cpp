@@ -174,12 +174,11 @@ TEST(SleepingMatching, ValidOnCatalogGraphsAcrossSchedulesAndSeeds) {
 // ---- sleep_until misuse guards -------------------------------------------
 
 /// Calls sleep_until with a caller-chosen target policy on its wake round.
-struct SleepAbuser final : sim::Process {
-  enum class Abuse { kPastTarget, kCurrentRound, kRedeclare, kLegal };
-  explicit SleepAbuser(Abuse abuse) : abuse_(abuse) {}
+enum class Abuse { kPastTarget, kCurrentRound, kRedeclare, kLegal };
 
-  void on_wake(sim::Context& ctx, sim::WakeCause) override {
-    switch (abuse_) {
+sim::KernelRunner abuser_kernel(Abuse abuse) {
+  return test::lambda_kernel([abuse](auto& ctx, sim::WakeCause) {
+    switch (abuse) {
       case Abuse::kPastTarget:
         ctx.sleep_until(0);
         break;
@@ -194,16 +193,6 @@ struct SleepAbuser final : sim::Process {
         ctx.sleep_until(ctx.now() + 2);
         break;
     }
-  }
-  void on_message(sim::Context&, const sim::Incoming&) override {}
-
- private:
-  Abuse abuse_;
-};
-
-sim::KernelRunner abuser_kernel(SleepAbuser::Abuse abuse) {
-  return sim::process_kernel([abuse](sim::NodeId) {
-    return std::make_unique<SleepAbuser>(abuse);
   });
 }
 
@@ -212,20 +201,19 @@ TEST(SleepUntil, RequiresTheSleepingModel) {
   const auto inst = test::make_instance(g, Knowledge::KT0);
   // Synchronous engine without sleeping_model: the engine context refuses.
   EXPECT_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
-                             abuser_kernel(SleepAbuser::Abuse::kLegal)),
+                             abuser_kernel(Abuse::kLegal)),
                CheckError);
   // Asynchronous engine: the Context default refuses.
   EXPECT_THROW(test::run_async_unit(inst, sim::wake_single(0),
-                                    abuser_kernel(SleepAbuser::Abuse::kLegal)),
+                                    abuser_kernel(Abuse::kLegal)),
                CheckError);
 }
 
 TEST(SleepUntil, RejectsNonFutureTargetsAndRedeclaration) {
   const auto g = graph::path(4);
   const auto inst = test::make_instance(g, Knowledge::KT0);
-  for (auto abuse : {SleepAbuser::Abuse::kPastTarget,
-                     SleepAbuser::Abuse::kCurrentRound,
-                     SleepAbuser::Abuse::kRedeclare}) {
+  for (auto abuse :
+       {Abuse::kPastTarget, Abuse::kCurrentRound, Abuse::kRedeclare}) {
     EXPECT_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
                                abuser_kernel(abuse), sleeping_limits()),
                  CheckError)
@@ -233,39 +221,39 @@ TEST(SleepUntil, RejectsNonFutureTargetsAndRedeclaration) {
   }
   // The legal declaration runs clean under the sleeping model.
   EXPECT_NO_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
-                                abuser_kernel(SleepAbuser::Abuse::kLegal),
+                                abuser_kernel(Abuse::kLegal),
                                 sleeping_limits()));
 }
 
 // A declared-sleeping node is not stepped during its nap, resumes exactly at
 // the declared round, and the messages that arrived mid-nap are dropped
 // (send charged, no delivery).
-struct NapObserver final : sim::Process {
-  void on_wake(sim::Context& ctx, sim::WakeCause) override {
-    if (ctx.my_label() == 1) {
-      // The observer naps through rounds 1..3 and resumes at round 4.
-      ctx.sleep_until(ctx.now() + 4);
-    }
-  }
-  void on_message(sim::Context&, const sim::Incoming&) override {}
-  void on_round(sim::Context& ctx, std::span<const sim::Incoming>) override {
-    if (ctx.my_label() == 1) {
-      // First step after the wake round is the nap's declared resume round.
-      if (ctx.now() > 0 && !resumed_) {
-        resumed_ = true;
-        ctx.set_output(ctx.now());
-      }
-      return;
-    }
-    // The pinger sends to the observer every round for six rounds.
-    if (ctx.local_round() <= 6) {
-      ctx.send(0, sim::make_message(1, {}, 1));
-      ctx.request_tick();
-    }
-  }
-
-  bool resumed_ = false;
-};
+sim::KernelRunner nap_observer_kernel() {
+  return test::lambda_kernel(
+      [](auto& ctx, sim::WakeCause) {
+        if (ctx.my_label() == 1) {
+          // The observer naps through rounds 1..3 and resumes at round 4.
+          ctx.sleep_until(ctx.now() + 4);
+        }
+      },
+      test::NoHook{},
+      [resumed = false](auto& ctx, std::span<const sim::Incoming>) mutable {
+        if (ctx.my_label() == 1) {
+          // First step after the wake round is the nap's declared resume
+          // round.
+          if (ctx.now() > 0 && !resumed) {
+            resumed = true;
+            ctx.set_output(ctx.now());
+          }
+          return;
+        }
+        // The pinger sends to the observer every round for six rounds.
+        if (ctx.local_round() <= 6) {
+          ctx.send(0, sim::make_message(1, {}, 1));
+          ctx.request_tick();
+        }
+      });
+}
 
 TEST(SleepUntil, NapsDropMessagesAndResumeOnTime) {
   // Two nodes, both woken at round 0: node 0 (label 1 — random_labels off)
@@ -278,9 +266,7 @@ TEST(SleepUntil, NapsDropMessagesAndResumeOnTime) {
   const auto inst = sim::Instance::create(g, opt, rng);
   const auto r =
       sim::run_sync(inst, sim::wake_all(2), 3,
-                    sim::process_kernel([](sim::NodeId) {
-                      return std::make_unique<NapObserver>();
-                    }),
+                    nap_observer_kernel(),
                     sleeping_limits());
   // The observer's first post-wake step is exactly the declared round 4.
   EXPECT_EQ(r.outputs[0], 4u);

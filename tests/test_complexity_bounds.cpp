@@ -110,7 +110,7 @@ TEST_P(BetaSweep, Theorem1CurveFromAchievableSide) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.centers_awake(), 1,
-                     sim::process_kernel(lb::beta_probing_factory(beta)));
+                     lb::beta_probing_kernel(beta));
   ASSERT_TRUE(result.all_awake());
   const double per_center =
       std::ceil(static_cast<double>(n + 1) / (1u << beta));

@@ -16,7 +16,7 @@ sim::RunResult run_scheme(const LowerBoundFamily& fam, unsigned beta,
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.centers_awake(), seed,
-                     sim::process_kernel(beta_probing_factory(beta)));
+                     beta_probing_kernel(beta));
   if (out_inst != nullptr) *out_inst = std::move(inst);
   return result;
 }

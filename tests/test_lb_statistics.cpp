@@ -27,7 +27,7 @@ TEST(Theorem1Statistics, ProbingCostConcentratesOnTheCurve) {
       const auto delays = sim::unit_delay();
       const auto result =
           sim::run_async(inst, *delays, fam.centers_awake(), seed,
-                         sim::process_kernel(beta_probing_factory(beta)));
+                         beta_probing_kernel(beta));
       ASSERT_TRUE(result.all_awake());
       const double curve =
           2.0 * n * std::ceil(static_cast<double>(n + 1) / (1u << beta));
@@ -51,7 +51,7 @@ TEST(Theorem1Statistics, NihAlwaysSolvedRegardlessOfPorts) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.centers_awake(), seed,
-                       sim::process_kernel(beta_probing_factory(3)));
+                       beta_probing_kernel(3));
     EXPECT_EQ(nih_correct_count(result, inst, fam), n) << "seed " << seed;
   }
 }
@@ -67,7 +67,7 @@ TEST(Theorem2Statistics, BroadcastCostIsIdPermutationInvariant) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), seed,
-                       sim::process_kernel(centers_broadcast_factory()));
+                       centers_broadcast_kernel());
     ASSERT_TRUE(result.all_awake());
     msgs.add(static_cast<double>(result.metrics.messages));
   }
@@ -88,7 +88,7 @@ TEST(Theorem2Statistics, ExponentEstimateMatchesOneOverK) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), q,
-                       sim::process_kernel(centers_broadcast_factory()));
+                       centers_broadcast_kernel());
     log_n.push_back(std::log(static_cast<double>(fam.family.n)));
     log_m.push_back(std::log(static_cast<double>(result.metrics.messages)));
   }

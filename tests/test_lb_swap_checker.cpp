@@ -15,52 +15,41 @@
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
+#include "test_util.hpp"
 
 namespace rise::lb {
 namespace {
 
 /// Sends nothing; outputs the smallest neighbor ID as its NIH guess.
-class GuessSmallest final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause) override {
+sim::KernelRunner guess_kernel() {
+  return test::lambda_kernel([](auto& ctx, sim::WakeCause) {
     const auto labels = ctx.neighbor_labels();
     if (labels.empty()) return;
     ctx.set_output(*std::min_element(labels.begin(), labels.end()));
-  }
-  void on_message(sim::Context&, const sim::Incoming&) override {}
-};
+  });
+}
 
 /// A deterministic 2-time-unit strategy: each center probes exactly its
 /// odd-ID neighbors; a degree-1 node replies, which identifies it. Solves
 /// NIH iff the crucial neighbor's ID is odd.
-class ParityProbe final : public sim::Process {
- public:
-  void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-    if (cause != sim::WakeCause::kAdversary) return;
-    const auto labels = ctx.neighbor_labels();
-    for (sim::Port p = 0; p < labels.size(); ++p) {
-      if (labels[p] % 2 == 1) {
-        ctx.send(p, sim::make_message(1, {}, 8));
-      }
-    }
-  }
-  void on_message(sim::Context& ctx, const sim::Incoming& in) override {
-    if (in.msg.type == 1 && ctx.degree() == 1) {
-      ctx.send(in.port, sim::make_message(2, {}, 8));
-    } else if (in.msg.type == 2) {
-      ctx.set_output(ctx.neighbor_labels()[in.port]);
-    }
-  }
-};
-
-sim::KernelRunner guess_kernel() {
-  return sim::process_kernel(
-      [](graph::NodeId) { return std::make_unique<GuessSmallest>(); });
-}
-
 sim::KernelRunner parity_kernel() {
-  return sim::process_kernel(
-      [](graph::NodeId) { return std::make_unique<ParityProbe>(); });
+  return test::lambda_kernel(
+      [](auto& ctx, sim::WakeCause cause) {
+        if (cause != sim::WakeCause::kAdversary) return;
+        const auto labels = ctx.neighbor_labels();
+        for (sim::Port p = 0; p < labels.size(); ++p) {
+          if (labels[p] % 2 == 1) {
+            ctx.send(p, sim::make_message(1, {}, 8));
+          }
+        }
+      },
+      [](auto& ctx, const sim::Incoming& in) {
+        if (in.msg.type == 1 && ctx.degree() == 1) {
+          ctx.send(in.port, sim::make_message(2, {}, 8));
+        } else if (in.msg.type == 2) {
+          ctx.set_output(ctx.neighbor_labels()[in.port]);
+        }
+      });
 }
 
 TEST(SwapChecker, SilentAlgorithmCannotBeRightTwice) {
@@ -155,7 +144,7 @@ TEST(SwapChecker, TracedEdgesMatchMessageCount) {
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto t =
       run_and_trace_sync(inst, fam.family.centers_awake(), 3,
-                         sim::process_kernel(centers_broadcast_factory()));
+                         centers_broadcast_kernel());
   // Centers broadcast over every incident edge: all V-incident edges used.
   std::size_t v_incident = 0;
   for (graph::NodeId i = 0; i < fam.family.n; ++i) {

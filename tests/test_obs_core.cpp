@@ -251,7 +251,8 @@ obs::RunProfile sample_profile() {
 }
 
 TEST(ProfileJson, RoundTripsThroughTheRepoParser) {
-  const obs::RunProfile p = sample_profile();
+  obs::RunProfile p = sample_profile();
+  p.timers.push_back({"engine.run", 1, 0.0125, 3});
   const std::string text = obs::profile_to_json(p);
   const json::Value doc = json::parse(text);
   EXPECT_EQ(doc.at("kind").string, "run_profile");
@@ -272,9 +273,11 @@ TEST(ProfileJson, RoundTripsThroughTheRepoParser) {
   // Determinism: serializing the same profile twice is byte-identical.
   EXPECT_EQ(text, obs::profile_to_json(p));
 
-  // The CLI pretty-printer accepts the parsed document.
-  const std::string pretty = obs::format_profile_document(doc);
-  EXPECT_NE(pretty.find("flood"), std::string::npos);
+  // `rise_cli profile FILE` prints the parsed document exactly as the
+  // in-process `--profile` print shows the profile (sync/async tag,
+  // deliveries, classes and timers included).
+  EXPECT_EQ(obs::format_profile_document(doc), obs::format_profile(p));
+  EXPECT_EQ(obs::format_profile_document(doc, 1), obs::format_profile(p, 1));
   EXPECT_THROW(obs::format_profile_document(json::parse("{\"kind\":\"x\"}")),
                CheckError);
 }

@@ -76,25 +76,17 @@ TEST_P(DelayPolicySweep, FifoHolds) {
   const auto g = graph::path(2);
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   std::vector<std::uint64_t> log;
-  const auto kernel = sim::process_kernel([&log](graph::NodeId node) {
-    class P final : public sim::Process {
-     public:
-      P(std::vector<std::uint64_t>* l, bool sender) : log_(l), sender_(sender) {}
-      void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-        if (sender_ && cause == sim::WakeCause::kAdversary) {
+  const auto kernel = test::lambda_kernel(
+      [](auto& ctx, sim::WakeCause cause) {
+        if (ctx.node() == 0 && cause == sim::WakeCause::kAdversary) {
           for (std::uint64_t i = 0; i < 100; ++i) {
             ctx.send(0, sim::make_message(1, {i}, 32));
           }
         }
-      }
-      void on_message(sim::Context&, const sim::Incoming& in) override {
-        if (!sender_) log_->push_back(in.msg.payload[0]);
-      }
-      std::vector<std::uint64_t>* log_;
-      bool sender_;
-    };
-    return std::make_unique<P>(&log, node == 0);
-  });
+      },
+      [&log](auto& ctx, const sim::Incoming& in) {
+        if (ctx.node() != 0) log.push_back(in.msg.payload[0]);
+      });
   const auto delays = make(GetParam().tau * 7 + 1);
   sim::run_async(inst, *delays, sim::wake_single(0), 1, kernel);
   ASSERT_EQ(log.size(), 100u);
@@ -152,23 +144,13 @@ TEST(FailureInjection, CongestionPenaltyPunishesChattyAlgorithmsOnly) {
   const auto inst = test::make_instance(g, sim::Knowledge::KT1);
   const auto delays = sim::congestion_delay(50);
   sim::Time last = 0;
-  const auto chatty = sim::process_kernel([&last](graph::NodeId node) {
-    class P final : public sim::Process {
-     public:
-      P(sim::Time* l, bool sender) : last_(l), sender_(sender) {}
-      void on_wake(sim::Context& ctx, sim::WakeCause cause) override {
-        if (sender_ && cause == sim::WakeCause::kAdversary) {
+  const auto chatty = test::lambda_kernel(
+      [](auto& ctx, sim::WakeCause cause) {
+        if (ctx.node() == 0 && cause == sim::WakeCause::kAdversary) {
           for (int i = 0; i < 60; ++i) ctx.send(0, sim::make_message(1, {}, 8));
         }
-      }
-      void on_message(sim::Context& ctx, const sim::Incoming&) override {
-        *last_ = ctx.now();
-      }
-      sim::Time* last_;
-      bool sender_;
-    };
-    return std::make_unique<P>(&last, node == 0);
-  });
+      },
+      [&last](auto& ctx, const sim::Incoming&) { last = ctx.now(); });
   sim::run_async(inst, *delays, sim::wake_single(0), 1, chatty);
   // 60 messages with delays 1,2,...,50,50,...: the last lands at tau = 50
   // ticks — fifty times later than under unit delays.

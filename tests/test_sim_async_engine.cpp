@@ -13,28 +13,18 @@
 namespace rise::sim {
 namespace {
 
-/// Sends `count` numbered messages to port 0 on wake; receivers log arrival
-/// order.
-class Numbered final : public Process {
- public:
-  Numbered(int count, std::vector<std::uint64_t>* log)
-      : count_(count), log_(log) {}
-
-  void on_wake(Context& ctx, WakeCause cause) override {
-    if (cause != WakeCause::kAdversary) return;
-    for (int i = 0; i < count_; ++i) {
-      ctx.send(0, make_message(1, {static_cast<std::uint64_t>(i)}, 32));
-    }
-  }
-
-  void on_message(Context&, const Incoming& in) override {
-    if (log_ != nullptr) log_->push_back(in.msg.payload[0]);
-  }
-
- private:
-  int count_;
-  std::vector<std::uint64_t>* log_;
-};
+/// Node 0 sends `count` numbered messages to port 0 on wake; receivers log
+/// arrival order.
+KernelRunner numbered_kernel(int count, std::vector<std::uint64_t>* log) {
+  return test::lambda_kernel(
+      [count](auto& ctx, WakeCause cause) {
+        if (ctx.node() != 0 || cause != WakeCause::kAdversary) return;
+        for (int i = 0; i < count; ++i) {
+          ctx.send(0, make_message(1, {static_cast<std::uint64_t>(i)}, 32));
+        }
+      },
+      [log](auto&, const Incoming& in) { log->push_back(in.msg.payload[0]); });
+}
 
 TEST(AsyncRun, FifoUnderAdversarialDelays) {
   // Random delays would reorder messages without the FIFO clamp.
@@ -42,11 +32,8 @@ TEST(AsyncRun, FifoUnderAdversarialDelays) {
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::vector<std::uint64_t> log;
   const auto delays = random_delay(50, 333);
-  const auto result = run_async(
-      inst, *delays, wake_single(0), 1,
-      process_kernel([&log](graph::NodeId u) {
-        return std::make_unique<Numbered>(u == 0 ? 64 : 0, &log);
-      }));
+  const auto result =
+      run_async(inst, *delays, wake_single(0), 1, numbered_kernel(64, &log));
   ASSERT_EQ(log.size(), 64u);
   for (std::uint64_t i = 0; i < 64; ++i) EXPECT_EQ(log[i], i);
 }
@@ -120,15 +107,9 @@ TEST(AsyncRun, CongestViolationThrows) {
   const Instance inst =
       test::make_instance(g, Knowledge::KT1, Bandwidth::CONGEST);
   const auto delays = unit_delay();
-  const KernelRunner fat = process_kernel([](graph::NodeId) {
-    class Fat final : public Process {
-      void on_wake(Context& ctx, WakeCause) override {
-        std::vector<std::uint64_t> payload(100, 7);
-        ctx.send(0, make_message(9, std::move(payload), 6400));
-      }
-      void on_message(Context&, const Incoming&) override {}
-    };
-    return std::make_unique<Fat>();
+  const KernelRunner fat = test::lambda_kernel([](auto& ctx, WakeCause) {
+    std::vector<std::uint64_t> payload(100, 7);
+    ctx.send(0, make_message(9, std::move(payload), 6400));
   });
   EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, fat), CheckError);
 }
@@ -150,19 +131,15 @@ TEST(AsyncRun, MaxEventsLimitEnforced) {
   const auto g = graph::cycle(4);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   // Ping-pong forever.
-  const KernelRunner pingpong = process_kernel([](graph::NodeId) {
-    class PingPong final : public Process {
-      void on_wake(Context& ctx, WakeCause cause) override {
+  const KernelRunner pingpong = test::lambda_kernel(
+      [](auto& ctx, WakeCause cause) {
         if (cause == WakeCause::kAdversary) {
           ctx.send(0, make_message(1, {}, 8));
         }
-      }
-      void on_message(Context& ctx, const Incoming& in) override {
+      },
+      [](auto& ctx, const Incoming& in) {
         ctx.send(in.port, make_message(1, {}, 8));
-      }
-    };
-    return std::make_unique<PingPong>();
-  });
+      });
   const auto delays = unit_delay();
   RunLimits limits;
   limits.max_events = 1000;
@@ -195,7 +172,7 @@ TEST(AsyncRun, MaxTimeDropsDeliveriesButChargesSends) {
 TEST(AsyncRun, DeliveriesNeverExceedMessagesUnderTruncation) {
   // Sweep truncation horizons over a flooding run: the invariant
   // deliveries <= messages (with equality iff nothing was dropped) must
-  // hold at every horizon. See process.hpp "Dropped-message semantics".
+  // hold at every horizon. See context.hpp "Dropped-message semantics".
   Rng rng(77);
   const auto g = graph::connected_gnp(30, 0.15, rng);
   const Instance inst = test::make_instance(g, Knowledge::KT0);
@@ -228,14 +205,8 @@ TEST(AsyncRun, SlowChannelsDelayPolicyRespectsTau) {
 TEST(AsyncRun, KT0ContextHidesNeighborLabels) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT0);
-  const KernelRunner nosy = process_kernel([](graph::NodeId) {
-    class Nosy final : public Process {
-      void on_wake(Context& ctx, WakeCause) override {
-        ctx.neighbor_labels();  // model violation under KT0
-      }
-      void on_message(Context&, const Incoming&) override {}
-    };
-    return std::make_unique<Nosy>();
+  const KernelRunner nosy = test::lambda_kernel([](auto& ctx, WakeCause) {
+    ctx.neighbor_labels();  // model violation under KT0
   });
   const auto delays = unit_delay();
   EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, nosy), CheckError);

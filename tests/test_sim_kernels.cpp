@@ -8,11 +8,11 @@
 //
 //   * event-queue backend: the calendar queue and the binary heap;
 //   * lock-step replay (force_sync_engine) of the asynchronous families,
-//     pinned against golden hashes;
+//     pinned against golden hashes, and async golden runs of the
+//     lower-bound families (ttl, beta);
 //   * dirty-workspace reuse: one RunWorkspace threaded through interleaved
-//     runs of different families, including a Process family run through
-//     sim::process_kernel, which exercises the typeid-tagged kernel-state
-//     slots and the adapter's recycled Process objects side by side;
+//     runs of different families, which exercises the typeid-tagged
+//     kernel-state slots;
 //   * round-parallel stepping (RunInstruments::trial_jobs): bit-identical
 //     to the serial round for every job count, every sync family, both the
 //     serial chunk executor and a real thread pool, and dirty workspaces.
@@ -28,39 +28,11 @@
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace rise;
-
-/// Serializes everything observable about a run (same notion of
-/// "bit-identical" as test_engine_golden_traces, plus awake accounting).
-std::string digest(const sim::RunResult& r, const std::string& trace) {
-  std::ostringstream os;
-  os << trace << "|";
-  for (auto t : r.wake_time) os << t << ",";
-  os << "|";
-  for (auto o : r.outputs) os << o << ",";
-  os << "|" << r.metrics.messages << "," << r.metrics.bits << ","
-     << r.metrics.deliveries << "," << r.metrics.events << ","
-     << r.metrics.first_wake << "," << r.metrics.last_wake << ","
-     << r.metrics.last_delivery << "," << r.metrics.rounds << ","
-     << r.metrics.tau;
-  for (auto v : r.metrics.sent_per_node) os << "," << v;
-  for (auto v : r.metrics.received_per_node) os << "," << v;
-  os << "|" << r.metrics.sleep_dropped;
-  for (auto v : r.awake_rounds) os << "," << v;
-  return os.str();
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 struct RunConfig {
   sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
@@ -85,7 +57,7 @@ std::string run_digest(const app::ExperimentSpec& spec,
   const app::PreparedExperiment prepared = app::prepare_experiment(spec);
   const app::ExperimentReport report =
       app::execute_prepared(prepared, spec, instruments, config.workspace);
-  return digest(report.result, trace.str());
+  return test::digest(report.result, trace.str());
 }
 
 app::ExperimentSpec make_spec(const std::string& algorithm,
@@ -113,6 +85,7 @@ const std::vector<std::string> kSyncFamilies = {"fast_wakeup", "gossip:3",
 TEST(SimKernels, AsyncFamiliesBucketAndHeapAgree) {
   std::vector<std::string> algos = kAsyncFamilies;
   algos.insert(algos.end(), kAdviceSchemes.begin(), kAdviceSchemes.end());
+  algos.push_back("ttl:4");
   for (const auto& algo : algos) {
     for (std::uint64_t seed : {3u, 11u}) {
       const auto spec = make_spec(algo, seed);
@@ -129,7 +102,8 @@ TEST(SimKernels, AsyncFamiliesBucketAndHeapAgree) {
 // The fuzzer's unit-delay differential runs message-driven algorithms on
 // the lock-step engine (the kernels' on_round forwarding). The hashes were
 // recorded when every family still had a virtual-Process twin and both
-// forms produced them bit for bit.
+// forms produced them bit for bit; the ttl hashes were recorded when ttl
+// was itself a virtual Process.
 TEST(SimKernels, ForcedLockStepMatchesGoldenRuns) {
   const std::vector<std::pair<std::string, std::uint64_t>> golden = {
       {"flooding", 9875078830687610121ULL},
@@ -143,22 +117,45 @@ TEST(SimKernels, ForcedLockStepMatchesGoldenRuns) {
       {"cen_chain", 12791031915888397902ULL},
       {"spanner:2", 2419723305393972931ULL},
       {"cor2", 4239677879883399196ULL},
+      {"ttl:1", 5184304350535612784ULL},
+      {"ttl:4", 3039942570511192185ULL},
   };
   for (const auto& [algo, hash] : golden) {
     auto spec = make_spec(algo, 7);
     spec.delay = "unit";
     RunConfig lock_step;
     lock_step.force_sync_engine = true;
-    EXPECT_EQ(fnv1a(run_digest(spec, lock_step)), hash) << algo;
+    EXPECT_EQ(test::fnv1a(run_digest(spec, lock_step)), hash) << algo;
   }
 }
 
+// The async twin of the table above for ttl, and β-probing (beta:2) on its
+// own family with every center awake, async and lock-step: recorded when
+// ttl and β-probing were virtual Processes.
+TEST(SimKernels, LowerBoundFamiliesMatchGoldenRuns) {
+  const std::vector<std::pair<std::string, std::uint64_t>> golden = {
+      {"ttl:1", 13946353687471664324ULL},
+      {"ttl:4", 17312107704268673144ULL},
+  };
+  for (const auto& [algo, hash] : golden) {
+    EXPECT_EQ(test::fnv1a(run_digest(make_spec(algo, 7), RunConfig{})), hash)
+        << algo;
+  }
+  auto spec = make_spec("beta:2", 7);
+  spec.graph = "kt0family:8";
+  spec.schedule = "set:0,1,2,3,4,5,6,7";
+  EXPECT_EQ(test::fnv1a(run_digest(spec, RunConfig{})),
+            9363955847347464969ULL);
+  spec.delay = "unit";
+  RunConfig lock_step;
+  lock_step.force_sync_engine = true;
+  EXPECT_EQ(test::fnv1a(run_digest(spec, lock_step)), 5132872076694567448ULL);
+}
+
 // One workspace threaded through interleaved runs of different families,
-// with a Process family (ttl:4, through sim::process_kernel) between kernel
-// families: the typeid-tagged kernel-state slots must swap types safely,
-// the adapter's recycled Process objects must survive interleaved kernel
-// runs, and every dirty-workspace digest must equal its fresh-run
-// counterpart.
+// more of them than there are kernel-state slots: the typeid-tagged slots
+// must swap types safely, and every dirty-workspace digest must equal its
+// fresh-run counterpart.
 TEST(SimKernels, DirtyWorkspaceReuseIsBitIdentical) {
   const std::vector<std::string> steps = {
       "flooding", "ranked_dfs", "ttl:4",    "ranked_dfs", "cen",
@@ -303,21 +300,6 @@ TEST(SimKernels, SleepingFloodingSleepingDirtyWorkspaceIsBitIdentical) {
     EXPECT_EQ(run_digest(spec, fresh), run_digest(spec, dirty))
         << step.algo << " trial_jobs=" << step.trial_jobs;
   }
-}
-
-// The diagnostic lower-bound algorithms are Processes: they run through
-// the sim::process_kernel adapter, on both queue backends.
-TEST(SimKernels, KernellessFamiliesStillRun) {
-  auto spec = make_spec("ttl:4", 3);
-  const app::PreparedExperiment prepared = app::prepare_experiment(spec);
-  EXPECT_TRUE(static_cast<bool>(prepared.kernel));
-  RunConfig buckets;
-  buckets.queue_mode = sim::EventQueue::Mode::kBuckets;
-  RunConfig heap;
-  heap.queue_mode = sim::EventQueue::Mode::kHeap;
-  const std::string digest = run_digest(spec, buckets);
-  EXPECT_FALSE(digest.empty());
-  EXPECT_EQ(digest, run_digest(spec, heap));
 }
 
 TEST(SimKernels, KernelIsWiredForEveryMainFamily) {

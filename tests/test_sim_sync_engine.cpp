@@ -32,20 +32,12 @@ TEST(SyncRun, LocalRoundCounterStartsAtOne) {
   const auto g = graph::path(3);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::vector<std::uint64_t> observed;
-  const KernelRunner probe = process_kernel([&observed](graph::NodeId) {
-    class P final : public Process {
-     public:
-      explicit P(std::vector<std::uint64_t>* obs) : obs_(obs) {}
-      void on_wake(Context&, WakeCause) override {}
-      void on_message(Context&, const Incoming&) override {}
-      void on_round(Context& ctx, std::span<const Incoming>) override {
-        obs_->push_back(ctx.local_round());
+  const KernelRunner probe = test::lambda_kernel(
+      test::NoHook{}, test::NoHook{},
+      [&observed](auto& ctx, std::span<const Incoming>) {
+        observed.push_back(ctx.local_round());
         if (ctx.local_round() < 3) ctx.request_tick();
-      }
-      std::vector<std::uint64_t>* obs_;
-    };
-    return std::make_unique<P>(&observed);
-  });
+      });
   run_sync(inst, wake_single(1), 1, probe);
   ASSERT_EQ(observed.size(), 3u);
   EXPECT_EQ(observed[0], 1u);
@@ -58,22 +50,11 @@ TEST(SyncRun, NoGlobalClockForLateWakers) {
   const auto g = graph::Graph::from_edges(2, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::vector<std::pair<graph::NodeId, std::uint64_t>> observed;
-  const KernelRunner probe = process_kernel([&observed](graph::NodeId node) {
-    class P final : public Process {
-     public:
-      P(std::vector<std::pair<graph::NodeId, std::uint64_t>>* obs,
-        graph::NodeId node)
-          : obs_(obs), node_(node) {}
-      void on_wake(Context&, WakeCause) override {}
-      void on_message(Context&, const Incoming&) override {}
-      void on_round(Context& ctx, std::span<const Incoming>) override {
-        obs_->push_back({node_, ctx.local_round()});
-      }
-      std::vector<std::pair<graph::NodeId, std::uint64_t>>* obs_;
-      graph::NodeId node_;
-    };
-    return std::make_unique<P>(&observed, node);
-  });
+  const KernelRunner probe = test::lambda_kernel(
+      test::NoHook{}, test::NoHook{},
+      [&observed](auto& ctx, std::span<const Incoming>) {
+        observed.push_back({ctx.node(), ctx.local_round()});
+      });
   WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {50, 1}};
   run_sync(inst, schedule, 1, probe);
@@ -96,24 +77,16 @@ TEST(SyncRun, InboxBatchesAllSendersOfPreviousRound) {
   const auto g = graph::star(5);  // hub 0
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   std::size_t hub_batch = 0;
-  const KernelRunner probe = process_kernel([&hub_batch](graph::NodeId node) {
-    class P final : public Process {
-     public:
-      P(std::size_t* batch, bool is_hub) : batch_(batch), is_hub_(is_hub) {}
-      void on_wake(Context& ctx, WakeCause cause) override {
-        if (!is_hub_ && cause == WakeCause::kAdversary) {
+  const KernelRunner probe = test::lambda_kernel(
+      [](auto& ctx, WakeCause cause) {
+        if (ctx.node() != 0 && cause == WakeCause::kAdversary) {
           ctx.send(0, make_message(1, {}, 8));
         }
-      }
-      void on_message(Context&, const Incoming&) override {}
-      void on_round(Context&, std::span<const Incoming> inbox) override {
-        if (is_hub_) *batch_ = inbox.size();
-      }
-      std::size_t* batch_;
-      bool is_hub_;
-    };
-    return std::make_unique<P>(&hub_batch, node == 0);
-  });
+      },
+      test::NoHook{},
+      [&hub_batch](auto& ctx, std::span<const Incoming> inbox) {
+        if (ctx.node() == 0) hub_batch = inbox.size();
+      });
   run_sync(inst, wake_set({1, 2, 3, 4}), 1, probe);
   EXPECT_EQ(hub_batch, 4u);
 }
@@ -141,16 +114,9 @@ TEST(SyncRun, FastForwardsIdleGaps) {
 TEST(SyncRun, MaxRoundsEnforced) {
   const auto g = graph::path(2);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const KernelRunner forever = process_kernel([](graph::NodeId) {
-    class Forever final : public Process {
-      void on_wake(Context&, WakeCause) override {}
-      void on_message(Context&, const Incoming&) override {}
-      void on_round(Context& ctx, std::span<const Incoming>) override {
-        ctx.request_tick();
-      }
-    };
-    return std::make_unique<Forever>();
-  });
+  const KernelRunner forever = test::lambda_kernel(
+      test::NoHook{}, test::NoHook{},
+      [](auto& ctx, std::span<const Incoming>) { ctx.request_tick(); });
   SyncRunLimits limits;
   limits.max_rounds = 100;
   EXPECT_THROW(run_sync(inst, wake_single(0), 1, forever, limits), CheckError);
@@ -171,49 +137,38 @@ TEST(SyncRun, DeterministicAcrossRuns) {
 /// One step of a scripted node: the round it ran in and its inbox size.
 using Steps = std::vector<std::pair<Time, std::size_t>>;
 
-/// A Process whose on_round records the step into `log[node]` and then
-/// runs `script(ctx, step_index)`.
-using Script = std::function<void(Context&, std::size_t)>;
+using Log = std::map<graph::NodeId, Steps>;
 
-ProcessFactory scripted(std::map<graph::NodeId, Steps>* log,
-                        std::map<graph::NodeId, Script> scripts) {
-  return [log, scripts](graph::NodeId node) {
-    class P final : public Process {
-     public:
-      P(Steps* steps, Script script)
-          : steps_(steps), script_(std::move(script)) {}
-      void on_wake(Context&, WakeCause) override {}
-      void on_message(Context&, const Incoming&) override {}
-      void on_round(Context& ctx, std::span<const Incoming> inbox) override {
-        steps_->emplace_back(ctx.now(), inbox.size());
-        if (script_) script_(ctx, steps_->size() - 1);
-      }
-      Steps* steps_;
-      Script script_;
-    };
-    const auto it = scripts.find(node);
-    return std::make_unique<P>(&(*log)[node],
-                               it == scripts.end() ? Script{} : it->second);
-  };
+/// What a scripted node does on its first step: first(node, ctx).
+using FirstStep = std::function<void(graph::NodeId, Context&)>;
+
+/// A kernel whose on_round records every step into `log[node]` and runs
+/// `first` on a node's first step.
+KernelRunner scripted(Log* log, FirstStep first) {
+  return test::lambda_kernel(
+      test::NoHook{}, test::NoHook{},
+      [log, first](auto& ctx, std::span<const Incoming> inbox) {
+        Steps& steps = (*log)[ctx.node()];
+        steps.emplace_back(ctx.now(), inbox.size());
+        if (steps.size() == 1) first(ctx.node(), ctx);
+      });
 }
 
-/// Runs the scripted processes serially and round-parallel at 3 jobs (which
+/// Runs the scripted kernel serially and round-parallel at 3 jobs (which
 /// must agree on everything the runs record) and returns the serial result.
 RunResult run_both_paths(const Instance& inst, const WakeSchedule& schedule,
-                         const std::function<ProcessFactory(
-                             std::map<graph::NodeId, Steps>*)>& make,
-                         const SyncRunLimits& limits,
-                         std::map<graph::NodeId, Steps>* log) {
+                         const FirstStep& first, const SyncRunLimits& limits,
+                         Log* log) {
   SyncKernelArgs args;
   args.instance = &inst;
   args.schedule = &schedule;
   args.seed = 1;
   args.limits = limits;
-  RunResult result = process_kernel(make(log)).run_sync(args);
-  std::map<graph::NodeId, Steps> par_log;
+  RunResult result = scripted(log, first).run_sync(args);
+  Log par_log;
   SerialChunkExecutor executor;
   args.parallel = SyncParallel{&executor, 3};
-  const RunResult par = process_kernel(make(&par_log)).run_sync(args);
+  const RunResult par = scripted(&par_log, first).run_sync(args);
   EXPECT_EQ(*log, par_log);
   EXPECT_EQ(result.awake_rounds, par.awake_rounds);
   EXPECT_EQ(result.metrics.rounds, par.metrics.rounds);
@@ -235,18 +190,12 @@ TEST(SyncDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
   const auto g = graph::Graph::from_edges(4, {});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const Time naps[] = {1000, 65, 64, 3};
-  const auto make = [&naps](std::map<graph::NodeId, Steps>* log) {
-    std::map<graph::NodeId, Script> scripts;
-    for (graph::NodeId u = 0; u < 4; ++u) {
-      scripts[u] = [nap = naps[u]](Context& ctx, std::size_t step) {
-        if (step == 0) ctx.sleep_until(ctx.now() + nap);
-      };
-    }
-    return scripted(log, scripts);
+  const auto first = [&naps](graph::NodeId u, Context& ctx) {
+    ctx.sleep_until(ctx.now() + naps[u]);
   };
-  std::map<graph::NodeId, Steps> log;
+  Log log;
   const RunResult r =
-      run_both_paths(inst, wake_all(4), make, sleeping_limits(), &log);
+      run_both_paths(inst, wake_all(4), first, sleeping_limits(), &log);
   for (graph::NodeId u = 0; u < 4; ++u) {
     EXPECT_EQ(log[u], (Steps{{0, 0}, {naps[u], 0}})) << "node " << u;
     EXPECT_EQ(r.awake_rounds[u], 2u);
@@ -260,27 +209,19 @@ TEST(SyncDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
 TEST(SyncDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
   const auto g = graph::Graph::from_edges(3, {{0, 1}, {1, 2}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto make = [](std::map<graph::NodeId, Steps>* log) {
-    std::map<graph::NodeId, Script> scripts;
-    scripts[0] = [](Context& ctx, std::size_t step) {
-      if (step == 0) ctx.send(0, make_message(1, {}, 8));
-    };
-    scripts[1] = [](Context& ctx, std::size_t step) {
-      if (step == 0) {
-        ctx.request_tick();
-        ctx.request_tick();
-      }
-    };
-    scripts[2] = [](Context& ctx, std::size_t step) {
-      if (step == 0) ctx.send(0, make_message(2, {}, 8));
-    };
-    return scripted(log, scripts);
+  const auto first = [](graph::NodeId u, Context& ctx) {
+    if (u == 1) {
+      ctx.request_tick();
+      ctx.request_tick();
+    } else {
+      ctx.send(0, make_message(u == 0 ? 1 : 2, {}, 8));
+    }
   };
   for (const bool sleeping : {false, true}) {
     SyncRunLimits limits;
     limits.sleeping_model = sleeping;
-    std::map<graph::NodeId, Steps> log;
-    const RunResult r = run_both_paths(inst, wake_all(3), make, limits, &log);
+    Log log;
+    const RunResult r = run_both_paths(inst, wake_all(3), first, limits, &log);
     EXPECT_EQ(log[1], (Steps{{0, 0}, {1, 2}})) << "sleeping=" << sleeping;
     EXPECT_EQ(r.awake_rounds[1], 2u);
     EXPECT_EQ(r.metrics.events, 4u);
@@ -294,24 +235,19 @@ TEST(SyncDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
 TEST(SyncDataPath, EventsAimedAtANappingNodeEvaporate) {
   const auto g = graph::Graph::from_edges(2, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto make = [](std::map<graph::NodeId, Steps>* log) {
-    std::map<graph::NodeId, Script> scripts;
-    scripts[0] = [](Context& ctx, std::size_t step) {
-      if (step == 0) {
-        ctx.request_tick();
-        ctx.sleep_until(10);
-      }
-    };
-    scripts[1] = [](Context& ctx, std::size_t step) {
-      if (step == 0) ctx.send(0, make_message(1, {}, 8));
-    };
-    return scripted(log, scripts);
+  const auto first = [](graph::NodeId u, Context& ctx) {
+    if (u == 0) {
+      ctx.request_tick();
+      ctx.sleep_until(10);
+    } else {
+      ctx.send(0, make_message(1, {}, 8));
+    }
   };
   WakeSchedule schedule;
   schedule.wakes = {{0, 0}, {5, 0}, {3, 1}};
-  std::map<graph::NodeId, Steps> log;
+  Log log;
   const RunResult r =
-      run_both_paths(inst, schedule, make, sleeping_limits(), &log);
+      run_both_paths(inst, schedule, first, sleeping_limits(), &log);
   EXPECT_EQ(log[0], (Steps{{0, 0}, {10, 0}}));
   EXPECT_EQ(log[1], (Steps{{3, 0}}));
   EXPECT_EQ(r.awake_rounds[0], 2u);
@@ -326,11 +262,9 @@ TEST(SyncDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
   Rng rng(3);
   const auto g = graph::connected_gnp(150, 0.05, rng);
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const KernelRunner chatter = process_kernel([](graph::NodeId) {
-    class Chatter final : public Process {
-      void on_wake(Context&, WakeCause) override {}
-      void on_message(Context&, const Incoming&) override {}
-      void on_round(Context& ctx, std::span<const Incoming>) override {
+  const KernelRunner chatter = test::lambda_kernel(
+      test::NoHook{}, test::NoHook{},
+      [](auto& ctx, std::span<const Incoming>) {
         ctx.broadcast(make_message(1, {ctx.now()}, 72));
         switch (ctx.my_label() % 3) {
           case 0:
@@ -342,10 +276,7 @@ TEST(SyncDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
           default:
             ctx.request_tick();
         }
-      }
-    };
-    return std::make_unique<Chatter>();
-  });
+      });
   SyncRunLimits aborting = sleeping_limits();
   aborting.max_rounds = 7;
   const RunResult fresh =
@@ -387,28 +318,15 @@ TEST(SyncDataPath, StepErrorPreemptsMaxMessagesAtAnyJobCount) {
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const WakeSchedule schedule = wake_all(8);
   const auto error_text = [&](bool bad_port, std::uint32_t jobs) {
-    const KernelRunner kernel =
-        process_kernel([bad_port](graph::NodeId node) {
-          class P final : public Process {
-           public:
-            P(graph::NodeId node, bool bad_port)
-                : node_(node), bad_port_(bad_port) {}
-            void on_wake(Context&, WakeCause) override {}
-            void on_message(Context&, const Incoming&) override {}
-            void on_round(Context& ctx, std::span<const Incoming>) override {
-              if (node_ == 0) {
-                for (int i = 0; i < 10; ++i) {
-                  ctx.send(0, make_message(1, {}, 8));
-                }
-              }
-              if (node_ == 7 && bad_port_) {
-                ctx.send(99, make_message(1, {}, 8));
-              }
-            }
-            graph::NodeId node_;
-            bool bad_port_;
-          };
-          return std::make_unique<P>(node, bad_port);
+    const KernelRunner kernel = test::lambda_kernel(
+        test::NoHook{}, test::NoHook{},
+        [bad_port](auto& ctx, std::span<const Incoming>) {
+          if (ctx.node() == 0) {
+            for (int i = 0; i < 10; ++i) ctx.send(0, make_message(1, {}, 8));
+          }
+          if (ctx.node() == 7 && bad_port) {
+            ctx.send(99, make_message(1, {}, 8));
+          }
         });
     SerialChunkExecutor executor;
     SyncKernelArgs args;

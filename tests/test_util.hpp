@@ -1,8 +1,14 @@
 // Shared helpers for the test suite: instance construction shorthands,
-// one-call run wrappers, and a catalog of workload graphs.
+// one-call run wrappers, run digests, a kernel built from lambdas for test
+// fakes, and a catalog of workload graphs.
 #pragma once
 
+#include <cstdint>
+#include <sstream>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -27,6 +33,83 @@ inline sim::RunResult run_async_unit(const sim::Instance& inst,
                                      std::uint64_t seed = 7) {
   const auto delays = sim::unit_delay();
   return sim::run_async(inst, *delays, schedule, seed, kernel);
+}
+
+/// Serializes everything observable about a run: the trace text (when the
+/// run was traced), wake times, outputs, every metrics counter and the
+/// awake rounds. Two runs are bit-identical iff their digests are equal.
+inline std::string digest(const sim::RunResult& r,
+                          const std::string& trace = {}) {
+  std::ostringstream os;
+  os << trace << "|";
+  for (auto t : r.wake_time) os << t << ",";
+  os << "|";
+  for (auto o : r.outputs) os << o << ",";
+  os << "|" << r.metrics.messages << "," << r.metrics.bits << ","
+     << r.metrics.deliveries << "," << r.metrics.events << ","
+     << r.metrics.first_wake << "," << r.metrics.last_wake << ","
+     << r.metrics.last_delivery << "," << r.metrics.rounds << ","
+     << r.metrics.tau;
+  for (auto v : r.metrics.sent_per_node) os << "," << v;
+  for (auto v : r.metrics.received_per_node) os << "," << v;
+  os << "|" << r.metrics.sleep_dropped;
+  for (auto v : r.awake_rounds) os << "," << v;
+  return os.str();
+}
+
+/// 64-bit FNV-1a, for pinning a digest as a golden number.
+inline std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// A hook that does nothing; as the round hook, it forwards each inbox
+/// message to the message hook.
+struct NoHook {
+  template <class... Args>
+  void operator()(Args&&...) const {}
+};
+
+/// A test-fake kernel assembled from generic lambdas:
+///   wake(ctx, cause), message(ctx, in), round(ctx, inbox).
+/// make_kernel copies the kernel, lambdas included, for every run, so state
+/// a `mutable` lambda captures by value starts fresh on each run. The
+/// lambdas read ctx.node() to tell nodes apart.
+template <class Wake, class Message, class Round>
+struct LambdaKernel {
+  Wake wake;
+  Message message;
+  Round round;
+
+  void reset(const sim::Instance&, sim::RunWorkspace*) {}
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+    wake(ctx, cause);
+  }
+  template <class Ctx>
+  void on_message(Ctx& ctx, const sim::Incoming& in) {
+    message(ctx, in);
+  }
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
+    if constexpr (std::is_same_v<Round, NoHook>) {
+      for (const sim::Incoming& in : inbox) message(ctx, in);
+    } else {
+      round(ctx, inbox);
+    }
+  }
+};
+
+template <class Wake = NoHook, class Message = NoHook, class Round = NoHook>
+sim::KernelRunner lambda_kernel(Wake wake = {}, Message message = {},
+                                Round round = {}) {
+  return sim::make_kernel(LambdaKernel<Wake, Message, Round>{
+      std::move(wake), std::move(message), std::move(round)});
 }
 
 struct NamedGraph {
