@@ -139,8 +139,6 @@ struct ProbeFreeFloodingKernel {
   }
   template <class Ctx>
   void on_message(Ctx&, const sim::Incoming&) {}
-  template <class Ctx>
-  void on_round(Ctx&, std::span<const sim::Incoming>) {}
 };
 
 void probe_overhead_workload(benchmark::State& state,

@@ -152,11 +152,6 @@ class ChildEncodingKernel {
     }
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
  private:
   template <class Ctx>
   void notify_parent(Ctx& ctx, State& self) {

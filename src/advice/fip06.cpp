@@ -108,11 +108,6 @@ class Fip06Kernel {
     propagate(ctx, in.port);
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
  private:
   template <class Ctx>
   void propagate(Ctx& ctx, sim::Port skip) {

@@ -177,11 +177,6 @@ class SpannerKernel {
     }
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
  private:
   template <class Ctx>
   void start(Ctx& ctx, State& self) {

@@ -12,7 +12,6 @@ namespace rise::algo {
 
 namespace {
 
-using sim::Context;
 using sim::Incoming;
 using sim::Label;
 using sim::Message;

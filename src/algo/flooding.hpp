@@ -34,11 +34,6 @@ struct FloodingKernel {
     // Receiving a message already woke us (triggering on_wake); nothing else
     // to do.
   }
-
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
 };
 
 /// Flooding as a flat kernel: allocation-free in steady state, which makes

@@ -131,11 +131,6 @@ class RankedDfsKernel {
     advance_token(ctx, self, token.rank, token.origin, token.visited, state);
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
  private:
   // Token payload: [rank, origin_label, visited_count, visited labels...].
   struct TokenView {

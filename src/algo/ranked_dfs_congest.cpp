@@ -10,7 +10,6 @@ namespace rise::algo {
 
 namespace {
 
-using sim::Context;
 using sim::Incoming;
 using sim::Label;
 using sim::Message;
@@ -102,11 +101,6 @@ class RankedDfsCongestKernel {
         RISE_CHECK_MSG(false, "ranked_dfs_congest: unexpected message type "
                                   << in.msg.type);
     }
-  }
-
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    for (const Incoming& in : inbox) on_message(ctx, in);
   }
 
  private:

@@ -6,7 +6,7 @@
 // Both families run on the synchronous engine with
 // SyncRunLimits::sleeping_model enabled (the sleeping model grants nodes a
 // synchronized global clock; see DESIGN.md §13) and share a 3-round window
-// structure keyed on Context::now() % 3:
+// structure keyed on ctx.now() % 3:
 //
 //   sleeping MIS (smis)
 //     slot 0  every contending node draws a fresh priority and broadcasts
@@ -24,7 +24,7 @@
 //             node whose ports are all dead decides unmatched.
 //
 // Decided nodes run the Ghaffari–Portmann exponential nap schedule: a chain
-// of doubling-length Context::sleep_until naps (messages arriving mid-nap
+// of doubling-length ctx.sleep_until naps (messages arriving mid-nap
 // are dropped by the engine), answering contention messages that land in a
 // check-in round with their final status so late-woken neighbors can still
 // make progress. Contenders pay O(1) awake rounds per window and decide in

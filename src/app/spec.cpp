@@ -62,6 +62,16 @@ T to_bounded(const std::string& s, const std::string& what,
 /// reserved).
 constexpr std::uint64_t kMaxNode = graph::kInvalidNode - 1;
 
+/// The largest TAU or GAP a spec may name, in ticks (2^32). Simulated time
+/// is 64-bit, so 2^32 such steps laid end to end still fit — more delays
+/// than the async event cap allows, more schedule gaps than a graph has
+/// nodes — and time never wraps around.
+constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 32;
+
+sim::Time to_ticks(const std::string& s, const std::string& what) {
+  return to_bounded<sim::Time>(s, what, kMaxTicks);
+}
+
 double to_double(const std::string& s, const std::string& what) {
   try {
     std::size_t pos = 0;
@@ -230,7 +240,7 @@ sim::WakeSchedule parse_schedule_spec(const std::string& spec,
   }
   if (kind == "staggered") {
     expect_fields(f, 3, spec);
-    return sim::staggered_doubling(g.num_nodes(), to_u64(f[1], "gap"),
+    return sim::staggered_doubling(g.num_nodes(), to_ticks(f[1], "gap"),
                                    to_double(f[2], "growth"), rng);
   }
   if (kind == "dominating") {
@@ -252,20 +262,20 @@ std::unique_ptr<sim::DelayPolicy> parse_delay_spec(const std::string& spec,
   }
   if (kind == "fixed") {
     expect_fields(f, 2, spec);
-    return sim::fixed_delay(to_u64(f[1], "tau"));
+    return sim::fixed_delay(to_ticks(f[1], "tau"));
   }
   if (kind == "random") {
     expect_fields(f, 2, spec);
-    return sim::random_delay(to_u64(f[1], "tau"), seed);
+    return sim::random_delay(to_ticks(f[1], "tau"), seed);
   }
   if (kind == "slow") {
     expect_fields(f, 3, spec);
-    return sim::slow_channels_delay(to_u64(f[1], "tau"),
+    return sim::slow_channels_delay(to_ticks(f[1], "tau"),
                                     to_u64(f[2], "one-in"), seed);
   }
   if (kind == "congestion") {
     expect_fields(f, 2, spec);
-    return sim::congestion_delay(to_u64(f[1], "tau"));
+    return sim::congestion_delay(to_ticks(f[1], "tau"));
   }
   RISE_CHECK_MSG(false, "unknown delay spec kind '" << kind << "'");
   return nullptr;

@@ -16,6 +16,8 @@
 //             staggered:GAP:GROWTH | dominating
 //   delay:    unit | fixed:TAU | random:TAU | slow:TAU:ONE_IN |
 //             congestion:TAU
+//   (TAU and GAP are ticks, at most 2^32: a larger value fails to parse
+//   rather than letting simulated time wrap around.)
 //   algo:     flooding | ranked_dfs | ranked_dfs_nodiscard | fast_wakeup |
 //             gossip:BUDGET | smis | smatching | ttl:R | fip06 | sqrt |
 //             cen | cen_chain | spanner:K | cor2 | beta:B
@@ -60,7 +62,7 @@ struct AlgorithmSetup {
   sim::Bandwidth bandwidth = sim::Bandwidth::LOCAL;
   bool synchronous = false;
   /// Sleeping-model family: run with SyncRunLimits::sleeping_model so
-  /// Context::sleep_until is honored (implies synchronous).
+  /// ctx.sleep_until is honored (implies synchronous).
   bool sleeping = false;
   std::unique_ptr<advice::AdvisingOracle> oracle;  // null if none
   sim::KernelRunner kernel;

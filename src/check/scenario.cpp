@@ -86,26 +86,6 @@ std::string sample_graph(Rng& rng, sim::NodeId max_nodes,
   }
 }
 
-std::string sample_schedule(Rng& rng, sim::Time max_tau) {
-  switch (rng.uniform(6)) {
-    case 0:
-      return "single";
-    case 1:
-      return "all";
-    case 2:
-      return "random:" + fmt(0.05 + 0.75 * rng.uniform_real());
-    case 3:
-      return "staggered:" + fmt(pick(rng, 1, 2 * max_tau)) + ":" +
-             fmt(1.2 + 1.8 * rng.uniform_real());
-    case 4:
-      return "dominating";
-    default:
-      // A small explicit set; node 0 always exists, extra ids stay within
-      // the smallest graph the generator emits.
-      return rng.chance(0.5) ? "set:0,1,2" : "set:0,2";
-  }
-}
-
 std::string sample_delay(Rng& rng, sim::Time max_tau) {
   const sim::Time tau = pick(rng, 1, std::max<sim::Time>(1, max_tau));
   switch (rng.uniform(5)) {
@@ -182,6 +162,26 @@ class LateDeliveryFault final : public sim::DelayPolicy {
 };
 
 }  // namespace
+
+std::string sample_schedule(Rng& rng, sim::Time max_tau) {
+  switch (rng.uniform(6)) {
+    case 0:
+      return "single";
+    case 1:
+      return "all";
+    case 2:
+      return "random:" + fmt(0.05 + 0.75 * rng.uniform_real());
+    case 3:
+      return "staggered:" + fmt(pick(rng, 1, 2 * max_tau)) + ":" +
+             fmt(1.2 + 1.8 * rng.uniform_real());
+    case 4:
+      return "dominating";
+    default:
+      // A small explicit set; node 0 always exists, extra ids stay within
+      // the smallest graph the generator emits.
+      return rng.chance(0.5) ? "set:0,1,2" : "set:0,2";
+  }
+}
 
 const std::vector<std::string>& scenario_families() {
   static const std::vector<std::string> kFamilies = {

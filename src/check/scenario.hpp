@@ -21,6 +21,7 @@
 #include "app/spec.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/types.hpp"
+#include "support/rng.hpp"
 
 namespace rise::check {
 
@@ -51,6 +52,11 @@ struct GeneratorOptions {
   sim::Time max_tau = 12;      ///< >= 1
   std::vector<std::string> families;  ///< subset filter; empty = all
 };
+
+/// A random wake-schedule spec (single, all, random:P, staggered with a gap
+/// up to 2 * max_tau, dominating or a small set), drawn from `rng`. The
+/// hunter's mutations reuse it, so both draw the same kinds.
+std::string sample_schedule(Rng& rng, sim::Time max_tau);
 
 /// Scenario for trial `index` of campaign `seed` — a pure function of its
 /// arguments (plus options).

@@ -205,6 +205,7 @@ Graph gnp(NodeId n, double p, Rng& rng) {
 
 Graph connected_gnp(NodeId n, double p, Rng& rng) {
   RISE_CHECK(n >= 1);
+  RISE_CHECK(p >= 0.0 && p <= 1.0);
   // Random spanning tree backbone, then the G(n, p) overlay minus the pairs
   // the tree already covers.
   const Graph tree = random_tree(n, rng);

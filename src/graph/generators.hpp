@@ -38,8 +38,8 @@ Graph random_tree(NodeId n, Rng& rng);
 /// Erdős–Rényi G(n, p). May be disconnected.
 Graph gnp(NodeId n, double p, Rng& rng);
 
-/// G(n, p) unioned with a uniform random spanning tree, so the result is
-/// always connected. The standard "connected workload" in our benchmarks.
+/// G(n, p), p in [0, 1], unioned with a uniform random spanning tree, so
+/// the result is always connected. The standard "connected workload" in our benchmarks.
 Graph connected_gnp(NodeId n, double p, Rng& rng);
 
 /// Random d-regular simple graph via the configuration model with

@@ -109,11 +109,6 @@ class BetaProbingKernel {
     }
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
  private:
   unsigned beta_;
   States own_;

@@ -53,14 +53,16 @@ class NihKernel {
     if (!intercept(ctx, in)) inner_.on_message(ctx, in);
   }
 
-  /// Chunks of a round-parallel step call this on several threads, so the
-  /// filtered inbox lives in a thread_local scratch, not in the kernel.
+  /// Intercepts the whole round before the inner kernel runs, then hands it
+  /// the rest through sim::deliver_round. Chunks of a round-parallel step
+  /// call this on several threads, so the filtered inbox lives in a
+  /// thread_local scratch, not in the kernel.
   template <class Ctx>
   void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
     bool any_response = false;
     for (const sim::Incoming& in : inbox) any_response |= intercept(ctx, in);
     if (!any_response) {
-      inner_.on_round(ctx, inbox);
+      sim::deliver_round(inner_, ctx, inbox);
       return;
     }
     thread_local std::vector<sim::Incoming> forwarded;
@@ -68,7 +70,7 @@ class NihKernel {
     for (const sim::Incoming& in : inbox) {
       if (in.msg.type != kNihResponse) forwarded.push_back(in);
     }
-    inner_.on_round(ctx, forwarded);
+    sim::deliver_round(inner_, ctx, forwarded);
   }
 
  private:

@@ -51,11 +51,6 @@ class TtlFloodKernel {
     send_all(ctx, ttl - 1, in.port);
   }
 
-  template <class Ctx>
-  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    for (const sim::Incoming& in : inbox) on_message(ctx, in);
-  }
-
  private:
   template <class Ctx>
   static void send_all(Ctx& ctx, std::uint32_t ttl, sim::Port skip) {

@@ -4,7 +4,7 @@
 // {Async,Sync}KernelArgs::probe) and collects phase marks, node-class marks,
 // named counters, per-send attribution, and event-loop statistics.
 // Algorithms never touch the Probe directly — they go through the
-// NodeProbe value handle returned by Context::probe(), which is null when
+// NodeProbe value handle returned by ctx.probe(), which is null when
 // no probe is attached and then compiles to a pointer test per call.
 //
 // The observation contract (same as TraceSink): a probe only *reads* the
@@ -178,7 +178,7 @@ class Probe {
   EngineProfile engine_;
 };
 
-/// The per-node view algorithms get from Context::probe(). A plain
+/// The per-node view algorithms get from ctx.probe(). A plain
 /// (pointer, node) pair: when no probe is attached every call is a single
 /// branch on nullptr, which is the disabled-case overhead contract
 /// bench_engine_micro holds to <= 2%.

@@ -198,36 +198,17 @@ std::string vary_graph(const std::string& spec, Rng& rng,
   return spec;  // unknown family: caller falls through to the seed gene
 }
 
-std::string resample_schedule(Rng& rng, const MutationLimits& limits) {
-  switch (rng.uniform(6)) {
-    case 0:
-      return "single";
-    case 1:
-      return "all";
-    case 2:
-      return "random:" + fmt(0.05 + 0.75 * rng.uniform_real());
-    case 3:
-      return "staggered:" +
-             fmt(draw(rng, {1, 2 * static_cast<std::uint64_t>(limits.max_tau)})) +
-             ":" + fmt(1.2 + 1.8 * rng.uniform_real());
-    case 4:
-      return "dominating";
-    default:
-      return rng.chance(0.5) ? "set:0,1,2" : "set:0,2";
-  }
-}
-
 std::string vary_schedule(const std::string& spec, Rng& rng,
                           const MutationLimits& limits) {
   // Half the steps tweak numeric knobs in place, half jump to a fresh kind;
   // kinds without knobs (single/all/dominating/set) always jump.
-  if (rng.chance(0.5)) return resample_schedule(rng, limits);
+  if (rng.chance(0.5)) return check::sample_schedule(rng, limits.max_tau);
   std::vector<std::string> parts = split(spec, ':');
   if (parts[0] == "random" && parts.size() == 2) {
     try {
       return "random:" + fmt(perturb_prob(rng, std::stod(parts[1]), 0.02, 0.95));
     } catch (const std::exception&) {
-      return resample_schedule(rng, limits);
+      return check::sample_schedule(rng, limits.max_tau);
     }
   }
   if (parts[0] == "staggered" && parts.size() == 3 && is_number(parts[1])) {
@@ -243,10 +224,10 @@ std::string vary_schedule(const std::string& spec, Rng& rng,
                      1.2, 4.0);
       return "staggered:" + parts[1] + ":" + fmt(growth);
     } catch (const std::exception&) {
-      return resample_schedule(rng, limits);
+      return check::sample_schedule(rng, limits.max_tau);
     }
   }
-  return resample_schedule(rng, limits);
+  return check::sample_schedule(rng, limits.max_tau);
 }
 
 std::string resample_delay(Rng& rng, const MutationLimits& limits) {
@@ -327,7 +308,7 @@ check::Scenario random_genome(const check::Scenario& prototype, Rng& rng,
   check::Scenario out = prototype;
   const bool synchronous = algorithm_is_synchronous(out.spec.algorithm);
   out.spec.graph = vary_graph(out.spec.graph, rng, limits, /*resample=*/true);
-  out.spec.schedule = resample_schedule(rng, limits);
+  out.spec.schedule = check::sample_schedule(rng, limits.max_tau);
   out.spec.delay = synchronous ? "unit" : resample_delay(rng, limits);
   out.spec.seed = rng();
   return out;

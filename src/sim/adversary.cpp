@@ -48,6 +48,7 @@ WakeSchedule wake_set(std::vector<NodeId> nodes) {
 
 WakeSchedule wake_random_subset(NodeId n, double p, Rng& rng) {
   RISE_CHECK(n >= 1);
+  RISE_CHECK(p >= 0.0 && p <= 1.0);
   WakeSchedule s;
   for (NodeId u = 0; u < n; ++u)
     if (rng.chance(p)) s.wakes.push_back({0, u});
@@ -74,6 +75,9 @@ WakeSchedule staggered_doubling(NodeId n, Time gap, double growth, Rng& rng) {
     for (std::size_t i = 0; i < count; ++i) {
       s.wakes.push_back({t, order[next++]});
     }
+    RISE_CHECK_MSG(next == order.size() || gap < kNever - t,
+                   "staggered schedule: wake time " << t << " + gap " << gap
+                                                    << " overflows");
     t += gap;
     batch = std::min(batch * growth, max_batch);
   }

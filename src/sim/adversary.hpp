@@ -39,12 +39,13 @@ WakeSchedule wake_single(NodeId node);
 /// Wake the given nodes at time 0.
 WakeSchedule wake_set(std::vector<NodeId> nodes);
 
-/// Wake each node independently with probability p at time 0; guarantees at
-/// least one wake (node 0 is woken if the coin flips all fail).
+/// Wake each node independently with probability p in [0, 1] at time 0;
+/// guarantees at least one wake (node 0 is woken if the coin flips all fail).
 WakeSchedule wake_random_subset(NodeId n, double p, Rng& rng);
 
 /// Theorem-3 stress schedule: wake 1 node at time 0, then batches that grow
 /// by `growth` (e.g. 2.0) every `gap` ticks, using a random node order.
+/// Throws if a wake time would pass the 64-bit time range.
 WakeSchedule staggered_doubling(NodeId n, Time gap, double growth, Rng& rng);
 
 /// Greedy dominating set of g, woken at time 0 (gives rho_awk <= 1).

@@ -1,20 +1,25 @@
-// What an algorithm sees of the model: the node Context.
+// What an algorithm sees of the model: the node context.
 //
 // Every algorithm is a kernel (sim/kernel.hpp) whose hooks the engine
 // calls with the node's context:
 //   * on_wake     — exactly once, when the node transitions from asleep to
 //                   awake (either by the adversary or by a first message);
 //   * on_message  — (asynchronous engine) for every delivered message;
-//   * on_round    — (synchronous engine) once per round for every node that
-//                   has work: a non-empty inbox, a fresh wake-up, or a
-//                   requested tick. Message-driven kernels forward each
-//                   inbox message to on_message, so they run unchanged under
-//                   both engines.
+//   * on_round    — (synchronous engine, optional) once per round for every
+//                   node that has work: a non-empty inbox, a fresh wake-up,
+//                   or a requested tick. A kernel without on_round gets each
+//                   inbox message passed to on_message, in order
+//                   (deliver_round below), so a message-driven kernel runs
+//                   unchanged under both engines.
 //
-// The Context exposes exactly the knowledge the model grants: the node's own
+// The context exposes exactly the knowledge the model grants: the node's own
 // ID, its degree and ports, its neighbors' IDs only under KT1, its advice
 // string, private randomness, and (synchronous engine only) the node's
 // *local* round counter — there is no global clock (paper footnote 4).
+// Each engine has one concrete, final context type deriving from
+// NodeContext below, with no vtable, and the hooks are templates over that
+// type, so every call a kernel makes is direct and inlines into the engine
+// loop.
 //
 // Dropped-message semantics: when RunLimits::max_time truncates a run, a
 // message whose delivery time falls past the horizon is silently dropped by
@@ -26,14 +31,16 @@
 //
 // The sleeping model (SyncRunLimits::sleeping_model; DESIGN.md §13) reuses
 // the same send-charged/no-delivery convention: a message arriving at a node
-// during one of its declared-sleep rounds (Context::sleep_until) is dropped,
-// counted in Metrics::sleep_dropped, and never traced as delivered.
+// during one of its declared-sleep rounds (sleep_until) is dropped, counted
+// in Metrics::sleep_dropped, and never traced as delivered.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "obs/probe.hpp"
+#include "sim/engine_core.hpp"
 #include "sim/instance.hpp"
 #include "sim/message.hpp"
 #include "sim/types.hpp"
@@ -43,89 +50,104 @@
 
 namespace rise::sim {
 
-inline constexpr std::uint64_t kNoOutput = static_cast<std::uint64_t>(-1);
-
-/// Why a node woke up. A real node observes this: an adversary-woken node
-/// starts with no pending message, while a message-woken node's first action
-/// is processing that message. Several of the paper's algorithms branch on it
-/// (e.g. only adversary-woken nodes start a DFS token in Theorem 3).
-enum class WakeCause : std::uint8_t { kAdversary, kMessage };
-
-class Context {
+/// The node surface both engines' contexts share. `Derived` is the engine's
+/// final context type and supplies the time-model pieces:
+///   * send(Port, Message) — sends over a port (both KT0 and KT1);
+///   * now() — current time (ticks in async; round number in sync);
+///   * local_round() — synchronous engine: rounds elapsed since this node
+///     woke (1 in the wake round); asynchronous engine: 0;
+///   * request_tick() — synchronous engine: step this node again next round
+///     even without incoming messages (algorithms with countdowns);
+///   * sleep_until(round) — sleeping model (synchronous engine with
+///     SyncRunLimits::sleeping_model): the node is asleep from the next
+///     round until the start of `round`, when it is stepped again with an
+///     empty inbox. While asleep it is never stepped, pays no awake cost,
+///     and every message arriving at it is dropped (see the header
+///     comment). `round` must be strictly in the future, and a node may not
+///     re-declare sleep while a declaration is still pending.
+/// The asynchronous context's request_tick and sleep_until throw
+/// CheckError: it has no rounds.
+template <class Derived>
+class NodeContext {
  public:
-  virtual ~Context() = default;
+  /// Points the context at the node the engine is about to run a hook for.
+  void attach(NodeId node) { node_ = node; }
+
+  /// The node's dense index: kernels key their per-node state by it. Not
+  /// protocol-visible (that is my_label).
+  NodeId node() const { return node_; }
 
   /// The node's protocol-visible ID.
-  virtual Label my_label() const = 0;
+  Label my_label() const { return instance_.label(node_); }
 
-  virtual NodeId degree() const = 0;
-  virtual Knowledge knowledge() const = 0;
-  virtual Bandwidth bandwidth() const = 0;
+  NodeId degree() const { return instance_.graph().degree(node_); }
+  Knowledge knowledge() const { return instance_.knowledge(); }
+  Bandwidth bandwidth() const { return instance_.bandwidth(); }
 
   /// Bits sufficient to encode any ID — the nodes' "constant-factor upper
   /// bound on log n" from Sec. 1.1.
-  virtual unsigned label_bits() const = 0;
+  unsigned label_bits() const { return instance_.label_bits(); }
 
   /// A polynomial upper bound on n derived from the ID range.
-  virtual std::uint64_t n_upper_bound() const = 0;
+  std::uint64_t n_upper_bound() const {
+    return std::uint64_t{1} << instance_.label_bits();
+  }
 
   /// KT1 only: neighbor IDs indexed by port. Calling this under KT0 is a
   /// model violation and throws.
-  virtual std::span<const Label> neighbor_labels() const = 0;
+  std::span<const Label> neighbor_labels() const {
+    RISE_CHECK_MSG(instance_.knowledge() == Knowledge::KT1,
+                   "neighbor IDs are not available under KT0");
+    return instance_.neighbor_labels_by_port(node_);
+  }
 
-  /// Sends over a port (both KT0 and KT1).
-  virtual void send(Port p, Message msg) = 0;
-
-  /// KT1 convenience: send to the neighbor with the given ID.
-  virtual void send_to_label(Label neighbor, Message msg) = 0;
+  /// KT1 convenience: send to the neighbor with the given ID, found through
+  /// the instance's per-node label→port index in O(1).
+  void send_to_label(Label neighbor, Message msg) {
+    self().send(instance_.port_of_label(node_, neighbor), std::move(msg));
+  }
 
   /// Sends a copy of msg over every incident port.
   void broadcast(const Message& msg) {
-    for (Port p = 0; p < degree(); ++p) send(p, msg);
+    for (Port p = 0; p < degree(); ++p) self().send(p, msg);
   }
 
-  /// Current time (ticks in async; round number in sync).
-  virtual Time now() const = 0;
-
-  /// Synchronous engine: rounds elapsed since this node woke (1 in the wake
-  /// round). Asynchronous engine: 0.
-  virtual std::uint64_t local_round() const = 0;
-
-  /// Synchronous engine: ask to be stepped again next round even without
-  /// incoming messages (used by algorithms with internal countdowns).
-  virtual void request_tick() = 0;
-
-  /// Sleeping model (synchronous engine with SyncRunLimits::sleeping_model):
-  /// declare this node asleep from the next round until the start of round
-  /// `round` (exclusive of `round` itself — the node is stepped again, with
-  /// an empty inbox, at round `round`). While asleep the node is never
-  /// stepped, pays no awake cost, and every message arriving at it is
-  /// dropped (see the header comment). `round` must be strictly in the
-  /// future, and a node may not re-declare sleep while a declaration is
-  /// still pending. The default throws: fakes and the asynchronous engine
-  /// have no sleeping rounds.
-  virtual void sleep_until(Time round);
-
   /// Private unbiased randomness (deterministic per run seed and node).
-  virtual Rng& rng() = 0;
+  Rng& rng() { return core_.node_rng(node_); }
 
   /// The node's advice string (empty when the instance has no oracle).
-  virtual const BitString& advice() const = 0;
+  const BitString& advice() const { return instance_.advice(node_); }
 
   /// Records this node's output value (used by the NIH problem).
-  virtual void set_output(std::uint64_t value) = 0;
+  void set_output(std::uint64_t value) { core_.set_output(node_, value); }
 
   /// Observability handle for this node: phase / class marks and named
   /// counters (src/obs). Null (every call a no-op) unless the run was
   /// started with a Probe attached; marking is observation only and never
-  /// changes the run. The default suits Context fakes in tests.
-  virtual obs::NodeProbe probe() { return {}; }
+  /// changes the run.
+  obs::NodeProbe probe() const { return {core_.probe(), node_}; }
+
+ protected:
+  explicit NodeContext(EngineCore& core)
+      : core_(core), instance_(core.instance()) {}
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+
+  EngineCore& core_;
+  const Instance& instance_;
+  NodeId node_ = kInvalidNode;
 };
 
-inline void Context::sleep_until(Time /*round*/) {
-  RISE_CHECK_MSG(false,
-                 "sleep_until requires the synchronous engine with "
-                 "SyncRunLimits::sleeping_model enabled");
+/// Hands one synchronous round's inbox to a kernel: its on_round when it
+/// has one, otherwise on_message for each message in inbox order.
+template <class Kernel, class Ctx>
+void deliver_round(Kernel& kernel, Ctx& ctx, std::span<const Incoming> inbox) {
+  if constexpr (requires { kernel.on_round(ctx, inbox); }) {
+    kernel.on_round(ctx, inbox);
+  } else {
+    for (const Incoming& in : inbox) kernel.on_message(ctx, in);
+  }
 }
 
 }  // namespace rise::sim

@@ -46,14 +46,4 @@ EngineCore::~EngineCore() {
   workspace_->result = std::move(result_);
 }
 
-std::span<const Label> CoreContext::neighbor_labels() const {
-  RISE_CHECK_MSG(instance_.knowledge() == Knowledge::KT1,
-                 "neighbor IDs are not available under KT0");
-  return instance_.neighbor_labels_by_port(node_);
-}
-
-void CoreContext::send_to_label(Label neighbor, Message msg) {
-  send(instance_.port_of_label(node_, neighbor), std::move(msg));
-}
-
 }  // namespace rise::sim

@@ -1,9 +1,10 @@
 // State and bookkeeping shared by the asynchronous and synchronous engines.
 //
 // Both engines own the same per-node machinery — an awake flag, a private
-// RNG stream, wake/send/delivery metrics, CONGEST budget enforcement, and
-// the common Context surface (identity, knowledge, advice, O(1)
-// send-to-label) — and differ only in how they move time forward.
+// RNG stream, outputs, wake/send/delivery metrics and CONGEST budget
+// enforcement — and differ only in how they move time forward. The node
+// surface over this core that kernels see is sim::NodeContext
+// (sim/context.hpp).
 // EngineCore holds that machinery in flat, node-indexed vectors; the
 // engines layer their event loop (bucketed timeline / round loop) on top.
 //
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "obs/probe.hpp"
-#include "sim/context.hpp"
 #include "sim/instance.hpp"
 #include "sim/metrics.hpp"
 #include "sim/trace.hpp"
@@ -128,44 +128,6 @@ class EngineCore {
   std::vector<Rng> rngs_;
   std::vector<std::uint8_t> awake_;
   RunResult result_;
-};
-
-/// The Context surface both engines share. Engine subclasses add the
-/// time-model-specific pieces: send(), now(), local_round(), request_tick().
-class CoreContext : public Context {
- public:
-  explicit CoreContext(EngineCore& core)
-      : core_(core), instance_(core.instance()) {}
-
-  void attach(NodeId node) { node_ = node; }
-  NodeId node() const { return node_; }
-
-  Label my_label() const override { return instance_.label(node_); }
-  NodeId degree() const override { return instance_.graph().degree(node_); }
-  Knowledge knowledge() const override { return instance_.knowledge(); }
-  Bandwidth bandwidth() const override { return instance_.bandwidth(); }
-  unsigned label_bits() const override { return instance_.label_bits(); }
-  std::uint64_t n_upper_bound() const override {
-    return std::uint64_t{1} << instance_.label_bits();
-  }
-
-  std::span<const Label> neighbor_labels() const override;
-
-  /// KT1 addressing via the instance's per-node label→port index: O(1)
-  /// rather than a scan over the neighbor list.
-  void send_to_label(Label neighbor, Message msg) override;
-
-  Rng& rng() override { return core_.node_rng(node_); }
-  obs::NodeProbe probe() override { return {core_.probe(), node_}; }
-  const BitString& advice() const override { return instance_.advice(node_); }
-  void set_output(std::uint64_t value) override {
-    core_.set_output(node_, value);
-  }
-
- protected:
-  EngineCore& core_;
-  const Instance& instance_;
-  NodeId node_ = kInvalidNode;
 };
 
 }  // namespace rise::sim

@@ -5,13 +5,14 @@
 //
 //   handler.on_wake(ctx, cause)      // ctx.node() is the woken node
 //   handler.on_message(ctx, in)
-//   handler.on_round(ctx, inbox)
+//   handler.on_round(ctx, inbox)     // optional: see sim::deliver_round
 //
 // The handler is a kernel (sim/kernel.hpp): per-family node state in flat
-// vectors, with hooks that are templates over the final context types
-// below, so every ctx call the algorithm makes devirtualizes and inlines
-// into the loop. Every algorithm — built-in family, lower-bound algorithm,
-// wrapper or test fake — is such a kernel.
+// vectors, with hooks that are templates over the context types below.
+// Those are concrete and final, with no vtable (sim::NodeContext plus each
+// engine's send / time pieces), so every ctx call the algorithm makes is a
+// direct call that inlines into the loop. Every algorithm — built-in
+// family, lower-bound algorithm, wrapper or test fake — is such a kernel.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 
 #include "sim/adversary.hpp"
 #include "sim/async_engine.hpp"
+#include "sim/context.hpp"
 #include "sim/delay_policy.hpp"
 #include "sim/engine_core.hpp"
 #include "sim/event_queue.hpp"
@@ -38,19 +40,28 @@ namespace rise::sim::internal {
 template <class Handler>
 class AsyncRunner;
 
+/// The context an async node's hooks run with: sends go straight to the
+/// event queue. There are no rounds, so local_round() is 0 and the round
+/// features throw.
 template <class Handler>
-class AsyncRunnerContext final : public CoreContext {
+class AsyncRunnerContext final
+    : public NodeContext<AsyncRunnerContext<Handler>> {
  public:
   AsyncRunnerContext(AsyncRunner<Handler>& engine, EngineCore& core)
-      : CoreContext(core), engine_(engine) {}
+      : NodeContext<AsyncRunnerContext<Handler>>(core), engine_(engine) {}
 
-  void send(Port p, Message msg) override {
-    engine_.send_from(node_, p, std::move(msg));
+  void send(Port p, Message msg) {
+    engine_.send_from(this->node(), p, std::move(msg));
   }
-  Time now() const override { return engine_.now(); }
-  std::uint64_t local_round() const override { return 0; }
-  void request_tick() override {
+  Time now() const { return engine_.now(); }
+  std::uint64_t local_round() const { return 0; }
+  void request_tick() {
     RISE_CHECK_MSG(false, "request_tick is a synchronous-engine feature");
+  }
+  void sleep_until(Time /*round*/) {
+    RISE_CHECK_MSG(false,
+                   "sleep_until requires the synchronous engine with "
+                   "SyncRunLimits::sleeping_model enabled");
   }
 
  private:
@@ -69,7 +80,7 @@ class AsyncRunner {
         max_delay_(delays.max_delay()),
         // Every shipped policy with max_delay() == 1 returns exactly 1 (the
         // engine-enforced legal range is [1, max_delay]), so the per-send
-        // virtual delay() call can be skipped entirely on the unit-delay
+        // DelayPolicy::delay() call can be skipped entirely on the unit-delay
         // hot path. Fault-injection wrappers (check::LateDeliveryFault)
         // declare max_delay() >= 2 and therefore never take the fast path.
         unit_delays_(delays.max_delay() == 1),
@@ -212,27 +223,30 @@ class SyncRunner;
 /// order. Reads (now, local_round, rng, advice, probe, ...) touch only
 /// state that is frozen or owned by the stepped node during the step.
 template <class Handler>
-class SyncRunnerContext final : public CoreContext {
+class SyncRunnerContext final
+    : public NodeContext<SyncRunnerContext<Handler>> {
  public:
   SyncRunnerContext(SyncRunner<Handler>& engine, EngineCore& core,
                     SyncChunkOutbox& outbox)
-      : CoreContext(core), engine_(engine), outbox_(outbox) {}
+      : NodeContext<SyncRunnerContext<Handler>>(core),
+        engine_(engine),
+        outbox_(outbox) {}
 
   void attach_step(NodeId u, SyncStepRecord* step) {
-    attach(u);
+    this->attach(u);
     step_ = step;
   }
 
-  void send(Port p, Message msg) override {
+  void send(Port p, Message msg) {
     engine_.record_send(outbox_, *step_, p, std::move(msg));
   }
-  Time now() const override { return engine_.round(); }
-  std::uint64_t local_round() const override {
-    return engine_.local_round(node_);
+  Time now() const { return engine_.round(); }
+  std::uint64_t local_round() const {
+    return engine_.local_round(this->node());
   }
-  void request_tick() override { step_->tick = true; }
-  void sleep_until(Time round) override {
-    engine_.record_sleep(node_, round, *step_);
+  void request_tick() { step_->tick = true; }
+  void sleep_until(Time round) {
+    engine_.record_sleep(this->node(), round, *step_);
   }
 
  private:
@@ -582,7 +596,7 @@ class SyncRunner {
           ctx.attach_step(u, &st);
         }
         st.delivered = b_.inbox[u].len;
-        handler_.on_round(ctx, inbox_of(u));
+        deliver_round(handler_, ctx, inbox_of(u));
         b_.inbox[u].len = 0;
         ob.steps.push_back(st);
       }

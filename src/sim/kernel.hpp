@@ -8,16 +8,21 @@
 //     void reset(const Instance&, RunWorkspace*);   // size state for n nodes
 //     template <class Ctx> void on_wake(Ctx&, WakeCause);
 //     template <class Ctx> void on_message(Ctx&, const Incoming&);
+//     // optional; without it a sync round passes each inbox message to
+//     // on_message (sim::deliver_round)
 //     template <class Ctx> void on_round(Ctx&, std::span<const Incoming>);
 //   };
 //
 // A kernel is its own engine Handler (sim/engine_impl.hpp): the hooks are
-// templates over the engine's final context type, so every ctx.send /
-// ctx.rng / state access inlines into the event loop — no vtable on either
-// side of the hot path. Kernels are the one way to write an algorithm: the
-// built-in families, the advice schemes, the lower-bound algorithms (lb/),
-// and test fakes alike. A kernel that wraps another (lb::NihKernel) holds
-// the inner kernel by value and forwards the hooks it does not intercept.
+// templates over the engine's concrete context type (a final
+// sim::NodeContext, sim/context.hpp; nothing in it is virtual), so every
+// ctx.send / ctx.rng / state access inlines into the event loop. Kernels
+// are the one way to write an algorithm: the built-in families, the advice
+// schemes, the lower-bound algorithms (lb/), and test fakes alike. Only
+// kernels whose round does more than deliver its messages — the sleeping
+// families, FastWakeUp, gossip — define on_round. A kernel that wraps
+// another (lb::NihKernel) holds the inner kernel by value and forwards the
+// hooks it does not intercept.
 //
 // KernelRunner type-erases a kernel behind two std::functions so app-layer
 // code (PreparedExperiment, rise_cli) can carry "how to run this family"

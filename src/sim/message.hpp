@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
-#include <vector>
 
 #include "sim/types.hpp"
 
@@ -35,11 +34,6 @@ class PayloadWords {
 
   PayloadWords(std::initializer_list<std::uint64_t> init) {
     append(init.begin(), init.end());
-  }
-
-  /// Implicit for source compatibility with std::vector payload call sites.
-  PayloadWords(const std::vector<std::uint64_t>& v) {  // NOLINT
-    append(v.begin(), v.end());
   }
 
   PayloadWords(const PayloadWords& other) { append(other.begin(), other.end()); }

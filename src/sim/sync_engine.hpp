@@ -7,16 +7,16 @@
 // its local round counter (rounds since its own wake-up), per footnote 4.
 //
 // A node is stepped (on_round) in a round iff it has a non-empty inbox, it
-// just woke up, or it called Context::request_tick() in the previous round;
+// just woke up, or it called ctx.request_tick() in the previous round;
 // quiescence (no inbox, no pending wakes, no tick requests) terminates the
 // run. This keeps simulated complexity proportional to actual activity.
 //
 // Sleeping model (SyncRunLimits::sleeping_model): nodes may additionally
-// declare themselves asleep with Context::sleep_until(r) — they are not
+// declare themselves asleep with ctx.sleep_until(r) — they are not
 // stepped again before round r, pay no awake cost, and messages arriving
 // during the nap are dropped. This mode deliberately grants nodes the
 // synchronized global clock the sleeping-model literature assumes
-// (Context::now() as a round number), a documented divergence from the
+// (ctx.now() as a round number), a documented divergence from the
 // paper's footnote-4 no-global-clock stance; see DESIGN.md §13.
 //
 // The engine runs through KernelRunner::run_sync (sim/kernel.hpp); this
@@ -31,7 +31,7 @@ struct SyncRunLimits {
   std::uint64_t max_rounds = 10'000'000;
   std::uint64_t max_messages = 500'000'000;
 
-  /// Enables the sleeping model (DESIGN.md §13): Context::sleep_until
+  /// Enables the sleeping model (DESIGN.md §13): ctx.sleep_until
   /// becomes legal, declared-asleep nodes are never stepped, and messages
   /// arriving at them are dropped (counted in Metrics::sleep_dropped).
   /// Off, the engine reproduces the historical lock-step semantics (and

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/context.hpp"
 #include "sim/message.hpp"
 #include "sim/types.hpp"
 

@@ -1,4 +1,4 @@
-// Shared simulator types: logical time, ports, labels.
+// Shared simulator types: logical time, ports, labels, wake causes.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,15 @@ inline constexpr Port kInvalidPort = static_cast<Port>(-1);
 using Label = std::uint64_t;
 
 inline constexpr Label kInvalidLabel = static_cast<Label>(-1);
+
+/// A node's output before it records one (RunResult::outputs).
+inline constexpr std::uint64_t kNoOutput = static_cast<std::uint64_t>(-1);
+
+/// Why a node woke up. A real node observes this: an adversary-woken node
+/// starts with no pending message, while a message-woken node's first action
+/// is processing that message. Several of the paper's algorithms branch on it
+/// (e.g. only adversary-woken nodes start a DFS token in Theorem 3).
+enum class WakeCause : std::uint8_t { kAdversary, kMessage };
 
 /// Initial-knowledge assumption (Sec. 1.1).
 enum class Knowledge {

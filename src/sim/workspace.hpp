@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "obs/probe.hpp"
-#include "sim/context.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/message.hpp"
 #include "sim/metrics.hpp"

@@ -2,7 +2,7 @@
 // (maximal independent set) and smatching (maximal matching) across a
 // graph x schedule x seed sweep, awake accounting (every woken node pays at
 // least one awake round; decided nodes' naps drop messages into
-// metrics.sleep_dropped), and the Context::sleep_until misuse guards.
+// metrics.sleep_dropped), and the ctx.sleep_until misuse guards.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -203,7 +203,7 @@ TEST(SleepUntil, RequiresTheSleepingModel) {
   EXPECT_THROW(sim::run_sync(inst, sim::wake_single(0), 1,
                              abuser_kernel(Abuse::kLegal)),
                CheckError);
-  // Asynchronous engine: the Context default refuses.
+  // Asynchronous engine: its context refuses.
   EXPECT_THROW(test::run_async_unit(inst, sim::wake_single(0),
                                     abuser_kernel(Abuse::kLegal)),
                CheckError);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "support/check.hpp"
 
 #include "graph/algorithms.hpp"
@@ -141,6 +144,15 @@ TEST(Generators, ConnectedGnpIsConnected) {
   for (int i = 0; i < 5; ++i) {
     const Graph g = connected_gnp(60, 0.02, rng);
     EXPECT_TRUE(is_connected(g));
+  }
+}
+
+TEST(Generators, GnpRejectsProbabilitiesOutsideUnitInterval) {
+  Rng rng(6);
+  for (const double p : {-1.0, 2.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(gnp(50, p, rng), CheckError) << p;
+    EXPECT_THROW(connected_gnp(50, p, rng), CheckError) << p;
   }
 }
 

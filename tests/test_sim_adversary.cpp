@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "support/check.hpp"
 
 namespace rise::sim {
 namespace {
@@ -33,6 +36,24 @@ TEST(WakeSchedule, RandomSubsetNeverEmpty) {
   }
   const auto s = wake_random_subset(1000, 0.5, rng);
   EXPECT_NEAR(static_cast<double>(s.wakes.size()), 500.0, 100.0);
+}
+
+TEST(WakeSchedule, RandomSubsetRejectsProbabilitiesOutsideUnitInterval) {
+  Rng rng(1);
+  for (const double p : {5.0, -0.5, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(wake_random_subset(10, p, rng), CheckError) << p;
+  }
+  EXPECT_EQ(wake_random_subset(10, 1.0, rng).wakes.size(), 10u);
+}
+
+TEST(WakeSchedule, StaggeredDoublingRejectsWakeTimeOverflow) {
+  Rng rng(4);
+  // Three nodes wake in batches at 0, gap, 2 * gap: 2 * gap wraps.
+  EXPECT_THROW(staggered_doubling(3, kNever / 2 + 1, 1.0, rng), CheckError);
+  // The last gap is never added to a wake time, so it may overflow freely.
+  const auto s = staggered_doubling(2, kNever / 2 + 1, 1.0, rng);
+  EXPECT_EQ(s.wakes.back().first, kNever / 2 + 1);
 }
 
 TEST(WakeSchedule, StaggeredDoublingCoversAllNodes) {

@@ -108,10 +108,29 @@ TEST(AsyncRun, CongestViolationThrows) {
       test::make_instance(g, Knowledge::KT1, Bandwidth::CONGEST);
   const auto delays = unit_delay();
   const KernelRunner fat = test::lambda_kernel([](auto& ctx, WakeCause) {
-    std::vector<std::uint64_t> payload(100, 7);
+    PayloadWords payload;
+    for (int i = 0; i < 100; ++i) payload.push_back(7);
     ctx.send(0, make_message(9, std::move(payload), 6400));
   });
   EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, fat), CheckError);
+}
+
+// The asynchronous context has no rounds: local_round() reads 0 and the
+// round features refuse.
+TEST(AsyncRun, ContextHasNoRounds) {
+  const auto g = graph::path(2);
+  const Instance inst = test::make_instance(g, Knowledge::KT1);
+  const auto delays = unit_delay();
+  int checked = 0;
+  const KernelRunner probe = test::lambda_kernel([&checked](auto& ctx,
+                                                            WakeCause) {
+    EXPECT_EQ(ctx.local_round(), 0u);
+    EXPECT_THROW(ctx.request_tick(), CheckError);
+    EXPECT_THROW(ctx.sleep_until(5), CheckError);
+    ++checked;
+  });
+  run_async(inst, *delays, wake_all(2), 1, probe);
+  EXPECT_EQ(checked, 2);
 }
 
 TEST(AsyncRun, DeterministicAcrossRuns) {

@@ -18,13 +18,17 @@
 //     serial chunk executor and a real thread pool, and dirty workspaces.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "algo/flooding.hpp"
 #include "app/spec.hpp"
 #include "runner/thread_pool.hpp"
+#include "sim/adversary.hpp"
 #include "sim/parallel.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
@@ -100,10 +104,10 @@ TEST(SimKernels, AsyncFamiliesBucketAndHeapAgree) {
 }
 
 // The fuzzer's unit-delay differential runs message-driven algorithms on
-// the lock-step engine (the kernels' on_round forwarding). The hashes were
-// recorded when every family still had a virtual-Process twin and both
-// forms produced them bit for bit; the ttl hashes were recorded when ttl
-// was itself a virtual Process.
+// the lock-step engine (sim::deliver_round hands each inbox message to
+// on_message). The hashes were recorded when every family still had a
+// virtual-Process twin and both forms produced them bit for bit; the ttl
+// hashes were recorded when ttl was itself a virtual Process.
 TEST(SimKernels, ForcedLockStepMatchesGoldenRuns) {
   const std::vector<std::pair<std::string, std::uint64_t>> golden = {
       {"flooding", 9875078830687610121ULL},
@@ -317,6 +321,87 @@ TEST(SimKernels, KernelIsWiredForEveryMainFamily) {
     EXPECT_TRUE(static_cast<bool>(
         app::prepare_experiment(make_spec(algo, 1)).kernel))
         << algo;
+  }
+}
+
+// ---- one kernel contract ------------------------------------------------
+
+// The engines' node contexts are concrete types: no vtable sits between a
+// kernel and the engine.
+static_assert(!std::is_polymorphic_v<
+              sim::internal::AsyncRunnerContext<algo::FloodingKernel>>);
+static_assert(!std::is_polymorphic_v<
+              sim::internal::SyncRunnerContext<algo::FloodingKernel>>);
+
+/// A message-driven kernel with no on_round. Every node folds the ports of
+/// the messages it receives, in arrival order, into its output, and relays
+/// its first message to a random subset of its other ports, so both the
+/// per-node message order and the RNG draws show in the run.
+struct RelayOnce {
+  struct State {
+    bool relayed = false;
+    std::uint64_t folded = 0;
+  };
+  std::vector<State> states;
+
+  void reset(const sim::Instance& instance, sim::RunWorkspace*) {
+    states.assign(instance.num_nodes(), State{});
+  }
+
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+    if (cause == sim::WakeCause::kAdversary) {
+      ctx.broadcast(sim::make_message(1, {ctx.my_label()}, 64));
+    }
+  }
+
+  template <class Ctx>
+  void on_message(Ctx& ctx, const sim::Incoming& in) {
+    State& self = states[ctx.node()];
+    self.folded = self.folded * 31 + in.port + 1;
+    ctx.set_output(self.folded);
+    if (self.relayed) return;
+    self.relayed = true;
+    for (sim::Port p = 0; p < ctx.degree(); ++p) {
+      if (p != in.port && ctx.rng().chance(0.5)) {
+        ctx.send(p, sim::make_message(2, {in.msg.payload[0]}, 64));
+      }
+    }
+  }
+};
+
+/// The same kernel with an explicit on_round that forwards the inbox.
+template <class K>
+struct ExplicitLoop : K {
+  template <class Ctx>
+  void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
+    for (const sim::Incoming& in : inbox) this->on_message(ctx, in);
+  }
+};
+
+std::string lock_step_digest(const sim::KernelRunner& kernel,
+                             const sim::Instance& instance,
+                             const sim::WakeSchedule& schedule) {
+  std::ostringstream trace;
+  sim::CsvTraceSink sink(trace);
+  const sim::RunResult result =
+      sim::run_sync(instance, schedule, 5, kernel, {}, &sink);
+  return test::digest(result, trace.str());
+}
+
+// A kernel without on_round runs under lock-step exactly as with an
+// explicit forwarding loop: the engine hands each inbox message to
+// on_message, in order.
+TEST(SimKernels, OnRoundIsOptionalUnderLockStep) {
+  for (const auto& [name, g] : test::graph_catalog()) {
+    const sim::Instance inst = test::make_instance(g, sim::Knowledge::KT1);
+    Rng rng(17);
+    const sim::WakeSchedule schedule =
+        sim::staggered_doubling(g.num_nodes(), 2, 2.0, rng);
+    EXPECT_EQ(lock_step_digest(sim::make_kernel(RelayOnce{}), inst, schedule),
+              lock_step_digest(sim::make_kernel(ExplicitLoop<RelayOnce>{}),
+                               inst, schedule))
+        << name;
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -139,11 +138,9 @@ using Steps = std::vector<std::pair<Time, std::size_t>>;
 
 using Log = std::map<graph::NodeId, Steps>;
 
-/// What a scripted node does on its first step: first(node, ctx).
-using FirstStep = std::function<void(graph::NodeId, Context&)>;
-
 /// A kernel whose on_round records every step into `log[node]` and runs
-/// `first` on a node's first step.
+/// `first(node, ctx)` on a node's first step.
+template <class FirstStep>
 KernelRunner scripted(Log* log, FirstStep first) {
   return test::lambda_kernel(
       test::NoHook{}, test::NoHook{},
@@ -156,6 +153,7 @@ KernelRunner scripted(Log* log, FirstStep first) {
 
 /// Runs the scripted kernel serially and round-parallel at 3 jobs (which
 /// must agree on everything the runs record) and returns the serial result.
+template <class FirstStep>
 RunResult run_both_paths(const Instance& inst, const WakeSchedule& schedule,
                          const FirstStep& first, const SyncRunLimits& limits,
                          Log* log) {
@@ -190,7 +188,7 @@ TEST(SyncDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
   const auto g = graph::Graph::from_edges(4, {});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
   const Time naps[] = {1000, 65, 64, 3};
-  const auto first = [&naps](graph::NodeId u, Context& ctx) {
+  const auto first = [&naps](graph::NodeId u, auto& ctx) {
     ctx.sleep_until(ctx.now() + naps[u]);
   };
   Log log;
@@ -209,7 +207,7 @@ TEST(SyncDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
 TEST(SyncDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
   const auto g = graph::Graph::from_edges(3, {{0, 1}, {1, 2}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto first = [](graph::NodeId u, Context& ctx) {
+  const auto first = [](graph::NodeId u, auto& ctx) {
     if (u == 1) {
       ctx.request_tick();
       ctx.request_tick();
@@ -235,7 +233,7 @@ TEST(SyncDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
 TEST(SyncDataPath, EventsAimedAtANappingNodeEvaporate) {
   const auto g = graph::Graph::from_edges(2, {{0, 1}});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto first = [](graph::NodeId u, Context& ctx) {
+  const auto first = [](graph::NodeId u, auto& ctx) {
     if (u == 0) {
       ctx.request_tick();
       ctx.sleep_until(10);

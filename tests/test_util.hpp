@@ -67,8 +67,8 @@ inline std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// A hook that does nothing; as the round hook, it forwards each inbox
-/// message to the message hook.
+/// A hook that does nothing; as the round hook, it leaves the kernel
+/// without an on_round.
 struct NoHook {
   template <class... Args>
   void operator()(Args&&...) const {}
@@ -95,13 +95,12 @@ struct LambdaKernel {
   void on_message(Ctx& ctx, const sim::Incoming& in) {
     message(ctx, in);
   }
+  /// Absent when there is no round hook, so a sync round passes each inbox
+  /// message to on_message (sim::deliver_round).
   template <class Ctx>
+    requires(!std::is_same_v<Round, NoHook>)
   void on_round(Ctx& ctx, std::span<const sim::Incoming> inbox) {
-    if constexpr (std::is_same_v<Round, NoHook>) {
-      for (const sim::Incoming& in : inbox) message(ctx, in);
-    } else {
-      round(ctx, inbox);
-    }
+    round(ctx, inbox);
   }
 };
 
