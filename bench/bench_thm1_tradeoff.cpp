@@ -7,11 +7,10 @@
 // messages. Sweeping beta on the family G traces both curves; their ratio is
 // bounded, i.e. the lower bound is tight up to O(log n).
 //
-// Each beta point is now a *distribution* over seeds (instance ports and
-// probing order are randomized), executed in parallel by the campaign
-// runner with a custom trial function — the family G is not expressible as
-// a spec string. NIH correctness of every center is asserted inside each
-// trial; a violation would surface in the err column.
+// Each beta point is a *distribution* over seeds (instance ports and
+// probing order are randomized), run as a serial seed sweep — the family G
+// is not expressible as a spec string. NIH correctness of every center is
+// asserted inside each trial; a violation would surface in the err column.
 #include <cmath>
 #include <cstdio>
 
@@ -28,24 +27,22 @@ using namespace rise;
 
 constexpr std::size_t kSeeds = 8;
 
-runner::TrialFn beta_trial(graph::NodeId n, unsigned beta) {
-  return [n, beta](const app::ExperimentSpec& spec) {
-    const auto fam = lb::make_kt0_family(n);
-    Rng rng(mix_seed(spec.seed, 0xE));
-    auto inst = lb::make_kt0_instance(fam, rng);
-    app::ExperimentReport report;
-    report.algorithm = "beta:" + std::to_string(beta);
-    report.num_nodes = inst.num_nodes();
-    report.num_edges = inst.graph().num_edges();
-    report.advice = advice::apply_oracle(inst, *lb::beta_probing_oracle(beta));
-    const auto delays = sim::unit_delay();
-    report.result =
-        sim::run_async(inst, *delays, fam.centers_awake(), spec.seed,
-                       lb::beta_probing_kernel(beta));
-    RISE_CHECK_MSG(lb::nih_correct_count(report.result, inst, fam) == n,
-                   "a center mis-identified its crucial neighbor");
-    return report;
-  };
+/// One probing trial on a fresh random instance of G. `advice_bits` receives
+/// the oracle's advice length, a property of beta alone.
+sim::RunResult beta_trial(graph::NodeId n, unsigned beta, std::uint64_t seed,
+                          std::uint64_t& advice_bits) {
+  const auto fam = lb::make_kt0_family(n);
+  Rng rng(mix_seed(seed, 0xE));
+  auto inst = lb::make_kt0_instance(fam, rng);
+  const auto advice =
+      advice::apply_oracle(inst, *lb::beta_probing_oracle(beta));
+  const auto delays = sim::unit_delay();
+  sim::RunResult result = sim::run_async(
+      inst, *delays, fam.centers_awake(), seed, lb::beta_probing_kernel(beta));
+  RISE_CHECK_MSG(lb::nih_correct_count(result, inst, fam) == n,
+                 "a center mis-identified its crucial neighbor");
+  advice_bits = advice.max_bits;
+  return result;
 }
 
 void beta_sweep(graph::NodeId n) {
@@ -57,26 +54,11 @@ void beta_sweep(graph::NodeId n) {
                       "runs (fail/err)"});
   const double logn = std::log2(static_cast<double>(n));
   for (unsigned beta = 0; beta <= static_cast<unsigned>(logn); ++beta) {
-    app::ExperimentSpec base;
-    base.graph = "kt0family:" + std::to_string(n);  // informational
-    base.algorithm = "beta:" + std::to_string(beta);
-    base.schedule = "centers";
-    base.seed = beta + 1;
-    // NIH probing leaves most of U asleep by design; aggregate every trial.
-    const auto result = bench::campaign_sweep(
-        base, kSeeds,
-        "thm1_n" + std::to_string(n) + "_beta" + std::to_string(beta),
-        beta_trial(n, beta), /*require_all_awake=*/false);
-    const auto& t = result.total;
-    // Advice length is a property of the oracle, identical across seeds;
-    // read it back from any successful trial.
     std::uint64_t advice_bits = 0;
-    for (const auto& r : result.trials) {
-      if (r.ok) {
-        advice_bits = r.advice_max_bits;
-        break;
-      }
-    }
+    const bench::SeedSweep t =
+        bench::seed_sweep(beta + 1, kSeeds, [&](std::uint64_t seed) {
+          return beta_trial(n, beta, seed, advice_bits);
+        });
     const double lower = static_cast<double>(n) * n /
                          (std::pow(2.0, beta + 4) * logn);
     table.add_row(
@@ -84,9 +66,7 @@ void beta_sweep(graph::NodeId n) {
          bench::fmt_mean_sd(t.messages, 0), bench::fmt_f(lower, 0),
          bench::fmt_f(t.messages.count() > 0 ? t.messages.mean() / lower : 0.0,
                       1),
-         bench::fmt_mean_sd(t.time_units, 1),
-         bench::fmt_u(t.trials) + " (" + bench::fmt_u(t.failures) + "/" +
-             bench::fmt_u(t.errors) + ")"});
+         bench::fmt_mean_sd(t.time_units, 1), t.runs()});
   }
   table.print();
 }

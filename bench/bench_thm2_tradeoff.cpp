@@ -8,8 +8,8 @@
 // locating the crossover the two theorems predict.
 //
 // Each (k, q) point is a distribution over seeds (the adversary's ID
-// permutation is randomized), executed in parallel by the campaign runner
-// with a custom trial function; NIH correctness is asserted per trial.
+// permutation is randomized), run as a serial seed sweep; NIH correctness is
+// asserted per trial.
 #include <cmath>
 #include <cstdio>
 
@@ -28,24 +28,18 @@ using namespace rise;
 
 constexpr std::size_t kSeeds = 8;
 
-runner::TrialFn bcast_trial(unsigned k, std::uint64_t q) {
-  return [k, q](const app::ExperimentSpec& spec) {
-    const auto fam = lb::make_kt1_family(k, q);
-    Rng rng(mix_seed(spec.seed, 0xF));
-    const auto inst = lb::make_kt1_instance(fam.family, rng);
-    app::ExperimentReport report;
-    report.algorithm = "centers_broadcast";
-    report.num_nodes = inst.num_nodes();
-    report.num_edges = inst.graph().num_edges();
-    const auto delays = sim::unit_delay();
-    report.result = sim::run_async(
-        inst, *delays, fam.family.centers_awake(), spec.seed,
-        lb::nih_kernel(lb::TtlFloodKernel(1)));
-    RISE_CHECK_MSG(
-        lb::nih_correct_count(report.result, inst, fam.family) == fam.family.n,
-        "a center mis-identified its crucial neighbor");
-    return report;
-  };
+/// The 1-time-unit broadcast on a fresh random ID assignment of G_k(q).
+sim::RunResult bcast_trial(const lb::LowerBoundFamily& family,
+                           std::uint64_t seed) {
+  Rng rng(mix_seed(seed, 0xF));
+  const auto inst = lb::make_kt1_instance(family, rng);
+  const auto delays = sim::unit_delay();
+  sim::RunResult result =
+      sim::run_async(inst, *delays, family.centers_awake(), seed,
+                     lb::nih_kernel(lb::TtlFloodKernel(1)));
+  RISE_CHECK_MSG(lb::nih_correct_count(result, inst, family) == family.n,
+                 "a center mis-identified its crucial neighbor");
+  return result;
 }
 
 void q_sweep(unsigned k, const std::vector<std::uint64_t>& qs) {
@@ -56,22 +50,15 @@ void q_sweep(unsigned k, const std::vector<std::uint64_t>& qs) {
                       "runs (fail/err)"});
   for (std::uint64_t q : qs) {
     // The topology is deterministic per (k, q); only IDs vary with the
-    // seed, so girth is computed once outside the sweep.
+    // seed, so the family and its girth are built once outside the sweep.
     const auto fam = lb::make_kt1_family(k, q);
     const auto girth = graph::girth(fam.family.graph);
-    app::ExperimentSpec base;
-    base.graph =
-        "kt1family:" + std::to_string(k) + ":" + std::to_string(q);
-    base.algorithm = "centers_broadcast";
-    base.schedule = "centers";
-    base.seed = q;
     // The 1-unit broadcast is not meant to wake the whole family; NIH
     // correctness (asserted per trial) is the success criterion.
-    const auto result = bench::campaign_sweep(
-        base, kSeeds,
-        "thm2_k" + std::to_string(k) + "_q" + std::to_string(q),
-        bcast_trial(k, q), /*require_all_awake=*/false);
-    const auto& t = result.total;
+    const bench::SeedSweep t =
+        bench::seed_sweep(q, kSeeds, [&](std::uint64_t seed) {
+          return bcast_trial(fam.family, seed);
+        });
     const double n = fam.family.n;
     const double curve = std::pow(n, 1.0 + 1.0 / k);
     table.add_row(
@@ -79,9 +66,7 @@ void q_sweep(unsigned k, const std::vector<std::uint64_t>& qs) {
          bench::fmt_mean_sd(t.messages, 0), bench::fmt_f(curve, 0),
          bench::fmt_f(t.messages.count() > 0 ? t.messages.mean() / curve : 0.0,
                       3),
-         bench::fmt_mean_sd(t.time_units, 1),
-         bench::fmt_u(t.trials) + " (" + bench::fmt_u(t.failures) + "/" +
-             bench::fmt_u(t.errors) + ")"});
+         bench::fmt_mean_sd(t.time_units, 1), t.runs()});
   }
   table.print();
 }

@@ -67,23 +67,26 @@ void write_counters(
   w.end_object();
 }
 
-// ---- helpers for the generic (parsed-JSON) pretty-printer ---------------
+// ---- helpers for the parsed-JSON readers --------------------------------
+// Absent members read as their defaults; a member of the wrong JSON type, or
+// one that does not fit its field, throws CheckError (see json::read).
 
 std::uint64_t get_u64(const json::Value& v, std::string_view key) {
-  const json::Value* f = v.find(key);
-  return (f != nullptr && f->is_integer) ? f->u64 : 0;
+  std::uint64_t out = 0;
+  json::read_member(v, key, out);
+  return out;
 }
 
 double get_num(const json::Value& v, std::string_view key) {
-  const json::Value* f = v.find(key);
-  return (f != nullptr && f->type == json::Value::Type::kNumber) ? f->number
-                                                                 : 0.0;
+  double out = 0.0;
+  json::read_member(v, key, out);
+  return out;
 }
 
 std::string get_str(const json::Value& v, std::string_view key) {
-  const json::Value* f = v.find(key);
-  return (f != nullptr && f->type == json::Value::Type::kString) ? f->string
-                                                                 : std::string();
+  std::string out;
+  json::read_member(v, key, out);
+  return out;
 }
 
 std::string fmt_double(double v, int precision = 2) {
@@ -221,15 +224,16 @@ namespace {
 LogHistogram read_histogram(const json::Value& v) {
   RISE_CHECK_MSG(v.is_object(), "histogram is not a JSON object");
   std::uint64_t counts[LogHistogram::kBuckets] = {};
-  const json::Value* buckets = v.find("buckets");
-  if (buckets != nullptr && buckets->is_array()) {
+  if (const json::Value* buckets =
+          v.find("buckets", json::Value::Type::kArray)) {
     for (const json::Value& pair : buckets->array) {
       RISE_CHECK_MSG(pair.is_array() && pair.size() == 2,
                      "histogram bucket is not a [lo, count] pair");
       // The serialized lo is bucket_lo(b), and bucket_of(bucket_lo(b)) == b
       // for every b, so the bucket index round-trips through its lo value.
-      const unsigned b = LogHistogram::bucket_of(pair.at(0).u64);
-      counts[b] = pair.at(1).u64;
+      std::uint64_t lo = 0;
+      json::read(pair.at(0), "buckets", lo);
+      json::read(pair.at(1), "buckets", counts[LogHistogram::bucket_of(lo)]);
     }
   }
   return LogHistogram::restore(counts, get_u64(v, "count"), get_u64(v, "sum"),
@@ -238,15 +242,15 @@ LogHistogram read_histogram(const json::Value& v) {
 
 EngineProfile read_engine(const json::Value& v) {
   EngineProfile e;
-  e.backend = get_str(v, "backend");
-  e.events_popped = get_u64(v, "events_popped");
-  e.queue_high_water = get_u64(v, "queue_high_water");
-  e.ring_high_water = get_u64(v, "ring_high_water");
-  e.overflow_high_water = get_u64(v, "overflow_high_water");
+  json::read_member(v, "backend", e.backend);
+  json::read_member(v, "events_popped", e.events_popped);
+  json::read_member(v, "queue_high_water", e.queue_high_water);
+  json::read_member(v, "ring_high_water", e.ring_high_water);
+  json::read_member(v, "overflow_high_water", e.overflow_high_water);
   if (const json::Value* h = v.find("queue_depth")) {
     e.queue_depth = read_histogram(*h);
   }
-  e.rounds_stepped = get_u64(v, "rounds_stepped");
+  json::read_member(v, "rounds_stepped", e.rounds_stepped);
   if (const json::Value* h = v.find("round_active")) {
     e.round_active = read_histogram(*h);
   }
@@ -259,76 +263,78 @@ RunProfile profile_from_json(const json::Value& doc) {
   RISE_CHECK_MSG(doc.is_object() && get_str(doc, "kind") == "run_profile",
                  "not a run_profile document");
   RunProfile p;
-  p.algorithm = get_str(doc, "algorithm");
-  p.graph = get_str(doc, "graph");
-  p.schedule = get_str(doc, "schedule");
-  p.delay = get_str(doc, "delay");
-  p.seed = get_u64(doc, "seed");
-  p.num_nodes = static_cast<std::uint32_t>(get_u64(doc, "num_nodes"));
-  p.num_edges = get_u64(doc, "num_edges");
-  p.rho_awk = static_cast<std::uint32_t>(get_u64(doc, "rho_awk"));
-  if (const json::Value* f = doc.find("synchronous")) p.synchronous = f->boolean;
+  json::read_member(doc, "algorithm", p.algorithm);
+  json::read_member(doc, "graph", p.graph);
+  json::read_member(doc, "schedule", p.schedule);
+  json::read_member(doc, "delay", p.delay);
+  json::read_member(doc, "seed", p.seed);
+  json::read_member(doc, "num_nodes", p.num_nodes);
+  json::read_member(doc, "num_edges", p.num_edges);
+  json::read_member(doc, "rho_awk", p.rho_awk);
+  json::read_member(doc, "synchronous", p.synchronous);
 
   const json::Value& totals = doc.at("totals");
-  p.messages = get_u64(totals, "messages");
-  p.bits = get_u64(totals, "bits");
-  p.deliveries = get_u64(totals, "deliveries");
-  p.events = get_u64(totals, "events");
-  p.rounds = get_u64(totals, "rounds");
-  p.time_units = get_num(totals, "time_units");
-  p.awake_total = get_u64(totals, "awake_total");
-  p.awake_max = get_u64(totals, "awake_max");
-  p.sleep_dropped = get_u64(totals, "sleep_dropped");
+  RISE_CHECK_MSG(totals.is_object(), "run_profile totals is not an object");
+  json::read_member(totals, "messages", p.messages);
+  json::read_member(totals, "bits", p.bits);
+  json::read_member(totals, "deliveries", p.deliveries);
+  json::read_member(totals, "events", p.events);
+  json::read_member(totals, "rounds", p.rounds);
+  json::read_member(totals, "time_units", p.time_units);
+  json::read_member(totals, "awake_total", p.awake_total);
+  json::read_member(totals, "awake_max", p.awake_max);
+  json::read_member(totals, "sleep_dropped", p.sleep_dropped);
 
   if (const json::Value* h = doc.find("awake_rounds")) {
     p.awake_rounds = read_histogram(*h);
   }
 
-  if (const json::Value* phases = doc.find("phases")) {
+  using Type = json::Value::Type;
+  if (const json::Value* phases = doc.find("phases", Type::kArray)) {
     for (const json::Value& v : phases->array) {
       PhaseProfile ph;
-      ph.name = get_str(v, "name");
-      ph.marks = get_u64(v, "marks");
-      ph.messages = get_u64(v, "messages");
-      ph.bits = get_u64(v, "bits");
+      json::read_member(v, "name", ph.name);
+      json::read_member(v, "marks", ph.marks);
+      json::read_member(v, "messages", ph.messages);
+      json::read_member(v, "bits", ph.bits);
       const json::Value* first = v.find("first_send");
       if (first != nullptr && !first->is_null()) {
-        ph.first_send = first->u64;
-        ph.last_send = get_u64(v, "last_send");
+        json::read(*first, "first_send", ph.first_send);
+        json::read_member(v, "last_send", ph.last_send);
       }
       ph.message_bits = read_histogram(v.at("message_bits"));
       p.phases.push_back(std::move(ph));
     }
   }
 
-  if (const json::Value* classes = doc.find("classes")) {
+  if (const json::Value* classes = doc.find("classes", Type::kArray)) {
     for (const json::Value& v : classes->array) {
       ClassProfile c;
-      c.name = get_str(v, "name");
-      c.nodes = get_u64(v, "nodes");
-      c.messages = get_u64(v, "messages");
+      json::read_member(v, "name", c.name);
+      json::read_member(v, "nodes", c.nodes);
+      json::read_member(v, "messages", c.messages);
       c.sent_per_node = read_histogram(v.at("sent_per_node"));
       p.classes.push_back(std::move(c));
     }
   }
 
-  if (const json::Value* counters = doc.find("counters")) {
+  if (const json::Value* counters = doc.find("counters", Type::kObject)) {
     for (const auto& [name, v] : counters->object) {
-      p.counters.emplace_back(name, v.u64);
+      json::read(v, name, p.counters.emplace_back(name, 0).second);
     }
   }
 
-  if (const json::Value* engine = doc.find("engine")) {
+  if (const json::Value* engine = doc.find("engine", Type::kObject)) {
     p.engine = read_engine(*engine);
   }
 
-  if (const json::Value* timers = doc.find("timers")) {
+  if (const json::Value* timers = doc.find("timers", Type::kArray)) {
     for (const json::Value& v : timers->array) {
       TimerProfile t;
-      t.name = get_str(v, "name");
-      t.calls = get_u64(v, "calls");
-      t.wall_seconds = get_num(v, "wall_seconds");
-      t.sim_ticks = get_u64(v, "sim_ticks");
+      json::read_member(v, "name", t.name);
+      json::read_member(v, "calls", t.calls);
+      json::read_member(v, "wall_seconds", t.wall_seconds);
+      json::read_member(v, "sim_ticks", t.sim_ticks);
       p.timers.push_back(std::move(t));
     }
   }
@@ -551,129 +557,105 @@ std::string format_profile(const RunProfile& p, std::size_t top_n) {
 }
 
 std::string format_aggregate(const ProfileAggregate& a, std::size_t top_n) {
+  return format_profile_document(json::parse(aggregate_to_json(a)), top_n);
+}
+
+namespace {
+
+/// The write_stats block `key` of `v` when it holds at least one sample.
+const json::Value* samples(const json::Value& v, std::string_view key) {
+  const json::Value* s = v.find(key, json::Value::Type::kObject);
+  return s != nullptr && get_u64(*s, "count") > 0 ? s : nullptr;
+}
+
+std::string fmt_stat(const json::Value& stats, std::string_view key) {
+  return fmt_double(get_num(stats, key));
+}
+
+std::string format_aggregate_document(const json::Value& doc,
+                                      std::size_t top_n) {
+  const json::Value& totals = doc.at("totals");
+  RISE_CHECK_MSG(totals.is_object(), "profile totals is not an object");
   std::ostringstream os;
-  os << "profile aggregate over " << a.trials << " trials\n";
-  os << "totals: messages=" << a.messages << " bits=" << a.bits
-     << " events=" << a.events << '\n';
-  if (a.messages_per_trial.count() > 0) {
-    os << "messages/trial: mean=" << fmt_double(a.messages_per_trial.mean())
-       << " p50=" << fmt_double(a.messages_per_trial.quantile(0.5))
-       << " p90=" << fmt_double(a.messages_per_trial.quantile(0.9))
-       << " max=" << fmt_double(a.messages_per_trial.max()) << '\n';
+  os << "profile aggregate over " << get_u64(doc, "trials") << " trials\n";
+  os << "totals: messages=" << get_u64(totals, "messages")
+     << " bits=" << get_u64(totals, "bits")
+     << " events=" << get_u64(totals, "events") << '\n';
+  if (const json::Value* s = samples(doc, "messages_per_trial")) {
+    os << "messages/trial: mean=" << fmt_stat(*s, "mean")
+       << " p50=" << fmt_stat(*s, "p50") << " p90=" << fmt_stat(*s, "p90")
+       << " max=" << fmt_stat(*s, "max") << '\n';
   }
-  if (a.time_units.count() > 0) {
-    os << "time_units: mean=" << fmt_double(a.time_units.mean())
-       << " p50=" << fmt_double(a.time_units.quantile(0.5))
-       << " max=" << fmt_double(a.time_units.max()) << '\n';
+  if (const json::Value* s = samples(doc, "time_units")) {
+    os << "time_units: mean=" << fmt_stat(*s, "mean")
+       << " p50=" << fmt_stat(*s, "p50") << " max=" << fmt_stat(*s, "max")
+       << '\n';
   }
-  if (a.awake_rounds.count() > 0) {
-    os << "awake_rounds: total=" << a.awake_total
-       << " p50=" << a.awake_rounds.approx_quantile(0.5)
-       << " p90=" << a.awake_rounds.approx_quantile(0.9)
-       << " max=" << a.awake_max << " sleep_dropped=" << a.sleep_dropped
-       << " max/trial p50=" << fmt_double(a.awake_max_per_trial.quantile(0.5))
+  const json::Value* awake = doc.find("awake_rounds");
+  const LogHistogram awake_rounds =
+      awake != nullptr ? read_histogram(*awake) : LogHistogram{};
+  if (awake_rounds.count() > 0) {
+    os << "awake_rounds: total=" << get_u64(totals, "awake_total")
+       << " p50=" << awake_rounds.approx_quantile(0.5)
+       << " p90=" << awake_rounds.approx_quantile(0.9)
+       << " max=" << get_u64(totals, "awake_max")
+       << " sleep_dropped=" << get_u64(totals, "sleep_dropped")
+       << " max/trial p50=" << fmt_stat(doc.at("awake_max_per_trial"), "p50")
        << '\n';
   }
 
   os << "phases (by messages):\n";
   std::vector<TextRow> rows;
-  for (const PhaseAggregate& ph : a.phases) {
-    if (ph.messages == 0 && ph.marks == 0) continue;
-    std::ostringstream line;
-    line << "messages=" << ph.messages << " bits=" << ph.bits
-         << " marks=" << ph.marks;
-    if (ph.messages_per_trial.count() > 0) {
-      line << " per-trial p50=" << fmt_double(ph.messages_per_trial.quantile(0.5))
-           << " p90=" << fmt_double(ph.messages_per_trial.quantile(0.9));
+  if (const json::Value* phases =
+          doc.find("phases", json::Value::Type::kArray)) {
+    for (const json::Value& ph : phases->array) {
+      const std::uint64_t messages = get_u64(ph, "messages");
+      const std::uint64_t marks = get_u64(ph, "marks");
+      if (messages == 0 && marks == 0) continue;
+      std::ostringstream line;
+      line << "messages=" << messages << " bits=" << get_u64(ph, "bits")
+           << " marks=" << marks;
+      if (const json::Value* s = samples(ph, "messages_per_trial")) {
+        line << " per-trial p50=" << fmt_stat(*s, "p50")
+             << " p90=" << fmt_stat(*s, "p90");
+      }
+      rows.push_back({get_str(ph, "name"), messages, line.str()});
     }
-    rows.push_back({ph.name, ph.messages, line.str()});
   }
   append_top(os, std::move(rows), top_n);
 
-  if (!a.counters.empty()) {
+  const json::Value* counters =
+      doc.find("counters", json::Value::Type::kObject);
+  if (counters != nullptr && counters->size() > 0) {
     os << "counters:\n";
-    for (const auto& [name, v] : a.counters) {
-      append_row(os, name, std::to_string(v));
+    for (const auto& [name, v] : counters->object) {
+      std::uint64_t count = 0;
+      json::read(v, name, count);
+      append_row(os, name, std::to_string(count));
     }
   }
 
-  const EngineProfile& e = a.engine;
+  const json::Value* engine = doc.find("engine", json::Value::Type::kObject);
+  const EngineProfile e = engine != nullptr ? read_engine(*engine)
+                                            : EngineProfile{};
   os << "engine: backend=" << (e.backend.empty() ? "?" : e.backend)
      << " popped=" << e.events_popped << " queue_hw=" << e.queue_high_water
      << " rounds_stepped=" << e.rounds_stepped << '\n';
   return os.str();
 }
 
+}  // namespace
+
 std::string format_profile_document(const json::Value& doc,
                                     std::size_t top_n) {
   RISE_CHECK_MSG(doc.is_object(), "profile document is not a JSON object");
-  std::string kind = get_str(doc, "kind");
-  RISE_CHECK_MSG(kind == "run_profile" || kind == "profile_aggregate",
-                 "not a profile document (kind=" << kind << ")");
-
+  const std::string kind = get_str(doc, "kind");
   if (kind == "run_profile") {
     return format_profile(profile_from_json(doc), top_n);
   }
-
-  std::ostringstream os;
-  const json::Value* totals = doc.find("totals");
-  os << "profile aggregate over " << get_u64(doc, "trials") << " trials\n";
-  if (totals != nullptr) {
-    os << "totals: messages=" << get_u64(*totals, "messages")
-       << " bits=" << get_u64(*totals, "bits")
-       << " events=" << get_u64(*totals, "events") << '\n';
-  }
-  const json::Value* mpt = doc.find("messages_per_trial");
-  if (mpt != nullptr && get_u64(*mpt, "count") > 0) {
-    os << "messages/trial: mean=" << fmt_double(get_num(*mpt, "mean"))
-       << " p50=" << fmt_double(get_num(*mpt, "p50"))
-       << " p90=" << fmt_double(get_num(*mpt, "p90"))
-       << " max=" << fmt_double(get_num(*mpt, "max")) << '\n';
-  }
-  const json::Value* awake = doc.find("awake_rounds");
-  if (awake != nullptr && get_u64(*awake, "count") > 0 && totals != nullptr) {
-    const LogHistogram h = read_histogram(*awake);
-    os << "awake_rounds: total=" << get_u64(*totals, "awake_total")
-       << " p50=" << h.approx_quantile(0.5)
-       << " p90=" << h.approx_quantile(0.9)
-       << " max=" << get_u64(*totals, "awake_max")
-       << " sleep_dropped=" << get_u64(*totals, "sleep_dropped") << '\n';
-  }
-
-  const json::Value* phases = doc.find("phases");
-  if (phases != nullptr && phases->is_array()) {
-    os << "phases (by messages):\n";
-    std::vector<TextRow> rows;
-    for (const json::Value& ph : phases->array) {
-      std::uint64_t messages = get_u64(ph, "messages");
-      std::uint64_t marks = get_u64(ph, "marks");
-      if (messages == 0 && marks == 0) continue;
-      std::ostringstream line;
-      line << "messages=" << messages << " bits=" << get_u64(ph, "bits")
-           << " marks=" << marks;
-      rows.push_back({get_str(ph, "name"), messages, line.str()});
-    }
-    append_top(os, std::move(rows), top_n);
-  }
-
-  const json::Value* counters = doc.find("counters");
-  if (counters != nullptr && counters->is_object() && counters->size() > 0) {
-    os << "counters:\n";
-    for (const auto& [name, v] : counters->object) {
-      append_row(os, name, v.is_integer ? std::to_string(v.u64)
-                                        : fmt_double(v.number));
-    }
-  }
-
-  const json::Value* engine = doc.find("engine");
-  if (engine != nullptr && engine->is_object()) {
-    os << "engine: backend=" << get_str(*engine, "backend")
-       << " popped=" << get_u64(*engine, "events_popped")
-       << " queue_hw=" << get_u64(*engine, "queue_high_water")
-       << " rounds_stepped=" << get_u64(*engine, "rounds_stepped") << '\n';
-  }
-
-  return os.str();
+  RISE_CHECK_MSG(kind == "profile_aggregate",
+                 "not a profile document (kind=" << kind << ")");
+  return format_aggregate_document(doc, top_n);
 }
 
 }  // namespace rise::obs

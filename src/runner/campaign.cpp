@@ -39,7 +39,7 @@ sim::RunWorkspace& worker_workspace() {
   return workspace;
 }
 
-/// How the default-run path obtains and executes a trial's preparation.
+/// How a trial obtains and executes its preparation.
 struct PreparedPolicy {
   /// Non-null exactly under kSharedConfig: every trial of a configuration
   /// is served one preparation, built from the base seed.
@@ -61,100 +61,41 @@ struct StoreContext {
   std::atomic<int> executed{0};
 };
 
-store::TrialRecord to_record(const TrialResult& r,
-                             const std::string& prepare_tag) {
-  store::TrialRecord rec;
-  rec.graph = r.trial.spec.graph;
-  rec.schedule = r.trial.spec.schedule;
-  rec.algorithm = r.trial.spec.algorithm;
-  rec.delay = r.trial.spec.delay;
-  rec.seed = r.trial.spec.seed;
-  rec.prepare_tag = prepare_tag;
-  rec.ok = r.ok;
-  rec.error = r.error;
-  rec.num_nodes = r.num_nodes;
-  rec.num_edges = r.num_edges;
-  rec.rho_awk = r.rho_awk;
-  rec.synchronous = r.synchronous;
-  rec.all_awake = r.all_awake;
-  rec.awake_count = r.awake_count;
-  rec.messages = r.messages;
-  rec.bits = r.bits;
-  rec.time_units = r.time_units;
-  rec.rounds = r.rounds;
-  rec.wakeup_span = r.wakeup_span;
-  rec.awake_node_ticks = r.awake_node_ticks;
-  rec.advice_max_bits = r.advice_max_bits;
-  rec.advice_avg_bits = r.advice_avg_bits;
-  rec.result_digest = r.result_digest;
-  rec.wall_ms = r.wall_ms;
-  return rec;
-}
-
-void from_record(const store::TrialRecord& rec, TrialResult& r) {
-  r.ok = rec.ok;
-  r.error = rec.error;
-  r.num_nodes = rec.num_nodes;
-  r.num_edges = rec.num_edges;
-  r.rho_awk = rec.rho_awk;
-  r.synchronous = rec.synchronous;
-  r.all_awake = rec.all_awake;
-  r.awake_count = rec.awake_count;
-  r.messages = rec.messages;
-  r.bits = rec.bits;
-  r.time_units = rec.time_units;
-  r.rounds = rec.rounds;
-  r.wakeup_span = rec.wakeup_span;
-  r.awake_node_ticks = rec.awake_node_ticks;
-  r.advice_max_bits = static_cast<std::size_t>(rec.advice_max_bits);
-  r.advice_avg_bits = rec.advice_avg_bits;
-  r.result_digest = rec.result_digest;
-  // The original execution's wall clock, not this campaign's; kept for the
-  // record but flagged by from_store so consumers can tell.
-  r.wall_ms = rec.wall_ms;
-  r.from_store = true;
-}
-
-TrialResult execute_trial(const Trial& trial, const TrialFn& run,
-                          bool profile, const PreparedPolicy& policy) {
+TrialResult execute_trial(const Trial& trial, bool profile,
+                          const PreparedPolicy& policy) {
   TrialResult r;
   r.trial = trial;
   const auto t0 = Clock::now();
   try {
-    app::ExperimentReport report;
-    if (!run) {
-      // Default path: prepare (or fetch) the immutable inputs, then execute
-      // with the trial's own seed on this worker's recycled workspace. Under
-      // kPerTrial the prep seed IS the trial seed, so this is bit-identical
-      // to a run_experiment call per trial.
-      obs::Probe probe;
-      std::shared_ptr<const app::PreparedExperiment> prepared;
-      if (policy.cache != nullptr) {
-        // Cached preparations are shared across trials, so no single
-        // trial's probe may observe the build (which trial builds first is
-        // a scheduling race; attaching its probe would make per-trial
-        // profiles nondeterministic). Shared-mode profiles therefore have
-        // no setup.graph/instance/advice timers — the cost is amortized
-        // away, which is the point.
-        app::ExperimentSpec prep_spec = trial.spec;
-        prep_spec.seed = policy.prepare_seed;
-        prepared = policy.cache->get_or_prepare(prep_spec);
-      } else {
-        prepared = std::make_shared<const app::PreparedExperiment>(
-            app::prepare_experiment(trial.spec, profile ? &probe : nullptr));
-      }
-      app::RunInstruments instruments;
-      if (profile) instruments.probe = &probe;
-      instruments.trial_jobs = policy.trial_jobs;
-      instruments.trial_executor = policy.trial_executor;
-      report = app::execute_prepared(*prepared, trial.spec, instruments,
-                                     &worker_workspace());
-      if (profile) {
-        r.profile = std::make_shared<const obs::RunProfile>(
-            app::take_run_profile(probe, report, trial.spec));
-      }
+    // Prepare (or fetch) the immutable inputs, then execute with the trial's
+    // own seed on this worker's recycled workspace. Under kPerTrial the prep
+    // seed IS the trial seed, so this is bit-identical to a run_experiment
+    // call per trial.
+    obs::Probe probe;
+    std::shared_ptr<const app::PreparedExperiment> prepared;
+    if (policy.cache != nullptr) {
+      // Cached preparations are shared across trials, so no single trial's
+      // probe may observe the build (which trial builds first is a
+      // scheduling race; attaching its probe would make per-trial profiles
+      // nondeterministic). Shared-mode profiles therefore have no
+      // setup.graph/instance/advice timers — the cost is amortized away,
+      // which is the point.
+      app::ExperimentSpec prep_spec = trial.spec;
+      prep_spec.seed = policy.prepare_seed;
+      prepared = policy.cache->get_or_prepare(prep_spec);
     } else {
-      report = run(trial.spec);
+      prepared = std::make_shared<const app::PreparedExperiment>(
+          app::prepare_experiment(trial.spec, profile ? &probe : nullptr));
+    }
+    app::RunInstruments instruments;
+    if (profile) instruments.probe = &probe;
+    instruments.trial_jobs = policy.trial_jobs;
+    instruments.trial_executor = policy.trial_executor;
+    app::ExperimentReport report = app::execute_prepared(
+        *prepared, trial.spec, instruments, &worker_workspace());
+    if (profile) {
+      r.profile = std::make_shared<const obs::RunProfile>(
+          app::take_run_profile(probe, report, trial.spec));
     }
     r.ok = true;
     r.num_nodes = report.num_nodes;
@@ -174,11 +115,9 @@ TrialResult execute_trial(const Trial& trial, const TrialFn& run,
     // Digest before the result buffers are recycled. A pure function of the
     // trial's inputs — the currency of the shard/resume equivalence tests.
     r.result_digest = check::digest_run(report.result);
-    if (!run) {
-      // Everything needed is extracted; hand the per-node result buffers
-      // back so the next trial on this worker reuses their capacity.
-      worker_workspace().recycle_result(std::move(report.result));
-    }
+    // Everything needed is extracted; hand the per-node result buffers back
+    // so the next trial on this worker reuses their capacity.
+    worker_workspace().recycle_result(std::move(report.result));
   } catch (const std::exception& e) {
     r.ok = false;
     r.error = e.what();
@@ -189,24 +128,29 @@ TrialResult execute_trial(const Trial& trial, const TrialFn& run,
 
 /// execute_trial behind the result store: serve a recorded trial without
 /// executing, record an executed one, and honour the die-after fault point.
-TrialResult execute_or_fetch(const Trial& trial, const TrialFn& run,
-                             bool profile, const PreparedPolicy& policy,
-                             StoreContext& sc) {
-  if (sc.store == nullptr) return execute_trial(trial, run, profile, policy);
+TrialResult execute_or_fetch(const Trial& trial, bool profile,
+                             const PreparedPolicy& policy, StoreContext& sc) {
+  if (sc.store == nullptr) return execute_trial(trial, profile, policy);
   if (sc.serve_hits) {
     const store::Digest128 key = store::trial_key(trial.spec, sc.prepare_tag);
     if (const store::TrialRecord* rec =
             sc.store->lookup(key, trial.spec, sc.prepare_tag)) {
+      // The outcome, wall_ms included, is the original execution's;
+      // from_store tells consumers so.
       TrialResult r;
+      static_cast<store::TrialOutcome&>(r) = *rec;
       r.trial = trial;
-      from_record(*rec, r);
+      r.from_store = true;
       sc.hits.fetch_add(1, std::memory_order_relaxed);
       return r;
     }
   }
   sc.misses.fetch_add(1, std::memory_order_relaxed);
-  TrialResult r = execute_trial(trial, run, profile, policy);
-  sc.store->append(to_record(r, sc.prepare_tag));
+  TrialResult r = execute_trial(trial, profile, policy);
+  const app::ExperimentSpec& spec = trial.spec;
+  sc.store->append(store::TrialRecord{r, spec.graph, spec.schedule,
+                                      spec.algorithm, spec.delay, spec.seed,
+                                      sc.prepare_tag});
   if (sc.die_after > 0 &&
       sc.executed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           sc.die_after) {
@@ -218,14 +162,13 @@ TrialResult execute_or_fetch(const Trial& trial, const TrialFn& run,
   return r;
 }
 
-void accumulate(ConfigStats& stats, const TrialResult& r,
-                bool require_all_awake) {
+void accumulate(ConfigStats& stats, const TrialResult& r) {
   ++stats.trials;
   if (!r.ok) {
     ++stats.errors;
     return;
   }
-  if (require_all_awake && !r.all_awake) {
+  if (!r.all_awake) {
     ++stats.failures;
     return;
   }
@@ -348,20 +291,10 @@ std::vector<Trial> expand_trials(const CampaignPlan& plan) {
 
 CampaignResult run_campaign(const CampaignPlan& plan,
                             const CampaignOptions& options) {
-  RISE_CHECK_MSG(!plan.run || plan.prepare_mode == PrepareMode::kPerTrial,
-                 "PrepareMode::kSharedConfig requires the default trial "
-                 "function (a custom TrialFn has no preparation seam)");
-  RISE_CHECK_MSG(options.store == nullptr || !plan.run,
-                 "the result store requires the default trial function "
-                 "(records are keyed by spec strings, which do not describe "
-                 "what a custom TrialFn computes)");
   std::vector<Trial> trials = expand_trials(plan);
   if (!options.shard.whole_campaign()) {
     trials = shard_trials(trials, options.shard);
   }
-
-  // Profiling needs the probe seam; a custom TrialFn has none.
-  const bool profile = plan.profile && !plan.run;
 
   const bool shared_config = plan.prepare_mode == PrepareMode::kSharedConfig;
   PreparedConfigCache cache;
@@ -374,7 +307,7 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   // A stored record carries no RunProfile, so a profiled campaign cannot be
   // served from the store — it still writes through, warming the store for
   // later unprofiled runs.
-  sc.serve_hits = !profile;
+  sc.serve_hits = !plan.profile;
   sc.die_after = options.die_after;
   if (sc.store != nullptr) {
     sc.prepare_tag = shared_config ? store::prepare_tag_shared(plan.base.seed)
@@ -419,9 +352,9 @@ CampaignResult run_campaign(const CampaignPlan& plan,
       // one task.
       const Trial* trial = &trials[i];
       TrialResult* slot = &result.trials[i];
-      pool.submit([trial, slot, &plan, &policy, &progress, profile, &sc,
+      pool.submit([trial, slot, &plan, &policy, &progress, &sc,
                    &admit_mu, &admit_cv, &running, gate] {
-        *slot = execute_or_fetch(*trial, plan.run, profile, policy, sc);
+        *slot = execute_or_fetch(*trial, plan.profile, policy, sc);
         progress.tick();
         if (gate) {
           {
@@ -438,15 +371,12 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   result.wall_ms = ms_between(t0, Clock::now());
   result.store_hits = sc.hits.load(std::memory_order_relaxed);
   result.store_misses = sc.misses.load(std::memory_order_relaxed);
-  if (!plan.run) {
-    // Store-served trials prepare nothing; only executed ones count.
-    const std::uint64_t executed =
-        sc.store != nullptr ? result.store_misses
-                            : static_cast<std::uint64_t>(trials.size());
-    result.prepared_configs =
-        policy.cache != nullptr ? cache.misses() : executed;
-    result.prepared_cache_hits = policy.cache != nullptr ? cache.hits() : 0;
-  }
+  // Store-served trials prepare nothing; only executed ones count.
+  const std::uint64_t executed =
+      sc.store != nullptr ? result.store_misses
+                          : static_cast<std::uint64_t>(trials.size());
+  result.prepared_configs = policy.cache != nullptr ? cache.misses() : executed;
+  result.prepared_cache_hits = policy.cache != nullptr ? cache.hits() : 0;
   result.trials_per_sec =
       result.wall_ms > 0.0
           ? static_cast<double>(trials.size()) / (result.wall_ms / 1000.0)
@@ -477,9 +407,8 @@ void aggregate_campaign(const CampaignPlan& plan, CampaignResult& result) {
                    "trial " << r.trial.index << " names config "
                             << r.trial.config_index << " of a plan with only "
                             << result.configs.size());
-    accumulate(result.configs[r.trial.config_index], r,
-               plan.require_all_awake);
-    accumulate(result.total, r, plan.require_all_awake);
+    accumulate(result.configs[r.trial.config_index], r);
+    accumulate(result.total, r);
     if (r.profile != nullptr) result.profile.merge(*r.profile);
   }
   result.total.spec = plan.base;

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -20,11 +19,8 @@
 
 #include "app/spec.hpp"
 #include "runner/prepared.hpp"
+#include "store/result_store.hpp"
 #include "support/stats.hpp"
-
-namespace rise::store {
-class ResultStore;
-}  // namespace rise::store
 
 namespace rise::runner {
 
@@ -54,58 +50,25 @@ struct Trial {
   app::ExperimentSpec spec;  ///< grid-substituted; seed = the derived seed
 };
 
-/// Scalar observables of one finished trial. The per-node vectors of
-/// sim::RunResult are deliberately dropped so retaining thousands of trials
-/// stays cheap.
-struct TrialResult {
+/// One finished trial: which trial it was, its outcome (the fields shared
+/// with the result store and the results JSON), and how it was obtained.
+struct TrialResult : store::TrialOutcome {
   Trial trial;
-  bool ok = false;    ///< ran to completion without throwing
-  std::string error;  ///< exception text when !ok
-
-  // Topology and model (valid when ok).
-  std::uint32_t num_nodes = 0;
-  std::size_t num_edges = 0;
-  std::uint32_t rho_awk = 0;
-  bool synchronous = false;
-
-  // Outcome metrics (valid when ok).
-  bool all_awake = false;
-  std::uint32_t awake_count = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-  double time_units = 0.0;
-  std::uint64_t rounds = 0;
-  std::uint64_t wakeup_span = 0;       ///< only meaningful when all_awake
-  std::uint64_t awake_node_ticks = 0;
-  std::size_t advice_max_bits = 0;
-  double advice_avg_bits = 0.0;
-
-  /// Wall-clock duration of this trial. Nondeterministic — excluded from
-  /// every aggregate; reported per trial and in the summary timing block.
-  double wall_ms = 0.0;
-
-  /// check::digest_run of the trial's full RunResult (0 when !ok). A pure
-  /// function of the trial's inputs, so it is the unit the shard/resume
-  /// equivalence invariant is stated over: any shard split or store-resumed
-  /// run must reproduce the single-process digest stream bit for bit.
-  std::uint64_t result_digest = 0;
 
   /// True when this result was served from the content-addressed result
   /// store instead of being executed (see CampaignOptions::store).
   bool from_store = false;
 
   /// Per-run observability profile, populated only when CampaignPlan::profile
-  /// is set (and the plan uses the default run function). shared_ptr keeps
-  /// TrialResult cheap to copy; null otherwise. Timer wall-clock fields inside
-  /// are nondeterministic, but everything the aggregate consumes is not.
+  /// is set. shared_ptr keeps TrialResult cheap to copy; null otherwise.
+  /// Timer wall-clock fields inside are nondeterministic, but everything the
+  /// aggregate consumes is not.
   std::shared_ptr<const obs::RunProfile> profile;
 };
 
 /// Aggregates over the successful trials of one grid config (or of the
 /// whole campaign). A trial that runs but leaves nodes asleep is a failure;
-/// a trial that throws is an error; neither contributes samples. (Plans
-/// with require_all_awake == false aggregate every ok trial instead — see
-/// CampaignPlan.)
+/// a trial that throws is an error; neither contributes samples.
 struct ConfigStats {
   app::ExperimentSpec spec;  ///< grid-substituted; seed = the base seed
   std::size_t trials = 0;
@@ -132,7 +95,7 @@ struct CampaignResult {
   obs::ProfileAggregate profile;
 
   /// Preparations actually built (cache misses under kSharedConfig; one per
-  /// executed trial otherwise; 0 with a custom TrialFn).
+  /// executed trial otherwise).
   std::uint64_t prepared_configs = 0;
   /// Trials served by an already-built preparation (kSharedConfig only; 0
   /// otherwise).
@@ -154,39 +117,21 @@ class ResultSink {
   virtual void summary(const CampaignResult& result) = 0;
 };
 
-/// Computes one trial; defaults to app::run_experiment. Benches whose
-/// workloads are not expressible as spec strings (the lower-bound families)
-/// supply their own function and still get parallel execution, seed
-/// derivation, aggregation, and JSON output. Must be thread-safe for
-/// concurrent calls with distinct specs.
-using TrialFn = std::function<app::ExperimentReport(const app::ExperimentSpec&)>;
-
 struct CampaignPlan {
   app::ExperimentSpec base;
   std::vector<GridAxis> grid;  ///< cartesian product, last axis fastest
   std::size_t num_seeds = 1;
-  TrialFn run;  ///< empty = app::run_experiment
-
-  /// With the default (true), a trial that leaves nodes asleep is a failure
-  /// and contributes no samples. Lower-bound harnesses whose success
-  /// criterion is not "everyone awake" (e.g. NIH probing, where most of the
-  /// family intentionally sleeps) set this to false so every completed
-  /// trial is aggregated.
-  bool require_all_awake = true;
 
   /// Attach an obs::Probe to every trial and merge the resulting RunProfiles
-  /// into CampaignResult::profile. Only honoured with the default run
-  /// function (a custom TrialFn has no seam to thread a probe through); the
-  /// probe observes without perturbing, so profiled trials produce the same
-  /// metrics and digests as unprofiled ones.
+  /// into CampaignResult::profile. The probe observes without perturbing, so
+  /// profiled trials produce the same metrics and digests as unprofiled ones.
   bool profile = false;
 
   /// Where each trial's immutable inputs come from (see runner/prepared.hpp).
-  /// kSharedConfig requires the default run function and changes trial
-  /// semantics (one topology per configuration, built once and served to
-  /// every trial of it from a PreparedConfigCache); kPerTrial preserves
-  /// legacy digests exactly. Either way a default-run trial executes on its
-  /// worker's recycled engine workspace, which never changes results.
+  /// kSharedConfig changes trial semantics (one topology per configuration,
+  /// built once and served to every trial of it from a PreparedConfigCache);
+  /// kPerTrial preserves legacy digests exactly. Either way a trial executes
+  /// on its worker's recycled engine workspace, which never changes results.
   PrepareMode prepare_mode = PrepareMode::kPerTrial;
 };
 
@@ -218,12 +163,12 @@ struct CampaignOptions {
   /// in the results). The default runs the whole campaign.
   ShardSpec shard;
 
-  /// Content-addressed trial cache (src/store). When set (default run
-  /// function only): a trial whose key has a record is served from the
-  /// store without executing; every executed trial is appended. Profiled
-  /// campaigns bypass lookups (a cached record has no RunProfile to serve)
-  /// but still append. Serving from the store never changes results — the
-  /// record holds exactly the fields TrialResult would, digest included.
+  /// Content-addressed trial cache (src/store). When set, a trial whose key
+  /// has a record is served from the store without executing; every
+  /// executed trial is appended. Profiled campaigns bypass lookups (a cached
+  /// record has no RunProfile to serve) but still append. Serving from the
+  /// store never changes results — the record holds the trial's whole
+  /// TrialOutcome, digest included.
   store::ResultStore* store = nullptr;
 
   /// Fault injection for resume tests (0 = off): after this many executed

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <ctime>
+#include <memory>
 #include <utility>
 
 #include "obs/profile.hpp"
@@ -89,22 +90,8 @@ void JsonResultSink::trial(const TrialResult& r) {
   if (!r.ok) {
     writer_.kv("error", r.error);
   } else {
-    writer_.kv("n", r.num_nodes);
-    writer_.kv("m", static_cast<std::uint64_t>(r.num_edges));
-    writer_.kv("rho_awk", r.rho_awk);
-    writer_.kv("synchronous", r.synchronous);
-    writer_.kv("all_awake", r.all_awake);
-    writer_.kv("awake_count", r.awake_count);
-    writer_.kv("messages", r.messages);
-    writer_.kv("bits", r.bits);
-    writer_.kv("time_units", r.time_units);
-    writer_.kv("rounds", r.rounds);
-    writer_.kv("wakeup_span", r.wakeup_span);
-    writer_.kv("awake_node_ticks", r.awake_node_ticks);
-    writer_.kv("advice_max_bits",
-               static_cast<std::uint64_t>(r.advice_max_bits));
-    writer_.kv("advice_avg_bits", r.advice_avg_bits);
-    writer_.kv("digest", r.result_digest);
+    store::for_each_outcome_field(
+        r, [this](const char* name, const auto& v) { writer_.kv(name, v); });
   }
   writer_.kv("cached", r.from_store);
   if (options_.embed_profiles && r.profile != nullptr) {
@@ -113,6 +100,31 @@ void JsonResultSink::trial(const TrialResult& r) {
   }
   writer_.kv("wall_ms", r.wall_ms);
   writer_.end_object();
+}
+
+TrialResult trial_from_json(const json::Value& v) {
+  TrialResult r;
+  json::require_member(v, "trial", r.trial.index);
+  json::require_member(v, "config", r.trial.config_index);
+  json::require_member(v, "seed_index", r.trial.seed_index);
+  json::require_member(v, "seed", r.trial.spec.seed);
+  json::require_member(v, "graph", r.trial.spec.graph);
+  json::require_member(v, "schedule", r.trial.spec.schedule);
+  json::require_member(v, "algo", r.trial.spec.algorithm);
+  json::require_member(v, "delay", r.trial.spec.delay);
+  r.ok = !json::read_member(v, "error", r.error);
+  if (r.ok) {
+    store::for_each_outcome_field(r, [&v](const char* name, auto& field) {
+      json::require_member(v, name, field);
+    });
+  }
+  json::require_member(v, "cached", r.from_store);
+  json::require_member(v, "wall_ms", r.wall_ms);
+  if (const json::Value* p = v.find("run_profile")) {
+    r.profile =
+        std::make_shared<const obs::RunProfile>(obs::profile_from_json(*p));
+  }
+  return r;
 }
 
 void JsonResultSink::write_stats(const char* name, const SampleStats& stats) {

@@ -90,4 +90,9 @@ class JsonResultSink : public ResultSink {
   SinkOptions options_;
 };
 
+/// Inverse of JsonResultSink::trial for one parsed trial record (the shard
+/// merge reads worker documents with it). CheckError when a member is
+/// missing, has the wrong JSON type, or does not fit its field.
+TrialResult trial_from_json(const json::Value& v);
+
 }  // namespace rise::runner

@@ -33,51 +33,6 @@ std::string worker_profile_path(const std::string& store_dir,
   return store_dir + "/worker-" + std::to_string(k) + ".profile.json";
 }
 
-std::uint64_t get_u64(const json::Value& v, std::string_view key) {
-  return v.at(key).u64;
-}
-
-/// Inverse of JsonResultSink::trial for one worker-document trial record.
-TrialResult trial_from_json(const json::Value& v) {
-  TrialResult r;
-  r.trial.index = static_cast<std::size_t>(get_u64(v, "trial"));
-  r.trial.config_index = static_cast<std::size_t>(get_u64(v, "config"));
-  r.trial.seed_index = static_cast<std::size_t>(get_u64(v, "seed_index"));
-  r.trial.spec.seed = get_u64(v, "seed");
-  r.trial.spec.graph = v.at("graph").string;
-  r.trial.spec.schedule = v.at("schedule").string;
-  r.trial.spec.algorithm = v.at("algo").string;
-  r.trial.spec.delay = v.at("delay").string;
-  if (const json::Value* err = v.find("error")) {
-    r.ok = false;
-    r.error = err->string;
-  } else {
-    r.ok = true;
-    r.num_nodes = static_cast<std::uint32_t>(get_u64(v, "n"));
-    r.num_edges = static_cast<std::size_t>(get_u64(v, "m"));
-    r.rho_awk = static_cast<std::uint32_t>(get_u64(v, "rho_awk"));
-    r.synchronous = v.at("synchronous").boolean;
-    r.all_awake = v.at("all_awake").boolean;
-    r.awake_count = static_cast<std::uint32_t>(get_u64(v, "awake_count"));
-    r.messages = get_u64(v, "messages");
-    r.bits = get_u64(v, "bits");
-    r.time_units = v.at("time_units").number;
-    r.rounds = get_u64(v, "rounds");
-    r.wakeup_span = get_u64(v, "wakeup_span");
-    r.awake_node_ticks = get_u64(v, "awake_node_ticks");
-    r.advice_max_bits = static_cast<std::size_t>(get_u64(v, "advice_max_bits"));
-    r.advice_avg_bits = v.at("advice_avg_bits").number;
-    r.result_digest = get_u64(v, "digest");
-  }
-  r.from_store = v.at("cached").boolean;
-  r.wall_ms = v.at("wall_ms").number;
-  if (const json::Value* p = v.find("run_profile")) {
-    r.profile =
-        std::make_shared<const obs::RunProfile>(obs::profile_from_json(*p));
-  }
-  return r;
-}
-
 json::Value parse_document(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   RISE_CHECK_MSG(in.good(), "cannot read worker document " << path);
@@ -187,12 +142,6 @@ ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
                                        const ShardCampaignOptions& options) {
   ShardCampaignReport report;
   try {
-    RISE_CHECK_MSG(!plan.run,
-                   "a sharded campaign requires the default trial function "
-                   "(workers re-derive the plan from the command line)");
-    RISE_CHECK_MSG(plan.require_all_awake,
-                   "a sharded campaign cannot express require_all_awake == "
-                   "false as rise_cli flags");
     RISE_CHECK_MSG(!options.exe.empty(), "shard campaign needs a worker exe");
     RISE_CHECK_MSG(!options.store_dir.empty(),
                    "shard campaign needs a result store directory");
@@ -324,10 +273,11 @@ ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
     for (std::uint32_t k = 0; k < options.workers; ++k) {
       const std::string path = worker_json_path(options.store_dir, k);
       const json::Value doc = parse_document(path);
-      RISE_CHECK_MSG(get_u64(doc, "schema_version") == kResultsSchemaVersion,
-                     path << " has schema version "
-                          << get_u64(doc, "schema_version") << ", expected "
-                          << kResultsSchemaVersion);
+      std::uint64_t schema_version = 0;
+      json::require_member(doc, "schema_version", schema_version);
+      RISE_CHECK_MSG(schema_version == kResultsSchemaVersion,
+                     path << " has schema version " << schema_version
+                          << ", expected " << kResultsSchemaVersion);
       ShardSpec shard;
       shard.index = k;
       shard.count = options.workers;
@@ -346,8 +296,12 @@ ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
         merged.trials[idx] = std::move(r);
       }
       const json::Value& store_block = doc.at("summary").at("store");
-      merged.store_hits += get_u64(store_block, "hits");
-      merged.store_misses += get_u64(store_block, "misses");
+      std::uint64_t hits = 0;
+      std::uint64_t misses = 0;
+      json::require_member(store_block, "hits", hits);
+      json::require_member(store_block, "misses", misses);
+      merged.store_hits += hits;
+      merged.store_misses += misses;
     }
     for (std::size_t i = 0; i < total; ++i) {
       RISE_CHECK_MSG(seen[i], "the shard split lost trial " << i);

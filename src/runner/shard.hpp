@@ -77,9 +77,8 @@ struct ShardCampaignReport {
 
 /// Runs `plan` as a sharded multi-process campaign. Writes the merged JSON
 /// results document (and merged profile) per `options`; returns the merged
-/// campaign result plus orchestration counters. Requires a plan expressible
-/// as rise_cli flags (no custom TrialFn) — the workers re-derive the plan
-/// from the command line.
+/// campaign result plus orchestration counters. The workers re-derive the
+/// plan from the command line that worker_command builds.
 ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
                                        const ShardCampaignOptions& options);
 

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "support/check.hpp"
@@ -41,14 +42,25 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
+void put_field(std::vector<std::uint8_t>& out, const std::string& s) {
   RISE_CHECK_MSG(s.size() < kMaxPayload, "store record string too large");
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out.insert(out.end(), s.begin(), s.end());
+}
+
+/// One payload field at its own width: bools as one byte, doubles as their
+/// IEEE-754 bits.
+template <typename T>
+void put_field(std::vector<std::uint8_t>& out, T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out.push_back(v ? 1 : 0);
+  } else if constexpr (std::is_same_v<T, double>) {
+    put_u64(out, std::bit_cast<std::uint64_t>(v));
+  } else if constexpr (sizeof(T) == 4) {
+    put_u32(out, v);
+  } else {
+    put_u64(out, v);
+  }
 }
 
 class ByteReader {
@@ -74,14 +86,25 @@ class ByteReader {
     pos_ += 8;
     return v;
   }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
+  /// Inverse of put_field.
+  void field(std::string& s) {
     const std::uint32_t len = u32();
     RISE_CHECK_MSG(len <= kMaxPayload, "store record string length corrupt");
     need(len);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+    s.assign(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
-    return s;
+  }
+  template <typename T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = u8() != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(u64());
+    } else if constexpr (sizeof(T) == 4) {
+      v = u32();
+    } else {
+      v = u64();
+    }
   }
   bool exhausted() const { return pos_ == size_; }
 
@@ -179,35 +202,29 @@ Digest128 record_key(const TrialRecord& r) {
   return trial_key(spec, r.prepare_tag);
 }
 
+/// Walks the payload layout: version byte, identity, ok, error, the shared
+/// outcome scalars, wall_ms. `r` is const when encoding, mutable when
+/// decoding; `field` writes or reads one member.
+template <typename Record, typename Field>
+void walk_payload(Record& r, Field&& field) {
+  field(r.graph);
+  field(r.schedule);
+  field(r.algorithm);
+  field(r.delay);
+  field(r.seed);
+  field(r.prepare_tag);
+  field(r.ok);
+  field(r.error);
+  for_each_outcome_field(r, [&](const char*, auto& v) { field(v); });
+  field(r.wall_ms);
+}
+
 std::vector<std::uint8_t> encode_record(const TrialRecord& r) {
   std::vector<std::uint8_t> out;
   out.reserve(128 + r.graph.size() + r.schedule.size() + r.algorithm.size() +
               r.delay.size() + r.error.size());
   out.push_back(kPayloadVersion);
-  put_string(out, r.graph);
-  put_string(out, r.schedule);
-  put_string(out, r.algorithm);
-  put_string(out, r.delay);
-  put_u64(out, r.seed);
-  put_string(out, r.prepare_tag);
-  out.push_back(r.ok ? 1 : 0);
-  put_string(out, r.error);
-  put_u32(out, r.num_nodes);
-  put_u64(out, r.num_edges);
-  put_u32(out, r.rho_awk);
-  out.push_back(r.synchronous ? 1 : 0);
-  out.push_back(r.all_awake ? 1 : 0);
-  put_u32(out, r.awake_count);
-  put_u64(out, r.messages);
-  put_u64(out, r.bits);
-  put_f64(out, r.time_units);
-  put_u64(out, r.rounds);
-  put_u64(out, r.wakeup_span);
-  put_u64(out, r.awake_node_ticks);
-  put_u64(out, r.advice_max_bits);
-  put_f64(out, r.advice_avg_bits);
-  put_u64(out, r.result_digest);
-  put_f64(out, r.wall_ms);
+  walk_payload(r, [&out](const auto& v) { put_field(out, v); });
   return out;
 }
 
@@ -217,30 +234,7 @@ TrialRecord decode_record(const std::uint8_t* data, std::size_t size) {
   RISE_CHECK_MSG(version == kPayloadVersion,
                  "store record version " << int(version) << " unsupported");
   TrialRecord r;
-  r.graph = in.str();
-  r.schedule = in.str();
-  r.algorithm = in.str();
-  r.delay = in.str();
-  r.seed = in.u64();
-  r.prepare_tag = in.str();
-  r.ok = in.u8() != 0;
-  r.error = in.str();
-  r.num_nodes = in.u32();
-  r.num_edges = in.u64();
-  r.rho_awk = in.u32();
-  r.synchronous = in.u8() != 0;
-  r.all_awake = in.u8() != 0;
-  r.awake_count = in.u32();
-  r.messages = in.u64();
-  r.bits = in.u64();
-  r.time_units = in.f64();
-  r.rounds = in.u64();
-  r.wakeup_span = in.u64();
-  r.awake_node_ticks = in.u64();
-  r.advice_max_bits = in.u64();
-  r.advice_avg_bits = in.f64();
-  r.result_digest = in.u64();
-  r.wall_ms = in.f64();
+  walk_payload(r, [&in](auto& v) { in.field(v); });
   RISE_CHECK_MSG(in.exhausted(), "store record has trailing bytes");
   return r;
 }

@@ -47,42 +47,76 @@ namespace rise::store {
 /// Version of the record/manifest format. Bump on breaking changes.
 inline constexpr std::uint64_t kStoreSchemaVersion = 1;
 
-/// One stored trial outcome: the identity that was executed (spec strings +
-/// seed + preparation tag) and the scalar observables of
-/// runner::TrialResult, including the per-trial result digest that the
-/// shard-equivalence invariant is stated over. Per-node vectors are
-/// deliberately not stored (same policy as TrialResult).
-struct TrialRecord {
-  // Identity (the digest preimage).
-  std::string graph;
-  std::string schedule;
-  std::string algorithm;
-  std::string delay;
-  std::uint64_t seed = 0;
-  std::string prepare_tag;
+/// The scalar outcome of one campaign trial. It is defined once, here:
+/// runner::TrialResult and TrialRecord both inherit it, and the store
+/// payload, the results-JSON trial record and the shard merge's reader all
+/// walk it through for_each_outcome_field. Per-node vectors are deliberately
+/// not kept, so retaining thousands of trials stays cheap.
+struct TrialOutcome {
+  bool ok = false;    ///< ran to completion without throwing
+  std::string error;  ///< exception text when !ok
 
-  // Outcome.
-  bool ok = false;
-  std::string error;
+  // Topology and model (valid when ok).
   std::uint32_t num_nodes = 0;
   std::uint64_t num_edges = 0;
   std::uint32_t rho_awk = 0;
   bool synchronous = false;
+
+  // Outcome metrics (valid when ok).
   bool all_awake = false;
   std::uint32_t awake_count = 0;
   std::uint64_t messages = 0;
   std::uint64_t bits = 0;
   double time_units = 0.0;
   std::uint64_t rounds = 0;
-  std::uint64_t wakeup_span = 0;
+  std::uint64_t wakeup_span = 0;  ///< only meaningful when all_awake
   std::uint64_t awake_node_ticks = 0;
   std::uint64_t advice_max_bits = 0;
   double advice_avg_bits = 0.0;
+
+  /// check::digest_run of the trial's full RunResult (0 when !ok). A pure
+  /// function of the trial's inputs, so it is the unit the shard/resume
+  /// equivalence invariant is stated over: any shard split or store-resumed
+  /// run must reproduce the single-process digest stream bit for bit.
   std::uint64_t result_digest = 0;
 
-  /// Wall clock of the original execution — informational only,
-  /// nondeterministic, never merged into deterministic outputs.
+  /// Wall clock of the execution. Nondeterministic — excluded from every
+  /// aggregate; a store-served trial reports its original execution's.
   double wall_ms = 0.0;
+};
+
+/// Calls f(name, member) for the 15 scalars from num_nodes to result_digest,
+/// in the order both the store payload and the results JSON lay them out;
+/// `name` is the member's results-JSON key. `ok`, `error` and `wall_ms` are
+/// placed by each format itself.
+template <typename Outcome, typename F>
+void for_each_outcome_field(Outcome& o, F&& f) {
+  f("n", o.num_nodes);
+  f("m", o.num_edges);
+  f("rho_awk", o.rho_awk);
+  f("synchronous", o.synchronous);
+  f("all_awake", o.all_awake);
+  f("awake_count", o.awake_count);
+  f("messages", o.messages);
+  f("bits", o.bits);
+  f("time_units", o.time_units);
+  f("rounds", o.rounds);
+  f("wakeup_span", o.wakeup_span);
+  f("awake_node_ticks", o.awake_node_ticks);
+  f("advice_max_bits", o.advice_max_bits);
+  f("advice_avg_bits", o.advice_avg_bits);
+  f("digest", o.result_digest);
+}
+
+/// One stored trial: the identity that was executed (the digest preimage:
+/// spec strings + seed + preparation tag) and its outcome.
+struct TrialRecord : TrialOutcome {
+  std::string graph;
+  std::string schedule;
+  std::string algorithm;
+  std::string delay;
+  std::uint64_t seed = 0;
+  std::string prepare_tag;
 };
 
 /// The record's content key: trial_key over its identity fields.

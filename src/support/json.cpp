@@ -152,6 +152,29 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
+namespace {
+
+const char* type_name(Value::Type type) {
+  static constexpr const char* kNames[] = {"null",     "a boolean", "a number",
+                                           "a string", "an array",  "an object"};
+  return kNames[static_cast<int>(type)];
+}
+
+void expect_type(const Value& v, std::string_view key, Value::Type expected) {
+  RISE_CHECK_MSG(v.type == expected, "JSON member '"
+                                         << key << "' is " << type_name(v.type)
+                                         << ", expected "
+                                         << type_name(expected));
+}
+
+}  // namespace
+
+const Value* Value::find(std::string_view key, Type expected) const {
+  const Value* v = find(key);
+  if (v != nullptr) expect_type(*v, key, expected);
+  return v;
+}
+
 const Value& Value::at(std::string_view key) const {
   const Value* v = find(key);
   RISE_CHECK_MSG(v != nullptr, "JSON: missing object member '" << key << "'");
@@ -168,6 +191,33 @@ std::size_t Value::size() const {
   if (type == Type::kArray) return array.size();
   if (type == Type::kObject) return object.size();
   return 0;
+}
+
+void read(const Value& v, std::string_view key, bool& out) {
+  expect_type(v, key, Value::Type::kBool);
+  out = v.boolean;
+}
+
+void read(const Value& v, std::string_view key, double& out) {
+  expect_type(v, key, Value::Type::kNumber);
+  out = v.number;
+}
+
+void read(const Value& v, std::string_view key, std::string& out) {
+  expect_type(v, key, Value::Type::kString);
+  out = v.string;
+}
+
+std::uint64_t read_uint(const Value& v, std::string_view key,
+                        std::uint64_t max) {
+  expect_type(v, key, Value::Type::kNumber);
+  RISE_CHECK_MSG(v.is_integer && v.number >= 0.0,
+                 "JSON member '" << key
+                                 << "' is not an unsigned 64-bit integer");
+  RISE_CHECK_MSG(v.u64 <= max, "JSON member '" << key << "' = " << v.u64
+                                               << " exceeds the limit "
+                                               << max);
+  return v.u64;
 }
 
 namespace {

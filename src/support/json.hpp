@@ -9,7 +9,9 @@
 // the standard library. Malformed input throws rise::CheckError.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -90,6 +92,9 @@ struct Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   const Value* find(std::string_view key) const;
+  /// Object member lookup that also checks the member's type: nullptr when
+  /// absent, CheckError when present with a type other than `expected`.
+  const Value* find(std::string_view key, Type expected) const;
   /// Object member lookup; CheckError when absent.
   const Value& at(std::string_view key) const;
   /// Array element; CheckError when out of range.
@@ -97,6 +102,36 @@ struct Value {
 
   std::size_t size() const;  ///< elements (array) or members (object)
 };
+
+/// Typed conversion of one parsed value, used by every reader of the repo's
+/// own documents so that no input is truncated silently: CheckError (naming
+/// `key`) when the JSON type does not match `out`, or when an unsigned field
+/// gets a negative, fractional or out-of-range number.
+void read(const Value& v, std::string_view key, bool& out);
+void read(const Value& v, std::string_view key, double& out);
+void read(const Value& v, std::string_view key, std::string& out);
+std::uint64_t read_uint(const Value& v, std::string_view key,
+                        std::uint64_t max);
+template <std::unsigned_integral T>
+  requires(!std::same_as<T, bool>)
+void read(const Value& v, std::string_view key, T& out) {
+  out = static_cast<T>(read_uint(v, key, std::numeric_limits<T>::max()));
+}
+
+/// Reads member `key` of `obj` into `out`; an absent member leaves `out`
+/// unchanged and returns false.
+template <typename T>
+bool read_member(const Value& obj, std::string_view key, T& out) {
+  const Value* v = obj.find(key);
+  if (v != nullptr) read(*v, key, out);
+  return v != nullptr;
+}
+
+/// As read_member, but an absent member is a CheckError too.
+template <typename T>
+void require_member(const Value& obj, std::string_view key, T& out) {
+  read(obj.at(key), key, out);
+}
 
 /// Parses exactly one JSON document (trailing whitespace allowed); throws
 /// CheckError on malformed input or trailing junk.

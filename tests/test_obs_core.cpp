@@ -315,6 +315,47 @@ TEST(ProfileAggregate, MergeSumsAndTracksPerTrialQuantiles) {
   EXPECT_NE(pretty.find("more"), std::string::npos);  // top-N overflow line
 }
 
+// `rise_cli profile FILE` on a profile_aggregate must print what the
+// campaign printed for the same aggregate, and the pinned campaign print
+// keeps every line: time units, per-trial awake and phase quantiles.
+TEST(ProfileAggregate, DocumentPrintMatchesTheCampaignPrint) {
+  obs::RunProfile a = sample_profile();
+  obs::RunProfile b = sample_profile();
+  b.messages = 6;
+  b.phases[0].messages = 2;
+  b.phases[1].messages = 4;
+  b.time_units = 10.0;
+  for (obs::RunProfile* p : {&a, &b}) {
+    p->awake_rounds.add(3);
+    p->awake_rounds.add(9);
+    p->awake_total = 12;
+    p->awake_max = 9;
+    p->sleep_dropped = 1;
+  }
+  obs::ProfileAggregate agg;
+  agg.merge(a);
+  agg.merge(b);
+  const json::Value doc = json::parse(obs::aggregate_to_json(agg));
+  for (const std::size_t top_n : {std::size_t{8}, std::size_t{1}}) {
+    SCOPED_TRACE(top_n);
+    EXPECT_EQ(obs::format_profile_document(doc, top_n),
+              obs::format_aggregate(agg, top_n));
+  }
+  EXPECT_EQ(obs::format_aggregate(agg),
+            R"(profile aggregate over 2 trials
+totals: messages=8 bits=256 events=6
+messages/trial: mean=4.00 p50=6.00 p90=6.00 max=6.00
+time_units: mean=5.00 p50=10.00 max=10.00
+awake_rounds: total=24 p50=2 p90=8 max=9 sleep_dropped=2 max/trial p50=9.00
+phases (by messages):
+  flood              messages=6 bits=256 marks=2 per-trial p50=4.00 p90=4.00
+  (unphased)         messages=2 bits=0 marks=0 per-trial p50=2.00 p90=2.00
+counters:
+  flood.broadcasts   4
+engine: backend=buckets popped=2 queue_hw=6 rounds_stepped=0
+)");
+}
+
 // The shard orchestrator rebuilds RunProfiles from the per-trial JSON that
 // workers embed, then re-merges them. The parse must be a true inverse of
 // profile_to_json, and merging parsed profiles must equal merging the
@@ -351,6 +392,38 @@ TEST(ProfileJson, MergingParsedProfilesMatchesMergingOriginals) {
   via_json.merge(obs::profile_from_json(json::parse(obs::profile_to_json(b))));
 
   EXPECT_EQ(obs::aggregate_to_json(via_json), obs::aggregate_to_json(direct));
+}
+
+// A profile file is external input (`rise_cli profile FILE`): a value that
+// overflows its field or has the wrong JSON type must be rejected, never
+// truncated or read as 0. Absent optional members keep their defaults.
+TEST(ProfileJson, ParseRejectsValuesThatDoNotFitTheirField) {
+  EXPECT_THROW(obs::profile_from_json(json::parse(
+                   R"({"kind": "run_profile", "num_nodes": 4294967299,
+                       "totals": {}})")),
+               CheckError);
+  EXPECT_THROW(obs::profile_from_json(json::parse(
+                   R"({"kind": "run_profile", "totals": {"messages": "lots"}})")),
+               CheckError);
+  EXPECT_THROW(obs::profile_from_json(json::parse(
+                   R"({"kind": "run_profile", "seed": -1, "totals": {}})")),
+               CheckError);
+  EXPECT_THROW(obs::profile_from_json(json::parse(
+                   R"({"kind": "run_profile", "totals": {},
+                       "counters": {"flood.broadcasts": 2.5}})")),
+               CheckError);
+  EXPECT_THROW(obs::profile_from_json(json::parse(
+                   R"({"kind": "run_profile", "totals": {}, "phases": {}})")),
+               CheckError);
+
+  const obs::RunProfile sparse = obs::profile_from_json(json::parse(
+      R"({"kind": "run_profile", "num_nodes": 4294967295,
+          "totals": {"messages": 5}})"));
+  EXPECT_EQ(sparse.num_nodes, 4294967295u);
+  EXPECT_EQ(sparse.messages, 5u);
+  EXPECT_EQ(sparse.bits, 0u);
+  EXPECT_TRUE(sparse.algorithm.empty());
+  EXPECT_TRUE(sparse.phases.empty());
 }
 
 TEST(ProfileJson, ParseRejectsForeignDocuments) {

@@ -194,9 +194,11 @@ TEST(StoreBackedCampaign, SecondRunIsServedEntirelyFromTheStore) {
   const CampaignResult reference = run_campaign(plan);
   const std::string dir = test_dir("second_run");
 
+  // Four workers look up and append concurrently in both passes.
   {
     store::ResultStore store(dir, "solo");
     CampaignOptions options;
+    options.jobs = 4;
     options.store = &store;
     const CampaignResult cold = run_campaign(plan, options);
     EXPECT_EQ(cold.store_hits, 0u);
@@ -206,6 +208,7 @@ TEST(StoreBackedCampaign, SecondRunIsServedEntirelyFromTheStore) {
   // A fresh process (fresh store object) serves everything from disk.
   store::ResultStore store(dir, "solo");
   CampaignOptions options;
+  options.jobs = 4;
   options.store = &store;
   const CampaignResult warm = run_campaign(plan, options);
   EXPECT_EQ(warm.store_hits, 14u);
@@ -261,18 +264,6 @@ TEST(StoreBackedCampaign, ProfiledRunsBypassLookupsButStillAppend) {
   const CampaignResult warm = run_campaign(plan, options);
   EXPECT_EQ(warm.store_hits, 14u);
   EXPECT_EQ(warm.store_misses, 0u);
-}
-
-TEST(StoreBackedCampaign, StoreRequiresTheDefaultTrialFunction) {
-  CampaignPlan plan = small_plan();
-  plan.run = [](const app::ExperimentSpec& spec) {
-    return app::run_experiment(spec);
-  };
-  const std::string dir = test_dir("custom_fn");
-  store::ResultStore store(dir, "solo");
-  CampaignOptions options;
-  options.store = &store;
-  EXPECT_THROW(run_campaign(plan, options), CheckError);
 }
 
 TEST(WorkerCommand, SerializesThePlanAndShardIdentity) {

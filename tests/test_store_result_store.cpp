@@ -150,6 +150,22 @@ TEST(StoreCodec, ErrorRecordsRoundTripToo) {
   EXPECT_EQ(back.error, r.error);
 }
 
+// The payload is on-disk state: a store written by an earlier binary must
+// still be served from cache, so the encoded bytes are pinned (as fnv1a64
+// digests) for an ok and an error record.
+TEST(StoreCodec, PayloadBytesArePinned) {
+  const auto payload_digest = [](const TrialRecord& r) {
+    const std::vector<std::uint8_t> payload = encode_record(r);
+    return fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(payload.data()), payload.size()));
+  };
+  EXPECT_EQ(payload_digest(sample_record(42)), 0x493A'A6E4'D4EF'C1D9ull);
+  TrialRecord error = sample_record(3);
+  error.ok = false;
+  error.error = "graph spec 'path:8' exploded";
+  EXPECT_EQ(payload_digest(error), 0xE2E6'0BC5'B759'1B1Dull);
+}
+
 TEST(StoreCodec, DecodeRejectsTruncatedPayload) {
   const std::vector<std::uint8_t> payload = encode_record(sample_record(1));
   EXPECT_THROW(decode_record(payload.data(), payload.size() - 1), CheckError);

@@ -156,5 +156,68 @@ TEST(JsonRoundTrip, WriteParseRewriteIsIdentity) {
   EXPECT_EQ(once, twice);
 }
 
+// The typed readers are what every reader of the repo's own documents goes
+// through: a value of the wrong JSON type, or one that does not fit the
+// field, must throw rather than be truncated or read as 0.
+TEST(JsonTypedRead, ConvertsValuesOfTheMatchingType) {
+  std::uint32_t u32 = 0;
+  read(parse("4294967295"), "u32", u32);
+  EXPECT_EQ(u32, std::numeric_limits<std::uint32_t>::max());
+  std::uint64_t u64 = 0;
+  read(parse("18446744073709551615"), "u64", u64);
+  EXPECT_EQ(u64, std::numeric_limits<std::uint64_t>::max());
+  double d = 0.0;
+  read(parse("7"), "d", d);  // integral literals are numbers too
+  EXPECT_EQ(d, 7.0);
+  bool b = false;
+  read(parse("true"), "b", b);
+  EXPECT_TRUE(b);
+  std::string str;
+  read(parse("\"x\""), "s", str);
+  EXPECT_EQ(str, "x");
+}
+
+TEST(JsonTypedRead, RejectsWrongTypesAndValuesThatDoNotFit) {
+  std::uint32_t u32 = 0;
+  EXPECT_THROW(read(parse("4294967296"), "u32", u32), CheckError);
+  std::uint64_t u64 = 0;
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616",
+                          "\"lots\"", "true", "null", "[]", "{}"}) {
+    EXPECT_THROW(read(parse(bad), "u64", u64), CheckError) << "input: " << bad;
+  }
+  EXPECT_EQ(u64, 0u);
+  bool b = false;
+  EXPECT_THROW(read(parse("1"), "b", b), CheckError);
+  double d = 0.0;
+  EXPECT_THROW(read(parse("\"1.5\""), "d", d), CheckError);
+  std::string str;
+  EXPECT_THROW(read(parse("1"), "s", str), CheckError);
+  try {
+    read(parse("4294967299"), "num_nodes", u32);
+    ADD_FAILURE() << "no CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "'num_nodes' = 4294967299 exceeds the limit 4294967295"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonTypedRead, AbsentMembersKeepDefaultsUnlessRequired) {
+  const Value doc = parse(R"({"n": 3, "list": [1], "name": "x"})");
+  std::uint64_t n = 9;
+  EXPECT_FALSE(read_member(doc, "missing", n));
+  EXPECT_EQ(n, 9u);
+  EXPECT_TRUE(read_member(doc, "n", n));
+  EXPECT_EQ(n, 3u);
+  EXPECT_THROW(require_member(doc, "missing", n), CheckError);
+  std::string name;
+  EXPECT_THROW(read_member(doc, "n", name), CheckError);
+
+  EXPECT_EQ(doc.find("missing", Value::Type::kArray), nullptr);
+  ASSERT_NE(doc.find("list", Value::Type::kArray), nullptr);
+  EXPECT_THROW(doc.find("name", Value::Type::kArray), CheckError);
+}
+
 }  // namespace
 }  // namespace rise::json

@@ -3,10 +3,11 @@
 
 Usage:
   check_shard_campaign.py compare REFERENCE.json MERGED.json
-      Asserts the merged document's per-trial digest stream and the
-      deterministic summary fields are bit-identical to the single-process
-      reference. Provenance, wall-clock timing, cache flags, and store
-      counters are expected to differ and are excluded.
+      Asserts every trial record of the merged document holds the same keys
+      and values as the single-process reference, and that the summary
+      fields are bit-identical. Provenance, wall-clock timing, cache flags,
+      embedded run profiles, and store counters are expected to differ and
+      are excluded.
 
   check_shard_campaign.py cached RERUN.json [--min-ratio 0.9]
       Asserts at least --min-ratio of the re-run's trials were served from
@@ -49,14 +50,10 @@ def trials_by_index(doc: dict, path: str) -> dict:
     return out
 
 
-# Per-trial fields that must be bit-identical between a sharded-and-merged
-# run and a single-process run. "cached" and "wall_ms" legitimately differ.
-DETERMINISTIC_TRIAL_FIELDS = (
-    "config", "seed_index", "seed", "graph", "schedule", "algo", "delay",
-    "error", "n", "m", "rho_awk", "synchronous", "all_awake", "awake_count",
-    "messages", "bits", "time_units", "rounds", "wakeup_span",
-    "awake_node_ticks", "advice_max_bits", "advice_avg_bits", "digest",
-)
+# Per-trial keys that legitimately differ between a sharded-and-merged run
+# and a single-process run; every other key must be present in both records
+# with bit-identical values.
+NONDETERMINISTIC_TRIAL_KEYS = {"cached", "wall_ms", "run_profile"}
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
@@ -73,10 +70,16 @@ def cmd_compare(args: argparse.Namespace) -> None:
 
     for index in sorted(ref_trials):
         r, m = ref_trials[index], merged_trials[index]
-        for field in DETERMINISTIC_TRIAL_FIELDS:
-            if r.get(field) != m.get(field):
+        r_keys = r.keys() - NONDETERMINISTIC_TRIAL_KEYS
+        m_keys = m.keys() - NONDETERMINISTIC_TRIAL_KEYS
+        if r_keys != m_keys:
+            fail(f"trial {index}: key sets differ (only reference: "
+                 f"{sorted(r_keys - m_keys)}, only merged: "
+                 f"{sorted(m_keys - r_keys)})")
+        for field in sorted(r_keys):
+            if r[field] != m[field]:
                 fail(f"trial {index}: field '{field}' differs "
-                     f"(reference {r.get(field)!r}, merged {m.get(field)!r})")
+                     f"(reference {r[field]!r}, merged {m[field]!r})")
 
     # The whole summary must match except the store counters, which depend
     # on cache state rather than on the experiment outcomes.
