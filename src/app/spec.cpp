@@ -22,18 +22,11 @@
 #include "lb/time_restricted.hpp"
 #include "sim/kernel.hpp"
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace rise::app {
 
 namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream is(s);
-  while (std::getline(is, field, sep)) out.push_back(field);
-  return out;
-}
 
 std::uint64_t to_u64(const std::string& s, const std::string& what) {
   try {
@@ -117,7 +110,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     return g;
   }
   const auto f = split(spec, ':');
-  RISE_CHECK_MSG(!f.empty(), "empty graph spec");
+  RISE_CHECK_MSG(!spec.empty(), "empty graph spec");
   const std::string& kind = f[0];
   auto n_of = [&](std::size_t i) {
     return to_bounded<graph::NodeId>(f[i], "node count", kMaxNode);
@@ -206,7 +199,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
 sim::WakeSchedule parse_schedule_spec(const std::string& spec,
                                       const graph::Graph& g, Rng& rng) {
   const auto f = split(spec, ':');
-  RISE_CHECK_MSG(!f.empty(), "empty schedule spec");
+  RISE_CHECK_MSG(!spec.empty(), "empty schedule spec");
   const std::string& kind = f[0];
   if (kind == "single") {
     graph::NodeId node = 0;
@@ -254,7 +247,7 @@ sim::WakeSchedule parse_schedule_spec(const std::string& spec,
 std::unique_ptr<sim::DelayPolicy> parse_delay_spec(const std::string& spec,
                                                    std::uint64_t seed) {
   const auto f = split(spec, ':');
-  RISE_CHECK_MSG(!f.empty(), "empty delay spec");
+  RISE_CHECK_MSG(!spec.empty(), "empty delay spec");
   const std::string& kind = f[0];
   if (kind == "unit") {
     expect_fields(f, 1, spec);
@@ -283,7 +276,7 @@ std::unique_ptr<sim::DelayPolicy> parse_delay_spec(const std::string& spec,
 
 AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
   const auto f = split(spec, ':');
-  RISE_CHECK_MSG(!f.empty(), "empty algorithm spec");
+  RISE_CHECK_MSG(!spec.empty(), "empty algorithm spec");
   const std::string& kind = f[0];
   AlgorithmSetup setup;
   setup.name = spec;

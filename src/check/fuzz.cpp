@@ -184,13 +184,9 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
   {
     runner::ThreadPool pool(options.jobs);
     report.jobs = pool.num_threads();
-    for (std::uint64_t i = 0; i < options.trials; ++i) {
-      pool.submit([&, i] {
-        outcomes[i] = run_trial(scenarios[i], options.fault,
-                                options.trial_jobs);
-      });
-    }
-    pool.wait_idle();
+    runner::run_lanes(pool, report.jobs, outcomes.size(), [&](std::size_t i) {
+      outcomes[i] = run_trial(scenarios[i], options.fault, options.trial_jobs);
+    });
   }
 
   for (std::uint64_t i = 0; i < options.trials; ++i) {

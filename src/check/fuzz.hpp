@@ -14,10 +14,10 @@
 //   - pure flooding under unit delays: the asynchronous run against the
 //     lock-step engine, compared on the model-free digest.
 //
-// Trials execute on the campaign ThreadPool with slot-per-trial collection,
-// so the whole report is bit-identical for any --jobs value; an optional
-// final pass re-runs every trial serially and compares digests to *prove*
-// that, rather than assume it.
+// Trials execute on `jobs` lanes of a runner::ThreadPool (runner::run_lanes)
+// with slot-per-trial collection, so the whole report is bit-identical for
+// any --jobs value; an optional final pass re-runs every trial serially and
+// compares digests to *prove* that, rather than assume it.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ namespace rise::check {
 struct FuzzOptions {
   std::uint64_t trials = 100;
   std::uint64_t seed = 1;
-  std::size_t jobs = 1;  ///< worker threads; 0 = all hardware threads
+  std::size_t jobs = 1;  ///< concurrent trials; 0 = all hardware threads
   /// Synchronous trials are additionally replayed through the engine's
   /// round-parallel code path with this many chunks (serial executor) and
   /// must digest-match the sequential run. 1 disables the differential.

@@ -8,25 +8,11 @@
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace rise::check {
 
 namespace {
-
-/// Splits "family:f1:f2" into {family, f1, f2}; "RxC" fields stay whole.
-std::vector<std::string> split(const std::string& spec, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = spec.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(spec.substr(start));
-      return out;
-    }
-    out.push_back(spec.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
 
 std::string join(const std::vector<std::string>& parts, char sep) {
   std::string out;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -19,6 +17,7 @@
 #include "store/result_store.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace rise::runner {
 
@@ -30,10 +29,12 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// The calling worker thread's recycled engine storage. Campaign trials run
-/// only on pool threads, so thread-locals give one workspace per worker
-/// without the pool needing a worker-id API; each workspace is freed when
-/// its worker thread exits (pool destruction, inside run_campaign).
+/// The calling thread's recycled engine storage. Campaign trials run on the
+/// lanes of run_lanes — pool threads and the run_campaign caller, which runs
+/// one lane itself — so thread-locals give one workspace per lane thread
+/// without the pool needing a worker-id API. A pool thread's workspace is
+/// freed when the pool is destroyed inside run_campaign; the caller's lives
+/// on for its next campaign.
 sim::RunWorkspace& worker_workspace() {
   static thread_local sim::RunWorkspace workspace;
   return workspace;
@@ -206,16 +207,11 @@ GridAxis parse_grid_axis(const std::string& text) {
                  "grid axis '" << text << "' is not PARAM=a,b,c");
   GridAxis axis;
   axis.param = text.substr(0, eq);
-  std::string values = text.substr(eq + 1);
-  std::istringstream is(values);
-  std::string field;
-  while (std::getline(is, field, ',')) {
-    RISE_CHECK_MSG(!field.empty(),
+  axis.values = split(text.substr(eq + 1), ',');
+  for (const std::string& value : axis.values) {
+    RISE_CHECK_MSG(!value.empty(),
                    "grid axis '" << text << "' has an empty value");
-    axis.values.push_back(field);
   }
-  RISE_CHECK_MSG(!axis.values.empty(),
-                 "grid axis '" << text << "' has no values");
   // Validate the param name eagerly so a typo fails before any trial runs.
   app::ExperimentSpec probe;
   apply_grid_param(probe, axis.param, axis.values.front());
@@ -324,48 +320,23 @@ CampaignResult run_campaign(const CampaignPlan& plan,
   const auto t0 = Clock::now();
   {
     ProgressReporter progress(trials.size(), options.progress);
-    // trial_jobs > 1: the pool carries jobs x trial_jobs threads so every
-    // concurrently-running trial can fan its rounds out, and an admission
-    // gate caps concurrent trials at `jobs` — the spare threads serve
-    // round chunks (ThreadPool::run_chunks) instead of extra trials. With
-    // trial_jobs == 1 this is exactly the historical pool.
+    // The pool carries jobs x trial_jobs threads, but only `jobs` lanes run
+    // trials (the caller runs one of them); with trial_jobs > 1 the spare
+    // threads serve each trial's round chunks (ThreadPool::run_chunks).
     const std::uint32_t trial_jobs =
         std::max<std::uint32_t>(1, options.trial_jobs);
-    ThreadPool pool(result.jobs * trial_jobs);
+    ThreadPool pool(thread_budget(result.jobs, trial_jobs));
     PoolChunkExecutor executor(&pool);
     if (trial_jobs > 1) {
       policy.trial_jobs = trial_jobs;
       policy.trial_executor = &executor;
     }
-    std::mutex admit_mu;
-    std::condition_variable admit_cv;
-    std::size_t running = 0;
-    const bool gate = trial_jobs > 1;
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      if (gate) {
-        std::unique_lock<std::mutex> lock(admit_mu);
-        admit_cv.wait(lock, [&] { return running < result.jobs; });
-        ++running;
-      }
-      // &trials[i] and &result.trials[i] stay valid: neither vector is
-      // resized while the pool runs, and each slot is written by exactly
-      // one task.
-      const Trial* trial = &trials[i];
-      TrialResult* slot = &result.trials[i];
-      pool.submit([trial, slot, &plan, &policy, &progress, &sc,
-                   &admit_mu, &admit_cv, &running, gate] {
-        *slot = execute_or_fetch(*trial, plan.profile, policy, sc);
-        progress.tick();
-        if (gate) {
-          {
-            std::lock_guard<std::mutex> lock(admit_mu);
-            --running;
-          }
-          admit_cv.notify_one();
-        }
-      });
-    }
-    pool.wait_idle();
+    // Each slot is written by exactly one lane, and neither vector is
+    // resized while the lanes run.
+    run_lanes(pool, result.jobs, trials.size(), [&](std::size_t i) {
+      result.trials[i] = execute_or_fetch(trials[i], plan.profile, policy, sc);
+      progress.tick();
+    });
     progress.finish();
   }
   result.wall_ms = ms_between(t0, Clock::now());

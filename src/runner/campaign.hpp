@@ -1,11 +1,12 @@
 // Parallel experiment campaigns: expand an app::ExperimentSpec × seed range
-// × parameter grid into independent trials, execute them on a work-stealing
-// ThreadPool, and aggregate the results deterministically.
+// × parameter grid into independent trials, execute them on `jobs` lanes of
+// a ThreadPool (runner::run_lanes), and aggregate the results
+// deterministically.
 //
 // Determinism contract: each trial's RNG seed is derived via SplitMix64 from
 // (base_seed, trial_index) — never from thread identity or completion order
 // — and per-trial results are collected into a slot indexed by trial and
-// aggregated in trial-index order after the pool drains. A campaign
+// aggregated in trial-index order after the lanes return. A campaign
 // therefore produces bit-identical per-trial records and aggregate
 // statistics for any --jobs value and any scheduling interleaving; only the
 // wall-clock fields differ (and those are kept out of the aggregates).
@@ -147,16 +148,16 @@ struct ShardSpec {
 };
 
 struct CampaignOptions {
-  std::size_t jobs = 1;        ///< worker threads; 0 = all hardware threads
+  std::size_t jobs = 1;        ///< concurrent trials; 0 = all hardware threads
   bool progress = false;       ///< completed/total + trials/s + ETA on stderr
   ResultSink* sink = nullptr;  ///< optional observer (e.g. JsonResultSink)
 
   /// Intra-trial parallelism (synchronous runs only): each trial steps its
   /// rounds in this many chunks on the campaign pool. The pool is sized
-  /// jobs x trial_jobs, and at most `jobs` trials run concurrently (an
-  /// admission gate keeps the product from oversubscribing), so --jobs x
-  /// --trial-jobs never exceeds the thread budget. Results are bit-identical
-  /// for any value; asynchronous trials ignore it.
+  /// jobs x trial_jobs (runner::thread_budget; CheckError on overflow) and
+  /// runs the trials on `jobs` lanes, so at most `jobs` trials are in
+  /// flight and busy threads never exceed --jobs x --trial-jobs. Results
+  /// are bit-identical for any value; asynchronous trials ignore it.
   std::uint32_t trial_jobs = 1;
 
   /// Execute only this shard's trials (global trial indices are preserved

@@ -1,98 +1,38 @@
 #include "runner/thread_pool.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "support/check.hpp"
 
 namespace rise::runner {
 
-namespace {
-
-// Identifies the pool (and worker slot) the current thread belongs to, so
-// submit() can detect nested submission and route it locally.
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_worker = 0;
-
-}  // namespace
-
 std::size_t ThreadPool::hardware_threads() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(std::size_t num_threads, std::size_t queue_capacity)
-    : capacity_(std::max<std::size_t>(1, queue_capacity)) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t n =
       num_threads == 0 ? hardware_threads() : num_threads;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() { shutdown(); }
-
-void ThreadPool::enqueue(Task task, bool bounded) {
-  RISE_CHECK_MSG(task != nullptr, "ThreadPool: empty task");
-  const bool nested = tl_pool == this;
-  std::size_t target;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (bounded && !nested) {
-      space_cv_.wait(lock,
-                     [this] { return stopping_ || queued_ < capacity_; });
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      threads_.emplace_back([this] { worker_loop(); });
     }
-    RISE_CHECK_MSG(!stopping_, "ThreadPool: submit after shutdown");
-    ++queued_;
-    ++in_flight_;
-    target = nested ? tl_worker : rr_cursor_++ % workers_.size();
+  } catch (...) {
+    stop();  // a thread failed to start: join the ones that did
+    throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mu);
-    workers_[target]->tasks.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
 }
 
-void ThreadPool::submit(Task task) { enqueue(std::move(task), true); }
+ThreadPool::~ThreadPool() { stop(); }
 
-bool ThreadPool::try_submit(Task task) {
-  RISE_CHECK_MSG(task != nullptr, "ThreadPool: empty task");
+void ThreadPool::stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || queued_ >= capacity_) return false;
+    stopping_ = true;
   }
-  // Between the check and enqueue() another submitter may take the slot;
-  // enqueue(bounded=false) never blocks, so the capacity is exceeded by at
-  // most the number of concurrent try_submit callers — an acceptable bound.
-  enqueue(std::move(task), false);
-  return true;
-}
-
-bool ThreadPool::pop_or_steal(std::size_t self, Task& out) {
-  {
-    Worker& own = *workers_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      out = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  const std::size_t n = workers_.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    Worker& victim = *workers_[(self + i) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  return false;
+  work_cv_.notify_all();
+  for (auto& t : threads_) t.join();
 }
 
 bool ThreadPool::claimable_chunk() const {
@@ -147,53 +87,22 @@ void ThreadPool::run_chunks(std::size_t count, void (*fn)(void*, std::size_t),
   batches_.erase(std::find(batches_.begin(), batches_.end(), &batch));
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  tl_pool = this;
-  tl_worker = self;
-  for (;;) {
-    Task task;
-    if (pop_or_steal(self, task)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --queued_;
-      }
-      space_cv_.notify_one();
-      task();
-      task = nullptr;  // release captures before reporting idle
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --in_flight_;
-        if (in_flight_ == 0) idle_cv_.notify_all();
-      }
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (run_one_chunk(lock)) continue;
-    if (queued_ > 0) continue;  // lost a race with a concurrent submit
-    if (stopping_) return;
-    work_cv_.wait(lock, [this] {
-      return queued_ > 0 || stopping_ || claimable_chunk();
-    });
-  }
-}
-
-void ThreadPool::wait_idle() {
-  RISE_CHECK_MSG(tl_pool != this,
-                 "ThreadPool: wait_idle from a worker would deadlock");
+void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  for (;;) {
+    if (run_one_chunk(lock)) continue;
+    if (stopping_) return;
+    work_cv_.wait(lock, [this] { return stopping_ || claimable_chunk(); });
+  }
 }
 
-void ThreadPool::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  space_cv_.notify_all();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+std::size_t thread_budget(std::size_t jobs, std::uint32_t trial_jobs) {
+  const std::size_t lanes = jobs == 0 ? ThreadPool::hardware_threads() : jobs;
+  const std::size_t per_lane = std::max<std::uint32_t>(1, trial_jobs);
+  RISE_CHECK_MSG(lanes <= std::numeric_limits<std::size_t>::max() / per_lane,
+                 "jobs " << lanes << " x trial_jobs " << per_lane
+                           << " overflows the thread count");
+  return lanes * per_lane;
 }
 
 }  // namespace rise::runner

@@ -1,26 +1,31 @@
-// Work-stealing thread pool — the execution substrate of the campaign
-// runner (src/runner/campaign.hpp).
+// Index-batch thread pool — the execution substrate of the campaign runner
+// (src/runner/campaign.hpp), the fuzzer, the hunter and the round-parallel
+// sync engine.
 //
-// Design: each worker owns a deque protected by its own mutex. submit()
-// round-robins tasks across the workers; a worker pops from the back of its
-// own deque (LIFO, cache-friendly) and, when empty, steals from the front of
-// a sibling's deque (FIFO, oldest first). The aggregate number of *queued*
-// tasks is bounded: submit() from outside the pool blocks until a slot
-// frees, which keeps campaign expansion memory-proportional to the bound
-// rather than to the trial count. Submission from inside a worker (nested
-// tasks) bypasses the bound and goes to the submitting worker's own deque —
-// blocking there could deadlock the pool.
+// The pool runs one kind of work: run_chunks(count, fn, arg) calls fn(arg, i)
+// for every i in [0, count) and returns when all calls completed. The batch
+// lives on the caller's stack; the caller claims chunks from it inline while
+// idle workers help, so a batch started from inside another batch's chunk
+// (a trial's round chunks inside a campaign lane) can never deadlock — worst
+// case its caller runs it alone.
 //
-// Every piece of shared state is mutex-protected (no lock-free cleverness),
-// so the pool is ThreadSanitizer-clean by construction; the tier-1 verify
-// flow runs the runner tests under TSan (see CMake option RISE_SANITIZE).
+// Trial-level work (campaign, fuzz, hunt) goes through run_lanes: `lanes`
+// chunks that each pull the next index from one shared atomic counter. That
+// caps the bodies in flight at `lanes` by construction; a pool sized
+// thread_budget(jobs, trial_jobs) leaves the spare threads to serve the
+// nested round batches, so busy threads never exceed jobs x trial_jobs.
+//
+// Every piece of shared pool state is mutex-protected (no lock-free
+// cleverness), so the pool is ThreadSanitizer-clean by construction; CI runs
+// the runner tests under TSan (see CMake option RISE_SANITIZE).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <memory>
+#include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -31,56 +36,29 @@ namespace rise::runner {
 
 class ThreadPool {
  public:
-  using Task = std::function<void()>;
-
-  static constexpr std::size_t kDefaultCapacity = 4096;
-
   /// num_threads == 0 means hardware_threads().
-  explicit ThreadPool(std::size_t num_threads = 0,
-                      std::size_t queue_capacity = kDefaultCapacity);
-  ~ThreadPool();  // graceful: drains every queued task, then joins
+  explicit ThreadPool(std::size_t num_threads = 0);
+  ~ThreadPool();  // joins the workers; no batch may be running
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Blocks while `queue_capacity` tasks are already
-  /// queued (unless called from a pool worker; see file comment). Throws
-  /// CheckError after shutdown().
-  void submit(Task task);
-
-  /// Non-blocking submit; false when the queue is full or stopping.
-  bool try_submit(Task task);
-
-  /// Blocks until every submitted task has finished. Must not be called
-  /// from a pool worker. The pool remains usable afterwards.
-  void wait_idle();
-
-  /// Finishes all queued tasks, then stops and joins the workers.
-  /// Idempotent; later submits throw.
-  void shutdown();
-
   /// Runs fn(arg, i) once for every i in [0, count) and returns when all
-  /// calls completed; idle workers help. Allocation-free in steady state
-  /// (the batch lives on the caller's stack) and safe to call from *inside*
-  /// a pool task: the caller claims chunks inline from its own batch, so
-  /// even with every worker busy it simply runs the whole batch itself —
-  /// nested use degrades to a serial loop, it can never deadlock. `fn` must
-  /// not throw and must not block on this pool.
+  /// calls completed; idle workers help. Allocation-free (the batch lives
+  /// on the caller's stack) and safe to call from inside a chunk: the
+  /// caller claims chunks inline from its own batch, so even with every
+  /// worker busy it simply runs the whole batch itself — nested use
+  /// degrades to a serial loop, it can never deadlock. `fn` must not throw
+  /// and must not block on another thread's chunk.
   void run_chunks(std::size_t count, void (*fn)(void*, std::size_t),
                   void* arg);
 
-  std::size_t num_threads() const { return workers_.size(); }
-  std::size_t queue_capacity() const { return capacity_; }
+  std::size_t num_threads() const { return threads_.size(); }
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static std::size_t hardware_threads();
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
   /// One run_chunks call in progress. Lives on the caller's stack; the
   /// registered pointer and both counters are guarded by mu_.
   struct ChunkBatch {
@@ -91,9 +69,8 @@ class ThreadPool {
     std::size_t done = 0;  ///< completed chunks
   };
 
-  void worker_loop(std::size_t self);
-  bool pop_or_steal(std::size_t self, Task& out);
-  void enqueue(Task task, bool bounded);
+  void worker_loop();
+  void stop();  ///< wakes and joins every worker
 
   /// Claims and runs one chunk from the oldest batch with work left.
   /// Expects `lock` held on mu_ (dropped around the chunk body); returns
@@ -101,21 +78,69 @@ class ThreadPool {
   bool run_one_chunk(std::unique_lock<std::mutex>& lock);
   bool claimable_chunk() const;  ///< under mu_
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex mu_;                  // guards the counters below
-  std::condition_variable work_cv_;   // workers: wait for queued work
-  std::condition_variable space_cv_;  // submitters: wait for queue space
-  std::condition_variable idle_cv_;   // wait_idle
+  std::mutex mu_;                     // guards everything below
+  std::condition_variable work_cv_;   // workers: wait for a claimable chunk
   std::condition_variable batch_cv_;  // run_chunks: wait for batch done
   std::vector<ChunkBatch*> batches_;  ///< active run_chunks calls
-  std::size_t queued_ = 0;     ///< tasks sitting in some worker deque
-  std::size_t in_flight_ = 0;  ///< queued + currently executing
-  std::size_t rr_cursor_ = 0;  ///< round-robin submission target
-  std::size_t capacity_;
   bool stopping_ = false;
 };
+
+/// Threads for `jobs` concurrent lanes of up to `trial_jobs` round chunks
+/// each: jobs x trial_jobs, with jobs == 0 meaning hardware_threads() and
+/// trial_jobs == 0 meaning 1. Throws CheckError when the product overflows.
+std::size_t thread_budget(std::size_t jobs, std::uint32_t trial_jobs);
+
+/// Runs body(i) once for every i in [0, count) on at most `lanes` lanes:
+/// pool.run_chunks(lanes, ...), each lane taking the next index from one
+/// shared atomic counter until none is left. So at most `lanes` bodies are
+/// in flight whatever the pool size; a body may itself call
+/// pool.run_chunks (see the file comment). A body that throws ends its lane
+/// and no lane claims another index; once every lane returned, the
+/// exception of the lowest failed index is rethrown. Every lower index was
+/// claimed before it and ran to the end, so for bodies that fail
+/// deterministically this is the first failing index in index order.
+template <typename Body>
+void run_lanes(ThreadPool& pool, std::size_t lanes, std::size_t count,
+               Body&& body) {
+  struct LaneError {
+    std::size_t index = 0;
+    std::exception_ptr error;
+  };
+  struct Lanes {
+    Body& body;
+    std::size_t count;
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::vector<LaneError> errors;
+
+    static void run(void* self, std::size_t lane) {
+      Lanes& l = *static_cast<Lanes*>(self);
+      while (!l.failed) {
+        const std::size_t i = l.next++;
+        if (i >= l.count) return;
+        try {
+          l.body(i);
+        } catch (...) {
+          l.errors[lane] = {i, std::current_exception()};
+          l.failed = true;
+        }
+      }
+    }
+  };
+  lanes = std::min(lanes, count);
+  if (lanes == 0) return;
+  Lanes state{body, count, {}, {}, std::vector<LaneError>(lanes)};
+  pool.run_chunks(lanes, &Lanes::run, &state);
+  const LaneError* first = nullptr;
+  for (const LaneError& e : state.errors) {
+    if (e.error != nullptr && (first == nullptr || e.index < first->index)) {
+      first = &e;
+    }
+  }
+  if (first != nullptr) std::rethrow_exception(first->error);
+}
 
 /// Adapts the pool to the engine's executor interface (sim/parallel.hpp)
 /// so a synchronous run can step round chunks on campaign workers. With a

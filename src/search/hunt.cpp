@@ -29,7 +29,7 @@ constexpr std::uint64_t kBaselineTag = 0x507E200000ULL;
 /// which an unchanged-graph lineage (schedule/delay/seed-stable) hits.
 constexpr std::size_t kCacheCap = 128;
 
-/// Per-worker engine storage, recycled across evaluations (same idiom as
+/// Per-thread engine storage, recycled across evaluations (same idiom as
 /// runner/campaign.cpp — the workspace never changes results).
 sim::RunWorkspace& worker_workspace() {
   static thread_local sim::RunWorkspace workspace;
@@ -104,15 +104,15 @@ HuntReport run_hunt(const HuntOptions& options) {
                  "hunt: unknown search algorithm '"
                      << options.algorithm << "' (expected ea|anneal)");
 
-  // The pool carries candidate-level AND round-level workers: trial_jobs
-  // round chunks per in-flight evaluation. Resolve jobs before multiplying
-  // (0 = all hardware threads).
+  // The pool carries candidate-level AND round-level workers: `jobs` lanes
+  // evaluate candidates, and each in-flight evaluation fans its rounds out
+  // into trial_jobs chunks on the spare threads.
   const std::uint32_t trial_jobs =
       std::max<std::uint32_t>(1, options.trial_jobs);
   const std::size_t jobs = options.jobs == 0
                                ? runner::ThreadPool::hardware_threads()
                                : options.jobs;
-  runner::ThreadPool pool(jobs * trial_jobs);
+  runner::ThreadPool pool(runner::thread_budget(jobs, trial_jobs));
   runner::PoolChunkExecutor executor(&pool);
   EvalParallel parallel;
   if (trial_jobs > 1) {
@@ -124,7 +124,7 @@ HuntReport run_hunt(const HuntOptions& options) {
   HuntReport report;
   report.objective = options.objective;
   report.algorithm = options.algorithm;
-  report.jobs = jobs;  // candidate-level workers, not the raw pool size
+  report.jobs = jobs;  // candidate-level lanes, not the raw pool size
 
   // Evaluation 1: the initial genome seeds both parent and best-so-far.
   check::Scenario parent = options.initial;
@@ -145,7 +145,7 @@ HuntReport run_hunt(const HuntOptions& options) {
     const std::size_t batch = static_cast<std::size_t>(std::min<std::uint64_t>(
         options.lambda, options.budget - report.evaluations));
 
-    // Candidates are built on this thread — worker threads never touch RNG
+    // Candidates are built on this thread — the lanes never touch RNG
     // state, so the genome sequence is independent of the pool size.
     std::vector<check::Scenario> candidates;
     candidates.reserve(batch);
@@ -156,12 +156,9 @@ HuntReport run_hunt(const HuntOptions& options) {
     }
 
     std::vector<EvalResult> slots(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      pool.submit([&slots, &candidates, &cache, &options, &parallel, i] {
-        slots[i] = evaluate(candidates[i], options.objective, cache, parallel);
-      });
-    }
-    pool.wait_idle();
+    runner::run_lanes(pool, jobs, batch, [&](std::size_t i) {
+      slots[i] = evaluate(candidates[i], options.objective, cache, parallel);
+    });
     report.evaluations += batch;
     for (const EvalResult& e : slots) {
       if (!e.ok) ++report.failed_runs;
@@ -219,17 +216,14 @@ HuntReport run_hunt(const HuntOptions& options) {
       genomes.push_back(random_genome(options.initial, rng, options.limits));
     }
     std::vector<EvalResult> slots(genomes.size());
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
-      pool.submit([&slots, &genomes, &cache, &options, &parallel, i] {
-        slots[i] = evaluate(genomes[i], options.objective, cache, parallel);
-      });
+    runner::run_lanes(pool, jobs, genomes.size(), [&](std::size_t i) {
       if (i % kCacheCap == 0 && cache.size() > kCacheCap) {
         // Random genomes never repeat a key; keep the cache bounded while
-        // the queue drains. clear() is safe under in-flight lookups.
+        // the lanes run. clear() is safe under in-flight lookups.
         cache.clear();
       }
-    }
-    pool.wait_idle();
+      slots[i] = evaluate(genomes[i], options.objective, cache, parallel);
+    });
     const std::size_t pick = argmax(slots);
     if (slots[pick].ok) {
       report.baseline_champion = genomes[pick];

@@ -9,10 +9,11 @@
 // Determinism contract (same as the campaign runner): a hunt is a pure
 // function of its options. Candidate genomes are constructed on the
 // coordinating thread from SplitMix64 streams keyed on (seed, generation,
-// slot); evaluations fan out onto a runner::ThreadPool into per-candidate
-// slots; selection reads the slots in index order with lowest-index
-// tie-breaks. Same options => same champion, trajectory, and corpus entry,
-// for any --jobs value. No wall clock anywhere.
+// slot); evaluations run on `jobs` lanes of a runner::ThreadPool
+// (runner::run_lanes) into per-candidate slots; selection reads the slots
+// in index order with lowest-index tie-breaks. Same options => same
+// champion, trajectory, and corpus entry, for any --jobs value. No wall
+// clock anywhere.
 //
 // The equal-budget random baseline re-spends exactly the search's evaluation
 // budget on uniform random genomes over the same space (mutate.hpp's
@@ -44,10 +45,11 @@ struct HuntOptions {
   std::uint64_t budget = 256;  ///< total evaluations, >= 2
   std::size_t lambda = 8;      ///< offspring per generation, >= 1
   std::uint64_t seed = 1;
-  std::size_t jobs = 1;  ///< worker threads; 0 = all hardware threads
+  std::size_t jobs = 1;  ///< concurrent evaluations; 0 = all hardware threads
   /// Intra-trial round parallelism for synchronous evaluations (see
-  /// CampaignOptions::trial_jobs). The pool is sized jobs x trial_jobs;
-  /// objective values are bit-identical for any setting.
+  /// CampaignOptions::trial_jobs). The pool is sized jobs x trial_jobs and
+  /// at most `jobs` candidates are evaluated at once; objective values are
+  /// bit-identical for any setting.
   std::uint32_t trial_jobs = 1;
   bool baseline = true;  ///< run the equal-budget uniform-random control
   MutationLimits limits;
@@ -63,7 +65,7 @@ struct HuntReport {
   Objective objective = Objective::kMessages;
   std::string algorithm;         ///< search family that ran
   std::uint64_t evaluations = 0; ///< search evals spent (baseline excluded)
-  std::size_t jobs = 1;          ///< resolved worker count
+  std::size_t jobs = 1;          ///< resolved concurrent evaluations
   std::uint64_t failed_runs = 0; ///< evaluations whose replay threw
 
   check::Scenario champion;

@@ -8,24 +8,11 @@
 
 #include "app/spec.hpp"
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace rise::search {
 
 namespace {
-
-std::vector<std::string> split(const std::string& spec, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = spec.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(spec.substr(start));
-      return out;
-    }
-    out.push_back(spec.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
 
 std::string fmt(double v) {
   std::ostringstream os;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "check/scenario.hpp"
 #include "runner/result_sink.hpp"
+#include "store/result_store.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 
@@ -52,6 +54,8 @@ TEST(GridAxis, RejectsMalformedText) {
   EXPECT_THROW(parse_grid_axis("algoflooding"), CheckError);    // no '='
   EXPECT_THROW(parse_grid_axis("algo="), CheckError);           // no values
   EXPECT_THROW(parse_grid_axis("algo=a,,b"), CheckError);       // empty value
+  EXPECT_THROW(parse_grid_axis("algo=a,"), CheckError);  // trailing empty
+  EXPECT_THROW(parse_grid_axis("algo=,a"), CheckError);  // leading empty
   EXPECT_THROW(parse_grid_axis("=a,b"), CheckError);            // no param
   app::ExperimentSpec spec;
   EXPECT_THROW(apply_grid_param(spec, "bogus", "x"), CheckError);
@@ -134,8 +138,8 @@ TEST(RunCampaign, DeterminismAcrossJobs) {
 }
 
 // trial_jobs composes with jobs: a jobs=2 x trial_jobs=3 campaign (pool of
-// six threads, admission-gated to two concurrent trials) must reproduce the
-// serial campaign bit for bit. The grid mixes lock-step families (where the
+// six threads, trials on two lanes) must reproduce the serial campaign bit
+// for bit. The grid mixes lock-step families (where the
 // round-parallel engine actually engages) with an async family (where
 // trial_jobs is ignored by contract).
 TEST(RunCampaign, TrialJobsComposesWithJobsBitIdentically) {
@@ -200,6 +204,34 @@ TEST(RunCampaign, CapturesTrialErrors) {
     EXPECT_FALSE(t.ok);
     EXPECT_FALSE(t.error.empty());
   }
+}
+
+// An exception escaping a trial lane (here: appending to a store opened
+// read-only) must surface from run_campaign as that exception, not kill the
+// process from a pool thread.
+TEST(RunCampaign, LaneErrorsPropagateToTheCaller) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "rise_campaign_read_only";
+  std::filesystem::remove_all(dir);
+  store::ResultStore read_only(dir.string(), "");
+  CampaignPlan plan;
+  plan.base = tiny_spec();
+  plan.num_seeds = 12;
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(jobs);
+    CampaignOptions options;
+    options.jobs = jobs;
+    options.store = &read_only;
+    try {
+      run_campaign(plan, options);
+      FAIL() << "run_campaign returned despite a failing store";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("opened read-only"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunCampaign, RejectsEmptyPlans) {

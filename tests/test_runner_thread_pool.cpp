@@ -5,8 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
-#include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "support/check.hpp"
@@ -14,163 +17,64 @@
 namespace rise::runner {
 namespace {
 
-TEST(ThreadPool, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
 TEST(ThreadPool, ResultsLandInDistinctSlots) {
-  // The campaign runner's pattern: each task owns one slot of a pre-sized
-  // vector; wait_idle() must publish every write to the caller.
-  constexpr int kTasks = 512;
+  // The campaign runner's pattern: each index owns one slot of a pre-sized
+  // plain vector; run_chunks returning must publish every write.
+  constexpr int kSlots = 512;
   ThreadPool pool(8);
-  std::vector<int> slots(kTasks, -1);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&slots, i] { slots[static_cast<std::size_t>(i)] = i * i; });
-  }
-  pool.wait_idle();
-  for (int i = 0; i < kTasks; ++i) {
+  std::vector<int> slots(kSlots, -1);
+  pool.run_chunks(
+      slots.size(),
+      [](void* arg, std::size_t i) {
+        (*static_cast<std::vector<int>*>(arg))[i] = static_cast<int>(i * i);
+      },
+      &slots);
+  for (int i = 0; i < kSlots; ++i) {
     EXPECT_EQ(slots[static_cast<std::size_t>(i)], i * i);
   }
 }
 
-TEST(ThreadPool, BoundedQueueStillCompletesEverything) {
-  // Far more tasks than the queue holds: submit() must block and resume.
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 256; ++i) {
-    pool.submit([&count] {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 256);
+void add_index(void* sum, std::size_t i) {
+  static_cast<std::atomic<long>*>(sum)->fetch_add(
+      static_cast<long>(i), std::memory_order_relaxed);
 }
 
-TEST(ThreadPool, NestedSubmitFromWorkerRuns) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.submit([&pool, &count] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      pool.submit(
-          [&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPool, ReusableAfterWaitIdle) {
+TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-  pool.submit([&count] { ++count; });
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, GracefulShutdownDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2, /*queue_capacity=*/256);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // Destructor = shutdown(): every already-queued task must still run.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), CheckError);
-  EXPECT_FALSE(pool.try_submit([] {}));
-}
-
-TEST(ThreadPool, TrySubmitReportsFullQueue) {
-  ThreadPool pool(1, /*queue_capacity=*/1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> started{false};
-  pool.submit([&] {
-    started = true;
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  while (!started) std::this_thread::yield();  // blocker is now *executing*
-  ASSERT_TRUE(pool.try_submit([] {}));         // fills the single queue slot
-  EXPECT_FALSE(pool.try_submit([] {}));        // queue full
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  pool.wait_idle();
-  EXPECT_TRUE(pool.try_submit([] {}));
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, WorkIsStolenAcrossWorkers) {
-  // One submitter round-robins tasks, but task 0 hogs its worker; the other
-  // workers must steal the remaining tasks for the pool to finish quickly.
-  ThreadPool pool(4);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<int> done{0};
-  pool.submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  // All 64 light tasks finish even while worker 0 is blocked.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (done.load() < 64) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
-    std::this_thread::yield();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
+  std::atomic<long> sum{0};
+  pool.run_chunks(3, &add_index, &sum);
+  EXPECT_EQ(sum.load(), 3);
+  pool.run_chunks(5, &add_index, &sum);
+  EXPECT_EQ(sum.load(), 3 + 10);
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
   ThreadPool pool(0);  // 0 = hardware
-  EXPECT_GE(pool.num_threads(), 1u);
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+  EXPECT_EQ(pool.num_threads(), ThreadPool::hardware_threads());
+  std::atomic<long> sum{0};
+  pool.run_chunks(2 * pool.num_threads() + 1, &add_index, &sum);
+  const long n = static_cast<long>(2 * pool.num_threads() + 1);
+  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 TEST(ThreadPool, ManyMoreThreadsThanCoresWork) {
   ThreadPool pool(16);
   std::atomic<long> sum{0};
-  for (long i = 1; i <= 200; ++i) {
-    pool.submit([&sum, i] { sum.fetch_add(i, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
+  pool.run_chunks(201, &add_index, &sum);
   EXPECT_EQ(sum.load(), 200L * 201L / 2);
+}
+
+TEST(ThreadPool, ThreadBudgetIsJobsTimesTrialJobs) {
+  EXPECT_EQ(thread_budget(3, 2), 6u);
+  EXPECT_EQ(thread_budget(3, 0), 3u);  // trial_jobs 0 = 1
+  EXPECT_EQ(thread_budget(0, 1), ThreadPool::hardware_threads());
+  EXPECT_EQ(thread_budget(0, 4), 4 * ThreadPool::hardware_threads());
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(thread_budget(max / 2, 2), max - 1);
+  // A product that wraps would read as 0 = "all hardware threads".
+  EXPECT_THROW(thread_budget(max / 2 + 1, 2), CheckError);
+  EXPECT_THROW(thread_budget(max, 4294967295u), CheckError);
 }
 
 // ---- run_chunks (the round-parallel chunk executor substrate) ----------
@@ -215,42 +119,52 @@ TEST(ThreadPoolChunks, SingleThreadPoolStillCompletes) {
 // worst case it runs the whole batch serially on its own thread.
 TEST(ThreadPoolChunks, NestedCallFromWorkerDoesNotDeadlock) {
   ThreadPool pool(2);
-  std::atomic<int> total{0};
-  for (int t = 0; t < 8; ++t) {
-    pool.submit([&pool, &total] {
-      ChunkFlags flags(50);
-      pool.run_chunks(50, &ChunkFlags::mark, &flags);
-      int sum = 0;
-      for (auto& h : flags.hits) sum += h.load();
-      total.fetch_add(sum, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(total.load(), 8 * 50);
+  struct Outer {
+    ThreadPool* pool;
+    std::atomic<int> total{0};
+  } outer{&pool};
+  pool.run_chunks(
+      8,
+      [](void* arg, std::size_t) {
+        Outer& o = *static_cast<Outer*>(arg);
+        ChunkFlags flags(50);
+        o.pool->run_chunks(50, &ChunkFlags::mark, &flags);
+        int sum = 0;
+        for (auto& h : flags.hits) sum += h.load();
+        o.total.fetch_add(sum, std::memory_order_relaxed);
+      },
+      &outer);
+  EXPECT_EQ(outer.total.load(), 8 * 50);
 }
 
-// Every worker blocked on slow plain tasks: the run_chunks caller must not
-// wait for a free worker, it inlines the batch itself.
+// Every worker blocked inside another caller's batch: the run_chunks caller
+// must not wait for a free worker, it inlines the batch itself.
 TEST(ThreadPoolChunks, BusyPoolFallsBackToCallerInline) {
   ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  for (int t = 0; t < 2; ++t) {
-    pool.submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release; });
-    });
-  }
+  struct Blocker {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<int> entered{0};
+  } blocker;
+  auto block = [](void* arg, std::size_t) {
+    Blocker& b = *static_cast<Blocker*>(arg);
+    b.entered.fetch_add(1);
+    std::unique_lock<std::mutex> lock(b.mu);
+    b.cv.wait(lock, [&b] { return b.release; });
+  };
+  // Three chunks: the blocking thread and both workers each end up in one.
+  std::thread holder([&] { pool.run_chunks(3, block, &blocker); });
+  while (blocker.entered.load() < 3) std::this_thread::yield();
   ChunkFlags flags(64);
   pool.run_chunks(64, &ChunkFlags::mark, &flags);  // caller's thread only
   for (auto& h : flags.hits) EXPECT_EQ(h.load(), 1);
   {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
+    std::lock_guard<std::mutex> lock(blocker.mu);
+    blocker.release = true;
   }
-  cv.notify_all();
-  pool.wait_idle();
+  blocker.cv.notify_all();
+  holder.join();
 }
 
 // Concurrent batches from independent threads must not cross wires: each
@@ -286,6 +200,89 @@ TEST(ThreadPoolChunks, PoolChunkExecutorUsesPool) {
   ChunkFlags flags(200);
   executor.run(200, &ChunkFlags::mark, &flags);
   for (auto& h : flags.hits) EXPECT_EQ(h.load(), 1);
+}
+
+// ---- run_lanes (the trial-level loop of campaign, fuzz and hunt) --------
+
+TEST(ThreadPoolLanes, RunsEveryIndexExactlyOnce) {
+  ThreadPool pool(4);
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+    for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                              std::size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(count);
+      run_lanes(pool, lanes, count, [&hits](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "lanes=" << lanes << " count=" << count << " i=" << i;
+      }
+    }
+  }
+}
+
+/// Raises `peak` to at least `value`.
+void raise_peak(std::atomic<int>& peak, int value) {
+  int seen = peak.load();
+  while (seen < value && !peak.compare_exchange_weak(seen, value)) {
+  }
+}
+
+// The campaign/hunt shape: `jobs` lanes over many trials on a pool of
+// jobs x trial_jobs threads, each trial fanning its rounds out into
+// trial_jobs nested chunks. The spare threads may only serve round chunks:
+// at most `jobs` trials are ever in flight, and at most jobs x trial_jobs
+// chunks run at once. Submitting one pool task per trial into the same pool
+// would let up to jobs x trial_jobs trials run at once.
+TEST(ThreadPoolLanes, AtMostJobsBodiesInFlightWithNestedRoundBatches) {
+  constexpr std::size_t kJobs = 3;
+  constexpr std::uint32_t kTrialJobs = 2;
+  ThreadPool pool(thread_budget(kJobs, kTrialJobs));
+  ASSERT_EQ(pool.num_threads(), kJobs * kTrialJobs);
+  struct Counters {
+    std::atomic<int> bodies{0}, peak_bodies{0};
+    std::atomic<int> chunks{0}, peak_chunks{0};
+    std::atomic<int> chunks_run{0};
+  } c;
+  auto round_chunk = [](void* arg, std::size_t) {
+    Counters& k = *static_cast<Counters*>(arg);
+    raise_peak(k.peak_chunks, k.chunks.fetch_add(1) + 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    k.chunks.fetch_sub(1);
+    k.chunks_run.fetch_add(1);
+  };
+  constexpr std::size_t kTrials = 120;
+  run_lanes(pool, kJobs, kTrials, [&](std::size_t) {
+    raise_peak(c.peak_bodies, c.bodies.fetch_add(1) + 1);
+    for (int round = 0; round < 3; ++round) {
+      pool.run_chunks(kTrialJobs, round_chunk, &c);
+    }
+    c.bodies.fetch_sub(1);
+  });
+  EXPECT_EQ(c.chunks_run.load(), static_cast<int>(kTrials * 3 * kTrialJobs));
+  EXPECT_LE(c.peak_bodies.load(), static_cast<int>(kJobs));
+  EXPECT_LE(c.peak_chunks.load(), static_cast<int>(kJobs * kTrialJobs));
+}
+
+TEST(ThreadPoolLanes, RethrowsTheLowestFailingIndexAndStopsClaiming) {
+  ThreadPool pool(4);
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    std::atomic<int> ran{0};
+    try {
+      run_lanes(pool, 4, 1000, [&ran](std::size_t i) {
+        ran.fetch_add(1);
+        if (i >= 40) throw std::runtime_error("index " + std::to_string(i));
+      });
+      FAIL() << "run_lanes swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      // Every index below the first failure to be seen was claimed earlier
+      // and ran, so index 40 always failed and always wins.
+      EXPECT_STREQ(e.what(), "index 40");
+    }
+    // A throw ends its lane, and every index >= 40 throws, so each of the
+    // four lanes claims at most one of them.
+    EXPECT_LE(ran.load(), 40 + 4);
+  }
 }
 
 }  // namespace

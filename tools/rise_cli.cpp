@@ -34,6 +34,7 @@
 #include "store/result_store.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -152,15 +153,18 @@ void usage() {
 }
 
 /// Parses the value of a count flag as a T. Exits 2 with a message naming
-/// the flag when the text is not a non-negative integer or does not fit in
-/// T, so a count never wraps silently into a narrower field.
+/// the flag when the text is not a non-negative integer (decimal digits
+/// only: strtoull alone would take a sign or leading blanks, turning -1
+/// into 2^64 - 1) or does not fit in T, so a count never wraps silently
+/// into a narrower field.
 template <typename T>
 T parse_count(const std::string& flag, const std::string& text) {
   static_assert(std::is_integral_v<T>);
-  char* end = nullptr;
+  const bool digits = !text.empty() &&
+                      text.find_first_not_of("0123456789") == std::string::npos;
   errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || *end != '\0' || errno == ERANGE) {
+  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+  if (!digits || errno == ERANGE) {
     std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
                  flag.c_str(), text.c_str());
     std::exit(2);
@@ -289,21 +293,6 @@ bool progress_enabled(const CommonFlags& f) {
                                 : f.progress_state == 1;
 }
 
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t pos = text.find(',', start);
-    if (pos == std::string::npos) {
-      if (start < text.size()) out.push_back(text.substr(start));
-      break;
-    }
-    if (pos > start) out.push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 int run_fuzz_command(int argc, char** argv) {
   using namespace rise;
   check::FuzzOptions options;
@@ -323,7 +312,7 @@ int run_fuzz_command(int argc, char** argv) {
     } else if (arg == "--max-tau") {
       options.generator.max_tau = parse_count<sim::Time>(arg, value());
     } else if (arg == "--families") {
-      options.generator.families = split_commas(value());
+      options.generator.families = split(value(), ',');
     } else if (arg == "--fault") {
       const std::string kind = value();
       if (kind != "late_delivery") {
