@@ -29,16 +29,10 @@ namespace rise::app {
 namespace {
 
 std::uint64_t to_u64(const std::string& s, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    RISE_CHECK_MSG(pos == s.size(), "trailing junk in " << what << ": " << s);
-    return v;
-  } catch (const std::exception&) {
-    RISE_CHECK_MSG(false, "expected an integer for " << what << ", got '"
-                                                     << s << "'");
-  }
-  return 0;
+  std::uint64_t v = 0;
+  RISE_CHECK_MSG(parse_digits(s, v), "expected an integer for "
+                                         << what << ", got '" << s << "'");
+  return v;
 }
 
 /// to_u64, checked against `max` before it narrows to T: a value that does

@@ -9,8 +9,8 @@
 // Spec grammars (all fields ':'-separated; see each parser for details):
 //   graph:    path:N | cycle:N | star:N | complete:N | grid:RxC | torus:RxC |
 //             hypercube:DIM | tree:N | gnp:N:P | cgnp:N:P | regular:N:D |
-//             lollipop:CLIQUE:PATH | barbell:CLIQUE:BRIDGE | pendant:N |
-//             dkq:K:Q | kt0family:N | kt1family:K:Q |
+//             lollipop:CLIQUE:PATH | barbell:CLIQUE:BRIDGE | ba:N:M |
+//             pendant:N | dkq:K:Q | kt0family:N | kt1family:K:Q |
 //             cache:PATH:INNERSPEC  (binary mmap cache of INNERSPEC at PATH)
 //   schedule: single[:NODE] | all | set:a,b,c | random:P |
 //             staggered:GAP:GROWTH | dominating
@@ -18,9 +18,10 @@
 //             congestion:TAU
 //   (TAU and GAP are ticks, at most 2^32: a larger value fails to parse
 //   rather than letting simulated time wrap around.)
-//   algo:     flooding | ranked_dfs | ranked_dfs_nodiscard | fast_wakeup |
-//             gossip:BUDGET | smis | smatching | ttl:R | fip06 | sqrt |
-//             cen | cen_chain | spanner:K | cor2 | beta:B
+//   algo:     flooding | ranked_dfs | ranked_dfs_congest |
+//             ranked_dfs_nodiscard | leader | fast_wakeup | gossip:BUDGET |
+//             smis | smatching | ttl:R | fip06 | sqrt | cen | cen_chain |
+//             spanner:K | cor2 | beta:B
 #pragma once
 
 #include <functional>

@@ -1,11 +1,15 @@
 #include "check/corpus.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <set>
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace rise::check {
 
@@ -46,8 +50,7 @@ std::string corpus_line(const CorpusEntry& entry) {
 
 CorpusEntry parse_corpus_line(const std::string& line) {
   CorpusEntry entry;
-  bool have_graph = false, have_schedule = false, have_algo = false,
-       have_delay = false, have_seed = false, have_digest = false;
+  std::set<std::string> seen;
   std::istringstream is(line);
   std::string token;
   while (is >> token) {
@@ -58,46 +61,44 @@ CorpusEntry parse_corpus_line(const std::string& line) {
     const std::string value = token.substr(eq + 1);
     RISE_CHECK_MSG(!value.empty(),
                    "corpus: empty value for '" << key << "' in: " << line);
-    try {
-      if (key == "graph") {
-        entry.scenario.spec.graph = value;
-        have_graph = true;
-      } else if (key == "schedule") {
-        entry.scenario.spec.schedule = value;
-        have_schedule = true;
-      } else if (key == "algo") {
-        entry.scenario.spec.algorithm = value;
-        have_algo = true;
-      } else if (key == "delay") {
-        entry.scenario.spec.delay = value;
-        have_delay = true;
-      } else if (key == "seed") {
-        entry.scenario.spec.seed = std::stoull(value);
-        have_seed = true;
-      } else if (key == "family") {
-        entry.scenario.family = value == "-" ? "" : value;
-      } else if (key == "objective") {
-        entry.objective = value == "-" ? "" : value;
-      } else if (key == "value") {
-        entry.value = std::stod(value);
-      } else if (key == "digest") {
-        entry.digest = std::stoull(value, nullptr, 16);
-        have_digest = true;
-      } else {
-        RISE_CHECK_MSG(false, "corpus: unknown key '" << key
-                                                      << "' in: " << line);
-      }
-    } catch (const CheckError&) {
-      throw;
-    } catch (const std::exception& e) {
-      RISE_CHECK_MSG(false, "corpus: bad value for '" << key << "' ("
-                                                      << e.what()
-                                                      << ") in: " << line);
+    RISE_CHECK_MSG(seen.insert(key).second,
+                   "corpus: repeated key '" << key << "' in: " << line);
+    // Every number must span its whole token: "seed=11junk" is an error,
+    // not seed 11.
+    bool valid = true;
+    if (key == "graph") {
+      entry.scenario.spec.graph = value;
+    } else if (key == "schedule") {
+      entry.scenario.spec.schedule = value;
+    } else if (key == "algo") {
+      entry.scenario.spec.algorithm = value;
+    } else if (key == "delay") {
+      entry.scenario.spec.delay = value;
+    } else if (key == "seed") {
+      valid = parse_digits(value, entry.scenario.spec.seed);
+    } else if (key == "family") {
+      entry.scenario.family = value == "-" ? "" : value;
+    } else if (key == "objective") {
+      entry.objective = value == "-" ? "" : value;
+    } else if (key == "value") {
+      const char* end = value.data() + value.size();
+      const auto [stop, ec] = std::from_chars(value.data(), end, entry.value);
+      valid = ec == std::errc{} && stop == end && std::isfinite(entry.value);
+    } else if (key == "digest") {
+      valid = value.size() <= 16 && parse_digits(value, entry.digest, 16);
+    } else {
+      RISE_CHECK_MSG(false, "corpus: unknown key '" << key
+                                                    << "' in: " << line);
     }
+    RISE_CHECK_MSG(valid, "corpus: bad value '" << value << "' for '" << key
+                                                << "' in: " << line);
   }
-  RISE_CHECK_MSG(have_graph && have_schedule && have_algo && have_delay &&
-                     have_seed && have_digest,
-                 "corpus: entry missing required keys: " << line);
+  for (const char* required :
+       {"graph", "schedule", "algo", "delay", "seed", "digest"}) {
+    RISE_CHECK_MSG(seen.count(required) > 0,
+                   "corpus: entry missing required key '" << required
+                                                          << "': " << line);
+  }
   return entry;
 }
 

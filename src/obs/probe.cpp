@@ -39,9 +39,7 @@ DeferredMarkScope::DeferredMarkScope(std::vector<DeferredMark>* marks,
 DeferredMarkScope::~DeferredMarkScope() { tl_defer = DeferTarget{}; }
 
 Probe::Probe() {
-  PhaseAccum unphased;
-  unphased.name = "(unphased)";
-  phases_.push_back(std::move(unphased));
+  phases_.emplace_back().name = "(unphased)";
   phase_ids_.emplace("(unphased)", 0);
   class_names_.push_back("node");
   class_messages_.push_back(0);
@@ -57,9 +55,7 @@ std::uint32_t Probe::intern_phase(std::string_view name) {
   auto it = phase_ids_.find(name);
   if (it != phase_ids_.end()) return it->second;
   auto id = static_cast<std::uint32_t>(phases_.size());
-  PhaseAccum accum;
-  accum.name = name;
-  phases_.push_back(std::move(accum));
+  phases_.emplace_back().name = name;
   phase_ids_.emplace(std::string(name), id);
   return id;
 }
@@ -152,18 +148,7 @@ RunProfile Probe::take_profile(const sim::RunResult& result) const {
     p.awake_rounds.add(a);
   }
 
-  p.phases.reserve(phases_.size());
-  for (const PhaseAccum& a : phases_) {
-    PhaseProfile ph;
-    ph.name = a.name;
-    ph.marks = a.marks;
-    ph.messages = a.messages;
-    ph.bits = a.bits;
-    ph.first_send = a.first_send;
-    ph.last_send = a.last_send;
-    ph.message_bits = a.message_bits;
-    p.phases.push_back(std::move(ph));
-  }
+  p.phases = phases_;
 
   p.classes.resize(class_names_.size());
   for (std::size_t c = 0; c < class_names_.size(); ++c) {

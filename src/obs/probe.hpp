@@ -87,7 +87,7 @@ class Probe {
   /// Hot path: one call per send, before enqueueing. `bits` is the logical
   /// message size, `t` the send time (tick or round).
   void on_send(sim::NodeId from, std::uint64_t bits, sim::Time t) {
-    PhaseAccum& ph = phases_[node_phase_[from]];
+    PhaseProfile& ph = phases_[node_phase_[from]];
     ++ph.messages;
     ph.bits += bits;
     if (t < ph.first_send) ph.first_send = t;
@@ -150,22 +150,10 @@ class Probe {
   RunProfile take_profile(const sim::RunResult& result) const;
 
  private:
-  // PhaseProfile minus the name-independent finishing touches; kept flat
-  // so on_send touches one cache line per phase.
-  struct PhaseAccum {
-    std::string name;
-    std::uint64_t marks = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t bits = 0;
-    sim::Time first_send = sim::kNever;
-    sim::Time last_send = 0;
-    LogHistogram message_bits;
-  };
-
   std::uint32_t intern_phase(std::string_view name);
   std::uint32_t intern_class(std::string_view name);
 
-  std::vector<PhaseAccum> phases_;                // index = phase id
+  std::vector<PhaseProfile> phases_;              // index = phase id
   std::vector<std::string> class_names_;          // index = class id
   std::vector<std::uint64_t> class_messages_;     // index = class id
   std::map<std::string, std::uint32_t, std::less<>> phase_ids_;

@@ -1,8 +1,10 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -10,6 +12,8 @@
 namespace rise::obs {
 
 namespace {
+
+using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
 
 void write_histogram(json::Writer& w, const LogHistogram& h) {
   w.begin_object();
@@ -30,43 +34,6 @@ void write_histogram(json::Writer& w, const LogHistogram& h) {
   w.end_object();
 }
 
-void write_stats(json::Writer& w, const SampleStats& s) {
-  w.begin_object();
-  w.kv("count", static_cast<std::uint64_t>(s.count()));
-  if (s.count() > 0) {
-    w.kv("mean", s.mean());
-    w.kv("stddev", s.stddev());
-    w.kv("min", s.min());
-    w.kv("p50", s.quantile(0.5));
-    w.kv("p90", s.quantile(0.9));
-    w.kv("max", s.max());
-  }
-  w.end_object();
-}
-
-void write_engine(json::Writer& w, const EngineProfile& e) {
-  w.begin_object();
-  w.kv("backend", e.backend);
-  w.kv("events_popped", e.events_popped);
-  w.kv("queue_high_water", e.queue_high_water);
-  w.kv("ring_high_water", e.ring_high_water);
-  w.kv("overflow_high_water", e.overflow_high_water);
-  w.key("queue_depth");
-  write_histogram(w, e.queue_depth);
-  w.kv("rounds_stepped", e.rounds_stepped);
-  w.key("round_active");
-  write_histogram(w, e.round_active);
-  w.end_object();
-}
-
-void write_counters(
-    json::Writer& w,
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
-  w.begin_object();
-  for (const auto& [name, v] : counters) w.kv(name, v);
-  w.end_object();
-}
-
 // ---- helpers for the parsed-JSON readers --------------------------------
 // Absent members read as their defaults; a member of the wrong JSON type, or
 // one that does not fit its field, throws CheckError (see json::read).
@@ -77,17 +44,246 @@ std::uint64_t get_u64(const json::Value& v, std::string_view key) {
   return out;
 }
 
-double get_num(const json::Value& v, std::string_view key) {
-  double out = 0.0;
-  json::read_member(v, key, out);
-  return out;
-}
-
 std::string get_str(const json::Value& v, std::string_view key) {
   std::string out;
   json::read_member(v, key, out);
   return out;
 }
+
+/// Inverse of write_histogram.
+LogHistogram read_histogram(const json::Value& v) {
+  RISE_CHECK_MSG(v.is_object(), "histogram is not a JSON object");
+  std::uint64_t counts[LogHistogram::kBuckets] = {};
+  if (const json::Value* buckets =
+          v.find("buckets", json::Value::Type::kArray)) {
+    for (const json::Value& pair : buckets->array) {
+      RISE_CHECK_MSG(pair.is_array() && pair.size() == 2,
+                     "histogram bucket is not a [lo, count] pair");
+      // The serialized lo is bucket_lo(b), and bucket_of(bucket_lo(b)) == b
+      // for every b, so the bucket index round-trips through its lo value.
+      std::uint64_t lo = 0;
+      json::read(pair.at(0), "buckets", lo);
+      json::read(pair.at(1), "buckets", counts[LogHistogram::bucket_of(lo)]);
+    }
+  }
+  return LogHistogram::restore(counts, get_u64(v, "count"), get_u64(v, "sum"),
+                               get_u64(v, "min"), get_u64(v, "max"));
+}
+
+// ---- field lists ----------------------------------------------------------
+// Each run_profile record names its JSON members once, in document order, as
+// f(key, member). write_profile and profile_from_json both walk these lists;
+// the member's type picks how FieldWriter writes it and FieldReader reads it
+// back. The reader treats every member as optional unless the list wraps it
+// in Required.
+
+/// T is R or const R: one list serves the writer and the reader.
+template <typename T, typename R>
+concept Of = std::same_as<std::remove_const_t<T>, R>;
+
+/// A member the reader requires: absent is a CheckError.
+template <typename T>
+struct Required {
+  T& member;
+};
+
+/// A member written as null unless `present`; a null reads as the default.
+template <typename T>
+struct NullUnless {
+  T& member;
+  bool present;
+};
+
+/// RunProfile's totals, which its document nests in a "totals" object.
+template <typename Run>
+struct Totals {
+  Run& p;
+};
+
+template <typename Run, typename F>
+void for_each_field(Totals<Run> t, F&& f) {
+  f("messages", t.p.messages);
+  f("bits", t.p.bits);
+  f("deliveries", t.p.deliveries);
+  f("events", t.p.events);
+  f("rounds", t.p.rounds);
+  f("time_units", t.p.time_units);
+  f("awake_total", t.p.awake_total);
+  f("awake_max", t.p.awake_max);
+  f("sleep_dropped", t.p.sleep_dropped);
+}
+
+template <Of<PhaseProfile> Phase, typename F>
+void for_each_field(Phase& ph, F&& f) {
+  f("name", ph.name);
+  f("marks", ph.marks);
+  f("messages", ph.messages);
+  f("bits", ph.bits);
+  f("first_send", NullUnless{ph.first_send, ph.messages > 0});
+  f("last_send", NullUnless{ph.last_send, ph.messages > 0});
+  f("message_bits", Required{ph.message_bits});
+}
+
+template <Of<ClassProfile> Class, typename F>
+void for_each_field(Class& c, F&& f) {
+  f("name", c.name);
+  f("nodes", c.nodes);
+  f("messages", c.messages);
+  f("sent_per_node", Required{c.sent_per_node});
+}
+
+template <Of<EngineProfile> Engine, typename F>
+void for_each_field(Engine& e, F&& f) {
+  f("backend", e.backend);
+  f("events_popped", e.events_popped);
+  f("queue_high_water", e.queue_high_water);
+  f("ring_high_water", e.ring_high_water);
+  f("overflow_high_water", e.overflow_high_water);
+  f("queue_depth", e.queue_depth);
+  f("rounds_stepped", e.rounds_stepped);
+  f("round_active", e.round_active);
+}
+
+template <Of<TimerProfile> Timer, typename F>
+void for_each_field(Timer& t, F&& f) {
+  f("name", t.name);
+  f("calls", t.calls);
+  f("wall_seconds", t.wall_seconds);
+  f("sim_ticks", t.sim_ticks);
+}
+
+template <Of<RunProfile> Run, typename F>
+void for_each_field(Run& p, F&& f) {
+  f("algorithm", p.algorithm);
+  f("graph", p.graph);
+  f("schedule", p.schedule);
+  f("delay", p.delay);
+  f("seed", p.seed);
+  f("num_nodes", p.num_nodes);
+  f("num_edges", p.num_edges);
+  f("rho_awk", p.rho_awk);
+  f("synchronous", p.synchronous);
+  Totals<Run> totals{p};
+  f("totals", Required{totals});
+  f("awake_rounds", p.awake_rounds);
+  f("phases", p.phases);
+  f("classes", p.classes);
+  f("counters", p.counters);
+  f("engine", p.engine);
+  f("timers", p.timers);
+}
+
+struct AnyField {
+  template <typename T>
+  void operator()(const char*, T&&) const {}
+};
+
+/// A type with a field list: written as a JSON object, read from one.
+template <typename T>
+concept Record = requires(T& r) { for_each_field(r, AnyField{}); };
+
+/// Writes one listed member as `"key": value`.
+struct FieldWriter {
+  json::Writer& w;
+
+  template <typename T>
+  void operator()(const char* key, const T& member) const {
+    w.key(key);
+    value(member);
+  }
+
+  template <typename T>
+  void value(const T& v) const {
+    w.value(v);
+  }
+  void value(const LogHistogram& h) const { write_histogram(w, h); }
+  void value(const Counters& counters) const {
+    w.begin_object();
+    for (const auto& [name, v] : counters) w.kv(name, v);
+    w.end_object();
+  }
+  void value(const SampleStats& s) const {
+    w.begin_object();
+    w.kv("count", static_cast<std::uint64_t>(s.count()));
+    if (s.count() > 0) {
+      w.kv("mean", s.mean());
+      w.kv("stddev", s.stddev());
+      w.kv("min", s.min());
+      w.kv("p50", s.quantile(0.5));
+      w.kv("p90", s.quantile(0.9));
+      w.kv("max", s.max());
+    }
+    w.end_object();
+  }
+  template <Record R>
+  void value(const R& r) const {
+    w.begin_object();
+    for_each_field(r, *this);
+    w.end_object();
+  }
+  template <Record R>
+  void value(const std::vector<R>& rs) const {
+    w.begin_array();
+    for (const R& r : rs) value(r);
+    w.end_array();
+  }
+  template <typename T>
+  void value(Required<T> r) const {
+    value(r.member);
+  }
+  template <typename T>
+  void value(NullUnless<T> n) const {
+    if (n.present) {
+      value(n.member);
+    } else {
+      w.null();
+    }
+  }
+};
+
+/// Reads one listed member of `obj` back: the inverse of FieldWriter.
+struct FieldReader {
+  const json::Value& obj;
+
+  template <typename T>
+  void operator()(const char* key, T& out) const {
+    json::read_member(obj, key, out);
+  }
+  void operator()(const char* key, LogHistogram& h) const {
+    if (const json::Value* v = obj.find(key)) h = read_histogram(*v);
+  }
+  void operator()(const char* key, Counters& c) const {
+    if (const json::Value* v = obj.find(key, json::Value::Type::kObject)) {
+      for (const auto& [name, count] : v->object) {
+        json::read(count, name, c.emplace_back(name, 0).second);
+      }
+    }
+  }
+  template <Record R>
+  void operator()(const char* key, R& r) const {
+    if (const json::Value* v = obj.find(key, json::Value::Type::kObject)) {
+      for_each_field(r, FieldReader{*v});
+    }
+  }
+  template <Record R>
+  void operator()(const char* key, std::vector<R>& rs) const {
+    if (const json::Value* v = obj.find(key, json::Value::Type::kArray)) {
+      for (const json::Value& item : v->array) {
+        for_each_field(rs.emplace_back(), FieldReader{item});
+      }
+    }
+  }
+  template <typename T>
+  void operator()(const char* key, Required<T> r) const {
+    static_cast<void>(obj.at(key));  // CheckError when absent
+    (*this)(key, r.member);
+  }
+  template <typename T>
+  void operator()(const char* key, NullUnless<T> n) const {
+    const json::Value* v = obj.find(key);
+    if (v != nullptr && !v->is_null()) json::read(*v, key, n.member);
+  }
+};
 
 std::string fmt_double(double v, int precision = 2) {
   std::ostringstream os;
@@ -98,6 +294,14 @@ std::string fmt_double(double v, int precision = 2) {
 void append_row(std::ostringstream& os, const std::string& name,
                 const std::string& rest) {
   os << "  " << std::left << std::setw(18) << name << ' ' << rest << '\n';
+}
+
+void append_counters(std::ostringstream& os, const Counters& counters) {
+  if (counters.empty()) return;
+  os << "counters:\n";
+  for (const auto& [name, v] : counters) {
+    append_row(os, name, std::to_string(v));
+  }
 }
 
 }  // namespace
@@ -131,80 +335,7 @@ std::uint64_t RunProfile::counter(const std::string& name) const {
 void write_profile(json::Writer& w, const RunProfile& p) {
   w.begin_object();
   w.kv("kind", "run_profile");
-  w.kv("algorithm", p.algorithm);
-  w.kv("graph", p.graph);
-  w.kv("schedule", p.schedule);
-  w.kv("delay", p.delay);
-  w.kv("seed", p.seed);
-  w.kv("num_nodes", p.num_nodes);
-  w.kv("num_edges", p.num_edges);
-  w.kv("rho_awk", p.rho_awk);
-  w.kv("synchronous", p.synchronous);
-
-  w.key("totals").begin_object();
-  w.kv("messages", p.messages);
-  w.kv("bits", p.bits);
-  w.kv("deliveries", p.deliveries);
-  w.kv("events", p.events);
-  w.kv("rounds", p.rounds);
-  w.kv("time_units", p.time_units);
-  w.kv("awake_total", p.awake_total);
-  w.kv("awake_max", p.awake_max);
-  w.kv("sleep_dropped", p.sleep_dropped);
-  w.end_object();
-
-  w.key("awake_rounds");
-  write_histogram(w, p.awake_rounds);
-
-  w.key("phases").begin_array();
-  for (const PhaseProfile& ph : p.phases) {
-    w.begin_object();
-    w.kv("name", ph.name);
-    w.kv("marks", ph.marks);
-    w.kv("messages", ph.messages);
-    w.kv("bits", ph.bits);
-    if (ph.messages > 0) {
-      w.kv("first_send", ph.first_send);
-      w.kv("last_send", ph.last_send);
-    } else {
-      w.key("first_send").null();
-      w.key("last_send").null();
-    }
-    w.key("message_bits");
-    write_histogram(w, ph.message_bits);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("classes").begin_array();
-  for (const ClassProfile& c : p.classes) {
-    w.begin_object();
-    w.kv("name", c.name);
-    w.kv("nodes", c.nodes);
-    w.kv("messages", c.messages);
-    w.key("sent_per_node");
-    write_histogram(w, c.sent_per_node);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("counters");
-  write_counters(w, p.counters);
-
-  w.key("engine");
-  write_engine(w, p.engine);
-
-  w.key("timers").begin_array();
-  for (const TimerProfile& t : p.timers) {
-    w.begin_object();
-    w.kv("name", t.name);
-    w.kv("calls", t.calls);
-    w.kv("wall_seconds", t.wall_seconds);
-    w.kv("sim_ticks", t.sim_ticks);
-    w.end_object();
-  }
-  w.end_array();
-
+  for_each_field(p, FieldWriter{w});
   w.end_object();
 }
 
@@ -217,127 +348,11 @@ std::string profile_to_json(const RunProfile& p) {
   return os.str();
 }
 
-namespace {
-
-// ---- helpers for profile_from_json (inverse of the writers above) -------
-
-LogHistogram read_histogram(const json::Value& v) {
-  RISE_CHECK_MSG(v.is_object(), "histogram is not a JSON object");
-  std::uint64_t counts[LogHistogram::kBuckets] = {};
-  if (const json::Value* buckets =
-          v.find("buckets", json::Value::Type::kArray)) {
-    for (const json::Value& pair : buckets->array) {
-      RISE_CHECK_MSG(pair.is_array() && pair.size() == 2,
-                     "histogram bucket is not a [lo, count] pair");
-      // The serialized lo is bucket_lo(b), and bucket_of(bucket_lo(b)) == b
-      // for every b, so the bucket index round-trips through its lo value.
-      std::uint64_t lo = 0;
-      json::read(pair.at(0), "buckets", lo);
-      json::read(pair.at(1), "buckets", counts[LogHistogram::bucket_of(lo)]);
-    }
-  }
-  return LogHistogram::restore(counts, get_u64(v, "count"), get_u64(v, "sum"),
-                               get_u64(v, "min"), get_u64(v, "max"));
-}
-
-EngineProfile read_engine(const json::Value& v) {
-  EngineProfile e;
-  json::read_member(v, "backend", e.backend);
-  json::read_member(v, "events_popped", e.events_popped);
-  json::read_member(v, "queue_high_water", e.queue_high_water);
-  json::read_member(v, "ring_high_water", e.ring_high_water);
-  json::read_member(v, "overflow_high_water", e.overflow_high_water);
-  if (const json::Value* h = v.find("queue_depth")) {
-    e.queue_depth = read_histogram(*h);
-  }
-  json::read_member(v, "rounds_stepped", e.rounds_stepped);
-  if (const json::Value* h = v.find("round_active")) {
-    e.round_active = read_histogram(*h);
-  }
-  return e;
-}
-
-}  // namespace
-
 RunProfile profile_from_json(const json::Value& doc) {
   RISE_CHECK_MSG(doc.is_object() && get_str(doc, "kind") == "run_profile",
                  "not a run_profile document");
   RunProfile p;
-  json::read_member(doc, "algorithm", p.algorithm);
-  json::read_member(doc, "graph", p.graph);
-  json::read_member(doc, "schedule", p.schedule);
-  json::read_member(doc, "delay", p.delay);
-  json::read_member(doc, "seed", p.seed);
-  json::read_member(doc, "num_nodes", p.num_nodes);
-  json::read_member(doc, "num_edges", p.num_edges);
-  json::read_member(doc, "rho_awk", p.rho_awk);
-  json::read_member(doc, "synchronous", p.synchronous);
-
-  const json::Value& totals = doc.at("totals");
-  RISE_CHECK_MSG(totals.is_object(), "run_profile totals is not an object");
-  json::read_member(totals, "messages", p.messages);
-  json::read_member(totals, "bits", p.bits);
-  json::read_member(totals, "deliveries", p.deliveries);
-  json::read_member(totals, "events", p.events);
-  json::read_member(totals, "rounds", p.rounds);
-  json::read_member(totals, "time_units", p.time_units);
-  json::read_member(totals, "awake_total", p.awake_total);
-  json::read_member(totals, "awake_max", p.awake_max);
-  json::read_member(totals, "sleep_dropped", p.sleep_dropped);
-
-  if (const json::Value* h = doc.find("awake_rounds")) {
-    p.awake_rounds = read_histogram(*h);
-  }
-
-  using Type = json::Value::Type;
-  if (const json::Value* phases = doc.find("phases", Type::kArray)) {
-    for (const json::Value& v : phases->array) {
-      PhaseProfile ph;
-      json::read_member(v, "name", ph.name);
-      json::read_member(v, "marks", ph.marks);
-      json::read_member(v, "messages", ph.messages);
-      json::read_member(v, "bits", ph.bits);
-      const json::Value* first = v.find("first_send");
-      if (first != nullptr && !first->is_null()) {
-        json::read(*first, "first_send", ph.first_send);
-        json::read_member(v, "last_send", ph.last_send);
-      }
-      ph.message_bits = read_histogram(v.at("message_bits"));
-      p.phases.push_back(std::move(ph));
-    }
-  }
-
-  if (const json::Value* classes = doc.find("classes", Type::kArray)) {
-    for (const json::Value& v : classes->array) {
-      ClassProfile c;
-      json::read_member(v, "name", c.name);
-      json::read_member(v, "nodes", c.nodes);
-      json::read_member(v, "messages", c.messages);
-      c.sent_per_node = read_histogram(v.at("sent_per_node"));
-      p.classes.push_back(std::move(c));
-    }
-  }
-
-  if (const json::Value* counters = doc.find("counters", Type::kObject)) {
-    for (const auto& [name, v] : counters->object) {
-      json::read(v, name, p.counters.emplace_back(name, 0).second);
-    }
-  }
-
-  if (const json::Value* engine = doc.find("engine", Type::kObject)) {
-    p.engine = read_engine(*engine);
-  }
-
-  if (const json::Value* timers = doc.find("timers", Type::kArray)) {
-    for (const json::Value& v : timers->array) {
-      TimerProfile t;
-      json::read_member(v, "name", t.name);
-      json::read_member(v, "calls", t.calls);
-      json::read_member(v, "wall_seconds", t.wall_seconds);
-      json::read_member(v, "sim_ticks", t.sim_ticks);
-      p.timers.push_back(std::move(t));
-    }
-  }
+  for_each_field(p, FieldReader{doc});
   return p;
 }
 
@@ -414,15 +429,11 @@ void write_aggregate(json::Writer& w, const ProfileAggregate& a) {
   w.kv("sleep_dropped", a.sleep_dropped);
   w.end_object();
 
-  w.key("awake_rounds");
-  write_histogram(w, a.awake_rounds);
-
-  w.key("messages_per_trial");
-  write_stats(w, a.messages_per_trial);
-  w.key("time_units");
-  write_stats(w, a.time_units);
-  w.key("awake_max_per_trial");
-  write_stats(w, a.awake_max_per_trial);
+  const FieldWriter field{w};
+  field("awake_rounds", a.awake_rounds);
+  field("messages_per_trial", a.messages_per_trial);
+  field("time_units", a.time_units);
+  field("awake_max_per_trial", a.awake_max_per_trial);
 
   w.key("phases").begin_array();
   for (const PhaseAggregate& ph : a.phases) {
@@ -431,19 +442,14 @@ void write_aggregate(json::Writer& w, const ProfileAggregate& a) {
     w.kv("marks", ph.marks);
     w.kv("messages", ph.messages);
     w.kv("bits", ph.bits);
-    w.key("messages_per_trial");
-    write_stats(w, ph.messages_per_trial);
-    w.key("message_bits");
-    write_histogram(w, ph.message_bits);
+    field("messages_per_trial", ph.messages_per_trial);
+    field("message_bits", ph.message_bits);
     w.end_object();
   }
   w.end_array();
 
-  w.key("counters");
-  write_counters(w, a.counters);
-
-  w.key("engine");
-  write_engine(w, a.engine);
+  field("counters", a.counters);
+  field("engine", a.engine);
 
   w.end_object();
 }
@@ -529,12 +535,7 @@ std::string format_profile(const RunProfile& p, std::size_t top_n) {
     }
   }
 
-  if (!p.counters.empty()) {
-    os << "counters:\n";
-    for (const auto& [name, v] : p.counters) {
-      append_row(os, name, std::to_string(v));
-    }
-  }
+  append_counters(os, p.counters);
 
   const EngineProfile& e = p.engine;
   os << "engine: backend=" << (e.backend.empty() ? "?" : e.backend)
@@ -562,14 +563,16 @@ std::string format_aggregate(const ProfileAggregate& a, std::size_t top_n) {
 
 namespace {
 
-/// The write_stats block `key` of `v` when it holds at least one sample.
+/// The SampleStats block `key` of `v` when it holds at least one sample.
 const json::Value* samples(const json::Value& v, std::string_view key) {
   const json::Value* s = v.find(key, json::Value::Type::kObject);
   return s != nullptr && get_u64(*s, "count") > 0 ? s : nullptr;
 }
 
 std::string fmt_stat(const json::Value& stats, std::string_view key) {
-  return fmt_double(get_num(stats, key));
+  double v = 0.0;
+  json::read_member(stats, key, v);
+  return fmt_double(v);
 }
 
 std::string format_aggregate_document(const json::Value& doc,
@@ -591,9 +594,8 @@ std::string format_aggregate_document(const json::Value& doc,
        << " p50=" << fmt_stat(*s, "p50") << " max=" << fmt_stat(*s, "max")
        << '\n';
   }
-  const json::Value* awake = doc.find("awake_rounds");
-  const LogHistogram awake_rounds =
-      awake != nullptr ? read_histogram(*awake) : LogHistogram{};
+  LogHistogram awake_rounds;
+  FieldReader{doc}("awake_rounds", awake_rounds);
   if (awake_rounds.count() > 0) {
     os << "awake_rounds: total=" << get_u64(totals, "awake_total")
        << " p50=" << awake_rounds.approx_quantile(0.5)
@@ -624,20 +626,12 @@ std::string format_aggregate_document(const json::Value& doc,
   }
   append_top(os, std::move(rows), top_n);
 
-  const json::Value* counters =
-      doc.find("counters", json::Value::Type::kObject);
-  if (counters != nullptr && counters->size() > 0) {
-    os << "counters:\n";
-    for (const auto& [name, v] : counters->object) {
-      std::uint64_t count = 0;
-      json::read(v, name, count);
-      append_row(os, name, std::to_string(count));
-    }
-  }
+  Counters counters;
+  FieldReader{doc}("counters", counters);
+  append_counters(os, counters);
 
-  const json::Value* engine = doc.find("engine", json::Value::Type::kObject);
-  const EngineProfile e = engine != nullptr ? read_engine(*engine)
-                                            : EngineProfile{};
+  EngineProfile e;
+  FieldReader{doc}("engine", e);
   os << "engine: backend=" << (e.backend.empty() ? "?" : e.backend)
      << " popped=" << e.events_popped << " queue_hw=" << e.queue_high_water
      << " rounds_stepped=" << e.rounds_stepped << '\n';

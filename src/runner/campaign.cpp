@@ -173,19 +173,10 @@ void accumulate(ConfigStats& stats, const TrialResult& r) {
     ++stats.failures;
     return;
   }
-  stats.messages.add(static_cast<double>(r.messages));
-  stats.bits.add(static_cast<double>(r.bits));
-  stats.time_units.add(r.time_units);
-  stats.wakeup_span.add(static_cast<double>(r.wakeup_span));
-  stats.awake_node_ticks.add(static_cast<double>(r.awake_node_ticks));
-}
-
-void append_stats_line(std::ostringstream& os, const char* name,
-                       const SampleStats& s) {
-  if (s.count() == 0) return;
-  os << "  " << name << ": mean " << s.mean() << "  sd " << s.stddev()
-     << "  min " << s.min() << "  median " << s.median() << "  max "
-     << s.max() << "\n";
+  for_each_sample(stats, [&r](const char*, SampleStats& s, auto field,
+                              const char*) {
+    s.add(static_cast<double>(r.*field));
+  });
 }
 
 }  // namespace
@@ -404,9 +395,13 @@ std::string format_campaign(const CampaignResult& result) {
     }
     os << "  runs: " << config.trials << " (" << config.failures
        << " incomplete, " << config.errors << " errors)\n";
-    append_stats_line(os, "messages ", config.messages);
-    append_stats_line(os, "time     ", config.time_units);
-    append_stats_line(os, "wake span", config.wakeup_span);
+    for_each_sample(config, [&os](const char*, const SampleStats& s, auto,
+                                  const char* label) {
+      if (label == nullptr || s.count() == 0) return;
+      os << "  " << label << ": mean " << s.mean() << "  sd " << s.stddev()
+         << "  min " << s.min() << "  median " << s.median() << "  max "
+         << s.max() << "\n";
+    });
     if (config.errors > 0) {
       // Surface one representative error so a misconfigured campaign is
       // diagnosable from the summary alone.

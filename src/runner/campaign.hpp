@@ -82,6 +82,20 @@ struct ConfigStats {
   SampleStats awake_node_ticks;
 };
 
+/// Calls f(name, sample, field, label) for each sample of `stats`, in the
+/// order every consumer lays them out: `name` is the results-JSON key,
+/// `field` the TrialOutcome member a successful trial adds, and `label` the
+/// format_campaign row label (nullptr: not printed).
+template <typename Stats, typename F>
+void for_each_sample(Stats& stats, F&& f) {
+  using O = store::TrialOutcome;
+  f("messages", stats.messages, &O::messages, "messages ");
+  f("bits", stats.bits, &O::bits, nullptr);
+  f("time_units", stats.time_units, &O::time_units, "time     ");
+  f("wakeup_span", stats.wakeup_span, &O::wakeup_span, "wake span");
+  f("awake_node_ticks", stats.awake_node_ticks, &O::awake_node_ticks, nullptr);
+}
+
 struct CampaignResult {
   std::vector<TrialResult> trials;  ///< trial-index order
   std::vector<ConfigStats> configs;

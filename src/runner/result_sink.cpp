@@ -144,11 +144,8 @@ void JsonResultSink::write_config_stats(const ConfigStats& stats) {
   writer_.kv("trials", static_cast<std::uint64_t>(stats.trials));
   writer_.kv("failures", static_cast<std::uint64_t>(stats.failures));
   writer_.kv("errors", static_cast<std::uint64_t>(stats.errors));
-  write_stats("messages", stats.messages);
-  write_stats("bits", stats.bits);
-  write_stats("time_units", stats.time_units);
-  write_stats("wakeup_span", stats.wakeup_span);
-  write_stats("awake_node_ticks", stats.awake_node_ticks);
+  for_each_sample(stats, [this](const char* name, const SampleStats& s, auto,
+                                const char*) { write_stats(name, s); });
 }
 
 void JsonResultSink::summary(const CampaignResult& result) {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "store/result_store.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace rise::runner {
 
@@ -44,20 +46,18 @@ json::Value parse_document(const std::string& path) {
 }  // namespace
 
 ShardSpec parse_shard_spec(const std::string& text) {
-  const auto slash = text.find('/');
-  RISE_CHECK_MSG(slash != std::string::npos && slash > 0 &&
-                     slash + 1 < text.size(),
-                 "shard spec '" << text << "' is not K/N");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long index = std::strtoul(text.c_str(), &end, 10);
-  RISE_CHECK_MSG(errno == 0 && end == text.c_str() + slash,
-                 "shard spec '" << text << "' has a malformed index");
-  errno = 0;
-  const char* count_text = text.c_str() + slash + 1;
-  const unsigned long count = std::strtoul(count_text, &end, 10);
-  RISE_CHECK_MSG(errno == 0 && *end == '\0' && end != count_text,
-                 "shard spec '" << text << "' has a malformed count");
+  const std::string_view spec = text;
+  const std::size_t slash = spec.find('/');
+  std::uint64_t index = 0;
+  std::uint64_t count = 0;
+  RISE_CHECK_MSG(slash != spec.npos &&
+                     parse_digits(spec.substr(0, slash), index) &&
+                     parse_digits(spec.substr(slash + 1), count),
+                 "shard spec '" << text << "' is not K/N in decimal digits");
+  constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+  RISE_CHECK_MSG(count <= kMaxCount, "shard spec '" << text
+                                         << "' count exceeds the limit "
+                                         << kMaxCount);
   RISE_CHECK_MSG(count >= 1 && index < count,
                  "shard spec '" << text << "' needs 0 <= K < N");
   ShardSpec shard;

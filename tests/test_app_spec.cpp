@@ -67,6 +67,19 @@ TEST(GraphSpec, OversizedNumbersFailInsteadOfWrapping) {
   EXPECT_THROW(parse_schedule_spec("set:1,4294967299", g, rng), CheckError);
 }
 
+// Spec numbers are decimal digits only: stoull took a sign or a leading
+// blank, and read "-1" as 2^64 - 1 in the fields with no narrower bound
+// (slow's ONE_IN, gossip's round budget).
+TEST(Spec, NumbersAreDecimalDigitsOnly) {
+  Rng rng(1);
+  EXPECT_THROW(parse_delay_spec("slow:4:-1", 1), CheckError);
+  EXPECT_THROW(parse_algorithm_spec("gossip:-1"), CheckError);
+  EXPECT_THROW(parse_graph_spec("path:+8", rng), CheckError);
+  EXPECT_THROW(parse_graph_spec("path: 8", rng), CheckError);
+  EXPECT_THROW(parse_delay_spec("fixed:0x10", 1), CheckError);
+  EXPECT_EQ(parse_graph_spec("path:08", rng).num_nodes(), 8u);
+}
+
 TEST(ScheduleSpec, Kinds) {
   Rng rng(1);
   const auto g = parse_graph_spec("path:10", rng);

@@ -160,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(
 // test_search_hunt.cpp) leaves several-fold headroom over measured runs on
 // this grid while a linear regression — a node kept awake every round, as
 // the pre-sleeping proxy would hide — overshoots it from n = 144 up.
-// tools/check_awake_conformance.py asserts the same envelope in CI from
-// rise_cli profile documents.
+// The JSON path of these profiles (awake fields, classes, round_active,
+// timers) is pinned by ProfileJson.ParseIsAnExactInverseOfSerialize.
 
 double awake_envelope(double n) { return 16.0 * std::log2(n) + 32.0; }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "app/spec.hpp"
 #include "obs/histogram.hpp"
 #include "obs/probe.hpp"
 #include "obs/profile.hpp"
@@ -374,6 +375,40 @@ TEST(ProfileJson, ParseIsAnExactInverseOfSerialize) {
   EXPECT_EQ(back.phases[0].first_send, sim::kNever);  // null round-trips
   EXPECT_EQ(back.counters, p.counters);
   EXPECT_EQ(back.engine.backend, p.engine.backend);
+
+  // Real sleeping-model profiles carry what the sample does not: awake
+  // accounting with dropped messages, several node classes, the sync
+  // engine's round_active histogram and timers. They round-trip too, and
+  // the parsed document keeps the awake accounting consistent.
+  for (const std::string algorithm : {"smis", "smatching"}) {
+    SCOPED_TRACE(algorithm);
+    app::ExperimentSpec spec;
+    spec.algorithm = algorithm;
+    spec.graph = "cgnp:144:0.0417";
+    spec.schedule = "single";
+    spec.seed = 7;
+    const obs::RunProfile real = app::run_profiled(spec).profile;
+    const std::string text = obs::profile_to_json(real);
+    const obs::RunProfile parsed = obs::profile_from_json(json::parse(text));
+    EXPECT_EQ(obs::profile_to_json(parsed), text);
+
+    EXPECT_EQ(parsed.awake_rounds.count(), parsed.num_nodes);
+    EXPECT_EQ(parsed.awake_rounds.sum(), parsed.awake_total);
+    EXPECT_EQ(parsed.awake_rounds.max(), parsed.awake_max);
+    EXPECT_EQ(parsed.deliveries + parsed.sleep_dropped, parsed.messages);
+    EXPECT_GT(parsed.sleep_dropped, 0u);
+    EXPECT_GT(parsed.classes.size(), 1u);
+    EXPECT_EQ(parsed.engine.backend, "sync");
+    EXPECT_EQ(parsed.engine.round_active.count(), real.engine.rounds_stepped);
+    EXPECT_GT(parsed.engine.round_active.count(), 0u);
+    ASSERT_EQ(parsed.timers.size(), real.timers.size());
+    ASSERT_FALSE(parsed.timers.empty());
+    for (std::size_t i = 0; i < real.timers.size(); ++i) {
+      EXPECT_EQ(parsed.timers[i].name, real.timers[i].name);
+      EXPECT_EQ(parsed.timers[i].wall_seconds, real.timers[i].wall_seconds);
+      EXPECT_EQ(parsed.timers[i].sim_ticks, real.timers[i].sim_ticks);
+    }
+  }
 }
 
 TEST(ProfileJson, MergingParsedProfilesMatchesMergingOriginals) {
@@ -424,6 +459,51 @@ TEST(ProfileJson, ParseRejectsValuesThatDoNotFitTheirField) {
   EXPECT_EQ(sparse.bits, 0u);
   EXPECT_TRUE(sparse.algorithm.empty());
   EXPECT_TRUE(sparse.phases.empty());
+}
+
+// The reader's member rules: `totals`, phase `message_bits` and class
+// `sent_per_node` are required; every other member is optional, and a null
+// first_send/last_send (a phase without sends) reads as the default.
+TEST(ProfileJson, ParseKeepsRequiredAndOptionalMembers) {
+  const auto parse = [](const std::string& text) {
+    return obs::profile_from_json(json::parse(text));
+  };
+  EXPECT_THROW(parse(R"({"kind": "run_profile"})"), CheckError);
+  EXPECT_THROW(parse(R"({"kind": "run_profile", "totals": 3})"), CheckError);
+  EXPECT_THROW(parse(R"({"kind": "run_profile", "totals": {},
+                         "phases": [{"name": "flood"}]})"),
+               CheckError);
+  EXPECT_THROW(parse(R"({"kind": "run_profile", "totals": {},
+                         "classes": [{"name": "node"}]})"),
+               CheckError);
+  EXPECT_THROW(parse(R"({"kind": "run_profile", "totals": {},
+                         "engine": {"round_active": 1}})"),
+               CheckError);
+
+  const obs::RunProfile p = parse(R"({"kind": "run_profile", "totals": {},
+      "phases": [{"name": "a", "first_send": null, "last_send": null,
+                  "message_bits": {}},
+                 {"name": "b", "first_send": 4, "last_send": 9,
+                  "message_bits": {"count": 1, "sum": 8, "min": 8,
+                                   "max": 8, "buckets": [[8, 1]]}}],
+      "classes": [{"sent_per_node": {}}],
+      "engine": {"backend": "heap"},
+      "timers": [{"name": "engine.run", "wall_seconds": 0.5}]})");
+  ASSERT_EQ(p.phases.size(), 2u);
+  EXPECT_EQ(p.phases[0].first_send, sim::kNever);
+  EXPECT_EQ(p.phases[0].last_send, 0u);
+  EXPECT_EQ(p.phases[1].first_send, 4u);
+  EXPECT_EQ(p.phases[1].last_send, 9u);
+  EXPECT_EQ(p.phases[1].message_bits.max(), 8u);
+  ASSERT_EQ(p.classes.size(), 1u);
+  EXPECT_EQ(p.classes[0].name, "");
+  EXPECT_EQ(p.engine.backend, "heap");
+  EXPECT_EQ(p.engine.round_active.count(), 0u);
+  ASSERT_EQ(p.timers.size(), 1u);
+  EXPECT_EQ(p.timers[0].wall_seconds, 0.5);
+  EXPECT_EQ(p.timers[0].calls, 0u);
+  EXPECT_EQ(p.awake_rounds.count(), 0u);
+  EXPECT_TRUE(p.counters.empty());
 }
 
 TEST(ProfileJson, ParseRejectsForeignDocuments) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profile.hpp"
 #include "runner/campaign.hpp"
 #include "store/digest.hpp"
 #include "store/result_store.hpp"
@@ -67,6 +68,23 @@ TEST(ParseShardSpec, RejectsMalformedAndOutOfRange) {
   EXPECT_THROW(parse_shard_spec("2/"), CheckError);
   EXPECT_THROW(parse_shard_spec("a/b"), CheckError);
   EXPECT_THROW(parse_shard_spec("1/0"), CheckError);
+}
+
+// strtoul would take a sign or leading blanks and read 2^32 + 1 as a count
+// the uint32 field then truncates to 1 — a whole campaign under a shard tag.
+TEST(ParseShardSpec, TakesDecimalDigitsOnlyAndNoWrappedCount) {
+  EXPECT_THROW(parse_shard_spec("1/4294967297"), CheckError);
+  EXPECT_THROW(parse_shard_spec("1/18446744073709551617"), CheckError);
+  EXPECT_THROW(parse_shard_spec("+1/3"), CheckError);
+  EXPECT_THROW(parse_shard_spec("1/+3"), CheckError);
+  EXPECT_THROW(parse_shard_spec("-1/3"), CheckError);
+  EXPECT_THROW(parse_shard_spec(" 1/3"), CheckError);
+  EXPECT_THROW(parse_shard_spec("1/ 3"), CheckError);
+  EXPECT_THROW(parse_shard_spec("1/3 "), CheckError);
+  EXPECT_THROW(parse_shard_spec("1/3/4"), CheckError);
+  const ShardSpec widest = parse_shard_spec("4294967294/4294967295");
+  EXPECT_EQ(widest.index, 4294967294u);
+  EXPECT_EQ(widest.count, 4294967295u);
 }
 
 TEST(ShardOwns, EveryIndexBelongsToExactlyOneShard) {
@@ -264,6 +282,38 @@ TEST(StoreBackedCampaign, ProfiledRunsBypassLookupsButStillAppend) {
   const CampaignResult warm = run_campaign(plan, options);
   EXPECT_EQ(warm.store_hits, 14u);
   EXPECT_EQ(warm.store_misses, 0u);
+}
+
+// The orchestrator's merge path end to end: workers embed each profiled
+// trial's run_profile in their results documents, the orchestrator parses
+// them back (obs::profile_from_json) and re-merges them. A 3-worker split
+// with one worker killed mid-campaign must reproduce the in-process digests
+// and the profiled single-process aggregate byte for byte.
+TEST(ShardCampaign, ProfiledWorkersMergeToTheSingleProcessBytes) {
+  CampaignPlan plan = small_plan();
+  plan.grid = {parse_grid_axis("algo=flooding,fast_wakeup")};
+  plan.profile = true;
+  const CampaignResult reference = run_campaign(plan);
+
+  ShardCampaignOptions options;
+  options.exe = RISE_CLI_PATH;
+  options.store_dir = test_dir("processes");
+  options.workers = 3;
+  options.profile = true;
+  options.die_after = 2;
+  options.die_worker = 1;
+  const ShardCampaignReport report = run_shard_campaign(plan, options);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.restarts, 1u);
+  ASSERT_EQ(report.merged.trials.size(), reference.trials.size());
+  for (std::size_t i = 0; i < reference.trials.size(); ++i) {
+    EXPECT_EQ(report.merged.trials[i].result_digest,
+              reference.trials[i].result_digest)
+        << "trial " << i;
+  }
+  EXPECT_EQ(report.merged.profile.trials, reference.trials.size());
+  EXPECT_EQ(obs::aggregate_to_json(report.merged.profile),
+            obs::aggregate_to_json(reference.profile));
 }
 
 TEST(WorkerCommand, SerializesThePlanAndShardIdentity) {

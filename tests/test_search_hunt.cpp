@@ -352,6 +352,46 @@ TEST(HuntCorpus, ChampionEntryRoundTripsThroughTheLineFormat) {
   EXPECT_EQ(back.digest, entry.digest);
 }
 
+// A corpus line is external input: every value must span its whole token
+// (stoull stopped silently at "11junk"), carry no sign, and name each key
+// once. Otherwise a damaged entry replays clean under a different scenario.
+TEST(HuntCorpus, ParseRejectsJunkSignsAndRepeatedKeys) {
+  const std::string good =
+      "graph=cgnp:256:0.1 schedule=all algo=fip06 delay=unit seed=11 "
+      "family=advice objective=messages value=510 digest=5454580b385c24fc";
+  const check::CorpusEntry entry = check::parse_corpus_line(good);
+  EXPECT_EQ(entry.scenario.spec.seed, 11u);
+  EXPECT_EQ(entry.value, 510.0);
+  EXPECT_EQ(entry.digest, 0x5454580b385c24fcull);
+  EXPECT_EQ(check::corpus_line(entry), good);
+
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    std::string line = good;
+    line.replace(line.find(from), from.size(), to);
+    return line;
+  };
+  for (const std::string& bad : {
+           with("seed=11", "seed=11junk"),
+           with("seed=11", "seed=-1"),
+           with("seed=11", "seed=+11"),
+           with("seed=11", "seed=18446744073709551616"),
+           with("digest=5454580b385c24fc", "digest=5454580b385c24fczz"),
+           with("digest=5454580b385c24fc", "digest=05454580b385c24fc"),
+           with("digest=5454580b385c24fc", "digest=0x5454580b385c24"),
+           with("digest=5454580b385c24fc", "digest=-1"),
+           with("value=510", "value=510x"),
+           with("value=510", "value=nan"),
+           with("value=510", "value=inf"),
+           with("seed=11", "seed=11 seed=12"),
+           with("algo=fip06", "algo=fip06 algo=flooding"),
+           with("value=510", "value=510 value=511"),
+           with(" digest=5454580b385c24fc", ""),
+       }) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(check::parse_corpus_line(bad), CheckError);
+  }
+}
+
 check::CorpusEntry recorded_entry(std::uint64_t seed) {
   check::CorpusEntry entry;
   entry.scenario = make_scenario("path:8", "single", "flooding", "unit", seed);

@@ -7,7 +7,6 @@
 //   rise_cli --seeds 16 --grid algo=flooding,ranked_dfs,cen
 //   rise_cli --list                  # algorithm catalog
 //   rise_cli --dot grid:4x4          # emit Graphviz DOT for a topology
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -140,15 +139,17 @@ void usage() {
       "  bit-identically. Deterministic for any --jobs value.\n\n"
       "spec grammars (see src/app/spec.hpp for the full list):\n"
       "  graph:    gnp:N:P | cgnp:N:P | grid:RxC | torus:RxC | star:N |\n"
-      "            regular:N:D | dkq:K:Q | kt0family:N | kt1family:K:Q |\n"
-      "            cache:PATH:INNERSPEC (mmap INNERSPEC from PATH, building\n"
-      "            and writing the binary cache on first use) | ...\n"
+      "            regular:N:D | ba:N:M | dkq:K:Q | kt0family:N |\n"
+      "            kt1family:K:Q | cache:PATH:INNERSPEC (mmap INNERSPEC\n"
+      "            from PATH, building and writing the binary cache on\n"
+      "            first use) | ...\n"
       "  schedule: single[:NODE] | all | set:a,b,c | random:P |\n"
       "            staggered:GAP:GROWTH | dominating\n"
       "  delay:    unit | fixed:TAU | random:TAU | slow:TAU:ONE_IN |\n"
       "            congestion:TAU\n"
-      "  algo:     flooding | ranked_dfs | fast_wakeup | fip06 | cen |\n"
-      "            spanner:K | cor2 | beta:B | ...\n",
+      "  algo:     flooding | ranked_dfs | ranked_dfs_congest | leader |\n"
+      "            fast_wakeup | fip06 | cen | spanner:K | cor2 | beta:B |\n"
+      "            ... (rise_cli --list prints them all)\n",
       static_cast<unsigned long long>(rise::runner::kResultsSchemaVersion));
 }
 
@@ -160,11 +161,8 @@ void usage() {
 template <typename T>
 T parse_count(const std::string& flag, const std::string& text) {
   static_assert(std::is_integral_v<T>);
-  const bool digits = !text.empty() &&
-                      text.find_first_not_of("0123456789") == std::string::npos;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-  if (!digits || errno == ERANGE) {
+  std::uint64_t v = 0;
+  if (!rise::parse_digits(text, v)) {
     std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
                  flag.c_str(), text.c_str());
     std::exit(2);
