@@ -72,26 +72,30 @@ inline void section(const std::string& title) {
 
 /// Runs a seed sweep through the campaign runner on all hardware threads.
 /// Results are deterministic regardless of the core count (see
-/// runner/campaign.hpp). When the RISE_BENCH_JSON_DIR environment variable
-/// is set, the per-trial records land in
-/// $RISE_BENCH_JSON_DIR/BENCH_<artifact_name>.json.
+/// runner/campaign.hpp). Every trial carries its RunProfile.
+/// When the RISE_BENCH_JSON_DIR environment variable is set, the per-trial
+/// records land in $RISE_BENCH_JSON_DIR/BENCH_<artifact_name>.json; a path
+/// that cannot be opened is a CheckError naming it.
 inline runner::CampaignResult campaign_sweep(const app::ExperimentSpec& base,
                                              std::size_t seeds,
                                              const std::string& artifact_name) {
   runner::CampaignPlan plan;
   plan.base = base;
   plan.num_seeds = seeds;
+  plan.profile = true;
   runner::CampaignOptions options;
   options.jobs = runner::ThreadPool::hardware_threads();
 
   std::ofstream json_out;
   std::unique_ptr<runner::JsonResultSink> sink;
   if (const char* dir = std::getenv("RISE_BENCH_JSON_DIR")) {
-    json_out.open(std::string(dir) + "/BENCH_" + artifact_name + ".json");
-    if (json_out) {
-      sink = std::make_unique<runner::JsonResultSink>(json_out, plan,
-                                                      options.jobs);
-    }
+    const std::string path =
+        std::string(dir) + "/BENCH_" + artifact_name + ".json";
+    json_out.open(path);
+    RISE_CHECK_MSG(json_out.is_open(),
+                   "cannot open bench artifact '" << path << "' for writing");
+    sink = std::make_unique<runner::JsonResultSink>(json_out, plan,
+                                                    options.jobs);
   }
   options.sink = sink.get();
   auto result = runner::run_campaign(plan, options);

@@ -69,6 +69,6 @@ int main() {
       "adversary itself delays). On a sparse torus flooding is already "
       "message-cheap; Theorem 4's subsampling pays off on dense graphs, "
       "where flooding costs Theta(m) >> n^{3/2} — see "
-      "bench_thm4_fast_wakeup.\n");
+      "bench_claims --rows thm4.\n");
   return 0;
 }

@@ -10,8 +10,9 @@
 //   * kCNack — "already visited", bounce back;
 //   * kCRet  — subtree finished, return to DFS parent.
 // Every edge can now carry a Fwd/Nack pair, so the per-token message cost
-// degrades from O(n) to O(m) — bench_ablations' companion table in
-// bench_thm3_ranked_dfs quantifies the LOCAL-vs-CONGEST gap. Rank
+// degrades from O(n) to O(m): `rise_cli run --algo ranked_dfs_congest`
+// against `--algo ranked_dfs` on one graph shows the LOCAL-vs-CONGEST gap
+// growing with the average degree. Rank
 // discarding works exactly as in the LOCAL version, so correctness (the
 // maximum-rank token completes) is unchanged.
 #pragma once

@@ -1,7 +1,8 @@
 // Sleeping-model algorithm families (Ghaffari–Portmann, arXiv:2305.06120):
 // maximal independent set and maximal matching under the *awake complexity*
 // measure, with the tight-bounds follow-up (arXiv:2410.09980) supplying the
-// O(log n) envelopes test_complexity_conformance checks against.
+// O(log n) awake envelope of the smis and smatching claims
+// (src/check/claims.cpp).
 //
 // Both families run on the synchronous engine with
 // SyncRunLimits::sleeping_model enabled (the sleeping model grants nodes a

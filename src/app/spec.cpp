@@ -429,6 +429,14 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
   }
 
   AlgorithmSetup algorithm = parse_algorithm_spec(spec.algorithm);
+  // beta:B's oracle reads the matching edges of a lower-bound family; reject
+  // any other graph here rather than deep inside instance or oracle code.
+  RISE_CHECK_MSG(spec.algorithm.rfind("beta:", 0) != 0 ||
+                     lb::has_family_layout(g),
+                 "algorithm '" << spec.algorithm << "' cannot run on graph '"
+                               << spec.graph
+                               << "': it needs a lower-bound family graph "
+                                  "(kt0family:N or kt1family:K:Q)");
   prep.algorithm = algorithm.name;
   prep.synchronous = algorithm.synchronous;
   prep.sleeping = algorithm.sleeping;

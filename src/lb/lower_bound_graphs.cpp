@@ -16,6 +16,15 @@ sim::WakeSchedule LowerBoundFamily::centers_awake() const {
   return sim::wake_set(centers());
 }
 
+bool has_family_layout(const graph::Graph& g) {
+  const graph::NodeId n = g.num_nodes() / 3;
+  if (n == 0 || g.num_nodes() % 3 != 0) return false;
+  for (graph::NodeId i = 0; i < n; ++i) {
+    if (!g.has_edge(i, 2 * n + i)) return false;
+  }
+  return true;
+}
+
 LowerBoundFamily make_kt0_family(graph::NodeId n) {
   RISE_CHECK(n >= 1);
   std::vector<graph::Edge> edges;

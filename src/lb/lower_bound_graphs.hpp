@@ -44,6 +44,11 @@ struct LowerBoundFamily {
   sim::WakeSchedule centers_awake() const;
 };
 
+/// True when `g` has the LowerBoundFamily node layout: 3n nodes (n >= 1)
+/// with every center v_i adjacent to its crucial neighbor w_i = 2n + i. Both
+/// families have it; the beta-probing oracle reads nothing else.
+bool has_family_layout(const graph::Graph& g);
+
 /// The KT0 family G with |V| = n.
 LowerBoundFamily make_kt0_family(graph::NodeId n);
 

@@ -98,21 +98,7 @@ TrialResult execute_trial(const Trial& trial, bool profile,
       r.profile = std::make_shared<const obs::RunProfile>(
           app::take_run_profile(probe, report, trial.spec));
     }
-    r.ok = true;
-    r.num_nodes = report.num_nodes;
-    r.num_edges = report.num_edges;
-    r.rho_awk = report.rho_awk;
-    r.synchronous = report.synchronous;
-    r.all_awake = report.result.all_awake();
-    r.awake_count = report.result.awake_count();
-    r.messages = report.result.metrics.messages;
-    r.bits = report.result.metrics.bits;
-    r.time_units = report.result.metrics.time_units();
-    r.rounds = report.result.metrics.rounds;
-    r.wakeup_span = r.all_awake ? report.result.wakeup_span() : 0;
-    r.awake_node_ticks = report.result.awake_node_ticks();
-    r.advice_max_bits = report.advice.max_bits;
-    r.advice_avg_bits = report.advice.avg_bits;
+    static_cast<store::TrialOutcome&>(r) = store::outcome_of(report);
     // Digest before the result buffers are recycled. A pure function of the
     // trial's inputs — the currency of the shard/resume equivalence tests.
     r.result_digest = check::digest_run(report.result);

@@ -1,18 +1,30 @@
 #include "search/objective.hpp"
 
 #include <cmath>
+#include <vector>
 
+#include "check/claims.hpp"
 #include "support/check.hpp"
 
 namespace rise::search {
 
 namespace {
 
-/// The algorithm family token: the spec up to the first ':' ("gossip:32" ->
-/// "gossip").
-std::string family_of(const std::string& algorithm) {
-  const std::size_t colon = algorithm.find(':');
-  return colon == std::string::npos ? algorithm : algorithm.substr(0, colon);
+/// The claim quantities whose first bound is the envelope of `objective`,
+/// in preference order. Time is the wake-up span for asynchronous claims
+/// that bound no completion time, and the round count for synchronous ones.
+std::vector<check::Quantity> envelope_quantities(Objective objective,
+                                                 bool synchronous) {
+  switch (objective) {
+    case Objective::kMessages:
+      return {check::Quantity::kMessages};
+    case Objective::kTime:
+      if (synchronous) return {check::Quantity::kRounds};
+      return {check::Quantity::kTime, check::Quantity::kWakeupSpan};
+    case Objective::kRhoAwk:
+    default:
+      return {check::Quantity::kAwakeMax};
+  }
 }
 
 }  // namespace
@@ -61,35 +73,34 @@ double objective_value(Objective objective, const obs::RunProfile& profile) {
 }
 
 double envelope_bound(Objective objective, const obs::RunProfile& profile) {
-  const std::string family = family_of(profile.algorithm);
-  const double n = static_cast<double>(profile.num_nodes);
-  const double m = static_cast<double>(profile.num_edges);
-  switch (objective) {
-    case Objective::kMessages:
-      if (family == "flooding" || family == "ttl") return 2.0 * m;
-      if (family == "ranked_dfs" || family == "ranked_dfs_nodiscard" ||
-          family == "ranked_dfs_congest" || family == "leader") {
-        return n >= 2 ? 20.0 * n * std::log(n) : 0.0;
-      }
-      if (family == "fast_wakeup") {
-        return n >= 2 ? 60.0 * std::pow(n, 1.5) * std::sqrt(std::log(n)) : 0.0;
-      }
-      if (family == "fip06") return n >= 1 ? 2.0 * (n - 1.0) : 0.0;
-      return 0.0;
-    case Objective::kTime:
-      if (family == "flooding") return static_cast<double>(profile.rho_awk);
-      if (family == "fast_wakeup") return 30.0;
-      return 0.0;
-    case Objective::kRhoAwk:
-    default:
-      // Sleeping-model families pay O(log n) awake rounds w.h.p.
-      // (Ghaffari–Portmann); constants calibrated with headroom on the
-      // conformance grid (tests/test_complexity_conformance.cpp).
-      if (family == "smis" || family == "smatching") {
-        return n >= 2 ? 16.0 * std::log2(n) + 32.0 : 32.0;
-      }
-      return n >= 1 ? n - 1.0 : 0.0;
+  std::string family = profile.algorithm.substr(0, profile.algorithm.find(':'));
+  // Variants measured against another family's claim.
+  if (family == "ttl") family = "flooding";
+  if (family.rfind("ranked_dfs", 0) == 0 || family == "leader") {
+    family = "ranked_dfs";
   }
+  const double n = static_cast<double>(profile.num_nodes);
+  if (const check::Claim* claim = check::claim_for_family(family)) {
+    check::Vars vars;
+    vars.n = n;
+    vars.m = static_cast<double>(profile.num_edges);
+    vars.rho = profile.rho_awk;
+    vars.k = check::spanner_k(profile.algorithm);
+    for (const check::Quantity q :
+         envelope_quantities(objective, profile.synchronous)) {
+      for (const check::Bound& b : claim->bounds) {
+        if (b.quantity != q) continue;
+        // The profile carries no diameter.
+        if (b.uses_diameter) return 0.0;
+        const double bound = b.slack * b.value(vars);
+        return std::isfinite(bound) ? bound : 0.0;
+      }
+    }
+  }
+  // A node is stepped at most once per round and every family quiesces
+  // within n - 1 active rounds per node on the conformance grid.
+  if (objective == Objective::kRhoAwk) return n >= 1 ? n - 1.0 : 0.0;
+  return 0.0;
 }
 
 }  // namespace rise::search

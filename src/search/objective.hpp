@@ -12,11 +12,10 @@
 //              accounting the hunt maximizes the true cost, which is what
 //              the sleeping-model families (smis, smatching) are bounded on.
 //
-// envelope_bound() returns the matching analytical envelope from the
-// conformance suite (tests/test_complexity_conformance.cpp) so hunt reports
-// can state champion-vs-bound ratios: an empirical worst case close to its
-// envelope says the bound is tight in practice; a champion *above* it would
-// be a conformance bug.
+// envelope_bound() returns the matching bound of the paper-claims table
+// (src/check/claims.hpp) so hunt reports can state champion-vs-bound ratios:
+// an empirical worst case close to its envelope says the bound is tight in
+// practice; a champion *above* it would be a conformance bug.
 #pragma once
 
 #include <cstdint>
@@ -46,17 +45,13 @@ Objective parse_objective(const std::string& name);
 double objective_value(Objective objective, const obs::RunProfile& profile);
 
 /// The analytical worst-case envelope for this objective on this run's
-/// algorithm and instance size, or 0 when no envelope is known. Formulas
-/// match the conformance suite:
-///   messages: flooding/ttl 2m; ranked_dfs family 20 n ln n;
-///             fast_wakeup 60 n^1.5 sqrt(ln n); fip06 2(n-1).
-///   time:     flooding rho_awk (Theorem: flooding completes in exactly
-///             rho_awk tau-units); fast_wakeup 30 rounds.
-///   rho_awk:  smis/smatching 16 log2 n + 32 (Ghaffari–Portmann O(log n)
-///             awake rounds, constants calibrated on the conformance grid);
-///             all other families n - 1 (a node is stepped at most once per
-///             round and every family quiesces within n - 1 active rounds
-///             per node on the conformance grid).
+/// algorithm and instance size, or 0 when no envelope is known: the first
+/// bound of the algorithm family's claim (check::claim_for_family; ttl is
+/// measured as flooding, the ranked_dfs variants and leader as ranked_dfs)
+/// on the objective's quantity. messages reads the message bound; time the
+/// completion-time bound, else the wake-up span bound (asynchronous) or the
+/// round bound (synchronous); rho_awk the awake bound, else n - 1. A bound
+/// in the diameter D gives 0, since the profile does not carry D.
 double envelope_bound(Objective objective, const obs::RunProfile& profile);
 
 }  // namespace rise::search

@@ -192,6 +192,26 @@ std::size_t scan_log(const std::string& bytes, Sink&& sink) {
 
 }  // namespace
 
+TrialOutcome outcome_of(const app::ExperimentReport& report) {
+  TrialOutcome o;
+  o.ok = true;
+  o.num_nodes = report.num_nodes;
+  o.num_edges = report.num_edges;
+  o.rho_awk = report.rho_awk;
+  o.synchronous = report.synchronous;
+  o.all_awake = report.result.all_awake();
+  o.awake_count = report.result.awake_count();
+  o.messages = report.result.metrics.messages;
+  o.bits = report.result.metrics.bits;
+  o.time_units = report.result.metrics.time_units();
+  o.rounds = report.result.metrics.rounds;
+  o.wakeup_span = o.all_awake ? report.result.wakeup_span() : 0;
+  o.awake_node_ticks = report.result.awake_node_ticks();
+  o.advice_max_bits = report.advice.max_bits;
+  o.advice_avg_bits = report.advice.avg_bits;
+  return o;
+}
+
 Digest128 record_key(const TrialRecord& r) {
   app::ExperimentSpec spec;
   spec.graph = r.graph;

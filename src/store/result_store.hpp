@@ -85,6 +85,10 @@ struct TrialOutcome {
   double wall_ms = 0.0;
 };
 
+/// The outcome of a finished run: ok, topology, metrics and advice. The
+/// digest and wall clock are the caller's to fill.
+TrialOutcome outcome_of(const app::ExperimentReport& report);
+
 /// Calls f(name, member) for the 15 scalars from num_nodes to result_digest,
 /// in the order both the store payload and the results JSON lay them out;
 /// `name` is the member's results-JSON key. `ok`, `error` and `wall_ms` are

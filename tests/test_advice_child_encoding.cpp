@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "graph/algorithms.hpp"
 #include "test_util.hpp"
 
@@ -27,46 +25,6 @@ TEST(ChildEncoding, WakesAllOnCatalog) {
     const auto result =
         test::run_async_unit(inst, schedule, child_encoding_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
-  }
-}
-
-TEST(ChildEncoding, MaxAdviceIsLogarithmic) {
-  // Theorem 5(B): O(log n) bits per node — even on a star whose hub has
-  // n-1 children.
-  for (graph::NodeId n : {64u, 256u, 1024u}) {
-    const auto g = graph::star(n);
-    auto inst =
-        test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
-    const auto stats = apply_oracle(inst, *child_encoding_oracle());
-    const double bound = 8.0 * std::log2(static_cast<double>(n)) + 8;
-    EXPECT_LT(static_cast<double>(stats.max_bits), bound) << "n=" << n;
-  }
-}
-
-TEST(ChildEncoding, MessagesLinear) {
-  // Theorem 5(B): O(n) messages — at most 3 per node.
-  Rng rng(2);
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = advised_instance(g);
-    const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.4, rng);
-    const auto result =
-        test::run_async_unit(inst, schedule, child_encoding_kernel());
-    EXPECT_LE(result.metrics.messages, 3ull * g.num_nodes()) << name;
-  }
-}
-
-TEST(ChildEncoding, TimeBoundedByDiameterTimesLog) {
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = advised_instance(g);
-    const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             child_encoding_kernel());
-    ASSERT_TRUE(result.all_awake()) << name;
-    const double d = std::max(1u, graph::diameter(g));
-    const double logn =
-        std::max(1.0, std::log2(static_cast<double>(g.num_nodes())));
-    EXPECT_LE(static_cast<double>(result.wakeup_span()),
-              2.0 * (d + 1) * (2 * logn + 2))
-        << name;
   }
 }
 

@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "graph/algorithms.hpp"
 #include "test_util.hpp"
 
 namespace rise::advice {
@@ -39,54 +36,6 @@ TEST(Fip06, WakesAllFromArbitrarySources) {
         test::run_async_unit(inst, schedule, fip06_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
-}
-
-TEST(Fip06, MessagesAtMostTwoPerTreeEdge) {
-  // Corollary 1: O(n) messages — at most 2(n-1).
-  Rng rng(3);
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = advised_instance(g);
-    const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.5, rng);
-    const auto result =
-        test::run_async_unit(inst, schedule, fip06_kernel());
-    EXPECT_LE(result.metrics.messages, 2ull * (g.num_nodes() - 1)) << name;
-  }
-}
-
-TEST(Fip06, TimeBoundedByTreeDiameter) {
-  // O(D) time: at most 2 * BFS depth <= 2D hops under unit delays.
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = advised_instance(g);
-    const auto result =
-        test::run_async_unit(inst, sim::wake_single(g.num_nodes() / 2),
-                             fip06_kernel());
-    ASSERT_TRUE(result.all_awake()) << name;
-    const auto d = graph::diameter(g);
-    EXPECT_LE(result.wakeup_span(), 2ull * d + 1) << name;
-  }
-}
-
-TEST(Fip06, AdviceAverageIsLogarithmic) {
-  Rng rng(4);
-  // Dense graph: deg ~ n but tree degrees are small.
-  const graph::NodeId n = 200;
-  const auto g = graph::connected_gnp(n, 0.3, rng);
-  auto inst = test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
-  const auto stats = apply_oracle(inst, *fip06_oracle());
-  const double logn = std::log2(static_cast<double>(n));
-  EXPECT_LT(stats.avg_bits, 8.0 * logn);
-  // Corollary 1: max advice O(n) bits.
-  EXPECT_LE(stats.max_bits, static_cast<std::size_t>(n) + 1);
-}
-
-TEST(Fip06, StarHubUsesBitmapEncoding) {
-  // The hub of a star has n-1 tree children; the bitmap caps its advice at
-  // deg + 1 bits instead of deg * log n.
-  const graph::NodeId n = 128;
-  const auto g = graph::star(n);
-  auto inst = test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
-  const auto stats = apply_oracle(inst, *fip06_oracle());
-  EXPECT_LE(stats.max_bits, static_cast<std::size_t>(n));
 }
 
 TEST(Fip06, PortSetEncodingRoundTrip) {

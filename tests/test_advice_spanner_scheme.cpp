@@ -58,23 +58,6 @@ TEST(SpannerScheme, MessagesMuchLessThanFloodingOnDenseGraphs) {
   EXPECT_LT(result.metrics.messages, g.num_edges());  // flooding would be 2m
 }
 
-TEST(SpannerScheme, TimeBoundKRhoLogN) {
-  Rng rng(4);
-  for (unsigned k : {2u, 3u}) {
-    const auto g = graph::connected_gnp(100, 0.1, rng);
-    const auto inst = advised_instance(g, k);
-    const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             spanner_kernel());
-    ASSERT_TRUE(result.all_awake());
-    const double rho = graph::awake_distance(g, {0});
-    const double logn = std::log2(100.0);
-    // stretch (2k-1) per hop, 2*log(deg)+2 rounds per sibling heap.
-    EXPECT_LE(static_cast<double>(result.wakeup_span()),
-              (2.0 * k - 1) * (rho + 1) * (2 * logn + 4))
-        << "k=" << k;
-  }
-}
-
 TEST(SpannerScheme, AdviceScalesWithSpannerDegree) {
   Rng rng(5);
   const graph::NodeId n = 150;
@@ -106,22 +89,6 @@ TEST(SpannerScheme, LargerKMeansFewerMessages) {
     EXPECT_LE(result.metrics.messages, prev) << "k=" << k;
     prev = result.metrics.messages;
   }
-}
-
-TEST(Corollary2, PolylogAdviceAndNearLinearMessages) {
-  Rng rng(7);
-  const graph::NodeId n = 256;
-  const auto g = graph::connected_gnp(n, 0.12, rng);
-  auto inst = test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
-  const auto scheme = corollary2_scheme();
-  const auto stats = apply_oracle(inst, *scheme.oracle);
-  const double logn = std::log2(static_cast<double>(n));
-  EXPECT_LE(static_cast<double>(stats.max_bits), 30.0 * logn * logn);
-  const auto result =
-      test::run_async_unit(inst, sim::wake_all(n), scheme.kernel);
-  ASSERT_TRUE(result.all_awake());
-  EXPECT_LE(static_cast<double>(result.metrics.messages),
-            20.0 * n * logn);
 }
 
 TEST(SpannerScheme, CongestSafe) {

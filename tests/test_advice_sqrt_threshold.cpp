@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "graph/algorithms.hpp"
 #include "test_util.hpp"
 
 namespace rise::advice {
@@ -28,43 +27,6 @@ TEST(SqrtThreshold, WakesAllOnCatalog) {
         test::run_async_unit(inst, schedule, sqrt_threshold_kernel());
     EXPECT_TRUE(result.all_awake()) << name;
   }
-}
-
-TEST(SqrtThreshold, TimeBoundedByDiameter) {
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = advised_instance(g);
-    const auto result = test::run_async_unit(inst, sim::wake_single(0),
-                                             sqrt_threshold_kernel());
-    ASSERT_TRUE(result.all_awake()) << name;
-    EXPECT_LE(result.wakeup_span(), 2ull * graph::diameter(g) + 1) << name;
-  }
-}
-
-TEST(SqrtThreshold, MessageBoundN32) {
-  // Theorem 5(A): O(n^{3/2}) messages.
-  Rng rng(2);
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = advised_instance(g);
-    const auto schedule = sim::wake_random_subset(g.num_nodes(), 0.5, rng);
-    const auto result =
-        test::run_async_unit(inst, schedule, sqrt_threshold_kernel());
-    const double n = g.num_nodes();
-    EXPECT_LE(static_cast<double>(result.metrics.messages),
-              3.0 * std::pow(n, 1.5) + 2 * n)
-        << name;
-  }
-}
-
-TEST(SqrtThreshold, MaxAdviceSqrtNLogN) {
-  Rng rng(3);
-  const graph::NodeId n = 400;
-  const auto g = graph::connected_gnp(n, 0.05, rng);
-  auto inst = test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
-  const auto stats = apply_oracle(inst, *sqrt_threshold_oracle());
-  const double bound = 3.0 * std::sqrt(static_cast<double>(n)) *
-                       std::log2(static_cast<double>(n));
-  EXPECT_LT(static_cast<double>(stats.max_bits), bound);
-  EXPECT_LT(stats.avg_bits, 4.0 * std::log2(static_cast<double>(n)));
 }
 
 TEST(SqrtThreshold, StarHubGetsOneBit) {

@@ -20,37 +20,6 @@ TEST(Flooding, WakesAllOnEveryCatalogGraph) {
   }
 }
 
-TEST(Flooding, TimeEqualsAwakeDistanceUnderUnitDelays) {
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = test::make_instance(g, Knowledge::KT0);
-    const auto schedule = sim::wake_single(0);
-    const auto result =
-        test::run_async_unit(inst, schedule, flooding_kernel());
-    const auto rho = graph::awake_distance(g, {0});
-    EXPECT_EQ(result.wakeup_span(), rho) << name;
-  }
-}
-
-TEST(Flooding, MessageComplexityIsTwoM) {
-  // Every node broadcasts exactly once: 2m messages total.
-  for (const auto& [name, g] : test::graph_catalog()) {
-    const auto inst = test::make_instance(g, Knowledge::KT0);
-    const auto result =
-        test::run_async_unit(inst, sim::wake_single(0), flooding_kernel());
-    EXPECT_EQ(result.metrics.messages, 2 * g.num_edges()) << name;
-  }
-}
-
-TEST(Flooding, MultiSourceTimeIsRhoAwk) {
-  Rng rng(1);
-  const auto g = graph::grid(10, 10);
-  const auto inst = test::make_instance(g, Knowledge::KT0);
-  const auto schedule = sim::wake_set({0, 99});
-  const auto result = test::run_async_unit(inst, schedule, flooding_kernel());
-  EXPECT_EQ(result.wakeup_span(),
-            sim::schedule_awake_distance(g, schedule));
-}
-
 TEST(Flooding, WorksInLockStep) {
   const auto g = graph::grid(6, 6);
   const auto inst = test::make_instance(g, Knowledge::KT0);

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "graph/algorithms.hpp"
 #include "sim/kernel.hpp"
 #include "test_util.hpp"
 
@@ -45,19 +44,6 @@ TEST(RankedDfs, SurvivesStaggeredAdversary) {
         test::run_async_unit(inst, schedule, ranked_dfs_kernel(), seed);
     EXPECT_TRUE(result.all_awake());
   }
-}
-
-TEST(RankedDfs, MessageComplexityNearNLogN) {
-  // Claim: O(n log n) messages w.h.p. even when everyone starts a token.
-  Rng rng(3);
-  const auto g = graph::connected_gnp(150, 0.08, rng);
-  const auto inst = test::make_instance(g, Knowledge::KT1);
-  const auto result = test::run_async_unit(inst, sim::wake_all(150),
-                                           ranked_dfs_kernel(), 11);
-  EXPECT_TRUE(result.all_awake());
-  const double n = 150;
-  const double bound = 16.0 * n * std::log(n);
-  EXPECT_LT(static_cast<double>(result.metrics.messages), bound);
 }
 
 TEST(RankedDfs, SingleSourceSendsAtMost2NMessages) {

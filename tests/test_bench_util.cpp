@@ -6,6 +6,9 @@
 // (a re-implemented percentile, an off-by-one nearest-rank) fails here.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "bench_util.hpp"
@@ -42,6 +45,29 @@ TEST(BenchUtil, NumberFormattersAreStable) {
   s.add(2.0);
   s.add(4.0);
   EXPECT_EQ(bench::fmt_mean_sd(s, 1), "3.0 +- 1.4");
+}
+
+TEST(BenchUtil, CampaignSweepRejectsAnArtifactPathItCannotOpen) {
+  // A regular file where the artifact directory should be: the artifact
+  // cannot be created, and the sweep must say so instead of running without
+  // writing it.
+  const std::filesystem::path not_a_dir =
+      std::filesystem::temp_directory_path() / "rise_bench_util_not_a_dir";
+  std::ofstream(not_a_dir) << "x";
+  ASSERT_EQ(setenv("RISE_BENCH_JSON_DIR", not_a_dir.c_str(), 1), 0);
+  app::ExperimentSpec spec;
+  spec.graph = "path:4";
+  std::string message;
+  try {
+    bench::campaign_sweep(spec, 1, "unopenable");
+  } catch (const CheckError& e) {
+    message = e.what();
+  }
+  unsetenv("RISE_BENCH_JSON_DIR");
+  std::filesystem::remove(not_a_dir);
+  EXPECT_NE(message.find(not_a_dir.string() + "/BENCH_unopenable.json"),
+            std::string::npos)
+      << message;
 }
 
 }  // namespace

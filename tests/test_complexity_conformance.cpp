@@ -1,210 +1,165 @@
-// Complexity-conformance suite: a data-driven table locking the measured
-// per-run profiles (src/obs) to the paper's Table-1 envelopes, across three
-// graph families x two sizes per algorithm.
+// Complexity conformance: the tier-1 gate for the paper's claims.
 //
-// Everything here is asserted from the RunProfile an app::run_profiled call
-// emits — not from raw Metrics — so the suite simultaneously pins (a) the
-// complexity shape of each algorithm and (b) the profile's accounting
-// invariants (phase sums partition the totals; counters match structural
-// facts like "every initiator launches one token").
+// Every claim of src/check/claims.hpp runs each of its algorithms on each of
+// its workloads (sized ones at every n of kSizes) through
+// check::evaluate_claim, and every bound of the claim must hold. The same
+// runs pin the RunProfile's accounting: phase sums partition the totals, and
+// per-family counters match structural facts (every wake-all initiator
+// launches one DFS token; a synchronous run steps every round; the sleeping
+// families' awake histogram covers every node).
 //
-// Slack rationale, documented once here and referenced per row:
-//   * flooding: EXACT — every woken node broadcasts once on every port, so
-//     messages == sum of degrees == 2m, no slack at all (the paper's O(m)
-//     with the constant pinned to 2).
-//   * ranked_dfs: the paper's Theorem-2 analysis gives O(n log n) expected
-//     messages under wake-all (each of the n tokens dies after an expected
-//     O(log n) prefix of its DFS once higher ranks circulate). The constant
-//     20 matches test_complexity_bounds.cpp's calibration on this repo's
-//     generators: measured runs sit at 3-6 n ln n, so 20 n ln n is ~4x
-//     headroom — loose enough to absorb seed variance, tight enough that a
-//     quadratic regression (naive token flooding) trips it immediately.
-//   * fast_wakeup: the paper's Õ(n^1.5) bound. 60 n^1.5 sqrt(ln n) is the
-//     repo's calibrated envelope (same constant as test_complexity_bounds):
-//     measured runs are ~10-25x below it, but an n^2 regression (skipping
-//     the sampling stage) overshoots it from n = 144 up. Rounds stay O(1)
-//     under a dominating-set wake-up: 10 activation rounds per wave plus
-//     setup, bounded here by 30.
+// BetaSweep gates Theorem 1 from the achievable side; its centers-awake
+// schedule is not a spec string, so it is not a claim workload.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "advice/advice.hpp"
 #include "app/spec.hpp"
+#include "check/claims.hpp"
+#include "lb/beta_probing.hpp"
+#include "lb/lower_bound_graphs.hpp"
 #include "obs/profile.hpp"
+#include "sim/kernel.hpp"
 
 namespace rise {
 namespace {
 
-struct GraphFamily {
-  std::string name;
-  // Spec strings for the two sizes (n = 144 and n = 400; perfect squares so
-  // grid and torus hit the target size exactly).
-  std::string small;
-  std::string large;
-};
+/// 144 and 400 are perfect squares, so grid:RxR and torus:RxR hit n exactly.
+const std::vector<std::uint32_t> kSizes = {64, 144, 256, 400, 512};
 
-const std::vector<GraphFamily>& graph_families() {
-  static const std::vector<GraphFamily> kFamilies = {
-      // Sparse connected G(n, p) with expected degree 6.
-      {"cgnp", "cgnp:144:0.0417", "cgnp:400:0.015"},
-      {"grid", "grid:12x12", "grid:20x20"},
-      {"torus", "torus:12x12", "torus:20x20"},
-  };
-  return kFamilies;
-}
-
-struct ConformanceRow {
-  std::string algorithm;
-  std::string schedule;
-  /// Upper envelope on messages as a function of (n, m); see the slack
-  /// rationale in the file comment.
-  double (*message_bound)(double n, double m);
-  /// When true the bound is an equality (flooding's exact 2m).
-  bool exact;
-  /// 0 = no round bound (asynchronous rows).
-  std::uint64_t max_rounds;
-  /// Counter that must equal the number of adversarially woken initiators
-  /// ("" = none checked).
-  std::string per_initiator_counter;
-};
-
-const std::vector<ConformanceRow>& conformance_table() {
-  static const std::vector<ConformanceRow> kTable = {
-      {"flooding", "single",
-       [](double, double m) { return 2.0 * m; }, true, 0, ""},
-      {"ranked_dfs", "all",
-       [](double n, double) { return 20.0 * n * std::log(n); }, false, 0,
-       "dfs.tokens_launched"},
-      {"fast_wakeup", "dominating",
-       [](double n, double) {
-         return 60.0 * std::pow(n, 1.5) * std::sqrt(std::log(n));
-       },
-       false, 30, ""},
-  };
-  return kTable;
-}
-
-struct CasesParam {
-  ConformanceRow row;
-  GraphFamily family;
-  bool large = false;
-};
-
-class Conformance : public ::testing::TestWithParam<CasesParam> {};
-
-TEST_P(Conformance, ProfileStaysInsideThePaperEnvelope) {
-  const CasesParam& param = GetParam();
-  app::ExperimentSpec spec;
-  spec.algorithm = param.row.algorithm;
-  spec.graph = param.large ? param.family.large : param.family.small;
-  spec.schedule = param.row.schedule;
-  spec.seed = 7;
-  const app::ProfiledReport run = app::run_profiled(spec);
+/// Profile identities every claim run must satisfy.
+void expect_profile_accounting(const check::Claim& claim,
+                               const app::ExperimentSpec& spec,
+                               const app::ProfiledReport& run,
+                               const std::string& what) {
   const obs::RunProfile& p = run.profile;
-  ASSERT_TRUE(run.report.result.all_awake());
-
-  // Accounting invariants: the profile's phase decomposition partitions the
-  // Metrics totals exactly, and the profile mirrors the report's totals.
-  EXPECT_EQ(p.messages, run.report.result.metrics.messages);
-  EXPECT_EQ(p.phase_message_sum(), p.messages);
-  EXPECT_EQ(p.phase_bit_sum(), p.bits);
-
-  const double n = static_cast<double>(p.num_nodes);
-  const double m = static_cast<double>(p.num_edges);
-  const double bound = param.row.message_bound(n, m);
-  if (param.row.exact) {
-    EXPECT_EQ(static_cast<double>(p.messages), bound);
-  } else {
-    EXPECT_LT(static_cast<double>(p.messages), bound);
+  EXPECT_EQ(p.messages, run.report.result.metrics.messages) << what;
+  EXPECT_EQ(p.phase_message_sum(), p.messages) << what;
+  EXPECT_EQ(p.phase_bit_sum(), p.bits) << what;
+  if (claim.id == "thm3" && spec.schedule == "all") {
+    // Wake-all: every node is an initiator and launches exactly one token.
+    EXPECT_EQ(p.counter("dfs.tokens_launched"), p.num_nodes) << what;
   }
-  if (param.row.max_rounds > 0) {
-    EXPECT_TRUE(p.synchronous);
-    EXPECT_LE(p.rounds, param.row.max_rounds);
-    EXPECT_EQ(p.engine.rounds_stepped, p.rounds);
+  if (claim.id == "thm4") {
+    EXPECT_TRUE(p.synchronous) << what;
+    EXPECT_EQ(p.engine.rounds_stepped, p.rounds) << what;
   }
-  if (!param.row.per_initiator_counter.empty()) {
-    // wake-all: every node is an initiator and launches exactly one token.
-    EXPECT_EQ(p.counter(param.row.per_initiator_counter), p.num_nodes);
+  if (claim.id == "smis" || claim.id == "smatching") {
+    // One histogram entry per node, totals consistent, and every send either
+    // delivered or dropped at a declared-sleeping node.
+    EXPECT_EQ(p.awake_rounds.count(), p.num_nodes) << what;
+    EXPECT_EQ(p.awake_rounds.sum(), p.awake_total) << what;
+    EXPECT_EQ(p.awake_rounds.max(), p.awake_max) << what;
+    EXPECT_EQ(p.deliveries + p.sleep_dropped, p.messages) << what;
+    EXPECT_GT(p.sleep_dropped, 0u) << what;
+    // Under a single wake the run lasts Omega(diameter) rounds, and on the
+    // larger instances awake complexity is a different yardstick than the
+    // round count.
+    if (spec.schedule == "single" && p.num_nodes >= 400) {
+      EXPECT_LT(p.awake_max, p.rounds) << what;
+    }
   }
 }
 
-std::vector<CasesParam> all_cases() {
-  std::vector<CasesParam> cases;
-  for (const auto& row : conformance_table()) {
-    for (const auto& family : graph_families()) {
-      for (const bool large : {false, true}) {
-        cases.push_back({row, family, large});
+class Claims : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(Claims, EveryWorkloadStaysInsideTheBounds) {
+  const check::Claim& claim = check::find_claim(GetParam());
+  for (const std::string& algorithm : claim.algorithms) {
+    for (const check::Workload& w : claim.workloads) {
+      for (const std::string& graph : check::workload_graphs(w.graph, kSizes)) {
+        app::ExperimentSpec spec;
+        spec.algorithm = algorithm;
+        spec.graph = graph;
+        spec.schedule = w.schedule;
+        spec.seed = 7;
+        const std::string what =
+            claim.id + ": " + algorithm + " on " + graph + " / " + w.schedule;
+        const check::ClaimRun run = check::evaluate_claim(claim, spec);
+        ASSERT_TRUE(run.measurement.all_awake) << what;
+        for (const check::BoundCheck& c : run.checks) {
+          EXPECT_TRUE(c.passed)
+              << what << ": " << check::quantity_name(c.bound->quantity)
+              << " " << c.measured << " / (" << c.bound->expression
+              << ") = " << c.ratio << ", not "
+              << check::relation_symbol(c.bound->relation) << " "
+              << c.bound->slack;
+        }
+        expect_profile_accounting(claim, spec, run.run, what);
       }
     }
   }
-  return cases;
+}
+
+std::vector<std::string> claim_ids() {
+  std::vector<std::string> out;
+  for (const check::Claim& claim : check::claims()) out.push_back(claim.id);
+  return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Table, Conformance, ::testing::ValuesIn(all_cases()),
-    [](const ::testing::TestParamInfo<CasesParam>& param_info) {
-      return param_info.param.row.algorithm + "_" +
-             param_info.param.family.name +
-             (param_info.param.large ? "_large" : "_small");
+    Table1, Claims, ::testing::ValuesIn(claim_ids()),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      return param_info.param;
     });
 
-// ---- sleeping-model awake-complexity conformance (PR 9) ------------------
-//
-// Ghaffari–Portmann sleeping MIS and matching decide in O(log n) awake
-// rounds w.h.p.; contenders pay O(1) awake rounds per 3-round window and
-// deciders pay O(1) nap check-ins. The calibrated envelope 16 log2 n + 32
-// (the same formula search::envelope_bound reports, pinned equal in
-// test_search_hunt.cpp) leaves several-fold headroom over measured runs on
-// this grid while a linear regression — a node kept awake every round, as
-// the pre-sleeping proxy would hide — overshoots it from n = 144 up.
-// The JSON path of these profiles (awake fields, classes, round_active,
-// timers) is pinned by ProfileJson.ParseIsAnExactInverseOfSerialize.
-
-double awake_envelope(double n) { return 16.0 * std::log2(n) + 32.0; }
-
-TEST(AwakeConformance, SleepingFamiliesStayInsideTheLogEnvelope) {
-  for (const std::string algorithm : {"smis", "smatching"}) {
-    for (const auto& family : graph_families()) {
-      for (const bool large : {false, true}) {
-        app::ExperimentSpec spec;
-        spec.algorithm = algorithm;
-        spec.graph = large ? family.large : family.small;
-        spec.schedule = "single";
-        spec.seed = 7;
-        const app::ProfiledReport run = app::run_profiled(spec);
-        const obs::RunProfile& p = run.profile;
-        const std::string what =
-            algorithm + " on " + spec.graph + " (single wake)";
-        ASSERT_TRUE(run.report.result.all_awake()) << what;
-
-        // The awake accounting is complete: one histogram entry per node,
-        // totals consistent, and every send either delivered or dropped at
-        // a declared-sleeping node.
-        EXPECT_EQ(p.awake_rounds.count(), p.num_nodes) << what;
-        EXPECT_EQ(p.awake_rounds.sum(), p.awake_total) << what;
-        EXPECT_EQ(p.awake_rounds.max(), p.awake_max) << what;
-        EXPECT_EQ(p.deliveries + p.sleep_dropped, p.messages) << what;
-        EXPECT_GT(p.sleep_dropped, 0u) << what;
-
-        // The awake-complexity envelope: max per-node awake rounds stays
-        // O(log n) even under the adversarial single wake-up, where the
-        // run itself lasts Omega(diameter) rounds.
-        const double n = static_cast<double>(p.num_nodes);
-        EXPECT_LT(static_cast<double>(p.awake_max), awake_envelope(n))
-            << what << ": awake_max=" << p.awake_max << " over " << p.rounds
-            << " rounds";
-        // And the measure is meaningfully smaller than the run length on
-        // the large diameter-stretched instances — awake complexity is a
-        // different yardstick than round complexity.
-        if (large) {
-          EXPECT_LT(p.awake_max, p.rounds) << what;
-        }
+TEST(ClaimTable, EveryGateCanFailAndEveryRowIsCovered) {
+  // A measurement one unit past any bound's limit must fail that bound (and
+  // one unit under an exact bound too): a gate that cannot fail gates
+  // nothing.
+  check::Measurement base;
+  base.vars = {100.0, 300.0, 5.0, 7.0, 3.0};  // n, m, rho, D, k
+  base.all_awake = true;
+  for (const check::Claim& claim : check::claims()) {
+    for (std::size_t i = 0; i < claim.bounds.size(); ++i) {
+      const check::Bound& b = claim.bounds[i];
+      const double limit = b.slack * b.value(base.vars);
+      check::Measurement past = base;
+      past.of(b.quantity) = std::floor(limit) + 1.0;
+      const auto checks = check::check_bounds(claim, past);
+      ASSERT_EQ(checks.size(), claim.bounds.size());
+      EXPECT_FALSE(checks[i].passed)
+          << claim.id << " bound " << i << " (" << b.expression
+          << ") passes one unit past its limit " << limit;
+      if (b.relation == check::Relation::kEqual) {
+        past.of(b.quantity) = std::floor(limit) - 1.0;
+        EXPECT_FALSE(check::check_bounds(claim, past)[i].passed)
+            << claim.id << " bound " << i << " passes one unit under";
       }
     }
   }
+
+  // Every Table-1 row of DESIGN.md section 3 except the lower bounds
+  // (Theorems 1 and 2, no spec string describes their schedule) names the
+  // claim that gates it.
+  std::ifstream design(RISE_DESIGN_MD);
+  ASSERT_TRUE(design) << RISE_DESIGN_MD;
+  std::string line;
+  bool in_section = false;
+  std::size_t rows = 0;
+  while (std::getline(design, line)) {
+    if (line.rfind("## ", 0) == 0) in_section = line.rfind("## 3.", 0) == 0;
+    const bool table1_row =
+        line.rfind("| T1.row", 0) == 0 || line.rfind("| Baseline", 0) == 0;
+    if (!in_section || !table1_row) continue;
+    if (line.find("(Thm 1)") != std::string::npos ||
+        line.find("(Thm 2)") != std::string::npos) {
+      continue;
+    }
+    ++rows;
+    const std::size_t at = line.find("--rows ");
+    ASSERT_NE(at, std::string::npos) << "no claim for: " << line;
+    const std::size_t end = line.find('`', at);
+    const std::string id = line.substr(at + 7, end - at - 7);
+    EXPECT_NO_THROW(check::find_claim(id)) << line;
+  }
+  EXPECT_EQ(rows, 8u);  // Thm 3, Thm 4, Cor 1, Thm 5A, Thm 5B, Thm 6, Cor 2,
+                        // flooding
 }
 
 TEST(Conformance, FloodingPhaseCarriesEveryMessage) {
@@ -222,6 +177,32 @@ TEST(Conformance, FloodingPhaseCarriesEveryMessage) {
   EXPECT_EQ(p.counter("flood.broadcasts"), p.num_nodes);
   EXPECT_EQ(p.messages, 2 * p.num_edges);
 }
+
+class BetaSweep : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BetaSweep, Theorem1CurveFromAchievableSide) {
+  // messages(beta) stays within constant factors of 2n*(n+1)/2^beta + O(n):
+  // the Theorem-1 advice/message trade-off from the achievable side.
+  const unsigned beta = GetParam();
+  const graph::NodeId n = 48;
+  const auto fam = lb::make_kt0_family(n);
+  Rng rng(beta + 100);
+  auto inst = lb::make_kt0_instance(fam, rng);
+  advice::apply_oracle(inst, *lb::beta_probing_oracle(beta));
+  const auto delays = sim::unit_delay();
+  const auto result =
+      sim::run_async(inst, *delays, fam.centers_awake(), 1,
+                     lb::beta_probing_kernel(beta));
+  ASSERT_TRUE(result.all_awake());
+  const double per_center =
+      std::ceil(static_cast<double>(n + 1) / (1u << beta));
+  const double expected = 2.0 * n * per_center + 2.0 * n + 2;
+  EXPECT_LE(static_cast<double>(result.metrics.messages), expected);
+  EXPECT_GE(static_cast<double>(result.metrics.messages),
+            n * per_center / 2.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Betas, BetaSweep, ::testing::Values(0u, 2u, 4u, 6u));
 
 }  // namespace
 }  // namespace rise

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "algo/fast_wakeup.hpp"
+#include "check/claims.hpp"
 #include "support/stats.hpp"
 #include "test_util.hpp"
 
@@ -81,21 +82,31 @@ TEST(FastWakeupInternals, MessagesScaleWithRootCount) {
 }
 
 TEST(FastWakeupInternals, TenRoundBoundHoldsAcrossManySeeds) {
-  Rng rng(6);
-  const auto g = graph::grid(12, 12);
-  const auto inst = test::make_instance(g, Knowledge::KT1);
-  const auto schedule = sim::wake_single(0);
-  const auto rho = sim::schedule_awake_distance(g, schedule);
-  SampleStats spans;
+  // Every bound of the thm4 claim (Theorem 4's 10 rho_awk wake-up among
+  // them) on one instance across many seeds.
+  const check::Claim& thm4 = check::find_claim("thm4");
+  app::ExperimentSpec spec;
+  spec.algorithm = "fast_wakeup";
+  spec.graph = "grid:12x12";
+  spec.schedule = "single";
+  SampleStats span_ratios;
+  double span_slack = 0.0;
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
-    const auto result =
-        sim::run_sync(inst, schedule, seed, fast_wakeup_kernel());
-    ASSERT_TRUE(result.all_awake()) << seed;
-    EXPECT_LE(result.wakeup_span(), 10ull * rho) << seed;
-    spans.add(static_cast<double>(result.wakeup_span()));
+    spec.seed = seed;
+    const check::ClaimRun run = check::evaluate_claim(thm4, spec);
+    ASSERT_TRUE(run.measurement.all_awake) << seed;
+    for (const check::BoundCheck& c : run.checks) {
+      EXPECT_TRUE(c.passed) << "seed " << seed << ": "
+                            << check::quantity_name(c.bound->quantity)
+                            << " ratio " << c.ratio;
+      if (c.bound->quantity == check::Quantity::kWakeupSpan) {
+        span_ratios.add(c.ratio);
+        span_slack = c.bound->slack;
+      }
+    }
   }
   // Not only bounded but typically well below the bound.
-  EXPECT_LT(spans.mean(), 10.0 * rho);
+  EXPECT_LT(span_ratios.mean(), span_slack);
 }
 
 TEST(FastWakeupInternals, ForcedRootTreeLevelsOnAPath) {
