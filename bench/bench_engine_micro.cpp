@@ -2,7 +2,14 @@
 // throughput, graph generators, the greedy spanner, the D(k,q) construction,
 // and girth computation. These quantify the cost of the experiment harness
 // itself, independent of any paper claim.
+//
+// One pair is gated: when both probe benchmarks run (e.g.
+// --benchmark_filter=Probe --benchmark_repetitions=9), main prints the
+// disabled-probe overhead and exits 1 if it is above kMaxProbeOverhead.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <vector>
 
 #include "algo/flooding.hpp"
 #include "algo/ranked_dfs.hpp"
@@ -129,8 +136,8 @@ BENCHMARK(BM_AsyncFloodingTimeline)
 /// A flooding kernel clone with zero probe calls — the pre-observability
 /// hot path. Paired with BM_ProbeDisabledFlooding below, it prices the
 /// disabled-probe branches (ctx.probe() + the NodeProbe null checks in the
-/// production algo::flooding_kernel) that sit on every wake.
-/// tools/check_probe_overhead.py gates the pair at <= 2% in CI.
+/// production algo::flooding_kernel) that sit on every wake. main gates the
+/// pair at kMaxProbeOverhead.
 struct ProbeFreeFloodingKernel {
   void reset(const sim::Instance&, sim::RunWorkspace*) {}
   template <class Ctx>
@@ -293,4 +300,57 @@ void BM_BfsTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsTree)->Arg(10000);
 
+/// The most BM_ProbeDisabledFlooding may be slower than
+/// BM_ProbeFreeFlooding: the "null probe compiles to no-ops" contract of
+/// src/obs/probe.hpp, priced on the default unprofiled path.
+constexpr double kMaxProbeOverhead = 0.02;
+
+/// Console output as usual, plus the real time of the probe pair: the
+/// median aggregate under --benchmark_repetitions, else the single run.
+class ProbeOverheadReporter : public benchmark::ConsoleReporter {
+ public:
+  ProbeOverheadReporter() : ConsoleReporter(OO_None) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      const std::string& name = run.run_name.function_name;
+      double* slot = name == "BM_ProbeFreeFlooding"       ? &probe_free
+                     : name == "BM_ProbeDisabledFlooding" ? &probe_disabled
+                                                          : nullptr;
+      const bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+      const bool single =
+          run.run_type == Run::RT_Iteration && run.repetitions <= 1;
+      if (slot != nullptr && !run.error_occurred && (median || single)) {
+        *slot = run.GetAdjustedRealTime();
+      }
+    }
+  }
+
+  double probe_free = 0.0;      ///< 0 until BM_ProbeFreeFlooding reported
+  double probe_disabled = 0.0;  ///< 0 until BM_ProbeDisabledFlooding did
+};
+
 }  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  ProbeOverheadReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  if (reporter.probe_free <= 0.0 || reporter.probe_disabled <= 0.0) {
+    return 0;
+  }
+  const double overhead =
+      (reporter.probe_disabled - reporter.probe_free) / reporter.probe_free;
+  const bool ok = overhead <= kMaxProbeOverhead;
+  std::printf("probe-free baseline : %14.1f\n"
+              "probe disabled      : %14.1f\n"
+              "%s: disabled-probe overhead %+.2f%% (limit %.1f%%)\n",
+              reporter.probe_free, reporter.probe_disabled,
+              ok ? "PASS" : "FAIL", overhead * 100.0,
+              kMaxProbeOverhead * 100.0);
+  return ok ? 0 : 1;
+}

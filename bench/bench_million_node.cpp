@@ -1,4 +1,4 @@
-// Million-node steady-state allocation gate (PR 7).
+// Million-node steady-state allocation and round-parallel gates.
 //
 // The flat-kernel execution path exists so that a single n = 10^6 trial is
 // cheap enough to repeat by the hundred: no per-node heap objects, no
@@ -6,30 +6,32 @@
 // steady-state trial must perform ZERO heap allocations. This binary proves
 // that with a global operator-new probe: build G(n, 8/n) once, run
 // flooding through the kernel path with a reused RunWorkspace, and count
-// allocations per trial. Exit 1 if any post-warm-up trial allocates (CI
-// runs this as the `million-node` job).
+// allocations per trial. Exit 1 if any post-warm-up trial allocates.
 //
 // Every trial's (events, messages, bits) triple must also match the warm-up
 // trial exactly — workspace reuse never changes results.
 //
 // Part two benchmarks the round-parallel lock-step path: the same flooding
-// workload through the sync kernel at each --trial-jobs value, emitting one
-// machine-parseable `PARJOB jobs=J digest=... best_ms=...` line per row.
-// Gates: every row's digest_run must equal the jobs=1 row (the
-// deterministic-reduction contract), and the steady-state allocation rule
+// workload through the sync kernel at each --trial-jobs value, one
+// `PARJOB jobs=J digest=... best_ms=... speedup=...` line per row. Gates:
+// every row's digest_run must equal the jobs=1 row (the
+// deterministic-reduction contract); the steady-state allocation rule
 // extends to the parallel rows — chunk outboxes, the wake schedule, and the
-// pool's batch registry all live in recycled storage.
-// tools/check_parallel_trial.py consumes the PARJOB/PARHOST lines for the
-// CI speedup gate.
+// pool's batch registry all live in recycled storage; and the largest row
+// must reach the speedup target below over the jobs=1 row.
 //
 //   bench_million_node [--n N] [--trials T] [--trial-jobs J1,J2,...]
-//   (defaults: n=1000000, T=3, trial-jobs 1,2,8)
+//   (defaults: n=1000000, T=3, trial-jobs 1,4 — the gated configuration)
+//
+// Exit 0 when every gate holds, 1 when one fails, 2 on a bad flag.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "algo/flooding.hpp"
@@ -42,6 +44,7 @@
 #include "sim/kernel.hpp"
 #include "sim/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -124,22 +127,33 @@ TrialOutcome run_sync_trial(const sim::KernelRunner& kernel,
   return out;
 }
 
-std::vector<std::uint32_t> parse_jobs_list(const char* text) {
-  std::vector<std::uint32_t> out;
-  const char* p = text;
-  while (*p != '\0') {
-    char* end = nullptr;
-    out.push_back(static_cast<std::uint32_t>(std::strtoul(p, &end, 10)));
-    if (end == p || out.back() == 0) return {};
-    if (*end == ',') {
-      p = end + 1;
-    } else if (*end == '\0') {
-      p = end;
-    } else {
-      return {};
-    }
+/// The round-parallel speedup gate: the largest --trial-jobs row must run
+/// kSpeedupEfficiency x min(jobs, cores) times faster than the jobs=1 row.
+/// Below kSpeedupMinCores hardware threads a speedup target means nothing,
+/// so the rule is skipped (with a SKIP line); the digest and allocation
+/// gates always apply.
+constexpr double kSpeedupEfficiency = 0.6;
+constexpr std::size_t kSpeedupMinCores = 4;
+
+/// Reads `text` as a decimal count in [lo, hi] into `out` (hi must fit T);
+/// prints the error and returns false otherwise.
+template <typename T>
+bool parse_count(const char* flag, const std::string& text, std::uint64_t lo,
+                 std::uint64_t hi, T& out) {
+  std::uint64_t v = 0;
+  if (!parse_digits(text, v)) {
+    std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
+                 flag, text.c_str());
+    return false;
   }
-  return out;
+  if (v < lo || v > hi) {
+    std::fprintf(stderr, "error: %s %s is outside [%llu, %llu]\n", flag,
+                 text.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
 }
 
 }  // namespace
@@ -147,23 +161,42 @@ std::vector<std::uint32_t> parse_jobs_list(const char* text) {
 int main(int argc, char** argv) {
   graph::NodeId n = 1'000'000;
   std::size_t trials = 3;
-  std::vector<std::uint32_t> jobs_rows = {1, 2, 8};
+  std::vector<std::uint32_t> jobs_rows = {1, 4};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<graph::NodeId>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--trial-jobs") == 0 && i + 1 < argc) {
-      jobs_rows = parse_jobs_list(argv[++i]);
-      if (jobs_rows.empty()) {
-        std::fprintf(stderr, "error: --trial-jobs expects J1,J2,...\n");
-        return 2;
+    const std::string flag = argv[i];
+    const std::string value = i + 1 < argc ? argv[i + 1] : "";
+    bool ok = i + 1 < argc;
+    if (ok && flag == "--n") {
+      // gnp(n, 8/n) needs 8/n <= 1.
+      ok = parse_count("--n", value, 8,
+                       std::numeric_limits<graph::NodeId>::max(), n);
+    } else if (ok && flag == "--trials") {
+      ok = parse_count("--trials", value, 1, 1'000'000, trials);
+    } else if (ok && flag == "--trial-jobs") {
+      jobs_rows.clear();
+      for (const std::string& field : split(value, ',')) {
+        std::uint32_t jobs = 0;
+        ok = ok && parse_count("--trial-jobs", field, 1, runner::kMaxThreads,
+                               jobs);
+        jobs_rows.push_back(jobs);
+      }
+      // Row order is job order, so the jobs=1 row (the digest and speedup
+      // reference) runs first and the largest row last.
+      std::sort(jobs_rows.begin(), jobs_rows.end());
+      jobs_rows.erase(std::unique(jobs_rows.begin(), jobs_rows.end()),
+                      jobs_rows.end());
+      if (ok && (jobs_rows.front() != 1 || jobs_rows.size() < 2)) {
+        std::fprintf(stderr, "error: --trial-jobs %s must contain 1 and a "
+                     "larger count\n", value.c_str());
+        ok = false;
       }
     } else {
       std::fprintf(stderr, "usage: %s [--n N] [--trials T] [--trial-jobs "
-                   "J1,J2,...]\n", argv[0]);
+                   "1,J2,...]\n", argv[0]);
       return 2;
     }
+    if (!ok) return 2;
+    ++i;
   }
 
   // Setup (allocations unrestricted): G(n, 8/n) via the geometric-skip
@@ -241,12 +274,14 @@ int main(int argc, char** argv) {
   // against the allocation gate) and a warm-up trial that sizes the chunk
   // outboxes for that job count; the timed trials then run under the same
   // zero-allocation rule as the async gate above.
-  std::printf("PARHOST cores=%zu\n", runner::ThreadPool::hardware_threads());
+  // jobs_rows is sorted and starts at 1: the first row is the sequential
+  // reference, the last one the row the speedup gate reads.
   std::uint64_t base_digest = 0;
   double base_best_ms = 0.0;
+  double speedup = 0.0;
   bool par_ok = true;
   for (const std::uint32_t jobs : jobs_rows) {
-    runner::ThreadPool pool(jobs);
+    runner::ThreadPool pool(runner::thread_budget(1, jobs));
     runner::PoolChunkExecutor executor(&pool);
     sim::SyncKernelArgs sargs;
     sargs.instance = &instance;
@@ -270,10 +305,11 @@ int main(int argc, char** argv) {
       row_stable = row_stable && out.digest == swarm.digest;
       row_best_ms = (t == 0) ? out.wall_ms : std::min(row_best_ms, out.wall_ms);
     }
-    if (base_digest == 0) {
+    if (jobs == 1) {
       base_digest = swarm.digest;
       base_best_ms = row_best_ms;
     }
+    speedup = row_best_ms > 0.0 ? base_best_ms / row_best_ms : 0.0;
     const double evps = row_best_ms > 0.0
                             ? static_cast<double>(swarm.events) / row_best_ms /
                                   1000.0
@@ -282,8 +318,7 @@ int main(int argc, char** argv) {
                 "evps=%.2fM allocs=%llu speedup=%.2f\n",
                 jobs, static_cast<unsigned long long>(swarm.digest),
                 row_best_ms, static_cast<unsigned long long>(swarm.events),
-                evps, static_cast<unsigned long long>(row_allocs),
-                row_best_ms > 0.0 ? base_best_ms / row_best_ms : 0.0);
+                evps, static_cast<unsigned long long>(row_allocs), speedup);
     if (!row_stable || swarm.digest != base_digest) {
       std::printf("FAIL: trial-jobs=%u digest diverged from the sequential "
                   "row\n", jobs);
@@ -295,6 +330,23 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(row_allocs), trials, jobs);
       par_ok = false;
     }
+  }
+
+  const std::uint32_t top_jobs = jobs_rows.back();
+  const std::size_t cores = runner::ThreadPool::hardware_threads();
+  if (cores < kSpeedupMinCores) {
+    std::printf("SKIP speedup gate: %zu hardware thread(s) < %zu (digest and "
+                "allocation gates still applied)\n", cores, kSpeedupMinCores);
+  } else {
+    const double target =
+        kSpeedupEfficiency *
+        static_cast<double>(std::min<std::size_t>(top_jobs, cores));
+    const bool fast_enough = speedup >= target;
+    std::printf("%s: trial-jobs=%u on %zu cores: speedup %.2fx vs target "
+                "%.2fx (%.1f x min(jobs, cores))\n",
+                fast_enough ? "PASS" : "FAIL", top_jobs, cores, speedup,
+                target, kSpeedupEfficiency);
+    par_ok = par_ok && fast_enough;
   }
   if (!par_ok) return 1;
   std::printf("PASS: parallel rows digest-identical, 0 steady-state "

@@ -182,7 +182,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
   // the report is independent of scheduling.
   std::vector<TrialOutcome> outcomes(options.trials);
   {
-    runner::ThreadPool pool(options.jobs);
+    runner::ThreadPool pool(runner::thread_budget(options.jobs, 1));
     report.jobs = pool.num_threads();
     runner::run_lanes(pool, report.jobs, outcomes.size(), [&](std::size_t i) {
       outcomes[i] = run_trial(scenarios[i], options.fault, options.trial_jobs);

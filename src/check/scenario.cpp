@@ -189,6 +189,23 @@ const std::vector<std::string>& scenario_families() {
   return kFamilies;
 }
 
+std::string family_for_algorithm(const std::string& algorithm) {
+  const std::string name = algorithm.substr(0, algorithm.find(':'));
+  if (name == "flooding" || name == "ttl") return "flooding";
+  if (name == "ranked_dfs" || name == "ranked_dfs_nodiscard" ||
+      name == "ranked_dfs_congest" || name == "leader") {
+    return "ranked_dfs";
+  }
+  if (name == "fast_wakeup") return "fast_wakeup";
+  if (name == "gossip") return "gossip";
+  if (name == "smis" || name == "smatching") return "sleeping";
+  if (name == "fip06" || name == "sqrt" || name == "cen" ||
+      name == "cen_chain" || name == "spanner" || name == "cor2") {
+    return "advice";
+  }
+  return "";
+}
+
 Scenario sample_scenario(std::uint64_t campaign_seed, std::uint64_t index,
                          const GeneratorOptions& options) {
   RISE_CHECK(options.max_nodes >= 8);

@@ -47,6 +47,11 @@ struct Scenario {
 /// advising schemes).
 const std::vector<std::string>& scenario_families();
 
+/// The family whose sampler draws `algorithm` (judged by its name before
+/// the first ':'), the inverse of the per-family algorithm draw in
+/// sample_scenario; "" for an algorithm no family samples.
+std::string family_for_algorithm(const std::string& algorithm);
+
 struct GeneratorOptions {
   sim::NodeId max_nodes = 96;  ///< >= 8
   sim::Time max_tau = 12;      ///< >= 1

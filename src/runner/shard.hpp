@@ -9,7 +9,7 @@
 // every per-trial result digest, is invariant under any shard split. The
 // merged per-trial digest stream of an N-shard run (including one that was
 // killed and resumed from the store) is bit-identical to a --jobs 1
-// single-process run of the same plan; tests and the CI shard job pin this.
+// single-process run of the same plan; test_runner_shard pins this.
 //
 // Orchestrator lifecycle: fork/exec one worker per shard (rise_cli itself,
 // with --shard k/N --store DIR --json DIR/worker-k.json), poll for exits,

@@ -102,6 +102,10 @@ std::size_t thread_budget(std::size_t jobs, std::uint32_t trial_jobs) {
   RISE_CHECK_MSG(lanes <= std::numeric_limits<std::size_t>::max() / per_lane,
                  "jobs " << lanes << " x trial_jobs " << per_lane
                            << " overflows the thread count");
+  RISE_CHECK_MSG(lanes * per_lane <= kMaxThreads,
+                 "jobs " << lanes << " x trial_jobs " << per_lane
+                         << " exceeds the limit of " << kMaxThreads
+                         << " threads");
   return lanes * per_lane;
 }
 

@@ -87,9 +87,15 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
+/// The most threads thread_budget grants one pool. Far above any host's
+/// useful parallelism, far below the point where starting them exhausts
+/// the process's thread or memory limits.
+inline constexpr std::size_t kMaxThreads = 4096;
+
 /// Threads for `jobs` concurrent lanes of up to `trial_jobs` round chunks
 /// each: jobs x trial_jobs, with jobs == 0 meaning hardware_threads() and
-/// trial_jobs == 0 meaning 1. Throws CheckError when the product overflows.
+/// trial_jobs == 0 meaning 1. Throws CheckError when the product overflows
+/// or exceeds kMaxThreads, before any thread is started.
 std::size_t thread_budget(std::size_t jobs, std::uint32_t trial_jobs);
 
 /// Runs body(i) once for every i in [0, count) on at most `lanes` lanes:

@@ -18,7 +18,7 @@
 // The equal-budget random baseline re-spends exactly the search's evaluation
 // budget on uniform random genomes over the same space (mutate.hpp's
 // random_genome), so "search beats random" is an apples-to-apples claim —
-// tools/check_hunt.py gates CI on it.
+// bench_hunt's gated hunts exit 1 when it fails.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +98,8 @@ check::CorpusEntry champion_entry(const HuntReport& report);
 /// Human-readable multi-line summary.
 std::string format_hunt(const HuntReport& report);
 
-/// One JSON object ({"kind": "hunt_report", ...}) for tools/check_hunt.py.
+/// One JSON object ({"kind": "hunt_report", ...}), written by
+/// `rise_cli hunt --json`.
 std::string hunt_to_json(const HuntReport& report);
 
 }  // namespace rise::search

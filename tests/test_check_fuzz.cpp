@@ -56,6 +56,22 @@ TEST(SampleScenario, CoversEveryFamilyInAShortPrefix) {
   EXPECT_EQ(seen.size(), scenario_families().size());
 }
 
+// rise_cli hunt records family_for_algorithm(--algo) in its corpus entries;
+// the fuzzer replays them under that family, so the two must agree.
+TEST(SampleScenario, EverySampledAlgorithmMapsBackToItsFamily) {
+  for (const std::string& family : scenario_families()) {
+    GeneratorOptions options;
+    options.families = {family};
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      const Scenario s = sample_scenario(11, i, options);
+      EXPECT_EQ(family_for_algorithm(s.spec.algorithm), family)
+          << s.spec.algorithm;
+    }
+  }
+  EXPECT_EQ(family_for_algorithm("beta:2"), "");
+  EXPECT_EQ(family_for_algorithm("no_such_algorithm"), "");
+}
+
 TEST(ShrinkCandidates, ShrinkGraphsRespectFamilyFloors) {
   Scenario s;
   s.spec.graph = "grid:6x8";

@@ -70,11 +70,29 @@ TEST(ThreadPool, ThreadBudgetIsJobsTimesTrialJobs) {
   EXPECT_EQ(thread_budget(3, 0), 3u);  // trial_jobs 0 = 1
   EXPECT_EQ(thread_budget(0, 1), ThreadPool::hardware_threads());
   EXPECT_EQ(thread_budget(0, 4), 4 * ThreadPool::hardware_threads());
+  EXPECT_EQ(thread_budget(kMaxThreads / 4, 4), kMaxThreads);
   const std::size_t max = std::numeric_limits<std::size_t>::max();
-  EXPECT_EQ(thread_budget(max / 2, 2), max - 1);
   // A product that wraps would read as 0 = "all hardware threads".
   EXPECT_THROW(thread_budget(max / 2 + 1, 2), CheckError);
   EXPECT_THROW(thread_budget(max, 4294967295u), CheckError);
+}
+
+// The budget is checked before any pool exists, so these ask for millions
+// of threads without starting one.
+TEST(ThreadPool, ThreadBudgetRejectsMoreThanTheThreadCeiling) {
+  EXPECT_THROW(thread_budget(kMaxThreads + 1, 1), CheckError);
+  EXPECT_THROW(thread_budget(kMaxThreads / 4, 5), CheckError);
+  EXPECT_THROW(thread_budget(std::numeric_limits<std::size_t>::max() / 2, 2),
+               CheckError);
+  try {
+    thread_budget(100000, 100);
+    FAIL() << "a budget of 10^7 threads was granted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "jobs 100000 x trial_jobs 100 exceeds the limit of 4096"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- run_chunks (the round-parallel chunk executor substrate) ----------

@@ -288,8 +288,8 @@ TEST(HuntSearch, BestSoFarIsMonotoneAndChampionIsFinal) {
 TEST(HuntSearch, EqualBudgetBaselineRunsAndChampionHolds) {
   // A tiny budget can lose to a lucky uniform draw; at a moderate budget the
   // hill climber's corridor-clamped mutations reach the dense corner of the
-  // genome space and hold it (the CI gate in tools/check_hunt.py asserts the
-  // same dominance at n >= 256).
+  // genome space and hold it (the gated hunts in bench_hunt assert the same
+  // dominance at n >= 256).
   HuntOptions options = small_hunt();
   options.budget = 96;
   options.lambda = 8;
