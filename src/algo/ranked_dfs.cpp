@@ -1,38 +1,24 @@
 #include "algo/ranked_dfs.hpp"
 
 #include <utility>
-#include <vector>
 
 #include "support/check.hpp"
 
 namespace rise::algo {
 
-sim::Message RankedDfsKernel::encode_token(
-    std::uint64_t rank, sim::Label origin,
-    const std::vector<sim::Label>& visited, unsigned label_bits,
-    unsigned rank_bits) {
+sim::Message RankedDfsKernel::list_message(
+    std::uint32_t type, std::initializer_list<std::uint64_t> header,
+    std::span<const sim::Label> visited, bool first_visit, sim::Label me,
+    std::uint64_t header_bits, unsigned label_bits) {
+  const std::size_t count = visited.size() + (first_visit ? 1 : 0);
   sim::PayloadWords payload;
-  payload.reserve(3 + visited.size());
-  payload.push_back(rank);
-  payload.push_back(origin);
-  payload.push_back(visited.size());
-  payload.append(visited.begin(), visited.end());
-  // Logical size: rank + origin + the full visited list (LOCAL model).
-  const std::uint64_t bits =
-      rank_bits + label_bits * (1 + visited.size()) + 32;
-  return sim::make_message(kDfsToken, std::move(payload), bits);
-}
-
-RankedDfsKernel::TokenView RankedDfsKernel::decode_token(
-    const sim::Message& msg) {
-  RISE_CHECK(msg.type == kDfsToken && msg.payload.size() >= 3);
-  TokenView t;
-  t.rank = msg.payload[0];
-  t.origin = msg.payload[1];
-  const std::uint64_t count = msg.payload[2];
-  RISE_CHECK(msg.payload.size() == 3 + count);
-  t.visited.assign(msg.payload.begin() + 3, msg.payload.end());
-  return t;
+  payload.reserve(header.size() + 1 + count);
+  payload.append(header.begin(), header.end());
+  payload.push_back(count);
+  payload.append(visited.data(), visited.data() + visited.size());
+  if (first_visit) payload.push_back(me);
+  return sim::make_message(type, std::move(payload),
+                           header_bits + std::uint64_t{label_bits} * count);
 }
 
 sim::KernelRunner ranked_dfs_kernel(RankedDfsProbe* probe,

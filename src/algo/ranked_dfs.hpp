@@ -21,10 +21,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <unordered_set>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -42,9 +42,14 @@ struct RankedDfsProbe {
   std::vector<std::uint32_t> tokens_forwarded;  // indexed by internal node id
 };
 
-/// Ranked DFS with each node's rank, best-seen key and per-token DFS state in
-/// one State entry of a flat vector. In the header so wrappers
+/// Ranked DFS with each node's rank, best-seen key and per-token DFS parents
+/// in one State entry of a flat vector. In the header so wrappers
 /// (lb::NihKernel) can hold it.
+///
+/// Both passes read the received visited list in place, as a span over the
+/// payload; a node's own ID is appended to the outgoing copy only. A hop
+/// costs a scan of the list per port tried (see first_unvisited_port) plus
+/// one bulk copy into the outgoing payload.
 class RankedDfsKernel {
  public:
   RankedDfsKernel(RankedDfsProbe* probe, unsigned rank_bits,
@@ -54,24 +59,33 @@ class RankedDfsKernel {
         discard_losers_(discard_losers),
         elect_(elect) {}
 
-  struct TokenState {
-    sim::Port parent_port = sim::kInvalidPort;
-  };
-
   struct State {
     bool announced = false;
-    TokenState leader_state;
+    sim::Port leader_parent = sim::kInvalidPort;
     std::uint64_t rank = 0;
     std::pair<std::uint64_t, sim::Label> best{0, 0};
-    std::map<sim::Label, TokenState> tokens;
-    std::set<sim::Label> forwarded_origins;
+    /// (origin, DFS parent port) of every token this node has been on,
+    /// searched linearly. With rank discarding a node sees O(log n) tokens
+    /// w.h.p. (Claim 4); without it (ranked_dfs_nodiscard) every token
+    /// reaches every node, so a lookup costs O(#tokens).
+    std::vector<std::pair<sim::Label, sim::Port>> token_parents;
+
+    /// Back to the fresh state, keeping token_parents' capacity so warm
+    /// runs do not allocate.
+    void clear() {
+      announced = false;
+      leader_parent = sim::kInvalidPort;
+      rank = 0;
+      best = {0, 0};
+      token_parents.clear();
+    }
   };
   using States = std::vector<State>;
 
   void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
     states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
     states_->resize(instance.num_nodes());
+    for (State& s : *states_) s.clear();
   }
 
   template <class Ctx>
@@ -87,11 +101,10 @@ class RankedDfsKernel {
     const std::uint64_t rank_space = (std::uint64_t{1} << rank_bits_) - 1;
     self.rank = 1 + ctx.rng().uniform(rank_space);
     self.best = {self.rank, ctx.my_label()};
-    // Launch our own DFS token.
-    std::vector<sim::Label> visited{ctx.my_label()};
-    TokenState& state = self.tokens[ctx.my_label()];
-    state.parent_port = sim::kInvalidPort;
-    advance_token(ctx, self, self.rank, ctx.my_label(), visited, state);
+    // Launch our own DFS token: an empty received list plus our own ID.
+    self.token_parents.emplace_back(ctx.my_label(), sim::kInvalidPort);
+    advance_token(ctx, self, self.rank, ctx.my_label(), {},
+                  /*first_visit=*/true, sim::kInvalidPort);
   }
 
   template <class Ctx>
@@ -101,68 +114,90 @@ class RankedDfsKernel {
       on_leader_token(ctx, self, in);
       return;
     }
-    TokenView token = decode_token(in.msg);
+    // Token payload: [rank, origin_label, visited_count, visited labels...].
+    const sim::PayloadWords& payload = in.msg.payload;
+    RISE_CHECK(in.msg.type == kDfsToken && payload.size() >= 3);
+    const std::uint64_t rank = payload[0];
+    const sim::Label origin = payload[1];
+    const std::uint64_t count = payload[2];
+    RISE_CHECK(payload.size() == 3 + count);
+    const std::span<const sim::Label> visited(payload.begin() + 3,
+                                              payload.end());
     ctx.probe().phase("dfs.token");
-    const std::pair<std::uint64_t, sim::Label> key{token.rank, token.origin};
+    const std::pair<std::uint64_t, sim::Label> key{rank, origin};
     if (discard_losers_ && key < self.best) {  // case (b): discard
       ctx.probe().count("dfs.tokens_discarded");
       return;
     }
     self.best = std::max(self.best, key);
 
-    TokenState& state = self.tokens[token.origin];
     const sim::Label me = ctx.my_label();
-    const bool first_visit =
-        std::find(token.visited.begin(), token.visited.end(), me) ==
-        token.visited.end();
-    if (first_visit) {
-      token.visited.push_back(me);  // case (a): append own ID
-      state.parent_port = in.port;
+    const bool first_visit = !contains(visited, me);
+    auto entry = std::find_if(
+        self.token_parents.begin(), self.token_parents.end(),
+        [origin](const auto& e) { return e.first == origin; });
+    if (entry == self.token_parents.end()) {
+      self.token_parents.emplace_back(origin, sim::kInvalidPort);
+      entry = self.token_parents.end() - 1;
+    }
+    if (first_visit) {  // case (a): the outgoing copy appends our ID
+      entry->second = in.port;
       ctx.probe().count("dfs.first_visits");
+      // A token's list only grows, so it visits a node first at most once:
+      // each first visit is a distinct token.
       if (probe_ != nullptr) {
-        if (self.forwarded_origins.insert(token.origin).second) {
-          if (probe_->tokens_forwarded.size() <= ctx.node()) {
-            probe_->tokens_forwarded.resize(ctx.node() + 1, 0);
-          }
-          ++probe_->tokens_forwarded[ctx.node()];
+        if (probe_->tokens_forwarded.size() <= ctx.node()) {
+          probe_->tokens_forwarded.resize(ctx.node() + 1, 0);
         }
+        ++probe_->tokens_forwarded[ctx.node()];
       }
     }
-    advance_token(ctx, self, token.rank, token.origin, token.visited, state);
+    advance_token(ctx, self, rank, origin, visited, first_visit,
+                  entry->second);
   }
 
  private:
-  // Token payload: [rank, origin_label, visited_count, visited labels...].
-  struct TokenView {
-    std::uint64_t rank;
-    sim::Label origin;
-    std::vector<sim::Label> visited;
-  };
-  static sim::Message encode_token(std::uint64_t rank, sim::Label origin,
-                                   const std::vector<sim::Label>& visited,
-                                   unsigned label_bits, unsigned rank_bits);
-  static TokenView decode_token(const sim::Message& msg);
+  static bool contains(std::span<const sim::Label> list, sim::Label label) {
+    return std::find(list.begin(), list.end(), label) != list.end();
+  }
+
+  /// The first port whose neighbor is not on the received `visited` list;
+  /// kInvalidPort when every neighbor is. This node's own ID, which the
+  /// outgoing copy adds on a first visit, never matches a neighbor's:
+  /// graphs have no self-loops and IDs are distinct.
+  template <class Ctx>
+  static sim::Port first_unvisited_port(Ctx& ctx,
+                                        std::span<const sim::Label> visited) {
+    const auto labels = ctx.neighbor_labels();
+    for (std::size_t p = 0; p < labels.size(); ++p) {
+      if (!contains(visited, labels[p])) return static_cast<sim::Port>(p);
+    }
+    return sim::kInvalidPort;
+  }
+
+  /// `header`, then the list length, the received list and (on a first
+  /// visit) `me`: the outgoing payload of either pass, built in one pass.
+  static sim::Message list_message(std::uint32_t type,
+                                   std::initializer_list<std::uint64_t> header,
+                                   std::span<const sim::Label> visited,
+                                   bool first_visit, sim::Label me,
+                                   std::uint64_t header_bits,
+                                   unsigned label_bits);
 
   /// Forwards the token to the first neighbor not yet visited; backtracks to
   /// the DFS parent when all neighbors are on the list; stops at the origin.
   template <class Ctx>
   void advance_token(Ctx& ctx, State& self, std::uint64_t rank,
-                     sim::Label origin, const std::vector<sim::Label>& visited,
-                     TokenState& state) {
-    const std::unordered_set<sim::Label> visited_set(visited.begin(),
-                                                     visited.end());
-    const auto labels = ctx.neighbor_labels();
-    for (sim::Port p = 0; p < labels.size(); ++p) {
-      if (!visited_set.count(labels[p])) {
-        ctx.send(p, encode_token(rank, origin, visited, ctx.label_bits(),
-                                 rank_bits_));
-        return;
-      }
-    }
-    if (state.parent_port != sim::kInvalidPort) {
-      ctx.send(state.parent_port,
-               encode_token(rank, origin, visited, ctx.label_bits(),
-                            rank_bits_));
+                     sim::Label origin, std::span<const sim::Label> visited,
+                     bool first_visit, sim::Port parent_port) {
+    sim::Port to = first_unvisited_port(ctx, visited);
+    if (to == sim::kInvalidPort) to = parent_port;
+    if (to != sim::kInvalidPort) {
+      // Logical size: rank + origin + the full visited list (LOCAL model).
+      ctx.send(to, list_message(kDfsToken, {rank, origin}, visited,
+                                first_visit, ctx.my_label(),
+                                rank_bits_ + ctx.label_bits() + 32,
+                                ctx.label_bits()));
       return;
     }
     // We are the origin and the DFS is complete. If electing, announce
@@ -174,53 +209,40 @@ class RankedDfsKernel {
       obs_probe.node_class("leader");
       obs_probe.count("dfs.leaders_announced");
       ctx.set_output(ctx.my_label());
-      std::vector<sim::Label> seen{ctx.my_label()};
-      self.leader_state.parent_port = sim::kInvalidPort;
-      advance_leader(ctx, self, ctx.my_label(), seen);
+      self.leader_parent = sim::kInvalidPort;
+      advance_leader(ctx, self, ctx.my_label(), {}, /*first_visit=*/true);
     }
   }
 
   /// The announce pass: same visited-list DFS mechanics, never discarded.
+  /// Payload: [leader_label, visited_count, visited labels...].
   template <class Ctx>
   void on_leader_token(Ctx& ctx, State& self, const sim::Incoming& in) {
     ctx.probe().phase("dfs.announce");
-    RISE_CHECK(in.msg.payload.size() >= 2);
-    const sim::Label leader = in.msg.payload[0];
-    const std::uint64_t count = in.msg.payload[1];
-    RISE_CHECK(in.msg.payload.size() == 2 + count);
-    std::vector<sim::Label> visited(in.msg.payload.begin() + 2,
-                                    in.msg.payload.end());
-    const sim::Label me = ctx.my_label();
-    if (std::find(visited.begin(), visited.end(), me) == visited.end()) {
+    const sim::PayloadWords& payload = in.msg.payload;
+    RISE_CHECK(payload.size() >= 2);
+    const sim::Label leader = payload[0];
+    const std::uint64_t count = payload[1];
+    RISE_CHECK(payload.size() == 2 + count);
+    const std::span<const sim::Label> visited(payload.begin() + 2,
+                                              payload.end());
+    const bool first_visit = !contains(visited, ctx.my_label());
+    if (first_visit) {
       ctx.set_output(leader);
-      visited.push_back(me);
-      self.leader_state.parent_port = in.port;
+      self.leader_parent = in.port;
     }
-    advance_leader(ctx, self, leader, visited);
+    advance_leader(ctx, self, leader, visited, first_visit);
   }
 
   template <class Ctx>
   void advance_leader(Ctx& ctx, State& self, sim::Label leader,
-                      const std::vector<sim::Label>& visited) {
-    const std::unordered_set<sim::Label> visited_set(visited.begin(),
-                                                     visited.end());
-    const auto labels = ctx.neighbor_labels();
-    auto encode = [&] {
-      sim::PayloadWords payload{leader, visited.size()};
-      payload.append(visited.begin(), visited.end());
-      return sim::make_message(
-          kDfsLeader, std::move(payload),
-          ctx.label_bits() * (2 + visited.size()) + 32);
-    };
-    for (sim::Port p = 0; p < labels.size(); ++p) {
-      if (!visited_set.count(labels[p])) {
-        ctx.send(p, encode());
-        return;
-      }
-    }
-    if (self.leader_state.parent_port != sim::kInvalidPort) {
-      ctx.send(self.leader_state.parent_port, encode());
-    }
+                      std::span<const sim::Label> visited, bool first_visit) {
+    sim::Port to = first_unvisited_port(ctx, visited);
+    if (to == sim::kInvalidPort) to = self.leader_parent;
+    if (to == sim::kInvalidPort) return;
+    ctx.send(to, list_message(kDfsLeader, {leader}, visited, first_visit,
+                              ctx.my_label(), 2 * ctx.label_bits() + 32,
+                              ctx.label_bits()));
   }
 
   RankedDfsProbe* probe_;

@@ -17,6 +17,7 @@
 #include "obs/profile.hpp"
 #include "runner/progress.hpp"
 #include "runner/result_sink.hpp"
+#include "runner/thread_pool.hpp"
 #include "store/result_store.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
@@ -146,6 +147,17 @@ ShardCampaignReport run_shard_campaign(const CampaignPlan& plan,
     RISE_CHECK_MSG(!options.store_dir.empty(),
                    "shard campaign needs a result store directory");
     RISE_CHECK_MSG(options.workers >= 1, "shard campaign needs >= 1 worker");
+    // Each worker sizes its own pool by thread_budget, so the fleet runs
+    // workers times that many threads: cap the product before any fork.
+    const std::size_t per_worker =
+        thread_budget(options.jobs_per_worker, options.trial_jobs);
+    RISE_CHECK_MSG(options.workers <= kMaxThreads / per_worker,
+                   "workers " << options.workers << " x jobs "
+                              << options.jobs_per_worker << " x trial_jobs "
+                              << options.trial_jobs << " = "
+                              << options.workers * per_worker
+                              << " threads exceeds the limit of "
+                              << kMaxThreads << " threads");
 
     const std::size_t total = expand_trials(plan).size();
     // Create (or validate) the store before forking anything, so a bad

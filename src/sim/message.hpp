@@ -7,15 +7,19 @@
 // If no explicit size is given, a conservative default of
 // 8 + 64 * payload_words bits is charged.
 //
-// The payload container (PayloadWords) stores up to kInlineWords words
-// inline, so the 0–2-word messages of flooding, gossip and ranked DFS never
-// touch the heap; only large payloads (fast-wakeup label lists, DFS visited
-// sets) spill to an allocation.
+// The payload container (PayloadWords) stores up to kInlineWords (4) words
+// inline, so the 0–3-word messages of flooding, gossip, the sleeping
+// families, CONGEST ranked DFS, NIH and the advice schemes never touch the
+// heap. Payloads that carry a list spill once they pass four words:
+// fast-wakeup label lists, and LOCAL ranked-DFS tokens and announce
+// messages, which carry the whole visited list (every hop after a token's
+// first spills).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <type_traits>
 
 #include "sim/types.hpp"
 
@@ -88,9 +92,21 @@ class PayloadWords {
     data()[size_++] = w;
   }
 
+  /// Appends [first, last): one reserve and one memcpy when the range is
+  /// contiguous 64-bit words, else element by element.
   template <typename It>
   void append(It first, It last) {
-    for (; first != last; ++first) push_back(static_cast<std::uint64_t>(*first));
+    if constexpr (std::is_convertible_v<It, const std::uint64_t*>) {
+      const auto n = static_cast<std::size_t>(last - first);
+      if (n == 0) return;
+      reserve(size_ + n);
+      std::memcpy(data() + size_, first, n * sizeof(std::uint64_t));
+      size_ += static_cast<std::uint32_t>(n);
+    } else {
+      for (; first != last; ++first) {
+        push_back(static_cast<std::uint64_t>(*first));
+      }
+    }
   }
 
   friend bool operator==(const PayloadWords& a, const PayloadWords& b) {

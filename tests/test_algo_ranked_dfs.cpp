@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "lb/lower_bound_graphs.hpp"
+#include "lb/nih.hpp"
 #include "sim/kernel.hpp"
+#include "sim/trace.hpp"
 #include "test_util.hpp"
 
 namespace rise::algo {
@@ -108,6 +112,167 @@ TEST(RankedDfs, LasVegasAcrossSeeds) {
     const auto result = test::run_async_unit(
         inst, sim::wake_set({0, 5, 29}), ranked_dfs_kernel(), seed);
     EXPECT_TRUE(result.all_awake()) << "seed " << seed;
+  }
+}
+
+/// FNV-1a over every event of a run, payload words included, so a pin
+/// fixes what each token carries, not only its type and declared bits.
+class PayloadHashSink final : public sim::TraceSink {
+ public:
+  void on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
+               const sim::Message& msg) override {
+    mix({0, t, from, to, msg.type, msg.logical_bits(), msg.payload.size()});
+    for (std::uint64_t w : msg.payload) mix({w});
+  }
+  void on_deliver(sim::Time t, sim::NodeId from, sim::NodeId to,
+                  const sim::Message& msg) override {
+    mix({1, t, from, to, msg.type});
+  }
+  void on_node_wake(sim::Time t, sim::NodeId node,
+                    sim::WakeCause cause) override {
+    mix({2, t, node, static_cast<std::uint64_t>(cause)});
+  }
+
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  void mix(std::initializer_list<std::uint64_t> words) {
+    for (std::uint64_t w : words) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash_ ^= (w >> (8 * byte)) & 0xFF;
+        hash_ *= 1099511628211ULL;
+      }
+    }
+  }
+
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+/// Hash of a run's digest (wake times, outputs, every counter) and of its
+/// full payload trace.
+std::uint64_t pinned_hash(const sim::Instance& inst,
+                          const sim::WakeSchedule& schedule,
+                          const sim::DelayPolicy& delays,
+                          const sim::KernelRunner& kernel) {
+  PayloadHashSink sink;
+  const sim::RunResult r =
+      sim::run_async(inst, delays, schedule, 9, kernel, {}, &sink);
+  return test::fnv1a(test::digest(r)) ^ sink.hash();
+}
+
+struct PinCase {
+  const char* name;
+  std::uint64_t unit_hash;
+  std::uint64_t random4_hash;
+};
+
+/// Runs one kernel under unit delays and under random:4 and compares both
+/// hashes with the pins.
+void expect_pins(const sim::Instance& inst, const sim::WakeSchedule& schedule,
+                 const sim::KernelRunner& kernel, const PinCase& pin) {
+  const auto unit = sim::unit_delay();
+  const auto random4 = sim::random_delay(4, 31);
+  EXPECT_EQ(pinned_hash(inst, schedule, *unit, kernel), pin.unit_hash)
+      << pin.name << " under unit delays";
+  EXPECT_EQ(pinned_hash(inst, schedule, *random4, kernel), pin.random4_hash)
+      << pin.name << " under random:4 delays";
+}
+
+// Pins for every RankedDFS variant the production token path serves:
+// plain, no-discard (n <= 200: every token runs its whole DFS), leader
+// election (token pass plus announce pass) and the Lemma-1 NIH wrapper on
+// the KT0 lower-bound family. Taken before the token path read payloads in
+// place; any change to the port order, payload contents, declared bits or
+// counts moves them.
+TEST(RankedDfs, VariantsMatchPinnedDigests) {
+  Rng rng(41);
+  const auto g = graph::connected_gnp(160, 0.05, rng);
+  const auto inst = test::make_instance(g, Knowledge::KT1);
+  const auto schedule = sim::wake_random_subset(160, 0.2, rng);
+  expect_pins(inst, schedule, ranked_dfs_kernel(),
+              {"ranked_dfs", 13859408034965516363ULL,
+               3476431432785323981ULL});
+  expect_pins(inst, schedule, ranked_dfs_no_discard_kernel(),
+              {"ranked_dfs_nodiscard", 553880252236963355ULL,
+               3637489183128385104ULL});
+  expect_pins(inst, schedule, ranked_dfs_leader_kernel(),
+              {"leader", 15023369154955406801ULL, 5140475625347503611ULL});
+
+  // Degree ~30 and ~90: the second also takes the sorted path of
+  // first_unvisited_port (ports past the first 64).
+  Rng dense_rng(43);
+  const auto mid = test::make_instance(
+      graph::connected_gnp(100, 0.3, dense_rng), Knowledge::KT1);
+  expect_pins(mid, sim::wake_random_subset(100, 0.3, dense_rng),
+              ranked_dfs_leader_kernel(),
+              {"leader on G(100, 0.3)", 10227087656477224248ULL,
+               2304590511265392536ULL});
+  const auto dense = test::make_instance(
+      graph::connected_gnp(150, 0.6, dense_rng), Knowledge::KT1);
+  expect_pins(dense, sim::wake_random_subset(150, 0.3, dense_rng),
+              ranked_dfs_leader_kernel(),
+              {"leader on G(150, 0.6)", 2050884829266300148ULL,
+               11283045690436770550ULL});
+
+  const auto fam = lb::make_kt0_family(20);
+  const auto kt0 = test::make_instance(fam.graph, Knowledge::KT1);
+  expect_pins(kt0, fam.centers_awake(),
+              lb::nih_kernel(RankedDfsKernel(nullptr, 48,
+                                             /*discard_losers=*/true,
+                                             /*elect=*/false)),
+              {"nih(ranked_dfs) on kt0family:20", 1205059354071492565ULL,
+               12113977275044233235ULL});
+}
+
+/// Node 0, woken by the adversary, sends `bad` over port 0 instead of
+/// launching a token; every other hook is RankedDFS's own, so the receiver
+/// parses `bad` on the production path.
+struct MalformedSender {
+  RankedDfsKernel inner{nullptr, 48, /*discard_losers=*/true, /*elect=*/true};
+  sim::Message bad;
+
+  void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
+    inner.reset(instance, workspace);
+  }
+  template <class Ctx>
+  void on_wake(Ctx& ctx, sim::WakeCause cause) {
+    if (ctx.node() == 0 && cause == sim::WakeCause::kAdversary) {
+      ctx.send(0, bad);
+      return;
+    }
+    inner.on_wake(ctx, cause);
+  }
+  template <class Ctx>
+  void on_message(Ctx& ctx, const sim::Incoming& in) {
+    inner.on_message(ctx, in);
+  }
+};
+
+// The token and announce paths read the visited list in place, so their
+// size checks are all that keeps a malformed payload from an out-of-bounds
+// read: each of these must throw CheckError.
+TEST(RankedDfs, MalformedPayloadsThrow) {
+  const auto inst = test::make_instance(graph::path(4), Knowledge::KT1);
+  const std::pair<const char*, sim::Message> cases[] = {
+      {"token shorter than its header",
+       sim::make_message(kDfsToken, {7, 1}, 64)},
+      {"token count above its length",
+       sim::make_message(kDfsToken, {7, 1, 5, 1}, 64)},
+      {"token count below its length",
+       sim::make_message(kDfsToken, {7, 1, 1, 1, 2, 3}, 64)},
+      {"token count near 2^64",
+       sim::make_message(kDfsToken, {7, 1, ~std::uint64_t{0}, 1}, 64)},
+      {"announce with one word", sim::make_message(kDfsLeader, {1}, 64)},
+      {"announce with no words", sim::make_message(kDfsLeader, {}, 64)},
+      {"announce count above its length",
+       sim::make_message(kDfsLeader, {1, 4, 1}, 64)},
+  };
+  for (const auto& [name, bad] : cases) {
+    const sim::KernelRunner kernel =
+        sim::make_kernel(MalformedSender{.bad = bad});
+    EXPECT_THROW(test::run_async_unit(inst, sim::wake_single(0), kernel),
+                 CheckError)
+        << name;
   }
 }
 
