@@ -101,17 +101,17 @@ BENCHMARK(BM_MillionNodeKernelFlooding)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
-/// Same flooding workload under adversarial random delays in [1, tau], run
-/// once per timeline backend so a regression in either the calendar queue or
-/// the heap fallback is visible in isolation.
+/// Same flooding workload under adversarial random delays in [1, tau], once
+/// with tau inside the calendar ring's span and once above it (a one-bucket
+/// ring, every delivery through the overflow heap), so a regression on
+/// either side of EventQueue::kMaxBucketSpan is visible in isolation.
 void BM_AsyncFloodingTimeline(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
-  const auto mode = state.range(1) == 0 ? sim::EventQueue::Mode::kBuckets
-                                        : sim::EventQueue::Mode::kHeap;
+  const auto tau = static_cast<sim::Time>(state.range(1));
   Rng rng(n);
   const auto g = graph::connected_gnp(n, 8.0 / n, rng);
   const auto inst = make_inst(g, sim::Knowledge::KT0);
-  const auto delays = sim::random_delay(16, 5);
+  const auto delays = sim::random_delay(tau, 5);
   const auto schedule = sim::wake_single(0);
   const sim::KernelRunner kernel = algo::flooding_kernel();
   sim::RunWorkspace workspace;
@@ -120,7 +120,6 @@ void BM_AsyncFloodingTimeline(benchmark::State& state) {
   args.delays = delays.get();
   args.schedule = &schedule;
   args.seed = 1;
-  args.queue_mode = mode;
   args.workspace = &workspace;
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -133,9 +132,9 @@ void BM_AsyncFloodingTimeline(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AsyncFloodingTimeline)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->ArgNames({"n", "heap"});
+    ->Args({10000, 16})
+    ->Args({10000, 100000})
+    ->ArgNames({"n", "tau"});
 
 /// A flooding kernel clone with zero probe calls — the pre-observability
 /// hot path. BM_ProbeOverhead prices the disabled-probe branches
@@ -321,7 +320,11 @@ BENCHMARK(BM_BfsTree)->Arg(10000);
 
 /// The most production flooding with no probe attached may be slower than
 /// ProbeFreeFloodingKernel: the "null probe compiles to no-ops" contract of
-/// src/obs/probe.hpp, priced on the default unprofiled path.
+/// src/obs/probe.hpp, priced on the default unprofiled path. The bound
+/// applies to the Release build CI gates. A RelWithDebInfo (-O2) build reads
+/// several percent over it (+1.4 to +12 % on a 4-core Intel Xeon host)
+/// because GCC keeps AsyncRunner<FloodingKernel>::send_from out of line in
+/// the library's instantiation but inlines it into the probe-free clone.
 constexpr double kMaxProbeOverhead = 0.02;
 
 /// The gate's design: kProbePairs pairs of samples, each sample the fastest

@@ -542,7 +542,6 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     args.seed = spec.seed;
     args.trace = instruments.trace;
     args.probe = probe;
-    args.queue_mode = instruments.queue_mode;
     args.workspace = workspace;
     obs::PhaseTimer timer(probe, "engine.run");
     report.result = prepared.kernel.run_async(args);

@@ -37,7 +37,6 @@
 #include "sim/adversary.hpp"
 #include "sim/context.hpp"
 #include "sim/delay_policy.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/kernel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/parallel.hpp"
@@ -99,7 +98,7 @@ ExperimentReport run_experiment(const ExperimentSpec& spec);
 /// instrumented overload is the substrate of the scenario fuzzer
 /// (src/check): it replays exactly what the plain overload runs — same
 /// seed-stream tags, same parsing — while letting the caller watch the
-/// trace, pin the event-queue backend, or swap in a perturbed delay policy.
+/// trace or swap in a perturbed delay policy.
 struct RunInstruments {
   /// Observer attached to the engine for the whole run (never perturbs it).
   sim::TraceSink* trace = nullptr;
@@ -110,9 +109,6 @@ struct RunInstruments {
   /// Like `trace`, pure observation — a probed run is bit-identical to an
   /// unprobed one. Prefer run_profiled unless you need the raw handle.
   obs::Probe* probe = nullptr;
-
-  /// Event-timeline backend for asynchronous runs (kAuto = production pick).
-  sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
 
   /// When non-null, replaces the delay policy parsed from spec.delay
   /// (asynchronous runs only). Used for fault injection in checker tests.

@@ -20,7 +20,6 @@ struct TrialOutcome {
   bool failed = false;
   std::string kind;
   std::vector<std::string> details;
-  bool ran_queue_differential = false;
   bool ran_sync_differential = false;
   bool ran_determinism_replay = false;
   bool ran_parallel_differential = false;
@@ -63,52 +62,34 @@ TrialOutcome run_trial(const Scenario& s, FaultKind fault,
   }
   if (!base.violations.empty()) fail(out, "violation", base.violations);
 
-  if (base.report.synchronous) {
-    // No event queue to vary: replay the identical configuration and demand
-    // a bit-identical result (run-to-run determinism).
-    out.ran_determinism_replay = true;
-    const CheckedRun replay = run_checked(s, base_variant);
-    if (replay.digest != base.digest) {
-      fail(out, "nondeterminism",
-           {"synchronous replay diverged: digest " + hex(base.digest) +
-            " vs " + hex(replay.digest)});
-    }
-    // Round-parallel replay: the chunked step/reduce/scatter path (serial
-    // executor, so the comparison is threadless and deterministic) must be
-    // bit-identical to the sequential engine.
-    if (trial_jobs > 1) {
-      out.ran_parallel_differential = true;
-      RunVariant par = base_variant;
-      par.trial_jobs = trial_jobs;
-      const CheckedRun parallel = run_checked(s, par);
-      if (!parallel.error.empty()) {
-        fail(out, "parallel-divergence",
-             {"trial_jobs=" + std::to_string(trial_jobs) +
-              " replay errored: " + parallel.error});
-      } else if (parallel.digest != base.digest) {
-        fail(out, "parallel-divergence",
-             {"round-parallel replay diverged: trial_jobs=1 digest " +
-              hex(base.digest) + " vs trial_jobs=" +
-              std::to_string(trial_jobs) + " digest " +
-              hex(parallel.digest)});
-      }
-    }
-  } else {
-    out.ran_queue_differential = true;
-    RunVariant bucket = base_variant;
-    bucket.queue_mode = sim::EventQueue::Mode::kBuckets;
-    RunVariant heap = base_variant;
-    heap.queue_mode = sim::EventQueue::Mode::kHeap;
-    const CheckedRun b = run_checked(s, bucket);
-    const CheckedRun h = run_checked(s, heap);
-    if (!b.error.empty() || !h.error.empty()) {
-      fail(out, "queue-divergence",
-           {"pinned-queue replay errored: bucket='" + b.error + "' heap='" +
-            h.error + "'"});
-    } else if (b.digest != base.digest || h.digest != base.digest) {
-      fail(out, "queue-divergence",
-           {"event-queue backends disagree: auto=" + hex(base.digest) +
-            " bucket=" + hex(b.digest) + " heap=" + hex(h.digest)});
+  // Replay the identical configuration and demand a bit-identical result
+  // (run-to-run determinism).
+  out.ran_determinism_replay = true;
+  const CheckedRun replay = run_checked(s, base_variant);
+  if (replay.digest != base.digest) {
+    fail(out, "nondeterminism",
+         {"replay diverged: digest " + hex(base.digest) + " vs " +
+          hex(replay.digest)});
+  }
+
+  // Round-parallel replay of synchronous runs: the chunked
+  // step/reduce/scatter path (serial executor, so the comparison is
+  // threadless and deterministic) must be bit-identical to the sequential
+  // engine.
+  if (base.report.synchronous && trial_jobs > 1) {
+    out.ran_parallel_differential = true;
+    RunVariant par = base_variant;
+    par.trial_jobs = trial_jobs;
+    const CheckedRun parallel = run_checked(s, par);
+    if (!parallel.error.empty()) {
+      fail(out, "parallel-divergence",
+           {"trial_jobs=" + std::to_string(trial_jobs) +
+            " replay errored: " + parallel.error});
+    } else if (parallel.digest != base.digest) {
+      fail(out, "parallel-divergence",
+           {"round-parallel replay diverged: trial_jobs=1 digest " +
+            hex(base.digest) + " vs trial_jobs=" +
+            std::to_string(trial_jobs) + " digest " + hex(parallel.digest)});
     }
   }
 
@@ -191,7 +172,6 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
 
   for (std::uint64_t i = 0; i < options.trials; ++i) {
     const TrialOutcome& out = outcomes[i];
-    report.queue_differentials += out.ran_queue_differential ? 1 : 0;
     report.sync_differentials += out.ran_sync_differential ? 1 : 0;
     report.determinism_replays += out.ran_determinism_replay ? 1 : 0;
     report.parallel_differentials += out.ran_parallel_differential ? 1 : 0;
@@ -258,8 +238,7 @@ std::string format_fuzz(const FuzzReport& report) {
   std::ostringstream os;
   os << "fuzz: " << report.trials << " trial(s), " << report.failing_trials
      << " failing, " << report.jobs << " job(s)\n";
-  os << "  differentials: " << report.queue_differentials
-     << " bucket-vs-heap, " << report.sync_differentials
+  os << "  differentials: " << report.sync_differentials
      << " async-vs-lock-step, " << report.determinism_replays
      << " determinism replay(s), " << report.parallel_differentials
      << " round-parallel replay(s)\n";

@@ -5,12 +5,10 @@
 //
 // Per trial the oracle runs:
 //   - the production configuration, with the InvariantChecker attached;
-//   - asynchronous scenarios: the same scenario pinned to the bucket-ring
-//     and to the binary-heap event queue — all three digests must match
-//     bit-for-bit;
-//   - synchronous scenarios: a second identical run (determinism), plus a
-//     replay through the engine's round-parallel chunked path
-//     (trial_jobs > 1, serial executor) that must digest-match;
+//   - a second identical run (determinism) that must digest-match;
+//   - synchronous scenarios: a replay through the engine's round-parallel
+//     chunked path (trial_jobs > 1, serial executor) that must
+//     digest-match;
 //   - pure flooding under unit delays: the asynchronous run against the
 //     lock-step engine, compared on the model-free digest.
 //
@@ -57,9 +55,9 @@ struct FuzzFailure {
   Scenario shrunk;          ///< minimal still-failing form (== scenario when
                             ///< shrinking is off or made no progress)
   std::uint32_t shrunk_nodes = 0;  ///< node count of the shrunk scenario
-  std::string kind;  ///< "violation" | "error" | "queue-divergence" |
-                     ///< "sync-divergence" | "nondeterminism" |
-                     ///< "parallel-divergence" | "corpus-divergence"
+  std::string kind;  ///< "violation" | "error" | "sync-divergence" |
+                     ///< "nondeterminism" | "parallel-divergence" |
+                     ///< "corpus-divergence"
   std::vector<std::string> details;
   std::string repro;  ///< repro_command(shrunk)
 };
@@ -67,9 +65,8 @@ struct FuzzFailure {
 struct FuzzReport {
   std::uint64_t trials = 0;
   std::uint64_t failing_trials = 0;
-  std::uint64_t queue_differentials = 0;  ///< bucket-vs-heap comparisons run
   std::uint64_t sync_differentials = 0;   ///< async-vs-lock-step comparisons
-  std::uint64_t determinism_replays = 0;  ///< sync same-config replays
+  std::uint64_t determinism_replays = 0;  ///< same-config replays
   std::uint64_t parallel_differentials = 0;  ///< sequential-vs-chunked replays
   std::uint64_t corpus_entries = 0;       ///< regression entries replayed
   std::uint64_t corpus_failures = 0;      ///< entries unclean or digest-drifted

@@ -289,7 +289,6 @@ CheckedRun run_checked(const Scenario& s, const RunVariant& variant) {
   std::unique_ptr<LateDeliveryFault> fault;
   app::RunInstruments instruments;
   instruments.trace = &checker;
-  instruments.queue_mode = variant.queue_mode;
   instruments.force_sync_engine = variant.force_sync_engine;
   instruments.trial_jobs = variant.trial_jobs;
 

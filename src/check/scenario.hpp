@@ -9,8 +9,8 @@
 //
 // run_checked() replays a scenario through the instrumented
 // app::run_experiment with an InvariantChecker riding the trace, and digests
-// the full RunResult so differential replays (bucket vs heap event queue,
-// async-unit-delay vs the lock-step engine, 1 vs N runner threads) can be
+// the full RunResult so differential replays (async-unit-delay vs the
+// lock-step engine, chunked vs serial rounds, 1 vs N runner threads) can be
 // compared bit-for-bit.
 #pragma once
 
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "app/spec.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/types.hpp"
 #include "support/rng.hpp"
 
@@ -74,7 +73,6 @@ sim::Time scenario_tau(const Scenario& s);
 
 /// How to replay a scenario (the differential oracle's axes).
 struct RunVariant {
-  sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
   bool force_sync_engine = false;  ///< async algorithm on the sync engine
   FaultKind fault = FaultKind::kNone;
   /// Synchronous runs: step each round in this many chunks through the

@@ -4,7 +4,7 @@
 // paper reasons about: *which algorithm phase* spent the messages/bits
 // (probing vs flooding vs advice decoding), *which node class* sent them,
 // where the event loop spent its budget (events popped, queue depth,
-// bucket-vs-heap occupancy), and how long each host-side stage took in
+// ring-vs-overflow occupancy), and how long each host-side stage took in
 // wall-clock. The invariant that makes profiles trustworthy enough to gate
 // tests on: per-phase message/bit counts partition the Metrics totals
 // exactly — every send is attributed to exactly one phase (phase 0,
@@ -59,7 +59,7 @@ struct ClassProfile {
 /// calendar-ring vs overflow-heap occupancy. For the synchronous engine:
 /// rounds stepped and active-set sizes.
 struct EngineProfile {
-  std::string backend;  ///< "buckets" | "heap" | "sync" | "" (not run)
+  std::string backend;  ///< "buckets" (async) | "sync" | "" (not run)
   std::uint64_t events_popped = 0;
   std::uint64_t queue_high_water = 0;  ///< max queue size seen after a push
   std::uint64_t ring_high_water = 0;   ///< calendar ring occupancy (buckets)

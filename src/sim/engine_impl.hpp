@@ -73,7 +73,7 @@ class AsyncRunner {
  public:
   AsyncRunner(Handler& handler, EngineCore& core, const DelayPolicy& delays,
               const WakeSchedule& schedule, const RunLimits& limits,
-              EventQueue::Mode queue_mode, RunWorkspace* workspace)
+              RunWorkspace* workspace)
       : handler_(handler),
         core_(core),
         delays_(delays),
@@ -94,10 +94,8 @@ class AsyncRunner {
       events_ = std::move(workspace_->events);
     }
     channels_.assign(instance.num_directed_edges(), ChannelState{});
-    events_.reset(max_delay_, queue_mode);
-    if (probe_ != nullptr) {
-      probe_->set_backend(events_.using_buckets() ? "buckets" : "heap");
-    }
+    events_.reset(max_delay_);
+    if (probe_ != nullptr) probe_->set_backend("buckets");
     const NodeId n = instance.num_nodes();
     for (const auto& [t, u] : schedule.wakes) {
       RISE_CHECK(u < n);

@@ -16,20 +16,7 @@ std::size_t next_pow2(std::size_t v) {
 
 }  // namespace
 
-EventQueue::EventQueue(Time max_delay, Mode mode) { reset(max_delay, mode); }
-
-void EventQueue::reset(Time max_delay, Mode mode) {
-  switch (mode) {
-    case Mode::kAuto:
-      buckets_on_ = max_delay <= kMaxBucketSpan;
-      break;
-    case Mode::kBuckets:
-      buckets_on_ = true;
-      break;
-    case Mode::kHeap:
-      buckets_on_ = false;
-      break;
-  }
+void EventQueue::reset(Time max_delay) {
   // Drop leftovers (an exception can abort a run mid-timeline) but keep the
   // per-bucket and heap capacity for the next run.
   for (auto& slot : buckets_) slot.clear();
@@ -38,16 +25,15 @@ void EventQueue::reset(Time max_delay, Mode mode) {
   ring_size_ = 0;
   cursor_pos_ = 0;
   cursor_ = 0;
-  if (buckets_on_) {
-    // B > max_delay so a delivery scheduled while processing time `cursor_`
-    // can never wrap onto the bucket currently being drained.
-    num_buckets_ = std::max<std::size_t>(64, next_pow2(max_delay + 2));
-    mask_ = num_buckets_ - 1;
-    buckets_.resize(num_buckets_);
-  } else {
-    num_buckets_ = 0;
-    mask_ = 0;
-  }
+  // B > max_delay so a delivery scheduled while processing time `cursor_`
+  // can never wrap onto the bucket currently being drained. Above
+  // kMaxBucketSpan one bucket holds only the current tick; everything later
+  // waits in the overflow heap.
+  num_buckets_ = max_delay <= kMaxBucketSpan
+                     ? std::max<std::size_t>(64, next_pow2(max_delay + 2))
+                     : 1;
+  mask_ = num_buckets_ - 1;
+  if (buckets_.size() < num_buckets_) buckets_.resize(num_buckets_);
 }
 
 Event& EventQueue::front_advance() {

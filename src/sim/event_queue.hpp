@@ -5,20 +5,17 @@
 // in schedule order — the exact contract the original binary-heap engine
 // implemented, preserved here so traces stay bit-identical.
 //
-// Two interchangeable backends:
-//   * Calendar (bucket) queue — exploits that every *message* delay lies in
-//     [1, tau]: a delivery scheduled at time `now` lands within
-//     (now, now + tau], so a ring of B > tau buckets indexed by t mod B
-//     gives O(1) push and amortized O(1) pop. Adversary wake-ups may lie
-//     arbitrarily far in the future; those wait in an overflow heap and
-//     migrate into the ring when the cursor brings them inside the horizon.
-//   * Binary heap — the fallback when tau is too large for a reasonable
-//     ring (tau > kMaxBucketSpan). Implemented with std::push_heap /
-//     std::pop_heap over a plain vector, so popped events are moved out of
-//     a mutable slot (no const_cast on a priority_queue top()).
+// A calendar (bucket) queue: every *message* delay lies in [1, tau], so a
+// delivery scheduled at time `now` lands within (now, now + tau], and a ring
+// of B > tau buckets indexed by t mod B gives O(1) push and amortized O(1)
+// pop. Adversary wake-ups may lie arbitrarily far in the future; those wait
+// in an overflow heap (std::push_heap / std::pop_heap over a plain vector)
+// and migrate into the ring, in (t, seq) order, when the cursor brings them
+// inside the horizon. For tau > kMaxBucketSpan the ring is a single bucket,
+// so every event travels through the overflow heap the same way.
 //
-// Both backends produce the identical (time, seq) order; a test pins this
-// equivalence on random workloads.
+// A test pins the (time, seq) order against a stable-sort reference on
+// random workloads, on both sides of kMaxBucketSpan.
 #pragma once
 
 #include <algorithm>
@@ -44,27 +41,21 @@ struct Event {
 
 class EventQueue {
  public:
-  enum class Mode {
-    kAuto,     ///< buckets iff max_delay <= kMaxBucketSpan
-    kBuckets,  ///< force the calendar queue (testing)
-    kHeap,     ///< force the binary heap (testing)
-  };
-
-  /// Largest tau for which the calendar queue is used under kAuto. Above
-  /// this, a mostly-empty ring would cost more to scan than a heap's log.
+  /// Largest tau that gets a ring of more than one bucket. Above this, a
+  /// mostly-empty ring would cost more to scan than the overflow heap's log.
   static constexpr Time kMaxBucketSpan = 4096;
 
-  explicit EventQueue(Time max_delay, Mode mode = Mode::kAuto);
+  explicit EventQueue(Time max_delay) { reset(max_delay); }
 
-  /// An empty heap-mode queue; call reset() before pushing. Exists so a
+  /// Holds no storage; call reset() before pushing. Exists so a
   /// RunWorkspace can hold a queue between runs.
-  EventQueue() : EventQueue(0, Mode::kHeap) {}
+  EventQueue() = default;
 
-  /// Reconfigures for a new run with the given horizon and backend. The
-  /// bucket ring and heap storage keep their allocated capacity (leftover
+  /// Reconfigures for a new run with the given horizon. The ring (which
+  /// never shrinks) and the heap keep their allocated capacity (leftover
   /// events from an aborted run are discarded), so a recycled queue pushes
   /// and pops without touching the allocator in steady state.
-  void reset(Time max_delay, Mode mode = Mode::kAuto);
+  void reset(Time max_delay);
 
   /// Preconditions: t is never in the past (t >= the time of the last
   /// popped event — enforced with an always-on check, since a stale push
@@ -80,7 +71,7 @@ class EventQueue {
                                      << t << " precedes the cursor (" << cursor_
                                      << ")");
     ++size_;
-    if (buckets_on_ && t - cursor_ < num_buckets_) [[likely]] {
+    if (t - cursor_ < num_buckets_) [[likely]] {
       buckets_[t & mask_].emplace_back(t, seq, kind, node, port,
                                        std::move(msg));
       ++ring_size_;
@@ -102,7 +93,6 @@ class EventQueue {
   /// handlers (which may push and reallocate the underlying storage).
   Event& front() {
     RISE_CHECK_MSG(size_ != 0, "pop on empty event queue");
-    if (!buckets_on_) return heap_.front();
     auto& slot = buckets_[cursor_ & mask_];
     if (cursor_pos_ < slot.size()) return slot[cursor_pos_];
     return front_advance();
@@ -111,11 +101,6 @@ class EventQueue {
   /// Discards front() (whose Message the caller has typically stolen).
   void drop_front() {
     --size_;
-    if (!buckets_on_) {
-      std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-      heap_.pop_back();
-      return;
-    }
     ++cursor_pos_;
     --ring_size_;
   }
@@ -127,12 +112,10 @@ class EventQueue {
     return ev;
   }
 
-  bool using_buckets() const { return buckets_on_; }
-
-  /// Events currently in the calendar ring (always 0 in heap mode). The
-  /// event-loop profiler samples these to show bucket-vs-heap occupancy.
+  /// Events currently in the calendar ring. The event-loop profiler samples
+  /// these to show ring-vs-overflow occupancy.
   std::size_t ring_occupancy() const { return ring_size_; }
-  /// Events in the overflow heap (bucket mode) or the heap (heap mode).
+  /// Events waiting in the overflow heap.
   std::size_t overflow_occupancy() const { return heap_.size(); }
 
  private:
@@ -147,7 +130,7 @@ class EventQueue {
   };
 
   Event heap_pop();
-  /// emplace's slow path: heap-mode storage or a beyond-horizon wake-up.
+  /// emplace's slow path: an event beyond the ring's horizon.
   /// Out of line so the push_heap expansion doesn't price emplace out of
   /// send_from's inlining budget.
   void emplace_overflow(Time t, std::uint64_t seq, EventKind kind, NodeId node,
@@ -159,15 +142,14 @@ class EventQueue {
   /// Moves overflow events that entered the ring horizon into buckets.
   void migrate();
 
-  bool buckets_on_ = false;
-  std::size_t num_buckets_ = 0;  // power of two, > max_delay (bucket mode)
+  std::size_t num_buckets_ = 0;  // power of two > max_delay, or 1
   std::size_t mask_ = 0;
   std::vector<std::vector<Event>> buckets_;
   std::size_t ring_size_ = 0;   // events currently in buckets
   std::size_t cursor_pos_ = 0;  // read index into the current bucket
   Time cursor_ = 0;             // time floor: no event precedes cursor_
 
-  std::vector<Event> heap_;  // heap mode storage / bucket-mode overflow
+  std::vector<Event> heap_;  // overflow: events beyond the ring's horizon
   std::size_t size_ = 0;
 };
 

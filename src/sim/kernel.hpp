@@ -61,7 +61,6 @@ struct AsyncKernelArgs {
   RunLimits limits;
   TraceSink* trace = nullptr;
   obs::Probe* probe = nullptr;
-  EventQueue::Mode queue_mode = EventQueue::Mode::kAuto;
   RunWorkspace* workspace = nullptr;
 };
 
@@ -134,7 +133,7 @@ KernelRunner make_kernel(K prototype) {
     K kernel = prototype;
     kernel.reset(*a.instance, a.workspace);
     internal::AsyncRunner<K> runner(kernel, core, *a.delays, *a.schedule,
-                                    a.limits, a.queue_mode, a.workspace);
+                                    a.limits, a.workspace);
     return runner.run();
   };
   auto sync_fn = [prototype](const SyncKernelArgs& a) -> RunResult {

@@ -12,7 +12,7 @@
 // engine at a time, on one thread (the campaign runner keeps one per worker
 // thread). Reusing a workspace never changes results — a run with a dirty
 // workspace is bit-identical to one with a fresh engine, which
-// test_sim_workspace pins across engines, queue backends and algorithms.
+// test_sim_workspace pins across engines, delay bounds and algorithms.
 #pragma once
 
 #include <exception>

@@ -154,14 +154,22 @@ TEST(ShrinkScenario, PreservesSleepingModelValidity) {
 }
 
 TEST(RunFuzz, CleanCampaignAcrossAllFamilies) {
-  FuzzOptions options;
-  options.trials = 40;
-  options.seed = 1;
-  options.verify_threads = false;
-  const FuzzReport report = run_fuzz(options);
-  EXPECT_TRUE(report.ok()) << format_fuzz(report);
-  EXPECT_EQ(report.trials, 40u);
-  EXPECT_GT(report.queue_differentials, 0u);
+  // The default generator keeps tau <= 12, inside the calendar ring's span;
+  // max_tau = 10000 also samples taus above EventQueue::kMaxBucketSpan,
+  // where the ring is a single bucket.
+  for (const sim::Time max_tau :
+       {GeneratorOptions{}.max_tau, sim::Time{10000}}) {
+    SCOPED_TRACE(max_tau);
+    FuzzOptions options;
+    options.trials = 40;
+    options.seed = 1;
+    options.generator.max_tau = max_tau;
+    options.verify_threads = false;
+    const FuzzReport report = run_fuzz(options);
+    EXPECT_TRUE(report.ok()) << format_fuzz(report);
+    EXPECT_EQ(report.trials, 40u);
+    EXPECT_EQ(report.determinism_replays, report.trials);
+  }
 }
 
 TEST(RunFuzz, ParallelCampaignIsBitIdenticalToSerial) {

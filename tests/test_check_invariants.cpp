@@ -292,19 +292,6 @@ TEST(RunChecked, InjectedLateDeliveryIsCaught) {
               mentions(run.violations, "tau mismatch"));
 }
 
-TEST(RunChecked, QueueBackendsProduceIdenticalDigests) {
-  const auto s = make_scenario("cgnp:25:0.2", "staggered:3:2", "ranked_dfs",
-                               "random:6", 21);
-  RunVariant bucket, heap;
-  bucket.queue_mode = sim::EventQueue::Mode::kBuckets;
-  heap.queue_mode = sim::EventQueue::Mode::kHeap;
-  const CheckedRun a = run_checked(s, bucket);
-  const CheckedRun b = run_checked(s, heap);
-  ASSERT_TRUE(a.clean()) << (a.error.empty() ? a.violations.front() : a.error);
-  ASSERT_TRUE(b.clean());
-  EXPECT_EQ(a.digest, b.digest);
-}
-
 TEST(RunChecked, UnitDelayFloodingMatchesLockStepEngine) {
   const auto s = make_scenario("cgnp:30:0.12", "set:0,3", "flooding", "unit", 9);
   RunVariant sync_variant;

@@ -8,9 +8,6 @@
 // refactored engines must reproduce them bit-for-bit, which pins the event
 // ordering contract (time, then push sequence) and with it every Table-1
 // output.
-//
-// The same scenarios additionally assert that the two event-timeline
-// backends (calendar/bucket queue vs binary heap) are interchangeable.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -63,8 +60,7 @@ struct AsyncScenario {
   sim::KernelRunner kernel;
 };
 
-std::string run_async_digest(const AsyncScenario& s,
-                             sim::EventQueue::Mode mode) {
+std::string run_async_digest(const AsyncScenario& s) {
   std::ostringstream trace;
   sim::CsvTraceSink sink(trace);
   sim::AsyncKernelArgs args;
@@ -73,7 +69,6 @@ std::string run_async_digest(const AsyncScenario& s,
   args.schedule = &s.schedule;
   args.seed = s.seed;
   args.trace = &sink;
-  args.queue_mode = mode;
   const auto r = s.kernel.run_async(args);
   return digest(r, trace.str());
 }
@@ -114,15 +109,10 @@ AsyncScenario ranked_dfs_scenario() {
           44, algo::ranked_dfs_kernel()};
 }
 
-/// Runs a scenario in every backend and checks the golden hash plus
-/// backend-for-backend bit-identity.
+/// Runs a scenario and checks its golden hash.
 void check_async_golden(const AsyncScenario& s, std::uint64_t golden_hash) {
-  const std::string auto_digest =
-      run_async_digest(s, sim::EventQueue::Mode::kAuto);
-  EXPECT_EQ(fnv1a(auto_digest), golden_hash)
+  EXPECT_EQ(fnv1a(run_async_digest(s)), golden_hash)
       << "refactored engine diverged from the pre-refactor golden trace";
-  EXPECT_EQ(run_async_digest(s, sim::EventQueue::Mode::kBuckets), auto_digest);
-  EXPECT_EQ(run_async_digest(s, sim::EventQueue::Mode::kHeap), auto_digest);
 }
 
 // Golden hashes generated from the seed (pre-refactor) engines at commit
@@ -234,32 +224,6 @@ TEST(GoldenTraces, SyncSleepingMatchingSingleWakeup) {
       sim::run_sync(inst, sim::wake_single(5), 48,
                     algo::sleeping_matching_kernel(), sleeping_limits(), &sink);
   EXPECT_EQ(fnv1a(sleeping_digest(r, trace.str())), 14952119359751456757ULL);
-}
-
-/// Property: on fresh random graphs (not pinned), the two timeline backends
-/// stay bit-identical for all three algorithm families. This is the
-/// refactor-equivalence property test — any future event-ordering change
-/// must break both backends in exactly the same way to pass.
-TEST(EngineEquivalence, BucketAndHeapBackendsBitIdentical) {
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    Rng grng(900 + trial);
-    auto g = graph::connected_gnp(20 + 7 * static_cast<graph::NodeId>(trial),
-                                  0.2, grng);
-    sim::InstanceOptions opt;
-    opt.knowledge = trial % 2 == 0 ? sim::Knowledge::KT1 : sim::Knowledge::KT0;
-    Rng irng(1000 + trial);
-    AsyncScenario s{sim::Instance::create(std::move(g), opt, irng),
-                    sim::random_delay(3 + 5 * trial, 17 * trial + 1),
-                    sim::wake_single(static_cast<sim::NodeId>(trial % 5)),
-                    2000 + trial,
-                    trial % 2 == 0 ? algo::ranked_dfs_kernel()
-                                   : algo::push_gossip_kernel(15)};
-    const auto bucket = run_async_digest(s, sim::EventQueue::Mode::kBuckets);
-    const auto heap = run_async_digest(s, sim::EventQueue::Mode::kHeap);
-    EXPECT_EQ(bucket, heap) << "trial " << trial;
-    // Determinism: the same scenario re-run must reproduce itself.
-    EXPECT_EQ(run_async_digest(s, sim::EventQueue::Mode::kAuto), bucket);
-  }
 }
 
 }  // namespace

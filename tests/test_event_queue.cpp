@@ -26,17 +26,35 @@ Event ev(Time t, std::uint64_t seq) {
   return e;
 }
 
-TEST(EventQueue, AutoModePicksBucketsForSmallTauHeapForHuge) {
-  EXPECT_TRUE(EventQueue(1).using_buckets());
-  EXPECT_TRUE(EventQueue(EventQueue::kMaxBucketSpan).using_buckets());
-  EXPECT_FALSE(EventQueue(EventQueue::kMaxBucketSpan + 1).using_buckets());
-  EXPECT_FALSE(
-      EventQueue(std::numeric_limits<Time>::max() / 2).using_buckets());
+/// Taus on both sides of kMaxBucketSpan: a multi-bucket ring up to it, a
+/// one-bucket ring (every later tick waits in the overflow heap) above it.
+const std::vector<Time> kSpanEdgeTaus = {4, EventQueue::kMaxBucketSpan,
+                                         EventQueue::kMaxBucketSpan + 1,
+                                         100000};
+
+TEST(EventQueue, RingCoversTauUpToTheSpanThenHoldsOneTick) {
+  EventQueue q(EventQueue::kMaxBucketSpan);
+  q.push(ev(EventQueue::kMaxBucketSpan, 0));
+  EXPECT_EQ(q.ring_occupancy(), 1u);
+  EXPECT_EQ(q.overflow_occupancy(), 0u);
+
+  for (const Time tau : {EventQueue::kMaxBucketSpan + 1,
+                         std::numeric_limits<Time>::max() / 2}) {
+    q.reset(tau);
+    q.push(ev(0, 0));  // the current tick: straight into the one bucket
+    q.push(ev(1, 1));  // any later tick: the overflow heap
+    EXPECT_EQ(q.ring_occupancy(), 1u);
+    EXPECT_EQ(q.overflow_occupancy(), 1u);
+    EXPECT_EQ(q.pop().seq, 0u);
+    EXPECT_EQ(q.pop().seq, 1u);
+    EXPECT_TRUE(q.empty());
+  }
 }
 
 TEST(EventQueue, PopsInTimeThenSeqOrder) {
-  for (const auto mode : {EventQueue::Mode::kBuckets, EventQueue::Mode::kHeap}) {
-    EventQueue q(4, mode);
+  for (const Time tau : kSpanEdgeTaus) {
+    SCOPED_TRACE(tau);
+    EventQueue q(tau);
     q.push(ev(3, 0));
     q.push(ev(1, 1));
     q.push(ev(1, 2));
@@ -60,17 +78,20 @@ TEST(EventQueue, StalePushThrowsInReleaseBuildsToo) {
   // a debug-only assertion; in release builds it silently indexed the ring
   // modulo its span and the event time-traveled one full lap into the
   // future. The guard is now an always-on RISE_CHECK.
-  EventQueue q(4, EventQueue::Mode::kBuckets);
-  q.push(ev(10, 0));
-  EXPECT_EQ(q.pop().t, 10u);  // cursor advances to t=10
-  EXPECT_THROW(q.push(ev(9, 1)), CheckError);
-  // Pushes at the cursor itself remain legal (same-tick follow-ups).
-  q.push(ev(10, 2));
-  EXPECT_EQ(q.pop().seq, 2u);
+  for (const Time tau : kSpanEdgeTaus) {
+    SCOPED_TRACE(tau);
+    EventQueue q(tau);
+    q.push(ev(10, 0));
+    EXPECT_EQ(q.pop().t, 10u);  // cursor advances to t=10
+    EXPECT_THROW(q.push(ev(9, 1)), CheckError);
+    // Pushes at the cursor itself remain legal (same-tick follow-ups).
+    q.push(ev(10, 2));
+    EXPECT_EQ(q.pop().seq, 2u);
+  }
 }
 
 TEST(EventQueue, FarFutureWakeupsCrossTheBucketHorizon) {
-  EventQueue q(2, EventQueue::Mode::kBuckets);
+  EventQueue q(2);
   // Far beyond the ring span: must park in the overflow and come back in
   // order, including across an idle gap the queue has to leap over.
   q.push(ev(1'000'000, 0));
@@ -84,45 +105,45 @@ TEST(EventQueue, FarFutureWakeupsCrossTheBucketHorizon) {
 
 /// Engine-shaped random workload: pop an event at time t, then push a few
 /// events with delays in [1, tau] (plus rare far-future ones), exactly the
-/// push pattern the async engine produces. Bucket and heap backends must
-/// agree with each other and with a stable-sort reference.
+/// push pattern the async engine produces. The pop order must match a
+/// stable-sort reference, for small taus and on both sides of
+/// kMaxBucketSpan. One queue serves every trial, reset in between the way a
+/// RunWorkspace recycles it, so small-tau trials also run on a ring left
+/// over from larger ones.
 TEST(EventQueue, PropertyRandomWorkloadMatchesReferenceOrder) {
-  for (std::uint64_t trial = 0; trial < 20; ++trial) {
-    const Time tau = 1 + trial % 7;
-    EventQueue buckets(tau, EventQueue::Mode::kBuckets);
-    EventQueue heap(tau, EventQueue::Mode::kHeap);
+  std::vector<Time> taus = {1, 2, 3, 5, 6, 7};
+  taus.insert(taus.end(), kSpanEdgeTaus.begin(), kSpanEdgeTaus.end());
+  EventQueue q;
+  for (std::uint64_t trial = 0; trial < 3 * taus.size(); ++trial) {
+    const Time tau = taus[trial % taus.size()];
+    SCOPED_TRACE(tau);
+    q.reset(tau);
     Rng rng(7000 + trial);
     std::uint64_t seq = 0;
     std::vector<Event> pushed;
 
-    auto push_all = [&](Event e) {
+    auto push = [&](Event e) {
       pushed.push_back(e);
-      buckets.push(e);
-      heap.push(e);
+      q.push(e);
     };
 
     // Initial "wake schedule": a few events at arbitrary future times.
     for (int i = 0; i < 5; ++i) {
-      push_all(ev(rng.uniform(2000), seq++));
+      push(ev(rng.uniform(2000), seq++));
     }
 
     std::vector<Event> popped;
-    while (!buckets.empty()) {
-      ASSERT_EQ(buckets.size(), heap.size());
-      const Event a = buckets.pop();
-      const Event b = heap.pop();
-      ASSERT_EQ(a.t, b.t);
-      ASSERT_EQ(a.seq, b.seq);
+    while (!q.empty()) {
+      const Event a = q.pop();
       popped.push_back(a);
       // Sometimes schedule follow-ups within (t, t + tau], like deliveries.
       if (popped.size() < 400) {
         const std::uint64_t fanout = rng.uniform(3);
         for (std::uint64_t k = 0; k < fanout; ++k) {
-          push_all(ev(a.t + 1 + rng.uniform(tau), seq++));
+          push(ev(a.t + 1 + rng.uniform(tau), seq++));
         }
       }
     }
-    EXPECT_TRUE(heap.empty());
 
     std::stable_sort(pushed.begin(), pushed.end(),
                      [](const Event& x, const Event& y) {

@@ -6,7 +6,9 @@
 // outputs, awake rounds and every metrics counter — across the execution
 // axes that must not change a result:
 //
-//   * event-queue backend: the calendar queue and the binary heap;
+//   * the event timeline on both sides of EventQueue::kMaxBucketSpan,
+//     pinned against hashes recorded when tau above the span still ran on
+//     a separate binary-heap timeline;
 //   * lock-step replay (force_sync_engine) of the asynchronous families,
 //     pinned against golden hashes, and async golden runs of the
 //     lower-bound families (ttl, beta);
@@ -39,7 +41,6 @@ namespace {
 using namespace rise;
 
 struct RunConfig {
-  sim::EventQueue::Mode queue_mode = sim::EventQueue::Mode::kAuto;
   bool force_sync_engine = false;
   sim::RunWorkspace* workspace = nullptr;
   /// > 1 turns on round-parallel stepping (serial executor unless
@@ -54,7 +55,6 @@ std::string run_digest(const app::ExperimentSpec& spec,
   sim::CsvTraceSink sink(trace);
   app::RunInstruments instruments;
   instruments.trace = &sink;
-  instruments.queue_mode = config.queue_mode;
   instruments.force_sync_engine = config.force_sync_engine;
   instruments.trial_jobs = config.trial_jobs;
   instruments.trial_executor = config.trial_executor;
@@ -86,19 +86,64 @@ const std::vector<std::string> kAdviceSchemes = {"fip06", "sqrt", "cen",
 const std::vector<std::string> kSyncFamilies = {"fast_wakeup", "gossip:3",
                                                 "smis", "smatching"};
 
-TEST(SimKernels, AsyncFamiliesBucketAndHeapAgree) {
-  std::vector<std::string> algos = kAsyncFamilies;
-  algos.insert(algos.end(), kAdviceSchemes.begin(), kAdviceSchemes.end());
-  algos.push_back("ttl:4");
-  for (const auto& algo : algos) {
-    for (std::uint64_t seed : {3u, 11u}) {
-      const auto spec = make_spec(algo, seed);
-      RunConfig buckets;
-      buckets.queue_mode = sim::EventQueue::Mode::kBuckets;
-      RunConfig heap;
-      heap.queue_mode = sim::EventQueue::Mode::kHeap;
-      EXPECT_EQ(run_digest(spec, buckets), run_digest(spec, heap))
-          << algo << " seed=" << seed;
+// Every async family under tau = 4 (a 64-bucket calendar ring) and
+// tau = 10000 (above EventQueue::kMaxBucketSpan: a one-bucket ring whose
+// later ticks wait in the overflow heap). The hashes were recorded when
+// tau = 10000 still ran on a separate binary-heap timeline, so they pin
+// that the one timeline reproduces it.
+TEST(SimKernels, AsyncFamiliesMatchPinnedDigestsAcrossTheBucketSpan) {
+  const char* const delays[] = {"random:4", "random:10000"};
+  const std::uint64_t seeds[] = {3, 11};
+  struct Pin {
+    std::string algo;
+    std::uint64_t hash[2][2];  // [delay][seed]
+  };
+  const std::vector<Pin> pins = {
+      {"flooding",
+       {{1279082298829789255ULL, 13649416799214425391ULL},
+        {7221916029829063998ULL, 6952378835930050373ULL}}},
+      {"ranked_dfs",
+       {{5970325627444969794ULL, 17670700458849814639ULL},
+        {11380967258681418586ULL, 6495377942108639534ULL}}},
+      {"ranked_dfs_nodiscard",
+       {{11951460081252192932ULL, 5204918358554851965ULL},
+        {17825094914978373475ULL, 3667204922685601746ULL}}},
+      {"ranked_dfs_congest",
+       {{9016154703055516251ULL, 9689194181992756021ULL},
+        {13226107767540610409ULL, 9258000460239129889ULL}}},
+      {"leader",
+       {{18128964363755312185ULL, 13032459338032769063ULL},
+        {415129965960423322ULL, 10106198356723288790ULL}}},
+      {"fip06",
+       {{1531811837893939270ULL, 97934861190819948ULL},
+        {5745340594990473103ULL, 14734535217672337273ULL}}},
+      {"sqrt",
+       {{12854716854359992803ULL, 10266174831112121572ULL},
+        {16986734716369055052ULL, 6819789738852236661ULL}}},
+      {"cen",
+       {{438855345338490516ULL, 6971044181436403607ULL},
+        {4721729379577796155ULL, 14412674343651550780ULL}}},
+      {"cen_chain",
+       {{5166658029800983803ULL, 4305474264467628962ULL},
+        {9246535355746358977ULL, 7265057610624836676ULL}}},
+      {"spanner:2",
+       {{9362700423773033365ULL, 9222743899798378487ULL},
+        {6616606967621854156ULL, 3695464763582303014ULL}}},
+      {"cor2",
+       {{14668566446717030854ULL, 12323644374899499163ULL},
+        {15885244278425829859ULL, 16288530791986105949ULL}}},
+      {"ttl:4",
+       {{11135941027958982018ULL, 11873999878000300385ULL},
+        {12871037934402146720ULL, 13687235573606962970ULL}}},
+  };
+  for (const Pin& pin : pins) {
+    for (std::size_t d = 0; d < 2; ++d) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        auto spec = make_spec(pin.algo, seeds[k]);
+        spec.delay = delays[d];
+        EXPECT_EQ(test::fnv1a(run_digest(spec, {})), pin.hash[d][k])
+            << pin.algo << " delay=" << spec.delay << " seed=" << seeds[k];
+      }
     }
   }
 }

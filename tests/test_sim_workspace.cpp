@@ -1,8 +1,8 @@
-// Satellite (c): workspace reuse is purely mechanical. A run that recycles a
-// dirty RunWorkspace (left over from a *different* topology, algorithm and
-// queue backend) must be bit-identical — same trace, same metrics, same
-// digest — to a run on a freshly constructed engine. Pinned across both
-// engines, both event-queue backends, and the five algorithm families.
+// Workspace reuse is purely mechanical. A run that recycles a dirty
+// RunWorkspace (left over from a *different* topology, algorithm and delay
+// bound) must be bit-identical — same trace, same metrics, same digest — to
+// a run on a freshly constructed engine. Pinned across both engines and the
+// five algorithm families.
 #include "sim/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -23,17 +23,15 @@ struct RunObservation {
   std::string trace_csv;
 };
 
-/// Runs `spec` through the prepare/execute split with the given queue mode
-/// and (possibly dirty) workspace, capturing the full event trace.
+/// Runs `spec` through the prepare/execute split with the given (possibly
+/// dirty) workspace, capturing the full event trace.
 RunObservation observe(const app::ExperimentSpec& spec,
-                       sim::EventQueue::Mode queue_mode,
                        sim::RunWorkspace* workspace) {
   const app::PreparedExperiment prepared = app::prepare_experiment(spec);
   std::ostringstream trace;
   sim::CsvTraceSink sink(trace);
   app::RunInstruments instruments;
   instruments.trace = &sink;
-  instruments.queue_mode = queue_mode;
   app::ExperimentReport report =
       app::execute_prepared(prepared, spec, instruments, workspace);
   RunObservation obs;
@@ -58,11 +56,12 @@ app::ExperimentSpec make_spec(const std::string& graph,
 }
 
 /// Leaves `ws` thoroughly dirty: a larger topology, a payload-heavy
-/// algorithm, random delays, and the bucket calendar all leave sized
-/// vectors, channel state and pooled buffers behind.
+/// synchronous algorithm, and an asynchronous run whose tau lies above
+/// EventQueue::kMaxBucketSpan all leave sized vectors, channel state, pooled
+/// buffers and an oversized calendar ring behind.
 void dirty_workspace(sim::RunWorkspace& ws) {
-  observe(make_spec("cgnp:300:0.03", "fast_wakeup", "random:6", 99),
-          sim::EventQueue::Mode::kBuckets, &ws);
+  observe(make_spec("cgnp:300:0.03", "fast_wakeup", "random:6", 99), &ws);
+  observe(make_spec("cgnp:300:0.03", "ranked_dfs", "random:10000", 98), &ws);
 }
 
 struct Family {
@@ -82,25 +81,21 @@ const Family kFamilies[] = {
     {"fip06", "cgnp:100:0.05", "fip06", "unit"},
 };
 
-TEST(RunWorkspace, DirtyReuseIsBitIdenticalAcrossFamiliesAndBackends) {
+TEST(RunWorkspace, DirtyReuseIsBitIdenticalAcrossFamilies) {
   for (const Family& family : kFamilies) {
-    for (const sim::EventQueue::Mode mode :
-         {sim::EventQueue::Mode::kBuckets, sim::EventQueue::Mode::kHeap}) {
-      SCOPED_TRACE(family.name);
-      SCOPED_TRACE(mode == sim::EventQueue::Mode::kBuckets ? "bucket" : "heap");
-      const app::ExperimentSpec spec =
-          make_spec(family.graph, family.algorithm, family.delay, 42);
+    SCOPED_TRACE(family.name);
+    const app::ExperimentSpec spec =
+        make_spec(family.graph, family.algorithm, family.delay, 42);
 
-      const RunObservation fresh = observe(spec, mode, nullptr);
+    const RunObservation fresh = observe(spec, nullptr);
 
-      sim::RunWorkspace ws;
-      dirty_workspace(ws);
-      const RunObservation reused = observe(spec, mode, &ws);
+    sim::RunWorkspace ws;
+    dirty_workspace(ws);
+    const RunObservation reused = observe(spec, &ws);
 
-      EXPECT_EQ(fresh.digest, reused.digest);
-      EXPECT_EQ(fresh.trace_csv, reused.trace_csv);
-      EXPECT_FALSE(fresh.trace_csv.empty());
-    }
+    EXPECT_EQ(fresh.digest, reused.digest);
+    EXPECT_EQ(fresh.trace_csv, reused.trace_csv);
+    EXPECT_FALSE(fresh.trace_csv.empty());
   }
 }
 
@@ -109,13 +104,11 @@ TEST(RunWorkspace, RepeatedReuseStaysStable) {
   // keep producing the fresh-engine result, not drift after the first reuse.
   const app::ExperimentSpec spec =
       make_spec("gnp:150:0.04", "ranked_dfs", "random:5", 7);
-  const RunObservation fresh =
-      observe(spec, sim::EventQueue::Mode::kAuto, nullptr);
+  const RunObservation fresh = observe(spec, nullptr);
   sim::RunWorkspace ws;
   for (int round = 0; round < 5; ++round) {
     SCOPED_TRACE(round);
-    const RunObservation reused =
-        observe(spec, sim::EventQueue::Mode::kAuto, &ws);
+    const RunObservation reused = observe(spec, &ws);
     EXPECT_EQ(fresh.digest, reused.digest);
     EXPECT_EQ(fresh.trace_csv, reused.trace_csv);
   }
@@ -128,18 +121,14 @@ TEST(RunWorkspace, AlternatingEnginesShareOneWorkspace) {
       make_spec("cgnp:100:0.05", "flooding", "random:4", 11);
   const app::ExperimentSpec sync_spec =
       make_spec("cgnp:100:0.05", "fip06", "unit", 11);
-  const RunObservation async_fresh =
-      observe(async_spec, sim::EventQueue::Mode::kAuto, nullptr);
-  const RunObservation sync_fresh =
-      observe(sync_spec, sim::EventQueue::Mode::kAuto, nullptr);
+  const RunObservation async_fresh = observe(async_spec, nullptr);
+  const RunObservation sync_fresh = observe(sync_spec, nullptr);
 
   sim::RunWorkspace ws;
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE(round);
-    EXPECT_EQ(observe(async_spec, sim::EventQueue::Mode::kAuto, &ws).digest,
-              async_fresh.digest);
-    EXPECT_EQ(observe(sync_spec, sim::EventQueue::Mode::kAuto, &ws).digest,
-              sync_fresh.digest);
+    EXPECT_EQ(observe(async_spec, &ws).digest, async_fresh.digest);
+    EXPECT_EQ(observe(sync_spec, &ws).digest, sync_fresh.digest);
   }
 }
 
@@ -149,9 +138,8 @@ TEST(RunWorkspace, ShrinkingTopologyReuse) {
   sim::RunWorkspace ws;
   dirty_workspace(ws);
   const app::ExperimentSpec tiny = make_spec("path:8", "flooding", "unit", 3);
-  const RunObservation fresh =
-      observe(tiny, sim::EventQueue::Mode::kAuto, nullptr);
-  const RunObservation reused = observe(tiny, sim::EventQueue::Mode::kAuto, &ws);
+  const RunObservation fresh = observe(tiny, nullptr);
+  const RunObservation reused = observe(tiny, &ws);
   EXPECT_EQ(fresh.digest, reused.digest);
   EXPECT_EQ(fresh.trace_csv, reused.trace_csv);
 }

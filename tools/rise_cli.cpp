@@ -121,9 +121,10 @@ void usage() {
       "  campaign flags (--graph, --seeds, --grid, --share-config, ...)\n"
       "  describe the plan exactly as in campaign mode.\n\n"
       "fuzz: sample deterministic scenarios, check run invariants, and\n"
-      "  replay each on every engine configuration that must agree (bucket\n"
-      "  vs heap event queue, async vs lock-step for unit-delay flooding,\n"
-      "  1 vs N runner threads). Failures are shrunk to one-line repros.\n"
+      "  replay each on every engine configuration that must agree (a\n"
+      "  same-config rerun, async vs lock-step for unit-delay flooding,\n"
+      "  chunked vs serial sync rounds, 1 vs N runner threads). Failures\n"
+      "  are shrunk to one-line repros.\n"
       "  --fault late_delivery injects a synthetic causality bug to prove\n"
       "  the checker bites. --corpus FILE (repeatable) first replays every\n"
       "  recorded regression scenario and requires it clean and\n"
