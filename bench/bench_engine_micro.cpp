@@ -278,16 +278,31 @@ BENCHMARK(BM_RankedDfs)
     ->ArgNames({"n", "wake_pct"})
     ->Unit(benchmark::kMillisecond);
 
+// connected_gnp(n, p_permille / 1000) at stretch 2k - 1. The n:1000 rows
+// are perfbench table1_mix's cgnp:1000:0.008 shape at k = 3 (spanner:3) and
+// k = ceil(log2 n) = 10 (cor2); kept_edges shows a change in the output
+// next to the time.
 void BM_GreedySpanner(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / 1000.0;
+  const auto k = static_cast<unsigned>(state.range(2));
   Rng rng(n);
-  const auto g = graph::connected_gnp(n, 0.1, rng);
+  const auto g = graph::connected_gnp(n, p, rng);
+  std::size_t kept = 0;
   for (auto _ : state) {
-    const auto s = graph::greedy_spanner(g, 3);
-    benchmark::DoNotOptimize(s.num_edges());
+    const auto s = graph::greedy_spanner(g, k);
+    kept = s.num_edges();
+    benchmark::DoNotOptimize(kept);
   }
+  state.counters["kept_edges"] = static_cast<double>(kept);
 }
-BENCHMARK(BM_GreedySpanner)->Arg(300)->Arg(600);
+BENCHMARK(BM_GreedySpanner)
+    ->Args({300, 100, 3})
+    ->Args({600, 100, 3})
+    ->Args({1000, 8, 3})
+    ->Args({1000, 8, 10})
+    ->ArgNames({"n", "p_permille", "k"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_LazebnikUstimenkoD3(benchmark::State& state) {
   const auto q = static_cast<std::uint64_t>(state.range(0));

@@ -1,7 +1,7 @@
 #include "advice/spanner_scheme.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "graph/spanner.hpp"
@@ -13,53 +13,52 @@ namespace rise::advice {
 
 namespace {
 
-struct NextPair {
-  bool has_a = false;
+/// One spanner edge at a node: the port (at this node) carrying it, and
+/// this node's next-sibling pair in the *neighbor's* heap (ports at the
+/// neighbor; kInvalidPort where the heap has no such child).
+struct Record {
+  sim::Port port = sim::kInvalidPort;
   sim::Port a = sim::kInvalidPort;
-  bool has_b = false;
   sim::Port b = sim::kInvalidPort;
 };
 
-struct NodeAdvice {
-  bool has_first = false;
-  sim::Port first = sim::kInvalidPort;
-  // Keyed by the port (at this node) carrying the spanner edge; the value is
-  // this node's next-sibling pair in the *neighbor's* heap (ports at the
-  // neighbor).
-  std::map<sim::Port, NextPair> records;
-};
-
-BitString encode_node_advice(const NodeAdvice& a) {
+/// A node's advice: the port of its first spanner neighbor (kInvalidPort
+/// if it has none), then its records in port order.
+BitString encode_node_advice(sim::Port first,
+                             std::span<const Record> records) {
   BitWriter w;
-  w.write_gamma(a.records.size());
-  w.write_bit(a.has_first);
-  if (a.has_first) w.write_gamma(a.first);
-  for (const auto& [key, next] : a.records) {
-    w.write_gamma(key);
-    w.write_bit(next.has_a);
-    if (next.has_a) w.write_gamma(next.a);
-    w.write_bit(next.has_b);
-    if (next.has_b) w.write_gamma(next.b);
+  w.write_gamma(records.size());
+  w.write_bit(first != sim::kInvalidPort);
+  if (first != sim::kInvalidPort) w.write_gamma(first);
+  for (const Record& rec : records) {
+    w.write_gamma(rec.port);
+    w.write_bit(rec.a != sim::kInvalidPort);
+    if (rec.a != sim::kInvalidPort) w.write_gamma(rec.a);
+    w.write_bit(rec.b != sim::kInvalidPort);
+    if (rec.b != sim::kInvalidPort) w.write_gamma(rec.b);
   }
   return w.take();
 }
 
-NodeAdvice decode_node_advice(const BitString& bits) {
-  NodeAdvice a;
+/// Decodes into `room` (a node has at most one record per port) and
+/// returns the record count.
+std::uint32_t decode_node_advice(const BitString& bits, sim::Port& first,
+                                 std::span<Record> room) {
   BitReader r(bits);
   const std::uint64_t count = r.read_gamma();
-  a.has_first = r.read_bit();
-  if (a.has_first) a.first = static_cast<sim::Port>(r.read_gamma());
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto key = static_cast<sim::Port>(r.read_gamma());
-    NextPair next;
-    next.has_a = r.read_bit();
-    if (next.has_a) next.a = static_cast<sim::Port>(r.read_gamma());
-    next.has_b = r.read_bit();
-    if (next.has_b) next.b = static_cast<sim::Port>(r.read_gamma());
-    a.records[key] = next;
+  RISE_CHECK_MSG(count <= room.size(),
+                 "spanner advice: more records than ports");
+  first = r.read_bit() ? static_cast<sim::Port>(r.read_gamma())
+                       : sim::kInvalidPort;
+  for (std::size_t i = 0; i < count; ++i) {
+    Record& rec = room[i];
+    rec.port = static_cast<sim::Port>(r.read_gamma());
+    rec.a = r.read_bit() ? static_cast<sim::Port>(r.read_gamma())
+                         : sim::kInvalidPort;
+    rec.b = r.read_bit() ? static_cast<sim::Port>(r.read_gamma())
+                         : sim::kInvalidPort;
   }
-  return a;
+  return static_cast<std::uint32_t>(count);
 }
 
 class SpannerOracle final : public AdvisingOracle {
@@ -75,39 +74,42 @@ class SpannerOracle final : public AdvisingOracle {
           2, rise::floor_log2(std::max<std::uint64_t>(2, g.num_nodes())) + 1);
     }
     const graph::Graph spanner = graph::greedy_spanner(g, k);
+    const graph::NodeId n = g.num_nodes();
 
-    std::vector<NodeAdvice> advice(g.num_nodes());
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    // w's records fill w's slots of the spanner's CSR, one per spanner edge.
+    const std::uint64_t* slots = spanner.offsets_data();
+    std::vector<Record> records(2 * spanner.num_edges());
+    std::vector<graph::NodeId> filled(n, 0);
+    std::vector<sim::Port> first(n, sim::kInvalidPort);
+    std::vector<std::pair<sim::Port, graph::NodeId>> heap;
+    for (graph::NodeId v = 0; v < n; ++v) {
       // v's spanner neighbors ordered by port at v, laid out as a 1-based
       // binary heap.
-      std::vector<std::pair<sim::Port, graph::NodeId>> heap;
+      heap.clear();
       for (graph::NodeId u : spanner.neighbors(v)) {
         heap.push_back({instance.neighbor_to_port(v, u), u});
       }
       std::sort(heap.begin(), heap.end());
       if (heap.empty()) continue;
-      advice[v].has_first = true;
-      advice[v].first = heap[0].first;
+      first[v] = heap[0].first;
       for (std::size_t i = 0; i < heap.size(); ++i) {
         const graph::NodeId w = heap[i].second;
-        const sim::Port key_at_w = instance.neighbor_to_port(w, v);
-        NextPair next;
+        Record& rec = records[slots[w] + filled[w]++];
+        rec.port = instance.neighbor_to_port(w, v);
         const std::size_t h = i + 1;
-        if (2 * h - 1 < heap.size()) {
-          next.has_a = true;
-          next.a = heap[2 * h - 1].first;
-        }
-        if (2 * h < heap.size()) {
-          next.has_b = true;
-          next.b = heap[2 * h].first;
-        }
-        advice[w].records[key_at_w] = next;
+        if (2 * h - 1 < heap.size()) rec.a = heap[2 * h - 1].first;
+        if (2 * h < heap.size()) rec.b = heap[2 * h].first;
       }
     }
 
-    std::vector<BitString> out(g.num_nodes());
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      out[v] = encode_node_advice(advice[v]);
+    std::vector<BitString> out(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const std::span<Record> own(records.data() + slots[v],
+                                  spanner.degree(v));
+      std::sort(own.begin(), own.end(), [](const Record& x, const Record& y) {
+        return x.port < y.port;
+      });
+      out[v] = encode_node_advice(first[v], own);
     }
     return out;
   }
@@ -120,41 +122,54 @@ class SpannerOracle final : public AdvisingOracle {
 class SpannerKernel {
  public:
   struct State {
-    NodeAdvice advice;
+    sim::Port first = sim::kInvalidPort;
+    std::uint32_t records = 0;
     bool started = false;
   };
-  using States = std::vector<State>;
+  /// Node v's decoded records sit at v's CSR slots of `pool`: a node has at
+  /// most one record per port, so decoding allocates nothing in a warm
+  /// workspace and no two nodes share a slot.
+  struct States {
+    std::vector<State> nodes;
+    std::vector<Record> pool;
+  };
 
   void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
     states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
+    states_->nodes.clear();
+    states_->nodes.resize(instance.num_nodes());
+    states_->pool.resize(2 * instance.graph().num_edges());
+    slots_ = instance.graph().offsets_data();
   }
 
   template <class Ctx>
   void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    State& self = (*states_)[ctx.node()];
+    State& self = states_->nodes[ctx.node()];
     obs::NodeProbe probe = ctx.probe();
     probe.phase("advice.forward");
     probe.count("advice.decodes");
-    self.advice = decode_node_advice(ctx.advice());
+    self.records = decode_node_advice(ctx.advice(), self.first,
+                                      room(ctx.node(), ctx.degree()));
     if (cause == sim::WakeCause::kAdversary) start(ctx, self);
   }
 
   template <class Ctx>
   void on_message(Ctx& ctx, const sim::Incoming& in) {
-    State& self = (*states_)[ctx.node()];
+    State& self = states_->nodes[ctx.node()];
     switch (in.msg.type) {
       case kSpWake: {
         // Reply with our next-sibling pair in the sender's heap so its
         // dissemination continues, then wake our own spanner neighborhood.
-        const auto it = self.advice.records.find(in.port);
-        RISE_CHECK_MSG(it != self.advice.records.end(),
+        const auto records = room(ctx.node(), self.records);
+        const auto it = std::lower_bound(
+            records.begin(), records.end(), in.port,
+            [](const Record& rec, sim::Port port) { return rec.port < port; });
+        RISE_CHECK_MSG(it != records.end() && it->port == in.port,
                        "spanner wake arrived over a non-spanner edge");
-        const NextPair& next = it->second;
-        sim::PayloadWords payload{
-            (next.has_a ? 1u : 0u) | (next.has_b ? 2u : 0u),
-            next.has_a ? next.a : 0, next.has_b ? next.b : 0};
+        const bool has_a = it->a != sim::kInvalidPort;
+        const bool has_b = it->b != sim::kInvalidPort;
+        sim::PayloadWords payload{(has_a ? 1u : 0u) | (has_b ? 2u : 0u),
+                                  has_a ? it->a : 0, has_b ? it->b : 0};
         ctx.send(in.port, sim::make_message(kSpNext, std::move(payload),
                                             8 + 2 * ctx.label_bits()));
         start(ctx, self);
@@ -182,13 +197,18 @@ class SpannerKernel {
   void start(Ctx& ctx, State& self) {
     if (self.started) return;
     self.started = true;
-    if (self.advice.has_first) {
-      ctx.send(self.advice.first, sim::make_message(kSpWake, {}, 8));
+    if (self.first != sim::kInvalidPort) {
+      ctx.send(self.first, sim::make_message(kSpWake, {}, 8));
     }
+  }
+
+  std::span<Record> room(graph::NodeId v, std::uint32_t size) const {
+    return {states_->pool.data() + slots_[v], size};
   }
 
   States own_;
   States* states_ = nullptr;
+  const std::uint64_t* slots_ = nullptr;  // the graph's CSR offsets
 };
 
 }  // namespace

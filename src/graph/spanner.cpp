@@ -1,6 +1,8 @@
 #include "graph/spanner.hpp"
 
-#include <deque>
+#include <algorithm>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -9,30 +11,108 @@ namespace rise::graph {
 
 namespace {
 
-/// Depth-bounded BFS over a mutable adjacency structure: returns true iff
-/// dist(source, target) <= limit.
-bool within_distance(const std::vector<std::vector<NodeId>>& adj,
-                     NodeId source, NodeId target, std::uint32_t limit,
-                     std::vector<std::uint32_t>& dist,
-                     std::uint32_t generation) {
-  // `dist` doubles as a visited stamp: dist[u] values from earlier calls are
-  // invalidated by bumping `generation` (encoded in the high bits).
-  if (source == target) return true;
-  std::deque<NodeId> queue{source};
-  dist[source] = generation;  // depth 0
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    const std::uint32_t du = dist[u] - generation;
-    if (du >= limit) continue;
-    for (NodeId v : adj[u]) {
-      if (dist[v] >= generation) continue;  // already visited this round
-      if (v == target) return true;
-      dist[v] = generation + du + 1;
-      queue.push_back(v);
-    }
+/// Union-find over node ids (path halving).
+class Forest {
+ public:
+  explicit Forest(NodeId n) : parent_(n) {
+    for (NodeId u = 0; u < n; ++u) parent_[u] = u;
   }
-  return false;
+
+  /// Joins the components of u and v; false if they were already one.
+  bool unite(NodeId u, NodeId v) {
+    u = find(u);
+    v = find(v);
+    parent_[v] = u;
+    return u != v;
+  }
+
+ private:
+  NodeId find(NodeId u) {
+    while (parent_[u] != u) {
+      parent_[u] = parent_[parent_[u]];
+      u = parent_[u];
+    }
+    return u;
+  }
+
+  std::vector<NodeId> parent_;
+};
+
+/// Bidirectional depth-bounded BFS answering "dist(s, t) <= limit?". Each
+/// step expands the smaller frontier by one whole level, so after a step
+/// without contact the two balls of radii r_s and r_t are disjoint and
+/// dist(s, t) > r_s + r_t; the search stops when that sum reaches `limit`,
+/// a frontier empties, or an edge joins the two balls. The queues and the
+/// stamp array are sized once; a search costs no allocation.
+class BoundedSearch {
+ public:
+  explicit BoundedSearch(NodeId n) : mark_(n, 0) {
+    for (Side& side : sides_) side.queue.reserve(n);
+  }
+
+  /// `rows(u)` yields u's neighbors.
+  template <class Rows>
+  bool within(const Rows& rows, NodeId s, NodeId t, std::uint32_t limit) {
+    if (s == t) return true;
+    next_stamps();
+    sides_[0].start(s, stamp_ - 1, mark_);
+    sides_[1].start(t, stamp_, mark_);
+    for (std::uint32_t reach = 0; reach < limit; ++reach) {
+      const bool far = sides_[1].frontier() < sides_[0].frontier();
+      Side& near = sides_[far ? 1 : 0];
+      const std::uint32_t other = sides_[far ? 0 : 1].stamp;
+      const std::size_t end = near.queue.size();
+      for (std::size_t i = near.begin; i < end; ++i) {
+        for (const NodeId w : rows(near.queue[i])) {
+          if (mark_[w] == other) return true;
+          if (mark_[w] == near.stamp) continue;
+          mark_[w] = near.stamp;
+          near.queue.push_back(w);
+        }
+      }
+      near.begin = end;
+      if (near.frontier() == 0) return false;  // the component is exhausted
+    }
+    return false;
+  }
+
+ private:
+  struct Side {
+    std::vector<NodeId> queue;  // every node reached, level by level
+    std::size_t begin = 0;      // the frontier is queue[begin..]
+    std::uint32_t stamp = 0;
+
+    void start(NodeId u, std::uint32_t own, std::vector<std::uint32_t>& mark) {
+      queue.clear();
+      queue.push_back(u);
+      begin = 0;
+      stamp = own;
+      mark[u] = own;
+    }
+    std::size_t frontier() const { return queue.size() - begin; }
+  };
+
+  /// Each search owns the stamps stamp_ - 1 and stamp_. Marks left by
+  /// earlier searches hold smaller stamps, until the counter would wrap:
+  /// then every mark is cleared and the count starts over.
+  void next_stamps() {
+    if (stamp_ > std::numeric_limits<std::uint32_t>::max() - 2) {
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 0;
+    }
+    stamp_ += 2;
+  }
+
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
+  Side sides_[2];
+};
+
+/// Path lengths within a component are at most n - 1, so a larger bound
+/// answers the same questions. Computed in 64 bits: 2k - 1 overflows 32.
+std::uint32_t capped_stretch(std::uint64_t stretch, NodeId n) {
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(stretch, n == 0 ? 0 : n - 1));
 }
 
 }  // namespace
@@ -40,19 +120,28 @@ bool within_distance(const std::vector<std::vector<NodeId>>& adj,
 Graph greedy_spanner(const Graph& g, unsigned k) {
   RISE_CHECK(k >= 1);
   if (k == 1) return g;
-  const std::uint32_t stretch = 2 * k - 1;
   const NodeId n = g.num_nodes();
-  std::vector<std::vector<NodeId>> adj(n);
+  const std::uint32_t stretch = capped_stretch(2 * std::uint64_t{k} - 1, n);
+  // S is a subgraph of g, so S's row u fits in g's CSR slots for u.
+  const std::uint64_t* slots = g.offsets_data();
+  std::vector<NodeId> adjacency(2 * g.num_edges());
+  std::vector<NodeId> degree(n, 0);
+  const auto rows = [&](NodeId u) {
+    return std::span<const NodeId>(adjacency.data() + slots[u], degree[u]);
+  };
+  Forest forest(n);
+  BoundedSearch search(n);
   std::vector<Edge> kept;
-  std::vector<std::uint32_t> dist(n, 0);
-  std::uint32_t generation = 0;
   g.for_each_edge([&](NodeId u, NodeId v) {
-    generation += stretch + 2;  // invalidate previous stamps
-    if (!within_distance(adj, u, v, stretch, dist, generation)) {
-      adj[u].push_back(v);
-      adj[v].push_back(u);
-      kept.push_back({u, v});
+    // An edge between two components of S is always kept; within one, a
+    // path of at most n - 1 hops already exists once stretch reaches that.
+    if (!forest.unite(u, v) &&
+        (stretch == n - 1 || search.within(rows, u, v, stretch))) {
+      return;
     }
+    adjacency[slots[u] + degree[u]++] = v;
+    adjacency[slots[v] + degree[v]++] = u;
+    kept.push_back({u, v});
   });
   return Graph::from_edges(n, std::move(kept));
 }
@@ -66,17 +155,11 @@ bool verify_spanner(const Graph& g, const Graph& spanner, unsigned stretch) {
   if (!ok) return false;
   // It suffices to check stretch on the edges of g.
   const NodeId n = g.num_nodes();
-  std::vector<std::vector<NodeId>> adj(n);
-  spanner.for_each_edge([&](NodeId u, NodeId v) {
-    adj[u].push_back(v);
-    adj[v].push_back(u);
-  });
-  std::vector<std::uint32_t> dist(n, 0);
-  std::uint32_t generation = 0;
+  const std::uint32_t limit = capped_stretch(stretch, n);
+  const auto rows = [&](NodeId u) { return spanner.neighbors(u); };
+  BoundedSearch search(n);
   g.for_each_edge([&](NodeId u, NodeId v) {
-    if (!ok) return;
-    generation += stretch + 2;
-    if (!within_distance(adj, u, v, stretch, dist, generation)) ok = false;
+    if (ok && !search.within(rows, u, v, limit)) ok = false;
   });
   return ok;
 }

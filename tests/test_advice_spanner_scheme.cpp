@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 #include "graph/spanner.hpp"
+#include "support/bitio.hpp"
+#include "support/check.hpp"
 #include "test_util.hpp"
 
 namespace rise::advice {
@@ -89,6 +93,52 @@ TEST(SpannerScheme, LargerKMeansFewerMessages) {
     EXPECT_LE(result.metrics.messages, prev) << "k=" << k;
     prev = result.metrics.messages;
   }
+}
+
+// Every node's advice bits, recorded while the oracle kept each node's
+// records in a std::map: the port-sorted flat records encode the same bits.
+TEST(SpannerScheme, AdviceBitsMatchPinnedHashes) {
+  Rng rng(9);
+  const auto g = graph::connected_gnp(300, 0.05, rng);
+  const std::pair<unsigned, std::uint64_t> pins[] = {
+      {2, 2937196202208637985ULL},
+      {3, 15771730048981281585ULL},
+      {0, 2382020430740658077ULL}};  // k = 0: Corollary 2
+  for (const auto& [k, hash] : pins) {
+    auto inst = test::make_instance(g, Knowledge::KT0,
+                                    sim::Bandwidth::CONGEST, 4);
+    apply_oracle(inst, k == 0 ? *corollary2_scheme().oracle
+                              : *spanner_oracle(k));
+    std::string text;
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      text += std::to_string(inst.advice(v).size());
+      for (const std::uint64_t word : inst.advice(v).words()) {
+        text += ' ' + std::to_string(word);
+      }
+      text += '\n';
+    }
+    EXPECT_EQ(test::fnv1a(text), hash) << "k=" << k;
+  }
+}
+
+// Decoded records go to the node's own slots, one per port: advice that
+// claims more records than the node has ports is rejected, not written
+// into a neighbor's slots.
+TEST(SpannerScheme, RejectsMoreRecordsThanPorts) {
+  const auto g = graph::path(3);
+  auto inst = test::make_instance(g, Knowledge::KT0, sim::Bandwidth::CONGEST);
+  BitWriter w;
+  w.write_gamma(3);  // node degrees are at most 2
+  w.write_bit(false);
+  for (std::uint64_t port = 0; port < 3; ++port) {
+    w.write_gamma(port);
+    w.write_bit(false);
+    w.write_bit(false);
+  }
+  inst.set_advice(std::vector<BitString>(3, w.take()));
+  EXPECT_THROW(test::run_async_unit(inst, sim::wake_single(0),
+                                    spanner_kernel()),
+               CheckError);
 }
 
 TEST(SpannerScheme, CongestSafe) {

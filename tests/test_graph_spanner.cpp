@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "test_util.hpp"
 
 namespace rise::graph {
 namespace {
@@ -73,6 +77,74 @@ TEST(Spanner, PreservesConnectivityOnSparseGraphs) {
     const Graph g = connected_gnp(60, 0.05, rng);
     const Graph s = greedy_spanner(g, 5);
     EXPECT_TRUE(is_connected(s));
+  }
+}
+
+std::uint64_t edge_list_hash(const Graph& s) {
+  std::string text;
+  for (const Edge& e : s.edge_list()) {
+    text += std::to_string(e.u) + ' ' + std::to_string(e.v) + '\n';
+  }
+  return test::fnv1a(text);
+}
+
+// Hashes of the kept edge lists, recorded with the one-sided depth-bounded
+// BFS that answered every "dist_S(u, v) <= 2k-1?" question before the
+// union-find shortcut and the bidirectional search: the greedy rule decides
+// the output, so how the distance question is answered must not change it.
+TEST(Spanner, EdgeListsMatchPinnedHashes) {
+  const unsigned ks[] = {2, 3, 5, 10};
+  struct Pin {
+    std::string graph;
+    std::uint64_t hash[4];  // [k]
+  };
+  const std::vector<Pin> pins = {
+      {"connected_gnp(1000, 0.008), Rng(1)",
+       {9926497379397942010ULL, 12317169239766157732ULL,
+        11813849320843965200ULL, 12563275007321411403ULL}},
+      {"connected_gnp(1000, 0.008), Rng(2)",
+       {9230790850675145192ULL, 4980219598787733577ULL,
+        5807137910848470361ULL, 9835648299326446156ULL}},
+      {"connected_gnp(1000, 0.008), Rng(3)",
+       {6028396778112372717ULL, 16142891347094380388ULL,
+        12444222357452923213ULL, 155341460034249933ULL}},
+      {"connected_gnp(1000, 0.008), Rng(4)",
+       {8301831496447423063ULL, 10489217331300082607ULL,
+        3208298946584299377ULL, 18239598056690034363ULL}},
+      {"grid:30x30",
+       {3524297803093081091ULL, 3422302445808296349ULL,
+        4810362298382630589ULL, 13126115991926847912ULL}},
+  };
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    Rng rng(i + 1);
+    const Graph g = i < 4 ? connected_gnp(1000, 0.008, rng) : grid(30, 30);
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(edge_list_hash(greedy_spanner(g, ks[j])), pins[i].hash[j])
+          << pins[i].graph << " k=" << ks[j];
+    }
+  }
+}
+
+// Once 2k-1 >= n-1 every spanner path is short enough, so the greedy
+// spanner is a spanning forest: n minus the number of components edges.
+// 2k-1 overflows 32 bits from k = 2^31 on.
+TEST(Spanner, HugeKGivesTheSpanningForest) {
+  Rng rng(6);
+  const Graph connected = connected_gnp(300, 0.05, rng);
+  const Graph scattered = gnp(300, 0.006, rng);
+  for (const Graph* g : {&connected, &scattered}) {
+    const auto components = connected_components(*g);
+    const std::uint32_t count =
+        components.empty()
+            ? 0
+            : 1 + *std::max_element(components.begin(), components.end());
+    for (const unsigned k : {300u, 2147483647u, 2147483648u, 4294967295u}) {
+      const Graph s = greedy_spanner(*g, k);
+      EXPECT_EQ(s.num_edges(), g->num_nodes() - count) << "k=" << k;
+      EXPECT_EQ(connected_components(s), components) << "k=" << k;
+      EXPECT_TRUE(verify_spanner(*g, s, g->num_nodes() - 1)) << "k=" << k;
+      EXPECT_TRUE(verify_spanner(*g, s, k)) << "k=" << k;
+    }
   }
 }
 

@@ -90,7 +90,9 @@ const std::vector<std::string> kSyncFamilies = {"fast_wakeup", "gossip:3",
 // tau = 10000 (above EventQueue::kMaxBucketSpan: a one-bucket ring whose
 // later ticks wait in the overflow heap). The hashes were recorded when
 // tau = 10000 still ran on a separate binary-heap timeline, so they pin
-// that the one timeline reproduces it.
+// that the one timeline reproduces it. The spanner:3 hashes were recorded
+// while the greedy spanner still answered its distance questions with a
+// one-sided BFS and the spanner advice was kept in a std::map.
 TEST(SimKernels, AsyncFamiliesMatchPinnedDigestsAcrossTheBucketSpan) {
   const char* const delays[] = {"random:4", "random:10000"};
   const std::uint64_t seeds[] = {3, 11};
@@ -129,6 +131,9 @@ TEST(SimKernels, AsyncFamiliesMatchPinnedDigestsAcrossTheBucketSpan) {
       {"spanner:2",
        {{9362700423773033365ULL, 9222743899798378487ULL},
         {6616606967621854156ULL, 3695464763582303014ULL}}},
+      {"spanner:3",
+       {{2577698546165568867ULL, 2497789326459196869ULL},
+        {4597740135182754618ULL, 3941983446272693545ULL}}},
       {"cor2",
        {{14668566446717030854ULL, 12323644374899499163ULL},
         {15885244278425829859ULL, 16288530791986105949ULL}}},
@@ -152,7 +157,8 @@ TEST(SimKernels, AsyncFamiliesMatchPinnedDigestsAcrossTheBucketSpan) {
 // the lock-step engine (sim::deliver_round hands each inbox message to
 // on_message). The hashes were recorded when every family still had a
 // virtual-Process twin and both forms produced them bit for bit; the ttl
-// hashes were recorded when ttl was itself a virtual Process.
+// hashes were recorded when ttl was itself a virtual Process, and the
+// spanner:3 hash as for the table above.
 TEST(SimKernels, ForcedLockStepMatchesGoldenRuns) {
   const std::vector<std::pair<std::string, std::uint64_t>> golden = {
       {"flooding", 9875078830687610121ULL},
@@ -165,6 +171,7 @@ TEST(SimKernels, ForcedLockStepMatchesGoldenRuns) {
       {"cen", 12895423200238453292ULL},
       {"cen_chain", 12791031915888397902ULL},
       {"spanner:2", 2419723305393972931ULL},
+      {"spanner:3", 17343380455648374552ULL},
       {"cor2", 4239677879883399196ULL},
       {"ttl:1", 5184304350535612784ULL},
       {"ttl:4", 3039942570511192185ULL},
