@@ -1,10 +1,9 @@
 // Shared helpers for the experiment harnesses in bench/: fixed-width table
 // printing in the style of the paper's Table 1, ratio columns that make the
 // asymptotic *shape* of a measurement visible (a flat ratio column means the
-// measurement tracks the predicted bound), a campaign-runner front end so
-// every spec-string seed sweep runs on all cores and can dump
-// machine-readable BENCH_*.json artifacts, and a serial seed sweep for the
-// lower-bound families no spec string describes.
+// measurement tracks the predicted bound), and a campaign-runner front end
+// so every seed sweep runs on all cores and can dump machine-readable
+// BENCH_*.json artifacts.
 #pragma once
 
 #include <cstdio>
@@ -101,42 +100,6 @@ inline runner::CampaignResult campaign_sweep(const app::ExperimentSpec& base,
   auto result = runner::run_campaign(plan, options);
   if (json_out.is_open()) json_out << "\n";
   return result;
-}
-
-/// What seed_sweep measured: trial and error counts, and the message and
-/// time samples of the completed trials.
-struct SeedSweep {
-  std::size_t trials = 0;
-  std::size_t errors = 0;
-  SampleStats messages;
-  SampleStats time_units;
-
-  /// The "runs (fail/err)" cell; a completed trial never fails here.
-  std::string runs() const {
-    return fmt_u(trials) + " (0/" + fmt_u(errors) + ")";
-  }
-};
-
-/// A serial seed sweep over a workload that no spec string describes (the
-/// lower-bound families). Trial i runs with runner::trial_seed(base_seed, i),
-/// the seed a campaign would give it; a trial that throws CheckError counts
-/// as an error and adds no samples. Every completed trial is sampled, since
-/// these harnesses leave nodes asleep by design.
-template <typename RunTrial>
-SeedSweep seed_sweep(std::uint64_t base_seed, std::size_t seeds,
-                     RunTrial&& run_trial) {
-  SeedSweep sweep;
-  for (std::size_t i = 0; i < seeds; ++i) {
-    ++sweep.trials;
-    try {
-      const sim::RunResult r = run_trial(runner::trial_seed(base_seed, i));
-      sweep.messages.add(static_cast<double>(r.metrics.messages));
-      sweep.time_units.add(r.metrics.time_units());
-    } catch (const CheckError&) {
-      ++sweep.errors;
-    }
-  }
-  return sweep;
 }
 
 /// "mean ± sd" cell for distribution tables.

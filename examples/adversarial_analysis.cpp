@@ -59,7 +59,7 @@ int main() {
   const auto delays = sim::unit_delay();
   const auto fast =
       sim::run_async(kt1_inst, *delays, kt1.family.centers_awake(), 3,
-                     lb::centers_broadcast_kernel());
+                     lb::ttl_flood_kernel(1));
   const auto slow = sim::run_async(kt1_inst, *delays,
                                    kt1.family.centers_awake(), 3,
                                    algo::ranked_dfs_kernel());

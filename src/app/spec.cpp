@@ -19,6 +19,7 @@
 #include "graph/high_girth.hpp"
 #include "lb/beta_probing.hpp"
 #include "lb/lower_bound_graphs.hpp"
+#include "lb/nih.hpp"
 #include "lb/time_restricted.hpp"
 #include "sim/kernel.hpp"
 #include "support/check.hpp"
@@ -76,6 +77,17 @@ void expect_fields(const std::vector<std::string>& f, std::size_t count,
                    const std::string& spec) {
   RISE_CHECK_MSG(f.size() == count,
                  "spec '" << spec << "' expects " << count - 1 << " argument(s)");
+}
+
+/// Lemma 1's starting configuration on a family graph with `centers`
+/// centers: every center v_i (node i) wakes at time 0.
+bool wakes_every_center(const sim::WakeSchedule& schedule,
+                        graph::NodeId centers) {
+  graph::NodeId woken = 0;
+  for (const auto& [time, node] : schedule.wakes) {
+    if (time == 0 && node < centers) ++woken;
+  }
+  return woken == centers;
 }
 
 }  // namespace
@@ -233,6 +245,13 @@ sim::WakeSchedule parse_schedule_spec(const std::string& spec,
   if (kind == "dominating") {
     expect_fields(f, 1, spec);
     return sim::dominating_set_wakeup(g);
+  }
+  if (kind == "centers") {
+    expect_fields(f, 1, spec);
+    RISE_CHECK_MSG(lb::has_family_layout(g),
+                   "schedule '" << spec << "' needs a lower-bound family "
+                                   "graph (kt0family:N or kt1family:K:Q)");
+    return lb::wake_centers(g.num_nodes() / 3);
   }
   RISE_CHECK_MSG(false, "unknown schedule spec kind '" << kind << "'");
   return {};
@@ -392,8 +411,24 @@ AlgorithmSetup parse_algorithm_spec(const std::string& spec) {
     const auto beta = to_bounded<unsigned>(f[1], "beta");
     setup.knowledge = sim::Knowledge::KT0;
     setup.bandwidth = sim::Bandwidth::CONGEST;
+    setup.nih = true;
     setup.oracle = lb::beta_probing_oracle(beta);
     setup.kernel = lb::beta_probing_kernel(beta);
+    return setup;
+  }
+  if (kind == "nih") {
+    // Lemma 1 over the time-restricted broadcast, in KT1 LOCAL (Theorem 2's
+    // model); the wrapper takes no other inner algorithm here.
+    RISE_CHECK_MSG(f.size() > 1 && f[1] == "ttl",
+                   "algorithm '" << spec << "': unsupported inner algorithm '"
+                                 << (f.size() > 1 ? spec.substr(4) : "")
+                                 << "' (nih wraps ttl:R only)");
+    expect_fields(f, 3, spec);
+    setup.knowledge = sim::Knowledge::KT1;
+    setup.bandwidth = sim::Bandwidth::LOCAL;
+    setup.nih = true;
+    setup.kernel = lb::nih_kernel(
+        lb::TtlFloodKernel(to_bounded<std::uint32_t>(f[2], "ttl")));
     return setup;
   }
   RISE_CHECK_MSG(false, "unknown algorithm '" << kind
@@ -405,7 +440,7 @@ std::vector<std::string> algorithm_names() {
   return {"flooding", "ranked_dfs", "ranked_dfs_congest",
           "ranked_dfs_nodiscard", "leader", "fast_wakeup", "gossip:BUDGET",
           "smis", "smatching", "ttl:R", "fip06", "sqrt", "cen", "cen_chain",
-          "spanner:K", "cor2", "beta:B"};
+          "spanner:K", "cor2", "beta:B", "nih:ttl:R"};
 }
 
 ExperimentReport run_experiment(const ExperimentSpec& spec) {
@@ -429,10 +464,10 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
   }
 
   AlgorithmSetup algorithm = parse_algorithm_spec(spec.algorithm);
-  // beta:B's oracle reads the matching edges of a lower-bound family; reject
-  // any other graph here rather than deep inside instance or oracle code.
-  RISE_CHECK_MSG(spec.algorithm.rfind("beta:", 0) != 0 ||
-                     lb::has_family_layout(g),
+  // An NIH solver reads the centers and crucial neighbors of a lower-bound
+  // family (beta:B's oracle reads its matching edges); reject any other
+  // graph here rather than deep inside instance, oracle or answer code.
+  RISE_CHECK_MSG(!algorithm.nih || lb::has_family_layout(g),
                  "algorithm '" << spec.algorithm << "' cannot run on graph '"
                                << spec.graph
                                << "': it needs a lower-bound family graph "
@@ -440,6 +475,7 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
   prep.algorithm = algorithm.name;
   prep.synchronous = algorithm.synchronous;
   prep.sleeping = algorithm.sleeping;
+  prep.nih = algorithm.nih;
   prep.kernel = std::move(algorithm.kernel);
 
   sim::InstanceOptions options;
@@ -547,6 +583,14 @@ ExperimentReport execute_prepared(const PreparedExperiment& prepared,
     report.result = prepared.kernel.run_async(args);
     timer.set_sim_span(std::max(report.result.metrics.last_delivery,
                                 report.result.metrics.last_wake));
+  }
+  if (prepared.nih && wakes_every_center(schedule, g.num_nodes() / 3)) {
+    const graph::NodeId wrong = lb::first_wrong_center(report.result, instance);
+    RISE_CHECK_MSG(wrong == graph::kInvalidNode,
+                   "algorithm '" << spec.algorithm << "' did not solve NIH on "
+                                 << "graph '" << spec.graph << "': center "
+                                 << wrong << " did not output its crucial "
+                                 << "neighbor");
   }
   return report;
 }

@@ -13,7 +13,8 @@
 //             pendant:N | dkq:K:Q | kt0family:N | kt1family:K:Q |
 //             cache:PATH:INNERSPEC  (binary mmap cache of INNERSPEC at PATH)
 //   schedule: single[:NODE] | all | set:a,b,c | random:P |
-//             staggered:GAP:GROWTH | dominating
+//             staggered:GAP:GROWTH | dominating |
+//             centers  (the n/3 centers of a kt0family/kt1family graph)
 //   delay:    unit | fixed:TAU | random:TAU | slow:TAU:ONE_IN |
 //             congestion:TAU
 //   (TAU and GAP are ticks, at most 2^32: a larger value fails to parse
@@ -21,7 +22,8 @@
 //   algo:     flooding | ranked_dfs | ranked_dfs_congest |
 //             ranked_dfs_nodiscard | leader | fast_wakeup | gossip:BUDGET |
 //             smis | smatching | ttl:R | fip06 | sqrt | cen | cen_chain |
-//             spanner:K | cor2 | beta:B
+//             spanner:K | cor2 | beta:B |
+//             nih:ttl:R  (Lemma 1's NIH solver over ttl:R, KT1 LOCAL)
 #pragma once
 
 #include <functional>
@@ -55,7 +57,7 @@ std::unique_ptr<sim::DelayPolicy> parse_delay_spec(const std::string& spec,
 
 /// A fully-specified algorithm: model requirements, optional oracle, and the
 /// kernel that runs it (sim/kernel.hpp), for the built-in families and the
-/// diagnostic lower-bound algorithms (ttl, beta) alike.
+/// diagnostic lower-bound algorithms (ttl, beta, nih) alike.
 struct AlgorithmSetup {
   std::string name;
   sim::Knowledge knowledge = sim::Knowledge::KT0;
@@ -64,6 +66,10 @@ struct AlgorithmSetup {
   /// Sleeping-model family: run with SyncRunLimits::sleeping_model so
   /// ctx.sleep_until is honored (implies synchronous).
   bool sleeping = false;
+  /// Solves NIH on a lower-bound family graph (beta:B, nih:ttl:R): it runs
+  /// on no other graph, and a run that wakes every center at time 0 must
+  /// output every center's crucial neighbor (see execute_prepared).
+  bool nih = false;
   std::unique_ptr<advice::AdvisingOracle> oracle;  // null if none
   sim::KernelRunner kernel;
 };
@@ -159,20 +165,24 @@ struct PreparedExperiment {
   std::string algorithm;  ///< canonical name from AlgorithmSetup
   bool synchronous = false;
   bool sleeping = false;  ///< sleeping-model family (see AlgorithmSetup)
+  bool nih = false;       ///< NIH solver (see AlgorithmSetup)
   sim::KernelRunner kernel;
   sim::Instance::AdviceStats advice;
 };
 
 /// Builds the shareable half of run_experiment: graph generation with
 /// mix_seed(spec.seed, 0xA), instance construction with mix_seed(spec.seed,
-/// 0xB), oracle advice. `probe` (optional) receives the setup.graph /
-/// setup.instance / setup.advice phase timers.
+/// 0xB), oracle advice. An NIH solver on a graph without the lower-bound
+/// family layout is a CheckError naming both specs. `probe` (optional)
+/// receives the setup.graph / setup.instance / setup.advice phase timers.
 PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
                                       obs::Probe* probe = nullptr);
 
 /// The per-run half: parses the schedule (mix_seed(spec.seed, 0xC)) and the
 /// delay policy (delay_policy_seed(spec.seed)) from `spec`, runs the engine
-/// with seed spec.seed, and assembles the report.
+/// with seed spec.seed, and assembles the report. When an NIH solver's
+/// schedule wakes every center at time 0, a center whose output is not its
+/// crucial neighbor is a CheckError naming the first such center.
 ///
 /// `spec` must agree with `prepared.spec` on graph and algorithm; schedule,
 /// delay and seed may differ — that is the point: one preparation serves a

@@ -15,6 +15,12 @@ namespace {
 double ln(double n) { return std::log(std::max(n, 1.0)); }
 double lg(double n) { return std::log2(std::max(n, 1.0)); }
 
+/// The ports beta:k probes per center on the KT0 family G with n/3 centers:
+/// those whose top k bits match the advice, ceil((n/3 + 1) / 2^k).
+double probes(const Vars& v) {
+  return std::ceil((v.n / 3.0 + 1.0) / std::exp2(v.k));
+}
+
 /// The twelve small connected graphs the per-family tests sweep, as specs.
 const std::vector<std::string>& catalog() {
   static const std::vector<std::string> kCatalog = {
@@ -61,7 +67,10 @@ std::vector<Claim> build_claims() {
         {"grid:RxR", "all"},
         {"torus:RxR", "all"},
         {"cgnp:150:0.08", "all"},
-        {"cgnp:400:0.3", "all"}},
+        {"cgnp:400:0.3", "all"},
+        // Theorem 2's G_3 with the centers awake: the unrestricted-time side
+        // of the thm2 trade-off, Theta(n) time for O(n log n) messages.
+        {"kt1family:3:7", "centers"}},
        {// Under any schedule and delay policy: the envelope the hunt reports.
         {Q::kMessages, R::kLess, 20.0, "n ln n",
          [](const Vars& v) { return v.n * ln(v.n); }},
@@ -211,6 +220,61 @@ std::vector<Claim> build_claims() {
         {Q::kWakeupSpan, R::kLessEqual, 0.5, "(rho + 1) log2^2 n",
          [](const Vars& v) { return (v.rho + 1.0) * lg(v.n) * lg(v.n); }}}});
 
+  // The lower-bound rows, from the achievable side, on their own family
+  // graphs (n = 3 n_g nodes, the n_g centers awake at time 0) with every
+  // center's NIH answer checked by the run itself (app::execute_prepared).
+  // Theorem 1: beta:k probes p = ceil((n_g + 1) / 2^k) ports per center,
+  // which sits between the theorem's curve and twice the probe count.
+  out.push_back(
+      {"thm1",
+       "Theorem 1",
+       "async KT0 CONGEST + advice",
+       "- | Omega(n^2/2^{beta+4} log n) | O(beta)",
+       {"beta:0", "beta:2", "beta:4", "beta:6"},
+       {{"kt0family:48", "centers"},
+        {"kt0family:128", "centers"},
+        {"kt0family:256", "centers"}},
+       {// A probe and its answer per probed port, plus the broadcast to U.
+        {Q::kMessages, R::kLessEqual, 1.0,
+         "2 n_g ceil((n_g + 1)/2^k) + 2 n_g + 2",
+         [](const Vars& v) {
+           return 2.0 * (v.n / 3.0) * probes(v) + 2.0 * (v.n / 3.0) + 2.0;
+         }},
+        {Q::kMessages, R::kGreaterEqual, 0.5, "n_g ceil((n_g + 1)/2^k)",
+         [](const Vars& v) { return v.n / 3.0 * probes(v); }},
+        // The theorem's curve.
+        {Q::kMessages, R::kGreaterEqual, 1.0, "n_g^2 / (2^{k+4} log2 n_g)",
+         [](const Vars& v) {
+           const double n_g = v.n / 3.0;
+           return n_g * n_g / (std::exp2(v.k + 4.0) * lg(n_g));
+         }},
+        // k prefix bits plus the broadcaster flag.
+        {Q::kAdviceMax, R::kLessEqual, 1.0, "k + 1",
+         [](const Vars& v) { return v.k + 1.0; }},
+        // Probe, then answer.
+        {Q::kTime, R::kLessEqual, 2.0, "1", [](const Vars&) { return 1.0; }}},
+       true});
+
+  // Theorem 2: on G_k the 1-time-unit broadcast of the centers sends one
+  // message per edge (every edge has a center end), and Lemma 1 adds one
+  // answer per W node.
+  out.push_back(
+      {"thm2",
+       "Theorem 2",
+       "async KT1 LOCAL",
+       "k+1 | Omega(n^{1+1/k}) | -",
+       {"nih:ttl:1"},
+       {{"kt1family:3:3", "centers"},
+        {"kt1family:3:5", "centers"},
+        {"kt1family:3:7", "centers"},
+        {"kt1family:3:11", "centers"},
+        {"kt1family:5:2", "centers"},
+        {"kt1family:5:3", "centers"}},
+       {{Q::kMessages, R::kEqual, 1.0, "m + n/3",
+         [](const Vars& v) { return v.m + v.n / 3.0; }},
+        {Q::kTime, R::kLessEqual, 2.0, "1", [](const Vars&) { return 1.0; }}},
+       true});
+
   out.push_back(
       {"flooding",
        "baseline flooding",
@@ -297,14 +361,15 @@ const char* quantity_name(Quantity quantity) {
 }
 
 const char* relation_symbol(Relation relation) {
-  static constexpr const char* kSymbols[] = {"<", "<=", "=="};
+  static constexpr const char* kSymbols[] = {"<", "<=", "==", ">="};
   return kSymbols[static_cast<std::size_t>(relation)];
 }
 
-double spanner_k(const std::string& algorithm) {
+double algorithm_k(const std::string& algorithm) {
   const auto f = split(algorithm, ':');
   std::uint64_t k = 0;
-  if (f.size() == 2 && f[0] == "spanner" && parse_digits(f[1], k)) {
+  if (f.size() == 2 && (f[0] == "spanner" || f[0] == "beta") &&
+      parse_digits(f[1], k)) {
     return static_cast<double>(k);
   }
   return 0.0;
@@ -364,7 +429,7 @@ Measurement measure(const Claim& claim, const app::ExperimentSpec& spec,
   m.vars.n = outcome.num_nodes;
   m.vars.m = static_cast<double>(outcome.num_edges);
   m.vars.rho = outcome.rho_awk;
-  m.vars.k = spanner_k(spec.algorithm);
+  m.vars.k = algorithm_k(spec.algorithm);
   if (claim.uses_diameter()) {
     const app::PreparedExperiment prepared = app::prepare_experiment(spec);
     m.vars.diameter = graph::diameter(prepared.instance->graph());
@@ -400,6 +465,9 @@ std::vector<BoundCheck> check_bounds(const Claim& claim, const Measurement& m) {
         break;
       case Relation::kEqual:
         c.passed = c.measured == limit;
+        break;
+      case Relation::kGreaterEqual:
+        c.passed = c.measured >= limit;
         break;
     }
     out.push_back(c);

@@ -2,7 +2,9 @@
 // families' awake bound) as a list of algorithm specs, the workloads it is
 // measured on, and the bounds a run must satisfy. Three consumers read the
 // list: the tier-1 gate (tests/test_complexity_conformance.cpp), the hunt's
-// analytical envelopes (search::envelope_bound) and bench/bench_claims.
+// analytical envelopes (search::envelope_bound) and bench/bench_claims. The
+// lower-bound rows (Theorems 1 and 2) are measured from the achievable side
+// on their own family graphs, so they carry no envelope.
 //
 // A bound reads "quantity RELATION slack * expression", where the expression
 // is a function of the instance (n, m, rho_awk, D, k). Evaluating it on a run
@@ -38,14 +40,19 @@ inline constexpr std::size_t kQuantityCount = 7;
 /// "advice_avg" | "awake_max".
 const char* quantity_name(Quantity quantity);
 
-enum class Relation : std::uint8_t { kLess, kLessEqual, kEqual };
+enum class Relation : std::uint8_t {
+  kLess,
+  kLessEqual,
+  kEqual,
+  kGreaterEqual,
+};
 
-/// "<" | "<=" | "==".
+/// "<" | "<=" | "==" | ">=".
 const char* relation_symbol(Relation relation);
 
 /// The instance variables a bound expression reads. `diameter` is filled
-/// only for claims with a bound that uses it; `k` is the spanner parameter
-/// of a spanner:K algorithm (0 otherwise).
+/// only for claims with a bound that uses it; `k` is the K of a spanner:K
+/// algorithm or the advice budget B of beta:B (0 otherwise).
 struct Vars {
   double n = 0;
   double m = 0;
@@ -82,6 +89,10 @@ struct Claim {
   /// its algorithms (search::envelope_bound reads it); a later bound on the
   /// same quantity tightens it on the declared workloads.
   std::vector<Bound> bounds;
+  /// A lower-bound row: its workloads are its own family graphs and its
+  /// bounds hold there only, so it sits out bench_claims' shared summary
+  /// workload and gives search::envelope_bound no envelope.
+  bool lower_bound = false;
 
   bool uses_diameter() const;
 };
@@ -96,8 +107,9 @@ const Claim& find_claim(const std::string& id);
 /// its first ':'), or nullptr.
 const Claim* claim_for_family(const std::string& family);
 
-/// The K of a "spanner:K" algorithm spec (0 for any other algorithm).
-double spanner_k(const std::string& algorithm);
+/// The K of a "spanner:K" or the B of a "beta:B" algorithm spec (0 for any
+/// other algorithm).
+double algorithm_k(const std::string& algorithm);
 
 /// `graph` with its size template instantiated at n.
 std::string size_graph(const std::string& graph, std::uint32_t n);

@@ -6,14 +6,10 @@
 
 namespace rise::lb {
 
-std::vector<graph::NodeId> LowerBoundFamily::centers() const {
-  std::vector<graph::NodeId> out(n);
-  std::iota(out.begin(), out.end(), 0u);
-  return out;
-}
-
-sim::WakeSchedule LowerBoundFamily::centers_awake() const {
-  return sim::wake_set(centers());
+sim::WakeSchedule wake_centers(graph::NodeId n) {
+  std::vector<graph::NodeId> centers(n);
+  std::iota(centers.begin(), centers.end(), 0u);
+  return sim::wake_set(std::move(centers));
 }
 
 bool has_family_layout(const graph::Graph& g) {

@@ -25,6 +25,10 @@
 
 namespace rise::lb {
 
+/// The paper's initial configuration on a family with n centers: v_0..v_{n-1}
+/// (nodes 0..n-1) awake at time 0.
+sim::WakeSchedule wake_centers(graph::NodeId n);
+
 struct LowerBoundFamily {
   graph::Graph graph;
   graph::NodeId n = 0;  ///< group size (total nodes = 3n)
@@ -38,10 +42,8 @@ struct LowerBoundFamily {
     return w_node(center_index);
   }
 
-  std::vector<graph::NodeId> centers() const;
-
   /// The paper's initial configuration: all centers awake at time 0.
-  sim::WakeSchedule centers_awake() const;
+  sim::WakeSchedule centers_awake() const { return wake_centers(n); }
 };
 
 /// True when `g` has the LowerBoundFamily node layout: 3n nodes (n >= 1)

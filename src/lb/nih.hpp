@@ -116,4 +116,10 @@ graph::NodeId nih_correct_count(const sim::RunResult& result,
                                 const sim::Instance& instance,
                                 const LowerBoundFamily& family);
 
+/// The first center v_i of an instance with the family layout
+/// (has_family_layout) whose output is not its NIH answer, or
+/// graph::kInvalidNode when every center answered.
+graph::NodeId first_wrong_center(const sim::RunResult& result,
+                                 const sim::Instance& instance);
+
 }  // namespace rise::lb

@@ -2,8 +2,6 @@
 
 namespace rise::lb {
 
-sim::KernelRunner centers_broadcast_kernel() { return ttl_flood_kernel(1); }
-
 sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl) {
   return sim::make_kernel(TtlFloodKernel(ttl));
 }

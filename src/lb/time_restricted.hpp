@@ -4,10 +4,11 @@
 // Theorem 2 shows every (k+1)-time algorithm needs Omega(n^{1+1/k}) messages
 // when rho_awk = 1. The trivial matching strategy is a 1-round broadcast by
 // the initially-awake centers: on G_k it sends exactly
-// sum_i deg(v_i) = n (n^{1/k} + 1) messages and wakes everyone — the k-sweep
-// of bench_thm2_tradeoff traces the n^{1+1/k} curve from the achievable
-// side. ttl_flood generalizes this to an r-time-unit budget (flooding with a
-// hop-count TTL), interpolating between broadcast and full flooding.
+// sum_i deg(v_i) = n (n^{1/k} + 1) messages and wakes everyone — claim thm2
+// (src/check/claims.cpp, nih:ttl:1 on kt1family:K:Q) gates that count from
+// the achievable side. ttl_flood generalizes this to an r-time-unit budget
+// (flooding with a hop-count TTL), interpolating between broadcast and full
+// flooding.
 #pragma once
 
 #include <vector>
@@ -20,7 +21,9 @@ inline constexpr std::uint32_t kTimedWake = 0x07F1;
 
 /// Flooding with a TTL: adversary-woken nodes send TTL = ttl; receivers
 /// rebroadcast once, with TTL-1, while that stays positive. ttl = 1 is the
-/// centers broadcast. In the header so nih_kernel can wrap it.
+/// centers broadcast: adversary-woken nodes send once and everyone else stays
+/// silent, a 1-time-unit wake-up whenever the awake set is dominating. In
+/// the header so nih_kernel can wrap it.
 class TtlFloodKernel {
  public:
   explicit TtlFloodKernel(std::uint32_t ttl) : ttl_(ttl) {}
@@ -65,10 +68,6 @@ class TtlFloodKernel {
   States own_;
   States* states_ = nullptr;
 };
-
-/// Adversary-woken nodes broadcast once; everyone else stays silent. A
-/// 1-time-unit wake-up algorithm whenever the awake set is dominating.
-sim::KernelRunner centers_broadcast_kernel();
 
 sim::KernelRunner ttl_flood_kernel(std::uint32_t ttl);
 

@@ -80,12 +80,13 @@ double envelope_bound(Objective objective, const obs::RunProfile& profile) {
     family = "ranked_dfs";
   }
   const double n = static_cast<double>(profile.num_nodes);
-  if (const check::Claim* claim = check::claim_for_family(family)) {
+  const check::Claim* claim = check::claim_for_family(family);
+  if (claim != nullptr && !claim->lower_bound) {
     check::Vars vars;
     vars.n = n;
     vars.m = static_cast<double>(profile.num_edges);
     vars.rho = profile.rho_awk;
-    vars.k = check::spanner_k(profile.algorithm);
+    vars.k = check::algorithm_k(profile.algorithm);
     for (const check::Quantity q :
          envelope_quantities(objective, profile.synchronous)) {
       for (const check::Bound& b : claim->bounds) {

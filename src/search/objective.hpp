@@ -51,7 +51,8 @@ double objective_value(Objective objective, const obs::RunProfile& profile);
 /// on the objective's quantity. messages reads the message bound; time the
 /// completion-time bound, else the wake-up span bound (asynchronous) or the
 /// round bound (synchronous); rho_awk the awake bound, else n - 1. A bound
-/// in the diameter D gives 0, since the profile does not carry D.
+/// in the diameter D gives 0, since the profile does not carry D. A
+/// lower-bound claim (Claim::lower_bound: beta, nih) gives no envelope.
 double envelope_bound(Objective objective, const obs::RunProfile& profile);
 
 }  // namespace rise::search

@@ -90,6 +90,9 @@ TEST(ScheduleSpec, Kinds) {
   EXPECT_GE(parse_schedule_spec("random:0.5", g, rng).wakes.size(), 1u);
   EXPECT_EQ(parse_schedule_spec("staggered:5:2", g, rng).wakes.size(), 10u);
   EXPECT_GE(parse_schedule_spec("dominating", g, rng).wakes.size(), 3u);
+  const auto family = parse_graph_spec("kt0family:8", rng);
+  EXPECT_EQ(parse_schedule_spec("centers", family, rng).all_nodes(),
+            (std::vector<graph::NodeId>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(ScheduleSpec, Errors) {
@@ -98,6 +101,7 @@ TEST(ScheduleSpec, Errors) {
   EXPECT_THROW(parse_schedule_spec("single:9", g, rng), CheckError);
   EXPECT_THROW(parse_schedule_spec("set:", g, rng), CheckError);
   EXPECT_THROW(parse_schedule_spec("bogus", g, rng), CheckError);
+  EXPECT_THROW(parse_schedule_spec("centers", g, rng), CheckError);
 }
 
 TEST(DelaySpec, Kinds) {
@@ -174,6 +178,22 @@ INSTANTIATE_TEST_SUITE_P(Algos, EndToEndSpec,
                            }
                            return name;
                          });
+
+// An NIH solver must answer at every center once every center wakes at time
+// 0; ttl:0 sends nothing, so no center hears back. A schedule that leaves a
+// center asleep is not checked.
+TEST(EndToEnd, NihAnswersAreCheckedWhenEveryCenterWakes) {
+  ExperimentSpec spec;
+  spec.graph = "kt1family:3:3";  // 27 centers, m = 108
+  spec.algorithm = "nih:ttl:0";
+  spec.schedule = "centers";
+  EXPECT_THROW(run_experiment(spec), CheckError);
+  spec.schedule = "set:0,1";
+  EXPECT_NO_THROW(run_experiment(spec));
+  spec.algorithm = "nih:ttl:1";
+  spec.schedule = "centers";
+  EXPECT_EQ(run_experiment(spec).result.metrics.messages, 108u + 27u);
+}
 
 TEST(EndToEnd, DeterministicGivenSeed) {
   ExperimentSpec spec;

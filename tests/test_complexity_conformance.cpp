@@ -7,9 +7,6 @@
 // per-family counters match structural facts (every wake-all initiator
 // launches one DFS token; a synchronous run steps every round; the sleeping
 // families' awake histogram covers every node).
-//
-// BetaSweep gates Theorem 1 from the achievable side; its centers-awake
-// schedule is not a spec string, so it is not a claim workload.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,13 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "advice/advice.hpp"
 #include "app/spec.hpp"
 #include "check/claims.hpp"
-#include "lb/beta_probing.hpp"
-#include "lb/lower_bound_graphs.hpp"
 #include "obs/profile.hpp"
-#include "sim/kernel.hpp"
 
 namespace rise {
 namespace {
@@ -109,9 +102,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ClaimTable, EveryGateCanFailAndEveryRowIsCovered) {
-  // A measurement one unit past any bound's limit must fail that bound (and
-  // one unit under an exact bound too): a gate that cannot fail gates
-  // nothing.
+  // A measurement one unit past any upper bound's limit must fail that
+  // bound, one unit under a lower bound's limit must fail it, and an exact
+  // bound must fail on either side: a gate that cannot fail gates nothing.
   check::Measurement base;
   base.vars = {100.0, 300.0, 5.0, 7.0, 3.0};  // n, m, rho, D, k
   base.all_awake = true;
@@ -119,24 +112,25 @@ TEST(ClaimTable, EveryGateCanFailAndEveryRowIsCovered) {
     for (std::size_t i = 0; i < claim.bounds.size(); ++i) {
       const check::Bound& b = claim.bounds[i];
       const double limit = b.slack * b.value(base.vars);
+      ASSERT_EQ(check::check_bounds(claim, base).size(), claim.bounds.size());
       check::Measurement past = base;
-      past.of(b.quantity) = std::floor(limit) + 1.0;
-      const auto checks = check::check_bounds(claim, past);
-      ASSERT_EQ(checks.size(), claim.bounds.size());
-      EXPECT_FALSE(checks[i].passed)
-          << claim.id << " bound " << i << " (" << b.expression
-          << ") passes one unit past its limit " << limit;
-      if (b.relation == check::Relation::kEqual) {
-        past.of(b.quantity) = std::floor(limit) - 1.0;
+      if (b.relation != check::Relation::kGreaterEqual) {
+        past.of(b.quantity) = std::floor(limit) + 1.0;
         EXPECT_FALSE(check::check_bounds(claim, past)[i].passed)
-            << claim.id << " bound " << i << " passes one unit under";
+            << claim.id << " bound " << i << " (" << b.expression
+            << ") passes one unit past its limit " << limit;
+      }
+      if (b.relation == check::Relation::kEqual ||
+          b.relation == check::Relation::kGreaterEqual) {
+        past.of(b.quantity) = std::ceil(limit) - 1.0;
+        EXPECT_FALSE(check::check_bounds(claim, past)[i].passed)
+            << claim.id << " bound " << i << " (" << b.expression
+            << ") passes one unit under its limit " << limit;
       }
     }
   }
 
-  // Every Table-1 row of DESIGN.md section 3 except the lower bounds
-  // (Theorems 1 and 2, no spec string describes their schedule) names the
-  // claim that gates it.
+  // Every Table-1 row of DESIGN.md section 3 names the claim that gates it.
   std::ifstream design(RISE_DESIGN_MD);
   ASSERT_TRUE(design) << RISE_DESIGN_MD;
   std::string line;
@@ -147,10 +141,6 @@ TEST(ClaimTable, EveryGateCanFailAndEveryRowIsCovered) {
     const bool table1_row =
         line.rfind("| T1.row", 0) == 0 || line.rfind("| Baseline", 0) == 0;
     if (!in_section || !table1_row) continue;
-    if (line.find("(Thm 1)") != std::string::npos ||
-        line.find("(Thm 2)") != std::string::npos) {
-      continue;
-    }
     ++rows;
     const std::size_t at = line.find("--rows ");
     ASSERT_NE(at, std::string::npos) << "no claim for: " << line;
@@ -158,8 +148,8 @@ TEST(ClaimTable, EveryGateCanFailAndEveryRowIsCovered) {
     const std::string id = line.substr(at + 7, end - at - 7);
     EXPECT_NO_THROW(check::find_claim(id)) << line;
   }
-  EXPECT_EQ(rows, 8u);  // Thm 3, Thm 4, Cor 1, Thm 5A, Thm 5B, Thm 6, Cor 2,
-                        // flooding
+  EXPECT_EQ(rows, 10u);  // Thm 3, Thm 4, Cor 1, Thm 5A, Thm 5B, Thm 6, Cor 2,
+                         // Thm 1, Thm 2, flooding
 }
 
 TEST(Conformance, FloodingPhaseCarriesEveryMessage) {
@@ -177,32 +167,6 @@ TEST(Conformance, FloodingPhaseCarriesEveryMessage) {
   EXPECT_EQ(p.counter("flood.broadcasts"), p.num_nodes);
   EXPECT_EQ(p.messages, 2 * p.num_edges);
 }
-
-class BetaSweep : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(BetaSweep, Theorem1CurveFromAchievableSide) {
-  // messages(beta) stays within constant factors of 2n*(n+1)/2^beta + O(n):
-  // the Theorem-1 advice/message trade-off from the achievable side.
-  const unsigned beta = GetParam();
-  const graph::NodeId n = 48;
-  const auto fam = lb::make_kt0_family(n);
-  Rng rng(beta + 100);
-  auto inst = lb::make_kt0_instance(fam, rng);
-  advice::apply_oracle(inst, *lb::beta_probing_oracle(beta));
-  const auto delays = sim::unit_delay();
-  const auto result =
-      sim::run_async(inst, *delays, fam.centers_awake(), 1,
-                     lb::beta_probing_kernel(beta));
-  ASSERT_TRUE(result.all_awake());
-  const double per_center =
-      std::ceil(static_cast<double>(n + 1) / (1u << beta));
-  const double expected = 2.0 * n * per_center + 2.0 * n + 2;
-  EXPECT_LE(static_cast<double>(result.metrics.messages), expected);
-  EXPECT_GE(static_cast<double>(result.metrics.messages),
-            n * per_center / 2.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Betas, BetaSweep, ::testing::Values(0u, 2u, 4u, 6u));
 
 }  // namespace
 }  // namespace rise

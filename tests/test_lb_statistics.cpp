@@ -67,7 +67,7 @@ TEST(Theorem2Statistics, BroadcastCostIsIdPermutationInvariant) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), seed,
-                       centers_broadcast_kernel());
+                       ttl_flood_kernel(1));
     ASSERT_TRUE(result.all_awake());
     msgs.add(static_cast<double>(result.metrics.messages));
   }
@@ -88,7 +88,7 @@ TEST(Theorem2Statistics, ExponentEstimateMatchesOneOverK) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), q,
-                       centers_broadcast_kernel());
+                       ttl_flood_kernel(1));
     log_n.push_back(std::log(static_cast<double>(fam.family.n)));
     log_m.push_back(std::log(static_cast<double>(result.metrics.messages)));
   }

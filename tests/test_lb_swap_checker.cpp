@@ -144,7 +144,7 @@ TEST(SwapChecker, TracedEdgesMatchMessageCount) {
   const auto inst = make_kt1_instance(fam.family, rng);
   const auto t =
       run_and_trace_sync(inst, fam.family.centers_awake(), 3,
-                         centers_broadcast_kernel());
+                         ttl_flood_kernel(1));
   // Centers broadcast over every incident edge: all V-incident edges used.
   std::size_t v_incident = 0;
   for (graph::NodeId i = 0; i < fam.family.n; ++i) {

@@ -19,7 +19,7 @@ TEST(CentersBroadcast, WakesEveryoneInOneTimeUnit) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                     centers_broadcast_kernel());
+                     ttl_flood_kernel(1));
   EXPECT_TRUE(result.all_awake());
   EXPECT_LE(result.metrics.time_units(), 1.0);
 }
@@ -31,7 +31,7 @@ TEST(CentersBroadcast, MessageCountIsNTimesDegree) {
   const auto delays = sim::unit_delay();
   const auto result =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                     centers_broadcast_kernel());
+                     ttl_flood_kernel(1));
   EXPECT_EQ(result.metrics.messages,
             static_cast<std::uint64_t>(fam.family.n) * fam.center_degree);
 }
@@ -45,7 +45,7 @@ TEST(CentersBroadcast, MatchesN1Plus1OverKScaling) {
     const auto delays = sim::unit_delay();
     const auto result =
         sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                       centers_broadcast_kernel());
+                       ttl_flood_kernel(1));
     const double n = fam.family.n;
     const double predicted = n * (std::pow(n, 1.0 / 3) + 1);
     EXPECT_NEAR(static_cast<double>(result.metrics.messages), predicted,
@@ -92,7 +92,7 @@ TEST(TradeOff, UnrestrictedTimeBeatsBroadcastOnMessages) {
 
   const auto broadcast =
       sim::run_async(inst, *delays, fam.family.centers_awake(), 2,
-                     centers_broadcast_kernel());
+                     ttl_flood_kernel(1));
   const auto dfs = sim::run_async(inst, *delays, fam.family.centers_awake(),
                                   2, algo::ranked_dfs_kernel());
   ASSERT_TRUE(broadcast.all_awake());

@@ -133,6 +133,15 @@ TEST(HuntObjective, EnvelopesMatchConformanceFormulas) {
   p.algorithm = "dkq-like-unknown";
   EXPECT_DOUBLE_EQ(envelope_bound(Objective::kMessages, p), 0.0);
   EXPECT_DOUBLE_EQ(envelope_bound(Objective::kTime, p), 0.0);
+
+  // The lower-bound claims (thm1 for beta, thm2 for nih) bound their own
+  // family graphs from the achievable side, not any run: no envelope.
+  for (const char* algorithm : {"beta:2", "nih:ttl:4"}) {
+    p.algorithm = algorithm;
+    EXPECT_DOUBLE_EQ(envelope_bound(Objective::kMessages, p), 0.0)
+        << algorithm;
+    EXPECT_DOUBLE_EQ(envelope_bound(Objective::kTime, p), 0.0) << algorithm;
+  }
 }
 
 // ----------------------------------------------------------------- mutation

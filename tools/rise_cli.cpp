@@ -145,12 +145,13 @@ void usage() {
       "            from PATH, building and writing the binary cache on\n"
       "            first use) | ...\n"
       "  schedule: single[:NODE] | all | set:a,b,c | random:P |\n"
-      "            staggered:GAP:GROWTH | dominating\n"
+      "            staggered:GAP:GROWTH | dominating | centers (the n/3\n"
+      "            centers of a kt0family/kt1family graph)\n"
       "  delay:    unit | fixed:TAU | random:TAU | slow:TAU:ONE_IN |\n"
       "            congestion:TAU\n"
       "  algo:     flooding | ranked_dfs | ranked_dfs_congest | leader |\n"
       "            fast_wakeup | fip06 | cen | spanner:K | cor2 | beta:B |\n"
-      "            ... (rise_cli --list prints them all)\n",
+      "            nih:ttl:R | ... (rise_cli --list prints them all)\n",
       static_cast<unsigned long long>(rise::runner::kResultsSchemaVersion));
 }
 
