@@ -101,10 +101,11 @@ BENCHMARK(BM_MillionNodeKernelFlooding)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
-/// Same flooding workload under adversarial random delays in [1, tau], once
-/// with tau inside the calendar ring's span and once above it (a one-bucket
-/// ring, every delivery through the overflow heap), so a regression on
-/// either side of EventQueue::kMaxBucketSpan is visible in isolation.
+/// Same flooding workload under adversarial random delays in [1, tau]. At
+/// tau = 16 deliveries stay mostly on the timing wheel's level 0; at larger
+/// tau most land on higher levels and spill down. 4096 and 4097 straddle
+/// the span where an earlier queue switched from a ring to a heap, and
+/// 100000 should stay within a small factor of 16.
 void BM_AsyncFloodingTimeline(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const auto tau = static_cast<sim::Time>(state.range(1));
@@ -133,6 +134,8 @@ void BM_AsyncFloodingTimeline(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncFloodingTimeline)
     ->Args({10000, 16})
+    ->Args({10000, 4096})
+    ->Args({10000, 4097})
     ->Args({10000, 100000})
     ->ArgNames({"n", "tau"});
 

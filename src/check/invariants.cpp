@@ -208,9 +208,9 @@ std::vector<std::string> InvariantChecker::finish(
          << " dropped";
       violation(os.str());
     }
-  } else if (model_.expect_all_delivered && deliveries_ != sends_) {
+  } else if (deliveries_ != sends_) {
     std::ostringstream os;
-    os << "undelivered messages in an untruncated run: " << sends_
+    os << "undelivered messages: " << sends_
        << " sent, " << deliveries_ << " delivered";
     violation(os.str());
   }

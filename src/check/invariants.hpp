@@ -55,7 +55,6 @@ struct RunModel {
   sim::Time tau = 1;          ///< the *scenario's* declared max delay
   bool synchronous = false;   ///< lock-step engine (per-stream monotonicity)
   std::optional<std::uint64_t> congest_budget;  ///< bits/message, if CONGEST
-  bool expect_all_delivered = true;  ///< no max_time truncation configured
   /// Sleeping-model run (SyncRunLimits::sleeping_model): sends to a
   /// declared-sleeping receiver are charged but dropped, so conservation
   /// tightens to sends == deliveries + metrics.sleep_dropped instead of

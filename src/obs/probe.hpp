@@ -104,7 +104,8 @@ class Probe {
   }
 
   /// Asynchronous engine: called after every push with the total queue
-  /// size and the calendar-ring vs overflow-heap split.
+  /// size and its split between the timing wheel's level 0 (the cursor's
+  /// 256-tick window) and the higher levels.
   void on_queue_push(std::size_t size, std::size_t ring, std::size_t overflow) {
     if (size > engine_.queue_high_water) engine_.queue_high_water = size;
     if (ring > engine_.ring_high_water) engine_.ring_high_water = ring;

@@ -56,14 +56,14 @@ struct ClassProfile {
 };
 
 /// Event-loop profile. For the asynchronous engine: pops, queue depth, and
-/// calendar-ring vs overflow-heap occupancy. For the synchronous engine:
+/// timing-wheel occupancy, level 0 vs the higher levels. For the synchronous engine:
 /// rounds stepped and active-set sizes.
 struct EngineProfile {
   std::string backend;  ///< "buckets" (async) | "sync" | "" (not run)
   std::uint64_t events_popped = 0;
   std::uint64_t queue_high_water = 0;  ///< max queue size seen after a push
-  std::uint64_t ring_high_water = 0;   ///< calendar ring occupancy (buckets)
-  std::uint64_t overflow_high_water = 0;  ///< overflow-heap occupancy
+  std::uint64_t ring_high_water = 0;   ///< timing-wheel level 0 occupancy
+  std::uint64_t overflow_high_water = 0;  ///< occupancy of levels 1 and up
   LogHistogram queue_depth;  ///< queue size sampled at every pop
   std::uint64_t rounds_stepped = 0;    ///< sync: rounds that stepped a node
   LogHistogram round_active;           ///< sync: active nodes per round

@@ -24,7 +24,6 @@ namespace rise::sim {
 
 struct RunLimits {
   std::uint64_t max_events = 200'000'000;  ///< hard safety cap; exceeded => throws
-  Time max_time = kNever;                  ///< stop scheduling past this tick
 };
 
 }  // namespace rise::sim

@@ -21,18 +21,13 @@
 // type, so every call a kernel makes is direct and inlines into the engine
 // loop.
 //
-// Dropped-message semantics: when RunLimits::max_time truncates a run, a
-// message whose delivery time falls past the horizon is silently dropped by
-// the asynchronous engine. The *send* is still charged (metrics.messages,
-// metrics.bits, sent_per_node — the sender did the work), but no delivery
-// is recorded, so metrics.deliveries <= metrics.messages always holds, with
-// equality exactly when no delivery was truncated. Traces show an on_send
-// with no matching on_deliver for dropped messages.
-//
-// The sleeping model (SyncRunLimits::sleeping_model; DESIGN.md §13) reuses
-// the same send-charged/no-delivery convention: a message arriving at a node
-// during one of its declared-sleep rounds (sleep_until) is dropped, counted
-// in Metrics::sleep_dropped, and never traced as delivered.
+// Dropped-message semantics: in the sleeping model
+// (SyncRunLimits::sleeping_model; DESIGN.md §13) a message arriving at a
+// node during one of its declared-sleep rounds (sleep_until) is dropped. The
+// *send* is still charged (metrics.messages, metrics.bits, sent_per_node —
+// the sender did the work), but no delivery is recorded: the drop is counted
+// in Metrics::sleep_dropped, and the trace shows an on_send with no matching
+// on_deliver. Every other run delivers every message it sends.
 #pragma once
 
 #include <cstdint>

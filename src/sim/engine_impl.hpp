@@ -94,12 +94,12 @@ class AsyncRunner {
       events_ = std::move(workspace_->events);
     }
     channels_.assign(instance.num_directed_edges(), ChannelState{});
-    events_.reset(max_delay_);
+    events_.reset();
     if (probe_ != nullptr) probe_->set_backend("buckets");
     const NodeId n = instance.num_nodes();
     for (const auto& [t, u] : schedule.wakes) {
       RISE_CHECK(u < n);
-      events_.push({t, next_seq_++, EventKind::kWake, u, kInvalidPort, {}});
+      events_.emplace(t, EventKind::kWake, u, kInvalidPort, {});
     }
   }
 
@@ -181,12 +181,9 @@ class AsyncRunner {
     arrive = std::max(arrive, chan.last_delivery);  // FIFO clamp
     chan.last_delivery = arrive;
 
-    // A delivery clamped past max_time is dropped: the send was already
-    // charged, so metrics.deliveries stays <= metrics.messages.
-    if (limits_.max_time != kNever && arrive > limits_.max_time) return;
     const Port receiver_port = instance.reverse_port(from, p);
-    events_.emplace(arrive, next_seq_++, EventKind::kDeliver, to,
-                    receiver_port, std::move(msg));
+    events_.emplace(arrive, EventKind::kDeliver, to, receiver_port,
+                    std::move(msg));
     if (probe_ != nullptr) {
       probe_->on_queue_push(events_.size(), events_.ring_occupancy(),
                             events_.overflow_occupancy());
@@ -214,7 +211,6 @@ class AsyncRunner {
   std::vector<ChannelState> channels_;
   EventQueue events_;
   obs::Probe* probe_ = nullptr;
-  std::uint64_t next_seq_ = 0;
   Time now_ = 0;
 };
 

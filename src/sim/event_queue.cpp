@@ -1,82 +1,73 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
+#include <bit>
 
 #include "support/check.hpp"
 
 namespace rise::sim {
 
-namespace {
-
-std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-void EventQueue::reset(Time max_delay) {
-  // Drop leftovers (an exception can abort a run mid-timeline) but keep the
-  // per-bucket and heap capacity for the next run.
-  for (auto& slot : buckets_) slot.clear();
-  heap_.clear();
+void EventQueue::reset() {
+  if (slots_.empty()) slots_.resize(kLevels * kSlots);
+  // The last tick's slot still holds its popped events; any other slot with
+  // events sits on a level whose count is nonzero (an aborted run).
+  slots_[cursor_ % kSlots].clear();
+  for (unsigned level = 0; level < kLevels; ++level) {
+    if (level_size_[level] == 0) continue;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      slots_[level * kSlots + i].clear();
+    }
+    level_size_[level] = 0;
+  }
   size_ = 0;
-  ring_size_ = 0;
   cursor_pos_ = 0;
   cursor_ = 0;
-  // B > max_delay so a delivery scheduled while processing time `cursor_`
-  // can never wrap onto the bucket currently being drained. Above
-  // kMaxBucketSpan one bucket holds only the current tick; everything later
-  // waits in the overflow heap.
-  num_buckets_ = max_delay <= kMaxBucketSpan
-                     ? std::max<std::size_t>(64, next_pow2(max_delay + 2))
-                     : 1;
-  mask_ = num_buckets_ - 1;
-  if (buckets_.size() < num_buckets_) buckets_.resize(num_buckets_);
+}
+
+std::vector<Event>& EventQueue::slot_for(Time t) {
+  // diff | 1 puts t == cursor_ on level 0 without a branch.
+  const auto top_bit = static_cast<unsigned>(std::bit_width((t ^ cursor_) | 1));
+  const unsigned level = (top_bit - 1) / kDigitBits;
+  ++level_size_[level];
+  return slots_[level * kSlots + (t >> (level * kDigitBits)) % kSlots];
+}
+
+void EventQueue::emplace_far(Time t, EventKind kind, NodeId node, Port port,
+                             Message msg) {
+  slot_for(t).emplace_back(t, kind, node, port, std::move(msg));
 }
 
 Event& EventQueue::front_advance() {
   for (;;) {
-    auto& slot = buckets_[cursor_ & mask_];
+    auto& slot = slots_[cursor_ % kSlots];
     if (cursor_pos_ < slot.size()) return slot[cursor_pos_];
-    // The current tick is drained; free the slot for reuse one lap later.
+    // The current tick is drained; free the slot for the next window.
     slot.clear();
     cursor_pos_ = 0;
-    if (ring_size_ != 0) {
-      ++cursor_;
-    } else if (!heap_.empty()) {
-      cursor_ = heap_.front().t;  // leap over the idle gap
-    } else {
-      RISE_CHECK_MSG(false, "event queue size corrupted");
+    if (level_size_[0] != 0) {
+      // A later tick of this window still holds events: step to it.
+      std::size_t tick = cursor_ % kSlots + 1;
+      while (slots_[tick].empty()) ++tick;
+      cursor_ = cursor_ - cursor_ % kSlots + tick;
+      return slots_[tick].front();
     }
-    migrate();
+    RISE_CHECK_MSG(size_ != 0, "event queue size corrupted");
+    // Level 0 is dry: the next event lies in the lowest occupied level's
+    // next occupied slot, whose digit exceeds the cursor's there.
+    unsigned level = 1;
+    while (level_size_[level] == 0) ++level;
+    const unsigned shift = level * kDigitBits;
+    std::size_t digit = (cursor_ >> shift) % kSlots + 1;
+    while (slots_[level * kSlots + digit].empty()) ++digit;
+    // Move the cursor to the start of that slot's window and spill the slot
+    // into the empty levels below it, in order.
+    const unsigned above = shift + kDigitBits;
+    const Time high = above < 64 ? cursor_ >> above << above : 0;
+    cursor_ = high | (Time{digit} << shift);
+    auto& spilled = slots_[level * kSlots + digit];
+    level_size_[level] -= spilled.size();
+    for (Event& ev : spilled) slot_for(ev.t).push_back(std::move(ev));
+    spilled.clear();
   }
-}
-
-void EventQueue::migrate() {
-  while (!heap_.empty() && heap_.front().t - cursor_ < num_buckets_) {
-    // Heap pops ascend in (t, seq), and every pending direct push carries a
-    // larger seq than any overflow event of the same tick (overflow events
-    // were pushed before the cursor could reach their horizon), so plain
-    // appends keep each bucket seq-sorted.
-    Event ev = heap_pop();
-    buckets_[ev.t & mask_].push_back(std::move(ev));
-    ++ring_size_;
-  }
-}
-
-void EventQueue::emplace_overflow(Time t, std::uint64_t seq, EventKind kind,
-                                  NodeId node, Port port, Message msg) {
-  heap_.emplace_back(t, seq, kind, node, port, std::move(msg));
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
-}
-
-Event EventQueue::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
 }
 
 }  // namespace rise::sim

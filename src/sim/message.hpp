@@ -130,15 +130,14 @@ class PayloadWords {
 
   void release_heap();
 
-  /// Takes other's contents; leaves other empty and inline.
+  /// Takes other's contents; leaves other empty and inline. One fixed-size
+  /// copy of the union moves the inline words and the heap pointer alike
+  /// (words past size_ are copied as bytes and never read); a copy sized by
+  /// size_ compiled to a memcpy call on every message move.
   void steal(PayloadWords& other) noexcept {
     size_ = other.size_;
     cap_ = other.cap_;
-    if (other.is_inline()) {
-      std::memcpy(inline_, other.inline_, size_ * sizeof(std::uint64_t));
-    } else {
-      heap_ = other.heap_;
-    }
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
     other.size_ = 0;
     other.cap_ = kInlineWords;
   }

@@ -154,9 +154,9 @@ TEST(ShrinkScenario, PreservesSleepingModelValidity) {
 }
 
 TEST(RunFuzz, CleanCampaignAcrossAllFamilies) {
-  // The default generator keeps tau <= 12, inside the calendar ring's span;
-  // max_tau = 10000 also samples taus above EventQueue::kMaxBucketSpan,
-  // where the ring is a single bucket.
+  // The default generator keeps tau <= 12, so deliveries stay near the
+  // event timing wheel's level 0; max_tau = 10000 also samples taus whose
+  // deliveries mostly land on the higher levels and spill down.
   for (const sim::Time max_tau :
        {GeneratorOptions{}.max_tau, sim::Time{10000}}) {
     SCOPED_TRACE(max_tau);

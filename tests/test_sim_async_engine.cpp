@@ -167,49 +167,6 @@ TEST(AsyncRun, MaxEventsLimitEnforced) {
       CheckError);
 }
 
-TEST(AsyncRun, MaxTimeDropsDeliveriesButChargesSends) {
-  // fixed_delay(5) on a path: node 0's message would arrive at t=5, past the
-  // max_time horizon of 3 — the send is charged, the delivery never happens.
-  const auto g = graph::path(2);
-  const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const auto delays = fixed_delay(5);
-  RunLimits limits;
-  limits.max_time = 3;
-  CountingSink sink;
-  const auto result = run_async(inst, *delays, wake_single(0), 1,
-                                algo::flooding_kernel(), limits, &sink);
-  EXPECT_EQ(result.metrics.messages, 1u);
-  EXPECT_EQ(result.metrics.bits, 8u);
-  EXPECT_EQ(result.metrics.sent_per_node[0], 1u);
-  EXPECT_EQ(result.metrics.deliveries, 0u);
-  EXPECT_EQ(result.metrics.received_per_node[1], 0u);
-  EXPECT_EQ(sink.sends(), 1u);
-  EXPECT_EQ(sink.deliveries(), 0u);
-  EXPECT_EQ(result.wake_time[1], kNever);
-}
-
-TEST(AsyncRun, DeliveriesNeverExceedMessagesUnderTruncation) {
-  // Sweep truncation horizons over a flooding run: the invariant
-  // deliveries <= messages (with equality iff nothing was dropped) must
-  // hold at every horizon. See context.hpp "Dropped-message semantics".
-  Rng rng(77);
-  const auto g = graph::connected_gnp(30, 0.15, rng);
-  const Instance inst = test::make_instance(g, Knowledge::KT0);
-  const auto delays = random_delay(6, 5);
-  const auto full = run_async(inst, *delays, wake_single(0), 9,
-                              algo::flooding_kernel());
-  EXPECT_EQ(full.metrics.deliveries, full.metrics.messages);
-  for (Time horizon : {0ull, 1ull, 3ull, 7ull, 15ull}) {
-    RunLimits limits;
-    limits.max_time = horizon;
-    const auto r = run_async(inst, *delays, wake_single(0), 9,
-                             algo::flooding_kernel(), limits);
-    EXPECT_LE(r.metrics.deliveries, r.metrics.messages)
-        << "horizon " << horizon;
-    EXPECT_LE(r.metrics.last_delivery, horizon) << "horizon " << horizon;
-  }
-}
-
 TEST(AsyncRun, SlowChannelsDelayPolicyRespectsTau) {
   const auto delays = slow_channels_delay(20, 3, 1);
   EXPECT_EQ(delays->max_delay(), 20u);

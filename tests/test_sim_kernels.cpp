@@ -6,9 +6,9 @@
 // outputs, awake rounds and every metrics counter — across the execution
 // axes that must not change a result:
 //
-//   * the event timeline on both sides of EventQueue::kMaxBucketSpan,
-//     pinned against hashes recorded when tau above the span still ran on
-//     a separate binary-heap timeline;
+//   * the event timeline under short and long delays and far wake-ups,
+//     pinned against hashes recorded when long delays and far wake-ups
+//     still went through a binary heap;
 //   * lock-step replay (force_sync_engine) of the asynchronous families,
 //     pinned against golden hashes, and async golden runs of the
 //     lower-bound families (ttl, beta);
@@ -86,68 +86,91 @@ const std::vector<std::string> kAdviceSchemes = {"fip06", "sqrt", "cen",
 const std::vector<std::string> kSyncFamilies = {"fast_wakeup", "gossip:3",
                                                 "smis", "smatching"};
 
-// Every async family under tau = 4 (a 64-bucket calendar ring) and
-// tau = 10000 (above EventQueue::kMaxBucketSpan: a one-bucket ring whose
-// later ticks wait in the overflow heap). The hashes were recorded when
-// tau = 10000 still ran on a separate binary-heap timeline, so they pin
-// that the one timeline reproduces it. The spanner:3 hashes were recorded
-// while the greedy spanner still answered its distance questions with a
-// one-sided BFS and the spanner advice was kept in a std::map.
-TEST(SimKernels, AsyncFamiliesMatchPinnedDigestsAcrossTheBucketSpan) {
-  const char* const delays[] = {"random:4", "random:10000"};
+// Every async family under tau = 4, under tau = 10000, and under tau = 4
+// with adversary wake-ups 2^32 ticks apart (up to 7 * 2^32), so the event
+// timeline serves near deliveries, long delays and far wake-ups. The
+// tau = 10000 hashes were recorded when tau above 4096 still ran on a
+// separate binary-heap timeline, and the far-wake hashes while those wakes
+// waited in an overflow heap, so they pin that the timing wheel reproduces
+// both. The spanner:3 hashes were recorded while the greedy spanner still
+// answered its distance questions with a one-sided BFS and the spanner
+// advice was kept in a std::map.
+TEST(SimKernels, AsyncFamiliesMatchPinnedDigestsNearAndFar) {
+  struct Timing {
+    const char* delay;
+    const char* schedule;
+  };
+  const Timing timings[] = {{"random:4", "staggered:3:2"},
+                            {"random:10000", "staggered:3:2"},
+                            {"random:4", "staggered:4294967296:1.5"}};
   const std::uint64_t seeds[] = {3, 11};
   struct Pin {
     std::string algo;
-    std::uint64_t hash[2][2];  // [delay][seed]
+    std::uint64_t hash[3][2];  // [timing][seed]
   };
   const std::vector<Pin> pins = {
       {"flooding",
        {{1279082298829789255ULL, 13649416799214425391ULL},
-        {7221916029829063998ULL, 6952378835930050373ULL}}},
+        {7221916029829063998ULL, 6952378835930050373ULL},
+        {4313471375207356706ULL, 10155491359433726547ULL}}},
       {"ranked_dfs",
        {{5970325627444969794ULL, 17670700458849814639ULL},
-        {11380967258681418586ULL, 6495377942108639534ULL}}},
+        {11380967258681418586ULL, 6495377942108639534ULL},
+        {8634887315318889922ULL, 11503271814787473264ULL}}},
       {"ranked_dfs_nodiscard",
        {{11951460081252192932ULL, 5204918358554851965ULL},
-        {17825094914978373475ULL, 3667204922685601746ULL}}},
+        {17825094914978373475ULL, 3667204922685601746ULL},
+        {8634887315318889922ULL, 11503271814787473264ULL}}},
       {"ranked_dfs_congest",
        {{9016154703055516251ULL, 9689194181992756021ULL},
-        {13226107767540610409ULL, 9258000460239129889ULL}}},
+        {13226107767540610409ULL, 9258000460239129889ULL},
+        {6482338992856753569ULL, 14281524996338108592ULL}}},
       {"leader",
        {{18128964363755312185ULL, 13032459338032769063ULL},
-        {415129965960423322ULL, 10106198356723288790ULL}}},
+        {415129965960423322ULL, 10106198356723288790ULL},
+        {349802047767524377ULL, 640591242381039956ULL}}},
       {"fip06",
        {{1531811837893939270ULL, 97934861190819948ULL},
-        {5745340594990473103ULL, 14734535217672337273ULL}}},
+        {5745340594990473103ULL, 14734535217672337273ULL},
+        {7847881614688730404ULL, 3312323132478789712ULL}}},
       {"sqrt",
        {{12854716854359992803ULL, 10266174831112121572ULL},
-        {16986734716369055052ULL, 6819789738852236661ULL}}},
+        {16986734716369055052ULL, 6819789738852236661ULL},
+        {15186000502721653225ULL, 1907045760375914810ULL}}},
       {"cen",
        {{438855345338490516ULL, 6971044181436403607ULL},
-        {4721729379577796155ULL, 14412674343651550780ULL}}},
+        {4721729379577796155ULL, 14412674343651550780ULL},
+        {6375160534822740218ULL, 4717094710388908163ULL}}},
       {"cen_chain",
        {{5166658029800983803ULL, 4305474264467628962ULL},
-        {9246535355746358977ULL, 7265057610624836676ULL}}},
+        {9246535355746358977ULL, 7265057610624836676ULL},
+        {9366241840787748309ULL, 3644913870245160258ULL}}},
       {"spanner:2",
        {{9362700423773033365ULL, 9222743899798378487ULL},
-        {6616606967621854156ULL, 3695464763582303014ULL}}},
+        {6616606967621854156ULL, 3695464763582303014ULL},
+        {194854748799070876ULL, 3307770384193755518ULL}}},
       {"spanner:3",
        {{2577698546165568867ULL, 2497789326459196869ULL},
-        {4597740135182754618ULL, 3941983446272693545ULL}}},
+        {4597740135182754618ULL, 3941983446272693545ULL},
+        {12599699532269821471ULL, 17196744172362737848ULL}}},
       {"cor2",
        {{14668566446717030854ULL, 12323644374899499163ULL},
-        {15885244278425829859ULL, 16288530791986105949ULL}}},
+        {15885244278425829859ULL, 16288530791986105949ULL},
+        {16126081554913124748ULL, 34833477257121486ULL}}},
       {"ttl:4",
        {{11135941027958982018ULL, 11873999878000300385ULL},
-        {12871037934402146720ULL, 13687235573606962970ULL}}},
+        {12871037934402146720ULL, 13687235573606962970ULL},
+        {13070719497092111612ULL, 17448847984813912306ULL}}},
   };
   for (const Pin& pin : pins) {
-    for (std::size_t d = 0; d < 2; ++d) {
+    for (std::size_t d = 0; d < 3; ++d) {
       for (std::size_t k = 0; k < 2; ++k) {
         auto spec = make_spec(pin.algo, seeds[k]);
-        spec.delay = delays[d];
+        spec.delay = timings[d].delay;
+        spec.schedule = timings[d].schedule;
         EXPECT_EQ(test::fnv1a(run_digest(spec, {})), pin.hash[d][k])
-            << pin.algo << " delay=" << spec.delay << " seed=" << seeds[k];
+            << pin.algo << " delay=" << spec.delay
+            << " schedule=" << spec.schedule << " seed=" << seeds[k];
       }
     }
   }

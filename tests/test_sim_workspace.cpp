@@ -56,9 +56,9 @@ app::ExperimentSpec make_spec(const std::string& graph,
 }
 
 /// Leaves `ws` thoroughly dirty: a larger topology, a payload-heavy
-/// synchronous algorithm, and an asynchronous run whose tau lies above
-/// EventQueue::kMaxBucketSpan all leave sized vectors, channel state, pooled
-/// buffers and an oversized calendar ring behind.
+/// synchronous algorithm, and an asynchronous run with tau = 10000 all leave
+/// sized vectors, channel state, pooled buffers and timing-wheel slots with
+/// spare capacity behind.
 void dirty_workspace(sim::RunWorkspace& ws) {
   observe(make_spec("cgnp:300:0.03", "fast_wakeup", "random:6", 99), &ws);
   observe(make_spec("cgnp:300:0.03", "ranked_dfs", "random:10000", 98), &ws);
