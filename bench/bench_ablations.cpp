@@ -16,6 +16,7 @@
 #include "algo/ranked_dfs.hpp"
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
+#include "obs/probe.hpp"
 #include "sim/kernel.hpp"
 
 namespace {
@@ -69,13 +70,15 @@ void ablation_sampling_rate() {
   bench::Table table({"p / p*", "rounds", "messages", "roots sampled",
                       "activate! broadcasts"});
   for (double mult : {0.0, 0.1, 0.5, 1.0, 4.0, 16.0}) {
-    algo::FastWakeupProbe probe;
-    const auto result = sim::run_sync(
-        inst, schedule, 11, algo::fast_wakeup_kernel(&probe, mult * p_star));
+    obs::Probe probe;
+    const auto result =
+        sim::run_sync(inst, schedule, 11,
+                      algo::fast_wakeup_kernel(mult * p_star), {}, nullptr,
+                      &probe);
     table.add_row({bench::fmt_f(mult, 1), bench::fmt_u(result.wakeup_span()),
                    bench::fmt_u(result.metrics.messages),
-                   bench::fmt_u(probe.roots_sampled),
-                   bench::fmt_u(probe.activate_broadcasts)});
+                   bench::fmt_u(probe.counter("fw.roots_sampled")),
+                   bench::fmt_u(probe.counter("fw.activate_broadcasts"))});
   }
   table.print();
   std::printf(

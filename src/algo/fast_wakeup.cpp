@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -18,62 +17,122 @@ using sim::Message;
 using sim::Port;
 
 Message labels_message(std::uint32_t type, Label root,
-                       const std::vector<Label>& labels, unsigned label_bits) {
+                       std::span<const Label> labels, unsigned label_bits) {
   sim::PayloadWords payload;
   payload.reserve(2 + labels.size());
   payload.push_back(root);
   payload.push_back(labels.size());
-  payload.append(labels.begin(), labels.end());
+  payload.append(labels.data(), labels.data() + labels.size());
   return sim::make_message(type, std::move(payload),
                            16 + label_bits * (1 + labels.size()));
 }
 
+/// A list of labels under a key: a group of a grouped payload, or a held
+/// neighbor list under the label of the node it came from.
+struct Group {
+  Label key;
+  std::span<const Label> labels;
+  Label via = 0;  ///< a root's level-2 list: the level-1 node it came through
+};
+
 /// Grouped payload: [root, #groups, (key, count, labels...) ...].
 Message groups_message(std::uint32_t type, Label root,
-                       const std::map<Label, std::vector<Label>>& groups,
-                       unsigned label_bits) {
-  sim::PayloadWords payload{root, groups.size()};
+                       std::span<const Group> groups, unsigned label_bits) {
   std::uint64_t label_count = 1;
-  for (const auto& [key, labels] : groups) {
-    payload.push_back(key);
-    payload.push_back(labels.size());
-    payload.append(labels.begin(), labels.end());
-    label_count += 1 + labels.size();
+  for (const Group& g : groups) label_count += 1 + g.labels.size();
+  sim::PayloadWords payload;
+  payload.reserve(1 + groups.size() + label_count);
+  payload.push_back(root);
+  payload.push_back(groups.size());
+  for (const Group& g : groups) {
+    payload.push_back(g.key);
+    payload.push_back(g.labels.size());
+    payload.append(g.labels.data(), g.labels.data() + g.labels.size());
   }
   return sim::make_message(type, std::move(payload),
                            16 + label_bits * label_count);
 }
 
-std::vector<Label> parse_labels(const Message& msg) {
+/// The label list of [root, count, labels...], read in place.
+std::span<const Label> parse_labels(const Message& msg) {
   RISE_CHECK(msg.payload.size() >= 2);
   const std::uint64_t count = msg.payload[1];
   RISE_CHECK(msg.payload.size() == 2 + count);
   return {msg.payload.begin() + 2, msg.payload.end()};
 }
 
-std::map<Label, std::vector<Label>> parse_groups(const Message& msg) {
+/// The body of a grouped payload [root, #groups, (key, count, labels...)
+/// ...], every group's size checked before any is read.
+std::span<const Label> parse_groups(const Message& msg) {
   RISE_CHECK(msg.payload.size() >= 2);
-  std::map<Label, std::vector<Label>> groups;
   std::size_t i = 2;
   for (std::uint64_t g = 0; g < msg.payload[1]; ++g) {
     RISE_CHECK(i + 2 <= msg.payload.size());
-    const Label key = msg.payload[i++];
-    const std::uint64_t count = msg.payload[i++];
+    const std::uint64_t count = msg.payload[i + 1];
+    i += 2;
     RISE_CHECK(i + count <= msg.payload.size());
-    groups[key].assign(msg.payload.begin() + static_cast<std::ptrdiff_t>(i),
-                       msg.payload.begin() + static_cast<std::ptrdiff_t>(i + count));
     i += count;
   }
   RISE_CHECK(i == msg.payload.size());
-  return groups;
+  return {msg.payload.begin() + 2, msg.payload.end()};
 }
 
-/// FastWakeup with each node's mutable state in one State entry of a flat
-/// vector. Synchronous engine only.
+/// Calls fn(key, labels) for each group of a body from parse_groups.
+template <class Fn>
+void for_each_group(std::span<const Label> body, Fn&& fn) {
+  for (std::size_t i = 0; i < body.size();) {
+    const Label key = body[i];
+    const auto count = static_cast<std::size_t>(body[i + 1]);
+    fn(key, body.subspan(i + 2, count));
+    i += 2 + count;
+  }
+}
+
+/// Per-thread scratch for the root's S2/S3 computations. Chunks of a
+/// round-parallel step run nodes on several threads at once, so it is
+/// thread_local rather than a kernel member.
+struct Scratch {
+  /// The "known" label set: label l is in it iff stamp[l] == generation.
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t generation = 0;
+
+  std::vector<Group> held;    ///< take_held's result
+  std::vector<Group> groups;  ///< S3: level-3 labels per level-2 node
+  std::vector<Label> l3s;     ///< the labels those groups point into
+
+  /// Empties the known set; labels must lie below `bound`.
+  void clear_known(std::uint64_t bound) {
+    if (stamp.size() < bound) stamp.resize(bound);
+    if (++generation == 0) {
+      std::fill(stamp.begin(), stamp.end(), 0u);
+      generation = 1;
+    }
+  }
+
+  /// Adds l to the known set; false if it was already there.
+  bool insert(Label l) {
+    RISE_CHECK(l < stamp.size());
+    if (stamp[l] == generation) return false;
+    stamp[l] = generation;
+    return true;
+  }
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// FastWakeup with each node's state in one Node: a fixed-size Record plus
+/// vectors for what varies in size (its level-1 memberships, the neighbor
+/// lists it holds, and as a root its S2 assignment), which keep their
+/// capacity across runs of a workspace. No node-based containers, and no
+/// allocation per message once the vectors are warm. Synchronous engine
+/// only.
 class FastWakeupKernel {
  public:
-  FastWakeupKernel(FastWakeupProbe* probe, double root_probability)
-      : probe_(probe), root_probability_(root_probability) {}
+  explicit FastWakeupKernel(double root_probability)
+      : root_probability_(root_probability) {}
 
   enum class Status : std::uint8_t {
     kUnwoken,
@@ -82,52 +141,72 @@ class FastWakeupKernel {
     kDeactivated,
   };
 
-  struct RootState {
-    std::map<Label, std::vector<Label>> l1_lists;   // L1 label -> its nbrs
-    std::map<Label, std::vector<Label>> s2_assign;  // L1 label -> L2 children
-    std::map<Label, Label> l2_parent;               // L2 label -> L1 parent
-    std::size_t expected_l1 = 0;
-    std::size_t expected_fwd = 0;
-    std::map<Label, std::vector<Label>> l2_lists;   // L2 label -> its nbrs
-    bool s2_done = false;
-    bool s3_done = false;
-  };
-
-  struct L1State {
-    Port parent = sim::kInvalidPort;
-    std::vector<Label> children;                    // assigned L2 children
-    std::map<Label, std::vector<Label>> collected;  // child -> its nbr list
+  /// This node is at level 1 of `root`'s tree.
+  struct Member {
+    Label root;
+    Port parent;
+    std::uint32_t children = 0;   ///< L2 children assigned by S2
+    std::uint32_t collected = 0;  ///< children's neighbor lists received
     bool forwarded = false;
   };
 
-  struct L2State {
-    Port parent = sim::kInvalidPort;
+  /// A neighbor list held until its tree step completes: as a root, its
+  /// level-1 and level-2 nodes' lists; as a level-1 node, its children's.
+  struct HeldList {
+    Label tree;  ///< the root label of the tree it belongs to
+    Label from;  ///< the node whose neighbors these are
+    Label via;   ///< see Group::via
+    std::uint32_t begin;
+    std::uint32_t size;
   };
 
-  struct State {
+  /// The fixed-size part of a node's state.
+  struct Record {
     Status status = Status::kUnwoken;
     bool pending_activation = false;
     bool woke_by_message = false;
     bool is_root = false;
     bool broadcasted = false;
+    bool member = false;  ///< joined some tree at level 1 or 2
+    bool s2_done = false;
+    bool s3_done = false;
+    std::uint32_t expected_l1 = 0;
+    std::uint32_t l1_received = 0;
+    std::uint32_t expected_fwd = 0;
+    std::uint32_t fwd_received = 0;
     std::uint64_t activation_round = 0;
     std::uint64_t deact_deadline = sim::kNever;
-    RootState root_state;
-    std::size_t fwd_received = 0;
-    std::map<Label, L1State> l1_states;
-    std::map<Label, L2State> l2_states;
   };
-  using States = std::vector<State>;
+
+  struct Node : Record {
+    std::vector<Member> members;
+    std::vector<HeldList> held;
+    std::vector<Label> words;  ///< the labels of `held`, back to back
+    /// As a root: the S2 assignment, L2 labels grouped by their L1 parent
+    /// in L1-label order.
+    std::vector<Label> l2s;
+
+    /// Back to the unwoken state, keeping every vector's capacity.
+    void reset() {
+      static_cast<Record&>(*this) = Record{};
+      members.clear();
+      held.clear();
+      words.clear();
+      l2s.clear();
+    }
+  };
+  using Nodes = std::vector<Node>;
 
   void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
-    states_ = &sim::acquire_kernel_state(workspace, own_);
-    states_->clear();
-    states_->resize(instance.num_nodes());
+    nodes_ = &sim::acquire_kernel_state(workspace, own_);
+    const std::size_t n = instance.num_nodes();
+    if (nodes_->size() < n) nodes_->resize(n);
+    for (std::size_t u = 0; u < n; ++u) (*nodes_)[u].reset();
   }
 
   template <class Ctx>
   void on_wake(Ctx& ctx, sim::WakeCause cause) {
-    State& self = (*states_)[ctx.node()];
+    Node& self = (*nodes_)[ctx.node()];
     if (cause == sim::WakeCause::kAdversary) {
       self.pending_activation = true;
     } else {
@@ -142,7 +221,7 @@ class FastWakeupKernel {
 
   template <class Ctx>
   void on_round(Ctx& ctx, std::span<const Incoming> inbox) {
-    State& self = (*states_)[ctx.node()];
+    Node& self = (*nodes_)[ctx.node()];
     // Deactivation deadlines fire before anything else in a round, so a
     // node deactivated by a completing tree never executes the broadcast
     // step of the same round (Sec. 3.2.1 status updates).
@@ -170,7 +249,7 @@ class FastWakeupKernel {
 
  private:
   template <class Ctx>
-  void become_active(Ctx& ctx, State& self) {
+  void become_active(Ctx& ctx, Node& self) {
     if (self.status != Status::kUnwoken) return;
     self.status = Status::kActive;
     self.activation_round = ctx.local_round();
@@ -179,7 +258,7 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void sample(Ctx& ctx, State& self) {
+  void sample(Ctx& ctx, Node& self) {
     double p = root_probability_;
     if (p < 0.0) {
       const double n = static_cast<double>(ctx.n_upper_bound());
@@ -187,7 +266,6 @@ class FastWakeupKernel {
     }
     if (ctx.rng().chance(p)) {
       self.is_root = true;
-      if (probe_ != nullptr) ++probe_->roots_sampled;
       // Construction takes 9 rounds; deactivate when it completes.
       self.deact_deadline =
           std::min(self.deact_deadline, ctx.local_round() + 9);
@@ -196,55 +274,53 @@ class FastWakeupKernel {
   }
 
   template <class Ctx>
-  void start_tree(Ctx& ctx, State& self) {
+  void start_tree(Ctx& ctx, Node& self) {
     obs::NodeProbe obs_probe = ctx.probe();
     obs_probe.phase("fw.tree");
     obs_probe.node_class("root");
     obs_probe.count("fw.roots_sampled");
-    self.root_state.expected_l1 = ctx.degree();
+    self.expected_l1 = ctx.degree();
     const Label me = ctx.my_label();
     for (Port p = 0; p < ctx.degree(); ++p) {
       ctx.send(p, sim::make_message(kFwInvite1, {me},
                                     16 + ctx.label_bits()));
     }
-    if (self.root_state.expected_l1 == 0) {
+    if (self.expected_l1 == 0) {
       compute_s2(ctx, self);  // degenerate isolated root
     }
   }
 
   template <class Ctx>
-  void handle(Ctx& ctx, State& self, const Incoming& in) {
+  void handle(Ctx& ctx, Node& self, const Incoming& in) {
     switch (in.msg.type) {
       case kFwInvite1: {
         const Label root = in.msg.payload[0];
-        if (probe_ != nullptr) ++probe_->l1_joins;
         obs::NodeProbe obs_probe = ctx.probe();
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l1");
         obs_probe.count("fw.l1_joins");
-        L1State& st = self.l1_states[root];
-        st.parent = in.port;
+        self.members.push_back({root, in.port});
+        self.member = true;
         schedule_tree_deactivation(ctx, self, /*rounds_to_completion=*/8);
-        std::vector<Label> nbrs(ctx.neighbor_labels().begin(),
-                                ctx.neighbor_labels().end());
-        ctx.send(in.port, labels_message(kFwNbrList1, root, nbrs,
+        ctx.send(in.port, labels_message(kFwNbrList1, root,
+                                         ctx.neighbor_labels(),
                                          ctx.label_bits()));
         break;
       }
       case kFwNbrList1: {
-        const Label sender = ctx.neighbor_labels()[in.port];
-        self.root_state.l1_lists[sender] = parse_labels(in.msg);
-        if (self.root_state.l1_lists.size() == self.root_state.expected_l1 &&
-            !self.root_state.s2_done) {
+        hold(self, ctx.my_label(), ctx.neighbor_labels()[in.port],
+             parse_labels(in.msg));
+        if (++self.l1_received == self.expected_l1 && !self.s2_done) {
           compute_s2(ctx, self);
         }
         break;
       }
       case kFwS2Assign: {
         const Label root = in.msg.payload[0];
-        L1State& st = self.l1_states[root];
-        st.children = parse_labels(in.msg);
-        for (Label child : st.children) {
+        Member& st = member_of(self, root);
+        const std::span<const Label> children = parse_labels(in.msg);
+        st.children = static_cast<std::uint32_t>(children.size());
+        for (Label child : children) {
           ctx.send_to_label(child,
                             sim::make_message(kFwInvite2, {root},
                                               16 + ctx.label_bits()));
@@ -253,48 +329,50 @@ class FastWakeupKernel {
       }
       case kFwInvite2: {
         const Label root = in.msg.payload[0];
-        if (probe_ != nullptr) ++probe_->l2_joins;
         obs::NodeProbe obs_probe = ctx.probe();
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l2");
         obs_probe.count("fw.l2_joins");
-        self.l2_states[root].parent = in.port;
+        self.member = true;
         schedule_tree_deactivation(ctx, self, /*rounds_to_completion=*/5);
-        std::vector<Label> nbrs(ctx.neighbor_labels().begin(),
-                                ctx.neighbor_labels().end());
-        ctx.send(in.port, labels_message(kFwNbrList2, root, nbrs,
+        ctx.send(in.port, labels_message(kFwNbrList2, root,
+                                         ctx.neighbor_labels(),
                                          ctx.label_bits()));
         break;
       }
       case kFwNbrList2: {
         const Label root = in.msg.payload[0];
         const Label child = ctx.neighbor_labels()[in.port];
-        L1State& st = self.l1_states[root];
-        st.collected[child] = parse_labels(in.msg);
-        if (!st.forwarded && st.collected.size() == st.children.size()) {
+        const std::span<const Label> list = parse_labels(in.msg);
+        hold(self, root, child, list);
+        Member& st = member_of(self, root);
+        if (!st.forwarded && ++st.collected == st.children) {
           st.forwarded = true;
-          ctx.send(st.parent, groups_message(kFwFwdLists, root, st.collected,
-                                             ctx.label_bits()));
+          forward_lists(ctx, self, st);
         }
         break;
       }
       case kFwFwdLists: {
-        for (const auto& [l2, list] : parse_groups(in.msg)) {
-          self.root_state.l2_lists[l2] = list;
-        }
+        const Label me = ctx.my_label();
+        const Label l1 = ctx.neighbor_labels()[in.port];
+        for_each_group(parse_groups(in.msg),
+                       [&](Label l2, std::span<const Label> list) {
+                         hold(self, me, l2, list, l1);
+                       });
         ++self.fwd_received;
-        if (self.fwd_received == self.root_state.expected_fwd &&
-            !self.root_state.s3_done) {
+        if (self.fwd_received == self.expected_fwd && !self.s3_done) {
           compute_s3(ctx, self);
         }
         break;
       }
       case kFwS3ToL1: {
         const Label root = in.msg.payload[0];
-        for (const auto& [l2, l3_children] : parse_groups(in.msg)) {
-          ctx.send_to_label(l2, labels_message(kFwS3ToL2, root, l3_children,
-                                               ctx.label_bits()));
-        }
+        for_each_group(parse_groups(in.msg),
+                       [&](Label l2, std::span<const Label> l3_children) {
+                         ctx.send_to_label(
+                             l2, labels_message(kFwS3ToL2, root, l3_children,
+                                                ctx.label_bits()));
+                       });
         break;
       }
       case kFwS3ToL2: {
@@ -308,10 +386,7 @@ class FastWakeupKernel {
       }
       case kFwInvite3:
       case kFwActivate: {
-        if (in.msg.type == kFwInvite3) {
-          if (probe_ != nullptr) ++probe_->l3_invites;
-          ctx.probe().count("fw.l3_invites");
-        }
+        if (in.msg.type == kFwInvite3) ctx.probe().count("fw.l3_invites");
         // A sleeping node joining at level 3, or receiving <activate!>,
         // becomes active (Sec. 3.2.1 status updates).
         if (self.woke_by_message && self.status == Status::kUnwoken) {
@@ -326,77 +401,149 @@ class FastWakeupKernel {
     // A node woken this round that only joined trees (level 1/2) ends up
     // Joined: awake, silent, deactivating at tree completion.
     if (self.woke_by_message && self.status == Status::kUnwoken &&
-        (!self.l1_states.empty() || !self.l2_states.empty())) {
+        self.member) {
       self.status = Status::kJoined;
     }
   }
 
   template <class Ctx>
-  void schedule_tree_deactivation(Ctx& ctx, State& self,
+  void schedule_tree_deactivation(Ctx& ctx, Node& self,
                                   std::uint64_t rounds_to_completion) {
     self.deact_deadline = std::min(self.deact_deadline,
                                    ctx.local_round() + rounds_to_completion);
   }
 
+  static Member& member_of(Node& self, Label root) {
+    const auto it =
+        std::find_if(self.members.begin(), self.members.end(),
+                     [root](const Member& m) { return m.root == root; });
+    RISE_CHECK_MSG(it != self.members.end(),
+                   "FastWakeup: no level-1 membership in the tree of "
+                       << root);
+    return *it;
+  }
+
+  static void hold(Node& self, Label tree, Label from,
+                   std::span<const Label> labels, Label via = 0) {
+    self.held.push_back({tree, from, via,
+                         static_cast<std::uint32_t>(self.words.size()),
+                         static_cast<std::uint32_t>(labels.size())});
+    self.words.insert(self.words.end(), labels.begin(), labels.end());
+  }
+
+  /// Moves the lists held for `tree` into scratch().held, sorted by the
+  /// label of the node they came from (the order a std::map keyed by that
+  /// label iterated in), and drops them from the node. The spans point
+  /// into self.words, which stays untouched until the next hold().
+  static std::vector<Group>& take_held(Node& self, Label tree) {
+    std::vector<Group>& out = scratch().held;
+    out.clear();
+    for (const HeldList& h : self.held) {
+      if (h.tree != tree) continue;
+      out.push_back(
+          {h.from, std::span<const Label>(self.words).subspan(h.begin, h.size),
+           h.via});
+    }
+    std::sort(out.begin(), out.end(), [](const Group& a, const Group& b) {
+      return a.key < b.key;
+    });
+    std::erase_if(self.held,
+                  [tree](const HeldList& h) { return h.tree == tree; });
+    return out;
+  }
+
+  /// Level 1 to the root: every child's neighbor list, grouped under the
+  /// child's label in label order.
   template <class Ctx>
-  void compute_s2(Ctx& ctx, State& self) {
-    self.root_state.s2_done = true;
-    std::set<Label> known{ctx.my_label()};
-    for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
-    // Assign each level-2 candidate to its smallest-ID level-1 neighbor.
-    for (const auto& [l1, nbrs] : self.root_state.l1_lists) {
-      for (Label w : nbrs) {
-        if (known.count(w)) continue;
-        known.insert(w);
-        self.root_state.s2_assign[l1].push_back(w);
-        self.root_state.l2_parent[w] = l1;
-      }
+  void forward_lists(Ctx& ctx, Node& self, const Member& st) {
+    ctx.send(st.parent, groups_message(kFwFwdLists, st.root,
+                                       take_held(self, st.root),
+                                       ctx.label_bits()));
+    if (self.held.empty()) self.words.clear();
+  }
+
+  /// Marks the root, its neighbors and (with_l2) its S2 assignment known.
+  template <class Ctx>
+  static Scratch& known_around_root(Ctx& ctx, const Node& self, bool with_l2) {
+    Scratch& s = scratch();
+    s.clear_known(ctx.n_upper_bound());
+    s.insert(ctx.my_label());
+    for (Label l : ctx.neighbor_labels()) s.insert(l);
+    if (with_l2) {
+      for (Label l : self.l2s) s.insert(l);
     }
-    self.root_state.expected_fwd = self.root_state.s2_assign.size();
-    // Distribute S2 to all level-1 nodes (empty lists included: the paper's
-    // root "sends it to its neighbors").
-    for (const auto& [l1, nbrs] : self.root_state.l1_lists) {
-      auto it = self.root_state.s2_assign.find(l1);
-      const std::vector<Label> empty;
-      const std::vector<Label>& children =
-          it != self.root_state.s2_assign.end() ? it->second : empty;
-      ctx.send_to_label(l1, labels_message(kFwS2Assign, ctx.my_label(),
-                                           children, ctx.label_bits()));
-    }
-    if (self.root_state.expected_fwd == 0) compute_s3(ctx, self);
+    return s;
   }
 
   template <class Ctx>
-  void compute_s3(Ctx& ctx, State& self) {
-    self.root_state.s3_done = true;
-    std::set<Label> known{ctx.my_label()};
-    for (const auto& lbl : ctx.neighbor_labels()) known.insert(lbl);
-    for (const auto& [l2, parent] : self.root_state.l2_parent) {
-      known.insert(l2);
+  void compute_s2(Ctx& ctx, Node& self) {
+    self.s2_done = true;
+    Scratch& s = known_around_root(ctx, self, /*with_l2=*/false);
+    // Assign each level-2 candidate to its smallest-ID level-1 neighbor,
+    // and distribute S2 to all level-1 nodes (empty lists included: the
+    // paper's root "sends it to its neighbors").
+    for (const Group& l1 : take_held(self, ctx.my_label())) {
+      const std::size_t first = self.l2s.size();
+      for (Label w : l1.labels) {
+        if (s.insert(w)) self.l2s.push_back(w);
+      }
+      if (self.l2s.size() > first) ++self.expected_fwd;
+      const auto children = std::span<const Label>(self.l2s).subspan(first);
+      ctx.send_to_label(l1.key, labels_message(kFwS2Assign, ctx.my_label(),
+                                               children, ctx.label_bits()));
     }
-    // Per level-1 node: groups (its L2 child -> that child's L3 children).
-    std::map<Label, std::map<Label, std::vector<Label>>> per_l1;
-    for (const auto& [l2, nbrs] : self.root_state.l2_lists) {
-      const Label l1 = self.root_state.l2_parent.at(l2);
-      for (Label w : nbrs) {
-        if (known.count(w)) continue;
-        known.insert(w);
-        per_l1[l1][l2].push_back(w);
+    if (self.held.empty()) self.words.clear();
+    if (self.expected_fwd == 0) compute_s3(ctx, self);
+  }
+
+  template <class Ctx>
+  void compute_s3(Ctx& ctx, Node& self) {
+    self.s3_done = true;
+    Scratch& s = known_around_root(ctx, self, /*with_l2=*/true);
+    // Each new level-3 label goes to the first level-2 node, in label
+    // order, that lists it. l3s gets room for every listed label first, so
+    // the groups' spans into it stay valid while it fills.
+    const std::vector<Group>& l2_lists = take_held(self, ctx.my_label());
+    std::size_t listed = 0;
+    for (const Group& l2 : l2_lists) listed += l2.labels.size();
+    s.l3s.clear();
+    s.l3s.reserve(listed);
+    s.groups.clear();
+    for (const Group& l2 : l2_lists) {
+      const std::size_t first = s.l3s.size();
+      for (Label w : l2.labels) {
+        if (s.insert(w)) s.l3s.push_back(w);
+      }
+      if (s.l3s.size() > first) {
+        s.groups.push_back(
+            {l2.key, std::span<const Label>(s.l3s).subspan(first), l2.via});
       }
     }
-    for (const auto& [l1, groups] : per_l1) {
-      ctx.send_to_label(l1, groups_message(kFwS3ToL1, ctx.my_label(), groups,
-                                           ctx.label_bits()));
+    if (self.held.empty()) self.words.clear();
+    // One message per level-1 node (in label order), with its level-2
+    // children's groups in label order.
+    std::sort(s.groups.begin(), s.groups.end(),
+              [](const Group& a, const Group& b) {
+                return a.via != b.via ? a.via < b.via : a.key < b.key;
+              });
+    const std::span<const Group> groups(s.groups);
+    for (std::size_t i = 0; i < groups.size();) {
+      std::size_t end = i + 1;
+      while (end < groups.size() && groups[end].via == groups[i].via) ++end;
+      ctx.send_to_label(groups[i].via,
+                        groups_message(kFwS3ToL1, ctx.my_label(),
+                                       groups.subspan(i, end - i),
+                                       ctx.label_bits()));
+      i = end;
     }
   }
 
   template <class Ctx>
-  void run_active_step(Ctx& ctx, State& self) {
+  void run_active_step(Ctx& ctx, Node& self) {
     const std::uint64_t active_round =
         ctx.local_round() - self.activation_round + 1;
     if (!self.is_root && active_round == 10 && !self.broadcasted) {
       self.broadcasted = true;
-      if (probe_ != nullptr) ++probe_->activate_broadcasts;
       obs::NodeProbe obs_probe = ctx.probe();
       obs_probe.phase("fw.activate");
       obs_probe.count("fw.activate_broadcasts");
@@ -406,17 +553,15 @@ class FastWakeupKernel {
     }
   }
 
-  FastWakeupProbe* probe_;
   double root_probability_;
-  States own_;
-  States* states_ = nullptr;
+  Nodes own_;
+  Nodes* nodes_ = nullptr;
 };
 
 }  // namespace
 
-sim::KernelRunner fast_wakeup_kernel(FastWakeupProbe* probe,
-                                     double root_probability) {
-  return sim::make_kernel(FastWakeupKernel(probe, root_probability));
+sim::KernelRunner fast_wakeup_kernel(double root_probability) {
+  return sim::make_kernel(FastWakeupKernel(root_probability));
 }
 
 }  // namespace rise::algo

@@ -36,18 +36,11 @@ inline constexpr std::uint32_t kFwS3ToL2 = 0x0FA8;
 inline constexpr std::uint32_t kFwInvite3 = 0x0FA9;
 inline constexpr std::uint32_t kFwActivate = 0x0FAA;
 
-struct FastWakeupProbe {
-  std::uint32_t roots_sampled = 0;
-  std::uint32_t activate_broadcasts = 0;
-  std::uint32_t l1_joins = 0;   ///< level-1 tree memberships accepted
-  std::uint32_t l2_joins = 0;   ///< level-2 tree memberships accepted
-  std::uint32_t l3_invites = 0; ///< level-3 invitations received
-};
-
 /// `root_probability` overrides the sampling probability when >= 0 (tests);
 /// the default -1 uses sqrt(log n / n) with n taken from the ID-range bound.
+/// With an obs::Probe attached the run counts fw.roots_sampled,
+/// fw.l1_joins, fw.l2_joins, fw.l3_invites and fw.activate_broadcasts.
 /// Synchronous engine only.
-sim::KernelRunner fast_wakeup_kernel(FastWakeupProbe* probe = nullptr,
-                                     double root_probability = -1.0);
+sim::KernelRunner fast_wakeup_kernel(double root_probability = -1.0);
 
 }  // namespace rise::algo

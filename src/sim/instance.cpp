@@ -1,5 +1,6 @@
 #include "sim/instance.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "support/check.hpp"
@@ -89,10 +90,10 @@ Instance Instance::create(graph::Graph g, const InstanceOptions& options,
 
 void Instance::rebuild_label_views() {
   const NodeId n = num_nodes();
-  neighbor_labels_.assign(edge_base_.empty() ? 0 : edge_base_.back(), 0);
-  label_to_port_.clear();
+  const std::size_t links = edge_base_.empty() ? 0 : edge_base_.back();
+  neighbor_labels_.assign(links, 0);
   const bool kt1 = options_.knowledge == Knowledge::KT1;
-  if (kt1) label_to_port_.resize(n);
+  label_ports_.assign(kt1 ? links : 0, {});
   for (NodeId u = 0; u < n; ++u) {
     const auto deg = graph_.degree(u);
     const std::size_t base = edge_base_[u];
@@ -100,12 +101,21 @@ void Instance::rebuild_label_views() {
     for (Port p = 0; p < deg; ++p) {
       const Label l = labels_[nb[port_to_slot_[base + p]]];
       neighbor_labels_[base + p] = l;
-      if (kt1) {
-        const bool inserted = label_to_port_[u].emplace(l, p).second;
-        RISE_CHECK_MSG(inserted, "node " << u << " has two neighbors with label "
-                                         << l << " — labels must be distinct");
-      }
+      if (kt1) label_ports_[base + p] = {l, p};
     }
+    if (!kt1) continue;
+    const auto first = label_ports_.begin() + static_cast<std::ptrdiff_t>(base);
+    const auto last = first + deg;
+    std::sort(first, last, [](const LabelPort& a, const LabelPort& b) {
+      return a.label < b.label;
+    });
+    const auto dup = std::adjacent_find(
+        first, last, [](const LabelPort& a, const LabelPort& b) {
+          return a.label == b.label;
+        });
+    RISE_CHECK_MSG(dup == last, "node " << u << " has two neighbors with label "
+                                        << dup->label
+                                        << " — labels must be distinct");
   }
 }
 
@@ -123,12 +133,17 @@ Port Instance::port_of_label(NodeId u, Label neighbor) const {
   RISE_CHECK_MSG(options_.knowledge == Knowledge::KT1,
                  "addressing by neighbor ID requires KT1");
   RISE_CHECK(u < num_nodes());
-  const auto& index = label_to_port_[u];
-  const auto it = index.find(neighbor);
-  RISE_CHECK_MSG(it != index.end(), "node " << label(u)
-                                            << " has no neighbor with ID "
-                                            << neighbor);
-  return it->second;
+  const auto first =
+      label_ports_.begin() + static_cast<std::ptrdiff_t>(edge_base_[u]);
+  const auto last =
+      label_ports_.begin() + static_cast<std::ptrdiff_t>(edge_base_[u + 1]);
+  const auto it = std::lower_bound(
+      first, last, neighbor,
+      [](const LabelPort& e, Label l) { return e.label < l; });
+  RISE_CHECK_MSG(it != last && it->label == neighbor,
+                 "node " << label(u) << " has no neighbor with ID "
+                         << neighbor);
+  return it->port;
 }
 
 NodeId Instance::node_of_label(Label l) const {

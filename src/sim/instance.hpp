@@ -90,8 +90,9 @@ class Instance {
     return reverse_port_[edge_base_[u] + p];
   }
 
-  /// O(1) KT1 addressing: the port of u leading to the neighbor with this
-  /// label. Throws under KT0 and for labels that are not neighbors of u.
+  /// KT1 addressing: the port of u leading to the neighbor with this label,
+  /// by binary search in O(log degree). Throws under KT0 and for labels
+  /// that are not neighbors of u.
   Port port_of_label(NodeId u, Label neighbor) const;
 
   /// Maximum message size in bits permitted under CONGEST.
@@ -118,7 +119,7 @@ class Instance {
   AdviceStats advice_stats() const;
 
  private:
-  /// Recomputes the label-derived views (neighbor_labels_, label_to_port_)
+  /// Recomputes the label-derived views (neighbor_labels_, label_ports_)
   /// from labels_ + port permutations; rejects duplicate neighbor labels.
   void rebuild_label_views();
 
@@ -138,9 +139,14 @@ class Instance {
   std::vector<Label> neighbor_labels_;  // by port
   // Precomputed reverse ports, one per directed edge.
   std::vector<Port> reverse_port_;
-  // KT1 only: per-node label -> port, built once at construction so
-  // send_to_label is O(1) instead of O(degree).
-  std::vector<std::unordered_map<Label, Port>> label_to_port_;
+  // KT1 only: each node's (neighbor label, port) pairs sorted by label, in
+  // one flat array laid out like the CSR (node u's run starts at
+  // edge_base_[u]), so port_of_label is a binary search over u's run.
+  struct LabelPort {
+    Label label;
+    Port port;
+  };
+  std::vector<LabelPort> label_ports_;
   unsigned label_bits_ = 0;
   std::vector<BitString> advice_;
   BitString empty_advice_;

@@ -18,13 +18,15 @@ RunResult run_async(const Instance& instance, const DelayPolicy& delays,
 
 RunResult run_sync(const Instance& instance, const WakeSchedule& schedule,
                    std::uint64_t seed, const KernelRunner& kernel,
-                   const SyncRunLimits& limits, TraceSink* trace) {
+                   const SyncRunLimits& limits, TraceSink* trace,
+                   obs::Probe* probe) {
   SyncKernelArgs args;
   args.instance = &instance;
   args.schedule = &schedule;
   args.seed = seed;
   args.limits = limits;
   args.trace = trace;
+  args.probe = probe;
   return kernel.run_sync(args);
 }
 

@@ -148,7 +148,8 @@ KernelRunner make_kernel(K prototype) {
   return KernelRunner(std::move(async_fn), std::move(sync_fn));
 }
 
-/// One-call conveniences: run `kernel` once without a workspace.
+/// One-call conveniences: run `kernel` once without a workspace. A sync
+/// run's `probe`, when given, collects the kernel's obs counters.
 RunResult run_async(const Instance& instance, const DelayPolicy& delays,
                     const WakeSchedule& schedule, std::uint64_t seed,
                     const KernelRunner& kernel, const RunLimits& limits = {},
@@ -157,6 +158,6 @@ RunResult run_async(const Instance& instance, const DelayPolicy& delays,
 RunResult run_sync(const Instance& instance, const WakeSchedule& schedule,
                    std::uint64_t seed, const KernelRunner& kernel,
                    const SyncRunLimits& limits = {},
-                   TraceSink* trace = nullptr);
+                   TraceSink* trace = nullptr, obs::Probe* probe = nullptr);
 
 }  // namespace rise::sim

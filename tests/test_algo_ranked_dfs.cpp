@@ -115,46 +115,13 @@ TEST(RankedDfs, LasVegasAcrossSeeds) {
   }
 }
 
-/// FNV-1a over every event of a run, payload words included, so a pin
-/// fixes what each token carries, not only its type and declared bits.
-class PayloadHashSink final : public sim::TraceSink {
- public:
-  void on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
-               const sim::Message& msg) override {
-    mix({0, t, from, to, msg.type, msg.logical_bits(), msg.payload.size()});
-    for (std::uint64_t w : msg.payload) mix({w});
-  }
-  void on_deliver(sim::Time t, sim::NodeId from, sim::NodeId to,
-                  const sim::Message& msg) override {
-    mix({1, t, from, to, msg.type});
-  }
-  void on_node_wake(sim::Time t, sim::NodeId node,
-                    sim::WakeCause cause) override {
-    mix({2, t, node, static_cast<std::uint64_t>(cause)});
-  }
-
-  std::uint64_t hash() const { return hash_; }
-
- private:
-  void mix(std::initializer_list<std::uint64_t> words) {
-    for (std::uint64_t w : words) {
-      for (int byte = 0; byte < 8; ++byte) {
-        hash_ ^= (w >> (8 * byte)) & 0xFF;
-        hash_ *= 1099511628211ULL;
-      }
-    }
-  }
-
-  std::uint64_t hash_ = 1469598103934665603ULL;
-};
-
 /// Hash of a run's digest (wake times, outputs, every counter) and of its
 /// full payload trace.
 std::uint64_t pinned_hash(const sim::Instance& inst,
                           const sim::WakeSchedule& schedule,
                           const sim::DelayPolicy& delays,
                           const sim::KernelRunner& kernel) {
-  PayloadHashSink sink;
+  test::PayloadHashSink sink;
   const sim::RunResult r =
       sim::run_async(inst, delays, schedule, 9, kernel, {}, &sink);
   return test::fnv1a(test::digest(r)) ^ sink.hash();

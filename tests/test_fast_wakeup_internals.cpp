@@ -1,12 +1,13 @@
-// FastWakeUp white-box checks via FastWakeupProbe: sampling statistics,
-// deactivation suppression, and the message anatomy the Theorem-4 analysis
-// relies on.
+// FastWakeUp white-box checks via the kernel's obs::Probe counters:
+// sampling statistics, deactivation suppression, and the message anatomy the
+// Theorem-4 analysis relies on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "algo/fast_wakeup.hpp"
 #include "check/claims.hpp"
+#include "obs/probe.hpp"
 #include "support/stats.hpp"
 #include "test_util.hpp"
 
@@ -25,10 +26,10 @@ TEST(FastWakeupInternals, RootCountIsBinomialInActiveNodes) {
   const double p = 0.05;
   SampleStats roots;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    FastWakeupProbe probe;
+    obs::Probe probe;
     sim::run_sync(inst, sim::wake_all(n), seed,
-                  fast_wakeup_kernel(&probe, p));
-    roots.add(probe.roots_sampled);
+                  fast_wakeup_kernel(p), {}, nullptr, &probe);
+    roots.add(static_cast<double>(probe.counter("fw.roots_sampled")));
   }
   EXPECT_NEAR(roots.mean(), n * p, 3 * std::sqrt(n * p));
 }
@@ -41,13 +42,14 @@ TEST(FastWakeupInternals, RootsSuppressNeighborBroadcasts) {
   Rng rng(2);
   const auto g = graph::connected_gnp(n, 0.2, rng);  // diameter ~2
   const auto inst = test::make_instance(g, Knowledge::KT1);
-  FastWakeupProbe probe;
+  obs::Probe probe;
   const auto result = sim::run_sync(inst, sim::wake_all(n), 3,
-                                    fast_wakeup_kernel(&probe, 0.1));
+                                    fast_wakeup_kernel(0.1), {}, nullptr,
+                                    &probe);
   ASSERT_TRUE(result.all_awake());
-  EXPECT_GT(probe.roots_sampled, 5u);
+  EXPECT_GT(probe.counter("fw.roots_sampled"), 5u);
   // Nearly everyone joins some tree at level <= 2 and deactivates.
-  EXPECT_LT(probe.activate_broadcasts, n / 4);
+  EXPECT_LT(probe.counter("fw.activate_broadcasts"), n / 4);
 }
 
 TEST(FastWakeupInternals, ZeroProbabilityMeansEveryActiveNodeBroadcasts) {
@@ -55,12 +57,14 @@ TEST(FastWakeupInternals, ZeroProbabilityMeansEveryActiveNodeBroadcasts) {
   Rng rng(3);
   const auto g = graph::connected_gnp(n, 0.15, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
-  FastWakeupProbe probe;
+  obs::Probe probe;
   const auto result = sim::run_sync(inst, sim::wake_all(n), 4,
-                                    fast_wakeup_kernel(&probe, 0.0));
+                                    fast_wakeup_kernel(0.0), {}, nullptr,
+                                    &probe);
   ASSERT_TRUE(result.all_awake());
-  EXPECT_EQ(probe.roots_sampled, 0u);
-  EXPECT_EQ(probe.activate_broadcasts, n);  // nobody is ever deactivated early
+  EXPECT_EQ(probe.counter("fw.roots_sampled"), 0u);
+  // Nobody is ever deactivated early.
+  EXPECT_EQ(probe.counter("fw.activate_broadcasts"), n);
 }
 
 TEST(FastWakeupInternals, MessagesScaleWithRootCount) {
@@ -72,9 +76,10 @@ TEST(FastWakeupInternals, MessagesScaleWithRootCount) {
   const auto inst = test::make_instance(g, Knowledge::KT1);
   std::uint64_t prev = 0;
   for (double p : {0.05, 0.2, 0.8}) {
-    FastWakeupProbe probe;
+    obs::Probe probe;
     const auto result = sim::run_sync(inst, sim::wake_all(n), 11,
-                                      fast_wakeup_kernel(&probe, p));
+                                      fast_wakeup_kernel(p), {}, nullptr,
+                                      &probe);
     ASSERT_TRUE(result.all_awake());
     EXPECT_GT(result.metrics.messages, prev) << "p=" << p;
     prev = result.metrics.messages;
@@ -114,16 +119,17 @@ TEST(FastWakeupInternals, ForcedRootTreeLevelsOnAPath) {
   // node per level (Lemma 10's construction in its simplest form).
   const auto g = graph::path(8);
   const auto inst = test::make_instance(g, Knowledge::KT1);
-  FastWakeupProbe probe;
+  obs::Probe probe;
   const auto result = sim::run_sync(inst, sim::wake_single(0), 1,
-                                    fast_wakeup_kernel(&probe, 1.0));
+                                    fast_wakeup_kernel(1.0), {}, nullptr,
+                                    &probe);
   ASSERT_TRUE(result.all_awake());
   // Node 0's tree: L1 = {1}, L2 = {2}, L3 = {3}; node 3 becomes active and
   // roots its own tree (p = 1), covering {2,4},{1,5... further levels; the
   // first tree's membership is at least one per level.
-  EXPECT_GE(probe.l1_joins, 1u);
-  EXPECT_GE(probe.l2_joins, 1u);
-  EXPECT_GE(probe.l3_invites, 1u);
+  EXPECT_GE(probe.counter("fw.l1_joins"), 1u);
+  EXPECT_GE(probe.counter("fw.l2_joins"), 1u);
+  EXPECT_GE(probe.counter("fw.l3_invites"), 1u);
   // Level-3 activation cascades: node 3 wakes within 9 rounds of round 0.
   EXPECT_LE(result.wake_time[3], 9u);
 }
@@ -136,15 +142,17 @@ TEST(FastWakeupInternals, TreeMembershipBoundsOnDominatingWorkload) {
   Rng rng(9);
   const auto g = graph::connected_gnp(n, 0.15, rng);
   const auto inst = test::make_instance(g, Knowledge::KT1);
-  FastWakeupProbe probe;
+  obs::Probe probe;
   const auto result = sim::run_sync(inst, sim::wake_all(n), 2,
-                                    fast_wakeup_kernel(&probe));
+                                    fast_wakeup_kernel(), {}, nullptr,
+                                    &probe);
   ASSERT_TRUE(result.all_awake());
-  if (probe.roots_sampled > 0) {
-    EXPECT_LE(probe.l1_joins + probe.l2_joins,
-              static_cast<std::uint64_t>(probe.roots_sampled) * n);
+  const std::uint64_t roots = probe.counter("fw.roots_sampled");
+  if (roots > 0) {
+    EXPECT_LE(probe.counter("fw.l1_joins") + probe.counter("fw.l2_joins"),
+              roots * n);
   }
-  EXPECT_LE(probe.activate_broadcasts, n);
+  EXPECT_LE(probe.counter("fw.activate_broadcasts"), n);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
+#include "app/spec.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
 #include "test_util.hpp"
@@ -150,27 +152,6 @@ TEST(Instance, ReversePortMatchesNeighborToPort) {
   }
 }
 
-TEST(Instance, PortOfLabelMatchesNeighborLabelsByPort) {
-  Rng rng(13);
-  const auto g = graph::connected_gnp(25, 0.25, rng);
-  const Instance inst = test::make_instance(g, Knowledge::KT1);
-  for (graph::NodeId u = 0; u < 25; ++u) {
-    const auto labels = inst.neighbor_labels_by_port(u);
-    for (Port p = 0; p < g.degree(u); ++p) {
-      EXPECT_EQ(inst.port_of_label(u, labels[p]), p);
-    }
-  }
-  // A label that is not among node 0's neighbors (its own) is rejected.
-  EXPECT_THROW(inst.port_of_label(0, inst.label(0)), CheckError);
-}
-
-TEST(Instance, PortOfLabelIsAModelViolationUnderKt0) {
-  Rng rng(14);
-  const auto g = graph::path(3);
-  const Instance inst = test::make_instance(g, Knowledge::KT0);
-  EXPECT_THROW(inst.port_of_label(1, inst.label(0)), CheckError);
-}
-
 TEST(Instance, DuplicateNeighborLabelsRejectedAtConstruction) {
   // Adjacent nodes with the same forced label would make the KT1
   // label -> port index ambiguous; construction must refuse.
@@ -182,16 +163,53 @@ TEST(Instance, DuplicateNeighborLabelsRejectedAtConstruction) {
   EXPECT_THROW(Instance::create(graph::path(3), opt, rng), CheckError);
 }
 
-TEST(Instance, SwappedLabelsKeepPortOfLabelConsistent) {
-  Rng rng(16);
-  const auto g = graph::cycle(8);
-  const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const Instance swapped = inst.with_swapped_labels(2, 6);
-  for (graph::NodeId u = 0; u < 8; ++u) {
-    const auto labels = swapped.neighbor_labels_by_port(u);
-    for (Port p = 0; p < g.degree(u); ++p) {
-      EXPECT_EQ(swapped.port_of_label(u, labels[p]), p);
+/// The text of the CheckError f() throws, or "" if it throws none.
+template <class F>
+std::string check_error_text(F&& f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The flat label index must invert neighbor_labels_by_port at every port of
+// every node, from sparse to complete graphs and on the KT1 lower-bound
+// family, before and after a label swap; misses keep their error texts.
+TEST(Instance, PortOfLabelInvertsNeighborLabels) {
+  for (const char* spec : {"cgnp:200:0.05", "complete:40", "kt1family:3:5"}) {
+    Rng rng(21);
+    const graph::Graph g = app::parse_graph_spec(spec, rng);
+    const Instance inst = test::make_instance(g, Knowledge::KT1);
+    const graph::NodeId n = g.num_nodes();
+    const Instance swapped = inst.with_swapped_labels(0, n - 1);
+    for (const Instance* view : {&inst, &swapped}) {
+      for (graph::NodeId u = 0; u < n; ++u) {
+        const auto labels = view->neighbor_labels_by_port(u);
+        for (Port p = 0; p < g.degree(u); ++p) {
+          EXPECT_EQ(view->port_of_label(u, labels[p]), p)
+              << spec << " node " << u << " port " << p;
+        }
+        // The node's own label is never its neighbor's.
+        EXPECT_NE(check_error_text([&] {
+                    view->port_of_label(u, view->label(u));
+                  }).find("has no neighbor with ID"),
+                  std::string::npos)
+            << spec << " node " << u;
+      }
+      const Label above = std::uint64_t{1} << view->label_bits();
+      EXPECT_NE(check_error_text([&] { view->port_of_label(0, above); })
+                    .find("has no neighbor with ID"),
+                std::string::npos)
+          << spec;
     }
+    const Instance kt0 = test::make_instance(g, Knowledge::KT0);
+    const Label neighbor = inst.neighbor_labels_by_port(0)[0];
+    EXPECT_NE(check_error_text([&] { kt0.port_of_label(0, neighbor); })
+                  .find("addressing by neighbor ID requires KT1"),
+              std::string::npos)
+        << spec;
   }
 }
 

@@ -1,9 +1,11 @@
 // Shared helpers for the test suite: instance construction shorthands,
-// one-call run wrappers, run digests, a kernel built from lambdas for test
+// one-call run wrappers, run digests, a payload-hashing trace sink, a
+// kernel built from lambdas for test
 // fakes, and a catalog of workload graphs.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <span>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "graph/generators.hpp"
 #include "sim/kernel.hpp"
+#include "sim/trace.hpp"
 
 namespace rise::test {
 
@@ -66,6 +69,39 @@ inline std::uint64_t fnv1a(const std::string& s) {
   }
   return h;
 }
+
+/// FNV-1a over every event of a run, payload words included, so a pin
+/// fixes what each message carries, not only its type and declared bits.
+class PayloadHashSink final : public sim::TraceSink {
+ public:
+  void on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
+               const sim::Message& msg) override {
+    mix({0, t, from, to, msg.type, msg.logical_bits(), msg.payload.size()});
+    for (std::uint64_t w : msg.payload) mix({w});
+  }
+  void on_deliver(sim::Time t, sim::NodeId from, sim::NodeId to,
+                  const sim::Message& msg) override {
+    mix({1, t, from, to, msg.type});
+  }
+  void on_node_wake(sim::Time t, sim::NodeId node,
+                    sim::WakeCause cause) override {
+    mix({2, t, node, static_cast<std::uint64_t>(cause)});
+  }
+
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  void mix(std::initializer_list<std::uint64_t> words) {
+    for (std::uint64_t w : words) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash_ ^= (w >> (8 * byte)) & 0xFF;
+        hash_ *= 1099511628211ULL;
+      }
+    }
+  }
+
+  std::uint64_t hash_ = 1469598103934665603ULL;
+};
 
 /// A hook that does nothing; as the round hook, it leaves the kernel
 /// without an on_round.
