@@ -281,30 +281,57 @@ BENCHMARK(BM_RankedDfs)
     ->ArgNames({"n", "wake_pct"})
     ->Unit(benchmark::kMillisecond);
 
-// connected_gnp(n, p_permille / 1000) at stretch 2k - 1. The n:1000 rows
-// are perfbench table1_mix's cgnp:1000:0.008 shape at k = 3 (spanner:3) and
-// k = ceil(log2 n) = 10 (cor2); kept_edges shows a change in the output
-// next to the time.
-void BM_GreedySpanner(benchmark::State& state) {
-  const auto n = static_cast<graph::NodeId>(state.range(0));
-  const double p = static_cast<double>(state.range(1)) / 1000.0;
-  const auto k = static_cast<unsigned>(state.range(2));
-  Rng rng(n);
-  const auto g = graph::connected_gnp(n, p, rng);
+/// Times greedy_spanner(g, k). kept_edges shows a change in the output next
+/// to the time; walk_pct is the share of within-tree questions the forest
+/// walk answered without the bidirectional search.
+void time_greedy_spanner(benchmark::State& state, const graph::Graph& g,
+                         unsigned k) {
+  graph::SpannerStats stats;
   std::size_t kept = 0;
   for (auto _ : state) {
-    const auto s = graph::greedy_spanner(g, k);
+    const auto s = graph::greedy_spanner(g, k, &stats);
     kept = s.num_edges();
     benchmark::DoNotOptimize(kept);
   }
   state.counters["kept_edges"] = static_cast<double>(kept);
+  const auto asked = stats.walk_drops + stats.searches;
+  state.counters["walk_pct"] =
+      asked == 0 ? 0.0
+                 : 100.0 * static_cast<double>(stats.walk_drops) /
+                       static_cast<double>(asked);
+}
+
+// connected_gnp(n, p_permille / 1000) at stretch 2k - 1. The n:1000 rows
+// are perfbench table1_mix's cgnp:1000:0.008 shape at k = 3 (spanner:3) and
+// k = ceil(log2 n) = 10 (cor2). The dense n:600 rows make short searches
+// cheap, so at k = 2 the forest walk saves little.
+void BM_GreedySpanner(benchmark::State& state) {
+  const auto n = static_cast<graph::NodeId>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / 1000.0;
+  Rng rng(n);
+  time_greedy_spanner(state, graph::connected_gnp(n, p, rng),
+                      static_cast<unsigned>(state.range(2)));
 }
 BENCHMARK(BM_GreedySpanner)
     ->Args({300, 100, 3})
+    ->Args({600, 100, 2})
     ->Args({600, 100, 3})
     ->Args({1000, 8, 3})
     ->Args({1000, 8, 10})
     ->ArgNames({"n", "p_permille", "k"})
+    ->Unit(benchmark::kMillisecond);
+
+// grid(side, side): high diameter and degree at most 4, so forest paths
+// are long, searches are cheap and the forest walk rarely answers.
+void BM_GreedySpannerGrid(benchmark::State& state) {
+  const auto side = static_cast<graph::NodeId>(state.range(0));
+  time_greedy_spanner(state, graph::grid(side, side),
+                      static_cast<unsigned>(state.range(1)));
+}
+BENCHMARK(BM_GreedySpannerGrid)
+    ->Args({100, 3})
+    ->Args({100, 10})
+    ->ArgNames({"side", "k"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_LazebnikUstimenkoD3(benchmark::State& state) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -11,31 +12,101 @@ namespace rise::graph {
 
 namespace {
 
-/// Union-find over node ids (path halving).
-class Forest {
+/// A rooted spanning forest of S: the kept edges that joined two trees.
+/// Each node holds its tree's id, its parent (a root is its own parent) and
+/// its depth; a tree id also indexes the tree's size. Joining two trees
+/// re-roots the smaller one at its endpoint and relabels it, so a node is
+/// relabelled O(log n) times per spanner.
+class RootedForest {
  public:
-  explicit Forest(NodeId n) : parent_(n) {
-    for (NodeId u = 0; u < n; ++u) parent_[u] = u;
+  explicit RootedForest(NodeId n) : tree_(n), links_(n), size_(n, 1) {
+    for (NodeId u = 0; u < n; ++u) {
+      tree_[u] = u;
+      links_[u] = {u, 0};
+    }
   }
 
-  /// Joins the components of u and v; false if they were already one.
-  bool unite(NodeId u, NodeId v) {
-    u = find(u);
-    v = find(v);
-    parent_[v] = u;
-    return u != v;
+  bool same_tree(NodeId u, NodeId v) const { return tree_[u] == tree_[v]; }
+
+  /// For u and v in one tree: true iff their tree path has at most `limit`
+  /// edges. Lifts the deeper end to the other's depth, then both ends
+  /// together, giving up once the steps taken would pass `limit`.
+  bool path_within(NodeId u, NodeId v, std::uint32_t limit) const {
+    std::uint32_t du = links_[u].depth;
+    std::uint32_t dv = links_[v].depth;
+    if (du < dv) {
+      std::swap(u, v);
+      std::swap(du, dv);
+    }
+    std::uint32_t steps = du - dv;
+    if (steps > limit) return false;
+    for (; du > dv; --du) u = links_[u].parent;
+    for (; u != v; steps += 2) {
+      if (limit - steps < 2) return false;
+      u = links_[u].parent;
+      v = links_[v].parent;
+    }
+    return true;
+  }
+
+  /// Joins the trees of u and v by the edge {u, v} and returns the number
+  /// of nodes relabelled: the smaller tree's size.
+  template <class Rows>
+  NodeId join(const Rows& rows, NodeId u, NodeId v) {
+    if (size_[tree_[u]] > size_[tree_[v]]) std::swap(u, v);
+    const NodeId moved = size_[tree_[u]];
+    size_[tree_[v]] += moved;
+    if (moved == 1) {
+      tree_[u] = tree_[v];
+      links_[u] = {v, links_[v].depth + 1};
+    } else {
+      hang(rows, u, v);
+    }
+    return moved;
   }
 
  private:
-  NodeId find(NodeId u) {
-    while (parent_[u] != u) {
-      parent_[u] = parent_[parent_[u]];
-      u = parent_[u];
+  /// Re-roots u's tree at u by reversing u's path to its root, hangs it
+  /// below v and relabels it top-down; `rows(x)` yields x's neighbors in S,
+  /// which lie in x's tree. Out of line: few joins move more than one node,
+  /// and inlined it slows the per-edge loop.
+  template <class Rows>
+  [[gnu::noinline]] void hang(const Rows& rows, NodeId u, NodeId v) {
+    NodeId above = v;
+    for (NodeId x = u;;) {
+      const NodeId next = links_[x].parent;
+      links_[x].parent = above;
+      if (next == x) break;
+      above = x;
+      x = next;
     }
-    return u;
+    const NodeId tree = tree_[v];
+    tree_[u] = tree;
+    links_[u].depth = links_[v].depth + 1;
+    // x's children are the neighbors that name x their parent (S is
+    // simple, so x's own parent does not).
+    stack_.assign(1, u);
+    while (!stack_.empty()) {
+      const NodeId x = stack_.back();
+      stack_.pop_back();
+      for (const NodeId w : rows(x)) {
+        if (links_[w].parent != x) continue;
+        tree_[w] = tree;
+        links_[w].depth = links_[x].depth + 1;
+        stack_.push_back(w);
+      }
+    }
   }
 
-  std::vector<NodeId> parent_;
+  struct Link {
+    NodeId parent;
+    std::uint32_t depth;
+  };
+
+  std::vector<NodeId> tree_;
+  std::vector<Link> links_;
+  std::vector<NodeId> size_;   // [tree id]
+  std::vector<NodeId> stack_;  // the relabel walk's pending nodes
 };
 
 /// Bidirectional depth-bounded BFS answering "dist(s, t) <= limit?". Each
@@ -117,8 +188,9 @@ std::uint32_t capped_stretch(std::uint64_t stretch, NodeId n) {
 
 }  // namespace
 
-Graph greedy_spanner(const Graph& g, unsigned k) {
+Graph greedy_spanner(const Graph& g, unsigned k, SpannerStats* stats) {
   RISE_CHECK(k >= 1);
+  if (stats != nullptr) *stats = {};
   if (k == 1) return g;
   const NodeId n = g.num_nodes();
   const std::uint32_t stretch = capped_stretch(2 * std::uint64_t{k} - 1, n);
@@ -129,20 +201,30 @@ Graph greedy_spanner(const Graph& g, unsigned k) {
   const auto rows = [&](NodeId u) {
     return std::span<const NodeId>(adjacency.data() + slots[u], degree[u]);
   };
-  Forest forest(n);
+  RootedForest forest(n);
   BoundedSearch search(n);
+  SpannerStats counts;
   std::vector<Edge> kept;
   g.for_each_edge([&](NodeId u, NodeId v) {
-    // An edge between two components of S is always kept; within one, a
-    // path of at most n - 1 hops already exists once stretch reaches that.
-    if (!forest.unite(u, v) &&
-        (stretch == n - 1 || search.within(rows, u, v, stretch))) {
+    // An edge between two components of S is always kept. Within one, a
+    // path of at most n - 1 hops already exists once stretch reaches that,
+    // and a short enough forest path is a short enough path in S.
+    if (!forest.same_tree(u, v)) {
+      counts.relabels += forest.join(rows, u, v);
+    } else if (stretch == n - 1) {
       return;
+    } else if (forest.path_within(u, v, stretch)) {
+      ++counts.walk_drops;
+      return;
+    } else {
+      ++counts.searches;
+      if (search.within(rows, u, v, stretch)) return;
     }
     adjacency[slots[u] + degree[u]++] = v;
     adjacency[slots[v] + degree[v]++] = u;
     kept.push_back({u, v});
   });
+  if (stats != nullptr) *stats = counts;
   return Graph::from_edges(n, std::move(kept));
 }
 

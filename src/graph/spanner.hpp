@@ -10,25 +10,41 @@
 // spanner distance between its endpoints exceeds 2k-1. The result is a
 // (2k-1)-spanner with at most n^{1+1/k} + n edges (its girth exceeds 2k).
 //
-// Each "is dist_S(u, v) <= 2k-1?" question is answered in two stages. A
-// union-find over the kept edges keeps, without a search, every edge whose
-// endpoints lie in different components of S (the spanning-forest edges).
-// Within one component a bidirectional depth-bounded BFS decides it: each
-// step expands the smaller frontier by a whole level, until the two radii
-// sum to 2k-1, a frontier empties or the frontiers meet. Both stages answer
-// exactly, so the output depends only on the greedy rule and the edge order
-// (for_each_edge), not on how the question is answered. The stretch is
-// computed in 64 bits and capped at n-1 (no path is longer), so a huge k
-// gives the spanning forest from the union-find alone. The search's queues
-// and stamp array are allocated once per call, not per edge.
+// Each "is dist_S(u, v) <= 2k-1?" question is answered in three stages,
+// over a rooted spanning forest T of S (the kept edges that joined two
+// trees; each node knows its tree, parent and depth):
+//   1. u and v in different trees of T: keep the edge, without a search.
+//   2. One tree, and the walk up the parents from both ends meets within
+//      2k-1 steps: drop it (dist_S <= dist_T <= 2k-1).
+//   3. Otherwise a bidirectional depth-bounded BFS over S decides: each step
+//      expands the smaller frontier by a whole level, until the two radii
+//      sum to 2k-1, a frontier empties or the frontiers meet.
+// A kept edge that joins two trees re-roots the smaller one at its endpoint
+// (its parent path is reversed) and re-derives that tree's labels and depths
+// by a walk over its S edges, so a node is relabelled O(log n) times. Every
+// stage answers exactly, so the output depends only on the greedy rule and
+// the edge order (for_each_edge), not on how the question is answered. The
+// stretch is computed in 64 bits and capped at n-1 (no path is longer), so
+// a huge k gives the spanning forest from stage 1 alone. The forest, the
+// search's queues and its stamp array are allocated once per call.
 #pragma once
+
+#include <cstdint>
 
 #include "graph/graph.hpp"
 
 namespace rise::graph {
 
-/// Greedy (2k-1)-spanner. k >= 1; k = 1 returns the graph itself.
-Graph greedy_spanner(const Graph& g, unsigned k);
+/// How greedy_spanner answered its distance questions.
+struct SpannerStats {
+  std::uint64_t relabels = 0;    // nodes moved into another tree (stage 1)
+  std::uint64_t walk_drops = 0;  // edges dropped by the forest walk (stage 2)
+  std::uint64_t searches = 0;    // questions left to the search (stage 3)
+};
+
+/// Greedy (2k-1)-spanner. k >= 1; k = 1 returns the graph itself. If
+/// `stats` is given, it receives this call's counts.
+Graph greedy_spanner(const Graph& g, unsigned k, SpannerStats* stats = nullptr);
 
 /// True iff `spanner` is a subgraph of `g` spanning the same node set with
 /// dist_spanner(u, v) <= stretch * dist_g(u, v) for every edge {u,v} of g

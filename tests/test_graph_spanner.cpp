@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -121,6 +123,149 @@ TEST(Spanner, EdgeListsMatchPinnedHashes) {
     for (std::size_t j = 0; j < 4; ++j) {
       EXPECT_EQ(edge_list_hash(greedy_spanner(g, ks[j])), pins[i].hash[j])
           << pins[i].graph << " k=" << ks[j];
+    }
+  }
+}
+
+/// The textbook greedy spanner: each edge, in for_each_edge order, is kept
+/// iff a one-sided BFS over the edges kept so far, cut at depth 2k-1, does
+/// not reach its far endpoint.
+Graph reference_greedy_spanner(const Graph& g, unsigned k) {
+  const NodeId n = g.num_nodes();
+  const std::uint64_t limit = 2 * std::uint64_t{k} - 1;
+  std::vector<std::vector<NodeId>> rows(n);
+  std::vector<std::uint32_t> dist(n, kUnreachable);
+  std::vector<NodeId> queue;
+  std::vector<Edge> kept;
+  g.for_each_edge([&](NodeId u, NodeId v) {
+    queue.assign(1, u);
+    dist[u] = 0;
+    bool reached = false;
+    for (std::size_t i = 0; i < queue.size() && !reached; ++i) {
+      const NodeId x = queue[i];
+      if (dist[x] == limit) continue;
+      for (const NodeId w : rows[x]) {
+        if (dist[w] != kUnreachable) continue;
+        dist[w] = dist[x] + 1;
+        queue.push_back(w);
+        reached = reached || w == v;
+      }
+    }
+    for (const NodeId x : queue) dist[x] = kUnreachable;
+    if (reached) return;
+    rows[u].push_back(v);
+    rows[v].push_back(u);
+    kept.push_back({u, v});
+  });
+  return Graph::from_edges(n, std::move(kept));
+}
+
+/// The counts greedy_spanner must report, from plain BFS over the forest T
+/// of the edges that joined two components (the greedy rule keeps each):
+/// such an edge relabels the smaller side, and below the n-1 cap an edge
+/// within one component is dropped by the forest walk iff dist_T <= 2k-1.
+SpannerStats expected_stats(const Graph& g, unsigned k) {
+  const NodeId n = g.num_nodes();
+  const std::uint64_t limit = 2 * std::uint64_t{k} - 1;
+  std::vector<std::vector<NodeId>> forest(n);
+  std::vector<std::uint32_t> dist(n, kUnreachable);
+  std::vector<NodeId> queue;
+  const auto reach = [&](NodeId source) {  // fills dist; returns the tree size
+    for (const NodeId x : queue) dist[x] = kUnreachable;
+    queue.assign(1, source);
+    dist[source] = 0;
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      for (const NodeId w : forest[queue[i]]) {
+        if (dist[w] != kUnreachable) continue;
+        dist[w] = dist[queue[i]] + 1;
+        queue.push_back(w);
+      }
+    }
+    return static_cast<NodeId>(queue.size());
+  };
+  SpannerStats stats;
+  g.for_each_edge([&](NodeId u, NodeId v) {
+    const NodeId u_side = reach(u);
+    if (dist[v] == kUnreachable) {
+      stats.relabels += std::min(u_side, reach(v));
+      forest[u].push_back(v);
+      forest[v].push_back(u);
+    } else if (limit < n - 1) {
+      ++(dist[v] <= limit ? stats.walk_drops : stats.searches);
+    }
+  });
+  return stats;
+}
+
+/// A random tree on n nodes plus `extra` random non-tree edges.
+Graph tree_plus_edges(NodeId n, NodeId extra, Rng& rng) {
+  std::vector<Edge> edges = random_tree(n, rng).edge_list();
+  for (NodeId added = 0; added < extra;) {
+    const auto u = static_cast<NodeId>(rng.uniform(n));
+    const auto v = static_cast<NodeId>(rng.uniform(n));
+    if (u == v ||
+        std::find_if(edges.begin(), edges.end(), [&](const Edge& e) {
+          return (e.u == u && e.v == v) || (e.u == v && e.v == u);
+        }) != edges.end()) {
+      continue;
+    }
+    edges.push_back({u, v});
+    ++added;
+  }
+  return Graph::from_edges(n, std::move(edges));
+}
+
+// The spanner's forest walk and bidirectional search only answer distance
+// questions; the kept edges must be exactly the textbook greedy spanner's.
+// Sparse G(n, p) near p = 1/n merges many trees in varied orders and sizes;
+// grids, paths and cycles have high diameter, where forest paths are long.
+TEST(Spanner, MatchesTextbookGreedySpannerOnRandomGraphs) {
+  Rng rng(7);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (int i = 0; i < 60; ++i) {
+    const auto n = static_cast<NodeId>(40 + rng.uniform(120));
+    const double c = 0.7 + 0.1 * static_cast<double>(rng.uniform(10));
+    graphs.emplace_back("gnp n=" + std::to_string(n) + " c=" + std::to_string(c),
+                        gnp(n, c / n, rng));
+  }
+  for (int i = 0; i < 50; ++i) {
+    const auto n = static_cast<NodeId>(20 + rng.uniform(100));
+    const double p = 0.02 + 0.01 * static_cast<double>(rng.uniform(20));
+    graphs.emplace_back("connected_gnp n=" + std::to_string(n),
+                        connected_gnp(n, p, rng));
+  }
+  for (int i = 0; i < 50; ++i) {
+    const auto n = static_cast<NodeId>(10 + rng.uniform(150));
+    const auto extra = static_cast<NodeId>(1 + rng.uniform(8));
+    graphs.emplace_back("tree+" + std::to_string(extra) + " n=" +
+                            std::to_string(n),
+                        tree_plus_edges(n, extra, rng));
+  }
+  for (NodeId rows = 1; rows <= 8; ++rows) {
+    for (const NodeId cols : {2u, 5u, 11u}) {
+      graphs.emplace_back("grid " + std::to_string(rows) + "x" +
+                              std::to_string(cols),
+                          grid(rows, cols));
+    }
+  }
+  for (NodeId n = 3; n <= 80; n += 7) {
+    graphs.emplace_back("path " + std::to_string(n), path(n));
+    graphs.emplace_back("cycle " + std::to_string(n), cycle(n));
+  }
+  ASSERT_GE(graphs.size(), 200u);
+  for (const auto& [name, g] : graphs) {
+    // The last k makes 2k-1 >= n-1: the greedy spanner is a spanning forest.
+    for (const unsigned k : {2u, 3u, 4u, 5u, 10u, g.num_nodes() / 2 + 1}) {
+      SpannerStats stats;
+      const Graph s = greedy_spanner(g, k, &stats);
+      ASSERT_EQ(s.edge_list(), reference_greedy_spanner(g, k).edge_list())
+          << name << " k=" << k;
+      // Re-rooting the smaller tree and re-deriving its depths are not
+      // visible in the output, only in these counts.
+      const SpannerStats want = expected_stats(g, k);
+      EXPECT_EQ(stats.relabels, want.relabels) << name << " k=" << k;
+      EXPECT_EQ(stats.walk_drops, want.walk_drops) << name << " k=" << k;
+      EXPECT_EQ(stats.searches, want.searches) << name << " k=" << k;
     }
   }
 }

@@ -152,17 +152,6 @@ TEST(Instance, ReversePortMatchesNeighborToPort) {
   }
 }
 
-TEST(Instance, DuplicateNeighborLabelsRejectedAtConstruction) {
-  // Adjacent nodes with the same forced label would make the KT1
-  // label -> port index ambiguous; construction must refuse.
-  Rng rng(15);
-  InstanceOptions opt;
-  opt.knowledge = Knowledge::KT1;
-  opt.label_range_factor = 4;
-  opt.forced_labels = {4, 4, 9};
-  EXPECT_THROW(Instance::create(graph::path(3), opt, rng), CheckError);
-}
-
 /// The text of the CheckError f() throws, or "" if it throws none.
 template <class F>
 std::string check_error_text(F&& f) {
@@ -172,6 +161,20 @@ std::string check_error_text(F&& f) {
     return e.what();
   }
   return "";
+}
+
+TEST(Instance, RepeatedForcedLabelRejectedAsNotDistinct) {
+  // Two nodes forced to one label (here neighbors 0 and 1 on a path) are
+  // refused by the global distinct-labels check, before any KT1
+  // label -> port index is built.
+  Rng rng(15);
+  InstanceOptions opt;
+  opt.knowledge = Knowledge::KT1;
+  opt.label_range_factor = 4;
+  opt.forced_labels = {4, 4, 9};
+  EXPECT_NE(check_error_text([&] { Instance::create(graph::path(3), opt, rng); })
+                .find("node labels must be distinct"),
+            std::string::npos);
 }
 
 // The flat label index must invert neighbor_labels_by_port at every port of
