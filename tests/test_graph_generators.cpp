@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 
-#include "support/check.hpp"
-
+#include "app/spec.hpp"
 #include "graph/algorithms.hpp"
+#include "support/check.hpp"
+#include "test_util.hpp"
 
 namespace rise::graph {
 namespace {
@@ -206,6 +210,38 @@ TEST(Generators, CompletePlusPendant) {
   EXPECT_EQ(g.degree(19), 1u);
   EXPECT_EQ(g.degree(0), 19u);  // clique + pendant
   EXPECT_EQ(diameter(g), 2u);
+}
+
+// Edge lists (and the rng draw that follows each graph), recorded while
+// random_tree kept its Pruefer leaves in a std::set, connected_gnp its tree
+// edges in a hash set and torus its seen pairs in a std::set: the flat
+// rewrites must emit the same edges in the same order from the same draws.
+TEST(Generators, MatchPinnedEdgeHashes) {
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"tree:2", 6787394839880231105ULL},
+      {"tree:3", 2013722454606762659ULL},
+      {"tree:17", 13626266015083756509ULL},
+      {"tree:1000", 8740784131543986014ULL},
+      {"cgnp:64:0.1", 14265249730100259395ULL},
+      {"cgnp:300:0.05", 4219164800513284578ULL},
+      {"cgnp:1000:0.008", 18159221538714743221ULL},
+      {"gnp:200:0.03", 6381720342121650798ULL},
+      {"torus:3x3", 9444654616709339605ULL},
+      {"torus:4x7", 4169446392183742259ULL},
+      {"torus:10x10", 6249118894738477693ULL}};
+  for (const auto& [spec, hash] : pins) {
+    std::string text;
+    for (std::uint64_t seed : {1u, 2u, 3u, 17u}) {
+      Rng rng(seed);
+      const Graph g = app::parse_graph_spec(spec, rng);
+      text += std::to_string(g.num_nodes()) + ':';
+      g.for_each_edge([&](NodeId u, NodeId v) {
+        text += std::to_string(u) + '-' + std::to_string(v) + ',';
+      });
+      text += '|' + std::to_string(rng()) + '\n';
+    }
+    EXPECT_EQ(test::fnv1a(text), hash) << spec;
+  }
 }
 
 }  // namespace

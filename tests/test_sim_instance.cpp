@@ -216,6 +216,86 @@ TEST(Instance, PortOfLabelInvertsNeighborLabels) {
   }
 }
 
+/// Every adversary choice of `inst` as text: labels, and per port the
+/// neighbor, the reverse port, the neighbor's label and (KT1) the port
+/// port_of_label finds for that label.
+std::string adversary_text(const Instance& inst) {
+  std::string text;
+  for (graph::NodeId u = 0; u < inst.num_nodes(); ++u) {
+    text += std::to_string(inst.label(u)) + ':';
+    const auto labels = inst.neighbor_labels_by_port(u);
+    for (Port p = 0; p < inst.graph().degree(u); ++p) {
+      text += std::to_string(inst.port_to_neighbor(u, p)) + '/' +
+              std::to_string(inst.reverse_port(u, p)) + '/' +
+              std::to_string(labels[p]);
+      if (inst.knowledge() == Knowledge::KT1) {
+        text += '/' + std::to_string(inst.port_of_label(u, labels[p]));
+      }
+      text += ',';
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+// Ports, reverse ports and labels, recorded while Instance::create drew one
+// rng.permutation vector per node, found reverse ports by a neighbor_slot
+// search per link and kept a hash-map label index: the in-place shuffle and
+// the transpose pass must make the same choices from the same draws.
+TEST(Instance, MatchesPinnedPortHashes) {
+  struct Pin {
+    const char* graph;
+    Knowledge knowledge;
+    bool random_ports;
+    bool random_labels;
+    bool forced;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"cgnp:300:0.05", Knowledge::KT0, true, true, false,
+       17402374251058275732ULL},
+      {"cgnp:300:0.05", Knowledge::KT1, true, true, false,
+       4585253179086586760ULL},
+      {"cgnp:300:0.05", Knowledge::KT1, false, true, false,
+       14308520037735367181ULL},
+      {"cgnp:300:0.05", Knowledge::KT1, true, false, false,
+       14325243293988129781ULL},
+      {"cgnp:300:0.05", Knowledge::KT1, true, true, true,
+       12731488510891953796ULL},
+      {"complete:40", Knowledge::KT0, true, true, false,
+       2665268304311210408ULL},
+      {"tree:200", Knowledge::KT1, true, true, false,
+       15162002955746374022ULL},
+      {"kt1family:3:5", Knowledge::KT1, true, true, false,
+       1534367161571201091ULL},
+      {"torus:6x9", Knowledge::KT0, false, false, true,
+       16129997794466595395ULL}};
+  for (const Pin& pin : pins) {
+    std::string text;
+    for (std::uint64_t seed : {1u, 5u}) {
+      Rng graph_rng(seed);
+      const graph::Graph g = app::parse_graph_spec(pin.graph, graph_rng);
+      InstanceOptions opt;
+      opt.knowledge = pin.knowledge;
+      opt.random_ports = pin.random_ports;
+      opt.random_labels = pin.random_labels;
+      if (pin.forced) {
+        // Labels 3n, 3n - 3, ...: distinct, in range, not in node order.
+        for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+          opt.forced_labels.push_back(3 * (g.num_nodes() - u));
+        }
+      }
+      Rng rng(seed * 31 + 7);
+      const Instance inst = Instance::create(g, opt, rng);
+      text += adversary_text(inst) + '|' + std::to_string(rng()) + '\n';
+    }
+    EXPECT_EQ(test::fnv1a(text), pin.hash)
+        << pin.graph << " kt1=" << (pin.knowledge == Knowledge::KT1)
+        << " random_ports=" << pin.random_ports
+        << " random_labels=" << pin.random_labels << " forced=" << pin.forced;
+  }
+}
+
 TEST(Instance, AdviceStats) {
   Rng rng(9);
   const auto g = graph::path(4);
