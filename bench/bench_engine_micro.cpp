@@ -1,11 +1,15 @@
 // google-benchmark micro-benchmarks for the substrates: simulator event
 // throughput, graph generators, the greedy spanner, the D(k,q) construction,
-// and girth computation. These quantify the cost of the experiment harness
-// itself, independent of any paper claim.
+// girth computation and per-trial prepare (graph, instance, advice). These
+// quantify the cost of the experiment harness itself, independent of any
+// paper claim.
 //
-// One row is gated: BM_ProbeOverhead (e.g. --benchmark_filter=ProbeOverhead)
-// times the disabled-probe path against a probe-free clone in alternating
-// pairs, and main exits 1 if the median overhead is above kMaxProbeOverhead.
+// Two kinds of row are gated. BM_ProbeOverhead (e.g.
+// --benchmark_filter=ProbeOverhead) times the disabled-probe path against a
+// probe-free clone in alternating pairs, and main exits 1 if the median
+// overhead is above kMaxProbeOverhead. The BM_Prepare rows count
+// allocations, and main exits 1 if one makes more than kMaxPrepareAllocs
+// per prepare.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,9 +17,12 @@
 #include <ctime>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "algo/flooding.hpp"
+#include "alloc_count.hpp"
+#include "app/spec.hpp"
 #include "algo/ranked_dfs.hpp"
 #include "algo/sleeping.hpp"
 #include "graph/algorithms.hpp"
@@ -363,6 +370,54 @@ void BM_BfsTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsTree)->Arg(10000);
 
+/// Most operator-new calls one prepare may make: preparing is O(n + m)
+/// flat-array work, a few dozen arrays whatever n is. main exits 1 above it.
+constexpr double kMaxPrepareAllocs = 100;
+
+/// Set by the BM_Prepare rows, gated by main: the largest allocations per
+/// prepare of any row that ran, and that row's family.
+std::optional<double> prepare_allocs;
+std::string prepare_allocs_family;
+
+/// app::prepare_experiment for one perfbench table1_mix family on its
+/// graph, cgnp:1000:0.008: graph, instance and (fip06, sqrt, cen, spanner:3,
+/// cor2) advice, the setup layer of every campaign trial. Seeds rotate
+/// over 16 instances; allocs is operator-new calls per prepare.
+void BM_Prepare(benchmark::State& state, const char* algorithm) {
+  app::ExperimentSpec spec;
+  spec.graph = "cgnp:1000:0.008";
+  spec.algorithm = algorithm;
+  std::uint64_t prepares = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    spec.seed = 1 + prepares % 16;
+    const std::uint64_t before = bench::allocations();
+    const app::PreparedExperiment prepared = app::prepare_experiment(spec);
+    allocs += bench::allocations() - before;
+    benchmark::DoNotOptimize(prepared.instance.get());
+    ++prepares;
+  }
+  const double per_prepare =
+      static_cast<double>(allocs) / static_cast<double>(prepares);
+  state.counters["allocs"] = per_prepare;
+  if (!prepare_allocs || per_prepare > *prepare_allocs) {
+    prepare_allocs = per_prepare;
+    prepare_allocs_family = algorithm;
+  }
+}
+BENCHMARK_CAPTURE(BM_Prepare, ranked_dfs, "ranked_dfs")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, fast_wakeup, "fast_wakeup")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, fip06, "fip06")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, sqrt, "sqrt")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, cen, "cen")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, spanner3, "spanner:3")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, cor2, "cor2")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Prepare, flooding, "flooding")
+    ->Unit(benchmark::kMillisecond);
+
 /// The most production flooding with no probe attached may be slower than
 /// ProbeFreeFloodingKernel: the "null probe compiles to no-ops" contract of
 /// src/obs/probe.hpp, priced on the default unprofiled path. The bound
@@ -450,11 +505,21 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!probe_overhead) return 0;
-  const bool ok = *probe_overhead <= kMaxProbeOverhead;
-  std::printf("%s: disabled-probe overhead %+.2f%% (median of %d alternating "
-              "pairs of %d runs, limit %.1f%%)\n",
-              ok ? "PASS" : "FAIL", *probe_overhead * 100.0, kProbePairs,
-              kRunsPerSample, kMaxProbeOverhead * 100.0);
-  return ok ? 0 : 1;
+  bool all_ok = true;
+  if (probe_overhead) {
+    const bool ok = *probe_overhead <= kMaxProbeOverhead;
+    std::printf("%s: disabled-probe overhead %+.2f%% (median of %d "
+                "alternating pairs of %d runs, limit %.1f%%)\n",
+                ok ? "PASS" : "FAIL", *probe_overhead * 100.0, kProbePairs,
+                kRunsPerSample, kMaxProbeOverhead * 100.0);
+    all_ok = all_ok && ok;
+  }
+  if (prepare_allocs) {
+    const bool ok = *prepare_allocs <= kMaxPrepareAllocs;
+    std::printf("%s: at most %.1f allocations per prepare (%s; limit %.0f)\n",
+                ok ? "PASS" : "FAIL", *prepare_allocs,
+                prepare_allocs_family.c_str(), kMaxPrepareAllocs);
+    all_ok = all_ok && ok;
+  }
+  return all_ok ? 0 : 1;
 }

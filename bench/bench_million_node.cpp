@@ -25,16 +25,14 @@
 //
 // Exit 0 when every gate holds, 1 when one fails, 2 on a bad flag.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "algo/flooding.hpp"
+#include "alloc_count.hpp"
 #include "check/scenario.hpp"
 #include "graph/generators.hpp"
 #include "runner/thread_pool.hpp"
@@ -45,38 +43,6 @@
 #include "sim/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-}  // namespace
-
-// Counting overrides (this binary only). The default operator new[] /
-// delete[] forward here, so one pair covers both forms; the aligned pair
-// covers over-aligned types (the sync engine's cache-line-aligned chunk
-// outboxes).
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, ((n != 0 ? n : 1) + a - 1) / a * a)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -94,7 +60,7 @@ struct TrialOutcome {
 
 TrialOutcome run_trial(const sim::KernelRunner& kernel,
                        const sim::AsyncKernelArgs& args) {
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::allocations();
   const auto t0 = Clock::now();
   sim::RunResult result = kernel.run_async(args);
   const auto t1 = Clock::now();
@@ -105,14 +71,14 @@ TrialOutcome run_trial(const sim::KernelRunner& kernel,
   // The campaign steady state: scalars extracted, per-node result buffers
   // handed back so the next trial reuses their capacity.
   args.workspace->recycle_result(std::move(result));
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  out.allocs = bench::allocations() - before;
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return out;
 }
 
 TrialOutcome run_sync_trial(const sim::KernelRunner& kernel,
                             const sim::SyncKernelArgs& args) {
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = bench::allocations();
   const auto t0 = Clock::now();
   sim::RunResult result = kernel.run_sync(args);
   const auto t1 = Clock::now();
@@ -122,7 +88,7 @@ TrialOutcome run_sync_trial(const sim::KernelRunner& kernel,
   out.bits = result.metrics.bits;
   out.digest = rise::check::digest_run(result);
   args.workspace->recycle_result(std::move(result));
-  out.allocs = g_allocs.load(std::memory_order_relaxed) - before;
+  out.allocs = bench::allocations() - before;
   out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return out;
 }

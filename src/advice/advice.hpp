@@ -9,9 +9,9 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "sim/instance.hpp"
+#include "support/bitio.hpp"
 #include "sim/kernel.hpp"
 
 namespace rise::advice {
@@ -20,8 +20,9 @@ class AdvisingOracle {
  public:
   virtual ~AdvisingOracle() = default;
 
-  /// Computes one advice string per node.
-  virtual std::vector<BitString> advise(const sim::Instance& instance) const = 0;
+  /// Writes one advice string per node into `out`, in node order: node u's
+  /// bits through out.writer(), then out.close().
+  virtual void advise(const sim::Instance& instance, BitArena& out) const = 0;
 };
 
 /// Runs the oracle and installs the advice into the instance.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/algorithms.hpp"
+#include "advice/tree_advice_common.hpp"
 #include "support/check.hpp"
 
 namespace rise::advice {
@@ -19,24 +19,24 @@ class ChildEncodingOracle final : public AdvisingOracle {
   ChildEncodingOracle(graph::NodeId root, unsigned arity)
       : root_(root), arity_(arity) {}
 
-  std::vector<BitString> advise(const sim::Instance& instance) const override {
+  void advise(const sim::Instance& instance, BitArena& out) const override {
     const auto& g = instance.graph();
-    RISE_CHECK_MSG(graph::is_connected(g),
-                   "tree advising schemes require a connected graph");
-    const auto tree = graph::bfs_tree(g, root_);
+    const PortTree pt = port_tree(instance, root_);
 
     std::vector<CenAdvice> fields(g.num_nodes());
-
+    std::vector<std::pair<sim::Port, graph::NodeId>> kids;
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (tree.parent[u] != graph::kInvalidNode) {
+      if (pt.parent_port[u] != sim::kInvalidPort) {
         fields[u].has_parent = true;
-        fields[u].parent = instance.neighbor_to_port(u, tree.parent[u]);
+        fields[u].parent = pt.parent_port[u];
       }
       // Order u's children by their port number at u, then lay them out as a
       // 1-based binary heap: child i's "next siblings" are 2i and 2i+1.
-      std::vector<std::pair<sim::Port, graph::NodeId>> kids;
-      for (graph::NodeId c : tree.children[u]) {
-        kids.push_back({instance.neighbor_to_port(u, c), c});
+      const auto children = pt.tree.children(u);
+      const auto ports = pt.child_ports(u);
+      kids.clear();
+      for (std::size_t i = 0; i < children.size(); ++i) {
+        kids.push_back({ports[i], children[i]});
       }
       std::sort(kids.begin(), kids.end());
       if (!kids.empty()) {
@@ -65,16 +65,14 @@ class ChildEncodingOracle final : public AdvisingOracle {
       }
     }
 
-    std::vector<BitString> advice(g.num_nodes());
-    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      BitWriter w;
-      write_optional_port(w, fields[u].has_parent, fields[u].parent);
-      write_optional_port(w, fields[u].has_first_child, fields[u].first_child);
-      write_optional_port(w, fields[u].has_next_a, fields[u].next_a);
-      write_optional_port(w, fields[u].has_next_b, fields[u].next_b);
-      advice[u] = w.take();
+    for (const CenAdvice& f : fields) {
+      BitWriter& w = out.writer();
+      write_optional_port(w, f.has_parent, f.parent);
+      write_optional_port(w, f.has_first_child, f.first_child);
+      write_optional_port(w, f.has_next_a, f.next_a);
+      write_optional_port(w, f.has_next_b, f.next_b);
+      out.close();
     }
-    return advice;
   }
 
  private:
@@ -177,7 +175,7 @@ class ChildEncodingKernel {
 
 }  // namespace
 
-CenAdvice decode_cen_advice(const BitString& bits) {
+CenAdvice decode_cen_advice(BitView bits) {
   BitReader r(bits);
   CenAdvice a;
   auto read_optional = [&r](bool& flag, sim::Port& port) {

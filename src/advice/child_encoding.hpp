@@ -55,6 +55,6 @@ struct CenAdvice {
   sim::Port next_b = sim::kInvalidPort;  // port at the parent
 };
 
-CenAdvice decode_cen_advice(const BitString& bits);
+CenAdvice decode_cen_advice(BitView bits);
 
 }  // namespace rise::advice

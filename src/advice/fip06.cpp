@@ -7,36 +7,58 @@
 
 namespace rise::advice {
 
-std::vector<sim::Port> tree_ports(const sim::Instance& instance,
-                                  const graph::BfsTree& tree,
-                                  graph::NodeId u) {
-  std::vector<sim::Port> ports;
-  if (tree.parent[u] != graph::kInvalidNode) {
-    ports.push_back(instance.neighbor_to_port(u, tree.parent[u]));
+PortTree port_tree(const sim::Instance& instance, graph::NodeId root) {
+  const auto& g = instance.graph();
+  PortTree pt{graph::bfs_tree(g, root), {}, {}};
+  RISE_CHECK_MSG(pt.tree.spanning(),
+                 "tree advising schemes require a connected graph");
+  pt.parent_port.assign(g.num_nodes(), sim::kInvalidPort);
+  pt.child_port.resize(pt.tree.child_list.size());
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    // u's row and u's children are both in ascending node order.
+    const auto nb = g.neighbors(u);
+    const auto kids = pt.tree.children(u);
+    sim::Port* ports = pt.child_port.data() + pt.tree.child_offsets[u];
+    std::size_t next = 0;
+    for (std::uint32_t slot = 0; slot < nb.size() && next < kids.size();
+         ++slot) {
+      if (nb[slot] != kids[next]) continue;
+      const sim::Port p = instance.port_of_slot(u, slot);
+      ports[next++] = p;
+      pt.parent_port[nb[slot]] = instance.reverse_port(u, p);
+    }
   }
-  for (graph::NodeId c : tree.children[u]) {
-    ports.push_back(instance.neighbor_to_port(u, c));
-  }
-  return ports;
+  return pt;
 }
 
-void encode_port_set(BitWriter& w, const std::vector<sim::Port>& ports,
+void PortTree::tree_ports(graph::NodeId u, std::vector<sim::Port>& out) const {
+  out.clear();
+  if (parent_port[u] != sim::kInvalidPort) out.push_back(parent_port[u]);
+  const auto kids = child_ports(u);
+  out.insert(out.end(), kids.begin(), kids.end());
+}
+
+void encode_port_set(BitWriter& w, std::span<const sim::Port> ports,
                      std::uint32_t degree) {
   const unsigned width = std::max(1u, bit_width_for(degree));
-  // Cost of the list encoding: gamma(count) + count * width.
-  BitWriter list;
-  list.write_bit(false);
-  list.write_gamma(ports.size());
-  for (sim::Port p : ports) list.write_bits(p, width);
-  if (list.size() <= 1 + degree) {
-    const BitString& bits = list.bits();
-    for (std::size_t i = 0; i < bits.size(); ++i) w.write_bit(bits.get(i));
+  // The list encoding costs its format bit, gamma(count) and count ports.
+  const std::size_t list_bits =
+      1 + gamma_bits(ports.size()) + ports.size() * width;
+  if (list_bits <= 1 + std::size_t{degree}) {
+    w.write_bit(false);
+    w.write_gamma(ports.size());
+    for (sim::Port p : ports) w.write_bits(p, width);
     return;
   }
   w.write_bit(true);
-  BitString bitmap(degree);
-  for (sim::Port p : ports) bitmap.set(p, true);
-  for (std::size_t i = 0; i < bitmap.size(); ++i) w.write_bit(bitmap.get(i));
+  // The bitmap a word at a time: word c holds ports [64c, 64c + 64).
+  for (std::uint32_t lo = 0; lo < degree; lo += 64) {
+    std::uint64_t word = 0;
+    for (sim::Port p : ports) {
+      if (p >= lo && p - lo < 64) word |= std::uint64_t{1} << (p - lo);
+    }
+    w.write_bits(word, std::min(64u, degree - lo));
+  }
 }
 
 std::vector<sim::Port> decode_port_set(BitReader& r, std::uint32_t degree) {
@@ -62,18 +84,15 @@ class Fip06Oracle final : public AdvisingOracle {
  public:
   explicit Fip06Oracle(graph::NodeId root) : root_(root) {}
 
-  std::vector<BitString> advise(const sim::Instance& instance) const override {
+  void advise(const sim::Instance& instance, BitArena& out) const override {
     const auto& g = instance.graph();
-    RISE_CHECK_MSG(graph::is_connected(g),
-                   "tree advising schemes require a connected graph");
-    const auto tree = graph::bfs_tree(g, root_);
-    std::vector<BitString> advice(g.num_nodes());
+    const PortTree pt = port_tree(instance, root_);
+    std::vector<sim::Port> ports;
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      BitWriter w;
-      encode_port_set(w, tree_ports(instance, tree, u), g.degree(u));
-      advice[u] = w.take();
+      pt.tree_ports(u, ports);
+      encode_port_set(out.writer(), ports, g.degree(u));
+      out.close();
     }
-    return advice;
   }
 
  private:

@@ -24,9 +24,8 @@ struct Record {
 
 /// A node's advice: the port of its first spanner neighbor (kInvalidPort
 /// if it has none), then its records in port order.
-BitString encode_node_advice(sim::Port first,
-                             std::span<const Record> records) {
-  BitWriter w;
+void encode_node_advice(BitWriter& w, sim::Port first,
+                        std::span<const Record> records) {
   w.write_gamma(records.size());
   w.write_bit(first != sim::kInvalidPort);
   if (first != sim::kInvalidPort) w.write_gamma(first);
@@ -37,12 +36,11 @@ BitString encode_node_advice(sim::Port first,
     w.write_bit(rec.b != sim::kInvalidPort);
     if (rec.b != sim::kInvalidPort) w.write_gamma(rec.b);
   }
-  return w.take();
 }
 
 /// Decodes into `room` (a node has at most one record per port) and
 /// returns the record count.
-std::uint32_t decode_node_advice(const BitString& bits, sim::Port& first,
+std::uint32_t decode_node_advice(BitView bits, sim::Port& first,
                                  std::span<Record> room) {
   BitReader r(bits);
   const std::uint64_t count = r.read_gamma();
@@ -66,7 +64,7 @@ class SpannerOracle final : public AdvisingOracle {
   /// k == 0 means "choose k = ceil(log2 n)" (Corollary 2).
   explicit SpannerOracle(unsigned k) : k_(k) {}
 
-  std::vector<BitString> advise(const sim::Instance& instance) const override {
+  void advise(const sim::Instance& instance, BitArena& out) const override {
     const auto& g = instance.graph();
     unsigned k = k_;
     if (k == 0) {
@@ -84,10 +82,14 @@ class SpannerOracle final : public AdvisingOracle {
     std::vector<std::pair<sim::Port, graph::NodeId>> heap;
     for (graph::NodeId v = 0; v < n; ++v) {
       // v's spanner neighbors ordered by port at v, laid out as a 1-based
-      // binary heap.
+      // binary heap. v's spanner row is a subsequence of its graph row
+      // (both ascending), so one walk finds each neighbor's slot.
       heap.clear();
+      const auto row = g.neighbors(v);
+      std::uint32_t slot = 0;
       for (graph::NodeId u : spanner.neighbors(v)) {
-        heap.push_back({instance.neighbor_to_port(v, u), u});
+        while (row[slot] != u) ++slot;
+        heap.push_back({instance.port_of_slot(v, slot), u});
       }
       std::sort(heap.begin(), heap.end());
       if (heap.empty()) continue;
@@ -95,23 +97,22 @@ class SpannerOracle final : public AdvisingOracle {
       for (std::size_t i = 0; i < heap.size(); ++i) {
         const graph::NodeId w = heap[i].second;
         Record& rec = records[slots[w] + filled[w]++];
-        rec.port = instance.neighbor_to_port(w, v);
+        rec.port = instance.reverse_port(v, heap[i].first);
         const std::size_t h = i + 1;
         if (2 * h - 1 < heap.size()) rec.a = heap[2 * h - 1].first;
         if (2 * h < heap.size()) rec.b = heap[2 * h].first;
       }
     }
 
-    std::vector<BitString> out(n);
     for (graph::NodeId v = 0; v < n; ++v) {
       const std::span<Record> own(records.data() + slots[v],
                                   spanner.degree(v));
       std::sort(own.begin(), own.end(), [](const Record& x, const Record& y) {
         return x.port < y.port;
       });
-      out[v] = encode_node_advice(first[v], own);
+      encode_node_advice(out.writer(), first[v], own);
+      out.close();
     }
-    return out;
   }
 
  private:

@@ -1,6 +1,8 @@
 #include "advice/sqrt_threshold.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "advice/fip06.hpp"
 #include "advice/tree_advice_common.hpp"
@@ -15,18 +17,16 @@ class SqrtThresholdOracle final : public AdvisingOracle {
   SqrtThresholdOracle(graph::NodeId root, double threshold)
       : root_(root), threshold_(threshold) {}
 
-  std::vector<BitString> advise(const sim::Instance& instance) const override {
+  void advise(const sim::Instance& instance, BitArena& out) const override {
     const auto& g = instance.graph();
-    RISE_CHECK_MSG(graph::is_connected(g),
-                   "tree advising schemes require a connected graph");
-    const auto tree = graph::bfs_tree(g, root_);
+    const PortTree pt = port_tree(instance, root_);
     const double threshold =
         threshold_ > 0.0 ? threshold_
                          : std::sqrt(static_cast<double>(g.num_nodes()));
-    std::vector<BitString> advice(g.num_nodes());
+    std::vector<sim::Port> ports;
     for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      const auto ports = tree_ports(instance, tree, u);
-      BitWriter w;
+      pt.tree_ports(u, ports);
+      BitWriter& w = out.writer();
       if (static_cast<double>(ports.size()) > threshold) {
         w.write_bit(true);  // high degree tree node: broadcast everything
       } else {
@@ -35,9 +35,8 @@ class SqrtThresholdOracle final : public AdvisingOracle {
         w.write_gamma(ports.size());
         for (sim::Port p : ports) w.write_bits(p, width);
       }
-      advice[u] = w.take();
+      out.close();
     }
-    return advice;
   }
 
  private:

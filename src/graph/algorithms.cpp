@@ -1,8 +1,6 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <queue>
 
 #include "support/check.hpp"
 
@@ -15,7 +13,9 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
 std::vector<std::uint32_t> multi_source_bfs(
     const Graph& g, const std::vector<NodeId>& sources) {
   std::vector<std::uint32_t> dist(g.num_nodes(), kUnreachable);
-  std::deque<NodeId> queue;
+  // Every node enters the queue at most once, so it is one flat array.
+  std::vector<NodeId> queue;
+  queue.reserve(g.num_nodes());
   for (NodeId s : sources) {
     RISE_CHECK(s < g.num_nodes());
     if (dist[s] == kUnreachable) {
@@ -23,9 +23,8 @@ std::vector<std::uint32_t> multi_source_bfs(
       queue.push_back(s);
     }
   }
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     for (NodeId v : g.neighbors(u)) {
       if (dist[v] == kUnreachable) {
         dist[v] = dist[u] + 1;
@@ -68,14 +67,16 @@ bool is_connected(const Graph& g) {
 std::vector<std::uint32_t> connected_components(const Graph& g) {
   std::vector<std::uint32_t> comp(g.num_nodes(), kUnreachable);
   std::uint32_t next = 0;
-  std::deque<NodeId> queue;
+  // Each node is queued once over all components: one flat array.
+  std::vector<NodeId> queue;
+  queue.reserve(g.num_nodes());
+  std::size_t head = 0;
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     if (comp[s] != kUnreachable) continue;
     comp[s] = next;
     queue.push_back(s);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
+    while (head < queue.size()) {
+      const NodeId u = queue[head++];
       for (NodeId v : g.neighbors(u)) {
         if (comp[v] == kUnreachable) {
           comp[v] = next;
@@ -96,14 +97,15 @@ std::uint32_t girth(const Graph& g) {
   const NodeId n = g.num_nodes();
   std::vector<std::uint32_t> dist(n);
   std::vector<NodeId> parent(n);
+  std::vector<NodeId> queue;
+  queue.reserve(n);
   for (NodeId r = 0; r < n; ++r) {
     std::fill(dist.begin(), dist.end(), kUnreachable);
     std::fill(parent.begin(), parent.end(), kInvalidNode);
     dist[r] = 0;
-    std::deque<NodeId> queue{r};
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
+    queue.assign(1, r);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
       if (best != kUnreachable && 2 * dist[u] >= best) continue;
       for (NodeId v : g.neighbors(u)) {
         if (v == parent[u]) continue;
@@ -122,24 +124,42 @@ std::uint32_t girth(const Graph& g) {
 }
 
 BfsTree bfs_tree(const Graph& g, NodeId root) {
-  RISE_CHECK(root < g.num_nodes());
+  const NodeId n = g.num_nodes();
+  RISE_CHECK(root < n);
   BfsTree tree;
   tree.root = root;
-  tree.parent.assign(g.num_nodes(), kInvalidNode);
-  tree.depth.assign(g.num_nodes(), kUnreachable);
-  tree.children.assign(g.num_nodes(), {});
+  tree.parent.assign(n, kInvalidNode);
+  tree.depth.assign(n, kUnreachable);
   tree.depth[root] = 0;
-  std::deque<NodeId> queue{root};
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  queue.push_back(root);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
     for (NodeId v : g.neighbors(u)) {
       if (tree.depth[v] == kUnreachable) {
         tree.depth[v] = tree.depth[u] + 1;
         tree.parent[v] = u;
-        tree.children[u].push_back(v);
         queue.push_back(v);
       }
+    }
+  }
+  // Children CSR by counting sort on the parent: child_offsets[u] first
+  // holds the end of u's run, and placing v = n-1, ..., 0 at --end moves it
+  // to the run's start while leaving every run in ascending node order.
+  tree.child_offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (tree.parent[v] != kInvalidNode) ++tree.child_offsets[tree.parent[v]];
+  }
+  NodeId end = 0;
+  for (NodeId u = 0; u <= n; ++u) {
+    end += tree.child_offsets[u];
+    tree.child_offsets[u] = end;
+  }
+  tree.child_list.resize(end);
+  for (NodeId v = n; v-- > 0;) {
+    if (tree.parent[v] != kInvalidNode) {
+      tree.child_list[--tree.child_offsets[tree.parent[v]]] = v;
     }
   }
   return tree;
@@ -148,7 +168,7 @@ BfsTree bfs_tree(const Graph& g, NodeId root) {
 std::size_t tree_degree_sum(const BfsTree& tree) {
   std::size_t sum = 0;
   for (std::size_t u = 0; u < tree.parent.size(); ++u) {
-    sum += tree.children[u].size();
+    sum += tree.children(static_cast<NodeId>(u)).size();
     if (tree.parent[u] != kInvalidNode) ++sum;
   }
   return sum;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -36,14 +37,24 @@ std::vector<std::uint32_t> connected_components(const Graph& g);
 std::uint32_t girth(const Graph& g);
 
 /// BFS tree rooted at `root`: parent[u] (kInvalidNode for the root and for
-/// unreachable nodes) and depth[u].
+/// unreachable nodes), depth[u] (kUnreachable for unreachable nodes) and
+/// every node's children in one CSR.
 struct BfsTree {
   NodeId root = kInvalidNode;
   std::vector<NodeId> parent;
   std::vector<std::uint32_t> depth;
+  /// Node u's children are child_list[child_offsets[u], child_offsets[u+1]).
+  std::vector<NodeId> child_offsets;
+  std::vector<NodeId> child_list;
 
   /// Children of u, in ascending node order.
-  std::vector<std::vector<NodeId>> children;
+  std::span<const NodeId> children(NodeId u) const {
+    return {child_list.data() + child_offsets[u],
+            child_offsets[u + 1] - child_offsets[u]};
+  }
+
+  /// Whether the tree spans every node of the graph.
+  bool spanning() const { return child_list.size() + 1 == parent.size(); }
 };
 
 BfsTree bfs_tree(const Graph& g, NodeId root);

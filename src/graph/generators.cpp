@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "support/check.hpp"
@@ -16,11 +14,6 @@ namespace {
 
 Graph from(NodeId n, std::vector<Edge> edges) {
   return Graph::from_edges(n, std::move(edges));
-}
-
-std::uint64_t pair_key(NodeId u, NodeId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
 /// Visits each unordered pair {u, v}, u < v, independently with probability
@@ -129,17 +122,16 @@ Graph grid(NodeId rows, NodeId cols) {
 
 Graph torus(NodeId rows, NodeId cols) {
   RISE_CHECK(rows >= 3 && cols >= 3);
+  // With rows, cols >= 3 the right and down neighbors of a cell are
+  // distinct from each other and from every other cell's, so no edge
+  // repeats.
   auto at = [cols](NodeId r, NodeId c) { return r * cols + c; };
-  std::set<std::pair<NodeId, NodeId>> seen;
   std::vector<Edge> edges;
-  auto add = [&](NodeId u, NodeId v) {
-    auto key = std::minmax(u, v);
-    if (seen.insert({key.first, key.second}).second) edges.push_back({u, v});
-  };
+  edges.reserve(2 * static_cast<std::size_t>(rows) * cols);
   for (NodeId r = 0; r < rows; ++r) {
     for (NodeId c = 0; c < cols; ++c) {
-      add(at(r, c), at(r, (c + 1) % cols));
-      add(at(r, c), at((r + 1) % rows, c));
+      edges.push_back({at(r, c), at(r, (c + 1) % cols)});
+      edges.push_back({at(r, c), at((r + 1) % rows, c)});
     }
   }
   return from(rows * cols, std::move(edges));
@@ -163,26 +155,32 @@ Graph random_tree(NodeId n, Rng& rng) {
   RISE_CHECK(n >= 1);
   if (n == 1) return from(1, {});
   if (n == 2) return from(2, {{0, 1}});
-  // Prüfer decoding.
+  // Linear Prüfer decoding: each step joins the smallest leaf to the next
+  // code entry. `next` scans upward for the smallest leaf not yet used; a
+  // code entry that just became a leaf below `next` is the smallest leaf
+  // and is used at once. Edges come out exactly as with a sorted leaf set.
   std::vector<NodeId> prufer(n - 2);
   for (auto& x : prufer) x = static_cast<NodeId>(rng.uniform(n));
   std::vector<NodeId> deg(n, 1);
   for (NodeId x : prufer) ++deg[x];
-  std::set<NodeId> leaves;
-  for (NodeId i = 0; i < n; ++i)
-    if (deg[i] == 1) leaves.insert(i);
   std::vector<Edge> edges;
   edges.reserve(n - 1);
+  NodeId next = 0;
+  while (deg[next] != 1) ++next;
+  NodeId leaf = next;
   for (NodeId x : prufer) {
-    const NodeId leaf = *leaves.begin();
-    leaves.erase(leaves.begin());
     edges.push_back({leaf, x});
-    if (--deg[x] == 1) leaves.insert(x);
+    if (--deg[x] == 1 && x < next) {
+      leaf = x;
+    } else {
+      do {
+        ++next;
+      } while (deg[next] != 1);
+      leaf = next;
+    }
   }
-  RISE_CHECK(leaves.size() == 2);
-  const NodeId a = *leaves.begin();
-  const NodeId b = *std::next(leaves.begin());
-  edges.push_back({a, b});
+  // The two leaves left are `leaf` and n - 1, which is never used earlier.
+  edges.push_back({leaf, n - 1});
   return from(n, std::move(edges));
 }
 
@@ -207,22 +205,30 @@ Graph connected_gnp(NodeId n, double p, Rng& rng) {
   RISE_CHECK(n >= 1);
   RISE_CHECK(p >= 0.0 && p <= 1.0);
   // Random spanning tree backbone, then the G(n, p) overlay minus the pairs
-  // the tree already covers.
+  // the tree already covers. Pairs arrive in lexicographic order, so on
+  // entering row u the tree neighbors of u are stamped with u; the pair
+  // (u, v) is a tree edge iff v carries u's stamp.
   const Graph tree = random_tree(n, rng);
-  std::unordered_set<std::uint64_t> tree_edges;
-  tree_edges.reserve(static_cast<std::size_t>(n) * 2);
-  tree.for_each_edge(
-      [&](NodeId u, NodeId v) { tree_edges.insert(pair_key(u, v)); });
+  std::vector<NodeId> stamp(n, kInvalidNode);
+  NodeId row = kInvalidNode;
+  const auto off_tree = [&](NodeId u, NodeId v) {
+    if (u != row) {
+      row = u;
+      for (NodeId w : tree.neighbors(u)) stamp[w] = u;
+    }
+    return stamp[v] != u;
+  };
   CsrBuilder builder(n);
   tree.for_each_edge([&](NodeId u, NodeId v) { builder.count_edge(u, v); });
   Rng count_rng = rng;
   sample_gnp_pairs(n, p, count_rng, [&](NodeId u, NodeId v) {
-    if (!tree_edges.contains(pair_key(u, v))) builder.count_edge(u, v);
+    if (off_tree(u, v)) builder.count_edge(u, v);
   });
   builder.begin_fill();
   tree.for_each_edge([&](NodeId u, NodeId v) { builder.fill_edge(u, v); });
+  row = kInvalidNode;
   sample_gnp_pairs(n, p, rng, [&](NodeId u, NodeId v) {
-    if (!tree_edges.contains(pair_key(u, v))) builder.fill_edge(u, v);
+    if (off_tree(u, v)) builder.fill_edge(u, v);
   });
   return builder.finish();
 }
@@ -362,10 +368,15 @@ Graph barabasi_albert(NodeId n, NodeId attach, Rng& rng) {
       endpoints.push_back(v);
     }
   }
+  // Each new node's distinct targets, kept sorted (attach is small).
+  std::vector<NodeId> targets;
+  targets.reserve(attach);
   for (NodeId u = attach + 1; u < n; ++u) {
-    std::set<NodeId> targets;
+    targets.clear();
     while (targets.size() < attach) {
-      targets.insert(endpoints[rng.uniform(endpoints.size())]);
+      const NodeId t = endpoints[rng.uniform(endpoints.size())];
+      const auto at = std::lower_bound(targets.begin(), targets.end(), t);
+      if (at == targets.end() || *at != t) targets.insert(at, t);
     }
     for (NodeId v : targets) {
       endpoints.push_back(u);

@@ -19,27 +19,26 @@ class BetaProbingOracle final : public advice::AdvisingOracle {
  public:
   explicit BetaProbingOracle(unsigned beta) : beta_(beta) {}
 
-  std::vector<BitString> advise(const sim::Instance& instance) const override {
+  void advise(const sim::Instance& instance, BitArena& out) const override {
     const auto& g = instance.graph();
     RISE_CHECK_MSG(g.num_nodes() % 3 == 0,
                    "beta probing expects a LowerBoundFamily-shaped instance");
     const graph::NodeId n = g.num_nodes() / 3;
-    std::vector<BitString> advice(g.num_nodes());
-    for (graph::NodeId i = 0; i < n; ++i) {
-      const graph::NodeId v = i;          // center
-      const graph::NodeId w = 2 * n + i;  // crucial neighbor
+    // Centers are nodes 0..n-1; every other node gets empty advice.
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const graph::NodeId w = 2 * n + v;  // v's crucial neighbor
       const sim::Port port = instance.neighbor_to_port(v, w);
       const unsigned width = std::max(1u, bit_width_for(g.degree(v)));
       const unsigned b = effective_beta(beta_, g.degree(v));
-      BitWriter writer;
-      writer.write_bit(i == 0);  // the designated broadcaster
+      BitWriter& writer = out.writer();
+      writer.write_bit(v == 0);  // the designated broadcaster
       // Top b bits of the port number, MSB first.
       for (unsigned j = 0; j < b; ++j) {
         writer.write_bit((port >> (width - 1 - j)) & 1u);
       }
-      advice[v] = writer.take();
+      out.close();
     }
-    return advice;
+    for (graph::NodeId v = n; v < g.num_nodes(); ++v) out.close();
   }
 
  private:

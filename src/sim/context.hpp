@@ -111,7 +111,7 @@ class NodeContext {
   Rng& rng() { return core_.node_rng(node_); }
 
   /// The node's advice string (empty when the instance has no oracle).
-  const BitString& advice() const { return instance_.advice(node_); }
+  BitView advice() const { return instance_.advice(node_); }
 
   /// Records this node's output value (used by the NIH problem).
   void set_output(std::uint64_t value) { core_.set_output(node_, value); }

@@ -28,6 +28,13 @@ Instance Instance::create(graph::Graph g, const InstanceOptions& options,
       RISE_CHECK_MSG(l >= 1 && l <= range, "forced label out of range");
       inst.labels_[u] = l;
     }
+    // Random and sequential labels are distinct by construction; forced
+    // ones are checked by sorting a copy.
+    std::vector<Label> sorted = options.forced_labels;
+    std::sort(sorted.begin(), sorted.end());
+    RISE_CHECK_MSG(
+        std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+        "node labels must be distinct");
   } else if (options.random_labels && n > 0) {
     // Sample n distinct values from [1, range] via a partial Fisher-Yates
     // over the first n slots of the range permutation.
@@ -42,9 +49,6 @@ Instance Instance::create(graph::Graph g, const InstanceOptions& options,
   } else {
     for (NodeId u = 0; u < n; ++u) inst.labels_[u] = u + 1;
   }
-  for (NodeId u = 0; u < n; ++u) inst.label_index_[inst.labels_[u]] = u;
-  RISE_CHECK_MSG(inst.label_index_.size() == n, "node labels must be distinct");
-
   // Flat directed-edge index first: every per-link table is indexed by
   // edge_base_[u] + p, so the engines' per-send hot path reads flat arrays
   // instead of chasing per-node heap blocks.
@@ -55,32 +59,32 @@ Instance Instance::create(graph::Graph g, const InstanceOptions& options,
   }
   const std::size_t links = inst.edge_base_[n];
 
-  // Adversarial port mappings (one rng.permutation draw per node, in node
-  // order — the draw sequence every existing seed-pinned test depends on).
+  // Adversarial port mappings: each node's run of port_to_slot_ is iota
+  // shuffled in place, in node order — the same draws as one
+  // rng.permutation(deg) per node, which every seed-pinned test depends on.
   inst.port_to_slot_.resize(links);
-  inst.slot_to_port_.assign(links, kInvalidPort);
+  inst.slot_to_port_.resize(links);
   for (NodeId u = 0; u < n; ++u) {
-    const auto deg = inst.graph_.degree(u);
-    const std::size_t base = inst.edge_base_[u];
-    if (options.random_ports) {
-      const auto perm = rng.permutation(deg);
-      std::copy(perm.begin(), perm.end(), inst.port_to_slot_.begin() + base);
-    } else {
-      std::iota(inst.port_to_slot_.begin() + base,
-                inst.port_to_slot_.begin() + base + deg, 0u);
-    }
-    for (Port p = 0; p < deg; ++p) {
-      inst.slot_to_port_[base + inst.port_to_slot_[base + p]] = p;
-    }
+    const std::span<std::uint32_t> ports(
+        inst.port_to_slot_.data() + inst.edge_base_[u], inst.graph_.degree(u));
+    std::iota(ports.begin(), ports.end(), 0u);
+    if (options.random_ports) rng.shuffle(ports);
+    Port* slot_to_port = inst.slot_to_port_.data() + inst.edge_base_[u];
+    for (Port p = 0; p < ports.size(); ++p) slot_to_port[ports[p]] = p;
   }
 
-  // Precomputed reverse port of every link.
+  // Reverse ports by one CSR-transpose pass: adjacency rows are sorted, so
+  // visiting u = 0, 1, ... meets each v's neighbors in v's slot order, and
+  // cursor[v] is the slot of u in v's row.
   inst.reverse_port_.resize(links);
+  std::vector<std::uint32_t> cursor(n, 0);
   for (NodeId u = 0; u < n; ++u) {
     const auto nb = inst.graph_.neighbors(u);
-    for (Port p = 0; p < inst.graph_.degree(u); ++p) {
-      const NodeId v = nb[inst.port_to_slot_[inst.edge_base_[u] + p]];
-      inst.reverse_port_[inst.edge_base_[u] + p] = inst.neighbor_to_port(v, u);
+    const std::size_t base = inst.edge_base_[u];
+    for (std::uint32_t slot = 0; slot < nb.size(); ++slot) {
+      const NodeId v = nb[slot];
+      inst.reverse_port_[base + inst.slot_to_port_[base + slot]] =
+          inst.slot_to_port_[inst.edge_base_[v] + cursor[v]++];
     }
   }
 
@@ -123,8 +127,6 @@ Instance Instance::with_swapped_labels(NodeId a, NodeId b) const {
   RISE_CHECK(a < num_nodes() && b < num_nodes());
   Instance copy = *this;
   std::swap(copy.labels_[a], copy.labels_[b]);
-  copy.label_index_[copy.labels_[a]] = a;
-  copy.label_index_[copy.labels_[b]] = b;
   copy.rebuild_label_views();
   return copy;
 }
@@ -147,43 +149,56 @@ Port Instance::port_of_label(NodeId u, Label neighbor) const {
 }
 
 NodeId Instance::node_of_label(Label l) const {
-  const auto it = label_index_.find(l);
-  RISE_CHECK_MSG(it != label_index_.end(), "unknown label " << l);
-  return it->second;
+  const auto it = std::find(labels_.begin(), labels_.end(), l);
+  RISE_CHECK_MSG(it != labels_.end(), "unknown label " << l);
+  return static_cast<NodeId>(it - labels_.begin());
 }
 
 Port Instance::neighbor_to_port(NodeId u, NodeId v) const {
   const auto slot = graph_.neighbor_slot(u, v);
   RISE_CHECK_MSG(slot.has_value(), "nodes " << u << " and " << v
                                             << " are not adjacent");
-  return slot_to_port_[edge_base_[u] + *slot];
+  return port_of_slot(u, *slot);
 }
 
 std::uint64_t Instance::congest_bit_budget() const {
   return static_cast<std::uint64_t>(options_.congest_factor) * label_bits_;
 }
 
-void Instance::set_advice(std::vector<BitString> advice) {
+void Instance::set_advice(BitArena advice) {
   RISE_CHECK_MSG(advice.size() == num_nodes(),
-                 "advice vector must have one entry per node");
+                 "advice must have one string per node");
   advice_ = std::move(advice);
 }
 
-const BitString& Instance::advice(NodeId u) const {
+void Instance::set_advice(std::span<const BitString> advice) {
+  BitArena arena;
+  for (const BitString& bits : advice) {
+    for (std::size_t i = 0; i < bits.size(); i += 64) {
+      const unsigned width = static_cast<unsigned>(
+          std::min<std::size_t>(64, bits.size() - i));
+      arena.writer().write_bits(bits.read_bits(i, width), width);
+    }
+    arena.close();
+  }
+  set_advice(std::move(arena));
+}
+
+BitView Instance::advice(NodeId u) const {
   RISE_CHECK(u < num_nodes());
-  if (advice_.empty()) return empty_advice_;
+  if (!has_advice()) return {};
   return advice_[u];
 }
 
 Instance::AdviceStats Instance::advice_stats() const {
   AdviceStats stats;
-  if (advice_.empty()) return stats;
-  for (const auto& a : advice_) {
-    stats.max_bits = std::max(stats.max_bits, a.size());
-    stats.total_bits += a.size();
+  if (!has_advice()) return stats;
+  for (NodeId u = 0; u < num_nodes(); ++u) {
+    stats.max_bits = std::max(stats.max_bits, advice_[u].size());
+    stats.total_bits += advice_[u].size();
   }
   stats.avg_bits = static_cast<double>(stats.total_bits) /
-                   static_cast<double>(advice_.size());
+                   static_cast<double>(num_nodes());
   return stats;
 }
 

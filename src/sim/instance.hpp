@@ -9,7 +9,6 @@
 
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -56,6 +55,8 @@ class Instance {
   NodeId num_nodes() const { return graph_.num_nodes(); }
 
   Label label(NodeId u) const { return labels_[u]; }
+  /// The node carrying label l, by a scan over all labels (O(n); the
+  /// engines address by port or by port_of_label, never through this).
   NodeId node_of_label(Label l) const;
 
   /// The neighbor reached through port p of node u. On the engines' per-send
@@ -65,8 +66,16 @@ class Instance {
     return graph_.neighbors(u)[port_to_slot_[edge_base_[u] + p]];
   }
 
-  /// port^{-1}_u(v): the port at u whose link leads to neighbor v.
+  /// port^{-1}_u(v): the port at u whose link leads to neighbor v, by
+  /// binary search in u's adjacency row.
   Port neighbor_to_port(NodeId u, NodeId v) const;
+
+  /// The port at u whose link leads to graph().neighbors(u)[slot]: the
+  /// search-free form of neighbor_to_port for code that walks u's row.
+  Port port_of_slot(NodeId u, std::uint32_t slot) const {
+    RISE_DCHECK(u < num_nodes() && slot < graph_.degree(u));
+    return slot_to_port_[edge_base_[u] + slot];
+  }
 
   /// Neighbor labels of u indexed by *port* (KT1 initial knowledge).
   std::span<const Label> neighbor_labels_by_port(NodeId u) const {
@@ -106,9 +115,14 @@ class Instance {
   /// configuration swap at the heart of the Theorem-2 lower bound.
   Instance with_swapped_labels(NodeId a, NodeId b) const;
 
-  void set_advice(std::vector<BitString> advice);
-  bool has_advice() const { return !advice_.empty(); }
-  const BitString& advice(NodeId u) const;
+  /// Installs one advice string per node, packed in an arena (string u is
+  /// node u's advice).
+  void set_advice(BitArena advice);
+  /// Packs hand-made per-node strings into the arena.
+  void set_advice(std::span<const BitString> advice);
+  bool has_advice() const { return advice_.size() != 0; }
+  /// Node u's advice (empty when the instance has none).
+  BitView advice(NodeId u) const;
 
   /// Advice length statistics (Table 1's "Advice" column).
   struct AdviceStats {
@@ -126,7 +140,6 @@ class Instance {
   graph::Graph graph_;
   InstanceOptions options_;
   std::vector<Label> labels_;
-  std::unordered_map<Label, NodeId> label_index_;
   // Flat directed-edge index (edge_base_ has n+1 prefix-degree entries);
   // every per-link table below is one flat array indexed by
   // edge_base_[u] + p (or + slot), not a vector-of-vectors — at 10^6 nodes
@@ -148,8 +161,9 @@ class Instance {
   };
   std::vector<LabelPort> label_ports_;
   unsigned label_bits_ = 0;
-  std::vector<BitString> advice_;
-  BitString empty_advice_;
+  // Every node's advice in one word array; node u starts on a word
+  // boundary (BitArena).
+  BitArena advice_;
 };
 
 }  // namespace rise::sim

@@ -70,7 +70,7 @@ bool Rng::chance(double p) {
 std::vector<std::uint32_t> Rng::permutation(std::uint32_t n) {
   std::vector<std::uint32_t> p(n);
   std::iota(p.begin(), p.end(), 0u);
-  shuffle(p);
+  shuffle(std::span<std::uint32_t>(p));
   return p;
 }
 

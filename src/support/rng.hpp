@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace rise {
@@ -49,16 +50,21 @@ class Rng {
   /// Bernoulli trial.
   bool chance(double p);
 
-  /// In-place Fisher-Yates shuffle.
+  /// In-place Fisher-Yates shuffle: position i - 1 swaps with a uniform
+  /// position below i, for i from the size down to 2.
   template <typename T>
-  void shuffle(std::vector<T>& v) {
+  void shuffle(std::span<T> v) {
     for (std::size_t i = v.size(); i > 1; --i) {
       using std::swap;
       swap(v[i - 1], v[uniform(i)]);
     }
   }
+  template <typename T>
+  void shuffle(std::vector<T>& v) {
+    shuffle(std::span<T>(v));
+  }
 
-  /// A random permutation of [0, n).
+  /// A random permutation of [0, n): iota, then shuffle.
   std::vector<std::uint32_t> permutation(std::uint32_t n);
 
  private:

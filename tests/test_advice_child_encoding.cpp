@@ -54,7 +54,7 @@ TEST(ChildEncoding, AdviceDecodesToTreeStructure) {
     if (a.has_parent) {
       EXPECT_EQ(inst.port_to_neighbor(u, a.parent), tree.parent[u]);
     }
-    EXPECT_EQ(a.has_first_child, !tree.children[u].empty());
+    EXPECT_EQ(a.has_first_child, !tree.children(u).empty());
     if (a.has_first_child) {
       const graph::NodeId fc = inst.port_to_neighbor(u, a.first_child);
       EXPECT_EQ(tree.parent[fc], u);

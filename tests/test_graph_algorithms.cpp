@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.hpp"
 
 namespace rise::graph {
@@ -119,10 +121,29 @@ TEST(BfsTree, ChildrenConsistentWithParents) {
   Rng rng(21);
   const Graph g = connected_gnp(40, 0.1, rng);
   const auto tree = bfs_tree(g, 5);
+  std::size_t listed = 0;
   for (NodeId u = 0; u < 40; ++u) {
-    for (NodeId c : tree.children[u]) {
+    const auto kids = tree.children(u);
+    EXPECT_TRUE(std::is_sorted(kids.begin(), kids.end()));
+    for (NodeId c : kids) {
       EXPECT_EQ(tree.parent[c], u);
     }
+    listed += kids.size();
+  }
+  EXPECT_EQ(listed, 39u);  // every node but the root, once
+  EXPECT_TRUE(tree.spanning());
+}
+
+TEST(BfsTree, UnreachableNodesHaveNoParentAndNoChildren) {
+  // Two disjoint paths 0-1-2 and 3-4: the tree from 1 reaches 0, 1, 2 only.
+  const Graph g = Graph::from_edges(5, {{0, 1}, {1, 2}, {3, 4}});
+  const auto tree = bfs_tree(g, 1);
+  EXPECT_FALSE(tree.spanning());
+  EXPECT_EQ(tree.children(1).size(), 2u);
+  for (NodeId u : {3u, 4u}) {
+    EXPECT_EQ(tree.parent[u], kInvalidNode);
+    EXPECT_EQ(tree.depth[u], kUnreachable);
+    EXPECT_TRUE(tree.children(u).empty());
   }
 }
 

@@ -213,7 +213,7 @@ TEST(Generators, CompletePlusPendant) {
 }
 
 // Edge lists (and the rng draw that follows each graph), recorded while
-// random_tree kept its Pruefer leaves in a std::set, connected_gnp its tree
+// random_tree kept its Prüfer leaves in a std::set, connected_gnp its tree
 // edges in a hash set and torus its seen pairs in a std::set: the flat
 // rewrites must emit the same edges in the same order from the same draws.
 TEST(Generators, MatchPinnedEdgeHashes) {

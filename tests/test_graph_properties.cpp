@@ -30,7 +30,7 @@ TEST_P(SeedSweep, BfsTreeHasExactlyNMinus1Edges) {
   const Graph g = connected_gnp(70, 0.08, rng);
   const auto tree = bfs_tree(g, 0);
   std::size_t children = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) children += tree.children[u].size();
+  for (NodeId u = 0; u < g.num_nodes(); ++u) children += tree.children(u).size();
   EXPECT_EQ(children, static_cast<std::size_t>(g.num_nodes()) - 1);
 }
 

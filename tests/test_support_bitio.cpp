@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -81,6 +85,19 @@ TEST(Gamma, EncodedLengthIsLogarithmic) {
   BitWriter w3;
   w3.write_gamma(1023);  // v+1 = 1024 = 2^10 -> 21 bits
   EXPECT_EQ(w3.size(), 21u);
+  EXPECT_EQ(gamma_bits(0), 1u);
+  EXPECT_EQ(gamma_bits(1), 3u);
+  EXPECT_EQ(gamma_bits(1023), 21u);
+  // The largest value: a 64-bit v = value + 1 after 63 zeros.
+  const std::uint64_t top = ~std::uint64_t{0} - 1;
+  BitWriter w4;
+  w4.write_bit(true);  // off the word boundary
+  w4.write_gamma(top);
+  EXPECT_EQ(w4.size(), 1u + gamma_bits(top));
+  BitReader r(w4.bits());
+  EXPECT_TRUE(r.read_bit());
+  EXPECT_EQ(r.read_gamma(), top);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Gamma, RandomRoundTrip) {
@@ -118,6 +135,52 @@ TEST(BitReader, ReadPastEndThrows) {
   BitReader r(b);
   r.read_bit();
   EXPECT_THROW(r.read_bit(), CheckError);
+}
+
+// The word-at-a-time writer and the arena keep the bit-at-a-time layout:
+// random fields of width 0..64 (crossing word boundaries, some strings
+// empty) give each arena string exactly the size and words of a BitString
+// built by append_bits, and read back through a BitView.
+TEST(BitArena, StringsMatchBitStringsWordForWord) {
+  Rng rng(77);
+  struct Field {
+    std::uint64_t value;
+    unsigned width;
+  };
+  std::vector<std::vector<Field>> strings(40);
+  BitArena arena;
+  std::vector<BitString> expected;
+  for (auto& fields : strings) {
+    const auto count = rng.uniform(6);  // 0: an empty string
+    BitString bits;
+    for (std::uint64_t f = 0; f < count; ++f) {
+      const auto width = static_cast<unsigned>(rng.uniform(65));
+      const std::uint64_t value = rng();  // bits above width are ignored
+      fields.push_back({value, width});
+      arena.writer().write_bits(value, width);
+      bits.append_bits(value, width);
+    }
+    EXPECT_EQ(arena.writer().size(), bits.size());
+    arena.close();
+    expected.push_back(std::move(bits));
+  }
+  ASSERT_EQ(arena.size(), strings.size());
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    const BitView view = arena[i];
+    ASSERT_EQ(view.size(), expected[i].size()) << i;
+    EXPECT_TRUE(std::equal(view.words().begin(), view.words().end(),
+                           expected[i].words().begin(),
+                           expected[i].words().end()))
+        << i;
+    EXPECT_TRUE(view == BitView(expected[i])) << i;
+    BitReader r(view);
+    for (const Field& f : strings[i]) {
+      const std::uint64_t mask =
+          f.width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << f.width) - 1;
+      EXPECT_EQ(r.read_bits(f.width), f.value & mask) << i;
+    }
+    EXPECT_TRUE(r.exhausted()) << i;
+  }
 }
 
 TEST(BitWidthFor, Values) {

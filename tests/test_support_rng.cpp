@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
+#include <span>
+#include <vector>
 
 namespace rise {
 namespace {
@@ -97,6 +100,25 @@ TEST(Rng, PermutationIsShuffled) {
   std::size_t fixed = 0;
   for (std::uint32_t i = 0; i < 1000; ++i) fixed += (p[i] == i);
   EXPECT_LT(fixed, 20u);  // expectation is 1 fixed point
+}
+
+// permutation(n) is iota plus a span shuffle: same values, same draws, so
+// code that shuffles into its own storage (Instance::create's ports)
+// reproduces it.
+TEST(Rng, PermutationIsIotaPlusSpanShuffle) {
+  for (std::uint32_t n : {0u, 1u, 2u, 7u, 64u, 1000u}) {
+    Rng a(23 + n);
+    Rng b(23 + n);
+    const auto p = a.permutation(n);
+    std::vector<std::uint32_t> storage(n + 2, 99);
+    const std::span<std::uint32_t> q(storage.data() + 1, n);
+    std::iota(q.begin(), q.end(), 0u);
+    b.shuffle(q);
+    EXPECT_TRUE(std::equal(p.begin(), p.end(), q.begin(), q.end())) << n;
+    EXPECT_EQ(storage.front(), 99u);
+    EXPECT_EQ(storage.back(), 99u);
+    EXPECT_EQ(a(), b()) << n;
+  }
 }
 
 TEST(MixSeed, IndependentStreams) {
