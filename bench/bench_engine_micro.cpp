@@ -224,7 +224,7 @@ void BM_SyncFloodingRounds(benchmark::State& state) {
 BENCHMARK(BM_SyncFloodingRounds)->Arg(1000)->Arg(4000);
 
 /// Sleeping-model families with a warm workspace, the campaign steady
-/// state: prices the nap bookkeeping (nap ring, drop accounting) the
+/// state: prices the nap bookkeeping (nap-end timers, drop accounting) the
 /// sleeping engine adds per round. state.range(1) selects the family
 /// (0 = smis, 1 = smatching).
 void BM_KernelSleepingRounds(benchmark::State& state) {

@@ -61,23 +61,6 @@ void encode_port_set(BitWriter& w, std::span<const sim::Port> ports,
   }
 }
 
-std::vector<sim::Port> decode_port_set(BitReader& r, std::uint32_t degree) {
-  std::vector<sim::Port> ports;
-  if (!r.read_bit()) {
-    const unsigned width = std::max(1u, bit_width_for(degree));
-    const std::uint64_t count = r.read_gamma();
-    ports.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ports.push_back(static_cast<sim::Port>(r.read_bits(width)));
-    }
-  } else {
-    for (std::uint32_t p = 0; p < degree; ++p) {
-      if (r.read_bit()) ports.push_back(p);
-    }
-  }
-  return ports;
-}
-
 namespace {
 
 class Fip06Oracle final : public AdvisingOracle {
@@ -137,10 +120,9 @@ class Fip06Kernel {
     probe.phase("advice.forward");
     probe.count("advice.decodes");
     BitReader r(ctx.advice());
-    for (sim::Port p : decode_port_set(r, ctx.degree())) {
-      if (p == skip) continue;
-      ctx.send(p, sim::make_message(kTreeWake, {}, 8));
-    }
+    for_each_port(r, ctx.degree(), [&](sim::Port p) {
+      if (p != skip) ctx.send(p, sim::make_message(kTreeWake, {}, 8));
+    });
   }
 
   States own_;

@@ -3,12 +3,14 @@
 // port sets.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "sim/instance.hpp"
 #include "support/bitio.hpp"
+#include "support/check.hpp"
 
 namespace rise::advice {
 
@@ -44,7 +46,26 @@ PortTree port_tree(const sim::Instance& instance, graph::NodeId root);
 void encode_port_set(BitWriter& w, std::span<const sim::Port> ports,
                      std::uint32_t degree);
 
-/// Inverse of encode_port_set.
-std::vector<sim::Port> decode_port_set(BitReader& r, std::uint32_t degree);
+/// Inverse of encode_port_set: reads the port set from `r` and calls
+/// visit(port) for each port in order, without building a container. A
+/// list longer than the bits left to hold it is a CheckError, raised before
+/// the first visit.
+template <class Visit>
+void for_each_port(BitReader& r, std::uint32_t degree, Visit&& visit) {
+  if (r.read_bit()) {
+    for (std::uint32_t p = 0; p < degree; ++p) {
+      if (r.read_bit()) visit(static_cast<sim::Port>(p));
+    }
+    return;
+  }
+  const unsigned width = std::max(1u, bit_width_for(degree));
+  const std::uint64_t count = r.read_gamma();
+  RISE_CHECK_MSG(count <= r.remaining() / width,
+                 "port list of " << count << " ports overruns the "
+                                 << r.remaining() << " advice bits left");
+  for (std::uint64_t i = 0; i < count; ++i) {
+    visit(static_cast<sim::Port>(r.read_bits(width)));
+  }
+}
 
 }  // namespace rise::advice

@@ -81,7 +81,8 @@ class Probe {
   /// before the run starts. Nodes begin in phase 0 / class 0.
   void attach_run(std::uint32_t num_nodes);
 
-  /// "buckets" | "heap" | "sync" — which event loop ran.
+  /// "buckets" (the async engine's timing wheel) | "sync" — which event
+  /// loop ran. The names are part of the profile format.
   void set_backend(std::string_view backend) { engine_.backend = backend; }
 
   /// Hot path: one call per send, before enqueueing. `bits` is the logical

@@ -19,7 +19,6 @@
 #include <bit>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -99,7 +98,7 @@ class AsyncRunner {
     const NodeId n = instance.num_nodes();
     for (const auto& [t, u] : schedule.wakes) {
       RISE_CHECK(u < n);
-      events_.emplace(t, EventKind::kWake, u, kInvalidPort, {});
+      events_.emplace(t, EventKind::kWake, u, kInvalidPort, Message{});
     }
   }
 
@@ -288,19 +287,10 @@ class SyncRunner {
     // `mail` slots are harmless (the inbox build overwrites what it uses).
     b_.inbox.assign(n_, InboxSpan{});
     b_.pending.assign(words_, 0);
-    b_.nap_ring.resize(kNapRing);
-    for (std::vector<NodeId>& slot : b_.nap_ring) slot.clear();
-    b_.nap_overflow.clear();
-    b_.wakes.clear();
+    b_.timers.reset();
     for (const auto& [t, u] : schedule.wakes) {
       RISE_CHECK(u < n_);
-      b_.wakes.emplace_back(t, u);
-    }
-    // Sorted by (round, node): each round's wake-ups form one contiguous,
-    // node-sorted slice that run() consumes with a cursor and the steps
-    // walk with adversary_woke(). Schedules usually come sorted already.
-    if (!std::is_sorted(b_.wakes.begin(), b_.wakes.end())) {
-      std::sort(b_.wakes.begin(), b_.wakes.end());
+      b_.timers.emplace(t, u);
     }
     b_.active.clear();
     // Never shrunk, so a workspace alternating job counts keeps them all.
@@ -318,25 +308,16 @@ class SyncRunner {
                      "sync engine exceeded max_rounds");
       // 1. Candidates: last round's receivers and tick requests are already
       // marked; add the adversary wake-ups and nap ends due now.
-      const std::size_t wake_lo = wake_cursor_;
-      while (wake_cursor_ < b_.wakes.size() &&
-             b_.wakes[wake_cursor_].first == round_) {
-        mark(b_.wakes[wake_cursor_].second);
-        ++wake_cursor_;
-      }
-      round_wakes_begin_ = b_.wakes.data() + wake_lo;
-      round_wakes_end_ = b_.wakes.data() + wake_cursor_;
-      release_naps();
+      release_timers();
       collect_active();
 
       if (b_.active.empty()) {
-        Time next = wake_cursor_ < b_.wakes.size()
-                        ? b_.wakes[wake_cursor_].first
-                        : kNever;
-        next = std::min(next, next_nap_end());
-        if (next == kNever) break;  // quiescent
-        // Fast-forward idle rounds to the next scheduled wake-up or nap end.
-        round_ = next - 1;
+        // Fast-forward idle rounds to the next wake-up or nap end. Every
+        // future candidate is on the wheel, so nothing can be pushed before
+        // its tick.
+        const SyncTimer* next = b_.timers.front_until(kNever);
+        if (next == nullptr) break;  // quiescent
+        round_ = next->t - 1;
         continue;
       }
 
@@ -406,27 +387,6 @@ class SyncRunner {
   /// entries; 2^40 comfortably exceeds max_messages, and the bucket id in
   /// the high bits fits any plausible job count.
   static constexpr unsigned kOrderIndexBits = 40;
-  /// Rounds covered by the nap ring; naps ending later wait in the
-  /// overflow heap. The sleeping families nap at most 16 rounds.
-  static constexpr Time kNapRing = 64;
-
-  using WakeIt = const std::pair<Time, NodeId>*;
-
-  /// The first wake of the current round's (node-sorted) slice of the flat
-  /// wake schedule aimed at a node >= u.
-  WakeIt wakes_from(NodeId u) const {
-    return std::lower_bound(round_wakes_begin_, round_wakes_end_, u,
-                            [](const std::pair<Time, NodeId>& w, NodeId v) {
-                              return w.second < v;
-                            });
-  }
-
-  /// Was u woken by the adversary *this round*? `it` walks the wake slice
-  /// along with the id-sorted active set: u never decreases between calls.
-  bool adversary_woke(NodeId u, WakeIt& it) const {
-    while (it != round_wakes_end_ && it->second < u) ++it;
-    return it != round_wakes_end_ && it->second == u;
-  }
 
   /// True while u is inside a declared nap: asleep_until[u] is the round
   /// the nap ends at, and a node with no pending nap has it <= round_.
@@ -442,45 +402,17 @@ class SyncRunner {
 
   std::span<SyncChunkOutbox> outboxes() { return {b_.outboxes.data(), jobs_}; }
 
-  // ---- nap ring -----------------------------------------------------------
-  //
-  // After release_naps() at round r, every ring entry ends in (r, r + ring),
-  // so one slot never mixes two targets; fast-forwarding never skips a
-  // target because next_nap_end() bounds the jump.
-
-  void register_nap(NodeId u, Time target) {
-    if (target - round_ < kNapRing) {
-      b_.nap_ring[target % kNapRing].push_back(u);
-      ++naps_in_ring_;
-    } else {
-      b_.nap_overflow.emplace_back(target, u);
-      std::push_heap(b_.nap_overflow.begin(), b_.nap_overflow.end(),
-                     std::greater<>());
+  /// Marks every node whose wake-up or nap end is due this round. Only a
+  /// node not yet awake can be woken, so its timer is an adversary wake: it
+  /// stamps wake_round, which step_chunk reads as the wake's cause. The
+  /// cursor stays at round_, so this round's naps can still be pushed.
+  void release_timers() {
+    while (const SyncTimer* due = b_.timers.front_until(round_)) {
+      const NodeId u = due->node;
+      b_.timers.drop_front();
+      mark(u);
+      if (!core_.is_awake(u)) b_.wake_round[u] = round_;
     }
-  }
-
-  /// Marks every node whose nap ends this round: it is stepped again
-  /// (usually with an empty inbox) so it can resume its protocol.
-  void release_naps() {
-    std::vector<NodeId>& slot = b_.nap_ring[round_ % kNapRing];
-    for (NodeId u : slot) mark(u);
-    naps_in_ring_ -= slot.size();
-    slot.clear();
-    auto& heap = b_.nap_overflow;
-    while (!heap.empty() && heap.front().first == round_) {
-      mark(heap.front().second);
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-      heap.pop_back();
-    }
-  }
-
-  Time next_nap_end() const {
-    Time next = b_.nap_overflow.empty() ? kNever : b_.nap_overflow.front().first;
-    if (naps_in_ring_ == 0) return next;
-    for (Time t = round_ + 1; t < round_ + kNapRing; ++t) {
-      if (!b_.nap_ring[t % kNapRing].empty()) return std::min(next, t);
-    }
-    return next;
   }
 
   /// Reads the candidate bitmap out in id order, clearing it, into the
@@ -578,7 +510,6 @@ class SyncRunner {
     std::vector<std::uint32_t>& awake_rounds = core_.result().awake_rounds;
     obs::DeferredMarkScope defer(&ob.marks, &ob.sends);
     SyncRunnerContext<Handler> ctx(*this, core_, ob);
-    WakeIt wake_it = begin < end ? wakes_from(b_.active[begin]) : nullptr;
     try {
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId u = b_.active[i];
@@ -588,7 +519,8 @@ class SyncRunner {
         ctx.attach_step(u, &st);
         if (!core_.is_awake(u)) {
           st.woke = true;
-          st.cause = adversary_woke(u, wake_it) ? WakeCause::kAdversary
+          // release_timers stamped wake_round for an adversary wake.
+          st.cause = b_.wake_round[u] == round_ ? WakeCause::kAdversary
                                                 : WakeCause::kMessage;
           // local_round() must read 1 inside on_wake, so set the base first.
           b_.wake_round[u] = round_;
@@ -654,7 +586,7 @@ class SyncRunner {
         if (st.delivered != 0) {
           core_.account_delivery(st.node, round_, st.delivered);
         }
-        if (st.slept) register_nap(st.node, st.sleep_target);
+        if (st.slept) b_.timers.emplace(st.sleep_target, st.node);
         if (st.tick) mark(st.node);
       }
       for (; mark_it != ob.marks.end(); ++mark_it) {
@@ -759,11 +691,6 @@ class SyncRunner {
   std::size_t words_ = 0;  ///< bitmap words, ceil(n / 64)
   std::uint64_t bucket_scale_ = 0;
   SyncBuffers b_;
-  std::size_t wake_cursor_ = 0;
-  /// The current round's slice of the wake schedule, for adversary_woke().
-  const std::pair<Time, NodeId>* round_wakes_begin_ = nullptr;
-  const std::pair<Time, NodeId>* round_wakes_end_ = nullptr;
-  std::size_t naps_in_ring_ = 0;
 };
 
 }  // namespace rise::sim::internal

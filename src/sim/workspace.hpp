@@ -113,6 +113,8 @@ struct InboxSpan {
 /// The synchronous engine's per-run storage; SyncRunner moves it in from
 /// the workspace and hands it back, so every vector keeps its capacity.
 struct SyncBuffers {
+  /// The round each awake node woke in; for a node not yet awake, the
+  /// round an adversary wake-up of it last came due (else kNever).
   std::vector<Time> wake_round;
   std::vector<Time> asleep_until;  ///< sleeping model (declared naps)
   /// This round's messages, one contiguous run per receiver; `inbox[u]`
@@ -123,13 +125,9 @@ struct SyncBuffers {
   /// Node bitmap of next round's candidates: receivers, wakes, nap ends
   /// and tick requests set bits; the round start reads it out in id order.
   std::vector<std::uint64_t> pending;
-  std::vector<std::pair<Time, NodeId>> wakes;  ///< flat wake schedule
-  std::vector<NodeId> active;                  ///< per-round active set
-  std::vector<SyncChunkOutbox> outboxes;       ///< one per job
-  /// Nap ends: slot t % size holds the nodes whose nap ends at round t,
-  /// for targets within the ring; later targets wait in a min-heap.
-  std::vector<std::vector<NodeId>> nap_ring;
-  std::vector<std::pair<Time, NodeId>> nap_overflow;
+  std::vector<NodeId> active;             ///< per-round active set
+  std::vector<SyncChunkOutbox> outboxes;  ///< one per job
+  TimingWheel<SyncTimer> timers;  ///< the wake schedule and pending nap ends
 };
 
 struct RunWorkspace {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/check.hpp"
 #include "test_util.hpp"
 
 namespace rise::advice {
@@ -46,7 +47,29 @@ TEST(Fip06, PortSetEncodingRoundTrip) {
     encode_port_set(w, ports, degree);
     const BitString bits = w.take();
     BitReader r(bits);
-    EXPECT_EQ(decode_port_set(r, degree), ports) << "degree " << degree;
+    std::vector<sim::Port> decoded;
+    for_each_port(r, degree, [&](sim::Port p) { decoded.push_back(p); });
+    EXPECT_EQ(decoded, ports) << "degree " << degree;
+    EXPECT_TRUE(r.exhausted()) << "degree " << degree;
+  }
+}
+
+// A list whose gamma count asks for more ports than the advice has bits
+// left (here 2^60 ports) is a CheckError before any port is visited, not an
+// attempt to hold them all.
+TEST(Fip06, PortListLongerThanItsBitsThrows) {
+  for (const std::uint64_t count : {std::uint64_t{1} << 60, std::uint64_t{3}}) {
+    BitWriter w;
+    w.write_bit(false);  // list format
+    w.write_gamma(count);
+    w.write_bits(0b101, 4);  // two 2-bit ports: fewer than `count`
+    const BitString bits = w.take();
+    BitReader r(bits);
+    std::size_t visited = 0;
+    EXPECT_THROW(for_each_port(r, 4, [&](sim::Port) { ++visited; }),
+                 CheckError)
+        << "count " << count;
+    EXPECT_EQ(visited, 0u);
   }
 }
 

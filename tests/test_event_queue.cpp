@@ -1,7 +1,9 @@
-// Unit and property tests for the asynchronous engine's event timeline.
+// Unit and property tests for the engines' timing wheel: the asynchronous
+// engine's event timeline and the synchronous engine's timers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -14,7 +16,9 @@ using namespace rise;
 using sim::Event;
 using sim::EventKind;
 using sim::EventQueue;
+using sim::SyncTimer;
 using sim::Time;
+using sim::TimingWheel;
 
 /// A wake event whose node field carries a test-chosen id, so a test can
 /// tell which push an event came from.
@@ -24,6 +28,16 @@ Event ev(Time t, std::uint32_t id) {
   e.kind = EventKind::kWake;
   e.node = id;
   return e;
+}
+
+/// An entry of either wheel type at time t whose node field carries `id`.
+template <class Entry>
+Entry entry(Time t, std::uint32_t id) {
+  if constexpr (std::is_same_v<Entry, Event>) {
+    return ev(t, id);
+  } else {
+    return Entry{t, id};
+  }
 }
 
 EventQueue fresh_queue() {
@@ -90,6 +104,30 @@ TEST(EventQueue, StalePushThrowsInReleaseBuildsToo) {
   }
 }
 
+// The sync engine's pattern: with the next entry far ahead, a bounded front
+// must not move the cursor past its limit, or a nap registered in between
+// would be rejected as stale.
+TEST(EventQueue, BoundedFrontLeavesTheCursorAtItsLimit) {
+  TimingWheel<SyncTimer> q;
+  q.reset();
+  q.push(SyncTimer{0, 0});
+  q.push(SyncTimer{300, 1});
+  ASSERT_NE(q.front_until(0), nullptr);
+  EXPECT_EQ(q.front_until(0)->node, 0u);
+  q.drop_front();
+  EXPECT_EQ(q.front_until(2), nullptr);
+  q.push(SyncTimer{5, 2});  // accepted: the cursor is still <= 2
+  EXPECT_EQ(q.front_until(4), nullptr);
+  const SyncTimer* next = q.front_until(sim::kNever);
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(next->t, 5u);
+  EXPECT_EQ(next->node, 2u);
+  q.drop_front();
+  EXPECT_EQ(q.pop().t, 300u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.front_until(sim::kNever), nullptr);
+}
+
 TEST(EventQueue, FarFutureWakeupsCrossTheWindows) {
   EventQueue q = fresh_queue();
   // Far beyond the cursor's window: must spill down and come back in order,
@@ -105,27 +143,34 @@ TEST(EventQueue, FarFutureWakeupsCrossTheWindows) {
   EXPECT_TRUE(q.empty());
 }
 
-/// Engine-shaped random workload: pop an event at time t, then push a few
-/// events with delays in [1, tau] (plus far-future wake-ups up to 2^62),
+template <class Entry>
+class WheelOrder : public ::testing::Test {};
+using WheelEntries = ::testing::Types<Event, SyncTimer>;
+TYPED_TEST_SUITE(WheelOrder, WheelEntries);
+
+/// Engine-shaped random workload: pop an entry at time t, then push a few
+/// entries with delays in [1, tau] (plus far-future wake-ups up to 2^62),
 /// exactly the push pattern the async engine produces. The pop order must
-/// match a stable sort of the pushes by time, for every tau. Each push gets
-/// an id from a test-local counter, which identifies it in both orders. One
-/// queue serves every trial, reset in between the way a RunWorkspace
-/// recycles it, so every trial also runs on slots left over from the last.
-TEST(EventQueue, PropertyRandomWorkloadMatchesReferenceOrder) {
+/// match a stable sort of the pushes by time, for every tau and for both
+/// engines' entry types. Each push gets an id from a test-local counter,
+/// which identifies it in both orders. One wheel serves every trial, reset
+/// in between the way a RunWorkspace recycles it, so every trial also runs
+/// on slots left over from the last.
+TYPED_TEST(WheelOrder, PropertyRandomWorkloadMatchesReferenceOrder) {
+  using Entry = TypeParam;
   const std::vector<Time> taus = {1, 2, 3, 4, 5, 6, 7, 4096, 4097, 100000,
                                   Time{1} << 32};
-  EventQueue q;
+  TimingWheel<Entry> q;
   for (std::uint64_t trial = 0; trial < 3 * taus.size(); ++trial) {
     const Time tau = taus[trial % taus.size()];
     SCOPED_TRACE(tau);
     q.reset();
     Rng rng(7000 + trial);
     std::uint32_t next_id = 0;
-    std::vector<Event> pushed;
+    std::vector<Entry> pushed;
 
     auto push = [&](Time t) {
-      pushed.push_back(ev(t, next_id++));
+      pushed.push_back(entry<Entry>(t, next_id++));
       q.push(pushed.back());
     };
 
@@ -137,9 +182,9 @@ TEST(EventQueue, PropertyRandomWorkloadMatchesReferenceOrder) {
     push(rng.uniform(Time{1} << 62));
     push(far);
 
-    std::vector<Event> popped;
+    std::vector<Entry> popped;
     while (!q.empty()) {
-      const Event a = q.pop();
+      const Entry a = q.pop();
       popped.push_back(a);
       // Sometimes schedule follow-ups within (t, t + tau], like deliveries.
       if (popped.size() < 400) {
@@ -152,7 +197,7 @@ TEST(EventQueue, PropertyRandomWorkloadMatchesReferenceOrder) {
 
     std::stable_sort(
         pushed.begin(), pushed.end(),
-        [](const Event& x, const Event& y) { return x.t < y.t; });
+        [](const Entry& x, const Entry& y) { return x.t < y.t; });
     ASSERT_EQ(popped.size(), pushed.size());
     for (std::size_t i = 0; i < popped.size(); ++i) {
       EXPECT_EQ(popped[i].t, pushed[i].t) << "position " << i;

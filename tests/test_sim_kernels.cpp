@@ -354,7 +354,7 @@ TEST(SimKernels, RoundParallelUnevenSplitsAreBitIdentical) {
 }
 
 // One workspace through sleeping → lock-step flooding → sleeping runs at
-// changing job counts: the flat inbox, candidate bitmap, nap ring and the
+// changing job counts: the flat inbox, candidate bitmap, timer wheel and the
 // kernels' recycled node states must carry nothing from one run into the
 // next.
 TEST(SimKernels, SleepingFloodingSleepingDirtyWorkspaceIsBitIdentical) {

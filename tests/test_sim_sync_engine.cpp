@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -131,7 +134,7 @@ TEST(SyncRun, DeterministicAcrossRuns) {
   EXPECT_EQ(r1.metrics.messages, r2.metrics.messages);
 }
 
-// ---- the flat data path: nap ring, candidate bitmap, dirty reuse --------
+// ---- the flat data path: timers, candidate bitmap, dirty reuse ----------
 
 /// One step of a scripted node: the round it ran in and its inbox size.
 using Steps = std::vector<std::pair<Time, std::size_t>>;
@@ -139,34 +142,35 @@ using Steps = std::vector<std::pair<Time, std::size_t>>;
 using Log = std::map<graph::NodeId, Steps>;
 
 /// A kernel whose on_round records every step into `log[node]` and runs
-/// `first(node, ctx)` on a node's first step.
-template <class FirstStep>
-KernelRunner scripted(Log* log, FirstStep first) {
+/// `script(node, ctx, k)` on a node's k-th step (k = 1 first).
+template <class Script>
+KernelRunner scripted(Log* log, Script script) {
   return test::lambda_kernel(
       test::NoHook{}, test::NoHook{},
-      [log, first](auto& ctx, std::span<const Incoming> inbox) {
+      [log, script](auto& ctx, std::span<const Incoming> inbox) {
         Steps& steps = (*log)[ctx.node()];
         steps.emplace_back(ctx.now(), inbox.size());
-        if (steps.size() == 1) first(ctx.node(), ctx);
+        script(ctx.node(), ctx, steps.size());
       });
 }
 
 /// Runs the scripted kernel serially and round-parallel at 3 jobs (which
 /// must agree on everything the runs record) and returns the serial result.
-template <class FirstStep>
-RunResult run_both_paths(const Instance& inst, const WakeSchedule& schedule,
-                         const FirstStep& first, const SyncRunLimits& limits,
-                         Log* log) {
+template <class Script>
+RunResult run_script_both_paths(const Instance& inst,
+                                const WakeSchedule& schedule,
+                                const Script& script,
+                                const SyncRunLimits& limits, Log* log) {
   SyncKernelArgs args;
   args.instance = &inst;
   args.schedule = &schedule;
   args.seed = 1;
   args.limits = limits;
-  RunResult result = scripted(log, first).run_sync(args);
+  RunResult result = scripted(log, script).run_sync(args);
   Log par_log;
   SerialChunkExecutor executor;
   args.parallel = SyncParallel{&executor, 3};
-  const RunResult par = scripted(&par_log, first).run_sync(args);
+  const RunResult par = scripted(&par_log, script).run_sync(args);
   EXPECT_EQ(*log, par_log);
   EXPECT_EQ(result.awake_rounds, par.awake_rounds);
   EXPECT_EQ(result.metrics.rounds, par.metrics.rounds);
@@ -175,31 +179,114 @@ RunResult run_both_paths(const Instance& inst, const WakeSchedule& schedule,
   return result;
 }
 
+/// run_script_both_paths with `first(node, ctx)` run on a node's first step
+/// only.
+template <class FirstStep>
+RunResult run_both_paths(const Instance& inst, const WakeSchedule& schedule,
+                         const FirstStep& first, const SyncRunLimits& limits,
+                         Log* log) {
+  const auto script = [first](graph::NodeId u, auto& ctx, std::size_t k) {
+    if (k == 1) first(u, ctx);
+  };
+  return run_script_both_paths(inst, schedule, script, limits, log);
+}
+
 SyncRunLimits sleeping_limits() {
   SyncRunLimits limits;
   limits.sleeping_model = true;
   return limits;
 }
 
-// Naps shorter than the nap ring, just past it, and far beyond it (the
-// overflow heap) each end on exactly their target round, and the idle
-// rounds between them are fast-forwarded.
-TEST(SyncDataPath, NapsBeyondTheRingWakeOnTheirTargetRound) {
-  const auto g = graph::Graph::from_edges(4, {});
+// Short naps, naps that end on or cross the timing wheel's 256- and
+// 65536-round boundaries (so they wait on levels 1 and 2 and spill down),
+// and naps that start after such a boundary, each end on exactly their
+// target round, and the idle rounds between them are fast-forwarded.
+TEST(SyncDataPath, NapsWakeOnTheirTargetRoundAcrossWheelLevels) {
+  struct Nap {
+    Time start;
+    Time length;
+  };
+  const Nap naps[] = {{0, 1000},    {0, 65},      {0, 64},   {0, 3},
+                      {0, 256},     {255, 1},     {250, 10}, {0, 65536},
+                      {65530, 10},  {65536, 300}, {1, 70000}};
+  const auto k = static_cast<graph::NodeId>(std::size(naps));
+  const auto g = graph::Graph::from_edges(k, {});
   const Instance inst = test::make_instance(g, Knowledge::KT1);
-  const Time naps[] = {1000, 65, 64, 3};
+  WakeSchedule schedule;
+  for (graph::NodeId u = 0; u < k; ++u) {
+    schedule.wakes.emplace_back(naps[u].start, u);
+  }
   const auto first = [&naps](graph::NodeId u, auto& ctx) {
-    ctx.sleep_until(ctx.now() + naps[u]);
+    ctx.sleep_until(ctx.now() + naps[u].length);
   };
   Log log;
   const RunResult r =
-      run_both_paths(inst, wake_all(4), first, sleeping_limits(), &log);
-  for (graph::NodeId u = 0; u < 4; ++u) {
-    EXPECT_EQ(log[u], (Steps{{0, 0}, {naps[u], 0}})) << "node " << u;
+      run_both_paths(inst, schedule, first, sleeping_limits(), &log);
+  Time last = 0;
+  for (graph::NodeId u = 0; u < k; ++u) {
+    const Time end = naps[u].start + naps[u].length;
+    EXPECT_EQ(log[u], (Steps{{naps[u].start, 0}, {end, 0}})) << "node " << u;
     EXPECT_EQ(r.awake_rounds[u], 2u);
+    last = std::max(last, end);
   }
-  EXPECT_EQ(r.metrics.rounds, 1001u);
-  EXPECT_EQ(r.metrics.events, 8u);
+  EXPECT_EQ(r.metrics.rounds, last + 1);
+  EXPECT_EQ(r.metrics.events, 2u * k);
+}
+
+// Node 0 naps from round 0 to 300 while node 1 ticks through rounds 1 and 2
+// and then naps to round 5. The wheel's next tick is 300 during rounds 1 and
+// 2, so a round start that peeked at the front by moving the cursor there
+// would reject node 1's nap as a push before the cursor.
+TEST(SyncDataPath, ShortNapRegisteredWhileALongerOneIsPending) {
+  const auto g = graph::Graph::from_edges(2, {});
+  const Instance inst = test::make_instance(g, Knowledge::KT1);
+  const auto script = [](graph::NodeId u, auto& ctx, std::size_t k) {
+    if (u == 0) {
+      if (k == 1) ctx.sleep_until(300);
+    } else if (ctx.now() < 2) {
+      ctx.request_tick();
+    } else if (ctx.now() == 2) {
+      ctx.sleep_until(5);
+    }
+  };
+  Log log;
+  const RunResult r = run_script_both_paths(inst, wake_all(2), script,
+                                            sleeping_limits(), &log);
+  EXPECT_EQ(log[0], (Steps{{0, 0}, {300, 0}}));
+  EXPECT_EQ(log[1], (Steps{{0, 0}, {1, 0}, {2, 0}, {5, 0}}));
+  EXPECT_EQ(r.metrics.rounds, 301u);
+}
+
+// A wake-up or a nap end beyond max_rounds is reported as such, whether it
+// lies in the next wheel window or 2^62 rounds away, instead of running or
+// fast-forwarding past the limit.
+TEST(SyncDataPath, TimersBeyondMaxRoundsThrow) {
+  const auto g = graph::Graph::from_edges(2, {});
+  const Instance inst = test::make_instance(g, Knowledge::KT1);
+  SyncRunLimits limits = sleeping_limits();
+  limits.max_rounds = 100;
+  const auto error_text = [&](const WakeSchedule& schedule, Time nap) {
+    Log log;
+    const KernelRunner kernel =
+        scripted(&log, [nap](graph::NodeId, auto& ctx, std::size_t k) {
+          if (k == 1 && nap != 0) ctx.sleep_until(ctx.now() + nap);
+        });
+    try {
+      run_sync(inst, schedule, 1, kernel, limits);
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const Time far : {Time{101}, Time{300}, Time{1} << 62}) {
+    SCOPED_TRACE(far);
+    WakeSchedule late;
+    late.wakes = {{0, 0}, {far, 1}};
+    EXPECT_NE(error_text(late, 0).find("exceeded max_rounds"),
+              std::string::npos);
+    EXPECT_NE(error_text(wake_all(2), far).find("exceeded max_rounds"),
+              std::string::npos);
+  }
 }
 
 // A node that asks for a tick twice and also receives a message is a single
@@ -266,10 +353,10 @@ TEST(SyncDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
         ctx.broadcast(make_message(1, {ctx.now()}, 72));
         switch (ctx.my_label() % 3) {
           case 0:
-            ctx.sleep_until(ctx.now() + 3);  // within the nap ring
+            ctx.sleep_until(ctx.now() + 3);  // on the wheel's level 0
             break;
           case 1:
-            ctx.sleep_until(ctx.now() + 70);  // in the overflow heap
+            ctx.sleep_until(ctx.now() + 300);  // on a higher level
             break;
           default:
             ctx.request_tick();
