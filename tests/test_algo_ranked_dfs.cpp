@@ -131,18 +131,25 @@ struct PinCase {
   const char* name;
   std::uint64_t unit_hash;
   std::uint64_t random4_hash;
+  std::uint64_t random10000_hash;
 };
 
-/// Runs one kernel under unit delays and under random:4 and compares both
-/// hashes with the pins.
+/// Runs one kernel under unit delays, random:4 and random:10000 and
+/// compares the hashes with the pins. Under random:10000 most deliveries sit
+/// on the timing wheel's higher levels and move down by spills, so that row
+/// pins the payload words across spills.
 void expect_pins(const sim::Instance& inst, const sim::WakeSchedule& schedule,
                  const sim::KernelRunner& kernel, const PinCase& pin) {
   const auto unit = sim::unit_delay();
   const auto random4 = sim::random_delay(4, 31);
+  const auto random10000 = sim::random_delay(10000, 31);
   EXPECT_EQ(pinned_hash(inst, schedule, *unit, kernel), pin.unit_hash)
       << pin.name << " under unit delays";
   EXPECT_EQ(pinned_hash(inst, schedule, *random4, kernel), pin.random4_hash)
       << pin.name << " under random:4 delays";
+  EXPECT_EQ(pinned_hash(inst, schedule, *random10000, kernel),
+            pin.random10000_hash)
+      << pin.name << " under random:10000 delays";
 }
 
 // Pins for every RankedDFS variant the production token path serves:
@@ -158,12 +165,15 @@ TEST(RankedDfs, VariantsMatchPinnedDigests) {
   const auto schedule = sim::wake_random_subset(160, 0.2, rng);
   expect_pins(inst, schedule, ranked_dfs_kernel(),
               {"ranked_dfs", 13859408034965516363ULL,
-               3476431432785323981ULL});
+               3476431432785323981ULL,
+               17907568449153955503ULL});
   expect_pins(inst, schedule, ranked_dfs_no_discard_kernel(),
               {"ranked_dfs_nodiscard", 553880252236963355ULL,
-               3637489183128385104ULL});
+               3637489183128385104ULL,
+               6685544685086833932ULL});
   expect_pins(inst, schedule, ranked_dfs_leader_kernel(),
-              {"leader", 15023369154955406801ULL, 5140475625347503611ULL});
+              {"leader", 15023369154955406801ULL, 5140475625347503611ULL,
+               7026597152540253162ULL});
 
   // Degree ~30 and ~90: the second also takes the sorted path of
   // first_unvisited_port (ports past the first 64).
@@ -173,13 +183,15 @@ TEST(RankedDfs, VariantsMatchPinnedDigests) {
   expect_pins(mid, sim::wake_random_subset(100, 0.3, dense_rng),
               ranked_dfs_leader_kernel(),
               {"leader on G(100, 0.3)", 10227087656477224248ULL,
-               2304590511265392536ULL});
+               2304590511265392536ULL,
+               3119543683248263233ULL});
   const auto dense = test::make_instance(
       graph::connected_gnp(150, 0.6, dense_rng), Knowledge::KT1);
   expect_pins(dense, sim::wake_random_subset(150, 0.3, dense_rng),
               ranked_dfs_leader_kernel(),
               {"leader on G(150, 0.6)", 2050884829266300148ULL,
-               11283045690436770550ULL});
+               11283045690436770550ULL,
+               5422752576013410518ULL});
 
   const auto fam = lb::make_kt0_family(20);
   const auto kt0 = test::make_instance(fam.graph, Knowledge::KT1);
@@ -188,7 +200,8 @@ TEST(RankedDfs, VariantsMatchPinnedDigests) {
                                              /*discard_losers=*/true,
                                              /*elect=*/false)),
               {"nih(ranked_dfs) on kt0family:20", 1205059354071492565ULL,
-               12113977275044233235ULL});
+               12113977275044233235ULL,
+               1345579771509487884ULL});
 }
 
 /// Node 0, woken by the adversary, sends `bad` over port 0 instead of
