@@ -154,7 +154,7 @@ struct ProbeFreeFloodingKernel {
   void reset(const sim::Instance&, sim::RunWorkspace*) {}
   template <class Ctx>
   void on_wake(Ctx& ctx, sim::WakeCause) {
-    ctx.broadcast(sim::make_message(algo::kFloodWake, {}, 8));
+    ctx.broadcast(algo::kFloodWake, 8);
   }
   template <class Ctx>
   void on_message(Ctx&, const sim::Incoming&) {}

@@ -11,6 +11,12 @@
 // Every trial's (events, messages, bits) triple must also match the warm-up
 // trial exactly — workspace reuse never changes results.
 //
+// Both parts run twice: from the wake-all schedule, and from random:0.5 (a
+// random half of the nodes woken at time 0, as `--schedule random:0.5`
+// builds it), which prices a large wake schedule on the timing wheel and a
+// wave of message-woken nodes. The speedup gate reads the wake-all rows;
+// the allocation and digest gates hold on every row.
+//
 // Part two benchmarks the round-parallel lock-step path: the same flooding
 // workload through the sync kernel at each --trial-jobs value, one
 // `PARJOB jobs=J digest=... best_ms=... speedup=...` line per row. Gates:
@@ -29,6 +35,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "algo/flooding.hpp"
@@ -122,75 +129,17 @@ bool parse_count(const char* flag, const std::string& text, std::uint64_t lo,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  graph::NodeId n = 1'000'000;
-  std::size_t trials = 3;
-  std::vector<std::uint32_t> jobs_rows = {1, 4};
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const std::string value = i + 1 < argc ? argv[i + 1] : "";
-    bool ok = i + 1 < argc;
-    if (ok && flag == "--n") {
-      // gnp(n, 8/n) needs 8/n <= 1.
-      ok = parse_count("--n", value, 8,
-                       std::numeric_limits<graph::NodeId>::max(), n);
-    } else if (ok && flag == "--trials") {
-      ok = parse_count("--trials", value, 1, 1'000'000, trials);
-    } else if (ok && flag == "--trial-jobs") {
-      jobs_rows.clear();
-      for (const std::string& field : split(value, ',')) {
-        std::uint32_t jobs = 0;
-        ok = ok && parse_count("--trial-jobs", field, 1, runner::kMaxThreads,
-                               jobs);
-        jobs_rows.push_back(jobs);
-      }
-      // Row order is job order, so the jobs=1 row (the digest and speedup
-      // reference) runs first and the largest row last.
-      std::sort(jobs_rows.begin(), jobs_rows.end());
-      jobs_rows.erase(std::unique(jobs_rows.begin(), jobs_rows.end()),
-                      jobs_rows.end());
-      if (ok && (jobs_rows.front() != 1 || jobs_rows.size() < 2)) {
-        std::fprintf(stderr, "error: --trial-jobs %s must contain 1 and a "
-                     "larger count\n", value.c_str());
-        ok = false;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--n N] [--trials T] [--trial-jobs "
-                   "1,J2,...]\n", argv[0]);
-      return 2;
-    }
-    if (!ok) return 2;
-    ++i;
-  }
-
-  // Setup (allocations unrestricted): G(n, 8/n) via the geometric-skip
-  // generator, KT0/CONGEST instance, wake-all schedule so flooding touches
-  // every node and every edge regardless of connectivity.
-  const auto t_setup = Clock::now();
-  Rng graph_rng(1);
-  graph::Graph g = graph::gnp(n, 8.0 / static_cast<double>(n), graph_rng);
-  const std::size_t m = g.num_edges();
-  sim::InstanceOptions options;
-  options.knowledge = sim::Knowledge::KT0;
-  options.bandwidth = sim::Bandwidth::CONGEST;
-  Rng instance_rng(2);
-  const sim::Instance instance =
-      sim::Instance::create(std::move(g), options, instance_rng);
-  const auto delays = sim::unit_delay();
-  const sim::WakeSchedule schedule = sim::wake_all(n);
-  const sim::KernelRunner kernel = algo::flooding_kernel();
-  sim::RunWorkspace workspace;
-  const double setup_ms = std::chrono::duration<double, std::milli>(
-                              Clock::now() - t_setup)
-                              .count();
-  std::printf("setup: n=%llu m=%zu in %.0f ms\n",
-              static_cast<unsigned long long>(n), m, setup_ms);
-
+/// Runs the async rows and then one sync row per --trial-jobs value from
+/// `schedule`; false when a gate fails. The speedup gate applies only when
+/// `gate_speedup` is set.
+bool run_rows(const sim::Instance& instance, const sim::DelayPolicy& delays,
+              const sim::WakeSchedule& schedule,
+              const sim::KernelRunner& kernel, sim::RunWorkspace& workspace,
+              std::size_t trials, const std::vector<std::uint32_t>& jobs_rows,
+              bool gate_speedup) {
   sim::AsyncKernelArgs args;
   args.instance = &instance;
-  args.delays = delays.get();
+  args.delays = &delays;
   args.schedule = &schedule;
   args.seed = 7;
   args.workspace = &workspace;
@@ -223,13 +172,13 @@ int main(int argc, char** argv) {
 
   if (!results_stable) {
     std::printf("FAIL: steady-state trials diverged from the warm-up run\n");
-    return 1;
+    return false;
   }
   if (steady_allocs != 0) {
     std::printf("FAIL: %llu heap allocations across %zu steady-state trials "
                 "(gate: 0)\n",
                 static_cast<unsigned long long>(steady_allocs), trials);
-    return 1;
+    return false;
   }
   std::printf("PASS: 0 allocations in steady state; best trial %.0f ms\n",
               best_ms);
@@ -300,7 +249,9 @@ int main(int argc, char** argv) {
 
   const std::uint32_t top_jobs = jobs_rows.back();
   const std::size_t cores = runner::ThreadPool::hardware_threads();
-  if (cores < kSpeedupMinCores) {
+  if (!gate_speedup) {
+    std::printf("speedup gate not applied to this schedule\n");
+  } else if (cores < kSpeedupMinCores) {
     std::printf("SKIP speedup gate: %zu hardware thread(s) < %zu (digest and "
                 "allocation gates still applied)\n", cores, kSpeedupMinCores);
   } else {
@@ -314,8 +265,87 @@ int main(int argc, char** argv) {
                 target, kSpeedupEfficiency);
     par_ok = par_ok && fast_enough;
   }
-  if (!par_ok) return 1;
+  if (!par_ok) return false;
   std::printf("PASS: parallel rows digest-identical, 0 steady-state "
               "allocations\n");
-  return 0;
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  graph::NodeId n = 1'000'000;
+  std::size_t trials = 3;
+  std::vector<std::uint32_t> jobs_rows = {1, 4};
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const std::string value = i + 1 < argc ? argv[i + 1] : "";
+    bool ok = i + 1 < argc;
+    if (ok && flag == "--n") {
+      // gnp(n, 8/n) needs 8/n <= 1.
+      ok = parse_count("--n", value, 8,
+                       std::numeric_limits<graph::NodeId>::max(), n);
+    } else if (ok && flag == "--trials") {
+      ok = parse_count("--trials", value, 1, 1'000'000, trials);
+    } else if (ok && flag == "--trial-jobs") {
+      jobs_rows.clear();
+      for (const std::string& field : split(value, ',')) {
+        std::uint32_t jobs = 0;
+        ok = ok && parse_count("--trial-jobs", field, 1, runner::kMaxThreads,
+                               jobs);
+        jobs_rows.push_back(jobs);
+      }
+      // Row order is job order, so the jobs=1 row (the digest and speedup
+      // reference) runs first and the largest row last.
+      std::sort(jobs_rows.begin(), jobs_rows.end());
+      jobs_rows.erase(std::unique(jobs_rows.begin(), jobs_rows.end()),
+                      jobs_rows.end());
+      if (ok && (jobs_rows.front() != 1 || jobs_rows.size() < 2)) {
+        std::fprintf(stderr, "error: --trial-jobs %s must contain 1 and a "
+                     "larger count\n", value.c_str());
+        ok = false;
+      }
+    } else {
+      std::fprintf(stderr, "usage: %s [--n N] [--trials T] [--trial-jobs "
+                   "1,J2,...]\n", argv[0]);
+      return 2;
+    }
+    if (!ok) return 2;
+    ++i;
+  }
+
+  // Setup (allocations unrestricted): G(n, 8/n) via the geometric-skip
+  // generator, KT0/CONGEST instance, wake-all schedule so flooding touches
+  // every node and every edge regardless of connectivity.
+  const auto t_setup = Clock::now();
+  Rng graph_rng(1);
+  graph::Graph g = graph::gnp(n, 8.0 / static_cast<double>(n), graph_rng);
+  const std::size_t m = g.num_edges();
+  sim::InstanceOptions options;
+  options.knowledge = sim::Knowledge::KT0;
+  options.bandwidth = sim::Bandwidth::CONGEST;
+  Rng instance_rng(2);
+  const sim::Instance instance =
+      sim::Instance::create(std::move(g), options, instance_rng);
+  const auto delays = sim::unit_delay();
+  const sim::WakeSchedule wake_all = sim::wake_all(n);
+  Rng wake_rng(3);
+  const sim::WakeSchedule wake_half = sim::wake_random_subset(n, 0.5, wake_rng);
+  const sim::KernelRunner kernel = algo::flooding_kernel();
+  sim::RunWorkspace workspace;
+  const double setup_ms = std::chrono::duration<double, std::milli>(
+                              Clock::now() - t_setup)
+                              .count();
+  std::printf("setup: n=%llu m=%zu in %.0f ms\n",
+              static_cast<unsigned long long>(n), m, setup_ms);
+
+  bool ok = true;
+  for (const auto& [name, schedule, gate_speedup] :
+       {std::tuple{"all", &wake_all, true},
+        std::tuple{"random:0.5", &wake_half, false}}) {
+    std::printf("schedule %s: %zu wake-ups\n", name, schedule->wakes.size());
+    ok = run_rows(instance, *delays, *schedule, kernel, workspace, trials,
+                  jobs_rows, gate_speedup) && ok;
+  }
+  return ok ? 0 : 1;
 }

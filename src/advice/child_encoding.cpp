@@ -117,24 +117,21 @@ class ChildEncodingKernel {
         // Our parent is clearly awake; answer with our next-sibling pair so
         // the parent can continue the binary dissemination.
         self.parent_notified = true;
-        sim::PayloadWords payload;
-        payload.push_back((self.advice.has_next_a ? 1u : 0u) |
-                          (self.advice.has_next_b ? 2u : 0u));
-        payload.push_back(self.advice.has_next_a ? self.advice.next_a : 0);
-        payload.push_back(self.advice.has_next_b ? self.advice.next_b : 0);
-        ctx.send(in.port, sim::make_message(kCenNext, std::move(payload),
-                                            8 + 2 * ctx.label_bits()));
+        ctx.send(in.port, kCenNext, 8 + 2 * ctx.label_bits(),
+                 (self.advice.has_next_a ? 1u : 0u) |
+                     (self.advice.has_next_b ? 2u : 0u),
+                 self.advice.has_next_a ? self.advice.next_a : 0,
+                 self.advice.has_next_b ? self.advice.next_b : 0);
         start_children(ctx, self);
         break;
       }
       case kCenNext: {
-        const std::uint64_t flags = in.msg.payload[0];
-        const sim::Message wake = sim::make_message(kCenWakeChild, {}, 8);
+        const std::uint64_t flags = in.words()[0];
         if (flags & 1u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[1]), wake);
+          ctx.send(static_cast<sim::Port>(in.words()[1]), kCenWakeChild, 8);
         }
         if (flags & 2u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[2]), wake);
+          ctx.send(static_cast<sim::Port>(in.words()[2]), kCenWakeChild, 8);
         }
         break;
       }
@@ -155,7 +152,7 @@ class ChildEncodingKernel {
   void notify_parent(Ctx& ctx, State& self) {
     if (self.parent_notified || !self.advice.has_parent) return;
     self.parent_notified = true;
-    ctx.send(self.advice.parent, sim::make_message(kCenWakeParent, {}, 8));
+    ctx.send(self.advice.parent, kCenWakeParent, 8);
   }
 
   template <class Ctx>
@@ -166,7 +163,7 @@ class ChildEncodingKernel {
     }
     self.started = true;
     ctx.send(self.advice.first_child,
-             sim::make_message(kCenWakeChild, {}, 8));
+             kCenWakeChild, 8);
   }
 
   States own_;

@@ -121,7 +121,7 @@ class Fip06Kernel {
     probe.count("advice.decodes");
     BitReader r(ctx.advice());
     for_each_port(r, ctx.degree(), [&](sim::Port p) {
-      if (p != skip) ctx.send(p, sim::make_message(kTreeWake, {}, 8));
+      if (p != skip) ctx.send(p, kTreeWake, 8);
     });
   }
 

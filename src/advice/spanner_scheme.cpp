@@ -169,21 +169,19 @@ class SpannerKernel {
                        "spanner wake arrived over a non-spanner edge");
         const bool has_a = it->a != sim::kInvalidPort;
         const bool has_b = it->b != sim::kInvalidPort;
-        sim::PayloadWords payload{(has_a ? 1u : 0u) | (has_b ? 2u : 0u),
-                                  has_a ? it->a : 0, has_b ? it->b : 0};
-        ctx.send(in.port, sim::make_message(kSpNext, std::move(payload),
-                                            8 + 2 * ctx.label_bits()));
+        ctx.send(in.port, kSpNext, 8 + 2 * ctx.label_bits(),
+                 (has_a ? 1u : 0u) | (has_b ? 2u : 0u), has_a ? it->a : 0,
+                 has_b ? it->b : 0);
         start(ctx, self);
         break;
       }
       case kSpNext: {
-        const std::uint64_t flags = in.msg.payload[0];
-        const sim::Message wake = sim::make_message(kSpWake, {}, 8);
+        const std::uint64_t flags = in.words()[0];
         if (flags & 1u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[1]), wake);
+          ctx.send(static_cast<sim::Port>(in.words()[1]), kSpWake, 8);
         }
         if (flags & 2u) {
-          ctx.send(static_cast<sim::Port>(in.msg.payload[2]), wake);
+          ctx.send(static_cast<sim::Port>(in.words()[2]), kSpWake, 8);
         }
         break;
       }
@@ -199,7 +197,7 @@ class SpannerKernel {
     if (self.started) return;
     self.started = true;
     if (self.first != sim::kInvalidPort) {
-      ctx.send(self.first, sim::make_message(kSpWake, {}, 8));
+      ctx.send(self.first, kSpWake, 8);
     }
   }
 

@@ -77,12 +77,11 @@ class SqrtThresholdKernel {
     obs::NodeProbe probe = ctx.probe();
     probe.count("advice.decodes");
     BitReader r(ctx.advice());
-    const sim::Message wake = sim::make_message(kTreeWake, {}, 8);
     if (r.read_bit()) {
       probe.phase("advice.broadcast");
       probe.node_class("high_degree");
       for (sim::Port p = 0; p < ctx.degree(); ++p) {
-        if (p != skip) ctx.send(p, wake);
+        if (p != skip) ctx.send(p, kTreeWake, 8);
       }
       return;
     }
@@ -91,7 +90,7 @@ class SqrtThresholdKernel {
     const std::uint64_t count = r.read_gamma();
     for (std::uint64_t i = 0; i < count; ++i) {
       const auto p = static_cast<sim::Port>(r.read_bits(width));
-      if (p != skip) ctx.send(p, wake);
+      if (p != skip) ctx.send(p, kTreeWake, 8);
     }
   }
 

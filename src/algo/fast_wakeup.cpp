@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -13,18 +14,26 @@ namespace {
 
 using sim::Incoming;
 using sim::Label;
-using sim::Message;
 using sim::Port;
 
-Message labels_message(std::uint32_t type, Label root,
-                       std::span<const Label> labels, unsigned label_bits) {
-  sim::PayloadWords payload;
-  payload.reserve(2 + labels.size());
-  payload.push_back(root);
-  payload.push_back(labels.size());
-  payload.append(labels.data(), labels.data() + labels.size());
-  return sim::make_message(type, std::move(payload),
-                           16 + label_bits * (1 + labels.size()));
+/// Sends to the neighbor `to` names: over a Port, or to a neighbor's ID.
+template <class Ctx, class To, class... Words>
+void send_to(Ctx& ctx, To to, std::uint32_t type, std::uint64_t bits,
+             const Words&... words) {
+  if constexpr (std::is_same_v<To, Port>) {
+    ctx.send(to, type, bits, words...);
+  } else {
+    static_assert(std::is_same_v<To, Label>);
+    ctx.send_to_label(to, type, bits, words...);
+  }
+}
+
+/// Sends the label list [root, count, labels...].
+template <class Ctx, class To>
+void send_labels(Ctx& ctx, To to, std::uint32_t type, Label root,
+                 std::span<const Label> labels) {
+  send_to(ctx, to, type, 16 + ctx.label_bits() * (1 + labels.size()), root,
+          labels.size(), labels);
 }
 
 /// A list of labels under a key: a group of a grouped payload, or a held
@@ -35,46 +44,60 @@ struct Group {
   Label via = 0;  ///< a root's level-2 list: the level-1 node it came through
 };
 
-/// Grouped payload: [root, #groups, (key, count, labels...) ...].
-Message groups_message(std::uint32_t type, Label root,
-                       std::span<const Group> groups, unsigned label_bits) {
-  std::uint64_t label_count = 1;
-  for (const Group& g : groups) label_count += 1 + g.labels.size();
-  sim::PayloadWords payload;
-  payload.reserve(1 + groups.size() + label_count);
-  payload.push_back(root);
-  payload.push_back(groups.size());
-  for (const Group& g : groups) {
-    payload.push_back(g.key);
-    payload.push_back(g.labels.size());
-    payload.append(g.labels.data(), g.labels.data() + g.labels.size());
+/// The body of a grouped payload, (key, count, labels...) per group, as a
+/// word source (sim/message.hpp): the engine has it write the words in
+/// place.
+struct GroupWords {
+  std::span<const Group> groups;
+
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const Group& g : groups) n += 2 + g.labels.size();
+    return n;
   }
-  return sim::make_message(type, std::move(payload),
-                           16 + label_bits * label_count);
+  void write(std::uint64_t* out) const {
+    for (const Group& g : groups) {
+      *out++ = g.key;
+      *out++ = g.labels.size();
+      out = std::copy(g.labels.begin(), g.labels.end(), out);
+    }
+  }
+};
+
+/// Sends the grouped payload [root, #groups, (key, count, labels...) ...].
+template <class Ctx, class To>
+void send_groups(Ctx& ctx, To to, std::uint32_t type, Label root,
+                 std::span<const Group> groups) {
+  const GroupWords body{groups};
+  // The root, each key and each listed label count as labels.
+  const std::uint64_t label_count = 1 + body.size() - groups.size();
+  send_to(ctx, to, type, 16 + ctx.label_bits() * label_count, root,
+          groups.size(), body);
 }
 
 /// The label list of [root, count, labels...], read in place.
-std::span<const Label> parse_labels(const Message& msg) {
-  RISE_CHECK(msg.payload.size() >= 2);
-  const std::uint64_t count = msg.payload[1];
-  RISE_CHECK(msg.payload.size() == 2 + count);
-  return {msg.payload.begin() + 2, msg.payload.end()};
+std::span<const Label> parse_labels(const Incoming& in) {
+  const std::span<const std::uint64_t> payload = in.words();
+  RISE_CHECK(payload.size() >= 2);
+  RISE_CHECK(payload.size() - 2 == payload[1]);
+  return payload.subspan(2);
 }
 
 /// The body of a grouped payload [root, #groups, (key, count, labels...)
 /// ...], every group's size checked before any is read.
-std::span<const Label> parse_groups(const Message& msg) {
-  RISE_CHECK(msg.payload.size() >= 2);
+std::span<const Label> parse_groups(const Incoming& in) {
+  const std::span<const std::uint64_t> payload = in.words();
+  RISE_CHECK(payload.size() >= 2);
   std::size_t i = 2;
-  for (std::uint64_t g = 0; g < msg.payload[1]; ++g) {
-    RISE_CHECK(i + 2 <= msg.payload.size());
-    const std::uint64_t count = msg.payload[i + 1];
+  for (std::uint64_t g = 0; g < payload[1]; ++g) {
+    RISE_CHECK(i + 2 <= payload.size());
+    const std::uint64_t count = payload[i + 1];
     i += 2;
-    RISE_CHECK(i + count <= msg.payload.size());
+    RISE_CHECK(count <= payload.size() - i);
     i += count;
   }
-  RISE_CHECK(i == msg.payload.size());
-  return {msg.payload.begin() + 2, msg.payload.end()};
+  RISE_CHECK(i == payload.size());
+  return payload.subspan(2);
 }
 
 /// Calls fn(key, labels) for each group of a body from parse_groups.
@@ -282,8 +305,7 @@ class FastWakeupKernel {
     self.expected_l1 = ctx.degree();
     const Label me = ctx.my_label();
     for (Port p = 0; p < ctx.degree(); ++p) {
-      ctx.send(p, sim::make_message(kFwInvite1, {me},
-                                    16 + ctx.label_bits()));
+      ctx.send(p, kFwInvite1, 16 + ctx.label_bits(), me);
     }
     if (self.expected_l1 == 0) {
       compute_s2(ctx, self);  // degenerate isolated root
@@ -294,7 +316,7 @@ class FastWakeupKernel {
   void handle(Ctx& ctx, Node& self, const Incoming& in) {
     switch (in.msg.type) {
       case kFwInvite1: {
-        const Label root = in.msg.payload[0];
+        const Label root = in.words()[0];
         obs::NodeProbe obs_probe = ctx.probe();
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l1");
@@ -302,48 +324,43 @@ class FastWakeupKernel {
         self.members.push_back({root, in.port});
         self.member = true;
         schedule_tree_deactivation(ctx, self, /*rounds_to_completion=*/8);
-        ctx.send(in.port, labels_message(kFwNbrList1, root,
-                                         ctx.neighbor_labels(),
-                                         ctx.label_bits()));
+        send_labels(ctx, in.port, kFwNbrList1, root, ctx.neighbor_labels());
         break;
       }
       case kFwNbrList1: {
         hold(self, ctx.my_label(), ctx.neighbor_labels()[in.port],
-             parse_labels(in.msg));
+             parse_labels(in));
         if (++self.l1_received == self.expected_l1 && !self.s2_done) {
           compute_s2(ctx, self);
         }
         break;
       }
       case kFwS2Assign: {
-        const Label root = in.msg.payload[0];
+        const Label root = in.words()[0];
         Member& st = member_of(self, root);
-        const std::span<const Label> children = parse_labels(in.msg);
+        const std::span<const Label> children = parse_labels(in);
         st.children = static_cast<std::uint32_t>(children.size());
         for (Label child : children) {
           ctx.send_to_label(child,
-                            sim::make_message(kFwInvite2, {root},
-                                              16 + ctx.label_bits()));
+                            kFwInvite2, 16 + ctx.label_bits(), root);
         }
         break;
       }
       case kFwInvite2: {
-        const Label root = in.msg.payload[0];
+        const Label root = in.words()[0];
         obs::NodeProbe obs_probe = ctx.probe();
         obs_probe.phase("fw.tree");
         obs_probe.node_class("l2");
         obs_probe.count("fw.l2_joins");
         self.member = true;
         schedule_tree_deactivation(ctx, self, /*rounds_to_completion=*/5);
-        ctx.send(in.port, labels_message(kFwNbrList2, root,
-                                         ctx.neighbor_labels(),
-                                         ctx.label_bits()));
+        send_labels(ctx, in.port, kFwNbrList2, root, ctx.neighbor_labels());
         break;
       }
       case kFwNbrList2: {
-        const Label root = in.msg.payload[0];
+        const Label root = in.words()[0];
         const Label child = ctx.neighbor_labels()[in.port];
-        const std::span<const Label> list = parse_labels(in.msg);
+        const std::span<const Label> list = parse_labels(in);
         hold(self, root, child, list);
         Member& st = member_of(self, root);
         if (!st.forwarded && ++st.collected == st.children) {
@@ -355,7 +372,7 @@ class FastWakeupKernel {
       case kFwFwdLists: {
         const Label me = ctx.my_label();
         const Label l1 = ctx.neighbor_labels()[in.port];
-        for_each_group(parse_groups(in.msg),
+        for_each_group(parse_groups(in),
                        [&](Label l2, std::span<const Label> list) {
                          hold(self, me, l2, list, l1);
                        });
@@ -366,21 +383,17 @@ class FastWakeupKernel {
         break;
       }
       case kFwS3ToL1: {
-        const Label root = in.msg.payload[0];
-        for_each_group(parse_groups(in.msg),
+        const Label root = in.words()[0];
+        for_each_group(parse_groups(in),
                        [&](Label l2, std::span<const Label> l3_children) {
-                         ctx.send_to_label(
-                             l2, labels_message(kFwS3ToL2, root, l3_children,
-                                                ctx.label_bits()));
+                         send_labels(ctx, l2, kFwS3ToL2, root, l3_children);
                        });
         break;
       }
       case kFwS3ToL2: {
-        const Label root = in.msg.payload[0];
-        for (Label l3 : parse_labels(in.msg)) {
-          ctx.send_to_label(l3,
-                            sim::make_message(kFwInvite3, {root},
-                                              16 + ctx.label_bits()));
+        const Label root = in.words()[0];
+        for (Label l3 : parse_labels(in)) {
+          ctx.send_to_label(l3, kFwInvite3, 16 + ctx.label_bits(), root);
         }
         break;
       }
@@ -456,9 +469,8 @@ class FastWakeupKernel {
   /// child's label in label order.
   template <class Ctx>
   void forward_lists(Ctx& ctx, Node& self, const Member& st) {
-    ctx.send(st.parent, groups_message(kFwFwdLists, st.root,
-                                       take_held(self, st.root),
-                                       ctx.label_bits()));
+    send_groups(ctx, st.parent, kFwFwdLists, st.root,
+                take_held(self, st.root));
     if (self.held.empty()) self.words.clear();
   }
 
@@ -489,8 +501,7 @@ class FastWakeupKernel {
       }
       if (self.l2s.size() > first) ++self.expected_fwd;
       const auto children = std::span<const Label>(self.l2s).subspan(first);
-      ctx.send_to_label(l1.key, labels_message(kFwS2Assign, ctx.my_label(),
-                                               children, ctx.label_bits()));
+      send_labels(ctx, l1.key, kFwS2Assign, ctx.my_label(), children);
     }
     if (self.held.empty()) self.words.clear();
     if (self.expected_fwd == 0) compute_s3(ctx, self);
@@ -530,10 +541,8 @@ class FastWakeupKernel {
     for (std::size_t i = 0; i < groups.size();) {
       std::size_t end = i + 1;
       while (end < groups.size() && groups[end].via == groups[i].via) ++end;
-      ctx.send_to_label(groups[i].via,
-                        groups_message(kFwS3ToL1, ctx.my_label(),
-                                       groups.subspan(i, end - i),
-                                       ctx.label_bits()));
+      send_groups(ctx, groups[i].via, kFwS3ToL1, ctx.my_label(),
+                  groups.subspan(i, end - i));
       i = end;
     }
   }
@@ -547,7 +556,7 @@ class FastWakeupKernel {
       obs::NodeProbe obs_probe = ctx.probe();
       obs_probe.phase("fw.activate");
       obs_probe.count("fw.activate_broadcasts");
-      ctx.broadcast(sim::make_message(kFwActivate, {}, 8));
+      ctx.broadcast(kFwActivate, 8);
       self.deact_deadline =
           std::min(self.deact_deadline, ctx.local_round() + 1);
     }

@@ -26,7 +26,7 @@ struct FloodingKernel {
     probe.phase("flood");
     probe.count("flood.broadcasts");
     // A single O(1)-bit wake-up signal on every port.
-    ctx.broadcast(sim::make_message(kFloodWake, {}, 8));
+    ctx.broadcast(kFloodWake, 8);
   }
 
   template <class Ctx>

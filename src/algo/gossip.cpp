@@ -27,7 +27,7 @@ class PushGossipKernel {
     probe.count("gossip.pushes");
     const sim::Port p =
         static_cast<sim::Port>(ctx.rng().uniform(ctx.degree()));
-    ctx.send(p, sim::make_message(kGossipPush, {}, 8));
+    ctx.send(p, kGossipPush, 8);
     ctx.request_tick();
   }
 

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -49,7 +48,7 @@ struct RankedDfsProbe {
 /// Both passes read the received visited list in place, as a span over the
 /// payload; a node's own ID is appended to the outgoing copy only. A hop
 /// costs a scan of the list per port tried (see first_unvisited_port) plus
-/// one bulk copy into the outgoing payload.
+/// one bulk copy into the engine's storage for the outgoing payload.
 class RankedDfsKernel {
  public:
   RankedDfsKernel(RankedDfsProbe* probe, unsigned rank_bits,
@@ -115,14 +114,13 @@ class RankedDfsKernel {
       return;
     }
     // Token payload: [rank, origin_label, visited_count, visited labels...].
-    const sim::PayloadWords& payload = in.msg.payload;
+    const std::span<const std::uint64_t> payload = in.words();
     RISE_CHECK(in.msg.type == kDfsToken && payload.size() >= 3);
     const std::uint64_t rank = payload[0];
     const sim::Label origin = payload[1];
     const std::uint64_t count = payload[2];
-    RISE_CHECK(payload.size() == 3 + count);
-    const std::span<const sim::Label> visited(payload.begin() + 3,
-                                              payload.end());
+    RISE_CHECK(payload.size() - 3 == count);
+    const std::span<const sim::Label> visited = payload.subspan(3);
     ctx.probe().phase("dfs.token");
     const std::pair<std::uint64_t, sim::Label> key{rank, origin};
     if (discard_losers_ && key < self.best) {  // case (b): discard
@@ -175,14 +173,19 @@ class RankedDfsKernel {
     return sim::kInvalidPort;
   }
 
-  /// `header`, then the list length, the received list and (on a first
-  /// visit) `me`: the outgoing payload of either pass, built in one pass.
-  static sim::Message list_message(std::uint32_t type,
-                                   std::initializer_list<std::uint64_t> header,
-                                   std::span<const sim::Label> visited,
-                                   bool first_visit, sim::Label me,
-                                   std::uint64_t header_bits,
-                                   unsigned label_bits);
+  /// Sends `header...`, then the list length, the received list and (on a
+  /// first visit) this node's ID: the outgoing payload of either pass.
+  template <class Ctx, class... Header>
+  static void send_list(Ctx& ctx, sim::Port to, std::uint32_t type,
+                        std::uint64_t header_bits,
+                        std::span<const sim::Label> visited, bool first_visit,
+                        const Header&... header) {
+    const sim::Label me = ctx.my_label();
+    const std::size_t count = visited.size() + (first_visit ? 1 : 0);
+    ctx.send(to, type, header_bits + std::uint64_t{ctx.label_bits()} * count,
+             header..., count, visited,
+             std::span<const sim::Label>(&me, first_visit ? 1 : 0));
+  }
 
   /// Forwards the token to the first neighbor not yet visited; backtracks to
   /// the DFS parent when all neighbors are on the list; stops at the origin.
@@ -194,10 +197,8 @@ class RankedDfsKernel {
     if (to == sim::kInvalidPort) to = parent_port;
     if (to != sim::kInvalidPort) {
       // Logical size: rank + origin + the full visited list (LOCAL model).
-      ctx.send(to, list_message(kDfsToken, {rank, origin}, visited,
-                                first_visit, ctx.my_label(),
-                                rank_bits_ + ctx.label_bits() + 32,
-                                ctx.label_bits()));
+      send_list(ctx, to, kDfsToken, rank_bits_ + ctx.label_bits() + 32,
+                visited, first_visit, rank, origin);
       return;
     }
     // We are the origin and the DFS is complete. If electing, announce
@@ -219,13 +220,12 @@ class RankedDfsKernel {
   template <class Ctx>
   void on_leader_token(Ctx& ctx, State& self, const sim::Incoming& in) {
     ctx.probe().phase("dfs.announce");
-    const sim::PayloadWords& payload = in.msg.payload;
+    const std::span<const std::uint64_t> payload = in.words();
     RISE_CHECK(payload.size() >= 2);
     const sim::Label leader = payload[0];
     const std::uint64_t count = payload[1];
-    RISE_CHECK(payload.size() == 2 + count);
-    const std::span<const sim::Label> visited(payload.begin() + 2,
-                                              payload.end());
+    RISE_CHECK(payload.size() - 2 == count);
+    const std::span<const sim::Label> visited = payload.subspan(2);
     const bool first_visit = !contains(visited, ctx.my_label());
     if (first_visit) {
       ctx.set_output(leader);
@@ -240,9 +240,8 @@ class RankedDfsKernel {
     sim::Port to = first_unvisited_port(ctx, visited);
     if (to == sim::kInvalidPort) to = self.leader_parent;
     if (to == sim::kInvalidPort) return;
-    ctx.send(to, list_message(kDfsLeader, {leader}, visited, first_visit,
-                              ctx.my_label(), 2 * ctx.label_bits() + 32,
-                              ctx.label_bits()));
+    send_list(ctx, to, kDfsLeader, 2 * ctx.label_bits() + 32, visited,
+              first_visit, leader);
   }
 
   RankedDfsProbe* probe_;

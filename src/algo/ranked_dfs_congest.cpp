@@ -12,13 +12,13 @@ namespace {
 
 using sim::Incoming;
 using sim::Label;
-using sim::Message;
 using sim::Port;
 
-Message token_message(std::uint32_t type, std::uint64_t rank, Label origin,
-                      unsigned label_bits, unsigned rank_bits) {
-  return sim::make_message(type, {rank, origin},
-                           8 + rank_bits + label_bits);
+/// Sends the token message [rank, origin] over port p.
+template <class Ctx>
+void send_token(Ctx& ctx, Port p, std::uint32_t type, std::uint64_t rank,
+                Label origin, unsigned rank_bits) {
+  ctx.send(p, type, 8 + rank_bits + ctx.label_bits(), rank, origin);
 }
 
 /// CONGEST ranked DFS. Each node clamps the rank width to its label bits on
@@ -72,8 +72,8 @@ class RankedDfsCongestKernel {
   template <class Ctx>
   void on_message(Ctx& ctx, const Incoming& in) {
     State& self = (*states_)[ctx.node()];
-    const std::uint64_t rank = in.msg.payload[0];
-    const Label origin = in.msg.payload[1];
+    const std::uint64_t rank = in.words()[0];
+    const Label origin = in.words()[1];
     const std::pair<std::uint64_t, Label> key{rank, origin};
     ctx.probe().phase("dfs.token");
     if (key < self.best) {  // discard losing tokens, as in the LOCAL version
@@ -85,8 +85,7 @@ class RankedDfsCongestKernel {
     switch (in.msg.type) {
       case kCFwd:
         if (state.visited) {
-          ctx.send(in.port, token_message(kCNack, rank, origin,
-                                          ctx.label_bits(), self.rank_bits));
+          send_token(ctx, in.port, kCNack, rank, origin, self.rank_bits);
         } else {
           state.visited = true;
           state.parent_port = in.port;
@@ -112,14 +111,12 @@ class RankedDfsCongestKernel {
     while (state.next_port < ctx.degree()) {
       const Port p = state.next_port++;
       if (p == state.parent_port) continue;
-      ctx.send(p, token_message(kCFwd, rank, origin, ctx.label_bits(),
-                                self.rank_bits));
+      send_token(ctx, p, kCFwd, rank, origin, self.rank_bits);
       return;
     }
     if (state.parent_port != sim::kInvalidPort) {
-      ctx.send(state.parent_port,
-               token_message(kCRet, rank, origin, ctx.label_bits(),
-                             self.rank_bits));
+      send_token(ctx, state.parent_port, kCRet, rank, origin,
+                 self.rank_bits);
     }
     // Otherwise we are the origin: the DFS is complete.
   }

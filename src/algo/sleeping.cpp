@@ -88,7 +88,7 @@ void mis_decide(MisState& self, Ctx& ctx, bool in_mis) {
     // the status from a later check-in response instead.
     const std::uint64_t bit = 1;
     for (Port p = 0; p < ctx.degree(); ++p) {
-      ctx.send(p, sim::make_message(kSmisStatus, {bit}, kTagBits + 1));
+      ctx.send(p, kSmisStatus, kTagBits + 1, bit);
     }
   }
   nap(ctx, self.nap_stage);
@@ -104,7 +104,7 @@ void mis_on_round(MisState& self, Ctx& ctx,
     for (const Incoming& in : inbox) {
       if (in.msg.type == kSmisPrio) {
         ctx.probe().count("smis.pokes_answered");
-        ctx.send(in.port, sim::make_message(kSmisStatus, {bit}, kTagBits + 1));
+        ctx.send(in.port, kSmisStatus, kTagBits + 1, bit);
       }
     }
     nap(ctx, self.nap_stage);
@@ -121,8 +121,8 @@ void mis_on_round(MisState& self, Ctx& ctx,
     mis_hear(self, ctx, in.port);
     switch (in.msg.type) {
       case kSmisPrio: {
-        const std::uint64_t prio = in.msg.payload[0];
-        const Label label = in.msg.payload[1];
+        const std::uint64_t prio = in.words()[0];
+        const Label label = in.words()[1];
         if (!prio_seen || prio > best_prio ||
             (prio == best_prio && label > best_label)) {
           best_prio = prio;
@@ -132,7 +132,7 @@ void mis_on_round(MisState& self, Ctx& ctx,
         break;
       }
       case kSmisStatus:
-        if (in.msg.payload[0] == 1) {
+        if (in.words()[0] == 1) {
           mis_decide(self, ctx, /*in_mis=*/false);
           return;
         }
@@ -150,8 +150,7 @@ void mis_on_round(MisState& self, Ctx& ctx,
     ctx.probe().count("smis.windows");
     const Label me = ctx.my_label();
     for (Port p = 0; p < ctx.degree(); ++p) {
-      ctx.send(p, sim::make_message(kSmisPrio, {self.my_prio, me},
-                                    kTagBits + 2 * ctx.label_bits()));
+      ctx.send(p, kSmisPrio, kTagBits + 2 * ctx.label_bits(), self.my_prio, me);
     }
   } else if (slot == 1) {
     if (self.heard.empty()) self.heard.assign(ctx.degree(), 0);
@@ -242,7 +241,7 @@ void match_commit(MatchState& self, Ctx& ctx, Port partner_port,
   probe.node_class("matched");
   for (Port p = 0; p < ctx.degree(); ++p) {
     if (p == partner_port) continue;
-    ctx.send(p, sim::make_message(kSmatMatched, {}, kTagBits));
+    ctx.send(p, kSmatMatched, kTagBits);
   }
   nap(ctx, self.nap_stage);
 }
@@ -256,7 +255,7 @@ void match_on_round(MatchState& self, Ctx& ctx,
     for (const Incoming& in : inbox) {
       if (in.msg.type == kSmatPropose && self.matched) {
         ctx.probe().count("smatching.pokes_answered");
-        ctx.send(in.port, sim::make_message(kSmatMatched, {}, kTagBits));
+        ctx.send(in.port, kSmatMatched, kTagBits);
       }
     }
     nap(ctx, self.nap_stage);
@@ -273,8 +272,8 @@ void match_on_round(MatchState& self, Ctx& ctx,
   for (const Incoming& in : inbox) {
     switch (in.msg.type) {
       case kSmatPropose: {
-        const std::uint64_t prio = in.msg.payload[0];
-        const Label label = in.msg.payload[1];
+        const std::uint64_t prio = in.words()[0];
+        const Label label = in.words()[1];
         if (!proposal_seen || prio > best_prio ||
             (prio == best_prio && label > best_label)) {
           best_prio = prio;
@@ -288,7 +287,7 @@ void match_on_round(MatchState& self, Ctx& ctx,
         if (self.proposer && in.port == self.proposal_port) {
           // Our proposal was accepted (at most one ACCEPT can arrive: we
           // proposed on exactly one port).
-          match_commit(self, ctx, in.port, in.msg.payload[0]);
+          match_commit(self, ctx, in.port, in.words()[0]);
           return;
         }
         break;
@@ -330,16 +329,14 @@ void match_on_round(MatchState& self, Ctx& ctx,
       }
       const std::uint64_t prio = ctx.rng().uniform(ctx.n_upper_bound());
       ctx.send(self.proposal_port,
-               sim::make_message(kSmatPropose, {prio, ctx.my_label()},
-                                 kTagBits + 2 * ctx.label_bits()));
+               kSmatPropose, kTagBits + 2 * ctx.label_bits(), prio, ctx.my_label());
     }
   } else if (slot == 1) {
     if (!self.proposer && proposal_seen) {
       // Accept the strongest proposal; every losing proposer learns from
       // the MATCHED broadcast match_commit sends on its port.
       ctx.send(best_port,
-               sim::make_message(kSmatAccept, {ctx.my_label()},
-                                 kTagBits + ctx.label_bits()));
+               kSmatAccept, kTagBits + ctx.label_bits(), ctx.my_label());
       match_commit(self, ctx, best_port, best_label);
       return;
     }

@@ -41,7 +41,7 @@ void InvariantChecker::violation(const std::string& text) {
 }
 
 void InvariantChecker::on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
-                               const sim::Message& msg) {
+                               const sim::Message& msg, Words) {
   std::ostringstream at;
   at << " (send " << from << "->" << to << " at t=" << t << ")";
   if (from >= model_.num_nodes || to >= model_.num_nodes) {
@@ -72,7 +72,7 @@ void InvariantChecker::on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
 }
 
 void InvariantChecker::on_deliver(sim::Time t, sim::NodeId from,
-                                  sim::NodeId to, const sim::Message&) {
+                                  sim::NodeId to, const sim::Message&, Words) {
   std::ostringstream at;
   at << " (deliver " << from << "->" << to << " at t=" << t << ")";
   if (from >= model_.num_nodes || to >= model_.num_nodes) {

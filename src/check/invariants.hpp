@@ -69,9 +69,9 @@ class InvariantChecker final : public sim::TraceSink {
   void begin(const RunModel& model, const sim::WakeSchedule& schedule);
 
   void on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
-               const sim::Message& msg) override;
+               const sim::Message& msg, Words words) override;
   void on_deliver(sim::Time t, sim::NodeId from, sim::NodeId to,
-                  const sim::Message& msg) override;
+                  const sim::Message& msg, Words words) override;
   void on_node_wake(sim::Time t, sim::NodeId node,
                     sim::WakeCause cause) override;
 

@@ -74,15 +74,14 @@ class BetaProbingKernel {
     for (unsigned j = 0; j < b; ++j) {
       prefix = (prefix << 1) | static_cast<std::uint64_t>(r.read_bit());
     }
-    const sim::Message probe = sim::make_message(kProbe, {}, 8);
     for (sim::Port p = 0; p < ctx.degree(); ++p) {
       if ((p >> (width - b)) == prefix || b == 0) {
-        ctx.send(p, probe);
+        ctx.send(p, kProbe, 8);
       }
     }
     if (broadcaster) {
       // Wake all of U (every U node is our neighbor in the family G).
-      ctx.broadcast(sim::make_message(kBroadcastWake, {}, 8));
+      ctx.broadcast(kBroadcastWake, 8);
     }
   }
 
@@ -93,7 +92,7 @@ class BetaProbingKernel {
         State& self = (*states_)[ctx.node()];
         if (ctx.degree() == 1 && !self.replied) {
           self.replied = true;
-          ctx.send(in.port, sim::make_message(kIAmLeaf, {}, 8));
+          ctx.send(in.port, kIAmLeaf, 8);
         }
         break;
       }

@@ -90,7 +90,7 @@ class NihKernel {
     State& self = (*states_)[ctx.node()];
     if (ctx.degree() == 1 && !self.responded) {
       self.responded = true;
-      ctx.send(in.port, sim::make_message(kNihResponse, {}, 8));
+      ctx.send(in.port, kNihResponse, 8);
     }
     return false;
   }

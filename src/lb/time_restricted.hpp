@@ -47,7 +47,7 @@ class TtlFloodKernel {
 
   template <class Ctx>
   void on_message(Ctx& ctx, const sim::Incoming& in) {
-    const auto ttl = static_cast<std::uint32_t>(in.msg.payload[0]);
+    const auto ttl = static_cast<std::uint32_t>(in.words()[0]);
     State& self = (*states_)[ctx.node()];
     if (self.done || ttl <= 1) return;
     self.done = true;
@@ -57,10 +57,8 @@ class TtlFloodKernel {
  private:
   template <class Ctx>
   static void send_all(Ctx& ctx, std::uint32_t ttl, sim::Port skip) {
-    const sim::Message msg =
-        sim::make_message(kTimedWake, {ttl}, 8 + ctx.label_bits());
     for (sim::Port p = 0; p < ctx.degree(); ++p) {
-      if (p != skip) ctx.send(p, msg);
+      if (p != skip) ctx.send(p, kTimedWake, 8 + ctx.label_bits(), ttl);
     }
   }
 

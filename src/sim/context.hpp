@@ -30,9 +30,9 @@
 // on_deliver. Every other run delivers every message it sends.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "obs/probe.hpp"
 #include "sim/engine_core.hpp"
@@ -47,7 +47,9 @@ namespace rise::sim {
 
 /// The node surface both engines' contexts share. `Derived` is the engine's
 /// final context type and supplies the time-model pieces:
-///   * send(Port, Message) — sends over a port (both KT0 and KT1);
+///   * post(Port, const Message&, fill) — sends over a port (both KT0 and
+///     KT1): the engine makes room for msg.size words in its own storage
+///     and calls fill(out) to write them there;
 ///   * now() — current time (ticks in async; round number in sync);
 ///   * local_round() — synchronous engine: rounds elapsed since this node
 ///     woke (1 in the wake round); asynchronous engine: 0;
@@ -96,15 +98,32 @@ class NodeContext {
     return instance_.neighbor_labels_by_port(node_);
   }
 
-  /// KT1 convenience: send to the neighbor with the given ID, found through
-  /// the instance's per-node label→port index in O(1).
-  void send_to_label(Label neighbor, Message msg) {
-    self().send(instance_.port_of_label(node_, neighbor), std::move(msg));
+  /// Sends a message of type `type` over port p. `bits` is its logical
+  /// size (0: the default 8 + 64 * words), and `words...` its payload: each
+  /// one word, a span of words or a word source (sim/message.hpp), written
+  /// straight into the engine's storage.
+  template <class... Words>
+  void send(Port p, std::uint32_t type, std::uint64_t bits,
+            const Words&... words) {
+    const Message msg(type, bits, (std::size_t{0} + ... + word_count(words)));
+    self().post(p, msg, [&]([[maybe_unused]] std::uint64_t* out) {
+      ((out = write_words(out, words)), ...);
+    });
   }
 
-  /// Sends a copy of msg over every incident port.
-  void broadcast(const Message& msg) {
-    for (Port p = 0; p < degree(); ++p) self().send(p, msg);
+  /// KT1 convenience: send to the neighbor with the given ID, found through
+  /// the instance's per-node label→port index in O(1).
+  template <class... Words>
+  void send_to_label(Label neighbor, std::uint32_t type, std::uint64_t bits,
+                     const Words&... words) {
+    send(instance_.port_of_label(node_, neighbor), type, bits, words...);
+  }
+
+  /// Sends the same message over every incident port.
+  template <class... Words>
+  void broadcast(std::uint32_t type, std::uint64_t bits,
+                 const Words&... words) {
+    for (Port p = 0; p < degree(); ++p) send(p, type, bits, words...);
   }
 
   /// Private unbiased randomness (deterministic per run seed and node).

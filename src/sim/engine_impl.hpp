@@ -49,8 +49,9 @@ class AsyncRunnerContext final
   AsyncRunnerContext(AsyncRunner<Handler>& engine, EngineCore& core)
       : NodeContext<AsyncRunnerContext<Handler>>(core), engine_(engine) {}
 
-  void send(Port p, Message msg) {
-    engine_.send_from(this->node(), p, std::move(msg));
+  template <class Fill>
+  void post(Port p, const Message& msg, const Fill& fill) {
+    engine_.send_from(this->node(), p, msg, fill);
   }
   Time now() const { return engine_.now(); }
   std::uint64_t local_round() const { return 0; }
@@ -98,7 +99,7 @@ class AsyncRunner {
     const NodeId n = instance.num_nodes();
     for (const auto& [t, u] : schedule.wakes) {
       RISE_CHECK(u < n);
-      events_.emplace(t, EventKind::kWake, u, kInvalidPort, Message{});
+      events_.emplace(t, u);
     }
   }
 
@@ -121,15 +122,15 @@ class AsyncRunner {
     std::vector<std::uint32_t>& awake_rounds = core_.result().awake_rounds;
     TraceSink* trace = core_.trace();
     while (!events_.empty()) {
-      // Consume the front event in place: copy the scalars, steal the
-      // message, and drop the slot *before* dispatching (handlers send,
-      // which may reallocate the queue's storage under a front() reference).
-      Event& front = events_.front();
+      // Consume the front event in place: copy the scalars and drop the
+      // slot *before* dispatching (handlers send, which may reallocate the
+      // queue's storage under a front() reference). The words stay in the
+      // wheel until the next front().
+      const Event& front = events_.front();
       const EventKind kind = front.kind;
       const NodeId node = front.node;
-      const Port port = front.port;
       now_ = front.t;
-      Incoming in{port, std::move(front.msg)};
+      const Incoming in{front.port, front.msg, events_.front_words(front)};
       events_.drop_front();
       ++metrics.events;
       if (probe_ != nullptr) probe_->on_event_pop(events_.size());
@@ -149,8 +150,8 @@ class AsyncRunner {
           ++awake_rounds[node];
           core_.account_delivery(node, now_);
           if (trace != nullptr) {
-            trace->on_deliver(now_, instance.port_to_neighbor(node, port),
-                              node, in.msg);
+            trace->on_deliver(now_, instance.port_to_neighbor(node, in.port),
+                              node, in.msg, in.words());
           }
           wake_node(node, WakeCause::kMessage);
           ctx_.attach(node);
@@ -162,13 +163,15 @@ class AsyncRunner {
     return core_.take_result();
   }
 
-  void send_from(NodeId from, Port p, Message msg) {
+  /// NodeContext::send: the delivery event goes on the wheel and fill
+  /// writes its words into the wheel slot's buffer.
+  template <class Fill>
+  void send_from(NodeId from, Port p, const Message& msg, const Fill& fill) {
     const Instance& instance = core_.instance();
     RISE_CHECK_MSG(p < instance.graph().degree(from),
                    "send on invalid port " << p << " at node " << from);
     core_.account_send(from, msg, now_);
     const NodeId to = instance.port_to_neighbor(from, p);
-    if (core_.trace() != nullptr) core_.trace()->on_send(now_, from, to, msg);
     auto& chan = channels_[instance.directed_edge_id(from, p)];
     Time d = 1;
     if (!unit_delays_) {
@@ -181,8 +184,12 @@ class AsyncRunner {
     chan.last_delivery = arrive;
 
     const Port receiver_port = instance.reverse_port(from, p);
-    events_.emplace(arrive, EventKind::kDeliver, to, receiver_port,
-                    std::move(msg));
+    std::uint64_t* words = events_.emplace_words(
+        arrive, msg.size, to, receiver_port, msg, EventKind::kDeliver);
+    fill(words);
+    if (core_.trace() != nullptr) {
+      core_.trace()->on_send(now_, from, to, msg, {words, msg.size});
+    }
     if (probe_ != nullptr) {
       probe_->on_queue_push(events_.size(), events_.ring_occupancy(),
                             events_.overflow_occupancy());
@@ -237,8 +244,9 @@ class SyncRunnerContext final
     step_ = step;
   }
 
-  void send(Port p, Message msg) {
-    engine_.record_send(outbox_, *step_, p, std::move(msg));
+  template <class Fill>
+  void post(Port p, const Message& msg, const Fill& fill) {
+    engine_.record_send(outbox_, *step_, p, msg, fill);
   }
   Time now() const { return engine_.round(); }
   std::uint64_t local_round() const {
@@ -332,13 +340,14 @@ class SyncRunner {
     return core_.take_result();
   }
 
-  /// SyncRunnerContext::send: validate the port and the CONGEST budget,
-  /// resolve the receiver, and append the message to the outbox bucket
-  /// owned by the scatter worker that will deliver it. All accounting, the
-  /// max_messages check and trace events happen later, in reduce_outboxes,
-  /// in active-set order.
+  /// NodeContext::send: validate the port and the CONGEST budget, resolve
+  /// the receiver, and append the message, words included, to the outbox
+  /// bucket owned by the scatter worker that will deliver it. All
+  /// accounting, the max_messages check and trace events happen later, in
+  /// reduce_outboxes, in active-set order.
+  template <class Fill>
   void record_send(SyncChunkOutbox& ob, SyncStepRecord& st, Port p,
-                   Message msg) {
+                   const Message& msg, const Fill& fill) {
     const Instance& instance = core_.instance();
     const NodeId from = st.node;
     RISE_CHECK_MSG(p < instance.graph().degree(from),
@@ -351,7 +360,7 @@ class SyncRunner {
     st.bits += msg.logical_bits();
     SyncSendBucket& bin = ob.buckets[bucket];
     bin.to.push_back(to);
-    bin.msgs.push_back(Incoming{receiver_port, std::move(msg)});
+    fill(bin.add(receiver_port, msg));
     if (replay_sends_) {
       ob.order.push_back(
           (static_cast<std::uint64_t>(bucket) << kOrderIndexBits) |
@@ -442,7 +451,7 @@ class SyncRunner {
           if (trace != nullptr) {
             for (const Incoming& in : inbox_of(u)) {
               trace->on_deliver(round_, instance.port_to_neighbor(u, in.port),
-                                u, in.msg);
+                                u, in.msg, in.words());
             }
           }
         }
@@ -565,17 +574,19 @@ class SyncRunner {
           const std::uint64_t packed = ob.order[s];
           const SyncSendBucket& bin = ob.buckets[packed >> kOrderIndexBits];
           const std::size_t i = packed & kIndexMask;
-          const Message& msg = bin.msgs[i].msg;
-          core_.account_send(st.node, msg, round_);
+          const SyncSend& send = bin.sends[i];
+          core_.account_send(st.node, send.msg, round_);
           RISE_CHECK_MSG(metrics.messages <= limits_.max_messages,
                          "sync engine exceeded max_messages");
           if (trace != nullptr) {
-            trace->on_send(round_, st.node, bin.to[i], msg);
+            const std::span<const std::uint64_t> words = bin.words_of(send);
+            trace->on_send(round_, st.node, bin.to[i], send.msg, words);
             // Sleeping model: delivery is conditional on the receiver
             // being awake next round; collect_active() traces it after the
             // nap filter.
             if (!limits_.sleeping_model) {
-              trace->on_deliver(round_ + 1, st.node, bin.to[i], msg);
+              trace->on_deliver(round_ + 1, st.node, bin.to[i], send.msg,
+                                words);
             }
           }
         }
@@ -599,9 +610,10 @@ class SyncRunner {
   //
   // The round's sends become next round's inbox: one contiguous `mail`
   // array grouped by receiver. Bucket b owns the receivers in bitmap words
-  // [word_lo(b), word_lo(b+1)) and the mail slots from its base on; its
-  // worker counts its receivers' messages (marking them as candidates),
-  // turns the counts into offsets in id order, and scatters back to front.
+  // [word_lo(b), word_lo(b+1)), the mail slots from its base on and the
+  // `mail_words` from its word_base on; its worker counts its receivers'
+  // messages (marking them as candidates), turns the counts into offsets in
+  // id order, and scatters back to front, copying each chunk's words once.
   // Records sit in chunk order and, within a chunk, in send order, so each
   // receiver's messages arrive in active-set send order whatever the
   // chunking. The serial round is the one-bucket case.
@@ -623,13 +635,19 @@ class SyncRunner {
 
   void build_inbox() {
     std::size_t total = 0;
+    std::size_t total_words = 0;
     for (std::size_t b = 0; b < jobs_; ++b) {
       b_.outboxes[b].base = total;
-      for (const SyncChunkOutbox& ob : outboxes()) total += ob.buckets[b].size();
+      b_.outboxes[b].word_base = total_words;
+      for (const SyncChunkOutbox& ob : outboxes()) {
+        total += ob.buckets[b].size();
+        total_words += ob.buckets[b].words.size();
+      }
     }
     RISE_CHECK_MSG(total <= UINT32_MAX,
                    "sync engine: more than 2^32 messages in one round");
     if (b_.mail.size() < total) b_.mail.resize(total);
+    if (b_.mail_words.size() < total_words) b_.mail_words.resize(total_words);
     run_chunks(&SyncRunner::scatter_thunk);
   }
 
@@ -638,7 +656,9 @@ class SyncRunner {
     // below prefetch kAhead records ahead to overlap the cache misses.
     constexpr std::size_t kAhead = 8;
     const std::span<SyncChunkOutbox> chunks = outboxes();
+    std::size_t word_end = chunks[bucket].word_base;
     for (const SyncChunkOutbox& ob : chunks) {
+      word_end += ob.buckets[bucket].words.size();
       const std::vector<NodeId>& to = ob.buckets[bucket].to;
       for (std::size_t i = 0; i < to.size(); ++i) {
         if (i + kAhead < to.size()) __builtin_prefetch(&b_.inbox[to[i + kAhead]], 1);
@@ -657,21 +677,26 @@ class SyncRunner {
         box.begin = end;
       }
     }
-    // ... and the back-to-front fill walks it down to the first slot. It
-    // pops each record it moves, so the bucket is left empty while its
-    // lines are still cached.
+    // ... and the back-to-front fill walks it down to the first slot,
+    // emptying each bucket while its lines are still cached.
     for (std::size_t c = chunks.size(); c-- > 0;) {
       SyncSendBucket& bin = chunks[c].buckets[bucket];
+      word_end -= bin.words.size();
+      std::copy(bin.words.begin(), bin.words.end(),
+                b_.mail_words.begin() +
+                    static_cast<std::ptrdiff_t>(word_end));
+      const std::uint64_t* words = b_.mail_words.data() + word_end;
       const std::vector<NodeId>& to = bin.to;
       for (std::size_t i = to.size(); i-- > 0;) {
         if (i >= 2 * kAhead) __builtin_prefetch(&b_.inbox[to[i - 2 * kAhead]], 1);
         if (i >= kAhead) {
           __builtin_prefetch(&b_.mail[b_.inbox[to[i - kAhead]].begin - 1], 1);
         }
-        b_.mail[--b_.inbox[to[i]].begin] = std::move(bin.msgs.back());
-        bin.msgs.pop_back();
+        const SyncSend& send = bin.sends[i];
+        b_.mail[--b_.inbox[to[i]].begin] =
+            Incoming{send.port, send.msg, words + send.word_begin};
       }
-      bin.to.clear();
+      bin.clear();
     }
   }
 

@@ -37,11 +37,16 @@ enum class EventKind : std::uint8_t { kWake, kDeliver };
 
 struct Event {
   Time t = 0;
-  EventKind kind = EventKind::kWake;
   NodeId node = kInvalidNode;  // wake target / delivery receiver
   Port port = kInvalidPort;    // receiver port (deliver only)
   Message msg;                 // (deliver only)
+  EventKind kind = EventKind::kWake;
+  /// Where msg's words start in the buffer of the slot holding the event;
+  /// set by the wheel.
+  std::uint32_t word_begin = 0;
 };
+static_assert(sizeof(Event) <= 48);
+static_assert(sizeof(Incoming) <= 32);
 
 /// A synchronous-engine timer: at round t, node becomes a candidate. It is
 /// an adversary wake-up or the end of the node's nap; only a node that is
@@ -53,10 +58,21 @@ struct SyncTimer {
 };
 
 /// Entry is any type with a `Time t` member that constructs as
-/// Entry(t, args...).
+/// Entry(t, args...). An Entry with a `word_begin` member (Event) carries
+/// msg.size payload words, which live in a word buffer of the slot holding
+/// the entry and move with it when the slot spills. A slot hands its buffer
+/// on when it drains, so the buffers retained are bounded by the slots
+/// holding words at once, not by all kLevels * kSlots.
+///
+/// Lifetime rule: the words of the entry front() or front_until() returned
+/// stay valid until the next front()/front_until(), pushes included, except
+/// a push with words at the cursor's own tick (the async engine makes none:
+/// every delivery lands at least one tick after it is sent).
 template <class Entry>
 class TimingWheel {
  public:
+  static constexpr bool kCarriesWords = requires(Entry e) { e.word_begin; };
+
   /// Holds no storage; call reset() before pushing. Exists so a
   /// RunWorkspace can hold a wheel between runs.
   TimingWheel() = default;
@@ -70,24 +86,31 @@ class TimingWheel {
   /// Precondition: t is never before the cursor, which is at most the time
   /// of the last entry front() or front_until() returned — enforced with an
   /// always-on check, since a stale push would silently land in the wrong
-  /// slot. Inline, and constructing the entry in place inside its slot —
+  /// slot. Inline, and constructing the entry in place inside its slot:
   /// one emplace and one front/drop per simulated event is the async
-  /// engine's innermost loop, and an Event is large enough (inline payload
-  /// included) that sparing the temporary-and-move shows up.
+  /// engine's innermost loop.
   template <class... Args>
   void emplace(Time t, Args&&... args) {
-    admit(t);
-    if ((t ^ cursor_) < kSlots) [[likely]] {
-      slots_[t % kSlots].emplace_back(t, std::forward<Args>(args)...);
-      ++level_size_[0];
-    } else {
-      emplace_far(t, std::forward<Args>(args)...);
-    }
+    emplace_words(t, 0, std::forward<Args>(args)...);
   }
 
-  void push(Entry e) {
-    admit(e.t);
-    slot_for(e.t).push_back(std::move(e));
+  /// emplace for an entry whose msg.size is n: returns where the caller
+  /// writes its n words (nullptr for none), valid until the next push.
+  template <class... Args>
+  std::uint64_t* emplace_words(Time t, std::uint32_t n, Args&&... args) {
+    admit(t);
+    std::size_t slot;
+    if ((t ^ cursor_) < kSlots) [[likely]] {
+      slot = t % kSlots;
+      ++level_size_[0];
+    } else {
+      slot = far_slot(t);
+    }
+    Entry& e = slots_[slot].emplace_back(t, std::forward<Args>(args)...);
+    if constexpr (kCarriesWords) {
+      if (n != 0) return claim_words(slot, e, n);
+    }
+    return nullptr;
   }
 
   bool empty() const { return size_ == 0; }
@@ -95,8 +118,8 @@ class TimingWheel {
 
   /// The least entry in (t, push order), in place. !empty() only. The
   /// reference is valid until the next emplace/drop_front — callers copy the
-  /// scalars and steal the payload, then drop_front() *before* dispatching
-  /// handlers (which may push and reallocate the underlying storage).
+  /// scalars, then drop_front() *before* dispatching handlers (which may
+  /// push and reallocate the underlying storage).
   Entry& front() {
     RISE_CHECK_MSG(size_ != 0, "pop on empty timing wheel");
     return *front_until(kNever);
@@ -113,17 +136,25 @@ class TimingWheel {
     return front_advance(limit);
   }
 
-  /// Discards the entry front() or front_until() returned (whose payload
-  /// the caller has typically stolen).
+  /// The words of `front`, the entry front() or front_until() last
+  /// returned (see the lifetime rule above).
+  const std::uint64_t* front_words(const Entry& front) const
+    requires kCarriesWords
+  {
+    return words_[cursor_ % kSlots].data() + front.word_begin;
+  }
+
+  /// Discards the entry front() or front_until() returned.
   void drop_front() {
     --size_;
     ++cursor_pos_;
     --level_size_[0];
   }
 
-  /// Removes and returns the least entry in (t, push order). !empty() only.
+  /// Removes and returns the least entry in (t, push order), without its
+  /// words. !empty() only.
   Entry pop() {
-    Entry e = std::move(front());
+    Entry e = front();
     drop_front();
     return e;
   }
@@ -147,21 +178,27 @@ class TimingWheel {
   }
 
   /// The slot t belongs in at the current cursor; counts it on its level.
-  std::vector<Entry>& slot_for(Time t) {
+  std::size_t slot_index(Time t) {
     // diff | 1 puts t == cursor_ on level 0 without a branch.
     const auto top_bit =
         static_cast<unsigned>(std::bit_width((t ^ cursor_) | 1));
     const unsigned level = (top_bit - 1) / kDigitBits;
     ++level_size_[level];
-    return slots_[level * kSlots + (t >> (level * kDigitBits)) % kSlots];
+    return level * kSlots + (t >> (level * kDigitBits)) % kSlots;
   }
 
   /// emplace's slow path: an entry beyond the cursor's window. Out of line
   /// so it doesn't price emplace out of send_from's inlining budget.
-  template <class... Args>
-  [[gnu::noinline]] void emplace_far(Time t, Args&&... args) {
-    slot_for(t).emplace_back(t, std::forward<Args>(args)...);
-  }
+  [[gnu::noinline]] std::size_t far_slot(Time t) { return slot_index(t); }
+
+  /// Appends room for n words to the slot's buffer, taking a spare buffer
+  /// if the slot holds none, and points e at it.
+  [[gnu::noinline]] std::uint64_t* claim_words(std::size_t slot, Entry& e,
+                                               std::uint32_t n)
+    requires kCarriesWords;
+
+  /// Empties a slot and hands its word buffer on to the spares.
+  void clear_slot(std::size_t slot);
 
   /// front_until's slow path: the cursor's tick is drained — step to the
   /// next occupied tick of level 0, spilling higher slots until one
@@ -169,6 +206,9 @@ class TimingWheel {
   Entry* front_advance(Time limit);
 
   std::vector<std::vector<Entry>> slots_;  // kLevels * kSlots, level-major
+  /// Each slot's payload words, when entries carry words; else empty.
+  std::vector<std::vector<std::uint64_t>> words_;
+  std::vector<std::vector<std::uint64_t>> spare_;  // buffers of drained slots
   std::array<std::size_t, kLevels> level_size_{};  // entries on each level
   std::size_t cursor_pos_ = 0;  // read index into the cursor tick's slot
   Time cursor_ = 0;             // time floor: no entry precedes cursor_

@@ -13,6 +13,7 @@
 
 #include <iosfwd>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,11 +24,15 @@ namespace rise::sim {
 
 class TraceSink {
  public:
+  using Words = std::span<const std::uint64_t>;
+
   virtual ~TraceSink() = default;
 
-  virtual void on_send(Time t, NodeId from, NodeId to, const Message& msg) = 0;
-  virtual void on_deliver(Time t, NodeId from, NodeId to,
-                          const Message& msg) = 0;
+  /// `words` are msg's payload words, valid for the call only.
+  virtual void on_send(Time t, NodeId from, NodeId to, const Message& msg,
+                       Words words) = 0;
+  virtual void on_deliver(Time t, NodeId from, NodeId to, const Message& msg,
+                          Words words) = 0;
   virtual void on_node_wake(Time t, NodeId node, WakeCause cause) = 0;
 };
 
@@ -36,8 +41,10 @@ class CsvTraceSink final : public TraceSink {
  public:
   explicit CsvTraceSink(std::ostream& os);
 
-  void on_send(Time t, NodeId from, NodeId to, const Message& msg) override;
-  void on_deliver(Time t, NodeId from, NodeId to, const Message& msg) override;
+  void on_send(Time t, NodeId from, NodeId to, const Message& msg,
+               Words words) override;
+  void on_deliver(Time t, NodeId from, NodeId to, const Message& msg,
+                  Words words) override;
   void on_node_wake(Time t, NodeId node, WakeCause cause) override;
 
  private:
@@ -47,8 +54,9 @@ class CsvTraceSink final : public TraceSink {
 /// Records the set of undirected edges that carried at least one message.
 class EdgeUsageSink final : public TraceSink {
  public:
-  void on_send(Time t, NodeId from, NodeId to, const Message& msg) override;
-  void on_deliver(Time, NodeId, NodeId, const Message&) override {}
+  void on_send(Time t, NodeId from, NodeId to, const Message& msg,
+               Words words) override;
+  void on_deliver(Time, NodeId, NodeId, const Message&, Words) override {}
   void on_node_wake(Time, NodeId, WakeCause) override {}
 
   const std::set<std::pair<NodeId, NodeId>>& used_edges() const {
@@ -74,8 +82,10 @@ class TeeTraceSink final : public TraceSink {
 
   void add(TraceSink* sink) { sinks_.push_back(sink); }
 
-  void on_send(Time t, NodeId from, NodeId to, const Message& msg) override;
-  void on_deliver(Time t, NodeId from, NodeId to, const Message& msg) override;
+  void on_send(Time t, NodeId from, NodeId to, const Message& msg,
+               Words words) override;
+  void on_deliver(Time t, NodeId from, NodeId to, const Message& msg,
+                  Words words) override;
   void on_node_wake(Time t, NodeId node, WakeCause cause) override;
 
  private:
@@ -85,8 +95,10 @@ class TeeTraceSink final : public TraceSink {
 /// Counts events (cheap smoke-test sink).
 class CountingSink final : public TraceSink {
  public:
-  void on_send(Time, NodeId, NodeId, const Message&) override { ++sends_; }
-  void on_deliver(Time, NodeId, NodeId, const Message&) override {
+  void on_send(Time, NodeId, NodeId, const Message&, Words) override {
+    ++sends_;
+  }
+  void on_deliver(Time, NodeId, NodeId, const Message&, Words) override {
     ++deliveries_;
   }
   void on_node_wake(Time, NodeId, WakeCause cause) override {

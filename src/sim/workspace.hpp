@@ -15,8 +15,10 @@
 // test_sim_workspace pins across engines, delay bounds and algorithms.
 #pragma once
 
+#include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
 #include <typeinfo>
 #include <utility>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "sim/message.hpp"
 #include "sim/metrics.hpp"
 #include "sim/types.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace rise::sim {
@@ -37,22 +40,50 @@ struct ChannelState {
   Time last_delivery = 0;       // FIFO clamp
 };
 
+/// One recorded sync send: the receiver's port and the header, with the
+/// words at word_begin in its bucket's `words`.
+struct SyncSend {
+  Message msg;
+  Port port = kInvalidPort;
+  std::uint32_t word_begin = 0;
+};
+
 /// The sends of one sync round (or one parallel chunk of it) whose
 /// receivers one scatter worker owns, in send order, as parallel arrays:
-/// the receivers stay compact for the inbox build's counting pass, and
-/// each message is already the Incoming the receiver will see. The inbox
-/// build moves the messages into the round's flat, receiver-grouped array;
-/// before that, a traced or probed run's reduction reads them for
-/// accounting and tracing. Cache-line aligned, like SyncChunkOutbox: its
-/// vectors grow on every send, and chunks' buckets must not share a line.
+/// the receivers stay compact for the inbox build's counting pass, and the
+/// payload words sit beside the records. The inbox build copies the records
+/// into the round's flat, receiver-grouped array and the words, once, into
+/// its word array; before that, a traced or probed run's reduction reads
+/// them for accounting and tracing. Cache-line aligned, like
+/// SyncChunkOutbox: its vectors grow on every send, and chunks' buckets
+/// must not share a line.
 struct alignas(64) SyncSendBucket {
   std::vector<NodeId> to;
-  std::vector<Incoming> msgs;
+  std::vector<SyncSend> sends;
+  std::vector<std::uint64_t> words;
 
   std::size_t size() const { return to.size(); }
+
+  /// Records a send to port `port` of the receiver; returns where its
+  /// msg.size words go (nullptr for none).
+  std::uint64_t* add(Port port, const Message& msg) {
+    const auto begin = static_cast<std::uint32_t>(words.size());
+    sends.push_back({msg, port, begin});
+    if (msg.size == 0) return nullptr;
+    RISE_CHECK_MSG(std::size_t{begin} + msg.size <= UINT32_MAX,
+                   "a sync send bucket holds more than 2^32 - 1 payload words");
+    words.resize(begin + msg.size);
+    return words.data() + begin;
+  }
+
+  std::span<const std::uint64_t> words_of(const SyncSend& send) const {
+    return {words.data() + send.word_begin, send.msg.size};
+  }
+
   void clear() {
     to.clear();
-    msgs.clear();
+    sends.clear();
+    words.clear();
   }
 };
 
@@ -89,9 +120,11 @@ struct alignas(64) SyncChunkOutbox {
   std::vector<obs::DeferredMark> marks;  ///< deferred probe mutations
   std::uint64_t sends = 0;               ///< == order.size(); mark seq source
   std::exception_ptr error;              ///< first failure in this chunk
-  /// First flat-inbox slot of the receivers in the bucket with this
-  /// outbox's index (set by the inbox build before its scatter).
+  /// First flat-inbox slot and first `mail_words` word of the receivers in
+  /// the bucket with this outbox's index (set by the inbox build before its
+  /// scatter).
   std::size_t base = 0;
+  std::size_t word_base = 0;
 
   void reset(std::size_t num_buckets) {
     if (buckets.size() < num_buckets) buckets.resize(num_buckets);
@@ -118,9 +151,11 @@ struct SyncBuffers {
   std::vector<Time> wake_round;
   std::vector<Time> asleep_until;  ///< sleeping model (declared naps)
   /// This round's messages, one contiguous run per receiver; `inbox[u]`
-  /// locates node u's run. Slots past the round's total hold stale,
-  /// moved-over messages that the next build overwrites.
+  /// locates node u's run. Slots past the round's total hold stale
+  /// messages that the next build overwrites.
   std::vector<Incoming> mail;
+  /// This round's payload words, which the messages in `mail` point into.
+  std::vector<std::uint64_t> mail_words;
   std::vector<InboxSpan> inbox;
   /// Node bitmap of next round's candidates: receivers, wakes, nap ends
   /// and tick requests set bits; the round start reads it out in id order.

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <tuple>
+#include <vector>
 
 #include "lb/lower_bound_graphs.hpp"
 #include "lb/nih.hpp"
@@ -204,12 +207,14 @@ TEST(RankedDfs, VariantsMatchPinnedDigests) {
                1345579771509487884ULL});
 }
 
-/// Node 0, woken by the adversary, sends `bad` over port 0 instead of
-/// launching a token; every other hook is RankedDFS's own, so the receiver
-/// parses `bad` on the production path.
+/// Node 0, woken by the adversary, sends a message of type `bad_type` with
+/// payload `bad_words` over port 0 instead of launching a token; every other
+/// hook is RankedDFS's own, so the receiver parses it on the production
+/// path.
 struct MalformedSender {
   RankedDfsKernel inner{nullptr, 48, /*discard_losers=*/true, /*elect=*/true};
-  sim::Message bad;
+  std::uint32_t bad_type = 0;
+  std::vector<std::uint64_t> bad_words;
 
   void reset(const sim::Instance& instance, sim::RunWorkspace* workspace) {
     inner.reset(instance, workspace);
@@ -217,7 +222,7 @@ struct MalformedSender {
   template <class Ctx>
   void on_wake(Ctx& ctx, sim::WakeCause cause) {
     if (ctx.node() == 0 && cause == sim::WakeCause::kAdversary) {
-      ctx.send(0, bad);
+      ctx.send(0, bad_type, 64, std::span<const std::uint64_t>(bad_words));
       return;
     }
     inner.on_wake(ctx, cause);
@@ -233,23 +238,19 @@ struct MalformedSender {
 // read: each of these must throw CheckError.
 TEST(RankedDfs, MalformedPayloadsThrow) {
   const auto inst = test::make_instance(graph::path(4), Knowledge::KT1);
-  const std::pair<const char*, sim::Message> cases[] = {
-      {"token shorter than its header",
-       sim::make_message(kDfsToken, {7, 1}, 64)},
-      {"token count above its length",
-       sim::make_message(kDfsToken, {7, 1, 5, 1}, 64)},
-      {"token count below its length",
-       sim::make_message(kDfsToken, {7, 1, 1, 1, 2, 3}, 64)},
-      {"token count near 2^64",
-       sim::make_message(kDfsToken, {7, 1, ~std::uint64_t{0}, 1}, 64)},
-      {"announce with one word", sim::make_message(kDfsLeader, {1}, 64)},
-      {"announce with no words", sim::make_message(kDfsLeader, {}, 64)},
-      {"announce count above its length",
-       sim::make_message(kDfsLeader, {1, 4, 1}, 64)},
-  };
-  for (const auto& [name, bad] : cases) {
-    const sim::KernelRunner kernel =
-        sim::make_kernel(MalformedSender{.bad = bad});
+  const std::tuple<const char*, std::uint32_t, std::vector<std::uint64_t>>
+      cases[] = {
+          {"token shorter than its header", kDfsToken, {7, 1}},
+          {"token count above its length", kDfsToken, {7, 1, 5, 1}},
+          {"token count below its length", kDfsToken, {7, 1, 1, 1, 2, 3}},
+          {"token count near 2^64", kDfsToken, {7, 1, ~std::uint64_t{0}, 1}},
+          {"announce with one word", kDfsLeader, {1}},
+          {"announce with no words", kDfsLeader, {}},
+          {"announce count above its length", kDfsLeader, {1, 4, 1}},
+      };
+  for (const auto& [name, type, words] : cases) {
+    const sim::KernelRunner kernel = sim::make_kernel(
+        MalformedSender{.bad_type = type, .bad_words = words});
     EXPECT_THROW(test::run_async_unit(inst, sim::wake_single(0), kernel),
                  CheckError)
         << name;

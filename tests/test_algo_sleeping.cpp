@@ -249,7 +249,7 @@ sim::KernelRunner nap_observer_kernel() {
         }
         // The pinger sends to the observer every round for six rounds.
         if (ctx.local_round() <= 6) {
-          ctx.send(0, sim::make_message(1, {}, 1));
+          ctx.send(0, 1, 1);
           ctx.request_tick();
         }
       });

@@ -42,11 +42,11 @@ struct Script {
   void feed_clean() {
     const sim::Message msg;  // logical_bits() == 8
     checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-    checker.on_send(0, 0, 1, msg);
-    checker.on_deliver(2, 0, 1, msg);
+    checker.on_send(0, 0, 1, msg, {});
+    checker.on_deliver(2, 0, 1, msg, {});
     checker.on_node_wake(2, 1, sim::WakeCause::kMessage);
-    checker.on_send(2, 1, 2, msg);
-    checker.on_deliver(3, 1, 2, msg);
+    checker.on_send(2, 1, 2, msg, {});
+    checker.on_deliver(3, 1, 2, msg, {});
     checker.on_node_wake(3, 2, sim::WakeCause::kMessage);
   }
 
@@ -80,8 +80,8 @@ TEST(InvariantChecker, LateDeliveryViolatesCausality) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(0, 0, 1, msg);
-  s.checker.on_deliver(5, 0, 1, msg);  // tau = 2: window is [1, 2]
+  s.checker.on_send(0, 0, 1, msg, {});
+  s.checker.on_deliver(5, 0, 1, msg, {});  // tau = 2: window is [1, 2]
   EXPECT_TRUE(mentions(s.checker.violations(), "causality"));
 }
 
@@ -89,8 +89,8 @@ TEST(InvariantChecker, SameTickDeliveryViolatesCausality) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(1, 0, 1, msg);
-  s.checker.on_deliver(1, 0, 1, msg);  // must take at least one tick
+  s.checker.on_send(1, 0, 1, msg, {});
+  s.checker.on_deliver(1, 0, 1, msg, {});  // must take at least one tick
   EXPECT_TRUE(mentions(s.checker.violations(), "causality"));
 }
 
@@ -98,7 +98,7 @@ TEST(InvariantChecker, DeliveryWithoutSendIsFlagged) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_deliver(1, 0, 1, msg);
+  s.checker.on_deliver(1, 0, 1, msg, {});
   EXPECT_TRUE(mentions(s.checker.violations(), "no matching in-flight send"));
 }
 
@@ -106,8 +106,8 @@ TEST(InvariantChecker, AsyncTimeRegressionIsFlagged) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(4, 0, 1, msg);
-  s.checker.on_send(3, 0, 1, msg);  // global stream must be monotone
+  s.checker.on_send(4, 0, 1, msg, {});
+  s.checker.on_send(3, 0, 1, msg, {});  // global stream must be monotone
   EXPECT_TRUE(mentions(s.checker.violations(), "regressed"));
 }
 
@@ -125,9 +125,9 @@ TEST(InvariantChecker, SyncStreamsAreOnlyPerKindMonotone) {
     checker.begin(model, sim::wake_set({0, 1}));
     checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
     checker.on_node_wake(0, 1, sim::WakeCause::kAdversary);
-    checker.on_send(0, 0, 1, msg);
-    checker.on_deliver(1, 0, 1, msg);
-    checker.on_send(0, 1, 2, msg);  // regression iff the stream is global
+    checker.on_send(0, 0, 1, msg, {});
+    checker.on_deliver(1, 0, 1, msg, {});
+    checker.on_send(0, 1, 2, msg, {});  // regression iff the stream is global
     EXPECT_EQ(mentions(checker.violations(), "regressed"), !synchronous);
   }
 }
@@ -135,7 +135,7 @@ TEST(InvariantChecker, SyncStreamsAreOnlyPerKindMonotone) {
 TEST(InvariantChecker, SendFromSleepingNodeIsFlagged) {
   Script s;
   const sim::Message msg;
-  s.checker.on_send(0, 0, 1, msg);  // node 0 has not woken
+  s.checker.on_send(0, 0, 1, msg, {});  // node 0 has not woken
   EXPECT_TRUE(mentions(s.checker.violations(), "not woken"));
 }
 
@@ -168,8 +168,8 @@ TEST(InvariantChecker, MessageWakeAfterEarlierDeliveryIsFlagged) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(0, 0, 1, msg);
-  s.checker.on_deliver(1, 0, 1, msg);
+  s.checker.on_send(0, 0, 1, msg, {});
+  s.checker.on_deliver(1, 0, 1, msg, {});
   s.checker.on_node_wake(2, 1, sim::WakeCause::kMessage);  // one tick late
   EXPECT_TRUE(mentions(s.checker.violations(), "earliest delivery"));
 }
@@ -178,8 +178,8 @@ TEST(InvariantChecker, SleepingReceiverThatNeverWakesIsFlagged) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(0, 0, 1, msg);
-  s.checker.on_deliver(1, 0, 1, msg);
+  s.checker.on_send(0, 0, 1, msg, {});
+  s.checker.on_deliver(1, 0, 1, msg, {});
   // Node 1 never wakes despite the delivery at t=1.
   auto result = s.clean_result();
   result.metrics.messages = 1;
@@ -198,10 +198,9 @@ TEST(InvariantChecker, CongestBudgetIsEnforced) {
   Script s;
   s.model.congest_budget = 16;
   s.checker.begin(s.model, s.schedule);
-  sim::Message big;
-  big.declared_bits = 64;
+  const sim::Message big(0, 64, 0);
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(0, 0, 1, big);
+  s.checker.on_send(0, 0, 1, big, {});
   EXPECT_TRUE(mentions(s.checker.violations(), "CONGEST budget exceeded"));
 }
 
@@ -222,7 +221,7 @@ TEST(InvariantChecker, UndeliveredMessagesAreFlagged) {
   Script s;
   const sim::Message msg;
   s.checker.on_node_wake(0, 0, sim::WakeCause::kAdversary);
-  s.checker.on_send(0, 0, 1, msg);  // never delivered
+  s.checker.on_send(0, 0, 1, msg, {});  // never delivered
   auto result = s.clean_result();
   result.metrics.messages = 1;
   result.metrics.bits = 8;

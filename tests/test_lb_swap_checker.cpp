@@ -39,13 +39,13 @@ sim::KernelRunner parity_kernel() {
         const auto labels = ctx.neighbor_labels();
         for (sim::Port p = 0; p < labels.size(); ++p) {
           if (labels[p] % 2 == 1) {
-            ctx.send(p, sim::make_message(1, {}, 8));
+            ctx.send(p, 1, 8);
           }
         }
       },
       [](auto& ctx, const sim::Incoming& in) {
         if (in.msg.type == 1 && ctx.degree() == 1) {
-          ctx.send(in.port, sim::make_message(2, {}, 8));
+          ctx.send(in.port, 2, 8);
         } else if (in.msg.type == 2) {
           ctx.set_output(ctx.neighbor_labels()[in.port]);
         }

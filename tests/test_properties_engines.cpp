@@ -80,12 +80,12 @@ TEST_P(DelayPolicySweep, FifoHolds) {
       [](auto& ctx, sim::WakeCause cause) {
         if (ctx.node() == 0 && cause == sim::WakeCause::kAdversary) {
           for (std::uint64_t i = 0; i < 100; ++i) {
-            ctx.send(0, sim::make_message(1, {i}, 32));
+            ctx.send(0, 1, 32, i);
           }
         }
       },
       [&log](auto& ctx, const sim::Incoming& in) {
-        if (ctx.node() != 0) log.push_back(in.msg.payload[0]);
+        if (ctx.node() != 0) log.push_back(in.words()[0]);
       });
   const auto delays = make(GetParam().tau * 7 + 1);
   sim::run_async(inst, *delays, sim::wake_single(0), 1, kernel);
@@ -147,7 +147,7 @@ TEST(FailureInjection, CongestionPenaltyPunishesChattyAlgorithmsOnly) {
   const auto chatty = test::lambda_kernel(
       [](auto& ctx, sim::WakeCause cause) {
         if (ctx.node() == 0 && cause == sim::WakeCause::kAdversary) {
-          for (int i = 0; i < 60; ++i) ctx.send(0, sim::make_message(1, {}, 8));
+          for (int i = 0; i < 60; ++i) ctx.send(0, 1, 8);
         }
       },
       [&last](auto& ctx, const sim::Incoming&) { last = ctx.now(); });

@@ -20,10 +20,10 @@ KernelRunner numbered_kernel(int count, std::vector<std::uint64_t>* log) {
       [count](auto& ctx, WakeCause cause) {
         if (ctx.node() != 0 || cause != WakeCause::kAdversary) return;
         for (int i = 0; i < count; ++i) {
-          ctx.send(0, make_message(1, {static_cast<std::uint64_t>(i)}, 32));
+          ctx.send(0, 1, 32, static_cast<std::uint64_t>(i));
         }
       },
-      [log](auto&, const Incoming& in) { log->push_back(in.msg.payload[0]); });
+      [log](auto&, const Incoming& in) { log->push_back(in.words()[0]); });
 }
 
 TEST(AsyncRun, FifoUnderAdversarialDelays) {
@@ -108,9 +108,8 @@ TEST(AsyncRun, CongestViolationThrows) {
       test::make_instance(g, Knowledge::KT1, Bandwidth::CONGEST);
   const auto delays = unit_delay();
   const KernelRunner fat = test::lambda_kernel([](auto& ctx, WakeCause) {
-    PayloadWords payload;
-    for (int i = 0; i < 100; ++i) payload.push_back(7);
-    ctx.send(0, make_message(9, std::move(payload), 6400));
+    const std::vector<std::uint64_t> payload(100, 7);
+    ctx.send(0, 9, 6400, std::span<const std::uint64_t>(payload));
   });
   EXPECT_THROW(run_async(inst, *delays, wake_single(0), 1, fat), CheckError);
 }
@@ -153,11 +152,11 @@ TEST(AsyncRun, MaxEventsLimitEnforced) {
   const KernelRunner pingpong = test::lambda_kernel(
       [](auto& ctx, WakeCause cause) {
         if (cause == WakeCause::kAdversary) {
-          ctx.send(0, make_message(1, {}, 8));
+          ctx.send(0, 1, 8);
         }
       },
       [](auto& ctx, const Incoming& in) {
-        ctx.send(in.port, make_message(1, {}, 8));
+        ctx.send(in.port, 1, 8);
       });
   const auto delays = unit_delay();
   RunLimits limits;

@@ -426,7 +426,7 @@ struct RelayOnce {
   template <class Ctx>
   void on_wake(Ctx& ctx, sim::WakeCause cause) {
     if (cause == sim::WakeCause::kAdversary) {
-      ctx.broadcast(sim::make_message(1, {ctx.my_label()}, 64));
+      ctx.broadcast(1, 64, ctx.my_label());
     }
   }
 
@@ -439,7 +439,7 @@ struct RelayOnce {
     self.relayed = true;
     for (sim::Port p = 0; p < ctx.degree(); ++p) {
       if (p != in.port && ctx.rng().chance(0.5)) {
-        ctx.send(p, sim::make_message(2, {in.msg.payload[0]}, 64));
+        ctx.send(p, 2, 64, in.words()[0]);
       }
     }
   }

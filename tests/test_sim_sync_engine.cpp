@@ -82,7 +82,7 @@ TEST(SyncRun, InboxBatchesAllSendersOfPreviousRound) {
   const KernelRunner probe = test::lambda_kernel(
       [](auto& ctx, WakeCause cause) {
         if (ctx.node() != 0 && cause == WakeCause::kAdversary) {
-          ctx.send(0, make_message(1, {}, 8));
+          ctx.send(0, 1, 8);
         }
       },
       test::NoHook{},
@@ -299,7 +299,7 @@ TEST(SyncDataPath, DuplicateTicksAndMessagesStepANodeOnce) {
       ctx.request_tick();
       ctx.request_tick();
     } else {
-      ctx.send(0, make_message(u == 0 ? 1 : 2, {}, 8));
+      ctx.send(0, u == 0 ? 1 : 2, 8);
     }
   };
   for (const bool sleeping : {false, true}) {
@@ -325,7 +325,7 @@ TEST(SyncDataPath, EventsAimedAtANappingNodeEvaporate) {
       ctx.request_tick();
       ctx.sleep_until(10);
     } else {
-      ctx.send(0, make_message(1, {}, 8));
+      ctx.send(0, 1, 8);
     }
   };
   WakeSchedule schedule;
@@ -350,7 +350,7 @@ TEST(SyncDataPath, AbortedRunLeavesNoTraceInTheWorkspace) {
   const KernelRunner chatter = test::lambda_kernel(
       test::NoHook{}, test::NoHook{},
       [](auto& ctx, std::span<const Incoming>) {
-        ctx.broadcast(make_message(1, {ctx.now()}, 72));
+        ctx.broadcast(1, 72, ctx.now());
         switch (ctx.my_label() % 3) {
           case 0:
             ctx.sleep_until(ctx.now() + 3);  // on the wheel's level 0
@@ -407,10 +407,10 @@ TEST(SyncDataPath, StepErrorPreemptsMaxMessagesAtAnyJobCount) {
         test::NoHook{}, test::NoHook{},
         [bad_port](auto& ctx, std::span<const Incoming>) {
           if (ctx.node() == 0) {
-            for (int i = 0; i < 10; ++i) ctx.send(0, make_message(1, {}, 8));
+            for (int i = 0; i < 10; ++i) ctx.send(0, 1, 8);
           }
           if (ctx.node() == 7 && bad_port) {
-            ctx.send(99, make_message(1, {}, 8));
+            ctx.send(99, 1, 8);
           }
         });
     SerialChunkExecutor executor;

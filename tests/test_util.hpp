@@ -75,12 +75,12 @@ inline std::uint64_t fnv1a(const std::string& s) {
 class PayloadHashSink final : public sim::TraceSink {
  public:
   void on_send(sim::Time t, sim::NodeId from, sim::NodeId to,
-               const sim::Message& msg) override {
-    mix({0, t, from, to, msg.type, msg.logical_bits(), msg.payload.size()});
-    for (std::uint64_t w : msg.payload) mix({w});
+               const sim::Message& msg, Words words) override {
+    mix({0, t, from, to, msg.type, msg.logical_bits(), words.size()});
+    for (std::uint64_t w : words) mix({w});
   }
   void on_deliver(sim::Time t, sim::NodeId from, sim::NodeId to,
-                  const sim::Message& msg) override {
+                  const sim::Message& msg, Words) override {
     mix({1, t, from, to, msg.type});
   }
   void on_node_wake(sim::Time t, sim::NodeId node,
