@@ -1,6 +1,8 @@
 #include "app/spec.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 
@@ -58,6 +60,29 @@ constexpr std::uint64_t kMaxTicks = std::uint64_t{1} << 32;
 
 sim::Time to_ticks(const std::string& s, const std::string& what) {
   return to_bounded<sim::Time>(s, what, kMaxTicks);
+}
+
+/// The largest graph a spec may ask for, in nodes and in edges (expected
+/// edges for gnp/cgnp), checked from the spec's own numbers before any
+/// generator allocates. Every spec the tests, benches and experiments use
+/// is far below: the largest, gnp:1000000:0.000008, has about 4M edges.
+constexpr std::uint64_t kMaxSpecNodes = std::uint64_t{1} << 25;
+constexpr std::uint64_t kMaxSpecEdges = std::uint64_t{1} << 26;
+
+/// Fails unless a graph of `nodes` nodes and `edges` edges fits the budget.
+/// The counts are doubles, so no product of spec numbers wraps; a NaN count
+/// (from a NaN probability) passes on to the generator's own check.
+void check_budget(const std::string& spec, double nodes, double edges) {
+  RISE_CHECK_MSG(!(nodes > static_cast<double>(kMaxSpecNodes)),
+                 "graph spec '" << spec << "' asks for " << std::fixed
+                                << std::setprecision(0) << nodes
+                                << " nodes, above the budget of "
+                                << kMaxSpecNodes << " nodes");
+  RISE_CHECK_MSG(!(edges > static_cast<double>(kMaxSpecEdges)),
+                 "graph spec '" << spec << "' asks for " << std::fixed
+                                << std::setprecision(0) << edges
+                                << " edges, above the budget of "
+                                << kMaxSpecEdges << " edges");
 }
 
 double to_double(const std::string& s, const std::string& what) {
@@ -121,21 +146,25 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
   auto n_of = [&](std::size_t i) {
     return to_bounded<graph::NodeId>(f[i], "node count", kMaxNode);
   };
-  if (kind == "path") {
+  // Each kind checks the size it asks for against the budget first.
+  auto budget = [&](double nodes, double edges) {
+    check_budget(spec, nodes, edges);
+  };
+  if (kind == "path" || kind == "cycle" || kind == "star" ||
+      kind == "tree") {
     expect_fields(f, 2, spec);
-    return graph::path(n_of(1));
-  }
-  if (kind == "cycle") {
-    expect_fields(f, 2, spec);
-    return graph::cycle(n_of(1));
-  }
-  if (kind == "star") {
-    expect_fields(f, 2, spec);
-    return graph::star(n_of(1));
+    const graph::NodeId n = n_of(1);
+    budget(n, n);
+    if (kind == "path") return graph::path(n);
+    if (kind == "cycle") return graph::cycle(n);
+    if (kind == "star") return graph::star(n);
+    return graph::random_tree(n, rng);
   }
   if (kind == "complete") {
     expect_fields(f, 2, spec);
-    return graph::complete(n_of(1));
+    const graph::NodeId n = n_of(1);
+    budget(n, n * (n - 1.0) / 2);
+    return graph::complete(n);
   }
   if (kind == "grid" || kind == "torus") {
     expect_fields(f, 2, spec);
@@ -143,60 +172,71 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     RISE_CHECK_MSG(dims.size() == 2, "grid/torus spec needs RxC, got " << f[1]);
     const auto r = to_bounded<graph::NodeId>(dims[0], "rows", kMaxNode);
     const auto c = to_bounded<graph::NodeId>(dims[1], "cols", kMaxNode);
-    RISE_CHECK_MSG(std::uint64_t{r} * c <= kMaxNode,
-                   "grid/torus " << f[1] << " has more than " << kMaxNode
-                                 << " nodes");
+    budget(static_cast<double>(r) * c, 2.0 * r * c);
     return kind == "grid" ? graph::grid(r, c) : graph::torus(r, c);
   }
   if (kind == "hypercube") {
     expect_fields(f, 2, spec);
     return graph::hypercube(to_bounded<unsigned>(f[1], "dimension"));
   }
-  if (kind == "tree") {
-    expect_fields(f, 2, spec);
-    return graph::random_tree(n_of(1), rng);
-  }
   if (kind == "gnp" || kind == "cgnp") {
     expect_fields(f, 3, spec);
+    const graph::NodeId n = n_of(1);
     const double p = to_double(f[2], "edge probability");
-    return kind == "gnp" ? graph::gnp(n_of(1), p, rng)
-                         : graph::connected_gnp(n_of(1), p, rng);
+    // Expected edges; cgnp adds at most n - 1 to connect the components.
+    budget(n, p * n * (n - 1.0) / 2 + (kind == "cgnp" ? n : 0));
+    return kind == "gnp" ? graph::gnp(n, p, rng)
+                         : graph::connected_gnp(n, p, rng);
   }
   if (kind == "regular") {
     expect_fields(f, 3, spec);
-    return graph::random_regular(n_of(1), n_of(2), rng);
+    const graph::NodeId n = n_of(1);
+    const graph::NodeId d = n_of(2);
+    budget(n, static_cast<double>(n) * d / 2);
+    return graph::random_regular(n, d, rng);
   }
-  if (kind == "lollipop") {
+  if (kind == "lollipop" || kind == "barbell") {
     expect_fields(f, 3, spec);
-    return graph::lollipop(n_of(1), n_of(2));
-  }
-  if (kind == "barbell") {
-    expect_fields(f, 3, spec);
-    return graph::barbell(n_of(1), n_of(2));
+    const graph::NodeId clique = n_of(1);
+    const graph::NodeId tail = n_of(2);
+    const double cliques = kind == "lollipop" ? 1 : 2;
+    budget(cliques * clique + tail,
+           cliques * clique * (clique - 1.0) / 2 + tail + 1);
+    return kind == "lollipop" ? graph::lollipop(clique, tail)
+                              : graph::barbell(clique, tail);
   }
   if (kind == "ba") {
     expect_fields(f, 3, spec);
-    return graph::barabasi_albert(n_of(1), n_of(2), rng);
+    const graph::NodeId n = n_of(1);
+    const graph::NodeId attach = n_of(2);
+    budget(n, static_cast<double>(n) * attach);
+    return graph::barabasi_albert(n, attach, rng);
   }
   if (kind == "pendant") {
     expect_fields(f, 2, spec);
-    return graph::complete_plus_pendant(n_of(1));
+    const graph::NodeId n = n_of(1);
+    budget(n, n * (n - 1.0) / 2);
+    return graph::complete_plus_pendant(n);
   }
-  if (kind == "dkq") {
+  if (kind == "dkq" || kind == "kt1family") {
     expect_fields(f, 3, spec);
-    return graph::lazebnik_ustimenko_d(to_bounded<unsigned>(f[1], "k"),
-                                       to_u64(f[2], "q"))
-        .graph;
+    const auto k = to_bounded<unsigned>(f[1], "k");
+    const std::uint64_t q = to_u64(f[2], "q");
+    // D(k, q) has q^k nodes a side and q^(k+1) edges; the family adds a
+    // third side matched to one of them.
+    const double side = std::pow(static_cast<double>(q), k);
+    if (kind == "dkq") {
+      budget(2 * side, side * static_cast<double>(q));
+      return graph::lazebnik_ustimenko_d(k, q).graph;
+    }
+    budget(3 * side, side * (static_cast<double>(q) + 1));
+    return lb::make_kt1_family(k, q).family.graph;
   }
   if (kind == "kt0family") {
     expect_fields(f, 2, spec);
-    return lb::make_kt0_family(n_of(1)).graph;
-  }
-  if (kind == "kt1family") {
-    expect_fields(f, 3, spec);
-    return lb::make_kt1_family(to_bounded<unsigned>(f[1], "k"),
-                               to_u64(f[2], "q"))
-        .family.graph;
+    const graph::NodeId n = n_of(1);
+    budget(3.0 * n, static_cast<double>(n) * n + n);
+    return lb::make_kt0_family(n).graph;
   }
   RISE_CHECK_MSG(false, "unknown graph spec kind '" << kind << "'");
   return {};
