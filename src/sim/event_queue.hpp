@@ -15,7 +15,8 @@
 // occupied level and that slot spills, in order, into the (empty) levels
 // below. Every pending entry of one tick therefore sits in one slot in push
 // order, which is the tie-break, with no sequence number; each entry moves
-// down at most kLevels - 1 times.
+// down at most kLevels - 1 times. An Event's payload words ride in its
+// slot's word buffer (see TimingWheel below).
 //
 // A test pins the pop order against a stable-sort reference on random
 // workloads, for tau from 1 to 2^32 and wake-ups up to 2^62.
@@ -46,7 +47,6 @@ struct Event {
   std::uint32_t word_begin = 0;
 };
 static_assert(sizeof(Event) <= 48);
-static_assert(sizeof(Incoming) <= 32);
 
 /// A synchronous-engine timer: at round t, node becomes a candidate. It is
 /// an adversary wake-up or the end of the node's nap; only a node that is

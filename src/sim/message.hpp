@@ -60,6 +60,8 @@ struct Incoming {
 
   std::span<const std::uint64_t> words() const { return {data, msg.size}; }
 };
+static_assert(sizeof(Message) == 16);
+static_assert(sizeof(Incoming) <= 32);
 
 /// A word source writes size() payload words to the buffer it is given.
 template <class T>
