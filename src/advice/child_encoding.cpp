@@ -162,8 +162,7 @@ class ChildEncodingKernel {
       return;
     }
     self.started = true;
-    ctx.send(self.advice.first_child,
-             kCenWakeChild, 8);
+    ctx.send(self.advice.first_child, kCenWakeChild, 8);
   }
 
   States own_;

@@ -341,8 +341,7 @@ class FastWakeupKernel {
         const std::span<const Label> children = parse_labels(in);
         st.children = static_cast<std::uint32_t>(children.size());
         for (Label child : children) {
-          ctx.send_to_label(child,
-                            kFwInvite2, 16 + ctx.label_bits(), root);
+          ctx.send_to_label(child, kFwInvite2, 16 + ctx.label_bits(), root);
         }
         break;
       }

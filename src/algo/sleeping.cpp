@@ -328,15 +328,15 @@ void match_on_round(MatchState& self, Ctx& ctx,
         --pick;
       }
       const std::uint64_t prio = ctx.rng().uniform(ctx.n_upper_bound());
-      ctx.send(self.proposal_port,
-               kSmatPropose, kTagBits + 2 * ctx.label_bits(), prio, ctx.my_label());
+      ctx.send(self.proposal_port, kSmatPropose,
+               kTagBits + 2 * ctx.label_bits(), prio, ctx.my_label());
     }
   } else if (slot == 1) {
     if (!self.proposer && proposal_seen) {
       // Accept the strongest proposal; every losing proposer learns from
       // the MATCHED broadcast match_commit sends on its port.
-      ctx.send(best_port,
-               kSmatAccept, kTagBits + ctx.label_bits(), ctx.my_label());
+      ctx.send(best_port, kSmatAccept, kTagBits + ctx.label_bits(),
+               ctx.my_label());
       match_commit(self, ctx, best_port, best_label);
       return;
     }

@@ -147,14 +147,11 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     return to_bounded<graph::NodeId>(f[i], "node count", kMaxNode);
   };
   // Each kind checks the size it asks for against the budget first.
-  auto budget = [&](double nodes, double edges) {
-    check_budget(spec, nodes, edges);
-  };
   if (kind == "path" || kind == "cycle" || kind == "star" ||
       kind == "tree") {
     expect_fields(f, 2, spec);
     const graph::NodeId n = n_of(1);
-    budget(n, n);
+    check_budget(spec, n, n);
     if (kind == "path") return graph::path(n);
     if (kind == "cycle") return graph::cycle(n);
     if (kind == "star") return graph::star(n);
@@ -163,7 +160,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
   if (kind == "complete") {
     expect_fields(f, 2, spec);
     const graph::NodeId n = n_of(1);
-    budget(n, n * (n - 1.0) / 2);
+    check_budget(spec, n, n * (n - 1.0) / 2);
     return graph::complete(n);
   }
   if (kind == "grid" || kind == "torus") {
@@ -172,7 +169,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     RISE_CHECK_MSG(dims.size() == 2, "grid/torus spec needs RxC, got " << f[1]);
     const auto r = to_bounded<graph::NodeId>(dims[0], "rows", kMaxNode);
     const auto c = to_bounded<graph::NodeId>(dims[1], "cols", kMaxNode);
-    budget(static_cast<double>(r) * c, 2.0 * r * c);
+    check_budget(spec, static_cast<double>(r) * c, 2.0 * r * c);
     return kind == "grid" ? graph::grid(r, c) : graph::torus(r, c);
   }
   if (kind == "hypercube") {
@@ -184,7 +181,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     const graph::NodeId n = n_of(1);
     const double p = to_double(f[2], "edge probability");
     // Expected edges; cgnp adds at most n - 1 to connect the components.
-    budget(n, p * n * (n - 1.0) / 2 + (kind == "cgnp" ? n : 0));
+    check_budget(spec, n, p * n * (n - 1.0) / 2 + (kind == "cgnp" ? n : 0));
     return kind == "gnp" ? graph::gnp(n, p, rng)
                          : graph::connected_gnp(n, p, rng);
   }
@@ -192,7 +189,7 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     expect_fields(f, 3, spec);
     const graph::NodeId n = n_of(1);
     const graph::NodeId d = n_of(2);
-    budget(n, static_cast<double>(n) * d / 2);
+    check_budget(spec, n, static_cast<double>(n) * d / 2);
     return graph::random_regular(n, d, rng);
   }
   if (kind == "lollipop" || kind == "barbell") {
@@ -200,8 +197,8 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     const graph::NodeId clique = n_of(1);
     const graph::NodeId tail = n_of(2);
     const double cliques = kind == "lollipop" ? 1 : 2;
-    budget(cliques * clique + tail,
-           cliques * clique * (clique - 1.0) / 2 + tail + 1);
+    check_budget(spec, cliques * clique + tail,
+                 cliques * clique * (clique - 1.0) / 2 + tail + 1);
     return kind == "lollipop" ? graph::lollipop(clique, tail)
                               : graph::barbell(clique, tail);
   }
@@ -209,13 +206,13 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     expect_fields(f, 3, spec);
     const graph::NodeId n = n_of(1);
     const graph::NodeId attach = n_of(2);
-    budget(n, static_cast<double>(n) * attach);
+    check_budget(spec, n, static_cast<double>(n) * attach);
     return graph::barabasi_albert(n, attach, rng);
   }
   if (kind == "pendant") {
     expect_fields(f, 2, spec);
     const graph::NodeId n = n_of(1);
-    budget(n, n * (n - 1.0) / 2);
+    check_budget(spec, n, n * (n - 1.0) / 2);
     return graph::complete_plus_pendant(n);
   }
   if (kind == "dkq" || kind == "kt1family") {
@@ -226,16 +223,16 @@ graph::Graph parse_graph_spec(const std::string& spec, Rng& rng) {
     // third side matched to one of them.
     const double side = std::pow(static_cast<double>(q), k);
     if (kind == "dkq") {
-      budget(2 * side, side * static_cast<double>(q));
+      check_budget(spec, 2 * side, side * static_cast<double>(q));
       return graph::lazebnik_ustimenko_d(k, q).graph;
     }
-    budget(3 * side, side * (static_cast<double>(q) + 1));
+    check_budget(spec, 3 * side, side * (static_cast<double>(q) + 1));
     return lb::make_kt1_family(k, q).family.graph;
   }
   if (kind == "kt0family") {
     expect_fields(f, 2, spec);
     const graph::NodeId n = n_of(1);
-    budget(3.0 * n, static_cast<double>(n) * n + n);
+    check_budget(spec, 3.0 * n, static_cast<double>(n) * n + n);
     return lb::make_kt0_family(n).graph;
   }
   RISE_CHECK_MSG(false, "unknown graph spec kind '" << kind << "'");
